@@ -1,151 +1,106 @@
 //! Chunk-granular batched replay driving.
 //!
-//! Every replay loop in this crate funnels records into
-//! [`dvp_core::Predictor::observe_batch`] through one of these scratch
-//! buffers, so the per-record cost is a few vector writes and the virtual
-//! predictor dispatch amortizes over a chunk. Batch boundaries are
-//! invisible in the tallies: `observe_batch` is bit-for-bit the per-record
-//! loop, so *any* flush schedule produces identical results.
+//! The replay driver funnels every record into
+//! [`dvp_core::Predictor::observe_batch`] through this scratch buffer, so
+//! the per-record cost is a few vector writes and the virtual predictor
+//! dispatch amortizes over a chunk. Batch boundaries are invisible in the
+//! tallies: `observe_batch` is bit-for-bit the per-record loop, so *any*
+//! flush schedule produces identical results.
 
-use dvp_core::{AccuracyTracker, Predictor};
+use dvp_core::Predictor;
 use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord, Value};
 
 /// Reusable structure-of-arrays gather buffers for batched replay.
 ///
-/// Two usage shapes:
-///
-/// * **Whole slices** ([`BatchScratch::run_slice`]) — when a chunk's
-///   records and ids are already parallel slices, replay them in one call.
-/// * **Gather** ([`BatchScratch::push`] + [`BatchScratch::flush`]) — for
-///   filtered or re-interned loops that select records one at a time;
-///   outcomes are read back through [`BatchScratch::outcomes`].
+/// One shape: [`gather`](BatchScratch::gather) selects a span of a chunk
+/// (optionally only one PC shard's records) together with each record's
+/// global trace position, and [`observe`](BatchScratch::observe) replays
+/// the selection through one `observe_batch` call, yielding
+/// `(position, category, correct)` per record in trace order.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     ids: Vec<PcId>,
     pcs: Vec<Pc>,
     values: Vec<Value>,
-    cats: Vec<InstrCategory>,
+    /// Global position of the first record the selection came from.
+    base: u64,
+    /// Each selected record's offset from `base`, and its category.
+    tags: Vec<(u32, InstrCategory)>,
     correct: Vec<bool>,
 }
 
 impl BatchScratch {
-    pub(crate) fn new() -> Self {
-        BatchScratch::default()
-    }
-
-    /// Replays parallel `(records, ids)` slices through one
-    /// `observe_batch` call, tallying every outcome into `tracker`.
-    pub(crate) fn run_slice(
+    /// Replaces the selection with `records` (parallel to `ids`, the first
+    /// at global position `base`) — all of them, or with `Some((shard_of,
+    /// shard))` only those whose id maps to `shard`.
+    pub(crate) fn gather(
         &mut self,
-        predictor: &mut dyn Predictor,
-        tracker: &mut AccuracyTracker,
+        base: u64,
         records: &[TraceRecord],
         ids: &[PcId],
+        shard: Option<(&[usize], usize)>,
     ) {
-        self.observe_slice(predictor, records, ids);
-        for (rec, &ok) in records.iter().zip(&self.correct) {
-            tracker.record(rec.category, ok);
-        }
-    }
-
-    /// Replays parallel `(records, ids)` slices through one
-    /// `observe_batch` call, discarding the outcomes — the warmup shape,
-    /// where the predictor must see the records but nothing is tallied.
-    pub(crate) fn observe_slice(
-        &mut self,
-        predictor: &mut dyn Predictor,
-        records: &[TraceRecord],
-        ids: &[PcId],
-    ) {
-        self.pcs.clear();
-        self.pcs.extend(records.iter().map(|r| r.pc));
-        self.values.clear();
-        self.values.extend(records.iter().map(|r| r.value));
-        self.correct.clear();
-        self.correct.resize(records.len(), false);
-        predictor.observe_batch(ids, &self.pcs, &self.values, &mut self.correct);
-    }
-
-    /// Number of records gathered and not yet flushed.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Drops any gathered records (outcomes included).
-    pub(crate) fn clear(&mut self) {
+        self.base = base;
         self.ids.clear();
         self.pcs.clear();
         self.values.clear();
-        self.cats.clear();
-        self.correct.clear();
+        self.tags.clear();
+        for (offset, (rec, &id)) in (0..).zip(records.iter().zip(ids)) {
+            if shard.is_none_or(|(shard_of, s)| shard_of[id.index()] == s) {
+                self.ids.push(id);
+                self.pcs.push(rec.pc);
+                self.values.push(rec.value);
+                self.tags.push((offset, rec.category));
+            }
+        }
     }
 
-    /// Gathers one record for the next flush.
-    #[inline]
-    pub(crate) fn push(&mut self, id: PcId, rec: &TraceRecord) {
-        self.ids.push(id);
-        self.pcs.push(rec.pc);
-        self.values.push(rec.value);
-        self.cats.push(rec.category);
+    /// The selected records' dense ids, in trace order.
+    pub(crate) fn ids(&self) -> &[PcId] {
+        &self.ids
     }
 
-    /// Replays everything gathered since the last clear; outcomes become
-    /// readable through [`BatchScratch::outcomes`]. Does not clear — the
-    /// caller reads outcomes first, then calls [`BatchScratch::clear`]
-    /// (or uses [`BatchScratch::flush_tally`]).
-    pub(crate) fn flush(&mut self, predictor: &mut dyn Predictor) {
+    /// The selected records, rebuilt in trace order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        let fields = self.pcs.iter().zip(&self.tags).zip(&self.values);
+        fields.map(|((&pc, &(_, cat)), &value)| TraceRecord::new(pc, cat, value))
+    }
+
+    /// Replays the selection through one `observe_batch` call. Returns the
+    /// chunk's global position and, in trace order, each selected
+    /// record's `(offset in the chunk, category)` with whether it was
+    /// predicted correctly.
+    pub(crate) fn observe(
+        &mut self,
+        predictor: &mut dyn Predictor,
+    ) -> (u64, &[(u32, InstrCategory)], &[bool]) {
         self.correct.clear();
         self.correct.resize(self.ids.len(), false);
         predictor.observe_batch(&self.ids, &self.pcs, &self.values, &mut self.correct);
-    }
-
-    /// [`BatchScratch::flush`], tally every outcome into `tracker`, and
-    /// clear.
-    pub(crate) fn flush_tally(
-        &mut self,
-        predictor: &mut dyn Predictor,
-        tracker: &mut AccuracyTracker,
-    ) {
-        self.flush(predictor);
-        for (&cat, &ok) in self.cats.iter().zip(&self.correct) {
-            tracker.record(cat, ok);
-        }
-        self.clear();
-    }
-
-    /// Per-record `(category, correct)` outcomes of the last flush, in
-    /// gather order.
-    pub(crate) fn outcomes(&self) -> impl Iterator<Item = (InstrCategory, bool)> + '_ {
-        self.cats.iter().copied().zip(self.correct.iter().copied())
+        (self.base, &self.tags, &self.correct)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvp_core::{FcmPredictor, PredictorConfig};
+    use dvp_core::{AccuracyTracker, PredictorConfig};
     use dvp_trace::PcInterner;
 
-    fn stream() -> Vec<TraceRecord> {
+    fn stream() -> (Vec<TraceRecord>, Vec<PcId>) {
+        let mut interner = PcInterner::new();
         (0..500u64)
             .map(|i| {
                 let cat = if i % 4 == 0 { InstrCategory::Loads } else { InstrCategory::Logic };
-                TraceRecord::new(Pc(8 * (i % 7)), cat, (i / 7) % 5)
+                let rec = TraceRecord::new(Pc(8 * (i % 7)), cat, (i / 7) % 5);
+                (rec, interner.intern(rec.pc))
             })
-            .collect()
+            .unzip()
     }
 
     #[test]
-    fn run_slice_matches_per_record_loop_for_every_config() {
-        let records = stream();
-        let mut interner = PcInterner::new();
-        let ids: Vec<PcId> = records.iter().map(|r| interner.intern(r.pc)).collect();
+    fn chunked_observe_matches_per_record_loop_for_every_config() {
+        let (records, ids) = stream();
         for config in PredictorConfig::paper_bank() {
             let mut reference = config.build();
             let mut want = AccuracyTracker::new();
@@ -155,17 +110,16 @@ mod tests {
             for chunk in [3usize, 64, 500] {
                 let mut predictor = config.build();
                 let mut got = AccuracyTracker::new();
-                let mut scratch = BatchScratch::new();
-                for (recs, idch) in records.chunks(chunk).zip(ids.chunks(chunk)) {
-                    scratch.run_slice(&mut predictor, &mut got, recs, idch);
+                let mut scratch = BatchScratch::default();
+                for (c, (recs, idch)) in records.chunks(chunk).zip(ids.chunks(chunk)).enumerate() {
+                    scratch.gather((c * chunk) as u64, recs, idch, None);
+                    let (_, tags, correct) = scratch.observe(predictor.as_mut());
+                    for (&(_, cat), &ok) in tags.iter().zip(correct) {
+                        got.record(cat, ok);
+                    }
                 }
                 for cat in InstrCategory::ALL.into_iter().map(Some).chain([None]) {
-                    assert_eq!(
-                        got.correct(cat),
-                        want.correct(cat),
-                        "{} chunk {chunk} {cat:?}",
-                        config.name()
-                    );
+                    assert_eq!(got.correct(cat), want.correct(cat), "{} {chunk}", config.name());
                     assert_eq!(got.predicted(cat), want.predicted(cat));
                 }
             }
@@ -173,43 +127,22 @@ mod tests {
     }
 
     #[test]
-    fn gather_flush_matches_run_slice() {
-        let records = stream();
-        let mut interner = PcInterner::new();
-        let ids: Vec<PcId> = records.iter().map(|r| interner.intern(r.pc)).collect();
-        let mut a = FcmPredictor::new(3);
-        let mut want = AccuracyTracker::new();
-        let mut scratch = BatchScratch::new();
-        scratch.run_slice(&mut a, &mut want, &records, &ids);
-        let mut b = FcmPredictor::new(3);
-        let mut got = AccuracyTracker::new();
-        let mut gather = BatchScratch::new();
-        for (rec, &id) in records.iter().zip(&ids) {
-            gather.push(id, rec);
-            if gather.len() == 37 {
-                gather.flush_tally(&mut b, &mut got);
-            }
-        }
-        assert!(!gather.is_empty());
-        gather.flush_tally(&mut b, &mut got);
-        assert_eq!(got.correct(None), want.correct(None));
-        assert_eq!(got.predicted(None), want.predicted(None));
-    }
-
-    #[test]
-    fn outcomes_expose_categories_in_gather_order() {
-        let records = stream();
-        let mut interner = PcInterner::new();
-        let mut p = FcmPredictor::new(1);
-        let mut scratch = BatchScratch::new();
-        for rec in records.iter().take(10) {
-            scratch.push(interner.intern(rec.pc), rec);
-        }
-        scratch.flush(&mut p);
-        let cats: Vec<InstrCategory> = scratch.outcomes().map(|(c, _)| c).collect();
-        let want: Vec<InstrCategory> = records.iter().take(10).map(|r| r.category).collect();
-        assert_eq!(cats, want);
-        scratch.clear();
-        assert!(scratch.is_empty());
+    fn gather_selects_one_shard_with_global_positions() {
+        let (records, ids) = stream();
+        let shard_of: Vec<usize> = (0..7).map(|id| id % 3).collect();
+        let mut scratch = BatchScratch::default();
+        scratch.gather(1000, &records[10..40], &ids[10..40], Some((&shard_of, 1)));
+        let picked: Vec<usize> = (10..40).filter(|&i| shard_of[ids[i].index()] == 1).collect();
+        assert!(!picked.is_empty() && picked.len() < 30);
+        let want: Vec<TraceRecord> = picked.iter().map(|&i| records[i]).collect();
+        assert_eq!(scratch.records().collect::<Vec<_>>(), want);
+        let want_ids: Vec<PcId> = picked.iter().map(|&i| ids[i]).collect();
+        assert_eq!(scratch.ids(), want_ids);
+        let mut p = PredictorConfig::paper_bank()[0].build();
+        let (base, tags, _) = scratch.observe(p.as_mut());
+        let positions: Vec<u64> = tags.iter().map(|&(at, _)| base + u64::from(at)).collect();
+        assert_eq!(positions, picked.iter().map(|&i| 990 + i as u64).collect::<Vec<_>>());
+        scratch.gather(0, &records[5..5], &ids[5..5], None);
+        assert!(scratch.ids().is_empty());
     }
 }

@@ -1,0 +1,491 @@
+//! The replay driver: every public replay method is a thin wrapper that
+//! folds a chunk source (resident or streamed) through one job loop under
+//! a [`Plan`], on one PC partition ([`shard_of_pc`], computed once per
+//! dense id), with one merge in (configuration, unit) order.
+
+use crate::batch::BatchScratch;
+use crate::pool::decode_ahead;
+use crate::shared::ChunkWindow;
+use crate::{shard_of_pc, ReplayEngine, SharedTrace};
+use dvp_core::{AccuracyTracker, Predictor, PredictorConfig, PredictorSet, SetBatch};
+use dvp_trace::io::{v2, TraceIoError};
+use dvp_trace::{PcId, PcInterner, PhasePlan, TraceRecord};
+use std::io::Read;
+use std::ops::Range;
+
+/// What a replay observes and tallies.
+#[derive(Clone, Copy)]
+pub(crate) enum Plan<'a> {
+    /// Every record, tallied once; the units are PC shards.
+    Full,
+    /// One cold job per phase (the units): observe the warmup prefix,
+    /// tally the window into that phase's tally.
+    Cold(&'a PhasePlan),
+    /// Functional warming: observe every record, tally phase *i*'s window
+    /// into tally *i*; the units are PC shards.
+    Warm(&'a PhasePlan),
+}
+
+impl Plan<'_> {
+    /// Jobs per configuration (a cold plan without phases still gets one,
+    /// so every configuration reports).
+    fn units(self, shards: usize) -> usize {
+        match self {
+            Plan::Cold(plan) => plan.phases.len().max(1),
+            _ => shards,
+        }
+    }
+
+    /// The record positions job `unit` observes.
+    fn observed(self, unit: usize) -> Range<u64> {
+        match self {
+            Plan::Cold(plan) => plan
+                .phases
+                .get(unit)
+                .map_or(0..0, |p| p.start.saturating_sub(plan.warmup_records)..p.end),
+            _ => 0..u64::MAX,
+        }
+    }
+
+    /// Checks a sampled plan against a trace of `records` records.
+    fn check(self, records: u64) -> Result<(), String> {
+        let (Plan::Cold(plan) | Plan::Warm(plan)) = self else { return Ok(()) };
+        plan.validate().map_err(|e| e.to_string())?;
+        match plan.total_records {
+            covered if covered == records => Ok(()),
+            covered => Err(format!(
+                "phase plan covers {covered} records but the trace holds {records} \
+                 (it was built for a different trace)"
+            )),
+        }
+    }
+
+    /// Job `unit` of this plan, replaying into `model`; it filters by PC
+    /// shard when the plan's units are shards (of more than one).
+    fn job<M>(self, unit: usize, shards: usize, model: M) -> Job<M> {
+        let shard = (!matches!(self, Plan::Cold(_)) && shards > 1).then_some(unit);
+        Job { model, observed: self.observed(unit), shard }
+    }
+
+    /// The model of `config` as job `unit`: its tallied windows, and the
+    /// tally index of the first.
+    pub(crate) fn tallied(self, config: &PredictorConfig, unit: usize) -> Tallied {
+        let (windows, first, tallies) = match self {
+            Plan::Full => (std::iter::once(0..u64::MAX).collect(), 0, 1),
+            Plan::Cold(plan) => {
+                let window = plan.phases.get(unit).map(|p| p.start..p.end);
+                (window.into_iter().collect(), unit, plan.phases.len())
+            }
+            Plan::Warm(plan) => {
+                (plan.phases.iter().map(|p| p.start..p.end).collect(), 0, plan.phases.len())
+            }
+        };
+        let tallies = (config.name().to_owned(), vec![AccuracyTracker::new(); tallies]);
+        Tallied { predictor: config.build(), windows, first, next: 0, tallies }
+    }
+}
+
+/// What one replay job feeds, what it reports, and how two units'
+/// reports merge.
+pub(crate) trait Model: Send + Sized {
+    /// What a finished job reports.
+    type Tally: Send;
+    /// Replays one gathered batch.
+    fn feed(&mut self, batch: &mut BatchScratch);
+    /// Drops the job's replay state, keeping its report.
+    fn finish(self) -> Self::Tally;
+    /// Folds another unit's report for the same configuration into `into`.
+    fn merge(into: &mut Self::Tally, from: Self::Tally);
+}
+
+/// One predictor, tallying the outcomes that fall inside its windows.
+pub(crate) struct Tallied {
+    predictor: Box<dyn Predictor>,
+    /// Ascending position ranges; window `i` tallies into
+    /// `tallies[first + i]`.
+    windows: Vec<Range<u64>>,
+    first: usize,
+    /// Phase cursor: the first window not yet behind the positions fed.
+    next: usize,
+    /// The configuration's name and the job's tallies.
+    tallies: (String, Vec<AccuracyTracker>),
+}
+
+impl Model for Tallied {
+    type Tally = (String, Vec<AccuracyTracker>);
+
+    fn feed(&mut self, batch: &mut BatchScratch) {
+        let (base, tags, correct) = batch.observe(self.predictor.as_mut());
+        let before = |pos: u64| move |&(at, _): &(u32, _)| base + u64::from(at) < pos;
+        let mut from = 0;
+        // Outcomes are in position order: walk them one window at a time.
+        while let Some(window) = self.windows.get(self.next) {
+            let end = from + tags[from..].partition_point(before(window.end));
+            let start = from + tags[from..end].partition_point(before(window.start));
+            let tally = &mut self.tallies.1[self.first + self.next];
+            for (&(_, category), &hit) in tags[start..end].iter().zip(&correct[start..end]) {
+                tally.record(category, hit);
+            }
+            if end == tags.len() {
+                break;
+            }
+            (from, self.next) = (end, self.next + 1);
+        }
+    }
+
+    fn finish(self) -> Self::Tally {
+        self.tallies
+    }
+
+    fn merge(into: &mut Self::Tally, from: Self::Tally) {
+        for (into, from) in into.1.iter_mut().zip(&from.1) {
+            into.merge(from);
+        }
+    }
+}
+
+/// A correlated [`PredictorSet`] observing its records in lockstep.
+pub(crate) struct Correlated(PredictorSet, SetBatch, Vec<TraceRecord>);
+
+impl Correlated {
+    pub(crate) fn new(set: PredictorSet) -> Self {
+        Correlated(set, SetBatch::new(), Vec::new())
+    }
+}
+
+impl Model for Correlated {
+    type Tally = PredictorSet;
+
+    fn feed(&mut self, batch: &mut BatchScratch) {
+        self.2.clear();
+        self.2.extend(batch.records());
+        self.0.observe_dense_batch(batch.ids(), &self.2, &mut self.1);
+    }
+
+    fn finish(self) -> Self::Tally {
+        self.0
+    }
+
+    fn merge(into: &mut Self::Tally, from: Self::Tally) {
+        into.merge(from);
+    }
+}
+
+/// One job: a model plus the part of the trace it observes.
+struct Job<M> {
+    model: M,
+    observed: Range<u64>,
+    /// The PC shard this job owns, when the plan partitions by PC.
+    shard: Option<usize>,
+}
+
+impl<M: Model> Job<M> {
+    /// The span of a `len`-record chunk at position `base` this job reads.
+    fn span(&self, base: u64, len: usize) -> Range<usize> {
+        let clamp = |pos: u64| (pos.clamp(base, base + len as u64) - base) as usize;
+        clamp(self.observed.start)..clamp(self.observed.end)
+    }
+
+    /// Folds one chunk (`records` with their parallel `ids`, starting at
+    /// global position `base`) into the job; `shard_of` maps ids to PC
+    /// shards, so the shard filter is one indexed load per record.
+    fn absorb(
+        &mut self,
+        base: u64,
+        records: &[TraceRecord],
+        ids: &[PcId],
+        shard_of: &[usize],
+        scratch: &mut BatchScratch,
+    ) {
+        let span = self.span(base, records.len());
+        let base = base + span.start as u64;
+        let shard = self.shard.map(|s| (shard_of, s));
+        scratch.gather(base, &records[span.clone()], &ids[span], shard);
+        self.model.feed(scratch);
+    }
+}
+
+/// Folds each run of `units` consecutive job reports (one configuration's
+/// units, in unit order) into one.
+fn merge<M: Model>(tallies: impl IntoIterator<Item = M::Tally>, units: usize) -> Vec<M::Tally> {
+    let mut merged: Vec<M::Tally> = Vec::new();
+    for (job, tally) in tallies.into_iter().enumerate() {
+        match merged.last_mut() {
+            Some(into) if job % units != 0 => M::merge(into, tally),
+            _ => merged.push(tally),
+        }
+    }
+    merged
+}
+
+/// Reads, verifies and decodes the container's chunks in order into
+/// `window`, tagged with their global record base, through one reused
+/// payload buffer; chunks no job observes are read past undecoded. The
+/// trailing sections are validated last.
+fn produce<R: Read>(
+    reader: &mut R,
+    version: u8,
+    header: &v2::Header,
+    plan: Plan<'_>,
+    window: &ChunkWindow<(u64, Vec<TraceRecord>)>,
+) -> Result<(), TraceIoError> {
+    let mut payload = Vec::new();
+    let mut base = 0u64;
+    for (index, info) in header.chunks.iter().enumerate() {
+        payload.clear();
+        reader.by_ref().take(u64::from(info.len)).read_to_end(&mut payload)?;
+        if payload.len() != info.len as usize {
+            return Err(TraceIoError::Format {
+                message: format!(
+                    "payload ends inside chunk {index} (wanted {} bytes at payload offset {})",
+                    info.len, info.offset
+                ),
+            });
+        }
+        let end = base + u64::from(info.records);
+        if (0..plan.units(1))
+            .map(|unit| plan.observed(unit))
+            .any(|seen| seen.start < end && base < seen.end)
+        {
+            window.push((base, v2::decode_chunk(&payload, info)?));
+        }
+        base = end;
+    }
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest)?;
+    v2::validate_trailing(version, &rest)?;
+    Ok(())
+}
+
+impl ReplayEngine {
+    /// Replays a resident trace under `plan`: one job per (configuration,
+    /// unit) on the worker pool, `make(config, unit)` building each job's
+    /// model. Returns one merged report per configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Plan::check`] rejects the plan for the trace.
+    pub(crate) fn drive<M, F>(
+        &self,
+        trace: &SharedTrace,
+        plan: Plan<'_>,
+        configs: usize,
+        make: F,
+    ) -> Vec<M::Tally>
+    where
+        M: Model,
+        F: Fn(usize, usize) -> M + Sync,
+    {
+        plan.check(trace.len() as u64).unwrap_or_else(|e| panic!("{e}"));
+        let (shards, units) = (self.shards(), plan.units(self.shards()));
+        let shard_of: Vec<usize> =
+            trace.interner().pcs().iter().map(|&pc| shard_of_pc(pc, shards)).collect();
+        let reports = self.map((0..configs * units).collect(), |j| {
+            let mut job = plan.job(j % units, shards, make(j / units, j % units));
+            let mut scratch = BatchScratch::default();
+            let mut base = 0u64;
+            for (records, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
+                job.absorb(base, records, ids, &shard_of, &mut scratch);
+                base += records.len() as u64;
+            }
+            job.model.finish()
+        });
+        merge::<M>(reports, units)
+    }
+
+    /// Replays a container streaming under `plan`: the calling thread
+    /// produces chunks into the bounded window while consumer `c` folds
+    /// every chunk into jobs `c, c + consumers, …` (configuration-major),
+    /// interning each PC once into one interner shared by all its jobs.
+    /// Returns one merged report per configuration.
+    ///
+    /// # Errors
+    ///
+    /// A malformed header, a plan [`Plan::check`] rejects, or any
+    /// [`produce`] error; partial results are discarded.
+    pub(crate) fn drive_stream<R, M, F>(
+        &self,
+        mut reader: R,
+        plan: Plan<'_>,
+        configs: usize,
+        make: F,
+    ) -> Result<(v2::Header, Vec<M::Tally>), TraceIoError>
+    where
+        R: Read,
+        M: Model,
+        F: Fn(usize, usize) -> M + Sync,
+    {
+        let (version, header) = v2::read_versioned_header(&mut reader)?;
+        plan.check(header.record_count).map_err(|message| TraceIoError::Format { message })?;
+        let (shards, units) = (self.shards(), plan.units(self.shards()));
+        let jobs = configs * units;
+        let consumers = self.workers().min(jobs);
+        let folded = decode_ahead(
+            self.chunk_window(),
+            consumers,
+            |window| produce(&mut reader, version, &header, plan, window),
+            |window, consumer| {
+                let mut owned: Vec<Job<M>> = (consumer..jobs)
+                    .step_by(consumers)
+                    .map(|j| plan.job(j % units, shards, make(j / units, j % units)))
+                    .collect();
+                let mut interner = PcInterner::new();
+                let (mut shard_of, mut ids) = (Vec::new(), Vec::new());
+                let mut scratch = BatchScratch::default();
+                while let Some(chunk) = window.next(consumer) {
+                    let (base, records) = &*chunk;
+                    // Intern only the records some owned job reads.
+                    let mut spans: Vec<Range<usize>> =
+                        owned.iter().map(|job| job.span(*base, records.len())).collect();
+                    spans.sort_by_key(|span| span.start);
+                    ids.clear();
+                    ids.resize(records.len(), PcId(0));
+                    let mut interned = 0;
+                    for span in spans {
+                        for i in span.start.max(interned)..span.end {
+                            ids[i] = interner.intern(records[i].pc);
+                            if ids[i].index() == shard_of.len() {
+                                shard_of.push(shard_of_pc(records[i].pc, shards));
+                            }
+                        }
+                        interned = interned.max(span.end);
+                    }
+                    for job in &mut owned {
+                        job.absorb(*base, records, &ids, &shard_of, &mut scratch);
+                    }
+                }
+                owned.into_iter().map(|job| job.model.finish()).collect::<Vec<_>>()
+            },
+        )?;
+        // Consumer `c` reported jobs `c, c + consumers, …` in order.
+        let mut folded: Vec<_> = folded.into_iter().map(Vec::into_iter).collect();
+        let reports = (0..jobs).map(|j| folded[j % consumers].next().expect("one report per job"));
+        Ok((header, merge::<M>(reports, units)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{phase_plan, ConfigReplay, PhaseOptions, ReplayEngine, SampledReplay, SharedTrace};
+    use dvp_core::{AccuracyTracker, PredictorConfig};
+    use dvp_trace::io::v2;
+    use dvp_trace::{InstrCategory, Pc, PhasePlan, TraceRecord};
+
+    /// Two regimes (constant values, then strides) over 7 PCs.
+    fn records(n: u64) -> Vec<TraceRecord> {
+        (0..n)
+            .map(|i| {
+                let category =
+                    if i % 2 == 0 { InstrCategory::Loads } else { InstrCategory::AddSub };
+                let value = if i < n / 2 { i % 7 } else { (i / 7) * 3 };
+                TraceRecord::new(Pc(0x40_0000 + 4 * (i % 7)), category, value)
+            })
+            .collect()
+    }
+
+    /// Per config, per tally, per category: (correct, predicted).
+    type Surface = Vec<(String, Vec<Vec<(u64, u64)>>)>;
+
+    fn surface<'a>(rows: impl IntoIterator<Item = (&'a str, &'a [AccuracyTracker])>) -> Surface {
+        rows.into_iter()
+            .map(|(name, tallies)| {
+                let per_tally = tallies
+                    .iter()
+                    .map(|t| {
+                        InstrCategory::ALL
+                            .into_iter()
+                            .map(Some)
+                            .chain([None])
+                            .map(|c| (t.correct(c), t.predicted(c)))
+                            .collect()
+                    })
+                    .collect();
+                (name.to_owned(), per_tally)
+            })
+            .collect()
+    }
+
+    fn full(replays: &[ConfigReplay]) -> Surface {
+        surface(replays.iter().map(|r| (r.name.as_str(), std::slice::from_ref(&r.tracker))))
+    }
+
+    fn sampled(replays: &[SampledReplay]) -> Surface {
+        surface(replays.iter().map(|r| (r.name.as_str(), r.phases.as_slice())))
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Source {
+        Resident,
+        V2,
+        V4,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Mode {
+        Full,
+        Cold,
+        Warm,
+    }
+
+    fn run(
+        engine: &ReplayEngine,
+        source: Source,
+        mode: Mode,
+        trace: &SharedTrace,
+        containers: (&[u8], &[u8]),
+        plan: &PhasePlan,
+    ) -> Surface {
+        let bank = PredictorConfig::paper_bank();
+        let bytes = match source {
+            Source::Resident => {
+                return match mode {
+                    Mode::Full => full(&engine.replay(trace, &bank)),
+                    Mode::Cold => sampled(&engine.replay_sampled(trace, &bank, plan)),
+                    Mode::Warm => sampled(&engine.replay_sampled_warm(trace, &bank, plan)),
+                }
+            }
+            Source::V2 => containers.0,
+            Source::V4 => containers.1,
+        };
+        let (header, surface) = match mode {
+            Mode::Full => engine.replay_streaming(bytes, &bank).map(|(h, r)| (h, full(&r))),
+            Mode::Cold => {
+                engine.replay_sampled_streaming(bytes, &bank, plan).map(|(h, r)| (h, sampled(&r)))
+            }
+            Mode::Warm => engine
+                .replay_sampled_warm_streaming(bytes, &bank, plan)
+                .map(|(h, r)| (h, sampled(&r))),
+        }
+        .expect("streams");
+        assert_eq!(header.record_count, trace.len() as u64);
+        surface
+    }
+
+    #[test]
+    fn every_source_plan_and_setting_matches_sequential_resident() {
+        let records = records(30_000);
+        let meta = v2::TraceMeta::default();
+        let mut plain = Vec::new();
+        v2::write_records(&mut plain, &meta, &records, 2048).expect("writes");
+        let mut compressed = Vec::new();
+        v2::write_compressed(&mut compressed, &meta, records.chunks(2048), &[]).expect("writes");
+        let trace = SharedTrace::from_records(records);
+        let options = PhaseOptions { window_records: 512, clusters: 4, ..PhaseOptions::default() };
+        let plan = phase_plan(&trace, &options);
+        let containers = (plain.as_slice(), compressed.as_slice());
+        let sequential = ReplayEngine::sequential();
+        let parallel = ReplayEngine::new().with_workers(4).with_shards(3).with_chunk_window(2);
+        for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
+            let reference = run(&sequential, Source::Resident, mode, &trace, containers, &plan);
+            for source in [Source::Resident, Source::V2, Source::V4] {
+                for engine in [&sequential, &parallel] {
+                    assert_eq!(
+                        run(engine, source, mode, &trace, containers, &plan),
+                        reference,
+                        "{source:?} {mode:?} {engine:?}"
+                    );
+                }
+            }
+        }
+    }
+}

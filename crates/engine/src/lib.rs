@@ -13,36 +13,34 @@
 //!    optionally many traces at once) into independent jobs on a
 //!    fixed-size [`par_map`] worker pool.
 //! 3. **Shard per-PC state.** Within one (trace, configuration) cell the
-//!    trace is split into contiguous dense-id ranges ([`shard_of_id`] over
-//!    the trace's interned [`PcId`](dvp_trace::PcId)s). Every predictor in
-//!    `dvp-core` keeps strictly per-PC tables, so each shard replays
-//!    exactly the per-PC value streams a sequential pass would have
-//!    produced, on its own private predictor instance — workers never
-//!    contend on shared state.
+//!    trace is split by PC hash ([`shard_of_pc`], looked up once per
+//!    interned [`PcId`](dvp_trace::PcId), never per record) — the one
+//!    partition every replay path uses. Every predictor in `dvp-core`
+//!    keeps strictly per-PC tables, so each shard replays exactly the
+//!    per-PC value streams a sequential pass would have produced, on its
+//!    own private predictor instance — workers never contend on shared
+//!    state.
 //! 4. **Merge deterministically.** Shard tallies are exact integer counts,
 //!    merged in a fixed order; results are **bit-identical at any worker
-//!    or shard count**, including the sequential configuration.
+//!    or shard count**, including the sequential configuration. Every
+//!    replay method — full, correlated, streaming, cold- or warm-sampled —
+//!    is a thin wrapper over one private driver: a chunk source (resident
+//!    or streamed) folded through one job loop under a replay plan.
 //! 5. **Load persisted traces in parallel.** [`ReplayEngine::load_trace`]
 //!    assembles a [`SharedTrace`] chunk for chunk from a v2 trace
 //!    container ([`dvp_trace::io::v2`]) on the same worker pool — each
 //!    chunk decodes as an independent, checksummed job, and no
 //!    intermediate flat record vector is ever built.
 //! 6. **Stream huge traces in bounded memory.**
-//!    [`ReplayEngine::replay_streaming`] replays a container without
-//!    materializing it at all: chunks decode (and decompress) one at a
-//!    time on the calling thread and flow through a bounded window of
-//!    refcounted chunks ([`DEFAULT_CHUNK_WINDOW`]) to the replay workers,
-//!    so resident memory is fixed no matter how long the trace is — and
-//!    the tallies are still byte-identical to the resident path.
+//!    [`ReplayEngine::replay_streaming`] decodes a container one chunk at
+//!    a time into a bounded window ([`DEFAULT_CHUNK_WINDOW`]) feeding the
+//!    workers: resident memory is fixed whatever the trace length, and
+//!    tallies stay byte-identical to the resident path.
 //! 7. **Sample phases instead of replaying everything.** [`phase_plan`]
-//!    fingerprints fixed-length trace windows with behavior vectors and
-//!    clusters them SimPoint-style (seeded, deterministic);
-//!    [`ReplayEngine::replay_sampled`] and
-//!    [`ReplayEngine::replay_sampled_streaming`] then replay only one
+//!    clusters fixed-length trace windows SimPoint-style (seeded,
+//!    deterministic); [`ReplayEngine::replay_sampled`] then replays one
 //!    weighted representative window per cluster — a ≥10x record
-//!    reduction at ≤1% absolute accuracy error on the tier-1 workloads,
-//!    with the streaming form skipping the *decode* of untouched chunks
-//!    entirely.
+//!    reduction — and its streaming form skips decoding untouched chunks.
 //! 8. **Accept work asynchronously.** A [`JobQueue`] puts a bounded,
 //!    admission-controlled submission surface in front of the engine for
 //!    long-lived services (`repro serve`): [`JobQueue::try_submit`] never
@@ -84,6 +82,7 @@
 #![warn(missing_docs)]
 
 mod batch;
+mod drive;
 mod jobs;
 mod load;
 mod pool;
@@ -98,7 +97,6 @@ pub use jobs::{
 pub use pool::{par_map, try_par_map};
 pub use replay::{ConfigReplay, ReplayEngine, DEFAULT_SHARDS};
 pub use shared::{
-    shard_of_id, shard_of_pc, SharedTrace, SharedTraceBuilder, DEFAULT_CHUNK_LEN,
-    DEFAULT_CHUNK_WINDOW,
+    shard_of_pc, SharedTrace, SharedTraceBuilder, DEFAULT_CHUNK_LEN, DEFAULT_CHUNK_WINDOW,
 };
 pub use simpoint::{phase_plan, PhaseOptions, SampledReplay, DEFAULT_WINDOW_RECORDS};

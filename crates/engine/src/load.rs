@@ -1,36 +1,30 @@
 //! Parallel loading of persisted v2 trace containers into [`SharedTrace`]s,
 //! and the streaming replay path that never materializes one.
 
-use crate::batch::BatchScratch;
-use crate::pool::decode_ahead;
-use crate::shared::shard_of_pc;
+use crate::drive::Plan;
 use crate::{ConfigReplay, ReplayEngine, SharedTrace};
-use dvp_core::{AccuracyTracker, PredictorConfig};
+use dvp_core::PredictorConfig;
 use dvp_trace::io::v2;
 use dvp_trace::io::TraceIoError;
-use dvp_trace::{PcId, PcInterner, TraceRecord};
+use dvp_trace::{Pc, PcId, TraceRecord};
 use std::io::Read;
 
 impl ReplayEngine {
     /// Decodes an in-memory v2 trace container into a [`SharedTrace`],
     /// chunk for chunk, on this engine's worker pool.
     ///
-    /// The container's chunks are self-contained (delta bases reset at
-    /// chunk boundaries, each index entry carries its own checksum), so
-    /// every chunk decodes as an independent job; the decoded chunk
-    /// vectors then move straight into the shared buffer via
-    /// [`SharedTrace::from_chunks`] — no intermediate flat record vector
-    /// is ever built, and chunk boundaries survive a save/load round trip
-    /// exactly. With [`ReplayEngine::sequential`] the decode runs inline
-    /// on the calling thread with identical results.
+    /// Chunks are self-contained (delta bases reset at chunk boundaries,
+    /// each index entry carries its own checksum), so every chunk decodes
+    /// as an independent job and moves straight into the shared buffer: no
+    /// flat record vector is ever built, and chunk boundaries survive a
+    /// save/load round trip exactly.
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceIoError`] for a malformed header, any chunk whose
-    /// payload fails validation (length, checksum, record count, category
-    /// bytes), a truncated payload section, or trailing bytes after the
-    /// last chunk. Errors are reported for the lowest-index failing chunk
-    /// regardless of which worker hit them first.
+    /// Returns a [`TraceIoError`] for a malformed header, a chunk failing
+    /// validation, a truncated payload section, trailing bytes, or a
+    /// persisted interner section that misses a PC — for the lowest-index
+    /// failing chunk, whichever worker hit it first.
     ///
     /// # Examples
     ///
@@ -56,35 +50,28 @@ impl ReplayEngine {
             .find(|section| section.magic == v2::SECTION_INTERNER)
             .map(|section| v2::decode_interner(section.body))
             .transpose()?;
-        let decoded = self.try_map(header.chunks.clone(), |info| {
-            v2::decode_chunk(v2::chunk_payload(payload, &info)?, &info)
+        let stale = |pc: Pc| TraceIoError::Format {
+            message: format!("interner section does not cover {pc} (stale section)"),
+        };
+        // One job per chunk: decode it and, when the container persists
+        // its interner, assign the chunk's ids by read-only lookups — so
+        // id assignment fans out chunk-parallel instead of running as one
+        // sequential interning pass.
+        let parts = self.try_map(header.chunks.clone(), |info| {
+            let chunk = v2::decode_chunk(v2::chunk_payload(payload, &info)?, &info)?;
+            let ids = match &interner {
+                Some(interner) => chunk
+                    .iter()
+                    .map(|rec| interner.get(rec.pc).ok_or_else(|| stale(rec.pc)))
+                    .collect::<Result<Vec<PcId>, _>>()?,
+                None => Vec::new(),
+            };
+            Ok::<_, TraceIoError>((chunk, ids))
         })?;
+        let (chunks, ids): (Vec<Vec<TraceRecord>>, Vec<Vec<PcId>>) = parts.into_iter().unzip();
         let trace = match interner {
-            // A persisted interner turns id assignment into read-only
-            // lookups, so it fans out chunk-parallel on the same pool
-            // instead of running as one sequential interning pass. The
-            // jobs carry the chunks through (no copy) and hand them back
-            // alongside their ids.
-            Some(interner) => {
-                let parts: Vec<(Vec<TraceRecord>, Vec<PcId>)> = self.try_map(decoded, |chunk| {
-                    let ids = chunk
-                        .iter()
-                        .map(|rec| {
-                            interner.get(rec.pc).ok_or_else(|| TraceIoError::Format {
-                                message: format!(
-                                    "interner section does not cover {} (stale section)",
-                                    rec.pc
-                                ),
-                            })
-                        })
-                        .collect::<Result<Vec<PcId>, TraceIoError>>()?;
-                    Ok::<_, TraceIoError>((chunk, ids))
-                })?;
-                let (chunks, ids): (Vec<Vec<TraceRecord>>, Vec<Vec<PcId>>) =
-                    parts.into_iter().unzip();
-                SharedTrace::from_parts(chunks, ids, interner)
-            }
-            None => SharedTrace::from_chunks(decoded),
+            Some(interner) => SharedTrace::from_parts(chunks, ids, interner),
+            None => SharedTrace::from_chunks(chunks),
         };
         Ok((header, trace))
     }
@@ -98,16 +85,9 @@ impl ReplayEngine {
     ///
     /// Resident records are bounded by roughly
     /// `(chunk_window + workers) × chunk_capacity` regardless of trace
-    /// length, which is what lets a multi-gigabyte container replay in a
-    /// fixed memory budget.
-    ///
-    /// **Determinism.** Tallies are byte-identical to
-    /// [`replay`](ReplayEngine::replay) on the loaded trace, at every
-    /// worker, shard, and window setting: jobs partition PCs
-    /// ([`shard_of_pc`](crate::shard_of_pc) — every predictor keeps
-    /// strictly per-PC state), each job observes its PCs' value streams in
-    /// exact trace order, and the per-job integer tallies merge in fixed
-    /// (configuration, shard) order.
+    /// length. Tallies are byte-identical to
+    /// [`replay`](ReplayEngine::replay) on the loaded trace at every
+    /// worker, shard, and window setting.
     ///
     /// # Errors
     ///
@@ -145,102 +125,12 @@ impl ReplayEngine {
     /// ```
     pub fn replay_streaming<R: Read>(
         &self,
-        mut reader: R,
+        reader: R,
         bank: &[PredictorConfig],
     ) -> Result<(v2::Header, Vec<ConfigReplay>), TraceIoError> {
-        let (version, header) = v2::read_versioned_header(&mut reader)?;
-        let nshards = self.shards();
-        // One job per (configuration, PC shard), configuration-major;
-        // consumer `c` owns jobs `c, c + consumers, …` so configurations
-        // spread across threads before shards do.
-        let jobs = bank.len() * nshards;
-        let consumers = self.workers().min(jobs);
-        let tallies = decode_ahead(
-            self.chunk_window(),
-            consumers,
-            // Producer (calling thread): read, verify, and decode chunks
-            // in index order. The validated header guarantees contiguous
-            // offsets, so the payload region is consumed front to back.
-            |window| {
-                for (index, info) in header.chunks.iter().enumerate() {
-                    let mut payload = vec![0u8; info.len as usize];
-                    reader.read_exact(&mut payload).map_err(|_| TraceIoError::Format {
-                        message: format!(
-                            "payload ends inside chunk {index} (wanted {} bytes at payload \
-                             offset {})",
-                            info.len, info.offset
-                        ),
-                    })?;
-                    window.push(v2::decode_chunk(&payload, info)?);
-                }
-                let mut rest = Vec::new();
-                reader.read_to_end(&mut rest)?;
-                v2::validate_trailing(version, &rest)?;
-                Ok::<(), TraceIoError>(())
-            },
-            // Consumers: fold every chunk into this thread's owned jobs.
-            |window, consumer| {
-                let owned: Vec<usize> = (consumer..jobs).step_by(consumers.max(1)).collect();
-                let mut states: Vec<(Box<dyn dvp_core::Predictor>, PcInterner, AccuracyTracker)> =
-                    owned
-                        .iter()
-                        .map(|&job| {
-                            (bank[job / nshards].build(), PcInterner::new(), AccuracyTracker::new())
-                        })
-                        .collect();
-                // Record indices by shard, rebuilt once per chunk and
-                // shared by every job this consumer owns.
-                let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); nshards];
-                let mut scratch = BatchScratch::new();
-                while let Some(chunk) = window.next(consumer) {
-                    if nshards > 1 {
-                        for shard in &mut by_shard {
-                            shard.clear();
-                        }
-                        for (i, rec) in chunk.iter().enumerate() {
-                            by_shard[shard_of_pc(rec.pc, nshards)].push(i as u32);
-                        }
-                    }
-                    for (&job, (predictor, interner, tracker)) in owned.iter().zip(&mut states) {
-                        if nshards > 1 {
-                            for &i in &by_shard[job % nshards] {
-                                let rec = &chunk[i as usize];
-                                scratch.push(interner.intern(rec.pc), rec);
-                            }
-                        } else {
-                            for rec in chunk.iter() {
-                                scratch.push(interner.intern(rec.pc), rec);
-                            }
-                        }
-                        scratch.flush_tally(predictor.as_mut(), tracker);
-                    }
-                }
-                owned
-                    .into_iter()
-                    .zip(states)
-                    .map(|(job, (_, _, tracker))| (job, tracker))
-                    .collect::<Vec<_>>()
-            },
-        )?;
-        // Deterministic merge: per configuration, shard tallies in shard
-        // order (exact integer counts — independent of which consumer ran
-        // which job).
-        let mut by_job: Vec<Option<AccuracyTracker>> = vec![None; jobs];
-        for (job, tracker) in tallies.into_iter().flatten() {
-            by_job[job] = Some(tracker);
-        }
-        let replays = bank
-            .iter()
-            .enumerate()
-            .map(|(ci, config)| {
-                let mut merged = AccuracyTracker::new();
-                for tracker in by_job[ci * nshards..(ci + 1) * nshards].iter().flatten() {
-                    merged.merge(tracker);
-                }
-                ConfigReplay { name: config.name().to_owned(), tracker: merged }
-            })
-            .collect();
-        Ok((header, replays))
+        let make = |c: usize, u| Plan::Full.tallied(&bank[c], u);
+        let (header, tallies) = self.drive_stream(reader, Plan::Full, bank.len(), make)?;
+        Ok((header, tallies.into_iter().map(ConfigReplay::new).collect()))
     }
 }
 
@@ -386,40 +276,6 @@ mod tests {
                 (r.name.clone(), per_category)
             })
             .collect()
-    }
-
-    #[test]
-    fn streaming_replay_matches_resident_at_every_setting() {
-        let bank = dvp_core::PredictorConfig::paper_bank();
-        for bytes in [container(20_000, 1024), {
-            // The compressed path: same records, v4 container.
-            let recs = records(20_000);
-            let mut bytes = Vec::new();
-            v2::write_compressed(&mut bytes, &v2::TraceMeta::default(), recs.chunks(1024), &[])
-                .expect("writes");
-            bytes
-        }] {
-            let (_, trace) = ReplayEngine::sequential().load_trace(&bytes).expect("loads");
-            let reference = tally_surface(&ReplayEngine::sequential().replay(&trace, &bank));
-            // 20 chunks vs window 1/2/4: the trace is far larger than the
-            // resident window in every configuration.
-            for (workers, shards, window) in
-                [(1, 1, 1), (1, 1, 4), (2, 3, 2), (4, 3, 4), (4, 8, 1), (16, 2, 2)]
-            {
-                let engine = ReplayEngine::new()
-                    .with_workers(workers)
-                    .with_shards(shards)
-                    .with_chunk_window(window);
-                let (header, streamed) =
-                    engine.replay_streaming(bytes.as_slice(), &bank).expect("streams");
-                assert_eq!(header.record_count, 20_000);
-                assert_eq!(
-                    tally_surface(&streamed),
-                    reference,
-                    "workers={workers} shards={shards} window={window}"
-                );
-            }
-        }
     }
 
     #[test]

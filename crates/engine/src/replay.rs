@@ -1,8 +1,8 @@
 //! The replay engine: fan predictor configurations out over a shared trace.
 
-use crate::batch::BatchScratch;
+use crate::drive::{Correlated, Plan};
 use crate::{par_map, try_par_map, SharedTrace};
-use dvp_core::{AccuracyTracker, PredictorConfig, PredictorSet, SetBatch};
+use dvp_core::{AccuracyTracker, PredictorConfig, PredictorSet};
 
 /// Default number of PC shards per replayed trace.
 ///
@@ -14,40 +14,14 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// A parallel replay engine over [`SharedTrace`] buffers.
 ///
 /// The engine turns every replay request into a grid of independent jobs —
-/// one per (trace, predictor configuration, PC shard) — and runs them on a
-/// fixed-size [`par_map`] worker pool. Sharding splits a trace into
-/// contiguous dense-id ranges ([`crate::shard_of_id`] over its interned
-/// PCs); because every predictor in this workspace keeps strictly per-PC
-/// state, each shard's sub-replay sees exactly the per-PC value streams of
-/// a sequential full-trace replay, and the shard tallies (exact integer
-/// counts) merge back to **bit-identical** results at any worker or shard
-/// count. Workers never share predictor state, so there is nothing to
-/// contend on.
-///
-/// Replay jobs drive predictors through the **dense id surface**
-/// ([`dvp_core::Predictor::observe_id`]): the shard's pre-interned ids
-/// hand each predictor its slot index directly, so the hot loop performs
-/// one indexed slot access per record per predictor — no hashing at all.
-///
-/// # Examples
-///
-/// ```
-/// use dvp_core::PredictorConfig;
-/// use dvp_engine::{ReplayEngine, SharedTrace};
-/// use dvp_trace::{InstrCategory, Pc, TraceRecord};
-///
-/// let trace: SharedTrace = (0..400u64)
-///     .map(|i| TraceRecord::new(Pc(4 * (i % 4)), InstrCategory::AddSub, i / 4))
-///     .collect();
-/// let parallel = ReplayEngine::new().replay(&trace, &PredictorConfig::paper_bank());
-/// let sequential = ReplayEngine::sequential().replay(&trace, &PredictorConfig::paper_bank());
-/// assert_eq!(parallel[1].name, "s2");
-/// // Same correct/predicted counts regardless of parallelism.
-/// for (p, s) in parallel.iter().zip(&sequential) {
-///     assert_eq!(p.tracker.correct(None), s.tracker.correct(None));
-///     assert_eq!(p.tracker.predicted(None), s.tracker.predicted(None));
-/// }
-/// ```
+/// one per (trace, predictor configuration, PC shard
+/// ([`crate::shard_of_pc`])) — on a fixed-size [`par_map`] worker pool.
+/// Every predictor keeps strictly per-PC state, so the shard tallies
+/// (exact integer counts) merge back to **bit-identical** results at any
+/// worker or shard count (see the crate-level quickstart). Jobs drive
+/// predictors through [`dvp_core::Predictor::observe_batch`] over the
+/// trace's pre-interned ids: one slot access per record per predictor, no
+/// hashing.
 #[derive(Debug, Clone)]
 pub struct ReplayEngine {
     workers: usize,
@@ -70,6 +44,12 @@ impl ConfigReplay {
     #[must_use]
     pub fn accuracy(&self) -> f64 {
         self.tracker.accuracy(None)
+    }
+
+    /// The result of configuration `name` from its merged full-replay
+    /// tally.
+    pub(crate) fn new((name, tallies): (String, Vec<AccuracyTracker>)) -> Self {
+        ConfigReplay { name, tracker: tallies.into_iter().next().expect("one full tally") }
     }
 }
 
@@ -170,59 +150,22 @@ impl ReplayEngine {
     /// order.
     #[must_use]
     pub fn replay(&self, trace: &SharedTrace, bank: &[PredictorConfig]) -> Vec<ConfigReplay> {
-        let mut rows = self.replay_matrix(std::slice::from_ref(trace), bank);
-        rows.pop().expect("one row per trace")
+        let make = |c: usize, u| Plan::Full.tallied(&bank[c], u);
+        self.drive(trace, Plan::Full, bank.len(), make).into_iter().map(ConfigReplay::new).collect()
     }
 
     /// Replays every trace under every configuration of the bank — the full
-    /// predictor×workload matrix as independent (trace, config, shard) jobs
-    /// on one worker pool. Returns, for each trace (outer, in input order),
-    /// one merged [`ConfigReplay`] per configuration (inner, in bank
-    /// order).
+    /// predictor×workload matrix, one trace after another, each as
+    /// independent (config, shard) jobs on the worker pool. Returns, for
+    /// each trace (outer, in input order), one merged [`ConfigReplay`] per
+    /// configuration (inner, in bank order).
     #[must_use]
     pub fn replay_matrix(
         &self,
         traces: &[SharedTrace],
         bank: &[PredictorConfig],
     ) -> Vec<Vec<ConfigReplay>> {
-        let sharded: Vec<Vec<SharedTrace>> = self.shard_all(traces);
-        let mut jobs: Vec<(SharedTrace, PredictorConfig)> = Vec::new();
-        for shards in &sharded {
-            for config in bank {
-                for shard in shards {
-                    jobs.push((shard.clone(), config.clone()));
-                }
-            }
-        }
-        let tallies = self.map(jobs, |(shard, config)| {
-            let mut predictor = config.build();
-            predictor.reserve_ids(shard.interner().len());
-            let mut tracker = AccuracyTracker::new();
-            let mut scratch = BatchScratch::new();
-            // One observe_batch call per chunk: the records and their
-            // pre-interned ids are already parallel chunk slices.
-            for (records, ids) in shard.chunks().iter().zip(shard.id_chunks()) {
-                scratch.run_slice(&mut predictor, &mut tracker, records, ids);
-            }
-            tracker
-        });
-        // Merge the shard tallies back into (trace, config) cells; exact
-        // counts make the merge independent of execution order.
-        let mut tallies = tallies.into_iter();
-        sharded
-            .iter()
-            .map(|shards| {
-                bank.iter()
-                    .map(|config| {
-                        let mut merged = AccuracyTracker::new();
-                        for _ in 0..shards.len() {
-                            merged.merge(&tallies.next().expect("one tally per job"));
-                        }
-                        ConfigReplay { name: config.name().to_owned(), tracker: merged }
-                    })
-                    .collect()
-            })
-            .collect()
+        traces.iter().map(|trace| self.replay(trace, bank)).collect()
     }
 
     /// Replays one trace through *correlated* predictor sets: `build` makes
@@ -237,28 +180,8 @@ impl ReplayEngine {
     where
         F: Fn() -> PredictorSet + Sync,
     {
-        let shards = trace.shard_by_pc(self.shards);
-        let sets = self.map(shards, |shard| {
-            let mut set = build();
-            set.reserve_ids(shard.interner().len());
-            let mut scratch = SetBatch::new();
-            for (records, ids) in shard.chunks().iter().zip(shard.id_chunks()) {
-                set.observe_dense_batch(ids, records, &mut scratch);
-            }
-            set
-        });
-        let mut sets = sets.into_iter();
-        let mut merged = sets.next().expect("at least one shard");
-        for set in sets {
-            merged.merge(set);
-        }
-        merged
-    }
-
-    /// Shards every trace, in parallel when it pays.
-    fn shard_all(&self, traces: &[SharedTrace]) -> Vec<Vec<SharedTrace>> {
-        let shards = self.shards;
-        self.map(traces.to_vec(), move |trace| trace.shard_by_pc(shards))
+        let make = |_, _| Correlated::new(build());
+        self.drive(trace, Plan::Full, 1, make).pop().expect("one merged set")
     }
 }
 

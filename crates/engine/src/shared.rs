@@ -85,13 +85,7 @@ impl SharedTrace {
             .iter()
             .map(|chunk| chunk.iter().map(|rec| interner.intern(rec.pc)).collect())
             .collect();
-        let len = chunks.iter().map(Vec::len).sum();
-        SharedTrace {
-            chunks: Arc::new(chunks),
-            ids: Arc::new(ids),
-            interner: Arc::new(interner),
-            len,
-        }
+        SharedTrace::from_parts(chunks, ids, interner)
     }
 
     /// Assembles a trace from chunks, pre-computed per-chunk ids, and the
@@ -197,72 +191,17 @@ impl SharedTrace {
         }
         builder.finish()
     }
-
-    /// Partitions the trace into `nshards` traces by
-    /// [`shard_of_id`]`(id, …)` — contiguous dense-id ranges — preserving
-    /// record order within each shard.
-    ///
-    /// Every predictor in this workspace keeps strictly per-PC state, so a
-    /// predictor replaying shard *i* sees exactly the sub-streams it would
-    /// have seen in a sequential full-trace replay — which is why sharded
-    /// replay merges back to bit-identical tallies. Each shard trace
-    /// re-interns its own sub-stream, so shard replays get compact dense
-    /// ids of their own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nshards` is zero.
-    #[must_use]
-    pub fn shard_by_pc(&self, nshards: usize) -> Vec<SharedTrace> {
-        assert!(nshards > 0, "nshards must be positive");
-        if nshards == 1 {
-            return vec![self.clone()];
-        }
-        let n_ids = self.interner.len();
-        let mut builders: Vec<SharedTraceBuilder> =
-            (0..nshards).map(|_| SharedTrace::builder()).collect();
-        for (rec, id) in self.iter_with_ids() {
-            builders[shard_of_id(id, n_ids, nshards)].push(*rec);
-        }
-        builders.into_iter().map(SharedTraceBuilder::finish).collect()
-    }
 }
 
-/// The shard a static instruction belongs to: dense ids are cut into
-/// `nshards` contiguous, near-equal ranges (`n_ids` is the trace
-/// interner's length).
+/// The PC shard a static instruction belongs to — the one partition every
+/// replay path uses.
 ///
-/// Earlier revisions hashed every record's PC (a Fibonacci multiply —
-/// needed because raw `pc % nshards` collapses on 4-aligned Sim32 PCs).
-/// Interning makes that per-record recompute unnecessary: ids are already
-/// dense and alignment-free, so a pure range split balances the static
-/// instructions exactly and costs one multiply-divide on numbers that are
-/// already in hand.
-///
-/// # Panics
-///
-/// Panics if `nshards` is zero.
-#[must_use]
-pub fn shard_of_id(id: PcId, n_ids: usize, nshards: usize) -> usize {
-    assert!(nshards > 0, "nshards must be positive");
-    if n_ids == 0 {
-        return 0;
-    }
-    debug_assert!(id.index() < n_ids, "id {id} outside the interner's 0..{n_ids}");
-    ((id.index() as u64 * nshards as u64) / n_ids as u64) as usize
-}
-
-/// The shard a static instruction belongs to when the trace's interner is
-/// **not** known up front — the streaming counterpart of [`shard_of_id`].
-///
-/// A streaming replay sees chunks as they decode, so there is no dense-id
-/// range to split; instead each PC hashes to a fixed shard (a Fibonacci
-/// multiply, because raw `pc % nshards` collapses on 4-aligned Sim32
-/// PCs). The partition differs from [`shard_of_id`]'s, but any
-/// by-PC partition that preserves per-PC record order replays to
-/// bit-identical merged tallies: every predictor in this workspace keeps
-/// strictly per-PC state, so shard membership only decides *which* job
-/// observes a PC's value stream, never what that stream contains.
+/// Each PC hashes to a fixed shard (a Fibonacci multiply, because raw
+/// `pc % nshards` collapses on 4-aligned Sim32 PCs). Every predictor in
+/// this workspace keeps strictly per-PC state, so shard membership only
+/// decides *which* job observes a PC's value stream, never what that
+/// stream contains: sharded replays merge back to bit-identical tallies.
+/// Replay jobs evaluate it once per interned PC, never per record.
 ///
 /// # Panics
 ///
@@ -507,12 +446,7 @@ impl SharedTraceBuilder {
             self.chunks.push(self.current);
             self.ids.push(self.current_ids);
         }
-        SharedTrace {
-            chunks: Arc::new(self.chunks),
-            ids: Arc::new(self.ids),
-            interner: Arc::new(self.interner),
-            len: self.len,
-        }
+        SharedTrace::from_parts(self.chunks, self.ids, self.interner)
     }
 }
 
@@ -554,52 +488,6 @@ mod tests {
         assert_eq!(capped.to_vec(), records(100)[..30]);
         let uncapped = trace.truncated(1000);
         assert!(std::ptr::eq(trace.chunks().as_ptr(), uncapped.chunks().as_ptr()));
-    }
-
-    #[test]
-    fn shard_by_pc_partitions_and_preserves_per_pc_order() {
-        let trace: SharedTrace = records(500).into_iter().collect();
-        for nshards in [1, 2, 3, 7] {
-            let shards = trace.shard_by_pc(nshards);
-            assert_eq!(shards.len(), nshards);
-            assert_eq!(shards.iter().map(SharedTrace::len).sum::<usize>(), trace.len());
-            let n_ids = trace.interner().len();
-            for (i, shard) in shards.iter().enumerate() {
-                let expected: Vec<TraceRecord> = trace
-                    .iter()
-                    .filter(|r| {
-                        let id = trace.interner().get(r.pc).expect("interned");
-                        shard_of_id(id, n_ids, nshards) == i
-                    })
-                    .copied()
-                    .collect();
-                assert_eq!(shard.to_vec(), expected, "shard {i}/{nshards}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharding_balances_aligned_pcs() {
-        // Sim32 PCs are 4-aligned; a naive `pc % nshards` would leave six
-        // of eight shards empty. Dense-id ranges are alignment-free by
-        // construction.
-        let trace: SharedTrace = (0..8000u64)
-            .map(|i| TraceRecord::new(Pc(0x40_0000 + 4 * (i % 100)), InstrCategory::AddSub, i))
-            .collect();
-        let shards = trace.shard_by_pc(8);
-        assert!(shards.iter().all(|s| !s.is_empty()), "every id range holds ~12 statics");
-        let largest = shards.iter().map(SharedTrace::len).max().unwrap();
-        assert!(largest < trace.len() / 2, "no shard should dominate: {largest}");
-    }
-
-    #[test]
-    fn shard_of_id_covers_exact_ranges() {
-        // 10 ids over 3 shards: ranges of 4, 3, and 3 (floor split).
-        let shards: Vec<usize> = (0..10).map(|i| shard_of_id(PcId(i), 10, 3)).collect();
-        assert_eq!(shards, [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
-        // Degenerate cases.
-        assert_eq!(shard_of_id(PcId(0), 0, 5), 0);
-        assert_eq!(shard_of_id(PcId(7), 8, 1), 0);
     }
 
     #[test]
@@ -706,7 +594,6 @@ mod tests {
         assert_eq!(trace.iter().count(), 0);
         assert_eq!(trace.interner().len(), 0);
         assert_eq!(trace.iter_with_ids().count(), 0);
-        assert!(trace.shard_by_pc(4).iter().all(SharedTrace::is_empty));
         assert!(SharedTrace::builder().is_empty());
     }
 }

@@ -37,28 +37,19 @@
 //!
 //! # Cold sampling vs functional warming
 //!
-//! The cold path above touches ~10x fewer records, but a predictor
-//! whose tables grow with history (the paper's unbounded `fcm` bank)
-//! is *structurally* under-warmed by any short prefix: its full-trace
-//! accuracy keeps climbing as the context table fills, so a cold
-//! per-phase replay underestimates it by several percentage points no
-//! matter how representative the windows are. For those predictors
-//! [`ReplayEngine::replay_sampled_warm`] (and its streaming twin,
-//! [`ReplayEngine::replay_sampled_warm_streaming`]) borrows the SMARTS
-//! trick of *functional warming*: one predictor per configuration walks
-//! the whole trace in order, **observing** every record to keep state
-//! exact but **tallying** only the plan's representative windows. The
-//! estimate then differs from the full replay only by the clustering's
-//! weighting error (sub-percentage-point in practice), while the
-//! detailed, tallied portion is still the same ~10x-smaller record set
-//! — the `repro --sample` harness reports both modes side by side.
+//! Cold sampling touches ~10x fewer records, but a predictor whose tables
+//! grow with history (the paper's unbounded `fcm` bank) is *structurally*
+//! under-warmed by any short prefix, so a cold estimate runs several
+//! percentage points low. [`ReplayEngine::replay_sampled_warm`] (and
+//! [`ReplayEngine::replay_sampled_warm_streaming`]) borrows SMARTS's
+//! *functional warming* instead: observe every record, tally only the
+//! representative windows — the `repro --sample` harness reports both.
 
-use crate::batch::BatchScratch;
-use crate::pool::decode_ahead;
+use crate::drive::Plan;
 use crate::{ReplayEngine, SharedTrace};
 use dvp_core::{AccuracyTracker, PredictorConfig};
 use dvp_trace::io::{v2, TraceIoError};
-use dvp_trace::{InstrCategory, PcInterner, PhasePlan, SimPointPhase, TraceRecord};
+use dvp_trace::{InstrCategory, PhasePlan, SimPointPhase};
 use std::io::Read;
 
 /// Default records per profiling window.
@@ -443,45 +434,21 @@ impl SampledReplay {
     pub fn simulated(&self) -> u64 {
         self.phases.iter().map(AccuracyTracker::total).sum()
     }
-}
 
-/// Calls `visit` with the parallel `(records, ids)` slices of every
-/// chunk overlapping the global index range `start..end`, seeking chunk
-/// by chunk instead of advancing an iterator through the skipped prefix.
-/// The slices arrive in trace order, so driving them through
-/// [`BatchScratch::run_slice`] replays the range exactly.
-fn visit_range<F>(trace: &SharedTrace, start: u64, end: u64, mut visit: F)
-where
-    F: FnMut(&[TraceRecord], &[dvp_trace::PcId]),
-{
-    let mut base = 0u64;
-    for (chunk, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
-        let chunk_end = base + chunk.len() as u64;
-        if chunk_end > start && base < end {
-            let lo = start.saturating_sub(base) as usize;
-            let hi = (end.min(chunk_end) - base) as usize;
-            visit(&chunk[lo..hi], &ids[lo..hi]);
-        }
-        base = chunk_end;
-        if base >= end {
-            break;
-        }
+    /// The result of configuration `name` from its merged per-phase
+    /// tallies.
+    fn new((name, phases): (String, Vec<AccuracyTracker>)) -> Self {
+        SampledReplay { name, phases }
     }
 }
 
 impl ReplayEngine {
     /// Replays only the plan's representative windows — one independent
-    /// job per (configuration, phase) on this engine's worker pool —
-    /// and returns one [`SampledReplay`] per configuration, in bank
-    /// order.
-    ///
-    /// Each job builds a **cold** predictor, warms it on the
-    /// `plan.warmup_records` records before its window (observed,
-    /// never tallied), then tallies the window itself. Jobs share
-    /// nothing and their tallies are exact integer counts, so results
-    /// are byte-identical at every worker, shard, and chunk-window
-    /// setting (sharding does not apply inside a window; the settings
-    /// only move the wall clock).
+    /// job per (configuration, phase) — and returns one [`SampledReplay`]
+    /// per configuration, in bank order. Each job builds a **cold**
+    /// predictor, warms it on the `plan.warmup_records` records before its
+    /// window (observed, never tallied), then tallies the window itself.
+    /// Tallies are byte-identical at every engine setting.
     ///
     /// # Panics
     ///
@@ -514,61 +481,20 @@ impl ReplayEngine {
         bank: &[PredictorConfig],
         plan: &PhasePlan,
     ) -> Vec<SampledReplay> {
-        plan.validate().expect("sampled replay needs a valid phase plan");
-        assert_eq!(
-            plan.total_records,
-            trace.len() as u64,
-            "phase plan was built for a different trace"
-        );
-        let jobs: Vec<(usize, usize)> = (0..bank.len())
-            .flat_map(|config| (0..plan.phases.len()).map(move |phase| (config, phase)))
-            .collect();
-        let tallies = self.map(jobs, |(config, phase)| {
-            let phase = &plan.phases[phase];
-            let mut predictor = bank[config].build();
-            predictor.reserve_ids(trace.interner().len());
-            let mut scratch = BatchScratch::new();
-            visit_range(
-                trace,
-                phase.start.saturating_sub(plan.warmup_records),
-                phase.start,
-                |recs, ids| scratch.observe_slice(predictor.as_mut(), recs, ids),
-            );
-            let mut tracker = AccuracyTracker::new();
-            visit_range(trace, phase.start, phase.end, |recs, ids| {
-                scratch.run_slice(predictor.as_mut(), &mut tracker, recs, ids);
-            });
-            tracker
-        });
-        let mut tallies = tallies.into_iter();
-        bank.iter()
-            .map(|config| SampledReplay {
-                name: config.name().to_owned(),
-                phases: (0..plan.phases.len())
-                    .map(|_| tallies.next().expect("one tally per job"))
-                    .collect(),
-            })
-            .collect()
+        let plan = Plan::Cold(plan);
+        let make = |c: usize, u| plan.tallied(&bank[c], u);
+        self.drive(trace, plan, bank.len(), make).into_iter().map(SampledReplay::new).collect()
     }
 
     /// Functionally-warmed sampled replay: one predictor per
     /// (configuration, PC shard) walks the **whole** trace in order,
     /// observing every record so its state matches the full replay's
     /// exactly, but tallying only the records inside the plan's
-    /// representative windows.
-    ///
-    /// Where [`replay_sampled`](ReplayEngine::replay_sampled) trades
-    /// accuracy on history-hungry predictors (unbounded `fcm` tables
-    /// never warm from a short prefix) for a ~10x smaller record
-    /// footprint, this path keeps state exact — the weighted estimate
-    /// differs from the full replay only by the clustering's weighting
-    /// error — at the cost of touching every record once per
-    /// configuration. Warmup prefixes are irrelevant here (state is
-    /// always warm) and are ignored.
-    ///
-    /// Tallies are exact integer counts merged in (configuration,
-    /// shard) order, so results are byte-identical at every worker,
-    /// shard, and chunk-window setting.
+    /// representative windows (warmup prefixes are ignored). The weighted
+    /// estimate then differs from the full replay only by the
+    /// clustering's weighting error, at the cost of touching every record
+    /// once per configuration. Tallies are byte-identical at every engine
+    /// setting.
     ///
     /// # Panics
     ///
@@ -581,340 +507,54 @@ impl ReplayEngine {
         bank: &[PredictorConfig],
         plan: &PhasePlan,
     ) -> Vec<SampledReplay> {
-        plan.validate().expect("sampled replay needs a valid phase plan");
-        assert_eq!(
-            plan.total_records,
-            trace.len() as u64,
-            "phase plan was built for a different trace"
-        );
-        let nshards = self.shards();
-        let jobs: Vec<(usize, usize)> = (0..bank.len())
-            .flat_map(|config| (0..nshards).map(move |shard| (config, shard)))
-            .collect();
-        let tallies = self.map(jobs, |(config, shard)| {
-            let mut predictor = bank[config].build();
-            predictor.reserve_ids(trace.interner().len());
-            let mut phases = vec![AccuracyTracker::new(); plan.phases.len()];
-            // Gather this shard's records chunk by chunk (with their
-            // global positions), flush the batch, then walk the outcomes
-            // against the plan's windows. The phase pointer advances by
-            // monotonic position catch-up, so skipping other shards'
-            // records cannot change which window a tallied record lands
-            // in.
-            let mut scratch = BatchScratch::new();
-            let mut positions: Vec<u64> = Vec::new();
-            let mut next = 0usize;
-            let mut base = 0u64;
-            for (chunk, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
-                for (i, (rec, &id)) in chunk.iter().zip(ids).enumerate() {
-                    if nshards == 1 || crate::shard_of_pc(rec.pc, nshards) == shard {
-                        scratch.push(id, rec);
-                        positions.push(base + i as u64);
-                    }
-                }
-                scratch.flush(predictor.as_mut());
-                for (&pos, (category, hit)) in positions.iter().zip(scratch.outcomes()) {
-                    while next < plan.phases.len() && pos >= plan.phases[next].end {
-                        next += 1;
-                    }
-                    if next < plan.phases.len() && pos >= plan.phases[next].start {
-                        phases[next].record(category, hit);
-                    }
-                }
-                scratch.clear();
-                positions.clear();
-                base += chunk.len() as u64;
-            }
-            phases
-        });
-        let mut tallies = tallies.into_iter();
-        bank.iter()
-            .map(|config| {
-                let mut merged = vec![AccuracyTracker::new(); plan.phases.len()];
-                for _ in 0..nshards {
-                    let shard = tallies.next().expect("one tally per job");
-                    for (into, from) in merged.iter_mut().zip(&shard) {
-                        into.merge(from);
-                    }
-                }
-                SampledReplay { name: config.name().to_owned(), phases: merged }
-            })
-            .collect()
+        let plan = Plan::Warm(plan);
+        let make = |c: usize, u| plan.tallied(&bank[c], u);
+        self.drive(trace, plan, bank.len(), make).into_iter().map(SampledReplay::new).collect()
     }
 
-    /// The streaming counterpart of
-    /// [`replay_sampled`](ReplayEngine::replay_sampled): replays a
-    /// v2/v3/v4 container under a phase plan without materializing the
-    /// trace, through the same bounded
-    /// [`chunk_window`](ReplayEngine::with_chunk_window) pipeline as
-    /// [`replay_streaming`](ReplayEngine::replay_streaming).
-    ///
-    /// This is where sampling pays twice: chunks that overlap no phase's
-    /// warmup or simulate range are **read but never decoded** (their
-    /// payload bytes stream past; checksum validation is skipped along
-    /// with the decode), so a sampled replay of a larger-than-RAM v4
-    /// container does a fraction of the decompression work too. Tallies
-    /// are byte-identical to the resident path at every worker, shard,
-    /// and window setting: each (configuration, phase) job observes its
-    /// records in exact trace order on a private predictor, and jobs
-    /// merge in fixed order.
+    /// [`replay_sampled`](ReplayEngine::replay_sampled) over a container,
+    /// streamed like [`replay_streaming`](ReplayEngine::replay_streaming).
+    /// Sampling pays twice here: chunks no phase's warmup or window
+    /// touches are **read but never decoded** (nor checksummed). Tallies
+    /// are byte-identical to the resident path at every engine setting.
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceIoError`] for an invalid plan, a plan whose
-    /// `total_records` disagrees with the container header, a malformed
-    /// header, a needed chunk failing validation, a payload that ends
-    /// inside a chunk, or a torn trailing section.
+    /// As [`replay_streaming`](ReplayEngine::replay_streaming), plus an
+    /// invalid plan or one whose `total_records` disagrees with the
+    /// container header.
     pub fn replay_sampled_streaming<R: Read>(
         &self,
-        mut reader: R,
+        reader: R,
         bank: &[PredictorConfig],
         plan: &PhasePlan,
     ) -> Result<(v2::Header, Vec<SampledReplay>), TraceIoError> {
-        plan.validate().map_err(|e| TraceIoError::Format { message: e.to_string() })?;
-        let (version, header) = v2::read_versioned_header(&mut reader)?;
-        if plan.total_records != header.record_count {
-            return Err(TraceIoError::Format {
-                message: format!(
-                    "phase plan covers {} records but the container holds {}",
-                    plan.total_records, header.record_count
-                ),
-            });
-        }
-        // Per-phase replay ranges, in plan order: warmup start, window
-        // start (tallying begins), window end.
-        let ranges: Vec<(u64, u64, u64)> = plan
-            .phases
-            .iter()
-            .map(|p| (p.start.saturating_sub(plan.warmup_records), p.start, p.end))
-            .collect();
-        let nphases = plan.phases.len();
-        let jobs = bank.len() * nphases;
-        let consumers = self.workers().min(jobs);
-        let tallies = decode_ahead(
-            self.chunk_window(),
-            consumers,
-            // Producer: stream every chunk's bytes, but decode only the
-            // chunks some phase touches. Chunks are pushed with their
-            // global record base so consumers can slice them.
-            |window| {
-                let mut base = 0u64;
-                for (index, info) in header.chunks.iter().enumerate() {
-                    let mut payload = vec![0u8; info.len as usize];
-                    reader.read_exact(&mut payload).map_err(|_| TraceIoError::Format {
-                        message: format!(
-                            "payload ends inside chunk {index} (wanted {} bytes at payload \
-                             offset {})",
-                            info.len, info.offset
-                        ),
-                    })?;
-                    let chunk_end = base + u64::from(info.records);
-                    if ranges.iter().any(|&(warm, _, end)| warm < chunk_end && base < end) {
-                        window.push((base, v2::decode_chunk(&payload, info)?));
-                    }
-                    base = chunk_end;
-                }
-                let mut rest = Vec::new();
-                reader.read_to_end(&mut rest)?;
-                v2::validate_trailing(version, &rest)?;
-                Ok::<(), TraceIoError>(())
-            },
-            // Consumers: configuration-major job ownership, as in
-            // replay_streaming. Each job interns PCs privately; dense
-            // ids differ from the resident path's, but per-PC slot
-            // streams (and therefore tallies) are identical.
-            |window, consumer| {
-                let owned: Vec<usize> = (consumer..jobs).step_by(consumers.max(1)).collect();
-                let mut states: Vec<(Box<dyn dvp_core::Predictor>, PcInterner, AccuracyTracker)> =
-                    owned
-                        .iter()
-                        .map(|&job| {
-                            (bank[job / nphases].build(), PcInterner::new(), AccuracyTracker::new())
-                        })
-                        .collect();
-                let mut scratch = BatchScratch::new();
-                while let Some(chunk) = window.next(consumer) {
-                    let (base, records) = &*chunk;
-                    let chunk_end = base + records.len() as u64;
-                    for (&job, (predictor, interner, tracker)) in owned.iter().zip(&mut states) {
-                        let (warm, start, end) = ranges[job % nphases];
-                        let slice = |lo: u64, hi: u64| {
-                            let lo = lo.max(*base) - base;
-                            let hi = hi.min(chunk_end) - base;
-                            &records[lo as usize..hi as usize]
-                        };
-                        if warm < start && *base < start && chunk_end > warm {
-                            for rec in slice(warm, start) {
-                                scratch.push(interner.intern(rec.pc), rec);
-                            }
-                            scratch.flush(predictor.as_mut());
-                            scratch.clear();
-                        }
-                        if *base < end && chunk_end > start {
-                            for rec in slice(start, end) {
-                                scratch.push(interner.intern(rec.pc), rec);
-                            }
-                            scratch.flush_tally(predictor.as_mut(), tracker);
-                        }
-                    }
-                }
-                owned
-                    .into_iter()
-                    .zip(states)
-                    .map(|(job, (_, _, tracker))| (job, tracker))
-                    .collect::<Vec<_>>()
-            },
-        )?;
-        let mut by_job: Vec<AccuracyTracker> = vec![AccuracyTracker::new(); jobs];
-        for (job, tracker) in tallies.into_iter().flatten() {
-            by_job[job] = tracker;
-        }
-        let mut by_job = by_job.into_iter();
-        let replays = bank
-            .iter()
-            .map(|config| SampledReplay {
-                name: config.name().to_owned(),
-                phases: (0..nphases).map(|_| by_job.next().expect("one tally per job")).collect(),
-            })
-            .collect();
-        Ok((header, replays))
+        let plan = Plan::Cold(plan);
+        let make = |c: usize, u| plan.tallied(&bank[c], u);
+        let (header, tallies) = self.drive_stream(reader, plan, bank.len(), make)?;
+        Ok((header, tallies.into_iter().map(SampledReplay::new).collect()))
     }
 
-    /// The streaming counterpart of
-    /// [`replay_sampled_warm`](ReplayEngine::replay_sampled_warm):
-    /// functionally-warmed sampled replay of a v2/v3/v4 container
-    /// through the same bounded
-    /// [`chunk_window`](ReplayEngine::with_chunk_window) pipeline as
-    /// [`replay_streaming`](ReplayEngine::replay_streaming). Every
-    /// chunk is decoded (warming needs every record), but only the
-    /// plan's windows are tallied; memory stays bounded by the chunk
-    /// window, not the trace length.
-    ///
-    /// Tallies are byte-identical to the resident warm path at every
-    /// worker, shard, and window setting: each (configuration, shard)
-    /// job observes its PCs' records in exact trace order on a private
-    /// predictor, and the per-job integer tallies merge in fixed order.
+    /// [`replay_sampled_warm`](ReplayEngine::replay_sampled_warm) over a
+    /// container, streamed like
+    /// [`replay_streaming`](ReplayEngine::replay_streaming): every chunk
+    /// decodes (warming needs every record) and memory stays bounded by
+    /// the chunk window. Tallies are byte-identical to the resident path
+    /// at every engine setting.
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceIoError`] for an invalid plan, a plan whose
-    /// `total_records` disagrees with the container header, a malformed
-    /// header, any chunk failing validation, a payload that ends inside
-    /// a chunk, or a torn trailing section.
+    /// As [`replay_sampled_streaming`](ReplayEngine::replay_sampled_streaming).
     pub fn replay_sampled_warm_streaming<R: Read>(
         &self,
-        mut reader: R,
+        reader: R,
         bank: &[PredictorConfig],
         plan: &PhasePlan,
     ) -> Result<(v2::Header, Vec<SampledReplay>), TraceIoError> {
-        plan.validate().map_err(|e| TraceIoError::Format { message: e.to_string() })?;
-        let (version, header) = v2::read_versioned_header(&mut reader)?;
-        if plan.total_records != header.record_count {
-            return Err(TraceIoError::Format {
-                message: format!(
-                    "phase plan covers {} records but the container holds {}",
-                    plan.total_records, header.record_count
-                ),
-            });
-        }
-        let nphases = plan.phases.len();
-        let nshards = self.shards();
-        let jobs = bank.len() * nshards;
-        let consumers = self.workers().min(jobs);
-        let tallies = decode_ahead(
-            self.chunk_window(),
-            consumers,
-            // Producer: decode every chunk in index order, tagged with
-            // its global record base so consumers can track positions.
-            |window| {
-                let mut base = 0u64;
-                for (index, info) in header.chunks.iter().enumerate() {
-                    let mut payload = vec![0u8; info.len as usize];
-                    reader.read_exact(&mut payload).map_err(|_| TraceIoError::Format {
-                        message: format!(
-                            "payload ends inside chunk {index} (wanted {} bytes at payload \
-                             offset {})",
-                            info.len, info.offset
-                        ),
-                    })?;
-                    window.push((base, v2::decode_chunk(&payload, info)?));
-                    base += u64::from(info.records);
-                }
-                let mut rest = Vec::new();
-                reader.read_to_end(&mut rest)?;
-                v2::validate_trailing(version, &rest)?;
-                Ok::<(), TraceIoError>(())
-            },
-            // Consumers: configuration-major job ownership. Each job
-            // observes every record (interning PCs privately) and
-            // tallies only window records.
-            |window, consumer| {
-                let owned: Vec<usize> = (consumer..jobs).step_by(consumers.max(1)).collect();
-                type WarmState =
-                    (Box<dyn dvp_core::Predictor>, PcInterner, Vec<AccuracyTracker>, usize);
-                let mut states: Vec<WarmState> = owned
-                    .iter()
-                    .map(|&job| {
-                        (
-                            bank[job / nshards].build(),
-                            PcInterner::new(),
-                            vec![AccuracyTracker::new(); nphases],
-                            0usize,
-                        )
-                    })
-                    .collect();
-                let mut scratch = BatchScratch::new();
-                let mut positions: Vec<u64> = Vec::new();
-                while let Some(chunk) = window.next(consumer) {
-                    let (base, records) = &*chunk;
-                    for (&job, (predictor, interner, phases, next)) in owned.iter().zip(&mut states)
-                    {
-                        let shard = job % nshards;
-                        for (pos, rec) in (*base..).zip(records.iter()) {
-                            if nshards == 1 || crate::shard_of_pc(rec.pc, nshards) == shard {
-                                scratch.push(interner.intern(rec.pc), rec);
-                                positions.push(pos);
-                            }
-                        }
-                        scratch.flush(predictor.as_mut());
-                        for (&pos, (category, hit)) in positions.iter().zip(scratch.outcomes()) {
-                            while *next < nphases && pos >= plan.phases[*next].end {
-                                *next += 1;
-                            }
-                            if *next < nphases && pos >= plan.phases[*next].start {
-                                phases[*next].record(category, hit);
-                            }
-                        }
-                        scratch.clear();
-                        positions.clear();
-                    }
-                }
-                owned
-                    .into_iter()
-                    .zip(states)
-                    .map(|(job, (_, _, phases, _))| (job, phases))
-                    .collect::<Vec<_>>()
-            },
-        )?;
-        let mut by_job: Vec<Vec<AccuracyTracker>> =
-            vec![vec![AccuracyTracker::new(); nphases]; jobs];
-        for (job, phases) in tallies.into_iter().flatten() {
-            by_job[job] = phases;
-        }
-        let replays = bank
-            .iter()
-            .enumerate()
-            .map(|(config, spec)| {
-                let mut merged = vec![AccuracyTracker::new(); nphases];
-                for shard in 0..nshards {
-                    for (into, from) in merged.iter_mut().zip(&by_job[config * nshards + shard]) {
-                        into.merge(from);
-                    }
-                }
-                SampledReplay { name: spec.name().to_owned(), phases: merged }
-            })
-            .collect();
-        Ok((header, replays))
+        let plan = Plan::Warm(plan);
+        let make = |c: usize, u| plan.tallied(&bank[c], u);
+        let (header, tallies) = self.drive_stream(reader, plan, bank.len(), make)?;
+        Ok((header, tallies.into_iter().map(SampledReplay::new).collect()))
     }
 }
 
@@ -939,31 +579,6 @@ mod tests {
 
     fn options() -> PhaseOptions {
         PhaseOptions { window_records: 512, clusters: 4, ..PhaseOptions::default() }
-    }
-
-    /// The byte-comparable tally surface of a sampled replay: per config,
-    /// per phase, per category (correct, predicted).
-    type TallySurface = Vec<(String, Vec<Vec<(u64, u64)>>)>;
-
-    fn surface(replays: &[SampledReplay]) -> TallySurface {
-        replays
-            .iter()
-            .map(|r| {
-                let phases = r
-                    .phases
-                    .iter()
-                    .map(|t| {
-                        InstrCategory::ALL
-                            .into_iter()
-                            .map(Some)
-                            .chain([None])
-                            .map(|c| (t.correct(c), t.predicted(c)))
-                            .collect()
-                    })
-                    .collect();
-                (r.name.clone(), phases)
-            })
-            .collect()
     }
 
     #[test]
@@ -1009,25 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_tallies_identical_at_every_engine_setting() {
-        let trace = phased_trace(30_000);
-        let plan = phase_plan(&trace, &options());
-        let bank = PredictorConfig::paper_bank();
-        let reference = surface(&ReplayEngine::sequential().replay_sampled(&trace, &bank, &plan));
-        for (workers, shards, window) in [(1, 4, 1), (2, 1, 2), (4, 8, 4), (16, 3, 2)] {
-            let engine = ReplayEngine::new()
-                .with_workers(workers)
-                .with_shards(shards)
-                .with_chunk_window(window);
-            assert_eq!(
-                surface(&engine.replay_sampled(&trace, &bank, &plan)),
-                reference,
-                "workers={workers} shards={shards} window={window}"
-            );
-        }
-    }
-
-    #[test]
     fn weighted_accuracy_tracks_full_replay() {
         let trace = phased_trace(60_000);
         let plan = phase_plan(&trace, &options());
@@ -1048,31 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sampled_matches_resident_for_v2_and_v4() {
-        let records: Vec<TraceRecord> = phased_trace(25_000).to_vec();
-        let meta = v2::TraceMeta::default();
-        let mut plain = Vec::new();
-        v2::write_records(&mut plain, &meta, &records, 2048).expect("writes");
-        let mut compressed = Vec::new();
-        v2::write_compressed(&mut compressed, &meta, records.chunks(2048), &[]).expect("writes");
-
-        let trace = SharedTrace::from_records(records);
-        let plan = phase_plan(&trace, &options());
-        let bank = PredictorConfig::paper_bank();
-        let reference = surface(&ReplayEngine::sequential().replay_sampled(&trace, &bank, &plan));
-        for bytes in [&plain, &compressed] {
-            for (workers, window) in [(1, 1), (3, 2), (8, 4)] {
-                let engine = ReplayEngine::new().with_workers(workers).with_chunk_window(window);
-                let (header, streamed) = engine
-                    .replay_sampled_streaming(bytes.as_slice(), &bank, &plan)
-                    .expect("streams");
-                assert_eq!(header.record_count, 25_000);
-                assert_eq!(surface(&streamed), reference, "workers={workers} window={window}");
-            }
-        }
-    }
-
-    #[test]
     fn warm_sampled_tallies_windows_with_exact_state() {
         let trace = phased_trace(60_000);
         let plan = phase_plan(&trace, &options());
@@ -1086,43 +657,6 @@ mod tests {
             let error = (full.accuracy() - warm.weighted_accuracy(&plan, None)).abs();
             assert!(error <= 0.01, "{}: error {error}", full.name);
             assert_eq!(warm.simulated(), plan.simulated_records());
-        }
-    }
-
-    #[test]
-    fn warm_tallies_identical_at_every_engine_setting_and_stream() {
-        let records: Vec<TraceRecord> = phased_trace(30_000).to_vec();
-        let mut plain = Vec::new();
-        v2::write_records(&mut plain, &v2::TraceMeta::default(), &records, 2048).expect("writes");
-        let mut compressed = Vec::new();
-        v2::write_compressed(&mut compressed, &v2::TraceMeta::default(), records.chunks(2048), &[])
-            .expect("writes");
-        let trace = SharedTrace::from_records(records);
-        let plan = phase_plan(&trace, &options());
-        let bank = PredictorConfig::paper_bank();
-        let reference =
-            surface(&ReplayEngine::sequential().replay_sampled_warm(&trace, &bank, &plan));
-        for (workers, shards, window) in [(1, 4, 1), (2, 1, 2), (4, 8, 4)] {
-            let engine = ReplayEngine::new()
-                .with_workers(workers)
-                .with_shards(shards)
-                .with_chunk_window(window);
-            assert_eq!(
-                surface(&engine.replay_sampled_warm(&trace, &bank, &plan)),
-                reference,
-                "resident workers={workers} shards={shards} window={window}"
-            );
-            for bytes in [&plain, &compressed] {
-                let (header, streamed) = engine
-                    .replay_sampled_warm_streaming(bytes.as_slice(), &bank, &plan)
-                    .expect("streams");
-                assert_eq!(header.record_count, 30_000);
-                assert_eq!(
-                    surface(&streamed),
-                    reference,
-                    "streaming workers={workers} shards={shards} window={window}"
-                );
-            }
         }
     }
 

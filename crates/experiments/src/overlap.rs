@@ -4,7 +4,7 @@
 use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};
 use dvp_core::{improvement_at, improvement_curve, ImprovementPoint, PcTally, PredictorSet};
-use dvp_engine::{ReplayEngine, SharedTrace};
+use dvp_engine::ReplayEngine;
 use dvp_trace::{InstrCategory, TraceRecord};
 use dvp_workloads::{Benchmark, BuildError};
 
@@ -48,8 +48,8 @@ pub struct OverlapResults {
 /// replay engine.
 ///
 /// The correct-*subset* of each dynamic instruction needs all three
-/// predictors on the same record, so the unit of parallelism is a
-/// (benchmark, PC shard) pair: every shard runs its own
+/// predictors on the same record, so each benchmark replays through
+/// [`ReplayEngine::replay_correlated`]: every PC shard runs its own
 /// [`PredictorSet::paper_trio`] and the shard sets merge back — exact
 /// counts, so the result is identical to a sequential pass at any worker
 /// count.
@@ -59,29 +59,10 @@ pub struct OverlapResults {
 /// Propagates workload build/run errors.
 pub fn run(store: &mut TraceStore, engine: &ReplayEngine) -> Result<OverlapResults, BuildError> {
     store.prefetch(engine, &Benchmark::ALL)?;
-    let traces: Vec<SharedTrace> =
-        Benchmark::ALL.iter().map(|&b| store.trace(b)).collect::<Result<_, _>>()?;
-    let nshards = engine.shards();
-    let sharded = engine.map(traces, move |trace| trace.shard_by_pc(nshards));
-    let jobs: Vec<SharedTrace> = sharded.into_iter().flatten().collect();
-    let shard_sets = engine.map(jobs, |shard| {
-        let mut set = PredictorSet::paper_trio();
-        set.reserve_ids(shard.interner().len());
-        for (rec, id) in shard.iter_with_ids() {
-            set.observe_dense(id, rec);
-        }
-        set
-    });
-
-    // Exactly `nshards` sets per benchmark, in benchmark-major job order.
-    let mut shard_sets = shard_sets.into_iter();
     let mut per_benchmark: Vec<(Benchmark, PredictorSet)> = Vec::new();
     for benchmark in Benchmark::ALL {
-        let mut merged = shard_sets.next().expect("nshards sets per benchmark");
-        for _ in 1..nshards {
-            merged.merge(shard_sets.next().expect("nshards sets per benchmark"));
-        }
-        per_benchmark.push((benchmark, merged));
+        let trace = store.trace(benchmark)?;
+        per_benchmark.push((benchmark, engine.replay_correlated(&trace, PredictorSet::paper_trio)));
     }
 
     // Pool the per-static-instruction tallies by concatenation: the dense

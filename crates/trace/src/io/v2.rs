@@ -462,6 +462,27 @@ fn encode_chunk(records: &[TraceRecord]) -> Vec<u8> {
     buf
 }
 
+/// Bytes of the widest encoded record: a 10-byte zigzag PC-delta varint,
+/// the category byte, and a 10-byte value varint.
+const MAX_RECORD_BYTES: u64 = 21;
+
+/// Describes an index entry whose decoded length no record count can
+/// produce: a record encodes to at least 3 bytes (1-byte PC delta,
+/// category, 1-byte value) and at most [`MAX_RECORD_BYTES`]. Checked
+/// before anything is sized from the entry, so a hostile index entry can
+/// force neither a giant record vector nor a giant payload buffer.
+fn impossible_decoded_len(info: &ChunkInfo) -> Option<String> {
+    let decoded_len = if info.compressed { info.raw_len } else { info.len };
+    let records = u64::from(info.records);
+    (!(3 * records..=MAX_RECORD_BYTES * records).contains(&u64::from(decoded_len))).then(|| {
+        format!(
+            "declares {} records in {decoded_len} decoded bytes \
+             (records need at least 3 bytes and at most {MAX_RECORD_BYTES} bytes each)",
+            info.records
+        )
+    })
+}
+
 /// Decodes one chunk payload against its index entry, validating length,
 /// checksum, record count, and that the payload is fully consumed. For a
 /// [`VERSION_COMPRESSED`] entry the checksum is verified over the stored
@@ -491,16 +512,8 @@ pub fn decode_chunk(payload: &[u8], info: &ChunkInfo) -> Result<Vec<TraceRecord>
             info.offset
         )));
     }
-    // A record encodes to at least 3 bytes (1-byte pc delta + category +
-    // 1-byte value); reject impossible counts *before* sizing the record
-    // vector, so a hostile index entry cannot force a giant allocation.
-    let decoded_len = if info.compressed { info.raw_len } else { info.len };
-    if u64::from(decoded_len) < 3 * u64::from(info.records) {
-        return Err(format_err(format!(
-            "chunk declares {} records in {decoded_len} decoded bytes \
-             (records need at least 3 bytes each)",
-            info.records
-        )));
+    if let Some(message) = impossible_decoded_len(info) {
+        return Err(format_err(format!("chunk {message}")));
     }
     if info.compressed {
         let raw = super::compress::decompress_payload(payload, info.raw_len as usize).map_err(
@@ -735,13 +748,8 @@ pub fn read_versioned_header<R: Read>(reader: &mut R) -> Result<(u8, Header), Tr
                 chunk.records
             )));
         }
-        let decoded_len = if chunk.compressed { chunk.raw_len } else { chunk.len };
-        if u64::from(decoded_len) < 3 * u64::from(chunk.records) {
-            return Err(format_err(format!(
-                "chunk {i} declares {} records in {decoded_len} decoded bytes \
-                 (records need at least 3 bytes each)",
-                chunk.records
-            )));
+        if let Some(message) = impossible_decoded_len(chunk) {
+            return Err(format_err(format!("chunk {i} {message}")));
         }
         // A conforming writer stores incompressible chunks raw, so the
         // stored payload (method byte included) never exceeds the decoded

@@ -376,3 +376,35 @@ proptest! {
         prop_assert_ne!(header.meta.fingerprint, stale);
     }
 }
+
+/// Overwrites one `u32` field of the only index entry of a single-chunk
+/// container and re-seals the header checksum, as a forger would: FNV-1a
+/// is no authentication, so a hostile header always checksums.
+fn forge_index_field(bytes: &mut [u8], entry_len: usize, field_at: usize, value: u32) {
+    let header = v2::read_header(&mut &bytes[..]).expect("valid before forging");
+    let header_end = bytes.len() - header.chunks[0].len as usize;
+    let field = header_end - entry_len + field_at;
+    bytes[field..field + 4].copy_from_slice(&value.to_le_bytes());
+    let checksum = bytes[13..header_end].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    bytes[5..13].copy_from_slice(&checksum.to_le_bytes());
+}
+
+// A one-record chunk whose index entry declares ~4 GiB of payload must be
+// rejected by header validation, naming the chunk, before any reader sizes
+// a buffer from it: v2 forges the stored `len` (offset 8 of a 24-byte
+// entry), v4 the decoded `raw_len` (offset 12 of a 28-byte entry, the
+// stored `len` staying within `raw_len + 1`).
+#[test]
+fn forged_chunk_length_is_rejected_before_allocating() {
+    let one = [TraceRecord::new(Pc(0x40_0000), InstrCategory::ALL[0], 7)];
+    for (mut bytes, entry_len, field_at) in
+        [(v2_bytes(&one, 1), 24, 8), (v4_bytes(&one, 1), 28, 12)]
+    {
+        forge_index_field(&mut bytes, entry_len, field_at, u32::MAX - 15);
+        let err = v2::read_header(&mut bytes.as_slice()).unwrap_err().to_string();
+        assert!(err.contains("chunk 0") && err.contains("at most 21 bytes"), "{err}");
+        assert!(v2::read(&mut bytes.as_slice()).is_err());
+    }
+}
