@@ -19,17 +19,17 @@ use std::sync::Arc;
 /// # Examples
 ///
 /// ```
-/// use dvp_core::PredictorConfig;
-/// use dvp_trace::Pc;
+/// use dvp_core::{Predictor, PredictorConfig};
+/// use dvp_trace::{Pc, PcId};
 ///
 /// let config = PredictorConfig::new("s2", || {
 ///     Box::new(dvp_core::StridePredictor::two_delta())
 /// });
 /// let mut a = config.build();
-/// let mut b = config.build(); // independent tables
-/// a.update(Pc(0), 7);
-/// assert_eq!(a.predict(Pc(0)), Some(7));
-/// assert_eq!(b.predict(Pc(0)), None);
+/// let b = config.build(); // independent tables
+/// a.step(PcId(0), Pc(0), 7);
+/// assert_eq!(a.predict(PcId(0), Pc(0)), Some(7));
+/// assert_eq!(b.predict(PcId(0), Pc(0)), None);
 /// ```
 #[derive(Clone)]
 pub struct PredictorConfig {
@@ -94,7 +94,7 @@ impl fmt::Debug for PredictorConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvp_trace::Pc;
+    use dvp_trace::{Pc, PcId};
 
     #[test]
     fn paper_bank_names_match_reporting_order() {
@@ -109,7 +109,7 @@ mod tests {
             let mut a = config.build();
             let b = config.build();
             assert_eq!(a.name(), config.name());
-            a.update(Pc(4), 9);
+            a.step(PcId(0), Pc(4), 9);
             assert_eq!(a.static_entries(), 1);
             assert_eq!(b.static_entries(), 0, "{}: builds must not share tables", config.name());
         }

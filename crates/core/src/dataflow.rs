@@ -21,7 +21,7 @@
 //! is a limit study in exactly the paper's spirit: it bounds what any real
 //! pipeline could get from the studied predictors.
 
-use crate::Predictor;
+use crate::{Interned, Predictor};
 use dvp_trace::DepNode;
 
 /// The longest data-dependence chain in `nodes`, in unit-latency cycles.
@@ -123,7 +123,7 @@ impl SpeedupReport {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{value_predicted_height, LastValuePredictor};
+/// use dvp_core::{value_predicted_height, Interned, LastValuePredictor};
 /// use dvp_trace::{DepNode, InstrCategory, Pc, TraceRecord};
 ///
 /// // A dependence chain of constant values: last-value prediction breaks
@@ -132,15 +132,15 @@ impl SpeedupReport {
 /// let nodes: Vec<DepNode> = (0..10u64)
 ///     .map(|i| DepNode::new(rec(7), [i.checked_sub(1), None, None]))
 ///     .collect();
-/// let report = value_predicted_height(&nodes, &mut LastValuePredictor::new(), 0);
+/// let report = value_predicted_height(&nodes, &mut Interned::new(LastValuePredictor::new()), 0);
 /// assert_eq!(report.base_height, 10);
 /// assert!(report.vp_height < report.base_height);
 /// assert!(report.speedup() > 1.0);
 /// ```
 #[must_use]
-pub fn value_predicted_height(
+pub fn value_predicted_height<P: Predictor + ?Sized>(
     nodes: &[DepNode],
-    predictor: &mut dyn Predictor,
+    predictor: &mut Interned<P>,
     penalty: u64,
 ) -> SpeedupReport {
     let mut base_finish = vec![0u64; nodes.len()];
@@ -168,9 +168,7 @@ pub fn value_predicted_height(
         avail[i] = match node.record {
             Some(rec) => {
                 report.predictable += 1;
-                let prediction = predictor.predict(rec.pc);
-                predictor.update(rec.pc, rec.value);
-                match prediction {
+                match predictor.step(rec.pc, rec.value) {
                     Some(v) if v == rec.value => {
                         report.predicted += 1;
                         report.correct += 1;
@@ -301,7 +299,8 @@ mod tests {
     #[test]
     fn perfect_last_value_prediction_collapses_constant_chain() {
         let nodes = chain(&[7; 20]);
-        let report = value_predicted_height(&nodes, &mut LastValuePredictor::new(), 0);
+        let report =
+            value_predicted_height(&nodes, &mut Interned::new(LastValuePredictor::new()), 0);
         assert_eq!(report.base_height, 20);
         // First node unpredicted (cold), afterwards every edge breaks.
         assert!(report.vp_height <= 3, "{report:?}");
@@ -313,7 +312,8 @@ mod tests {
     fn stride_prediction_collapses_induction_chain() {
         let values: Vec<u64> = (0..32).map(|i| 100 + 4 * i).collect();
         let nodes = chain(&values);
-        let report = value_predicted_height(&nodes, &mut StridePredictor::two_delta(), 0);
+        let report =
+            value_predicted_height(&nodes, &mut Interned::new(StridePredictor::two_delta()), 0);
         assert_eq!(report.base_height, 32);
         assert!(report.vp_height < 8, "{report:?}");
     }
@@ -330,7 +330,7 @@ mod tests {
             })
             .collect();
         let nodes = chain(&values);
-        let report = value_predicted_height(&nodes, &mut FcmPredictor::new(2), 0);
+        let report = value_predicted_height(&nodes, &mut Interned::new(FcmPredictor::new(2)), 0);
         assert_eq!(report.base_height, report.vp_height, "{report:?}");
         assert!((report.speedup() - 1.0).abs() < 1e-12);
     }
@@ -340,7 +340,8 @@ mod tests {
         // Anti-correlated values: stride predicts but is always wrong.
         let values: Vec<u64> = (0..40).map(|i| if i % 2 == 0 { 0 } else { u64::MAX / 2 }).collect();
         let nodes = chain(&values);
-        let report = value_predicted_height(&nodes, &mut StridePredictor::two_delta(), 0);
+        let report =
+            value_predicted_height(&nodes, &mut Interned::new(StridePredictor::two_delta()), 0);
         assert!(report.vp_height <= report.base_height, "{report:?}");
     }
 
@@ -348,8 +349,10 @@ mod tests {
     fn penalty_makes_reckless_speculation_costly() {
         let values: Vec<u64> = (0..40).map(|i| (i * i) ^ 0x55).collect();
         let nodes = chain(&values);
-        let free = value_predicted_height(&nodes, &mut StridePredictor::two_delta(), 0);
-        let costly = value_predicted_height(&nodes, &mut StridePredictor::two_delta(), 10);
+        let free =
+            value_predicted_height(&nodes, &mut Interned::new(StridePredictor::two_delta()), 0);
+        let costly =
+            value_predicted_height(&nodes, &mut Interned::new(StridePredictor::two_delta()), 10);
         assert!(costly.vp_height > free.vp_height, "{costly:?} vs {free:?}");
         assert!(costly.vp_height > costly.base_height, "penalty can exceed the baseline");
     }
@@ -357,7 +360,7 @@ mod tests {
     #[test]
     fn report_counters_are_consistent() {
         let nodes = chain(&[1, 2, 3, 1, 2, 3, 1, 2, 3]);
-        let report = value_predicted_height(&nodes, &mut FcmPredictor::new(2), 0);
+        let report = value_predicted_height(&nodes, &mut Interned::new(FcmPredictor::new(2)), 0);
         assert_eq!(report.nodes, 9);
         assert_eq!(report.predictable, 9);
         assert!(report.correct <= report.predicted);
@@ -371,12 +374,13 @@ mod tests {
         let values: Vec<u64> = (0..64).map(|i| (i % 5) * 3).collect();
         let nodes = chain(&values);
         let oracle = oracle_height(&nodes);
-        for mut p in [
+        for p in [
             Box::new(LastValuePredictor::new()) as Box<dyn Predictor>,
             Box::new(StridePredictor::two_delta()),
             Box::new(FcmPredictor::new(3)),
         ] {
-            let report = value_predicted_height(&nodes, p.as_mut(), 0);
+            let mut p = Interned::new(p);
+            let report = value_predicted_height(&nodes, &mut p, 0);
             assert!(report.vp_height >= oracle, "{} beat the oracle", p.name());
         }
     }

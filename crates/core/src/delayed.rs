@@ -11,8 +11,8 @@
 //! update is buffered and applied only after `delay` further observations
 //! have been made, so predictions are served from state that is `delay`
 //! observations stale. With `delay == 0` the wrapper is behaviourally
-//! identical to the wrapped predictor. The `ext-delay` experiment and the
-//! `ablation_update_delay` bench quantify the accuracy cost.
+//! identical to the wrapped predictor. The `ext-delay` experiment
+//! (`repro ext-delay`) quantifies the accuracy cost.
 
 use crate::Predictor;
 use dvp_trace::{Pc, PcId, Value};
@@ -21,20 +21,19 @@ use std::collections::VecDeque;
 /// Wraps a predictor so that updates take effect only after `delay` further
 /// observations — the update latency of a real pipeline.
 ///
-/// The wrapper intercepts [`update`](Predictor::update): the (pc, value)
-/// pair is queued and the oldest queued update is applied to the inner
-/// predictor once the queue exceeds `delay`. Predictions pass through to the
-/// inner predictor's (stale) state; pending updates are **not** consulted,
-/// which is precisely the hazard a delayed-update pipeline suffers on
-/// tight-loop instructions.
+/// Each [`step`](Predictor::step) reads the inner predictor's (stale)
+/// prediction, then queues the (id, pc, value) update; the oldest queued
+/// update is applied to the inner predictor once the queue exceeds
+/// `delay`. Pending updates are **not** consulted, which is precisely the
+/// hazard a delayed-update pipeline suffers on tight-loop instructions.
 ///
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{DelayedPredictor, LastValuePredictor, Predictor};
+/// use dvp_core::{DelayedPredictor, Interned, LastValuePredictor};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = DelayedPredictor::new(LastValuePredictor::new(), 2);
+/// let mut p = Interned::new(DelayedPredictor::new(LastValuePredictor::new(), 2));
 /// let pc = Pc(0x40);
 /// p.update(pc, 7);
 /// // The update is still in flight:
@@ -48,7 +47,7 @@ pub struct DelayedPredictor<P> {
     inner: P,
     name: String,
     delay: usize,
-    pending: VecDeque<(Option<PcId>, Pc, Value)>,
+    pending: VecDeque<(PcId, Pc, Value)>,
 }
 
 impl<P: Predictor> DelayedPredictor<P> {
@@ -91,38 +90,12 @@ impl<P: Predictor> DelayedPredictor<P> {
     /// Applies all pending updates immediately.
     pub fn drain(&mut self) {
         while let Some((id, pc, value)) = self.pending.pop_front() {
-            self.apply(id, pc, value);
-        }
-    }
-
-    /// Applies one drained update through whichever keying surface queued
-    /// it.
-    fn apply(&mut self, id: Option<PcId>, pc: Pc, value: Value) {
-        match id {
-            Some(id) => self.inner.update_id(id, pc, value),
-            None => self.inner.update(pc, value),
-        }
-    }
-
-    /// Queues one update and applies everything past the latency window.
-    fn enqueue(&mut self, id: Option<PcId>, pc: Pc, actual: Value) {
-        self.pending.push_back((id, pc, actual));
-        while self.pending.len() > self.delay {
-            let (i, p, v) = self.pending.pop_front().expect("non-empty: len > delay >= 0");
-            self.apply(i, p, v);
+            let _ = self.inner.step(id, pc, value);
         }
     }
 }
 
 impl<P: Predictor> Predictor for DelayedPredictor<P> {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        self.inner.predict(pc)
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        self.enqueue(None, pc, actual);
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -136,19 +109,18 @@ impl<P: Predictor> Predictor for DelayedPredictor<P> {
     }
 
     #[inline]
-    fn predict_id(&self, id: PcId, pc: Pc) -> Option<Value> {
-        self.inner.predict_id(id, pc)
+    fn predict(&self, id: PcId, pc: Pc) -> Option<Value> {
+        self.inner.predict(id, pc)
     }
 
     #[inline]
-    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        self.enqueue(Some(id), pc, actual);
-    }
-
-    #[inline]
-    fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        let prediction = self.inner.predict_id(id, pc);
-        self.enqueue(Some(id), pc, actual);
+    fn step(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
+        let prediction = self.inner.predict(id, pc);
+        self.pending.push_back((id, pc, actual));
+        if self.pending.len() > self.delay {
+            let (id, pc, value) = self.pending.pop_front().expect("non-empty: len > delay >= 0");
+            let _ = self.inner.step(id, pc, value);
+        }
         prediction
     }
 }
@@ -156,14 +128,15 @@ impl<P: Predictor> Predictor for DelayedPredictor<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FcmPredictor, LastValuePredictor, StridePredictor};
+    use crate::{FcmPredictor, Interned, LastValuePredictor, StridePredictor};
 
     const PC: Pc = Pc(0x40);
+    const ID: PcId = PcId(0);
 
     #[test]
     fn zero_delay_is_transparent() {
-        let mut delayed = DelayedPredictor::new(StridePredictor::two_delta(), 0);
-        let mut direct = StridePredictor::two_delta();
+        let mut delayed = Interned::new(DelayedPredictor::new(StridePredictor::two_delta(), 0));
+        let mut direct = Interned::new(StridePredictor::two_delta());
         for step in 0u64..500 {
             let pc = Pc(0x100 + (step % 7) * 4);
             let value = step.wrapping_mul(0x9e37_79b9) >> 13;
@@ -176,7 +149,7 @@ mod tests {
 
     #[test]
     fn updates_apply_after_exactly_delay_observations() {
-        let mut p = DelayedPredictor::new(LastValuePredictor::new(), 3);
+        let mut p = Interned::new(DelayedPredictor::new(LastValuePredictor::new(), 3));
         p.update(PC, 1);
         assert_eq!(p.in_flight(), 1);
         p.update(PC, 2);
@@ -191,7 +164,7 @@ mod tests {
     #[test]
     fn constant_sequences_are_immune_to_delay() {
         // A constant stream mispredicts only during the pipeline fill.
-        let mut p = DelayedPredictor::new(LastValuePredictor::new(), 8);
+        let mut p = Interned::new(DelayedPredictor::new(LastValuePredictor::new(), 8));
         let mut correct = 0;
         for _ in 0..100 {
             correct += u32::from(p.observe(PC, 42));
@@ -204,7 +177,7 @@ mod tests {
         // With immediate update a stride sequence is exact from value 3; with
         // delay d, the predictor's "last" lags d behind and every prediction
         // is off by d strides.
-        let mut delayed = DelayedPredictor::new(StridePredictor::two_delta(), 4);
+        let mut delayed = Interned::new(DelayedPredictor::new(StridePredictor::two_delta(), 4));
         let mut correct = 0;
         for v in (0u64..200).map(|i| i * 10) {
             correct += u32::from(delayed.observe(PC, v));
@@ -212,7 +185,7 @@ mod tests {
         assert_eq!(correct, 0, "stale last value shifts every stride prediction");
 
         // The same predictor with delay 0 is near-perfect.
-        let mut direct = DelayedPredictor::new(StridePredictor::two_delta(), 0);
+        let mut direct = Interned::new(DelayedPredictor::new(StridePredictor::two_delta(), 0));
         let mut direct_correct = 0;
         for v in (0u64..200).map(|i| i * 10) {
             direct_correct += u32::from(direct.observe(PC, v));
@@ -223,24 +196,23 @@ mod tests {
     #[test]
     fn drain_applies_everything() {
         let mut p = DelayedPredictor::new(LastValuePredictor::new(), 16);
-        p.update(PC, 9);
-        assert_eq!(p.predict(PC), None);
+        p.step(ID, PC, 9);
+        assert_eq!(p.predict(ID, PC), None);
         p.drain();
         assert_eq!(p.in_flight(), 0);
-        assert_eq!(p.predict(PC), Some(9));
+        assert_eq!(p.predict(ID, PC), Some(9));
     }
 
     #[test]
     fn into_inner_drains_first() {
         let mut p = DelayedPredictor::new(LastValuePredictor::new(), 5);
-        p.update(PC, 3);
-        let inner = p.into_inner();
-        assert_eq!(inner.predict(PC), Some(3));
+        p.step(ID, PC, 3);
+        assert_eq!(p.into_inner().predict(ID, PC), Some(3));
     }
 
     #[test]
     fn name_reports_delay() {
-        let p = DelayedPredictor::new(FcmPredictor::new(2), 7);
+        let p = Interned::new(DelayedPredictor::new(FcmPredictor::new(2), 7));
         assert_eq!(p.name(), "fcm2+d7");
     }
 
@@ -248,7 +220,7 @@ mod tests {
     fn interleaved_pcs_drain_in_order() {
         // Updates to different PCs share one in-order pipeline, as writeback
         // order would.
-        let mut p = DelayedPredictor::new(LastValuePredictor::new(), 2);
+        let mut p = Interned::new(DelayedPredictor::new(LastValuePredictor::new(), 2));
         p.update(Pc(0), 10);
         p.update(Pc(4), 20);
         assert_eq!(p.predict(Pc(0)), None);

@@ -61,10 +61,10 @@ struct ShiftEntry {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{Predictor, ShiftPredictor};
+/// use dvp_core::{Interned, ShiftPredictor};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = ShiftPredictor::new();
+/// let mut p = Interned::new(ShiftPredictor::new());
 /// let pc = Pc(0x44);
 /// for v in [1u64, 2, 4, 8] {
 ///     p.update(pc, v);
@@ -120,18 +120,6 @@ impl ShiftPredictor {
 }
 
 impl Predictor for ShiftPredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        self.table.get(pc).map(Self::predict_entry)
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        let _ = Self::step_slot(self.table.slot_mut(pc), actual);
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        Self::step_slot(self.table.slot_mut(pc), actual)
-    }
-
     fn name(&self) -> &str {
         "shift"
     }
@@ -145,18 +133,13 @@ impl Predictor for ShiftPredictor {
     }
 
     #[inline]
-    fn predict_id(&self, id: PcId, _pc: Pc) -> Option<Value> {
-        self.table.get_dense(id).map(Self::predict_entry)
+    fn predict(&self, id: PcId, _pc: Pc) -> Option<Value> {
+        self.table.get(id).map(Self::predict_entry)
     }
 
     #[inline]
-    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        let _ = Self::step_slot(self.table.dense_slot_mut(id, pc), actual);
-    }
-
-    #[inline]
-    fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        Self::step_slot(self.table.dense_slot_mut(id, pc), actual)
+    fn step(&mut self, id: PcId, _pc: Pc, actual: Value) -> Option<Value> {
+        Self::step_slot(self.table.slot_mut(id), actual)
     }
 }
 
@@ -189,10 +172,10 @@ struct TwoLevelEntry {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{Predictor, TwoLevelStridePredictor};
+/// use dvp_core::{Interned, TwoLevelStridePredictor};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = TwoLevelStridePredictor::new();
+/// let mut p = Interned::new(TwoLevelStridePredictor::new());
 /// let pc = Pc(0x88);
 /// // Four runs of 0..4 stepped by 100 teach the period and outer stride
 /// // (each needs two confirming run boundaries)...
@@ -281,18 +264,6 @@ impl TwoLevelStridePredictor {
 }
 
 impl Predictor for TwoLevelStridePredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        self.table.get(pc).map(Self::predict_entry)
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        let _ = Self::step_slot(self.table.slot_mut(pc), actual);
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        Self::step_slot(self.table.slot_mut(pc), actual)
-    }
-
     fn name(&self) -> &str {
         "s2level"
     }
@@ -306,18 +277,13 @@ impl Predictor for TwoLevelStridePredictor {
     }
 
     #[inline]
-    fn predict_id(&self, id: PcId, _pc: Pc) -> Option<Value> {
-        self.table.get_dense(id).map(Self::predict_entry)
+    fn predict(&self, id: PcId, _pc: Pc) -> Option<Value> {
+        self.table.get(id).map(Self::predict_entry)
     }
 
     #[inline]
-    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        let _ = Self::step_slot(self.table.dense_slot_mut(id, pc), actual);
-    }
-
-    #[inline]
-    fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        Self::step_slot(self.table.dense_slot_mut(id, pc), actual)
+    fn step(&mut self, id: PcId, _pc: Pc, actual: Value) -> Option<Value> {
+        Self::step_slot(self.table.slot_mut(id), actual)
     }
 }
 
@@ -325,7 +291,7 @@ impl Predictor for TwoLevelStridePredictor {
 mod tests {
     use super::*;
     use crate::sequences::{measure_learning, repeated_stride};
-    use crate::StridePredictor;
+    use crate::{Interned, StridePredictor};
 
     const PC: Pc = Pc(0x700);
 
@@ -351,7 +317,7 @@ mod tests {
 
     #[test]
     fn shift_predictor_learns_halving() {
-        let mut p = ShiftPredictor::new();
+        let mut p = Interned::new(ShiftPredictor::new());
         for v in [4096u64, 1024, 256, 64] {
             p.update(PC, v);
         }
@@ -369,7 +335,7 @@ mod tests {
 
     #[test]
     fn shift_predictor_degenerates_to_last_value_on_constants() {
-        let mut p = ShiftPredictor::new();
+        let mut p = Interned::new(ShiftPredictor::new());
         for _ in 0..5 {
             p.update(PC, 42);
         }
@@ -378,7 +344,7 @@ mod tests {
 
     #[test]
     fn shift_predictor_does_not_adopt_single_outlier() {
-        let mut p = ShiftPredictor::new();
+        let mut p = Interned::new(ShiftPredictor::new());
         for v in [7u64, 7, 7, 14, 7, 7] {
             p.update(PC, v);
         }
@@ -422,7 +388,7 @@ mod tests {
 
     #[test]
     fn two_level_handles_constants() {
-        let mut p = TwoLevelStridePredictor::new();
+        let mut p = Interned::new(TwoLevelStridePredictor::new());
         for _ in 0..10 {
             p.update(PC, 5);
         }
@@ -431,8 +397,8 @@ mod tests {
 
     #[test]
     fn names_and_entries() {
-        let mut s = ShiftPredictor::new();
-        let mut t = TwoLevelStridePredictor::new();
+        let mut s = Interned::new(ShiftPredictor::new());
+        let mut t = Interned::new(TwoLevelStridePredictor::new());
         s.update(PC, 1);
         t.update(PC, 1);
         assert_eq!(s.name(), "shift");

@@ -26,7 +26,6 @@
 //!   matching context and caches every probed entry index; the update
 //!   phase reuses those hits instead of re-probing.
 
-use crate::table::PcIndex;
 use crate::Predictor;
 use dvp_trace::{Pc, PcId, Value};
 
@@ -417,10 +416,10 @@ struct Descent {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{FcmPredictor, Predictor};
+/// use dvp_core::{FcmPredictor, Interned};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = FcmPredictor::new(2);
+/// let mut p = Interned::new(FcmPredictor::new(2));
 /// let pc = Pc(0x10);
 /// // A repeating non-stride sequence: 1 -13 99 1 -13 99 ...
 /// let seq = [1u64, (-13i64) as u64, 99];
@@ -438,7 +437,6 @@ pub struct FcmPredictor {
     blending: Blending,
     counter_mode: CounterMode,
     name: String,
-    index: PcIndex,
     /// Per-slot recent values, strided `order` wide, newest last within
     /// `hist_len[slot]`.
     hist: Vec<Value>,
@@ -487,7 +485,6 @@ impl FcmPredictor {
             blending,
             counter_mode,
             name,
-            index: PcIndex::new(),
             hist: Vec::new(),
             hist_len: Vec::new(),
             ghash: Vec::new(),
@@ -654,79 +651,52 @@ impl FcmPredictor {
         }
         g[0] = mixed;
     }
-
-    /// The fused per-record step on an in-range slot.
-    fn step_slot(&mut self, slot: usize, actual: Value) -> Option<Value> {
-        let d = self.descend(slot);
-        self.apply_update(slot, &d, actual);
-        d.prediction
-    }
 }
 
 impl Predictor for FcmPredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        let id = self.index.get(pc)?;
-        self.predict_slot(id.index())
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        let slot = self.index.intern(pc).index();
-        self.ensure_slot(slot);
-        let d = self.descend(slot);
-        self.apply_update(slot, &d, actual);
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        let slot = self.index.intern(pc).index();
-        self.ensure_slot(slot);
-        self.step_slot(slot, actual)
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
 
     fn static_entries(&self) -> usize {
-        self.index.len()
+        if self.order == 0 {
+            // No history to count: every stepped slot owns exactly one
+            // (empty) order-0 context.
+            self.vht.len()
+        } else {
+            self.hist_len.iter().filter(|&&len| len > 0).count()
+        }
     }
 
     fn reserve_ids(&mut self, n: usize) {
-        self.index.reserve(n);
         if n > 0 {
             self.ensure_slot(n - 1);
         }
     }
 
     #[inline]
-    fn predict_id(&self, id: PcId, _pc: Pc) -> Option<Value> {
+    fn predict(&self, id: PcId, _pc: Pc) -> Option<Value> {
         self.predict_slot(id.index())
     }
 
     #[inline]
-    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
+    fn step(&mut self, id: PcId, _pc: Pc, actual: Value) -> Option<Value> {
         let slot = id.index();
         self.ensure_slot(slot);
-        self.index.adopt(id, pc);
         let d = self.descend(slot);
         self.apply_update(slot, &d, actual);
-    }
-
-    #[inline]
-    fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        let slot = id.index();
-        self.ensure_slot(slot);
-        self.index.adopt(id, pc);
-        self.step_slot(slot, actual)
+        d.prediction
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Interned;
 
     const PC: Pc = Pc(0x300);
 
-    fn feed(p: &mut FcmPredictor, seq: &[Value]) -> Vec<Option<Value>> {
+    fn feed(p: &mut Interned<FcmPredictor>, seq: &[Value]) -> Vec<Option<Value>> {
         seq.iter()
             .map(|&v| {
                 let pred = p.predict(PC);
@@ -738,7 +708,7 @@ mod tests {
 
     #[test]
     fn predicts_repeated_non_stride_sequence_after_one_period() {
-        let mut p = FcmPredictor::new(2);
+        let mut p = Interned::new(FcmPredictor::new(2));
         let period = [1u64, u64::MAX - 12, 99, 7];
         let seq: Vec<Value> = period.iter().copied().cycle().take(16).collect();
         let preds = feed(&mut p, &seq);
@@ -751,7 +721,7 @@ mod tests {
 
     #[test]
     fn predicts_repeated_stride_sequence() {
-        let mut p = FcmPredictor::new(2);
+        let mut p = Interned::new(FcmPredictor::new(2));
         let seq: Vec<Value> = (0..24).map(|i| 1 + (i % 4)).collect();
         let preds = feed(&mut p, &seq);
         for (i, (&pred, &actual)) in preds.iter().zip(&seq).enumerate().skip(6) {
@@ -763,7 +733,7 @@ mod tests {
     fn cannot_predict_novel_stride_sequence() {
         // A pure (non-repeating) stride sequence never repeats a context, so
         // the high orders never match; the low orders predict stale values.
-        let mut p = FcmPredictor::new(3);
+        let mut p = Interned::new(FcmPredictor::new(3));
         let seq: Vec<Value> = (0..32).map(|i| 10 + 3 * i).collect();
         let preds = feed(&mut p, &seq);
         let correct = preds.iter().zip(&seq).filter(|(&p, &a)| p == Some(a)).count();
@@ -777,7 +747,11 @@ mod tests {
         let seq = [a, a, a, b, c, a, a, a, b, c, a, a, a];
         // Single-order models exactly as drawn in the figure.
         for (order, expected) in [(0, a), (1, a), (2, a), (3, b)] {
-            let mut p = FcmPredictor::with_config(order, Blending::SingleOrder, CounterMode::Exact);
+            let mut p = Interned::new(FcmPredictor::with_config(
+                order,
+                Blending::SingleOrder,
+                CounterMode::Exact,
+            ));
             for &v in &seq {
                 p.update(PC, v);
             }
@@ -787,7 +761,7 @@ mod tests {
 
     #[test]
     fn order_zero_is_a_frequency_table() {
-        let mut p = FcmPredictor::new(0);
+        let mut p = Interned::new(FcmPredictor::new(0));
         for &v in &[5u64, 5, 5, 9, 9] {
             p.update(PC, v);
         }
@@ -800,7 +774,7 @@ mod tests {
 
     #[test]
     fn ties_break_toward_most_recent_value() {
-        let mut p = FcmPredictor::new(0);
+        let mut p = Interned::new(FcmPredictor::new(0));
         p.update(PC, 1);
         p.update(PC, 2);
         // Both values have count 1; 2 is more recent.
@@ -812,7 +786,7 @@ mod tests {
 
     #[test]
     fn blending_falls_back_to_lower_orders() {
-        let mut p = FcmPredictor::new(3);
+        let mut p = Interned::new(FcmPredictor::new(3));
         // Only two values seen: order-3 context cannot exist yet, but lower
         // orders still predict.
         p.update(PC, 4);
@@ -822,7 +796,8 @@ mod tests {
 
     #[test]
     fn single_order_makes_no_prediction_without_full_context_match() {
-        let mut p = FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact);
+        let mut p =
+            Interned::new(FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact));
         p.update(PC, 1);
         p.update(PC, 2);
         p.update(PC, 3);
@@ -833,8 +808,13 @@ mod tests {
     #[test]
     fn lazy_exclusion_does_not_update_lower_orders_on_high_match() {
         // Construct a case where lazy exclusion and full blending diverge.
-        let mut lazy = FcmPredictor::with_config(1, Blending::LazyExclusion, CounterMode::Exact);
-        let mut full = FcmPredictor::with_config(1, Blending::Full, CounterMode::Exact);
+        let mut lazy = Interned::new(FcmPredictor::with_config(
+            1,
+            Blending::LazyExclusion,
+            CounterMode::Exact,
+        ));
+        let mut full =
+            Interned::new(FcmPredictor::with_config(1, Blending::Full, CounterMode::Exact));
         // Sequence: 1 2 1 2 1 2 ... then suddenly a fresh context.
         for &v in &[1u64, 2, 1, 2, 1, 2] {
             lazy.update(PC, v);
@@ -857,7 +837,7 @@ mod tests {
     #[test]
     fn saturating_counters_halve_and_adapt_faster() {
         let mode = CounterMode::Saturating { max: 4 };
-        let mut p = FcmPredictor::with_config(0, Blending::SingleOrder, mode);
+        let mut p = Interned::new(FcmPredictor::with_config(0, Blending::SingleOrder, mode));
         // Value 7 is seen many times; counts saturate around max.
         for _ in 0..100 {
             p.update(PC, 7);
@@ -870,7 +850,8 @@ mod tests {
         assert_eq!(p.predict(PC), Some(9), "saturating counters favour recent history");
 
         // With exact counters the same burst cannot overtake.
-        let mut exact = FcmPredictor::with_config(0, Blending::SingleOrder, CounterMode::Exact);
+        let mut exact =
+            Interned::new(FcmPredictor::with_config(0, Blending::SingleOrder, CounterMode::Exact));
         for _ in 0..100 {
             exact.update(PC, 7);
         }
@@ -882,7 +863,7 @@ mod tests {
 
     #[test]
     fn no_aliasing_between_pcs() {
-        let mut p = FcmPredictor::new(1);
+        let mut p = Interned::new(FcmPredictor::new(1));
         for i in 0..4 {
             p.update(Pc(0), 10);
             p.update(Pc(4), 20);
@@ -895,7 +876,7 @@ mod tests {
 
     #[test]
     fn context_entries_grow_with_distinct_contexts() {
-        let mut p = FcmPredictor::new(1);
+        let mut p = Interned::new(FcmPredictor::new(1));
         assert_eq!(p.context_entries(), 0);
         p.update(PC, 1);
         p.update(PC, 2);
@@ -906,24 +887,30 @@ mod tests {
 
     #[test]
     fn names_reflect_configuration() {
-        assert_eq!(FcmPredictor::new(3).name(), "fcm3");
-        let single = FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact);
+        assert_eq!(Interned::new(FcmPredictor::new(3)).name(), "fcm3");
+        let single =
+            Interned::new(FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact));
         assert_eq!(single.name(), "fcm2-single");
-        let sat = FcmPredictor::with_config(1, Blending::Full, CounterMode::Saturating { max: 16 });
+        let sat = Interned::new(FcmPredictor::with_config(
+            1,
+            Blending::Full,
+            CounterMode::Saturating { max: 16 },
+        ));
         assert_eq!(sat.name(), "fcm1-full-sat16");
     }
 
     #[test]
     #[should_panic(expected = "unreasonably large")]
     fn rejects_absurd_order() {
-        let _ = FcmPredictor::new(65);
+        let _ = Interned::new(FcmPredictor::new(65));
     }
 
     #[test]
     fn spilled_context_keys_do_not_alias() {
         // Order > INLINE_KEY forces keys through the spill arena; distinct
         // 5-value contexts must stay distinct (full-concatenation match).
-        let mut p = FcmPredictor::with_config(5, Blending::SingleOrder, CounterMode::Exact);
+        let mut p =
+            Interned::new(FcmPredictor::with_config(5, Blending::SingleOrder, CounterMode::Exact));
         let period = [11u64, 22, 33, 44, 55, 66, 77];
         for &v in period.iter().cycle().take(42) {
             p.update(PC, v);
@@ -940,7 +927,7 @@ mod tests {
     fn high_fanout_contexts_spill_and_keep_exact_argmax() {
         // One order-0 context followed by many distinct values exercises the
         // follower spill arena and the front-is-argmax invariant.
-        let mut p = FcmPredictor::new(0);
+        let mut p = Interned::new(FcmPredictor::new(0));
         for v in 0..40u64 {
             p.update(PC, v);
         }
@@ -958,8 +945,11 @@ mod tests {
     fn saturating_halving_can_empty_a_context_which_then_reseeds() {
         // max = 1: every bump halves the just-bumped count back to zero, so
         // the context stays empty and never predicts — but keeps existing.
-        let mut p =
-            FcmPredictor::with_config(0, Blending::SingleOrder, CounterMode::Saturating { max: 1 });
+        let mut p = Interned::new(FcmPredictor::with_config(
+            0,
+            Blending::SingleOrder,
+            CounterMode::Saturating { max: 1 },
+        ));
         p.update(PC, 5);
         p.update(PC, 5);
         assert_eq!(p.predict(PC), None);

@@ -11,8 +11,8 @@
 //!
 //! This module supplies that missing step: fixed-size, direct-mapped
 //! versions of all three predictor families, so the aliasing effect can be
-//! measured (see the `ext-tables` experiment and the `ablation_table_size`
-//! bench). The context-based predictor follows the two-level
+//! measured (see the `ext-tables` experiment, `repro ext-tables`). The
+//! context-based predictor follows the two-level
 //! **VHT/VPT** organization of Sazeides & Smith's own follow-up technical
 //! report (*Implementations of Context Based Value Predictors*,
 //! TR-ECE-97-8): a Value History Table indexed by PC holds the recent value
@@ -28,14 +28,11 @@
 //!   instead of exact per-value counts.
 
 use crate::Predictor;
-use dvp_trace::{Pc, Value};
+use dvp_trace::{Pc, PcId, Value};
 
-// The finite predictors keep their direct-mapped, PC-hashed tables even on
-// the dense id surface: aliasing between static instructions is the very
-// effect they exist to measure, so the default `*_id` fallbacks (which
-// route to the PC-keyed methods and ignore the id) are exactly right. Each
-// predictor overrides `step` so the fallback fused path computes its slot
-// index and tag once per record instead of twice.
+// The finite predictors index their direct-mapped tables by PC bits and
+// ignore the dense id: aliasing between static instructions is the very
+// effect they exist to measure.
 
 /// Geometry of one direct-mapped prediction table.
 ///
@@ -190,10 +187,10 @@ struct LastValueSlot {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{FiniteLastValuePredictor, Predictor, TableSpec};
+/// use dvp_core::{FiniteLastValuePredictor, Interned, TableSpec};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = FiniteLastValuePredictor::new(TableSpec::new(8));
+/// let mut p = Interned::new(FiniteLastValuePredictor::new(TableSpec::new(8)));
 /// let pc = Pc(0x400100);
 /// p.update(pc, 7);
 /// assert_eq!(p.predict(pc), Some(7));
@@ -227,17 +224,12 @@ impl FiniteLastValuePredictor {
 }
 
 impl Predictor for FiniteLastValuePredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
+    fn predict(&self, _id: PcId, pc: Pc) -> Option<Value> {
         let slot = self.slots[self.spec.index_of(pc)].as_ref()?;
         (slot.tag == self.spec.tag_of(pc)).then_some(slot.value)
     }
 
-    fn update(&mut self, pc: Pc, actual: Value) {
-        self.slots[self.spec.index_of(pc)] =
-            Some(LastValueSlot { tag: self.spec.tag_of(pc), value: actual });
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
+    fn step(&mut self, _id: PcId, pc: Pc, actual: Value) -> Option<Value> {
         let tag = self.spec.tag_of(pc);
         let slot = &mut self.slots[self.spec.index_of(pc)];
         let prediction = slot.as_ref().and_then(|s| (s.tag == tag).then_some(s.value));
@@ -272,10 +264,10 @@ struct StrideSlot {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{FiniteStridePredictor, Predictor, TableSpec};
+/// use dvp_core::{FiniteStridePredictor, Interned, TableSpec};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = FiniteStridePredictor::new(TableSpec::new(8).with_tag_bits(8));
+/// let mut p = Interned::new(FiniteStridePredictor::new(TableSpec::new(8).with_tag_bits(8)));
 /// let pc = Pc(0x80);
 /// for v in [10, 20, 30] {
 ///     p.update(pc, v);
@@ -311,28 +303,12 @@ impl FiniteStridePredictor {
 }
 
 impl Predictor for FiniteStridePredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
+    fn predict(&self, _id: PcId, pc: Pc) -> Option<Value> {
         let slot = self.slots[self.spec.index_of(pc)].as_ref()?;
         (slot.tag == self.spec.tag_of(pc)).then(|| slot.last.wrapping_add(slot.stride))
     }
 
-    fn update(&mut self, pc: Pc, actual: Value) {
-        let tag = self.spec.tag_of(pc);
-        let slot = &mut self.slots[self.spec.index_of(pc)];
-        match slot {
-            Some(s) if s.tag == tag => {
-                let delta = actual.wrapping_sub(s.last);
-                if delta == s.last_delta {
-                    s.stride = delta;
-                }
-                s.last_delta = delta;
-                s.last = actual;
-            }
-            _ => *slot = Some(StrideSlot { tag, last: actual, stride: 0, last_delta: 0 }),
-        }
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
+    fn step(&mut self, _id: PcId, pc: Pc, actual: Value) -> Option<Value> {
         let tag = self.spec.tag_of(pc);
         let slot = &mut self.slots[self.spec.index_of(pc)];
         match slot {
@@ -390,10 +366,10 @@ struct VptSlot {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{FiniteFcmPredictor, Predictor, TableSpec};
+/// use dvp_core::{FiniteFcmPredictor, Interned, TableSpec};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12));
+/// let mut p = Interned::new(FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12)));
 /// let pc = Pc(0x10);
 /// // Repeating non-stride sequence: learnable by context, not by stride.
 /// for _ in 0..3 {
@@ -539,23 +515,15 @@ impl FiniteFcmPredictor {
 }
 
 impl Predictor for FiniteFcmPredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
+    fn predict(&self, _id: PcId, pc: Pc) -> Option<Value> {
         let vpt_index = self.vpt_index(pc)?;
         self.vpt[vpt_index].as_ref().map(|s| s.value)
     }
 
-    fn update(&mut self, pc: Pc, actual: Value) {
-        // Update the VPT entry for the *current* context first...
-        if let Some(vpt_index) = self.vpt_index(pc) {
-            self.train_vpt(vpt_index, actual);
-        }
-        // ...then shift the new value into the VHT history.
-        self.shift_vht(pc, actual);
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        // The fused path hashes the context once for both the prediction
-        // read and the VPT training write.
+    fn step(&mut self, _id: PcId, pc: Pc, actual: Value) -> Option<Value> {
+        // Train the VPT entry of the *current* context (hashed once for
+        // both the prediction read and the training write), then shift
+        // the new value into the VHT history.
         let mut prediction = None;
         if let Some(vpt_index) = self.vpt_index(pc) {
             prediction = self.vpt[vpt_index].as_ref().map(|s| s.value);
@@ -577,7 +545,7 @@ impl Predictor for FiniteFcmPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LastValuePredictor, StridePredictor};
+    use crate::{Interned, LastValuePredictor, StridePredictor};
 
     const PC: Pc = Pc(0x400100);
 
@@ -661,8 +629,8 @@ mod tests {
         // 16 distinct PCs in a 256-slot tagged table: no collisions by
         // construction (consecutive word addresses map to consecutive slots).
         let spec = TableSpec::new(8).with_tag_bits(8);
-        let mut finite = FiniteLastValuePredictor::new(spec);
-        let mut ideal = LastValuePredictor::new();
+        let mut finite = Interned::new(FiniteLastValuePredictor::new(spec));
+        let mut ideal = Interned::new(LastValuePredictor::new());
         let mut state = 0x1234_5678_u64;
         for step in 0..2000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -677,8 +645,8 @@ mod tests {
     #[test]
     fn finite_stride_matches_unbounded_without_aliasing() {
         let spec = TableSpec::new(8).with_tag_bits(8);
-        let mut finite = FiniteStridePredictor::new(spec);
-        let mut ideal = StridePredictor::two_delta();
+        let mut finite = Interned::new(FiniteStridePredictor::new(spec));
+        let mut ideal = Interned::new(StridePredictor::two_delta());
         for step in 0u64..3000 {
             let pc = Pc(0x400000 + (step % 32) * 4);
             // Mix of stride-y and erratic values.
@@ -692,7 +660,7 @@ mod tests {
     #[test]
     fn untagged_aliasing_is_destructive_for_last_value() {
         let spec = TableSpec::new(4);
-        let mut p = FiniteLastValuePredictor::new(spec);
+        let mut p = Interned::new(FiniteLastValuePredictor::new(spec));
         let (a, b) = colliding_pair(spec);
         // Interleaved constant streams: each observation clobbers the other.
         let mut correct = 0;
@@ -703,7 +671,7 @@ mod tests {
         assert_eq!(correct, 0, "untagged aliasing destroys two constant streams");
 
         // The unbounded predictor gets all but the two cold misses.
-        let mut ideal = LastValuePredictor::new();
+        let mut ideal = Interned::new(LastValuePredictor::new());
         let mut ideal_correct = 0;
         for _ in 0..50 {
             ideal_correct += u32::from(ideal.observe(a, 111));
@@ -715,7 +683,7 @@ mod tests {
     #[test]
     fn tagged_aliasing_thrashes_but_never_mispredicts_across_pcs() {
         let spec = TableSpec::new(4).with_tag_bits(8);
-        let mut p = FiniteLastValuePredictor::new(spec);
+        let mut p = Interned::new(FiniteLastValuePredictor::new(spec));
         let (a, b) = colliding_pair(spec);
         for _ in 0..10 {
             // After b's update, a's lookup tag-mismatches: no prediction,
@@ -729,7 +697,8 @@ mod tests {
 
     #[test]
     fn finite_fcm_learns_repeated_non_stride_sequence() {
-        let mut p = FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12));
+        let mut p =
+            Interned::new(FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12)));
         let period = [9u64, 4, 7, 12];
         let mut preds = Vec::new();
         for _ in 0..6 {
@@ -745,13 +714,14 @@ mod tests {
 
     #[test]
     fn finite_fcm_cold_start_makes_no_prediction() {
-        let p = FiniteFcmPredictor::new(3, TableSpec::new(6), TableSpec::new(10));
+        let p = Interned::new(FiniteFcmPredictor::new(3, TableSpec::new(6), TableSpec::new(10)));
         assert_eq!(p.predict(PC), None);
     }
 
     #[test]
     fn finite_fcm_needs_full_history_before_predicting() {
-        let mut p = FiniteFcmPredictor::new(3, TableSpec::new(6), TableSpec::new(10));
+        let mut p =
+            Interned::new(FiniteFcmPredictor::new(3, TableSpec::new(6), TableSpec::new(10)));
         p.update(PC, 1);
         p.update(PC, 2);
         assert_eq!(p.predict(PC), None, "only 2 of 3 history values present");
@@ -765,7 +735,7 @@ mod tests {
     fn finite_fcm_replacement_hysteresis_protects_stable_value() {
         // With a warm counter, a single interfering write does not evict the
         // established prediction.
-        let mut p = FiniteFcmPredictor::new(1, TableSpec::new(4), TableSpec::new(8));
+        let mut p = Interned::new(FiniteFcmPredictor::new(1, TableSpec::new(4), TableSpec::new(8)));
         // Train: context [7] -> 7 repeatedly (constant stream).
         for _ in 0..10 {
             p.update(PC, 7);
@@ -780,8 +750,12 @@ mod tests {
 
     #[test]
     fn finite_fcm_replace_max_zero_always_replaces() {
-        let mut p =
-            FiniteFcmPredictor::with_replace_max(1, TableSpec::new(4), TableSpec::new(8), 0);
+        let mut p = Interned::new(FiniteFcmPredictor::with_replace_max(
+            1,
+            TableSpec::new(4),
+            TableSpec::new(8),
+            0,
+        ));
         for _ in 0..10 {
             p.update(PC, 7);
         }
@@ -793,7 +767,7 @@ mod tests {
     #[test]
     fn vht_eviction_loses_history() {
         let vht = TableSpec::new(2).with_tag_bits(8); // 4 slots
-        let mut p = FiniteFcmPredictor::new(2, vht, TableSpec::new(10));
+        let mut p = Interned::new(FiniteFcmPredictor::new(2, vht, TableSpec::new(10)));
         let (a, b) = colliding_pair(vht); // same VHT slot, different tag
         for _ in 0..4 {
             for v in [1u64, 2, 3] {
@@ -807,19 +781,19 @@ mod tests {
 
     #[test]
     fn storage_bits_accounting() {
-        let l = FiniteLastValuePredictor::new(TableSpec::new(10).with_tag_bits(8));
+        let l = Interned::new(FiniteLastValuePredictor::new(TableSpec::new(10).with_tag_bits(8)));
         assert_eq!(l.storage_bits(), 1024 * (64 + 8));
-        let s = FiniteStridePredictor::new(TableSpec::new(10));
+        let s = Interned::new(FiniteStridePredictor::new(TableSpec::new(10)));
         assert_eq!(s.storage_bits(), 1024 * 192);
-        let f = FiniteFcmPredictor::new(2, TableSpec::new(10), TableSpec::new(12));
+        let f = Interned::new(FiniteFcmPredictor::new(2, TableSpec::new(10), TableSpec::new(12)));
         assert_eq!(f.storage_bits(), 1024 * 128 + 4096 * 66);
     }
 
     #[test]
     fn names_encode_geometry() {
-        assert_eq!(FiniteStridePredictor::new(TableSpec::new(8)).name(), "s2-256");
+        assert_eq!(Interned::new(FiniteStridePredictor::new(TableSpec::new(8))).name(), "s2-256");
         assert_eq!(
-            FiniteFcmPredictor::new(3, TableSpec::new(8), TableSpec::new(10)).name(),
+            Interned::new(FiniteFcmPredictor::new(3, TableSpec::new(8), TableSpec::new(10))).name(),
             "fcm3-vht256-vpt1024"
         );
     }
@@ -827,12 +801,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside 1..=8")]
     fn finite_fcm_rejects_order_zero() {
-        let _ = FiniteFcmPredictor::new(0, TableSpec::new(4), TableSpec::new(8));
+        let _ = Interned::new(FiniteFcmPredictor::new(0, TableSpec::new(4), TableSpec::new(8)));
     }
 
     #[test]
     fn static_entries_counts_occupied_slots() {
-        let mut p = FiniteLastValuePredictor::new(TableSpec::new(8));
+        let mut p = Interned::new(FiniteLastValuePredictor::new(TableSpec::new(8)));
         assert_eq!(p.static_entries(), 0);
         p.update(Pc(0x0), 1);
         p.update(Pc(0x4), 2);

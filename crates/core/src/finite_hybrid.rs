@@ -14,7 +14,7 @@
 
 use crate::finite::{FiniteFcmPredictor, FiniteStridePredictor, TableSpec};
 use crate::Predictor;
-use dvp_trace::{Pc, Value};
+use dvp_trace::{Pc, PcId, Value};
 
 /// A fixed-size stride + context hybrid with a saturating-counter chooser.
 ///
@@ -28,10 +28,10 @@ use dvp_trace::{Pc, Value};
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{FiniteHybridPredictor, Predictor, TableSpec};
+/// use dvp_core::{FiniteHybridPredictor, Interned, TableSpec};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = FiniteHybridPredictor::paper_geometry(10);
+/// let mut p = Interned::new(FiniteHybridPredictor::paper_geometry(10));
 /// let pc = Pc(0x44);
 /// // A stride run followed by a repeating non-stride: the hybrid rides the
 /// // stride component first, then the chooser migrates to the context side.
@@ -120,8 +120,8 @@ impl FiniteHybridPredictor {
 }
 
 impl Predictor for FiniteHybridPredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        let (s, f) = (self.stride.predict(pc), self.fcm.predict(pc));
+    fn predict(&self, id: PcId, pc: Pc) -> Option<Value> {
+        let (s, f) = (self.stride.predict(id, pc), self.fcm.predict(id, pc));
         if self.favours_fcm(pc) {
             f.or(s)
         } else {
@@ -129,16 +129,12 @@ impl Predictor for FiniteHybridPredictor {
         }
     }
 
-    fn update(&mut self, pc: Pc, actual: Value) {
-        let _ = self.step(pc, actual);
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
+    fn step(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
         // The fused feed loop: each component predicts and trains in one
         // table walk (its own fused step), and the chooser slot is indexed
         // once for both the arbitration read and the training write.
-        let s_pred = self.stride.step(pc, actual);
-        let f_pred = self.fcm.step(pc, actual);
+        let s_pred = self.stride.step(id, pc, actual);
+        let f_pred = self.fcm.step(id, pc, actual);
         let slot = &mut self.chooser[self.chooser_spec.index_of(pc)];
         let prediction = if *slot > 0 { f_pred.or(s_pred) } else { s_pred.or(f_pred) };
         let s_correct = s_pred == Some(actual);
@@ -165,12 +161,13 @@ impl Predictor for FiniteHybridPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Interned;
 
     const PC: Pc = Pc(0x400100);
 
     #[test]
     fn rides_stride_component_on_affine_sequences() {
-        let mut p = FiniteHybridPredictor::paper_geometry(8);
+        let mut p = Interned::new(FiniteHybridPredictor::paper_geometry(8));
         let mut correct = 0;
         for v in (0..50u64).map(|i| 10 + 7 * i) {
             correct += u32::from(p.observe(PC, v));
@@ -181,7 +178,7 @@ mod tests {
 
     #[test]
     fn chooser_migrates_to_fcm_on_repeated_non_strides() {
-        let mut p = FiniteHybridPredictor::paper_geometry(8);
+        let mut p = Interned::new(FiniteHybridPredictor::paper_geometry(8));
         let period = [11u64, 3, 99, 20];
         for _ in 0..12 {
             for &v in &period {
@@ -207,7 +204,7 @@ mod tests {
         let stride_pc = Pc(0x100);
         let rotate_pc = Pc(0x104);
         let period = [5u64, 77, 13];
-        let feed = |p: &mut dyn Predictor| {
+        let feed = |mut p: Interned<Box<dyn Predictor>>| {
             let mut correct = 0u32;
             for i in 0..300u64 {
                 correct += u32::from(p.observe(stride_pc, 3 * i));
@@ -215,17 +212,21 @@ mod tests {
             }
             correct
         };
-        let hybrid = feed(&mut FiniteHybridPredictor::paper_geometry(10));
-        let stride_only = feed(&mut FiniteStridePredictor::new(TableSpec::new(10)));
-        let fcm_only =
-            feed(&mut FiniteFcmPredictor::new(2, TableSpec::new(10), TableSpec::new(14)));
+        let hybrid = feed(Interned::new(Box::new(FiniteHybridPredictor::paper_geometry(10))));
+        let stride_only =
+            feed(Interned::new(Box::new(FiniteStridePredictor::new(TableSpec::new(10)))));
+        let fcm_only = feed(Interned::new(Box::new(FiniteFcmPredictor::new(
+            2,
+            TableSpec::new(10),
+            TableSpec::new(14),
+        ))));
         assert!(hybrid > stride_only, "hybrid {hybrid} vs stride {stride_only}");
         assert!(hybrid > fcm_only, "hybrid {hybrid} vs fcm {fcm_only}");
     }
 
     #[test]
     fn falls_back_across_components_when_one_has_no_prediction() {
-        let mut p = FiniteHybridPredictor::paper_geometry(6);
+        let mut p = Interned::new(FiniteHybridPredictor::paper_geometry(6));
         // One observation: the stride side already predicts (last + 0), the
         // fcm side has no full history. The hybrid must still predict.
         p.update(PC, 42);
@@ -234,20 +235,20 @@ mod tests {
 
     #[test]
     fn storage_accounts_for_all_three_structures() {
-        let p = FiniteHybridPredictor::paper_geometry(8);
+        let p = Interned::new(FiniteHybridPredictor::paper_geometry(8));
         let sum = p.stride().storage_bits() + p.fcm().storage_bits() + 256 * 2;
         assert_eq!(p.storage_bits(), sum);
     }
 
     #[test]
     fn name_is_composed() {
-        let p = FiniteHybridPredictor::paper_geometry(4);
+        let p = Interned::new(FiniteHybridPredictor::paper_geometry(4));
         assert_eq!(p.name(), "hybrid-s2-16+fcm2-vht16-vpt256");
     }
 
     #[test]
     #[should_panic(expected = "sensible range")]
     fn rejects_oversized_geometry() {
-        let _ = FiniteHybridPredictor::paper_geometry(25);
+        let _ = Interned::new(FiniteHybridPredictor::paper_geometry(25));
     }
 }

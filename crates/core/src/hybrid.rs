@@ -30,10 +30,10 @@ struct ChooserEntry {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{FcmPredictor, HybridPredictor, Predictor, StridePredictor};
+/// use dvp_core::{FcmPredictor, HybridPredictor, Interned, StridePredictor};
 /// use dvp_trace::Pc;
 ///
-/// let mut hybrid = HybridPredictor::stride_fcm(2);
+/// let mut hybrid = Interned::new(HybridPredictor::stride_fcm(2));
 /// let pc = Pc(0x44);
 /// // A plain stride sequence: the stride side carries it.
 /// for v in (0..30u64).map(|i| 3 * i) {
@@ -66,7 +66,7 @@ impl<A: Predictor, B: Predictor> HybridPredictor<A, B> {
     #[must_use]
     pub fn new(first: A, second: B) -> Self {
         let name = format!("hybrid({}+{})", first.name(), second.name());
-        HybridPredictor { first, second, name, chooser: PcTable::new(), max: 8 }
+        HybridPredictor { first, second, name, chooser: PcTable::default(), max: 8 }
     }
 
     /// Sets the chooser saturation bound (counter range is `-max..=max`).
@@ -93,12 +93,12 @@ impl<A: Predictor, B: Predictor> HybridPredictor<A, B> {
         &self.second
     }
 
-    /// Which component the chooser currently favours for `pc`
-    /// (`false` = first, `true` = second). Unseen PCs default to the first
-    /// component.
+    /// Which component the chooser currently favours for instruction `id`
+    /// (`false` = first, `true` = second). Unseen instructions default to
+    /// the first component.
     #[must_use]
-    pub fn favours_second(&self, pc: Pc) -> bool {
-        self.chooser.get(pc).is_some_and(|e| e.counter > 0)
+    pub fn favours_second(&self, id: PcId) -> bool {
+        self.chooser.get(id).is_some_and(|e| e.counter > 0)
     }
 
     /// Adjusts a chooser entry toward the component that was right while
@@ -122,35 +122,6 @@ impl<A: Predictor, B: Predictor> HybridPredictor<A, B> {
 }
 
 impl<A: Predictor, B: Predictor> Predictor for HybridPredictor<A, B> {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        let (a, b) = (self.first.predict(pc), self.second.predict(pc));
-        let counter = self.chooser.get(pc).map_or(0, |e| e.counter);
-        Self::arbitrate(counter, a, b)
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        let a_correct = self.first.predict(pc) == Some(actual);
-        let b_correct = self.second.predict(pc) == Some(actual);
-        let entry = self.chooser.slot_mut(pc).get_or_insert(ChooserEntry { counter: 0 });
-        Self::train_chooser(self.max, entry, a_correct, b_correct);
-        self.first.update(pc, actual);
-        self.second.update(pc, actual);
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        // Each component's fused step returns its pre-update prediction
-        // and trains it in the same walk (the components' states are
-        // independent, so stepping `first` before predicting `second`
-        // changes nothing); the chooser slot is located once for both the
-        // arbitration read and the training write.
-        let a = self.first.step(pc, actual);
-        let b = self.second.step(pc, actual);
-        let entry = self.chooser.slot_mut(pc).get_or_insert(ChooserEntry { counter: 0 });
-        let prediction = Self::arbitrate(entry.counter, a, b);
-        Self::train_chooser(self.max, entry, a == Some(actual), b == Some(actual));
-        prediction
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -166,28 +137,22 @@ impl<A: Predictor, B: Predictor> Predictor for HybridPredictor<A, B> {
     }
 
     #[inline]
-    fn predict_id(&self, id: PcId, pc: Pc) -> Option<Value> {
-        let (a, b) = (self.first.predict_id(id, pc), self.second.predict_id(id, pc));
-        let counter = self.chooser.get_dense(id).map_or(0, |e| e.counter);
+    fn predict(&self, id: PcId, pc: Pc) -> Option<Value> {
+        let (a, b) = (self.first.predict(id, pc), self.second.predict(id, pc));
+        let counter = self.chooser.get(id).map_or(0, |e| e.counter);
         Self::arbitrate(counter, a, b)
     }
 
     #[inline]
-    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        let a_correct = self.first.predict_id(id, pc) == Some(actual);
-        let b_correct = self.second.predict_id(id, pc) == Some(actual);
-        let entry = self.chooser.dense_slot_mut(id, pc).get_or_insert(ChooserEntry { counter: 0 });
-        Self::train_chooser(self.max, entry, a_correct, b_correct);
-        self.first.update_id(id, pc, actual);
-        self.second.update_id(id, pc, actual);
-    }
-
-    #[inline]
-    fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        // As `step`: one fused walk per component, one chooser access.
-        let a = self.first.step_id(id, pc, actual);
-        let b = self.second.step_id(id, pc, actual);
-        let entry = self.chooser.dense_slot_mut(id, pc).get_or_insert(ChooserEntry { counter: 0 });
+    fn step(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
+        // Each component's fused step returns its pre-update prediction
+        // and trains it in the same walk (the components' states are
+        // independent, so stepping `first` before predicting `second`
+        // changes nothing); the chooser slot is located once for both the
+        // arbitration read and the training write.
+        let a = self.first.step(id, pc, actual);
+        let b = self.second.step(id, pc, actual);
+        let entry = self.chooser.slot_mut(id).get_or_insert(ChooserEntry { counter: 0 });
         let prediction = Self::arbitrate(entry.counter, a, b);
         Self::train_chooser(self.max, entry, a == Some(actual), b == Some(actual));
         prediction
@@ -197,11 +162,11 @@ impl<A: Predictor, B: Predictor> Predictor for HybridPredictor<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FcmPredictor, LastValuePredictor, StridePredictor};
+    use crate::{FcmPredictor, Interned, LastValuePredictor, StridePredictor};
 
     const PC: Pc = Pc(0x500);
 
-    fn accuracy<P: Predictor>(p: &mut P, seq: &[Value]) -> f64 {
+    fn accuracy<P: Predictor>(p: &mut Interned<P>, seq: &[Value]) -> f64 {
         let correct = seq.iter().filter(|&&v| p.observe(PC, v)).count();
         correct as f64 / seq.len() as f64
     }
@@ -209,8 +174,8 @@ mod tests {
     #[test]
     fn hybrid_matches_stride_on_pure_strides() {
         let seq: Vec<Value> = (0..200).map(|i| 5 * i).collect();
-        let mut hybrid = HybridPredictor::stride_fcm(2);
-        let mut stride = StridePredictor::two_delta();
+        let mut hybrid = Interned::new(HybridPredictor::stride_fcm(2));
+        let mut stride = Interned::new(StridePredictor::two_delta());
         let ha = accuracy(&mut hybrid, &seq);
         let sa = accuracy(&mut stride, &seq);
         assert!(ha >= sa - 0.02, "hybrid {ha} should track stride {sa}");
@@ -220,37 +185,40 @@ mod tests {
     fn hybrid_matches_fcm_on_repeated_non_strides() {
         let period = [17u64, 3, 99, 41, 8];
         let seq: Vec<Value> = period.iter().copied().cycle().take(300).collect();
-        let mut hybrid = HybridPredictor::stride_fcm(2);
-        let mut fcm = FcmPredictor::new(2);
+        let mut hybrid = Interned::new(HybridPredictor::stride_fcm(2));
+        let mut fcm = Interned::new(FcmPredictor::new(2));
         let ha = accuracy(&mut hybrid, &seq);
         let fa = accuracy(&mut fcm, &seq);
         assert!(ha >= fa - 0.05, "hybrid {ha} should approach fcm {fa}");
         // And it must beat stride alone by a wide margin on this sequence.
-        let mut stride = StridePredictor::two_delta();
+        let mut stride = Interned::new(StridePredictor::two_delta());
         let sa = accuracy(&mut stride, &seq);
         assert!(ha > sa + 0.3, "hybrid {ha} vs stride {sa}");
     }
 
     #[test]
     fn chooser_shifts_to_better_component() {
-        let mut hybrid = HybridPredictor::new(LastValuePredictor::new(), FcmPredictor::new(1));
+        let mut hybrid =
+            Interned::new(HybridPredictor::new(LastValuePredictor::new(), FcmPredictor::new(1)));
         // Alternating values: last-value is always wrong, fcm learns it.
         for &v in [1u64, 2].iter().cycle().take(40) {
             hybrid.observe(PC, v);
         }
-        assert!(hybrid.favours_second(PC));
+        assert!(hybrid.favours_second(PcId(0)));
     }
 
     #[test]
     fn chooser_counter_saturates() {
-        let mut hybrid = HybridPredictor::new(LastValuePredictor::new(), FcmPredictor::new(1))
-            .with_chooser_max(2);
+        let mut hybrid = Interned::new(
+            HybridPredictor::new(LastValuePredictor::new(), FcmPredictor::new(1))
+                .with_chooser_max(2),
+        );
         for &v in [1u64, 2].iter().cycle().take(100) {
             hybrid.observe(PC, v);
         }
         // Still favours the fcm side; a couple of constant values now swing
         // it back quickly because the counter saturated at 2 rather than 50.
-        assert!(hybrid.favours_second(PC));
+        assert!(hybrid.favours_second(PcId(0)));
         for _ in 0..6 {
             // Constant run: last-value correct, fcm also correct -> tie, no
             // movement; so inject values both get wrong equally: chooser
@@ -262,7 +230,8 @@ mod tests {
 
     #[test]
     fn falls_back_to_other_component_when_favourite_has_no_prediction() {
-        let mut hybrid = HybridPredictor::new(LastValuePredictor::new(), FcmPredictor::new(3));
+        let mut hybrid =
+            Interned::new(HybridPredictor::new(LastValuePredictor::new(), FcmPredictor::new(3)));
         hybrid.update(PC, 42);
         // Chooser defaults to first (last-value), which has a prediction.
         assert_eq!(hybrid.predict(PC), Some(42));
@@ -270,13 +239,13 @@ mod tests {
 
     #[test]
     fn name_composes_component_names() {
-        let hybrid = HybridPredictor::stride_fcm(3);
+        let hybrid = Interned::new(HybridPredictor::stride_fcm(3));
         assert_eq!(hybrid.name(), "hybrid(s2+fcm3)");
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_chooser_bound_is_rejected() {
-        let _ = HybridPredictor::stride_fcm(1).with_chooser_max(0);
+        let _ = Interned::new(HybridPredictor::stride_fcm(1).with_chooser_max(0));
     }
 }

@@ -50,10 +50,10 @@ struct LastValueEntry {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{LastValuePredictor, LastValuePolicy, Predictor};
+/// use dvp_core::{Interned, LastValuePolicy, LastValuePredictor};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = LastValuePredictor::new();
+/// let mut p = Interned::new(LastValuePredictor::new());
 /// let pc = Pc(0x40);
 /// for v in [5, 5, 5, 5] {
 ///     p.update(pc, v);
@@ -61,9 +61,9 @@ struct LastValueEntry {
 /// assert_eq!(p.predict(pc), Some(5));
 ///
 /// // A sticky variant that needs two consecutive sightings to switch:
-/// let mut sticky = LastValuePredictor::with_policy(
+/// let mut sticky = Interned::new(LastValuePredictor::with_policy(
 ///     LastValuePolicy::ConsecutiveConfirm { required: 2 },
-/// );
+/// ));
 /// sticky.update(pc, 5);
 /// sticky.update(pc, 9); // first sighting of 9: still predicts 5
 /// assert_eq!(sticky.predict(pc), Some(5));
@@ -100,7 +100,7 @@ impl LastValuePredictor {
             }
             LastValuePolicy::ConsecutiveConfirm { required } => format!("l-conf{required}"),
         };
-        LastValuePredictor { policy, name, table: PcTable::new() }
+        LastValuePredictor { policy, name, table: PcTable::default() }
     }
 
     /// The replacement policy in use.
@@ -167,25 +167,6 @@ impl LastValuePredictor {
 }
 
 impl Predictor for LastValuePredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        self.table.get(pc).map(|e| e.stored)
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        let policy = self.policy;
-        let slot = self.table.slot_mut(pc);
-        match slot {
-            Some(entry) => Self::update_entry(policy, entry, actual),
-            None => {
-                *slot = Some(LastValueEntry { stored: actual, counter: 0, candidate: None, run: 0 })
-            }
-        }
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        Self::step_slot(self.policy, self.table.slot_mut(pc), actual)
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -199,30 +180,25 @@ impl Predictor for LastValuePredictor {
     }
 
     #[inline]
-    fn predict_id(&self, id: PcId, _pc: Pc) -> Option<Value> {
-        self.table.get_dense(id).map(|e| e.stored)
+    fn predict(&self, id: PcId, _pc: Pc) -> Option<Value> {
+        self.table.get(id).map(|e| e.stored)
     }
 
     #[inline]
-    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        let policy = self.policy;
-        let _ = Self::step_slot(policy, self.table.dense_slot_mut(id, pc), actual);
-    }
-
-    #[inline]
-    fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        Self::step_slot(self.policy, self.table.dense_slot_mut(id, pc), actual)
+    fn step(&mut self, id: PcId, _pc: Pc, actual: Value) -> Option<Value> {
+        Self::step_slot(self.policy, self.table.slot_mut(id), actual)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Interned;
 
     const PC: Pc = Pc(0x100);
 
     fn run(policy: LastValuePolicy, seq: &[Value]) -> Vec<Option<Value>> {
-        let mut p = LastValuePredictor::with_policy(policy);
+        let mut p = Interned::new(LastValuePredictor::with_policy(policy));
         seq.iter()
             .map(|&v| {
                 let pred = p.predict(PC);
@@ -247,7 +223,7 @@ mod tests {
 
     #[test]
     fn distinct_pcs_do_not_interfere() {
-        let mut p = LastValuePredictor::new();
+        let mut p = Interned::new(LastValuePredictor::new());
         p.update(Pc(0), 1);
         p.update(Pc(4), 2);
         assert_eq!(p.predict(Pc(0)), Some(1));
@@ -269,7 +245,7 @@ mod tests {
     #[test]
     fn saturating_counter_eventually_switches() {
         let policy = LastValuePolicy::SaturatingCounter { max: 3, threshold: 2 };
-        let mut p = LastValuePredictor::with_policy(policy);
+        let mut p = Interned::new(LastValuePredictor::with_policy(policy));
         p.update(PC, 7);
         for _ in 0..10 {
             p.update(PC, 9);
@@ -280,7 +256,7 @@ mod tests {
     #[test]
     fn consecutive_confirm_requires_run_of_new_value() {
         let policy = LastValuePolicy::ConsecutiveConfirm { required: 3 };
-        let mut p = LastValuePredictor::with_policy(policy);
+        let mut p = Interned::new(LastValuePredictor::with_policy(policy));
         p.update(PC, 1);
         p.update(PC, 2);
         p.update(PC, 2);
@@ -300,7 +276,7 @@ mod tests {
     #[test]
     fn confirm_required_zero_behaves_like_required_one() {
         let policy = LastValuePolicy::ConsecutiveConfirm { required: 0 };
-        let mut p = LastValuePredictor::with_policy(policy);
+        let mut p = Interned::new(LastValuePredictor::with_policy(policy));
         p.update(PC, 1);
         p.update(PC, 2);
         assert_eq!(p.predict(PC), Some(2));
@@ -308,14 +284,17 @@ mod tests {
 
     #[test]
     fn names_distinguish_policies() {
-        assert_eq!(LastValuePredictor::new().name(), "l");
-        let sat = LastValuePredictor::with_policy(LastValuePolicy::SaturatingCounter {
-            max: 3,
-            threshold: 1,
-        });
+        assert_eq!(Interned::new(LastValuePredictor::new()).name(), "l");
+        let sat =
+            Interned::new(LastValuePredictor::with_policy(LastValuePolicy::SaturatingCounter {
+                max: 3,
+                threshold: 1,
+            }));
         assert_eq!(sat.name(), "l-sat3t1");
         let conf =
-            LastValuePredictor::with_policy(LastValuePolicy::ConsecutiveConfirm { required: 2 });
+            Interned::new(LastValuePredictor::with_policy(LastValuePolicy::ConsecutiveConfirm {
+                required: 2,
+            }));
         assert_eq!(conf.name(), "l-conf2");
     }
 }

@@ -30,7 +30,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use dvp_core::{FcmPredictor, Predictor, StridePredictor};
+//! use dvp_core::{FcmPredictor, Interned, StridePredictor};
 //! use dvp_trace::Pc;
 //!
 //! // A repeating non-stride sequence, the kind only context-based
@@ -38,8 +38,8 @@
 //! let sequence = [1u64, 42, 7, 1, 42, 7, 1, 42, 7];
 //! let pc = Pc(0x400100);
 //!
-//! let mut stride = StridePredictor::two_delta();
-//! let mut fcm = FcmPredictor::new(2);
+//! let mut stride = Interned::new(StridePredictor::two_delta());
+//! let mut fcm = Interned::new(FcmPredictor::new(2));
 //! let mut stride_correct = 0;
 //! let mut fcm_correct = 0;
 //! for &v in &sequence {
@@ -58,7 +58,6 @@
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
 mod analysis;
-mod confidence;
 mod config;
 mod dataflow;
 mod delayed;
@@ -75,13 +74,11 @@ pub mod sequences;
 mod set;
 mod stride;
 mod table;
-mod typed;
 
 pub use analysis::{
     improvement_at, improvement_curve, AccuracyTracker, ImprovementPoint, ValueProfile,
     VALUE_BUCKETS,
 };
-pub use confidence::{ConfidentPredictor, SpeculationOutcome};
 pub use config::PredictorConfig;
 pub use dataflow::{dataflow_height, oracle_height, value_predicted_height, SpeedupReport};
 pub use delayed::DelayedPredictor;
@@ -95,7 +92,6 @@ pub use finite_hybrid::FiniteHybridPredictor;
 pub use hybrid::HybridPredictor;
 pub use last_value::{LastValuePolicy, LastValuePredictor};
 pub use locality::LocalityProfile;
-pub use predictor::Predictor;
-pub use set::{run_trace, CorrectMask, PcTally, PredictorSet, SetBatch};
+pub use predictor::{Interned, Predictor};
+pub use set::{run_trace, CorrectMask, PcTally, PredictorSet};
 pub use stride::{StridePolicy, StridePredictor};
-pub use typed::{run_trace_records, RecordPredictor, TypedHybridPredictor};

@@ -161,7 +161,7 @@ impl Extend<TraceRecord> for LocalityProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LastValuePredictor, Predictor};
+    use crate::{Interned, LastValuePredictor};
 
     fn rec(pc: u64, value: Value) -> TraceRecord {
         TraceRecord::new(Pc(pc), InstrCategory::AddSub, value)
@@ -199,7 +199,7 @@ mod tests {
         // for the always-update policy and MRU bookkeeping, on streams
         // where the last value is the MRU head — e.g. any stream).
         let mut profile = LocalityProfile::new(1);
-        let mut lvp = LastValuePredictor::new();
+        let mut lvp = Interned::new(LastValuePredictor::new());
         let mut correct = 0u64;
         let mut total = 0u64;
         let mut state = 3u64;

@@ -1,6 +1,8 @@
-//! The common interface of all value predictors.
+//! The common interface of all value predictors, and the `Pc`-keyed
+//! adapter over it.
 
-use dvp_trace::{Pc, PcId, Value};
+use dvp_trace::{Pc, PcId, PcInterner, Value};
+use std::ops::Deref;
 
 /// A data value predictor in the paper's idealized setting.
 ///
@@ -13,175 +15,96 @@ use dvp_trace::{Pc, PcId, Value};
 /// * are updated **immediately** after each prediction with the true value
 ///   (no update latency).
 ///
-/// The protocol is: call [`predict`](Predictor::predict), compare with the
-/// actual outcome, then call [`update`](Predictor::update) with the actual
-/// value. [`step`](Predictor::step) fuses the two;
-/// [`observe`](Predictor::observe) reduces the fused step to a
-/// correct/incorrect bit.
+/// # Keying
 ///
-/// `predict` returns `None` when the predictor has no basis for a prediction
-/// (e.g. the first dynamic instance of an instruction). The evaluation
-/// counts `None` as an incorrect prediction, exactly as an implementation
-/// that must always produce *some* value would at best guess.
+/// Every method names the instruction twice: by its dense [`PcId`] (from
+/// the caller's [`PcInterner`]) and by its [`Pc`]. The unbounded
+/// predictors keep one slot per id in a flat vector and ignore the PC; the
+/// finite, aliased tables ([`TableSpec`](crate::TableSpec)) index by PC
+/// bits and ignore the id. The one caller obligation is id consistency:
+/// all ids passed to one instance must come from a single interner. The
+/// replay engine passes its trace's ids; [`Interned`] wraps a predictor
+/// with an interner of its own for callers that only have PCs.
 ///
-/// # The two keying surfaces
-///
-/// Every method exists in two forms:
-///
-/// * **`Pc`-keyed** (`predict`/`update`/`step`/`observe`) — the
-///   compatibility surface. Each call locates the instruction's state by
-///   hashing the PC.
-/// * **`PcId`-keyed** (`predict_id`/`update_id`/`step_id`/`observe_id`) —
-///   the dense path the replay engine drives. The caller supplies the
-///   instruction's dense [`PcId`] (from the trace's
-///   [`PcInterner`](dvp_trace::PcInterner)), and implementations that store
-///   their state in an id-indexed slot vector reach it with one bounds
-///   check instead of one-or-two hash probes. The id-keyed defaults fall
-///   back to the `Pc`-keyed methods, so external implementations only need
-///   the classic five.
-///
-/// The two surfaces address the *same* state: `predict(pc)` after an
-/// id-driven replay sees everything `observe_id` learned. The only caller
-/// obligation on the dense path is id consistency — all ids passed to one
-/// predictor instance must come from a single interner (the engine
-/// guarantees this by building a fresh predictor per replayed trace
-/// shard).
+/// [`step`](Predictor::step) is the whole protocol: it returns the
+/// prediction in force *before* `actual` is learned, then learns it. A
+/// `None` prediction (e.g. the first dynamic instance of an instruction) is
+/// counted as incorrect, exactly as an implementation that must always
+/// produce *some* value would at best guess.
 ///
 /// # Examples
 ///
 /// ```
 /// use dvp_core::{LastValuePredictor, Predictor};
-/// use dvp_trace::Pc;
+/// use dvp_trace::{Pc, PcId};
 ///
 /// let mut p = LastValuePredictor::new();
-/// let pc = Pc(0x400100);
-/// assert_eq!(p.predict(pc), None); // nothing seen yet
-/// p.update(pc, 7);
-/// assert_eq!(p.predict(pc), Some(7));
+/// let (id, pc) = (PcId(0), Pc(0x400100));
+/// assert_eq!(p.step(id, pc, 7), None); // nothing seen yet
+/// assert_eq!(p.predict(id, pc), Some(7));
 /// ```
 ///
 /// Predictors are `Send + Sync` so traces can be processed from worker
 /// threads and results cached in statics; every table type in this crate
 /// (dense slot vectors of plain values) satisfies this automatically.
 pub trait Predictor: Send + Sync {
-    /// Returns the predicted next value for the instruction at `pc`, or
-    /// `None` when no prediction can be made yet.
-    fn predict(&self, pc: Pc) -> Option<Value>;
-
-    /// Informs the predictor of the actual value produced by the instruction
-    /// at `pc`. Tables are updated immediately (the paper's idealization).
-    fn update(&mut self, pc: Pc, actual: Value);
-
     /// A short human-readable name (used in experiment reports),
     /// e.g. `"l"`, `"s2"`, `"fcm3"`. Names are fixed at construction;
     /// calling this allocates nothing.
     fn name(&self) -> &str;
 
-    /// Fused predict-then-update: returns the prediction that was in force
-    /// *before* `actual` was learned.
-    ///
-    /// This is the inner loop of every experiment in the paper. The
-    /// default is the **slow path** — a full `predict` followed by a full
-    /// `update`, walking the table twice; in-crate predictors override it
-    /// (and [`step_id`](Predictor::step_id)) to locate the instruction's
-    /// slot once and do both halves on it.
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        let prediction = self.predict(pc);
-        self.update(pc, actual);
-        prediction
-    }
-
-    /// Predicts, then updates with `actual`; returns whether the prediction
-    /// was made and correct. Equivalent to
-    /// `self.step(pc, actual) == Some(actual)`.
-    fn observe(&mut self, pc: Pc, actual: Value) -> bool {
-        self.step(pc, actual) == Some(actual)
-    }
-
-    /// Number of static instructions (distinct PCs) currently tracked.
+    /// Number of occupied per-instruction slots (report-time only: this
+    /// may scan the table).
     fn static_entries(&self) -> usize;
 
     /// Pre-sizes dense state for `n` interned ids (a no-op for predictors
     /// without dense state). The replay engine calls this with the trace
-    /// interner's length before an id-driven replay.
+    /// interner's length before a replay.
     fn reserve_ids(&mut self, n: usize) {
         let _ = n;
     }
 
-    /// [`predict`](Predictor::predict) on the dense surface: `id` is
-    /// `pc`'s dense id under the caller's interner.
-    fn predict_id(&self, id: PcId, pc: Pc) -> Option<Value> {
-        let _ = id;
-        self.predict(pc)
-    }
+    /// The predicted next value of the instruction `id` (at `pc`), or
+    /// `None` when no prediction can be made yet.
+    fn predict(&self, id: PcId, pc: Pc) -> Option<Value>;
 
-    /// [`update`](Predictor::update) on the dense surface.
-    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        let _ = id;
-        self.update(pc, actual);
-    }
+    /// Predict-then-update: returns the prediction that was in force
+    /// *before* `actual` was learned, and learns it (tables are updated
+    /// immediately — the paper's idealization). In-crate predictors locate
+    /// the instruction's slot once and do both halves on it.
+    fn step(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value>;
 
-    /// [`step`](Predictor::step) on the dense surface: one slot access per
-    /// record on dense implementations.
-    fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        let _ = id;
-        self.step(pc, actual)
-    }
-
-    /// [`observe`](Predictor::observe) on the dense surface. Equivalent to
-    /// `self.step_id(id, pc, actual) == Some(actual)`.
-    fn observe_id(&mut self, id: PcId, pc: Pc, actual: Value) -> bool {
-        self.step_id(id, pc, actual) == Some(actual)
-    }
-
-    /// Batched [`observe_id`](Predictor::observe_id): replays a run of
-    /// records in order, writing each record's outcome into `correct`.
+    /// Batched [`step`](Predictor::step): replays a run of records in
+    /// order, writing whether each record was predicted correctly into
+    /// `correct`.
     ///
     /// Semantically this **is** the per-record loop — the default does
-    /// exactly `correct[i] = self.observe_id(ids[i], pcs[i], values[i])`
-    /// for each `i` in order, and implementations must preserve that
-    /// equivalence bit for bit (the engine's determinism guarantee rests
-    /// on batch boundaries being invisible). The point of the method is
-    /// dispatch amortization: a replay loop driving a `Box<dyn Predictor>`
-    /// pays one virtual call per *chunk* instead of one per record, and
-    /// the per-record calls inside the default body dispatch statically on
-    /// the concrete type.
-    ///
-    /// All three slices and `correct` must have equal lengths.
+    /// exactly `correct[i] = self.step(ids[i], pcs[i], values[i]) ==
+    /// Some(values[i])` for each `i` in order, and implementations must
+    /// preserve that equivalence bit for bit (the engine's determinism
+    /// guarantee rests on batch boundaries being invisible). The point of
+    /// the method is dispatch amortization: a replay loop driving a
+    /// `Box<dyn Predictor>` pays one virtual call per *chunk* instead of
+    /// one per record, and the per-record calls inside the default body
+    /// dispatch statically on the concrete type.
     ///
     /// # Panics
     ///
-    /// May panic (via slice indexing) if the slice lengths differ.
+    /// Panics if the four slices have different lengths.
     fn observe_batch(&mut self, ids: &[PcId], pcs: &[Pc], values: &[Value], correct: &mut [bool]) {
         assert!(
             ids.len() == pcs.len() && pcs.len() == values.len() && values.len() == correct.len(),
             "observe_batch slice lengths differ"
         );
         for i in 0..ids.len() {
-            correct[i] = self.observe_id(ids[i], pcs[i], values[i]);
+            correct[i] = self.step(ids[i], pcs[i], values[i]) == Some(values[i]);
         }
     }
 }
 
 impl<P: Predictor + ?Sized> Predictor for Box<P> {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        (**self).predict(pc)
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        (**self).update(pc, actual)
-    }
-
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        (**self).step(pc, actual)
-    }
-
-    fn observe(&mut self, pc: Pc, actual: Value) -> bool {
-        (**self).observe(pc, actual)
     }
 
     fn static_entries(&self) -> usize {
@@ -192,24 +115,94 @@ impl<P: Predictor + ?Sized> Predictor for Box<P> {
         (**self).reserve_ids(n)
     }
 
-    fn predict_id(&self, id: PcId, pc: Pc) -> Option<Value> {
-        (**self).predict_id(id, pc)
+    fn predict(&self, id: PcId, pc: Pc) -> Option<Value> {
+        (**self).predict(id, pc)
     }
 
-    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        (**self).update_id(id, pc, actual)
-    }
-
-    fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        (**self).step_id(id, pc, actual)
-    }
-
-    fn observe_id(&mut self, id: PcId, pc: Pc, actual: Value) -> bool {
-        (**self).observe_id(id, pc, actual)
+    fn step(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
+        (**self).step(id, pc, actual)
     }
 
     fn observe_batch(&mut self, ids: &[PcId], pcs: &[Pc], values: &[Value], correct: &mut [bool]) {
         (**self).observe_batch(ids, pcs, values, correct)
+    }
+}
+
+/// A predictor driven by PC alone: it owns the one [`PcInterner`] that
+/// numbers the PCs it is fed, so its ids always come from one interner.
+///
+/// [`predict`](Interned::predict) on a PC never stepped passes the next
+/// free id, which no dense slot holds yet (so unbounded tables answer
+/// `None`), while the finite tables still see the PC and its aliasing.
+/// Read access to the wrapped predictor goes through `Deref`; there is no
+/// mutable access, which would let foreign ids in.
+///
+/// # Examples
+///
+/// ```
+/// use dvp_core::{Interned, Predictor, StridePredictor};
+/// use dvp_trace::Pc;
+///
+/// let mut p = Interned::new(StridePredictor::two_delta());
+/// let pc = Pc(0x80);
+/// for v in [10, 20, 30] {
+///     p.update(pc, v);
+/// }
+/// assert_eq!(p.predict(pc), Some(40));
+/// assert!(p.observe(pc, 40));
+/// assert_eq!(p.static_entries(), 1);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Interned<P: ?Sized> {
+    interner: PcInterner,
+    predictor: P,
+}
+
+impl<P: Predictor> Interned<P> {
+    /// Wraps `predictor`, which must not have been driven by ids yet.
+    #[must_use]
+    pub fn new(predictor: P) -> Self {
+        Interned { interner: PcInterner::new(), predictor }
+    }
+
+    /// The wrapped predictor, with the interner dropped.
+    #[must_use]
+    pub fn into_inner(self) -> P {
+        self.predictor
+    }
+}
+
+impl<P: Predictor + ?Sized> Interned<P> {
+    /// The predicted next value of the instruction at `pc`.
+    #[must_use]
+    pub fn predict(&self, pc: Pc) -> Option<Value> {
+        let next = || PcId(u32::try_from(self.interner.len()).expect("more than u32::MAX PCs"));
+        self.predictor.predict(self.interner.get(pc).unwrap_or_else(next), pc)
+    }
+
+    /// [`Predictor::step`] keyed by PC.
+    pub fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
+        let id = self.interner.intern(pc);
+        self.predictor.step(id, pc, actual)
+    }
+
+    /// Learns `actual` for `pc` (a [`step`](Interned::step) whose
+    /// prediction is dropped).
+    pub fn update(&mut self, pc: Pc, actual: Value) {
+        let _ = self.step(pc, actual);
+    }
+
+    /// Steps and returns whether the prediction was made and correct.
+    pub fn observe(&mut self, pc: Pc, actual: Value) -> bool {
+        self.step(pc, actual) == Some(actual)
+    }
+}
+
+impl<P: ?Sized> Deref for Interned<P> {
+    type Target = P;
+
+    fn deref(&self) -> &P {
+        &self.predictor
     }
 }
 
@@ -219,8 +212,8 @@ mod tests {
     use crate::LastValuePredictor;
 
     #[test]
-    fn observe_is_predict_then_update() {
-        let mut p = LastValuePredictor::new();
+    fn observe_is_step_then_compare() {
+        let mut p = Interned::new(LastValuePredictor::new());
         let pc = Pc(8);
         assert!(!p.observe(pc, 3)); // no prior history: incorrect
         assert!(p.observe(pc, 3)); // last value repeats: correct
@@ -231,26 +224,24 @@ mod tests {
     #[test]
     fn step_returns_the_pre_update_prediction() {
         let mut p = LastValuePredictor::new();
-        let pc = Pc(8);
-        assert_eq!(p.step(pc, 3), None);
-        assert_eq!(p.step(pc, 4), Some(3));
-        assert_eq!(p.step(pc, 5), Some(4));
+        let (id, pc) = (PcId(0), Pc(8));
+        assert_eq!(p.step(id, pc, 3), None);
+        assert_eq!(p.step(id, pc, 4), Some(3));
+        assert_eq!(p.step(id, pc, 5), Some(4));
     }
 
     #[test]
-    fn dense_surface_defaults_to_the_pc_surface() {
-        let mut dense = LastValuePredictor::new();
-        let mut compat = LastValuePredictor::new();
-        let pc = Pc(16);
-        for (i, v) in [7u64, 7, 9, 9, 7].into_iter().enumerate() {
-            assert_eq!(
-                dense.observe_id(PcId(0), pc, v),
-                compat.observe(pc, v),
-                "record {i} diverged"
-            );
-        }
-        assert_eq!(dense.predict(pc), compat.predict(pc));
-        assert_eq!(dense.static_entries(), compat.static_entries());
+    fn interned_numbers_pcs_in_first_appearance_order() {
+        let mut p = Interned::new(LastValuePredictor::new());
+        p.update(Pc(16), 1);
+        p.update(Pc(4), 2);
+        let inner: &LastValuePredictor = &p;
+        assert_eq!(inner.predict(PcId(0), Pc(0)), Some(1));
+        assert_eq!(inner.predict(PcId(1), Pc(0)), Some(2));
+        // A never-stepped PC reads the next free id: an empty slot.
+        assert_eq!(p.predict(Pc(8)), None);
+        assert_eq!(p.static_entries(), 2);
+        assert_eq!(p.into_inner().static_entries(), 2);
     }
 
     #[test]
@@ -268,7 +259,7 @@ mod tests {
         let mut correct = vec![false; stream.len()];
         batched.observe_batch(&ids, &pcs, &values, &mut correct);
         for (i, &(id, pc, v)) in stream.iter().enumerate() {
-            assert_eq!(correct[i], looped.observe_id(id, pc, v), "record {i}");
+            assert_eq!(correct[i], looped.step(id, pc, v) == Some(v), "record {i}");
         }
     }
 
@@ -285,11 +276,10 @@ mod tests {
         let mut p: Box<dyn Predictor> = Box::new(LastValuePredictor::new());
         let pc = Pc(16);
         p.reserve_ids(4);
-        p.update_id(PcId(0), pc, 9);
-        assert_eq!(p.predict_id(PcId(0), pc), Some(9));
-        assert_eq!(p.predict(pc), Some(9));
+        assert_eq!(p.step(PcId(0), pc, 9), None);
+        assert_eq!(p.predict(PcId(0), pc), Some(9));
         assert_eq!(p.name(), "l");
         assert_eq!(p.static_entries(), 1);
-        assert_eq!(p.step_id(PcId(0), pc, 9), Some(9));
+        assert_eq!(p.step(PcId(0), pc, 9), Some(9));
     }
 }

@@ -2,7 +2,7 @@
 //! learning-degree framework of Section 2.3 (Table 1, Figure 2).
 
 use crate::Predictor;
-use dvp_trace::{Pc, Value};
+use dvp_trace::{Pc, PcId, Value};
 
 /// The paper's informal classification of simple value sequences.
 ///
@@ -202,13 +202,13 @@ impl Learning {
 /// assert_eq!(learn.learning_degree, 1.0);   // and then it never misses
 /// ```
 pub fn measure_learning<P: Predictor + ?Sized>(predictor: &mut P, values: &[Value]) -> Learning {
-    let pc = Pc(0);
+    let (id, pc) = (PcId(0), Pc(0));
     let mut first_correct: Option<usize> = None;
     let mut correct = 0usize;
     let mut correct_after = 0usize;
     let mut total_after = 0usize;
     for (i, &v) in values.iter().enumerate() {
-        let ok = predictor.observe(pc, v);
+        let ok = predictor.step(id, pc, v) == Some(v);
         if ok {
             correct += 1;
             if first_correct.is_none() {

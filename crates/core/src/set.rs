@@ -1,8 +1,8 @@
 //! Running several predictors in lockstep and correlating their correct
 //! sets (Section 4.2 / Figure 8 of the paper).
 
-use crate::Predictor;
-use dvp_trace::{InstrCategory, Pc, PcId, PcInterner, TraceRecord, Value};
+use crate::{Interned, Predictor};
+use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord, Value};
 use std::collections::HashMap;
 
 const N_CATEGORIES: usize = InstrCategory::ALL.len();
@@ -53,17 +53,19 @@ impl PcTally {
 ///
 /// ```
 /// use dvp_core::{FcmPredictor, LastValuePredictor, PredictorSet, StridePredictor};
-/// use dvp_trace::{InstrCategory, Pc, TraceRecord};
+/// use dvp_trace::{InstrCategory, Pc, PcId};
 ///
 /// let mut set = PredictorSet::new();
 /// set.push(Box::new(LastValuePredictor::new()));
 /// set.push(Box::new(StridePredictor::two_delta()));
 /// set.push(Box::new(FcmPredictor::new(3)));
 ///
-/// for i in 0..100u64 {
-///     let rec = TraceRecord::new(Pc(0x10), InstrCategory::AddSub, i);
-///     set.observe(&rec);
-/// }
+/// // One static instruction (id 0) producing 0, 1, 2, ...
+/// let values: Vec<u64> = (0..100).collect();
+/// let ids = vec![PcId(0); values.len()];
+/// let pcs = vec![Pc(0x10); values.len()];
+/// let categories = vec![InstrCategory::AddSub; values.len()];
+/// set.observe_batch(&ids, &pcs, &values, &categories);
 /// // On a pure stride sequence the stride predictor (bit 1) dominates.
 /// let stride_only = set.subset_count(None, 0b010);
 /// assert!(stride_only > 50);
@@ -73,12 +75,12 @@ pub struct PredictorSet {
     predictors: Vec<Box<dyn Predictor>>,
     /// subset_counts[category][mask] and an extra row for "all categories".
     subset_counts: Vec<Vec<u64>>,
-    /// Interner for the `Pc`-keyed [`PredictorSet::observe`] surface; the
-    /// dense [`PredictorSet::observe_dense`] surface uses caller ids and
-    /// leaves this empty.
-    interner: PcInterner,
     per_pc: Option<PerPcTallies>,
     total: u64,
+    /// Batch scratch, reused across calls: each record's correct-set mask,
+    /// and one predictor's outcomes.
+    masks: Vec<CorrectMask>,
+    correct: Vec<bool>,
 }
 
 /// Per-PC tallies stored densely by the driving id space; the owning `Pc`
@@ -90,16 +92,13 @@ struct PerPcTallies {
 }
 
 impl PerPcTallies {
-    fn record(&mut self, id: PcId, rec: &TraceRecord, mask: CorrectMask, predictors: usize) {
+    fn record(&mut self, id: PcId, pc: Pc, category: InstrCategory, mask: CorrectMask, n: usize) {
         let index = id.index();
         if index >= self.by_id.len() {
             self.by_id.resize_with(index + 1, || None);
         }
         let (_, tally) = self.by_id[index].get_or_insert_with(|| {
-            (
-                rec.pc,
-                PcTally { total: 0, correct: vec![0; predictors], category: Some(rec.category) },
-            )
+            (pc, PcTally { total: 0, correct: vec![0; n], category: Some(category) })
         });
         tally.total += 1;
         for (i, c) in tally.correct.iter_mut().enumerate() {
@@ -132,7 +131,7 @@ impl PredictorSet {
     }
 
     /// Creates an empty set that also tallies correctness per static
-    /// instruction (needed for Figure 9; costs one hash map entry per PC).
+    /// instruction (needed for Figure 9; costs one dense slot per PC).
     #[must_use]
     pub fn with_per_pc_tracking() -> Self {
         PredictorSet { per_pc: Some(PerPcTallies::default()), ..PredictorSet::default() }
@@ -181,86 +180,51 @@ impl PredictorSet {
         self.predictors.iter().map(|p| p.name().to_owned()).collect()
     }
 
-    /// Feeds one trace record to every predictor; returns the mask of
-    /// predictors that predicted it correctly.
+    /// Feeds a run of records, given as parallel slices, to every
+    /// predictor through its [`observe_batch`](Predictor::observe_batch),
+    /// then tallies each record's correct-set mask. `ids` are the records'
+    /// dense ids; all ids fed to one set must come from a single interner.
     ///
-    /// This is the `Pc`-keyed surface: the set interns the PC itself (one
-    /// hash probe) and then drives every predictor through its dense slot.
-    /// Callers replaying an interned trace should pass the trace's ids to
-    /// [`observe_dense`](PredictorSet::observe_dense) instead and skip the
-    /// probe entirely.
-    pub fn observe(&mut self, rec: &TraceRecord) -> CorrectMask {
-        let id = self.interner.intern(rec.pc);
-        self.observe_dense(id, rec)
-    }
-
-    /// [`observe`](PredictorSet::observe) with a caller-supplied dense id
-    /// (from the trace's [`PcInterner`]). All ids fed to one set must come
-    /// from a single interner.
-    pub fn observe_dense(&mut self, id: PcId, rec: &TraceRecord) -> CorrectMask {
-        let mut mask: CorrectMask = 0;
-        for (i, p) in self.predictors.iter_mut().enumerate() {
-            if p.observe_id(id, rec.pc, rec.value) {
-                mask |= 1 << i;
-            }
-        }
-        self.subset_counts[rec.category.index()][mask as usize] += 1;
-        self.subset_counts[N_CATEGORIES][mask as usize] += 1;
-        self.total += 1;
-        if let Some(per_pc) = &mut self.per_pc {
-            per_pc.record(id, rec, mask, self.predictors.len());
-        }
-        mask
-    }
-
-    /// Batched [`observe_dense`](PredictorSet::observe_dense): replays a
-    /// run of records (with their parallel dense ids) through every
-    /// predictor's [`observe_batch`](Predictor::observe_batch), then
-    /// tallies each record's correct-set mask.
-    ///
-    /// Bit-for-bit equivalent to calling `observe_dense` per record in
-    /// order: each predictor keeps strictly per-PC state, so predictor
-    /// *i*'s outcome for record *j* is independent of the other
-    /// predictors' progress through the batch. The win is dispatch
-    /// amortization — one virtual call per predictor per chunk instead of
-    /// one per predictor per record.
-    ///
-    /// `scratch` carries the gather/outcome buffers across calls so a
-    /// replay loop allocates nothing per chunk.
+    /// Batch boundaries are invisible: each predictor keeps strictly
+    /// per-PC state, so predictor *i*'s outcome for record *j* is
+    /// independent of the other predictors' progress through the batch.
+    /// The win is dispatch amortization — one virtual call per predictor
+    /// per batch instead of one per predictor per record.
     ///
     /// # Panics
     ///
-    /// Panics if `ids` and `records` have different lengths.
-    pub fn observe_dense_batch(
+    /// Panics if the four slices have different lengths.
+    pub fn observe_batch(
         &mut self,
         ids: &[PcId],
-        records: &[TraceRecord],
-        scratch: &mut SetBatch,
+        pcs: &[Pc],
+        values: &[Value],
+        categories: &[InstrCategory],
     ) {
-        assert_eq!(ids.len(), records.len(), "observe_dense_batch slice lengths differ");
-        scratch.pcs.clear();
-        scratch.pcs.extend(records.iter().map(|r| r.pc));
-        scratch.values.clear();
-        scratch.values.extend(records.iter().map(|r| r.value));
-        scratch.masks.clear();
-        scratch.masks.resize(records.len(), 0);
-        scratch.correct.clear();
-        scratch.correct.resize(records.len(), false);
+        let n = ids.len();
+        assert!(
+            pcs.len() == n && values.len() == n && categories.len() == n,
+            "observe_batch slice lengths differ"
+        );
+        self.masks.clear();
+        self.masks.resize(n, 0);
+        self.correct.clear();
+        self.correct.resize(n, false);
         for (i, p) in self.predictors.iter_mut().enumerate() {
-            p.observe_batch(ids, &scratch.pcs, &scratch.values, &mut scratch.correct);
-            for (mask, &ok) in scratch.masks.iter_mut().zip(&scratch.correct) {
+            p.observe_batch(ids, pcs, values, &mut self.correct);
+            for (mask, &ok) in self.masks.iter_mut().zip(&self.correct) {
                 *mask |= CorrectMask::from(ok) << i;
             }
         }
         let predictors = self.predictors.len();
-        for ((rec, &id), &mask) in records.iter().zip(ids).zip(&scratch.masks) {
-            self.subset_counts[rec.category.index()][mask as usize] += 1;
+        for (j, &mask) in self.masks.iter().enumerate() {
+            self.subset_counts[categories[j].index()][mask as usize] += 1;
             self.subset_counts[N_CATEGORIES][mask as usize] += 1;
-            self.total += 1;
             if let Some(per_pc) = &mut self.per_pc {
-                per_pc.record(id, rec, mask, predictors);
+                per_pc.record(ids[j], pcs[j], categories[j], mask, predictors);
             }
         }
+        self.total += n as u64;
     }
 
     /// Pre-sizes every predictor's dense state (and the per-PC tallies)
@@ -393,44 +357,24 @@ impl PredictorSet {
     }
 }
 
-/// Reusable gather/outcome buffers for
-/// [`PredictorSet::observe_dense_batch`].
-///
-/// Create one per replay job and pass it to every chunk call; the buffers
-/// grow to the largest chunk seen and are then reused allocation-free.
-#[derive(Debug, Default)]
-pub struct SetBatch {
-    pcs: Vec<Pc>,
-    values: Vec<Value>,
-    masks: Vec<CorrectMask>,
-    correct: Vec<bool>,
-}
-
-impl SetBatch {
-    /// An empty scratch buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        SetBatch::default()
-    }
-}
-
 /// Convenience: run a whole trace through a single predictor and return
 /// `(correct, total)`.
 ///
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{run_trace, StridePredictor};
+/// use dvp_core::{run_trace, Interned, StridePredictor};
 /// use dvp_trace::{InstrCategory, Pc, TraceRecord};
 ///
 /// let trace: Vec<_> = (0..50u64)
 ///     .map(|i| TraceRecord::new(Pc(4), InstrCategory::AddSub, 2 * i))
 ///     .collect();
-/// let (correct, total) = run_trace(&mut StridePredictor::two_delta(), trace.iter());
+/// let mut stride = Interned::new(StridePredictor::two_delta());
+/// let (correct, total) = run_trace(&mut stride, trace.iter());
 /// assert_eq!(total, 50);
 /// assert!(correct >= 47); // misses only the warmup
 /// ```
-pub fn run_trace<'a, P, I>(predictor: &mut P, records: I) -> (u64, u64)
+pub fn run_trace<'a, P, I>(predictor: &mut Interned<P>, records: I) -> (u64, u64)
 where
     P: Predictor + ?Sized,
     I: IntoIterator<Item = &'a TraceRecord>,
@@ -450,18 +394,29 @@ where
 mod tests {
     use super::*;
     use crate::{FcmPredictor, LastValuePredictor, StridePredictor};
-    use dvp_trace::Value;
+    use dvp_trace::PcInterner;
 
     fn rec(pc: u64, value: Value) -> TraceRecord {
         TraceRecord::new(Pc(pc), InstrCategory::AddSub, value)
     }
 
+    /// Feeds `records` one at a time under first-appearance ids.
+    fn feed(set: &mut PredictorSet, records: &[TraceRecord]) {
+        let mut interner = PcInterner::new();
+        for r in records {
+            set.observe_batch(&[interner.intern(r.pc)], &[r.pc], &[r.value], &[r.category]);
+        }
+    }
+
+    fn trio_over(records: &[TraceRecord]) -> PredictorSet {
+        let mut set = PredictorSet::paper_trio();
+        feed(&mut set, records);
+        set
+    }
+
     #[test]
     fn masks_partition_the_trace() {
-        let mut set = PredictorSet::paper_trio();
-        for i in 0..200u64 {
-            set.observe(&rec(8, i % 5));
-        }
+        let set = trio_over(&(0..200u64).map(|i| rec(8, i % 5)).collect::<Vec<_>>());
         let sum: u64 = (0..8u32).map(|m| set.subset_count(None, m)).sum();
         assert_eq!(sum, set.total());
         assert_eq!(set.total(), 200);
@@ -469,20 +424,14 @@ mod tests {
 
     #[test]
     fn constant_sequence_is_caught_by_all_three() {
-        let mut set = PredictorSet::paper_trio();
-        for _ in 0..100 {
-            set.observe(&rec(8, 42));
-        }
+        let set = trio_over(&[rec(8, 42); 100]);
         // After warmup, all predictors agree: mask 0b111 dominates.
         assert!(set.subset_count(None, 0b111) >= 95);
     }
 
     #[test]
     fn stride_sequence_excludes_last_value() {
-        let mut set = PredictorSet::paper_trio();
-        for i in 0..100u64 {
-            set.observe(&rec(8, 10 * i));
-        }
+        let set = trio_over(&(0..100u64).map(|i| rec(8, 10 * i)).collect::<Vec<_>>());
         // Stride-only (FCM cannot extrapolate, last-value is always stale).
         assert!(set.subset_count(None, 0b010) >= 90);
         assert_eq!(set.subset_count(None, 0b001), 0);
@@ -490,22 +439,24 @@ mod tests {
 
     #[test]
     fn repeated_non_stride_is_fcm_only() {
-        let mut set = PredictorSet::paper_trio();
         let period = [9u64, 2, 77, 31, 5, 18];
-        for &v in period.iter().cycle().take(300) {
-            set.observe(&rec(8, v));
-        }
+        let set =
+            trio_over(&period.iter().cycle().take(300).map(|&v| rec(8, v)).collect::<Vec<_>>());
         let fcm_only = set.subset_count(None, 0b100);
         assert!(fcm_only > 250, "fcm-only count {fcm_only}");
     }
 
     #[test]
     fn per_category_counts_are_separate() {
-        let mut set = PredictorSet::paper_trio();
-        for i in 0..50u64 {
-            set.observe(&TraceRecord::new(Pc(0), InstrCategory::Loads, i));
-            set.observe(&TraceRecord::new(Pc(4), InstrCategory::Shift, 7));
-        }
+        let records: Vec<TraceRecord> = (0..50u64)
+            .flat_map(|i| {
+                [
+                    TraceRecord::new(Pc(0), InstrCategory::Loads, i),
+                    TraceRecord::new(Pc(4), InstrCategory::Shift, 7),
+                ]
+            })
+            .collect();
+        let set = trio_over(&records);
         let loads_total: u64 =
             (0..8u32).map(|m| set.subset_count(Some(InstrCategory::Loads), m)).sum();
         assert_eq!(loads_total, 50);
@@ -514,28 +465,22 @@ mod tests {
 
     #[test]
     fn subset_fractions_sum_to_one() {
-        let mut set = PredictorSet::paper_trio();
-        for i in 0..100u64 {
-            set.observe(&rec(8, i * i));
-        }
+        let set = trio_over(&(0..100u64).map(|i| rec(8, i * i)).collect::<Vec<_>>());
         let sum: f64 = (0..8u32).map(|m| set.subset_fraction(None, m)).sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn correct_total_matches_direct_run() {
-        let values: Vec<Value> = (0..150u64).map(|i| (i * 37) % 11).collect();
+        let trace: Vec<TraceRecord> = (0..150u64).map(|i| rec(16, (i * 37) % 11)).collect();
         let mut set = PredictorSet::new();
         set.push(Box::new(LastValuePredictor::new()));
         set.push(Box::new(StridePredictor::two_delta()));
         set.push(Box::new(FcmPredictor::new(2)));
-        for &v in &values {
-            set.observe(&rec(16, v));
-        }
-        let trace: Vec<TraceRecord> = values.iter().map(|&v| rec(16, v)).collect();
-        let (c_l, _) = run_trace(&mut LastValuePredictor::new(), trace.iter());
-        let (c_s, _) = run_trace(&mut StridePredictor::two_delta(), trace.iter());
-        let (c_f, _) = run_trace(&mut FcmPredictor::new(2), trace.iter());
+        feed(&mut set, &trace);
+        let (c_l, _) = run_trace(&mut Interned::new(LastValuePredictor::new()), trace.iter());
+        let (c_s, _) = run_trace(&mut Interned::new(StridePredictor::two_delta()), trace.iter());
+        let (c_f, _) = run_trace(&mut Interned::new(FcmPredictor::new(2)), trace.iter());
         assert_eq!(set.correct_total(0), c_l);
         assert_eq!(set.correct_total(1), c_s);
         assert_eq!(set.correct_total(2), c_f);
@@ -543,11 +488,9 @@ mod tests {
 
     #[test]
     fn per_pc_tallies_record_category_and_counts() {
-        let mut set = PredictorSet::paper_trio();
-        for i in 0..40u64 {
-            set.observe(&TraceRecord::new(Pc(12), InstrCategory::Logic, i % 2));
-        }
-        let tallies = set.per_pc_tallies().unwrap();
+        let records: Vec<TraceRecord> =
+            (0..40u64).map(|i| TraceRecord::new(Pc(12), InstrCategory::Logic, i % 2)).collect();
+        let tallies = trio_over(&records).per_pc_tallies().unwrap();
         let (pc, tally) = &tallies[0];
         assert_eq!(*pc, Pc(12));
         assert_eq!(tally.total, 40);
@@ -567,17 +510,11 @@ mod tests {
                 TraceRecord::new(Pc(pc), InstrCategory::AddSub, (i / 3) % 7)
             })
             .collect();
-        let mut sequential = PredictorSet::paper_trio();
-        for rec in &records {
-            sequential.observe(rec);
-        }
-        let mut shards = [PredictorSet::paper_trio(), PredictorSet::paper_trio()];
-        for rec in &records {
-            shards[(rec.pc.0 % 2) as usize].observe(rec);
-        }
-        let [first, second] = shards;
-        let mut merged = first;
-        merged.merge(second);
+        let sequential = trio_over(&records);
+        let (even, odd): (Vec<TraceRecord>, Vec<TraceRecord>) =
+            records.iter().partition(|r| r.pc.0 % 2 == 0);
+        let mut merged = trio_over(&even);
+        merged.merge(trio_over(&odd));
         assert_eq!(merged.total(), sequential.total());
         for mask in 0..8u32 {
             assert_eq!(merged.subset_count(None, mask), sequential.subset_count(None, mask));
@@ -595,10 +532,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_batch_equals_per_record_observe() {
-        // The same multi-PC, multi-category stream through the per-record
-        // and batched surfaces (several flush sizes) must agree on every
-        // tally.
+    fn batches_of_any_size_equal_per_record_feeding() {
+        // The same multi-PC, multi-category stream fed one record at a
+        // time and in batches of several sizes must agree on every tally.
         let records: Vec<TraceRecord> = (0..240u64)
             .map(|i| {
                 let pc = 4 * (i % 5);
@@ -608,28 +544,30 @@ mod tests {
             .collect();
         let mut interner = PcInterner::new();
         let ids: Vec<PcId> = records.iter().map(|r| interner.intern(r.pc)).collect();
-        let mut sequential = PredictorSet::paper_trio();
-        for (rec, &id) in records.iter().zip(&ids) {
-            sequential.observe_dense(id, rec);
-        }
-        for chunk in [1usize, 7, 64, 240] {
+        let pcs: Vec<Pc> = records.iter().map(|r| r.pc).collect();
+        let values: Vec<Value> = records.iter().map(|r| r.value).collect();
+        let categories: Vec<InstrCategory> = records.iter().map(|r| r.category).collect();
+        let sequential = trio_over(&records);
+        for chunk in [7usize, 64, 240] {
             let mut batched = PredictorSet::paper_trio();
-            let mut scratch = SetBatch::new();
-            for (recs, idch) in records.chunks(chunk).zip(ids.chunks(chunk)) {
-                batched.observe_dense_batch(idch, recs, &mut scratch);
+            for start in (0..records.len()).step_by(chunk) {
+                let span = start..(start + chunk).min(records.len());
+                batched.observe_batch(
+                    &ids[span.clone()],
+                    &pcs[span.clone()],
+                    &values[span.clone()],
+                    &categories[span],
+                );
             }
             assert_eq!(batched.total(), sequential.total(), "chunk {chunk}");
             for mask in 0..8u32 {
-                assert_eq!(
-                    batched.subset_count(None, mask),
-                    sequential.subset_count(None, mask),
-                    "chunk {chunk} mask {mask}"
-                );
-                assert_eq!(
-                    batched.subset_count(Some(InstrCategory::Loads), mask),
-                    sequential.subset_count(Some(InstrCategory::Loads), mask),
-                    "chunk {chunk} loads mask {mask}"
-                );
+                for category in [None, Some(InstrCategory::Loads)] {
+                    assert_eq!(
+                        batched.subset_count(category, mask),
+                        sequential.subset_count(category, mask),
+                        "chunk {chunk} {category:?} mask {mask}"
+                    );
+                }
             }
             let b: HashMap<Pc, PcTally> = batched.per_pc_tallies().unwrap().into_iter().collect();
             let s: HashMap<Pc, PcTally> =
@@ -639,6 +577,12 @@ mod tests {
                 assert_eq!(b[pc].correct, tally.correct, "chunk {chunk} {pc}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lengths differ")]
+    fn observe_batch_rejects_mismatched_lengths() {
+        PredictorSet::paper_trio().observe_batch(&[PcId(0)], &[Pc(0)], &[1], &[]);
     }
 
     #[test]
@@ -655,7 +599,7 @@ mod tests {
     fn cannot_push_after_observing() {
         let mut set = PredictorSet::new();
         set.push(Box::new(LastValuePredictor::new()));
-        set.observe(&rec(0, 1));
+        feed(&mut set, &[rec(0, 1)]);
         set.push(Box::new(StridePredictor::two_delta()));
     }
 }

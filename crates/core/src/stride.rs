@@ -54,10 +54,10 @@ struct StrideEntry {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{Predictor, StridePredictor};
+/// use dvp_core::{Interned, StridePredictor};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = StridePredictor::two_delta();
+/// let mut p = Interned::new(StridePredictor::two_delta());
 /// let pc = Pc(0x80);
 /// for v in [10, 20, 30] {
 ///     p.update(pc, v);
@@ -99,7 +99,7 @@ impl StridePredictor {
             StridePolicy::Hysteresis { max, threshold } => format!("s-sat{max}t{threshold}"),
             StridePolicy::TwoDelta => "s2".to_owned(),
         };
-        StridePredictor { policy, name, table: PcTable::new() }
+        StridePredictor { policy, name, table: PcTable::default() }
     }
 
     /// The update policy in use.
@@ -164,19 +164,6 @@ impl StridePredictor {
 }
 
 impl Predictor for StridePredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        self.table.get(pc).map(|e| e.last.wrapping_add(e.stride))
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        let policy = self.policy;
-        let _ = Self::step_slot(policy, self.table.slot_mut(pc), actual);
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        Self::step_slot(self.policy, self.table.slot_mut(pc), actual)
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -190,30 +177,25 @@ impl Predictor for StridePredictor {
     }
 
     #[inline]
-    fn predict_id(&self, id: PcId, _pc: Pc) -> Option<Value> {
-        self.table.get_dense(id).map(|e| e.last.wrapping_add(e.stride))
+    fn predict(&self, id: PcId, _pc: Pc) -> Option<Value> {
+        self.table.get(id).map(|e| e.last.wrapping_add(e.stride))
     }
 
     #[inline]
-    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        let policy = self.policy;
-        let _ = Self::step_slot(policy, self.table.dense_slot_mut(id, pc), actual);
-    }
-
-    #[inline]
-    fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        Self::step_slot(self.policy, self.table.dense_slot_mut(id, pc), actual)
+    fn step(&mut self, id: PcId, _pc: Pc, actual: Value) -> Option<Value> {
+        Self::step_slot(self.policy, self.table.slot_mut(id), actual)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Interned;
 
     const PC: Pc = Pc(0x200);
 
     fn mispredictions(policy: StridePolicy, seq: &[Value], skip: usize) -> usize {
-        let mut p = StridePredictor::with_policy(policy);
+        let mut p = Interned::new(StridePredictor::with_policy(policy));
         seq.iter()
             .enumerate()
             .filter(|&(i, &v)| {
@@ -226,7 +208,7 @@ mod tests {
 
     #[test]
     fn two_delta_predicts_affine_sequence_after_three_values() {
-        let mut p = StridePredictor::two_delta();
+        let mut p = Interned::new(StridePredictor::two_delta());
         let seq: Vec<Value> = (0..20).map(|i| 100 + 7 * i).collect();
         let mut correct_from = None;
         for (i, &v) in seq.iter().enumerate() {
@@ -241,7 +223,7 @@ mod tests {
 
     #[test]
     fn two_delta_predicts_negative_strides() {
-        let mut p = StridePredictor::two_delta();
+        let mut p = Interned::new(StridePredictor::two_delta());
         for v in [1000u64, 990, 980, 970] {
             p.update(PC, v);
         }
@@ -252,7 +234,7 @@ mod tests {
     fn stride_wraps_through_zero_with_sign_extended_values() {
         // Sign-extended 32-bit sequence: -2, -1, 0, 1 as u64 bit patterns.
         let seq = [(-2i64) as u64, (-1i64) as u64, 0, 1];
-        let mut p = StridePredictor::two_delta();
+        let mut p = Interned::new(StridePredictor::two_delta());
         for &v in &seq[..3] {
             p.update(PC, v);
         }
@@ -261,7 +243,7 @@ mod tests {
 
     #[test]
     fn constant_sequence_is_a_zero_stride() {
-        let mut p = StridePredictor::two_delta();
+        let mut p = Interned::new(StridePredictor::two_delta());
         p.update(PC, 5);
         assert_eq!(p.predict(PC), Some(5), "initial stride is zero: acts as last-value");
         p.update(PC, 5);
@@ -296,7 +278,7 @@ mod tests {
 
     #[test]
     fn two_delta_does_not_adopt_single_outlier_stride() {
-        let mut p = StridePredictor::two_delta();
+        let mut p = Interned::new(StridePredictor::two_delta());
         for v in [10u64, 20, 30, 40] {
             p.update(PC, v);
         }
@@ -308,15 +290,21 @@ mod tests {
 
     #[test]
     fn names_distinguish_policies() {
-        assert_eq!(StridePredictor::two_delta().name(), "s2");
-        assert_eq!(StridePredictor::with_policy(StridePolicy::Simple).name(), "s-simple");
-        let h = StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 2 });
+        assert_eq!(Interned::new(StridePredictor::two_delta()).name(), "s2");
+        assert_eq!(
+            Interned::new(StridePredictor::with_policy(StridePolicy::Simple)).name(),
+            "s-simple"
+        );
+        let h = Interned::new(StridePredictor::with_policy(StridePolicy::Hysteresis {
+            max: 3,
+            threshold: 2,
+        }));
         assert_eq!(h.name(), "s-sat3t2");
     }
 
     #[test]
     fn static_entries_counts_distinct_pcs() {
-        let mut p = StridePredictor::new();
+        let mut p = Interned::new(StridePredictor::new());
         for i in 0..5 {
             p.update(Pc(i * 4), i);
         }

@@ -3,144 +3,41 @@
 //!
 //! The paper's idealized predictors keep "one table entry per static
 //! instruction". [`PcTable`] models that entry set as a flat slot vector
-//! indexed by dense [`PcId`]s; a shared [`PcIndex`] maps `Pc → PcId` for
-//! the trait's `Pc`-keyed compatibility surface and keeps a dense reverse
-//! map (`PcId → Pc`) so the id-keyed hot path never touches the `HashMap`
-//! at all: adopting a caller id is one vector read once the association is
-//! recorded. `Pc`-keyed callers pay one hash probe ([`PcTable::slot_mut`])
-//! — still half of the old `HashMap` predict-probe + update-probe pair,
-//! because all in-crate predictors fuse the two halves on the located slot.
+//! indexed by the caller's dense [`PcId`]s: one bounds-checked access per
+//! record, and no `Pc` anywhere.
 
-use dvp_trace::{Pc, PcId};
-use std::collections::HashMap;
+use dvp_trace::PcId;
 
-/// The two-way `Pc ↔ PcId` association backing a dense predictor table.
-///
-/// `Pc`-keyed access interns unseen PCs itself (next free dense index);
-/// id-keyed access adopts the caller's id via [`PcIndex::adopt`], which is
-/// a single vector read on every call after the first. One instance must
-/// only ever see ids from a single interner — the debug build asserts
-/// this.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PcIndex {
-    ids: HashMap<Pc, PcId>,
-    /// Reverse map, indexed by dense id; `Some` once the association is
-    /// recorded (by interning or adoption).
-    pcs: Vec<Option<Pc>>,
-}
-
-impl PcIndex {
-    /// An empty index.
-    pub(crate) fn new() -> Self {
-        PcIndex::default()
-    }
-
-    /// Number of distinct PCs tracked.
-    pub(crate) fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Dense ids allocated so far (adopted ids count even before their PC
-    /// association is recorded).
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
-        self.pcs.len()
-    }
-
-    /// Grows the reverse map to cover `n` dense ids.
-    pub(crate) fn reserve(&mut self, n: usize) {
-        if self.pcs.len() < n {
-            self.pcs.resize(n, None);
-        }
-    }
-
-    /// Read-only lookup (the compatibility `predict` path).
-    #[inline]
-    pub(crate) fn get(&self, pc: Pc) -> Option<PcId> {
-        self.ids.get(&pc).copied()
-    }
-
-    /// Id for `pc`, interning it at the next free dense index on first
-    /// sight (the compatibility `update`/`step` path). One hash probe.
-    #[inline]
-    pub(crate) fn intern(&mut self, pc: Pc) -> PcId {
-        match self.ids.get(&pc) {
-            Some(&id) => id,
-            None => {
-                let id = PcId(u32::try_from(self.pcs.len()).expect("more than u32::MAX PCs"));
-                self.ids.insert(pc, id);
-                self.pcs.push(Some(pc));
-                id
-            }
-        }
-    }
-
-    /// Records the `pc ↔ id` association for a caller-supplied dense id
-    /// (the dense `update_id`/`step_id` path). After the first call for an
-    /// id this is one bounds-checked vector read — the `HashMap` is only
-    /// touched the first time.
-    #[inline]
-    pub(crate) fn adopt(&mut self, id: PcId, pc: Pc) {
-        let index = id.index();
-        if index >= self.pcs.len() {
-            self.pcs.resize(index + 1, None);
-        }
-        if self.pcs[index].is_none() {
-            debug_assert!(
-                self.ids.get(&pc).is_none_or(|&known| known == id),
-                "dense table driven with ids from two different interners ({pc} is {} here, \
-                 caller says {id})",
-                self.ids[&pc],
-            );
-            self.ids.entry(pc).or_insert(id);
-            self.pcs[index] = Some(pc);
-        }
-    }
-}
-
-/// Dense per-static-instruction storage: `Pc → PcId → Option<S>`.
-///
-/// Both keying surfaces address the same slots; see [`PcIndex`] for the
-/// interning/adoption rules.
+/// Dense per-static-instruction storage: `PcId → Option<S>`.
 #[derive(Debug, Clone)]
 pub(crate) struct PcTable<S> {
-    index: PcIndex,
     slots: Vec<Option<S>>,
 }
 
 impl<S> Default for PcTable<S> {
     // Manual impl: the derive would needlessly bound `S: Default`.
     fn default() -> Self {
-        PcTable::new()
+        PcTable { slots: Vec::new() }
     }
 }
 
 impl<S> PcTable<S> {
-    /// An empty table.
-    pub(crate) fn new() -> Self {
-        PcTable { index: PcIndex::new(), slots: Vec::new() }
-    }
-
     /// Pre-sizes the slot vector for `n` dense ids.
     pub(crate) fn reserve(&mut self, n: usize) {
-        self.index.reserve(n);
         if self.slots.len() < n {
             self.slots.resize_with(n, || None);
         }
     }
 
-    /// Read-only slot lookup by PC (the compatibility `predict` path).
+    /// Read-only slot lookup (`None` past the end).
     #[inline]
-    pub(crate) fn get(&self, pc: Pc) -> Option<&S> {
-        let id = self.index.get(pc)?;
+    pub(crate) fn get(&self, id: PcId) -> Option<&S> {
         self.slots.get(id.index()).and_then(Option::as_ref)
     }
 
-    /// Mutable slot by PC, interning the PC on first sight (the
-    /// compatibility `update`/`step` path). Exactly one hash probe.
+    /// Mutable slot, growing the vector as needed.
     #[inline]
-    pub(crate) fn slot_mut(&mut self, pc: Pc) -> &mut Option<S> {
-        let id = self.index.intern(pc);
+    pub(crate) fn slot_mut(&mut self, id: PcId) -> &mut Option<S> {
         let index = id.index();
         if index >= self.slots.len() {
             self.slots.resize_with(index + 1, || None);
@@ -148,30 +45,9 @@ impl<S> PcTable<S> {
         &mut self.slots[index]
     }
 
-    /// Read-only slot lookup by dense id (the dense `predict_id` path).
-    #[inline]
-    pub(crate) fn get_dense(&self, id: PcId) -> Option<&S> {
-        self.slots.get(id.index()).and_then(Option::as_ref)
-    }
-
-    /// Mutable slot by dense id (the dense `update_id`/`step_id` path):
-    /// grows the vector as needed and records the `pc ↔ id` association
-    /// on first touch. The association check is one vector read, not a
-    /// hash probe.
-    #[inline]
-    pub(crate) fn dense_slot_mut(&mut self, id: PcId, pc: Pc) -> &mut Option<S> {
-        let index = id.index();
-        if index >= self.slots.len() {
-            self.slots.resize_with(index + 1, || None);
-        }
-        self.index.adopt(id, pc);
-        &mut self.slots[index]
-    }
-
-    /// Number of distinct PCs tracked.
-    #[inline]
+    /// Number of occupied slots (a scan: report time only).
     pub(crate) fn len(&self) -> usize {
-        self.index.len()
+        self.slots.iter().filter(|s| s.is_some()).count()
     }
 }
 
@@ -180,57 +56,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pc_surface_interns_and_finds() {
-        let mut table: PcTable<u64> = PcTable::new();
-        assert!(table.get(Pc(4)).is_none());
-        *table.slot_mut(Pc(4)) = Some(7);
-        *table.slot_mut(Pc(8)) = Some(9);
-        assert_eq!(table.get(Pc(4)), Some(&7));
-        assert_eq!(table.get(Pc(8)), Some(&9));
-        assert_eq!(table.len(), 2);
-    }
-
-    #[test]
-    fn dense_surface_adopts_caller_ids_and_stays_pc_consistent() {
-        let mut table: PcTable<u64> = PcTable::new();
+    fn slots_are_addressed_by_id_and_grow_past_reserve() {
+        let mut table: PcTable<u64> = PcTable::default();
         table.reserve(3);
-        *table.dense_slot_mut(PcId(2), Pc(0x40)) = Some(5);
-        assert_eq!(table.get_dense(PcId(2)), Some(&5));
-        assert_eq!(table.get_dense(PcId(0)), None);
-        // The Pc surface sees the id-driven state.
-        assert_eq!(table.get(Pc(0x40)), Some(&5));
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn dense_access_grows_beyond_reserve() {
-        let mut table: PcTable<u64> = PcTable::new();
-        *table.dense_slot_mut(PcId(10), Pc(0x10)) = Some(1);
-        assert_eq!(table.get_dense(PcId(10)), Some(&1));
-        assert_eq!(table.get_dense(PcId(11)), None);
-    }
-
-    #[test]
-    fn interleaved_surfaces_share_slots() {
-        let mut table: PcTable<u64> = PcTable::new();
-        *table.dense_slot_mut(PcId(0), Pc(0x8)) = Some(3);
-        // Pc-keyed mutation of the same instruction hits the same slot.
-        *table.slot_mut(Pc(0x8)) = Some(4);
-        assert_eq!(table.get_dense(PcId(0)), Some(&4));
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn adoption_is_idempotent_and_interleaves_with_interning() {
-        let mut index = PcIndex::new();
-        index.adopt(PcId(1), Pc(0x20));
-        index.adopt(PcId(1), Pc(0x20));
-        assert_eq!(index.len(), 1);
-        assert_eq!(index.capacity(), 2);
-        // Interning after sparse adoption allocates past the adopted ids.
-        let id = index.intern(Pc(0x30));
-        assert_eq!(id, PcId(2));
-        assert_eq!(index.get(Pc(0x20)), Some(PcId(1)));
-        assert_eq!(index.get(Pc(0x30)), Some(PcId(2)));
+        *table.slot_mut(PcId(2)) = Some(5);
+        *table.slot_mut(PcId(10)) = Some(1);
+        assert_eq!(table.get(PcId(2)), Some(&5));
+        assert_eq!(table.get(PcId(10)), Some(&1));
+        assert_eq!(table.get(PcId(0)), None);
+        assert_eq!(table.get(PcId(11)), None);
+        assert_eq!(table.len(), 2);
     }
 }

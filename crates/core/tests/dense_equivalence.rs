@@ -1,20 +1,19 @@
-//! Property suite pinning the dense-slot replay path to the legacy
-//! per-record-hash semantics, per predictor family.
+//! Property suite pinning the one predictor surface to the paper's
+//! definitions and to id-independence.
 //!
-//! Every predictor exposes two keying surfaces over the same state: the
-//! `Pc`-keyed compatibility surface (`observe`, one hash probe per record —
-//! behaviourally identical to the old `HashMap<Pc, _>` tables) and the
-//! dense `PcId`-keyed surface the replay engine drives (`observe_id`, one
-//! slot index per record). These properties feed identical random streams
-//! through both surfaces on independent instances and require identical
-//! outcome sequences, final predictions, and static-entry counts — and,
-//! for the last-value and stride families, additionally check both against
-//! hand-rolled `HashMap` oracles reimplementing the paper's definitions.
+//! Every predictor is keyed by a dense `PcId` plus its `Pc`. These
+//! properties check three things: that `Interned<P>` (which numbers PCs
+//! itself) reproduces hand-rolled `HashMap<Pc, _>` oracles of the
+//! last-value and stride definitions; that *which* dense ids a stream
+//! arrives under never changes an outcome, for every predictor family
+//! (the resident replay path uses the trace's interner, the streaming path
+//! a per-consumer one, and both must agree); and that the finite tables
+//! keep aliasing by PC even for PCs `Interned` has never stepped.
 
 use dvp_core::{
     Blending, CounterMode, DelayedPredictor, FcmPredictor, FiniteFcmPredictor,
     FiniteHybridPredictor, FiniteLastValuePredictor, FiniteStridePredictor, HybridPredictor,
-    LastValuePredictor, Predictor, ShiftPredictor, StridePredictor, TableSpec,
+    Interned, LastValuePredictor, Predictor, ShiftPredictor, StridePredictor, TableSpec,
     TwoLevelStridePredictor,
 };
 use dvp_trace::{Pc, PcId, PcInterner, Value};
@@ -30,51 +29,82 @@ fn arb_stream(max_len: usize) -> impl Strategy<Value = Vec<(Pc, Value)>> {
         .prop_map(|raw| raw.into_iter().map(|(pc, v)| (Pc(0x400 + 4 * pc), v)).collect())
 }
 
-/// Drives `dense` through `observe_id` (interning like a trace would) and
-/// `compat` through `observe`; asserts identical outcome sequences and
-/// consistent end states.
-fn assert_surfaces_agree<P: Predictor>(mut dense: P, mut compat: P, stream: &[(Pc, Value)]) {
-    let mut interner = PcInterner::new();
-    for (step, &(pc, value)) in stream.iter().enumerate() {
-        let id = interner.intern(pc);
-        let d = dense.observe_id(id, pc, value);
-        let c = compat.observe(pc, value);
-        assert_eq!(d, c, "outcome diverged at step {step} ({pc})");
+/// One instance of every predictor family, in a fixed order.
+fn families() -> Vec<Box<dyn Predictor>> {
+    let mut bank: Vec<Box<dyn Predictor>> = vec![
+        Box::new(LastValuePredictor::new()),
+        Box::new(StridePredictor::two_delta()),
+        Box::new(HybridPredictor::stride_fcm(2)),
+        Box::new(ShiftPredictor::new()),
+        Box::new(TwoLevelStridePredictor::new()),
+        Box::new(DelayedPredictor::new(FcmPredictor::new(2), 3)),
+        Box::new(FiniteLastValuePredictor::new(TableSpec::new(3))),
+        Box::new(FiniteStridePredictor::new(TableSpec::new(3).with_tag_bits(4))),
+        Box::new(FiniteFcmPredictor::new(2, TableSpec::new(3), TableSpec::new(6))),
+        Box::new(FiniteHybridPredictor::paper_geometry(3)),
+    ];
+    for order in 0..4 {
+        for blending in [Blending::LazyExclusion, Blending::Full, Blending::SingleOrder] {
+            for mode in [CounterMode::Exact, CounterMode::Saturating { max: 4 }] {
+                bank.push(Box::new(FcmPredictor::with_config(order, blending, mode)));
+            }
+        }
     }
-    assert_eq!(dense.static_entries(), compat.static_entries());
-    for (id, pc) in interner.iter() {
-        assert_eq!(dense.predict(pc), compat.predict(pc), "final prediction at {pc}");
-        assert_eq!(dense.predict_id(id, pc), compat.predict(pc), "dense read at {pc}");
+    bank
+}
+
+/// Steps `p` through the stream under `ids`, checking before every step
+/// that `predict` reads the prediction `step` then returns.
+fn outcomes(p: &mut dyn Predictor, stream: &[(Pc, Value)], ids: &[PcId]) -> Vec<Option<Value>> {
+    p.reserve_ids(ids.iter().map(|id| id.index() + 1).max().unwrap_or(0));
+    stream
+        .iter()
+        .zip(ids)
+        .map(|(&(pc, value), &id)| {
+            let predicted = p.predict(id, pc);
+            let stepped = p.step(id, pc, value);
+            assert_eq!(predicted, stepped, "{}: predict and step disagree at {pc}", p.name());
+            stepped
+        })
+        .collect()
+}
+
+/// A pseudo-random permutation of `0..n` (Fisher–Yates over splitmix64).
+fn permutation(n: usize, mut seed: u64) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        perm.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
     }
+    perm
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
-    fn last_value_dense_matches_compat_and_hashmap_oracle(stream in arb_stream(300)) {
-        assert_surfaces_agree(LastValuePredictor::new(), LastValuePredictor::new(), &stream);
+    fn interned_last_value_matches_hashmap_oracle(stream in arb_stream(300)) {
         // Oracle: the paper's always-update last-value table as a bare map.
         let mut oracle: HashMap<Pc, Value> = HashMap::new();
-        let mut interner = PcInterner::new();
-        let mut dense = LastValuePredictor::new();
+        let mut p = Interned::new(LastValuePredictor::new());
         for &(pc, value) in &stream {
-            let id = interner.intern(pc);
+            prop_assert_eq!(p.predict(pc), oracle.get(&pc).copied(), "{}", pc);
             let expected = oracle.insert(pc, value) == Some(value);
-            prop_assert_eq!(dense.observe_id(id, pc, value), expected, "{}", pc);
+            prop_assert_eq!(p.observe(pc, value), expected, "{}", pc);
         }
+        prop_assert_eq!(p.static_entries(), oracle.len());
     }
 
     #[test]
-    fn stride_dense_matches_compat_and_hashmap_oracle(stream in arb_stream(300)) {
-        assert_surfaces_agree(StridePredictor::two_delta(), StridePredictor::two_delta(), &stream);
+    fn interned_stride_matches_hashmap_oracle(stream in arb_stream(300)) {
         // Oracle: the two-delta rule (Eickemeyer & Vassiliadis) as a bare
         // map of (last, s1, s2).
         let mut oracle: HashMap<Pc, (Value, Value, Value)> = HashMap::new();
-        let mut interner = PcInterner::new();
-        let mut dense = StridePredictor::two_delta();
+        let mut p = Interned::new(StridePredictor::two_delta());
         for &(pc, value) in &stream {
-            let id = interner.intern(pc);
             let expected = match oracle.get_mut(&pc) {
                 Some((last, s1, s2)) => {
                     let correct = last.wrapping_add(*s2) == value;
@@ -91,92 +121,40 @@ proptest! {
                     false
                 }
             };
-            prop_assert_eq!(dense.observe_id(id, pc, value), expected, "{}", pc);
+            prop_assert_eq!(p.observe(pc, value), expected, "{}", pc);
+        }
+        prop_assert_eq!(p.static_entries(), oracle.len());
+    }
+
+    /// Relabelling the dense ids — first-appearance order versus a random
+    /// permutation of it — changes no outcome of any family.
+    #[test]
+    fn outcomes_do_not_depend_on_the_id_labelling(stream in arb_stream(250), seed in any::<u64>()) {
+        let mut interner = PcInterner::new();
+        let first: Vec<PcId> = stream.iter().map(|&(pc, _)| interner.intern(pc)).collect();
+        let perm = permutation(interner.len(), seed);
+        let relabelled: Vec<PcId> = first.iter().map(|id| PcId(perm[id.index()])).collect();
+        for (mut a, mut b) in families().into_iter().zip(families()) {
+            let want = outcomes(a.as_mut(), &stream, &first);
+            let got = outcomes(b.as_mut(), &stream, &relabelled);
+            prop_assert_eq!(&got, &want, "{} depends on the id labelling", a.name());
+            prop_assert_eq!(a.static_entries(), b.static_entries(), "{}", a.name());
         }
     }
 
+    /// `Interned` is the same model as driving the predictor with a trace
+    /// interner's ids directly.
     #[test]
-    fn fcm_dense_matches_compat(order in 0usize..4, stream in arb_stream(250)) {
-        assert_surfaces_agree(FcmPredictor::new(order), FcmPredictor::new(order), &stream);
-    }
-
-    #[test]
-    fn fcm_variants_dense_match_compat(stream in arb_stream(200)) {
-        for blending in [Blending::LazyExclusion, Blending::Full, Blending::SingleOrder] {
-            for mode in [CounterMode::Exact, CounterMode::Saturating { max: 4 }] {
-                assert_surfaces_agree(
-                    FcmPredictor::with_config(2, blending, mode),
-                    FcmPredictor::with_config(2, blending, mode),
-                    &stream,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hybrid_dense_matches_compat(stream in arb_stream(250)) {
-        assert_surfaces_agree(
-            HybridPredictor::stride_fcm(2),
-            HybridPredictor::stride_fcm(2),
-            &stream,
-        );
-    }
-
-    #[test]
-    fn extension_predictors_dense_match_compat(stream in arb_stream(250)) {
-        assert_surfaces_agree(ShiftPredictor::new(), ShiftPredictor::new(), &stream);
-        assert_surfaces_agree(
-            TwoLevelStridePredictor::new(),
-            TwoLevelStridePredictor::new(),
-            &stream,
-        );
-    }
-
-    #[test]
-    fn finite_predictors_dense_match_compat(stream in arb_stream(250)) {
-        // Finite tables ignore the id by design (PC hashing is the model);
-        // the dense surface must still agree record for record.
-        let spec = TableSpec::new(4).with_tag_bits(6);
-        assert_surfaces_agree(
-            FiniteLastValuePredictor::new(spec),
-            FiniteLastValuePredictor::new(spec),
-            &stream,
-        );
-        assert_surfaces_agree(
-            FiniteStridePredictor::new(spec),
-            FiniteStridePredictor::new(spec),
-            &stream,
-        );
-        assert_surfaces_agree(
-            FiniteFcmPredictor::new(2, TableSpec::new(4), TableSpec::new(8)),
-            FiniteFcmPredictor::new(2, TableSpec::new(4), TableSpec::new(8)),
-            &stream,
-        );
-        assert_surfaces_agree(
-            FiniteHybridPredictor::paper_geometry(5),
-            FiniteHybridPredictor::paper_geometry(5),
-            &stream,
-        );
-    }
-
-    #[test]
-    fn delayed_dense_matches_compat(delay in 0usize..6, stream in arb_stream(250)) {
-        assert_surfaces_agree(
-            DelayedPredictor::new(StridePredictor::two_delta(), delay),
-            DelayedPredictor::new(StridePredictor::two_delta(), delay),
-            &stream,
-        );
-    }
-
-    #[test]
-    fn step_equals_predict_then_update(stream in arb_stream(200)) {
-        // The fused step must equal the two-call protocol on every family.
-        let mut fused = FcmPredictor::new(2);
-        let mut split = FcmPredictor::new(2);
-        for &(pc, value) in &stream {
-            let expected = split.predict(pc);
-            split.update(pc, value);
-            prop_assert_eq!(fused.step(pc, value), expected);
+    fn interned_matches_trace_ids_for_every_family(stream in arb_stream(200)) {
+        let mut interner = PcInterner::new();
+        let ids: Vec<PcId> = stream.iter().map(|&(pc, _)| interner.intern(pc)).collect();
+        for (mut direct, wrapped) in families().into_iter().zip(families()) {
+            let want = outcomes(direct.as_mut(), &stream, &ids);
+            let mut wrapped = Interned::new(wrapped);
+            let got: Vec<Option<Value>> =
+                stream.iter().map(|&(pc, value)| wrapped.step(pc, value)).collect();
+            prop_assert_eq!(&got, &want, "{}", direct.name());
+            prop_assert_eq!(wrapped.static_entries(), direct.static_entries());
         }
     }
 
@@ -203,4 +181,23 @@ proptest! {
         let rebuilt = PcInterner::from_pcs(interner.pcs().to_vec()).expect("bijective");
         prop_assert_eq!(&rebuilt, &interner);
     }
+}
+
+/// A PC `Interned` has never stepped still aliases in a finite table: it
+/// reads the value its slot-mate left there, while an unbounded table has
+/// nothing for it.
+#[test]
+fn never_stepped_pc_reads_its_aliased_finite_slot() {
+    let spec = TableSpec::new(4);
+    let stepped = Pc(0x100);
+    let alias = (1..1u64 << 12)
+        .map(|i| Pc(0x100 + 4 * i))
+        .find(|&pc| spec.index_of(pc) == spec.index_of(stepped))
+        .expect("an untagged 16-slot table aliases within 4096 PCs");
+    let mut finite = Interned::new(FiniteLastValuePredictor::new(spec));
+    let mut unbounded = Interned::new(LastValuePredictor::new());
+    finite.update(stepped, 42);
+    unbounded.update(stepped, 42);
+    assert_eq!(finite.predict(alias), Some(42));
+    assert_eq!(unbounded.predict(alias), None);
 }

@@ -3,7 +3,7 @@
 //! order sweep, observable divergence between the blending policies, and an
 //! aliasing-free per-PC isolation property.
 
-use dvp_core::{Blending, CounterMode, FcmPredictor, Predictor};
+use dvp_core::{Blending, CounterMode, FcmPredictor, Interned};
 use dvp_trace::{Pc, Value};
 use proptest::prelude::*;
 
@@ -12,7 +12,7 @@ const PC: Pc = Pc(0x400100);
 const BLENDINGS: [Blending; 3] = [Blending::LazyExclusion, Blending::Full, Blending::SingleOrder];
 
 /// Feeds `seq` at one PC, returning the prediction made before each update.
-fn run(p: &mut FcmPredictor, pc: Pc, seq: &[Value]) -> Vec<Option<Value>> {
+fn run(p: &mut Interned<FcmPredictor>, pc: Pc, seq: &[Value]) -> Vec<Option<Value>> {
     seq.iter()
         .map(|&v| {
             let pred = p.predict(pc);
@@ -26,7 +26,7 @@ fn run(p: &mut FcmPredictor, pc: Pc, seq: &[Value]) -> Vec<Option<Value>> {
 fn doc_comment_sequence_1_5_9_predicts_the_next_element() {
     // Mirror of the facade doc example (`dvp` crate root): after observing
     // 1 5 9 1 5 9 1 5, the order-2 context (1, 5) was followed by 9.
-    let mut fcm = FcmPredictor::new(2);
+    let mut fcm = Interned::new(FcmPredictor::new(2));
     for &v in &[1u64, 5, 9, 1, 5, 9, 1, 5] {
         fcm.update(PC, v);
     }
@@ -37,7 +37,7 @@ fn doc_comment_sequence_1_5_9_predicts_the_next_element() {
 fn order_sweep_1_to_4_is_perfect_on_1_5_9_after_warmup() {
     for order in 1usize..=4 {
         let seq: Vec<Value> = [1u64, 5, 9].iter().copied().cycle().take(30).collect();
-        let mut p = FcmPredictor::new(order);
+        let mut p = Interned::new(FcmPredictor::new(order));
         let preds = run(&mut p, PC, &seq);
         // One full period to populate the contexts, plus `order` values to
         // refill the history window, plus the first predictable slot.
@@ -55,9 +55,12 @@ fn order_sweep_blending_agrees_with_single_order_at_steady_state() {
     // single-order prediction once both are warm.
     for order in 1usize..=4 {
         let seq: Vec<Value> = [1u64, 5, 9].iter().copied().cycle().take(30).collect();
-        let mut lazy = FcmPredictor::new(order);
-        let mut single =
-            FcmPredictor::with_config(order, Blending::SingleOrder, CounterMode::Exact);
+        let mut lazy = Interned::new(FcmPredictor::new(order));
+        let mut single = Interned::new(FcmPredictor::with_config(
+            order,
+            Blending::SingleOrder,
+            CounterMode::Exact,
+        ));
         let lazy_preds = run(&mut lazy, PC, &seq);
         let single_preds = run(&mut single, PC, &seq);
         let warmup = 3 + order + 1;
@@ -72,8 +75,9 @@ fn lazy_exclusion_freezes_low_orders_once_high_orders_match() {
     // order-0 model has frozen counts {1: 2, 2: 1} under lazy exclusion but
     // balanced counts under full blending — observable as different
     // fallback predictions once a novel value empties the order-1 context.
-    let mut lazy = FcmPredictor::with_config(1, Blending::LazyExclusion, CounterMode::Exact);
-    let mut full = FcmPredictor::with_config(1, Blending::Full, CounterMode::Exact);
+    let mut lazy =
+        Interned::new(FcmPredictor::with_config(1, Blending::LazyExclusion, CounterMode::Exact));
+    let mut full = Interned::new(FcmPredictor::with_config(1, Blending::Full, CounterMode::Exact));
     for _ in 0..8 {
         for &v in &[1u64, 2] {
             lazy.update(PC, v);
@@ -92,7 +96,7 @@ fn lazy_exclusion_freezes_low_orders_once_high_orders_match() {
 fn lazy_exclusion_seeds_every_order_on_a_complete_miss() {
     // The very first value matches no context at any order, so lazy
     // exclusion seeds all of them: an order-0 prediction exists right away.
-    let mut p = FcmPredictor::new(3);
+    let mut p = Interned::new(FcmPredictor::new(3));
     p.update(PC, 42);
     assert_eq!(p.predict(PC), Some(42));
 }
@@ -108,9 +112,9 @@ proptest! {
         values in prop::collection::vec(0u64..8, 1..120),
         order in 1usize..5,
     ) {
-        let mut lazy = FcmPredictor::new(order);
+        let mut lazy = Interned::new(FcmPredictor::new(order));
         let mut single =
-            FcmPredictor::with_config(order, Blending::SingleOrder, CounterMode::Exact);
+            Interned::new(FcmPredictor::with_config(order, Blending::SingleOrder, CounterMode::Exact));
         for &v in &values {
             let lazy_pred = lazy.predict(PC);
             let single_pred = single.predict(PC);
@@ -137,7 +141,7 @@ proptest! {
     ) {
         for blending in BLENDINGS {
             for counters in [CounterMode::Exact, CounterMode::Saturating { max: 4 }] {
-                let make = || FcmPredictor::with_config(order, blending, counters);
+                let make = || Interned::new(FcmPredictor::with_config(order, blending, counters));
 
                 let alone_a = run(&mut make(), Pc(0), &a);
                 let alone_b = run(&mut make(), Pc(4), &b);

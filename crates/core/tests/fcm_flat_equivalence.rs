@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use dvp_core::{Blending, CounterMode, FcmPredictor, Predictor, PredictorConfig};
+use dvp_core::{Blending, CounterMode, FcmPredictor, Interned, Predictor, PredictorConfig};
 use dvp_trace::{Pc, PcId, PcInterner, Value};
 use proptest::prelude::*;
 
@@ -189,7 +189,7 @@ proptest! {
         stream in arb_stream(300),
     ) {
         let (order, blending, counter_mode) = config;
-        let mut flat = FcmPredictor::with_config(order, blending, counter_mode);
+        let mut flat = Interned::new(FcmPredictor::with_config(order, blending, counter_mode));
         let mut oracle = OracleFcm::new(order, blending, counter_mode);
         for (i, &(pc, value)) in stream.iter().enumerate() {
             prop_assert_eq!(
@@ -206,9 +206,8 @@ proptest! {
         }
     }
 
-    /// The dense id-keyed surface is the same model: driving the flat
-    /// predictor through `observe_id` (interned ids, as the replay
-    /// engine does) tracks the oracle exactly.
+    /// Driving the flat predictor directly with a trace interner's ids
+    /// (as the replay engine does) tracks the oracle exactly too.
     #[test]
     fn flat_fcm_dense_surface_equals_nested_oracle(
         config in arb_config(),
@@ -222,7 +221,7 @@ proptest! {
             let id = interner.intern(pc);
             let want = oracle.step(pc, value) == Some(value);
             prop_assert_eq!(
-                flat.observe_id(id, pc, value),
+                flat.step(id, pc, value) == Some(value),
                 want,
                 "outcome diverged at record {}",
                 i
@@ -247,7 +246,7 @@ proptest! {
             let want: Vec<bool> = stream
                 .iter()
                 .zip(&ids)
-                .map(|(&(pc, v), &id)| reference.observe_id(id, pc, v))
+                .map(|(&(pc, v), &id)| reference.step(id, pc, v) == Some(v))
                 .collect();
             let mut batched = config.build();
             let mut got = vec![false; stream.len()];
@@ -263,8 +262,8 @@ proptest! {
                 at = hi;
             }
             prop_assert_eq!(&got, &want, "{} diverged at chunk {}", config.name(), chunk);
-            for &pc in &pcs {
-                prop_assert_eq!(batched.predict(pc), reference.predict(pc));
+            for (&id, &pc) in ids.iter().zip(&pcs) {
+                prop_assert_eq!(batched.predict(id, pc), reference.predict(id, pc));
             }
         }
     }
@@ -286,7 +285,7 @@ fn lazy_exclusion_divergence_is_reproduced_exactly() {
     let pc = Pc(0x400);
     let mut outcomes = Vec::new();
     for blending in [Blending::LazyExclusion, Blending::Full] {
-        let mut flat = FcmPredictor::with_config(1, blending, CounterMode::Exact);
+        let mut flat = Interned::new(FcmPredictor::with_config(1, blending, CounterMode::Exact));
         let mut oracle = OracleFcm::new(1, blending, CounterMode::Exact);
         for &v in &stream {
             assert_eq!(flat.step(pc, v), oracle.step(pc, v), "{blending:?}");
@@ -304,7 +303,7 @@ fn lazy_exclusion_divergence_is_reproduced_exactly() {
 fn saturating_emptied_contexts_agree_with_the_oracle() {
     let pc = Pc(0x400);
     let mode = CounterMode::Saturating { max: 1 };
-    let mut flat = FcmPredictor::with_config(2, Blending::LazyExclusion, mode);
+    let mut flat = Interned::new(FcmPredictor::with_config(2, Blending::LazyExclusion, mode));
     let mut oracle = OracleFcm::new(2, Blending::LazyExclusion, mode);
     for &v in &[5u64, 5, 3, 5, 3, 3, 5] {
         assert_eq!(flat.step(pc, v), oracle.step(pc, v));

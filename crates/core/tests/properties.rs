@@ -3,10 +3,10 @@
 use dvp_core::{
     hash_history, Blending, CounterMode, DelayedPredictor, EntropyProfile, FcmPredictor,
     FiniteFcmPredictor, FiniteHybridPredictor, FiniteLastValuePredictor, FiniteStridePredictor,
-    LastValuePredictor, LocalityProfile, Predictor, PredictorSet, StridePredictor, TableSpec,
-    TwoLevelStridePredictor,
+    Interned, LastValuePredictor, LocalityProfile, Predictor, PredictorSet, StridePredictor,
+    TableSpec, TwoLevelStridePredictor,
 };
-use dvp_trace::{InstrCategory, Pc, TraceRecord, Value};
+use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -34,7 +34,7 @@ proptest! {
         delta in any::<u64>(),
         len in 4usize..200,
     ) {
-        let mut p = StridePredictor::two_delta();
+        let mut p = Interned::new(StridePredictor::two_delta());
         let pc = Pc(0);
         let mut misses_after_warmup = 0;
         for i in 0..len {
@@ -49,7 +49,7 @@ proptest! {
 
     #[test]
     fn last_value_accuracy_equals_adjacent_repeat_fraction(values in arb_values(200)) {
-        let mut p = LastValuePredictor::new();
+        let mut p = Interned::new(LastValuePredictor::new());
         let pc = Pc(0);
         let correct = values.iter().filter(|&&v| p.observe(pc, v)).count();
         let repeats = values.windows(2).filter(|w| w[0] == w[1]).count();
@@ -60,7 +60,7 @@ proptest! {
 
     #[test]
     fn fcm_never_predicts_unseen_values(values in arb_values(150), order in 0usize..4) {
-        let mut p = FcmPredictor::new(order);
+        let mut p = Interned::new(FcmPredictor::new(order));
         let pc = Pc(0);
         let mut seen: HashSet<Value> = HashSet::new();
         for &v in &values {
@@ -81,7 +81,7 @@ proptest! {
         let period: Vec<Value> = period_vals.into_iter().collect();
         let seq: Vec<Value> =
             period.iter().copied().cycle().take(period.len() * reps).collect();
-        let mut p = FcmPredictor::new(order);
+        let mut p = Interned::new(FcmPredictor::new(order));
         let pc = Pc(0);
         let warmup = period.len() + order + 1;
         let mut misses_after_warmup = 0;
@@ -98,8 +98,8 @@ proptest! {
     fn fcm_blending_modes_agree_on_prediction_domain(values in arb_small_values(100)) {
         // Single-order predicts a subset of the time lazy-exclusion does
         // (blending only *adds* fallback predictions).
-        let mut lazy = FcmPredictor::with_config(2, Blending::LazyExclusion, CounterMode::Exact);
-        let mut single = FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact);
+        let mut lazy = Interned::new(FcmPredictor::with_config(2, Blending::LazyExclusion, CounterMode::Exact));
+        let mut single = Interned::new(FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact));
         let pc = Pc(0);
         for &v in &values {
             let lazy_pred = lazy.predict(pc);
@@ -117,11 +117,11 @@ proptest! {
         values in arb_small_values(300),
         max in 2u32..8,
     ) {
-        let mut p = FcmPredictor::with_config(
+        let mut p = Interned::new(FcmPredictor::with_config(
             1,
             Blending::LazyExclusion,
             CounterMode::Saturating { max },
-        );
+        ));
         let pc = Pc(0);
         let mut seen = HashSet::new();
         for &v in &values {
@@ -142,7 +142,7 @@ proptest! {
     ) {
         // Interleaving two PCs' streams must give exactly the same
         // predictions as running each stream alone (no aliasing).
-        fn run_alone<P: Predictor>(mut p: P, pc: Pc, values: &[Value]) -> Vec<Option<Value>> {
+        fn run_alone<P: Predictor>(mut p: Interned<P>, pc: Pc, values: &[Value]) -> Vec<Option<Value>> {
             values
                 .iter()
                 .map(|&v| {
@@ -153,7 +153,7 @@ proptest! {
                 .collect()
         }
         fn run_interleaved<P: Predictor>(
-            mut p: P,
+            mut p: Interned<P>,
             a: &[Value],
             b: &[Value],
         ) -> (Vec<Option<Value>>, Vec<Option<Value>>) {
@@ -174,17 +174,17 @@ proptest! {
             (ra, rb)
         }
 
-        let (ia, ib) = run_interleaved(FcmPredictor::new(2), &a, &b);
-        prop_assert_eq!(&ia, &run_alone(FcmPredictor::new(2), Pc(0), &a));
-        prop_assert_eq!(&ib, &run_alone(FcmPredictor::new(2), Pc(4), &b));
+        let (ia, ib) = run_interleaved(Interned::new(FcmPredictor::new(2)), &a, &b);
+        prop_assert_eq!(&ia, &run_alone(Interned::new(FcmPredictor::new(2)), Pc(0), &a));
+        prop_assert_eq!(&ib, &run_alone(Interned::new(FcmPredictor::new(2)), Pc(4), &b));
 
-        let (ia, ib) = run_interleaved(StridePredictor::two_delta(), &a, &b);
-        prop_assert_eq!(&ia, &run_alone(StridePredictor::two_delta(), Pc(0), &a));
-        prop_assert_eq!(&ib, &run_alone(StridePredictor::two_delta(), Pc(4), &b));
+        let (ia, ib) = run_interleaved(Interned::new(StridePredictor::two_delta()), &a, &b);
+        prop_assert_eq!(&ia, &run_alone(Interned::new(StridePredictor::two_delta()), Pc(0), &a));
+        prop_assert_eq!(&ib, &run_alone(Interned::new(StridePredictor::two_delta()), Pc(4), &b));
 
-        let (ia, ib) = run_interleaved(TwoLevelStridePredictor::new(), &a, &b);
-        prop_assert_eq!(&ia, &run_alone(TwoLevelStridePredictor::new(), Pc(0), &a));
-        prop_assert_eq!(&ib, &run_alone(TwoLevelStridePredictor::new(), Pc(4), &b));
+        let (ia, ib) = run_interleaved(Interned::new(TwoLevelStridePredictor::new()), &a, &b);
+        prop_assert_eq!(&ia, &run_alone(Interned::new(TwoLevelStridePredictor::new()), Pc(0), &a));
+        prop_assert_eq!(&ib, &run_alone(Interned::new(TwoLevelStridePredictor::new()), Pc(4), &b));
     }
 
     // ----- predictor set ---------------------------------------------------
@@ -196,16 +196,16 @@ proptest! {
             .map(|&v| TraceRecord::new(Pc(8), InstrCategory::Logic, v))
             .collect();
         let mut set = PredictorSet::paper_trio();
-        for rec in &records {
-            set.observe(rec);
+        for r in &records {
+            set.observe_batch(&[PcId(0)], &[r.pc], &[r.value], &[r.category]);
         }
         let mask_sum: u64 = (0..8u32).map(|m| set.subset_count(None, m)).sum();
         prop_assert_eq!(mask_sum, records.len() as u64);
 
         // Component totals agree with standalone runs.
-        let (l, _) = dvp_core::run_trace(&mut LastValuePredictor::new(), records.iter());
-        let (s, _) = dvp_core::run_trace(&mut StridePredictor::two_delta(), records.iter());
-        let (f, _) = dvp_core::run_trace(&mut FcmPredictor::new(3), records.iter());
+        let (l, _) = dvp_core::run_trace(&mut Interned::new(LastValuePredictor::new()), records.iter());
+        let (s, _) = dvp_core::run_trace(&mut Interned::new(StridePredictor::two_delta()), records.iter());
+        let (f, _) = dvp_core::run_trace(&mut Interned::new(FcmPredictor::new(3)), records.iter());
         prop_assert_eq!(set.correct_total(0), l);
         prop_assert_eq!(set.correct_total(1), s);
         prop_assert_eq!(set.correct_total(2), f);
@@ -225,10 +225,10 @@ proptest! {
         // 2^12-slot tagged table is collision-free for <16 PCs: the finite
         // predictors must be bit-identical to the unbounded ones.
         let spec = TableSpec::new(12).with_tag_bits(8);
-        let mut fin_l = FiniteLastValuePredictor::new(spec);
-        let mut fin_s = FiniteStridePredictor::new(spec);
-        let mut ub_l = LastValuePredictor::new();
-        let mut ub_s = StridePredictor::two_delta();
+        let mut fin_l = Interned::new(FiniteLastValuePredictor::new(spec));
+        let mut fin_s = Interned::new(FiniteStridePredictor::new(spec));
+        let mut ub_l = Interned::new(LastValuePredictor::new());
+        let mut ub_s = Interned::new(StridePredictor::two_delta());
         for (i, &v) in values.iter().enumerate() {
             let pc = Pc(0x1000 + (i as u64 % npcs) * 4);
             prop_assert_eq!(fin_l.predict(pc), ub_l.predict(pc));
@@ -253,7 +253,7 @@ proptest! {
         values in arb_small_values(200),
         order in 1usize..5,
     ) {
-        let mut p = FiniteFcmPredictor::new(order, TableSpec::new(6), TableSpec::new(8));
+        let mut p = Interned::new(FiniteFcmPredictor::new(order, TableSpec::new(6), TableSpec::new(8)));
         let pc = Pc(0x100);
         for (i, &v) in values.iter().enumerate() {
             let pred = p.predict(pc);
@@ -271,9 +271,9 @@ proptest! {
     ) {
         // The hybrid never invents values: every prediction equals what one
         // of its components would predict from the identical update stream.
-        let mut hybrid = FiniteHybridPredictor::paper_geometry(8);
-        let mut stride = FiniteStridePredictor::new(TableSpec::new(8));
-        let mut fcm = FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12));
+        let mut hybrid = Interned::new(FiniteHybridPredictor::paper_geometry(8));
+        let mut stride = Interned::new(FiniteStridePredictor::new(TableSpec::new(8)));
+        let mut fcm = Interned::new(FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12)));
         for (i, &v) in values.iter().enumerate() {
             let pc = Pc(0x400 + (i as u64 % npcs) * 4);
             let h = hybrid.predict(pc);
@@ -295,8 +295,8 @@ proptest! {
 
     #[test]
     fn delay_zero_is_bit_identical_to_immediate(values in arb_small_values(200)) {
-        let mut delayed = DelayedPredictor::new(FcmPredictor::new(2), 0);
-        let mut direct = FcmPredictor::new(2);
+        let mut delayed = Interned::new(DelayedPredictor::new(FcmPredictor::new(2), 0));
+        let mut direct = Interned::new(FcmPredictor::new(2));
         for (i, &v) in values.iter().enumerate() {
             let pc = Pc((i as u64 % 5) * 4);
             prop_assert_eq!(delayed.predict(pc), direct.predict(pc));
@@ -312,16 +312,17 @@ proptest! {
     ) {
         // After draining, the inner predictor has seen exactly the same
         // update sequence as an immediate-update run.
-        let mut delayed = DelayedPredictor::new(StridePredictor::two_delta(), delay);
-        let mut direct = StridePredictor::two_delta();
+        let mut delayed = Interned::new(DelayedPredictor::new(StridePredictor::two_delta(), delay));
+        let mut direct = Interned::new(StridePredictor::two_delta());
         for (i, &v) in values.iter().enumerate() {
             let pc = Pc((i as u64 % 3) * 4);
             delayed.update(pc, v);
             direct.update(pc, v);
         }
-        let inner = delayed.into_inner();
-        for pc in (0..3u64).map(|i| Pc(i * 4)) {
-            prop_assert_eq!(inner.predict(pc), direct.predict(pc));
+        let inner = delayed.into_inner().into_inner();
+        for i in 0..3u32 {
+            let pc = Pc(u64::from(i) * 4);
+            prop_assert_eq!(inner.predict(PcId(i), pc), direct.predict(pc));
         }
     }
 
@@ -330,7 +331,7 @@ proptest! {
         values in arb_small_values(100),
         delay in 0usize..16,
     ) {
-        let mut p = DelayedPredictor::new(LastValuePredictor::new(), delay);
+        let mut p = Interned::new(DelayedPredictor::new(LastValuePredictor::new(), delay));
         for &v in &values {
             p.update(Pc(0), v);
             prop_assert!(p.in_flight() <= delay);
@@ -342,7 +343,7 @@ proptest! {
     #[test]
     fn locality_is_monotone_and_depth1_equals_last_value(values in arb_small_values(300)) {
         let mut profile = LocalityProfile::new(8);
-        let mut lvp = LastValuePredictor::new();
+        let mut lvp = Interned::new(LastValuePredictor::new());
         let mut lvp_correct = 0u64;
         for &v in &values {
             let rec = TraceRecord::new(Pc(0), InstrCategory::AddSub, v);

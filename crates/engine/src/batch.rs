@@ -1,13 +1,14 @@
 //! Chunk-granular batched replay driving.
 //!
 //! The replay driver funnels every record into
-//! [`dvp_core::Predictor::observe_batch`] through this scratch buffer, so
-//! the per-record cost is a few vector writes and the virtual predictor
+//! [`dvp_core::Predictor::observe_batch`] (or
+//! [`dvp_core::PredictorSet::observe_batch`]) through this scratch buffer,
+//! so the per-record cost is a few vector writes and the virtual predictor
 //! dispatch amortizes over a chunk. Batch boundaries are invisible in the
 //! tallies: `observe_batch` is bit-for-bit the per-record loop, so *any*
 //! flush schedule produces identical results.
 
-use dvp_core::Predictor;
+use dvp_core::{Predictor, PredictorSet};
 use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord, Value};
 
 /// Reusable structure-of-arrays gather buffers for batched replay.
@@ -16,16 +17,19 @@ use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord, Value};
 /// (optionally only one PC shard's records) together with each record's
 /// global trace position, and [`observe`](BatchScratch::observe) replays
 /// the selection through one `observe_batch` call, yielding
-/// `(position, category, correct)` per record in trace order.
+/// `(position, category, correct)` per record in trace order;
+/// [`observe_set`](BatchScratch::observe_set) hands the same columns to a
+/// correlated set.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     ids: Vec<PcId>,
     pcs: Vec<Pc>,
     values: Vec<Value>,
+    categories: Vec<InstrCategory>,
     /// Global position of the first record the selection came from.
     base: u64,
-    /// Each selected record's offset from `base`, and its category.
-    tags: Vec<(u32, InstrCategory)>,
+    /// Each selected record's offset from `base`.
+    offsets: Vec<u32>,
     correct: Vec<bool>,
 }
 
@@ -44,40 +48,36 @@ impl BatchScratch {
         self.ids.clear();
         self.pcs.clear();
         self.values.clear();
-        self.tags.clear();
+        self.categories.clear();
+        self.offsets.clear();
         for (offset, (rec, &id)) in (0..).zip(records.iter().zip(ids)) {
             if shard.is_none_or(|(shard_of, s)| shard_of[id.index()] == s) {
                 self.ids.push(id);
                 self.pcs.push(rec.pc);
                 self.values.push(rec.value);
-                self.tags.push((offset, rec.category));
+                self.categories.push(rec.category);
+                self.offsets.push(offset);
             }
         }
     }
 
-    /// The selected records' dense ids, in trace order.
-    pub(crate) fn ids(&self) -> &[PcId] {
-        &self.ids
-    }
-
-    /// The selected records, rebuilt in trace order.
-    pub(crate) fn records(&self) -> impl Iterator<Item = TraceRecord> + '_ {
-        let fields = self.pcs.iter().zip(&self.tags).zip(&self.values);
-        fields.map(|((&pc, &(_, cat)), &value)| TraceRecord::new(pc, cat, value))
-    }
-
     /// Replays the selection through one `observe_batch` call. Returns the
     /// chunk's global position and, in trace order, each selected
-    /// record's `(offset in the chunk, category)` with whether it was
+    /// record's offset in the chunk, its category, and whether it was
     /// predicted correctly.
     pub(crate) fn observe(
         &mut self,
         predictor: &mut dyn Predictor,
-    ) -> (u64, &[(u32, InstrCategory)], &[bool]) {
+    ) -> (u64, &[u32], &[InstrCategory], &[bool]) {
         self.correct.clear();
         self.correct.resize(self.ids.len(), false);
         predictor.observe_batch(&self.ids, &self.pcs, &self.values, &mut self.correct);
-        (self.base, &self.tags, &self.correct)
+        (self.base, &self.offsets, &self.categories, &self.correct)
+    }
+
+    /// Replays the selection through a correlated set.
+    pub(crate) fn observe_set(&self, set: &mut PredictorSet) {
+        set.observe_batch(&self.ids, &self.pcs, &self.values, &self.categories);
     }
 }
 
@@ -105,7 +105,8 @@ mod tests {
             let mut reference = config.build();
             let mut want = AccuracyTracker::new();
             for (rec, &id) in records.iter().zip(&ids) {
-                want.record(rec.category, reference.observe_id(id, rec.pc, rec.value));
+                let hit = reference.step(id, rec.pc, rec.value) == Some(rec.value);
+                want.record(rec.category, hit);
             }
             for chunk in [3usize, 64, 500] {
                 let mut predictor = config.build();
@@ -113,8 +114,8 @@ mod tests {
                 let mut scratch = BatchScratch::default();
                 for (c, (recs, idch)) in records.chunks(chunk).zip(ids.chunks(chunk)).enumerate() {
                     scratch.gather((c * chunk) as u64, recs, idch, None);
-                    let (_, tags, correct) = scratch.observe(predictor.as_mut());
-                    for (&(_, cat), &ok) in tags.iter().zip(correct) {
+                    let (_, _, categories, correct) = scratch.observe(predictor.as_mut());
+                    for (&cat, &ok) in categories.iter().zip(correct) {
                         got.record(cat, ok);
                     }
                 }
@@ -134,15 +135,16 @@ mod tests {
         scratch.gather(1000, &records[10..40], &ids[10..40], Some((&shard_of, 1)));
         let picked: Vec<usize> = (10..40).filter(|&i| shard_of[ids[i].index()] == 1).collect();
         assert!(!picked.is_empty() && picked.len() < 30);
-        let want: Vec<TraceRecord> = picked.iter().map(|&i| records[i]).collect();
-        assert_eq!(scratch.records().collect::<Vec<_>>(), want);
-        let want_ids: Vec<PcId> = picked.iter().map(|&i| ids[i]).collect();
-        assert_eq!(scratch.ids(), want_ids);
+        let rebuilt: Vec<TraceRecord> = (0..scratch.ids.len())
+            .map(|j| TraceRecord::new(scratch.pcs[j], scratch.categories[j], scratch.values[j]))
+            .collect();
+        assert_eq!(rebuilt, picked.iter().map(|&i| records[i]).collect::<Vec<_>>());
+        assert_eq!(scratch.ids, picked.iter().map(|&i| ids[i]).collect::<Vec<_>>());
         let mut p = PredictorConfig::paper_bank()[0].build();
-        let (base, tags, _) = scratch.observe(p.as_mut());
-        let positions: Vec<u64> = tags.iter().map(|&(at, _)| base + u64::from(at)).collect();
+        let (base, offsets, _, _) = scratch.observe(p.as_mut());
+        let positions: Vec<u64> = offsets.iter().map(|&at| base + u64::from(at)).collect();
         assert_eq!(positions, picked.iter().map(|&i| 990 + i as u64).collect::<Vec<_>>());
         scratch.gather(0, &records[5..5], &ids[5..5], None);
-        assert!(scratch.ids().is_empty());
+        assert!(scratch.ids.is_empty() && scratch.offsets.is_empty());
     }
 }

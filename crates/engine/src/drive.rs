@@ -7,7 +7,7 @@ use crate::batch::BatchScratch;
 use crate::pool::decode_ahead;
 use crate::shared::ChunkWindow;
 use crate::{shard_of_pc, ReplayEngine, SharedTrace};
-use dvp_core::{AccuracyTracker, Predictor, PredictorConfig, PredictorSet, SetBatch};
+use dvp_core::{AccuracyTracker, Predictor, PredictorConfig, PredictorSet};
 use dvp_trace::io::{v2, TraceIoError};
 use dvp_trace::{PcId, PcInterner, PhasePlan, TraceRecord};
 use std::io::Read;
@@ -115,18 +115,18 @@ impl Model for Tallied {
     type Tally = (String, Vec<AccuracyTracker>);
 
     fn feed(&mut self, batch: &mut BatchScratch) {
-        let (base, tags, correct) = batch.observe(self.predictor.as_mut());
-        let before = |pos: u64| move |&(at, _): &(u32, _)| base + u64::from(at) < pos;
+        let (base, offsets, categories, correct) = batch.observe(self.predictor.as_mut());
+        let before = |pos: u64| move |&at: &u32| base + u64::from(at) < pos;
         let mut from = 0;
         // Outcomes are in position order: walk them one window at a time.
         while let Some(window) = self.windows.get(self.next) {
-            let end = from + tags[from..].partition_point(before(window.end));
-            let start = from + tags[from..end].partition_point(before(window.start));
+            let end = from + offsets[from..].partition_point(before(window.end));
+            let start = from + offsets[from..end].partition_point(before(window.start));
             let tally = &mut self.tallies.1[self.first + self.next];
-            for (&(_, category), &hit) in tags[start..end].iter().zip(&correct[start..end]) {
+            for (&category, &hit) in categories[start..end].iter().zip(&correct[start..end]) {
                 tally.record(category, hit);
             }
-            if end == tags.len() {
+            if end == offsets.len() {
                 break;
             }
             (from, self.next) = (end, self.next + 1);
@@ -144,26 +144,17 @@ impl Model for Tallied {
     }
 }
 
-/// A correlated [`PredictorSet`] observing its records in lockstep.
-pub(crate) struct Correlated(PredictorSet, SetBatch, Vec<TraceRecord>);
-
-impl Correlated {
-    pub(crate) fn new(set: PredictorSet) -> Self {
-        Correlated(set, SetBatch::new(), Vec::new())
-    }
-}
-
-impl Model for Correlated {
+/// A correlated set observes its records in lockstep, straight from the
+/// batch's columns.
+impl Model for PredictorSet {
     type Tally = PredictorSet;
 
     fn feed(&mut self, batch: &mut BatchScratch) {
-        self.2.clear();
-        self.2.extend(batch.records());
-        self.0.observe_dense_batch(batch.ids(), &self.2, &mut self.1);
+        batch.observe_set(self);
     }
 
     fn finish(self) -> Self::Tally {
-        self.0
+        self
     }
 
     fn merge(into: &mut Self::Tally, from: Self::Tally) {

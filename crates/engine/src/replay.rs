@@ -1,6 +1,6 @@
 //! The replay engine: fan predictor configurations out over a shared trace.
 
-use crate::drive::{Correlated, Plan};
+use crate::drive::Plan;
 use crate::{par_map, try_par_map, SharedTrace};
 use dvp_core::{AccuracyTracker, PredictorConfig, PredictorSet};
 
@@ -180,7 +180,7 @@ impl ReplayEngine {
     where
         F: Fn() -> PredictorSet + Sync,
     {
-        let make = |_, _| Correlated::new(build());
+        let make = |_, _| build();
         self.drive(trace, Plan::Full, 1, make).pop().expect("one merged set")
     }
 }
@@ -217,8 +217,9 @@ mod tests {
         for (config, replay) in bank.iter().zip(&replays) {
             let mut predictor = config.build();
             let mut tracker = AccuracyTracker::new();
-            for rec in trace.iter() {
-                tracker.record(rec.category, predictor.observe(rec.pc, rec.value));
+            for (rec, id) in trace.iter_with_ids() {
+                tracker
+                    .record(rec.category, predictor.step(id, rec.pc, rec.value) == Some(rec.value));
             }
             assert_eq!(replay.name, config.name());
             for category in dvp_trace::InstrCategory::ALL.into_iter().map(Some).chain([None]) {
@@ -273,8 +274,8 @@ mod tests {
     fn correlated_replay_matches_sequential_set() {
         let trace = mixed_trace(4000);
         let mut sequential = PredictorSet::paper_trio();
-        for rec in trace.iter() {
-            sequential.observe(rec);
+        for (r, id) in trace.iter_with_ids() {
+            sequential.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
         }
         let engine = ReplayEngine::new().with_workers(4).with_shards(6);
         let merged = engine.replay_correlated(&trace, PredictorSet::paper_trio);

@@ -167,9 +167,9 @@ mod tests {
             let half = trace.len() / 2;
             let mut stride = StridePredictor::two_delta();
             let mut fcm = FcmPredictor::new(3);
-            for (i, rec) in trace.iter().enumerate() {
-                let sc = stride.observe(rec.pc, rec.value);
-                let fc = fcm.observe(rec.pc, rec.value);
+            for (i, (rec, id)) in trace.iter_with_ids().enumerate() {
+                let sc = stride.step(id, rec.pc, rec.value) == Some(rec.value);
+                let fc = fcm.step(id, rec.pc, rec.value) == Some(rec.value);
                 if i >= half {
                     s2_ss.0 += u64::from(sc);
                     s2_ss.1 += 1;

@@ -8,7 +8,7 @@ use dvp_core::sequences::{
     SequenceClass,
 };
 use dvp_core::{FcmPredictor, LastValuePredictor, Predictor, StridePolicy, StridePredictor};
-use dvp_trace::Pc;
+use dvp_trace::{Pc, PcId};
 
 /// Sequence length used for the measurements.
 const N: usize = 400;
@@ -157,9 +157,9 @@ pub fn figure1() -> Figure1 {
                 dvp_core::CounterMode::Exact,
             );
             for &v in &seq {
-                p.update(Pc(0), v);
+                p.step(PcId(0), Pc(0), v);
             }
-            let pred = p.predict(Pc(0)).map_or('?', |v| symbols[v as usize]);
+            let pred = p.predict(PcId(0), Pc(0)).map_or('?', |v| symbols[v as usize]);
             (order, pred)
         })
         .collect();
@@ -206,15 +206,9 @@ pub fn figure2() -> Figure2 {
     let mut stride =
         StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 1 });
     let mut fcm = FcmPredictor::new(2);
-    let pc = Pc(0);
-    let mut stride_predictions = Vec::new();
-    let mut fcm_predictions = Vec::new();
-    for &v in &values {
-        stride_predictions.push(stride.predict(pc));
-        fcm_predictions.push(fcm.predict(pc));
-        stride.update(pc, v);
-        fcm.update(pc, v);
-    }
+    let (id, pc) = (PcId(0), Pc(0));
+    let stride_predictions = values.iter().map(|&v| stride.step(id, pc, v)).collect();
+    let fcm_predictions = values.iter().map(|&v| fcm.step(id, pc, v)).collect();
     let long = repeated_stride(1, 1, 4, 400);
     let stride_learning = sequences::measure_learning(
         &mut StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 1 }),

@@ -121,13 +121,14 @@ pub fn entropy(store: &mut TraceStore) -> Result<EntropyResults, BuildError> {
         let mut local = EntropyProfile::new();
         let mut fcm = FcmPredictor::new(ENTROPY_FCM_ORDER);
         let trace = store.trace(benchmark)?;
-        for rec in trace.iter() {
+        fcm.reserve_ids(trace.interner().len());
+        for (rec, id) in trace.iter_with_ids() {
             let pc = namespaced(rec.pc, index);
             let mut pooled_rec = *rec;
             pooled_rec.pc = pc;
             pooled.record(&pooled_rec);
             local.record(rec);
-            let correct = fcm.observe(pc, rec.value);
+            let correct = fcm.step(id, pc, rec.value) == Some(rec.value);
             let entry = outcomes.entry(pc).or_insert((0, 0));
             entry.0 += 1;
             entry.1 += u64::from(correct);

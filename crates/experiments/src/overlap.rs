@@ -4,8 +4,8 @@
 use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};
 use dvp_core::{improvement_at, improvement_curve, ImprovementPoint, PcTally, PredictorSet};
-use dvp_engine::ReplayEngine;
-use dvp_trace::{InstrCategory, TraceRecord};
+use dvp_engine::{ReplayEngine, SharedTrace};
+use dvp_trace::InstrCategory;
 use dvp_workloads::{Benchmark, BuildError};
 
 /// The subset masks in the paper's legend order (bit 0 = last value,
@@ -147,13 +147,15 @@ impl OverlapResults {
     }
 }
 
-/// Feeds a trace through a fresh paper trio and returns the set (exposed
-/// for tests and benches that need a one-benchmark overlap).
+/// Feeds a trace through a fresh paper trio, record by record under the
+/// trace's ids, and returns the set (exposed for tests that need a
+/// one-benchmark overlap without the engine).
 #[must_use]
-pub fn trio_over(records: &[TraceRecord]) -> PredictorSet {
+pub fn trio_over(trace: &SharedTrace) -> PredictorSet {
     let mut set = PredictorSet::paper_trio();
-    for rec in records {
-        set.observe(rec);
+    set.reserve_ids(trace.interner().len());
+    for (r, id) in trace.iter_with_ids() {
+        set.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
     }
     set
 }

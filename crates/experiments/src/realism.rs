@@ -13,6 +13,7 @@ use dvp_core::{
     FiniteStridePredictor, LastValuePredictor, Predictor, StridePredictor, TableSpec,
 };
 use dvp_engine::{ReplayEngine, SharedTrace};
+use dvp_trace::Value;
 use dvp_workloads::{Benchmark, BuildError};
 
 /// FCM order used by both realism experiments (order 2 keeps small hashed
@@ -74,17 +75,17 @@ fn lockstep_cell(
     mut s: impl Predictor,
     mut f: impl Predictor,
 ) -> Option<(f64, f64, f64)> {
-    // Dense id-driven feed: unbounded predictors index their slot vectors
-    // directly; finite tables ignore the id (PC hashing *is* their model)
-    // but still observe through the fused single-walk step.
+    // Trace-id feed: unbounded predictors index their slot vectors
+    // directly; finite tables ignore the id (PC hashing *is* their model).
     l.reserve_ids(trace.interner().len());
     s.reserve_ids(trace.interner().len());
     f.reserve_ids(trace.interner().len());
     let (mut lc, mut sc, mut fc, mut n) = (0u64, 0u64, 0u64, 0u64);
     for (rec, id) in trace.iter_with_ids() {
-        lc += u64::from(l.observe_id(id, rec.pc, rec.value));
-        sc += u64::from(s.observe_id(id, rec.pc, rec.value));
-        fc += u64::from(f.observe_id(id, rec.pc, rec.value));
+        let hit = |p: Option<Value>| u64::from(p == Some(rec.value));
+        lc += hit(l.step(id, rec.pc, rec.value));
+        sc += hit(s.step(id, rec.pc, rec.value));
+        fc += hit(f.step(id, rec.pc, rec.value));
         n += 1;
     }
     (n > 0).then(|| (lc as f64 / n as f64, sc as f64 / n as f64, fc as f64 / n as f64))

@@ -964,6 +964,43 @@ impl Drop for Server {
     }
 }
 
+/// Longest request line the daemon and the router accept, newline
+/// excluded: 1 MiB holds a `jobs` batch of thousands of full-size job
+/// specs, far past any queue capacity or in-flight cap. A longer line is
+/// answered with an `error` frame and the connection is closed, so a
+/// client that never sends `\n` cannot grow a server buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// The request lines of one connection, `\n`- or `\r\n`-terminated,
+/// each read through a [`MAX_REQUEST_LINE`] cap. Ends at EOF, on a read
+/// error or non-UTF-8 bytes (the client is gone or broken), and after
+/// yielding `Err(message)` for an over-long line.
+fn request_lines(stream: TcpStream) -> impl Iterator<Item = Result<String, String>> {
+    let mut reader = io::BufReader::new(stream);
+    let mut buf = Vec::new();
+    let mut done = false;
+    std::iter::from_fn(move || {
+        if done {
+            return None;
+        }
+        buf.clear();
+        let cap = MAX_REQUEST_LINE as u64 + 1;
+        if !matches!(io::Read::take(&mut reader, cap).read_until(b'\n', &mut buf), Ok(n) if n > 0) {
+            return None;
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_REQUEST_LINE {
+            done = true;
+            return Some(Err(format!("request line exceeds {MAX_REQUEST_LINE} bytes")));
+        }
+        String::from_utf8(std::mem::take(&mut buf)).ok().map(Ok)
+    })
+}
+
 /// Writes one frame line; write errors mean the client is gone and are
 /// deliberately ignored (a disconnected client must never wedge a job).
 fn write_frame(writer: &Mutex<TcpStream>, line: &str) {
@@ -1080,12 +1117,15 @@ fn handle_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
     let writer = Arc::new(Mutex::new(write_half));
     write_frame(&writer, &hello_frame());
     let inflight = Arc::new(AtomicUsize::new(0));
-    let reader = io::BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
+    for line in request_lines(stream) {
+        let line = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => line,
+            Err(too_long) => {
+                write_frame(&writer, &error_frame(None, &too_long));
+                break;
+            }
+        };
         match parse_request(&line) {
             Err(why) => write_frame(&writer, &error_frame(None, &why)),
             Ok(Request::Ping) => write_frame(&writer, "{\"frame\":\"pong\"}"),
@@ -1742,12 +1782,15 @@ fn handle_router_connection(shared: &Arc<RouterShared>, stream: TcpStream) {
     // any id-collision risk across clients.
     let mut links: Vec<Option<BackendLink>> = Vec::new();
     links.resize_with(shared.backends.len(), || None);
-    let reader = io::BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
+    for line in request_lines(stream) {
+        let line = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => line,
+            Err(too_long) => {
+                send_client_line(&mut client, &error_frame(None, &too_long));
+                break;
+            }
+        };
         match parse_request(&line) {
             Err(why) => send_client_line(&mut client, &error_frame(None, &why)),
             Ok(Request::Ping) => send_client_line(&mut client, "{\"frame\":\"pong\"}"),

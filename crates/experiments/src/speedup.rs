@@ -13,7 +13,7 @@
 use crate::context::{TraceStore, REFERENCE_OPT, STEP_BUDGET};
 use crate::table_fmt::TextTable;
 use dvp_core::{
-    oracle_height, value_predicted_height, FcmPredictor, LastValuePredictor, Predictor,
+    oracle_height, value_predicted_height, FcmPredictor, Interned, LastValuePredictor, Predictor,
     SpeedupReport, StridePredictor,
 };
 use dvp_engine::ReplayEngine;
@@ -22,7 +22,7 @@ use dvp_trace::DepNode;
 use dvp_workloads::{Benchmark, BuildError, Workload};
 
 /// Mis-speculation penalty used by the experiment (0 = oracle-gated limit
-/// study; the `realism` bench sweeps nonzero penalties).
+/// study; `examples/dataflow_limit.rs` sweeps nonzero penalties).
 pub const SPEEDUP_PENALTY: u64 = 0;
 
 /// Dataflow-limit results for one benchmark.
@@ -54,8 +54,8 @@ pub struct SpeedupResults {
     pub rows: Vec<SpeedupRow>,
 }
 
-fn speedup_of(nodes: &[DepNode], predictor: &mut dyn Predictor) -> (SpeedupReport, f64) {
-    let report = value_predicted_height(nodes, predictor, SPEEDUP_PENALTY);
+fn speedup_of(nodes: &[DepNode], predictor: impl Predictor) -> (SpeedupReport, f64) {
+    let report = value_predicted_height(nodes, &mut Interned::new(predictor), SPEEDUP_PENALTY);
     (report, report.speedup())
 }
 
@@ -86,9 +86,9 @@ pub fn run(store: &TraceStore, engine: &ReplayEngine) -> Result<SpeedupResults, 
             nodes.truncate(cap);
         }
         let base_height = dvp_core::dataflow_height(&nodes);
-        let (report_l, l) = speedup_of(&nodes, &mut LastValuePredictor::new());
-        let (_, s2) = speedup_of(&nodes, &mut StridePredictor::two_delta());
-        let (_, fcm3) = speedup_of(&nodes, &mut FcmPredictor::new(3));
+        let (report_l, l) = speedup_of(&nodes, LastValuePredictor::new());
+        let (_, s2) = speedup_of(&nodes, StridePredictor::two_delta());
+        let (_, fcm3) = speedup_of(&nodes, FcmPredictor::new(3));
         let oracle_h = oracle_height(&nodes);
         Ok(SpeedupRow {
             benchmark,

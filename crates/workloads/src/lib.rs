@@ -114,8 +114,8 @@ impl Benchmark {
 
     /// Default scale (outer repetition count), tuned so each benchmark
     /// produces roughly 1.5–3 million predicted records at `O1` — past the
-    /// point where predictor accuracies stabilize (see the
-    /// `ablation_trace_length` bench).
+    /// point where predictor accuracies stabilize (compare `repro figure3`
+    /// with `repro --quick figure3`, which runs quarter-scale traces).
     #[must_use]
     pub fn default_scale(self) -> u32 {
         match self {

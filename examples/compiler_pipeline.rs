@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example compiler_pipeline`
 
 use dvp_asm::assemble;
-use dvp_core::StridePredictor;
+use dvp_core::{Interned, StridePredictor};
 use dvp_lang::{compile, OptLevel};
 use dvp_sim::Machine;
 use dvp_trace::TraceSummary;
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // The loop induction variable and accumulator are stride sequences:
         // a stride predictor should do very well on this program.
-        let mut stride = StridePredictor::two_delta();
+        let mut stride = Interned::new(StridePredictor::two_delta());
         let (correct, total) = dvp_core::run_trace(&mut stride, trace.iter());
         println!("s2 stride accuracy: {:.1}%\n", 100.0 * correct as f64 / total as f64);
     }

@@ -12,8 +12,8 @@
 //! (penalty = extra cycles consumers of a mispredicted value pay; default 0)
 
 use dvp::core::{
-    dataflow_height, oracle_height, value_predicted_height, FcmPredictor, LastValuePredictor,
-    StridePredictor,
+    dataflow_height, oracle_height, value_predicted_height, FcmPredictor, Interned,
+    LastValuePredictor, StridePredictor,
 };
 use dvp::sim::collect_dataflow;
 use dvp::workloads::{Benchmark, Workload};
@@ -38,9 +38,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let nodes = collect_dataflow(&mut machine, 500_000_000)?;
 
         let base = dataflow_height(&nodes);
-        let l = value_predicted_height(&nodes, &mut LastValuePredictor::new(), penalty);
-        let s2 = value_predicted_height(&nodes, &mut StridePredictor::two_delta(), penalty);
-        let fcm3 = value_predicted_height(&nodes, &mut FcmPredictor::new(3), penalty);
+        let l =
+            value_predicted_height(&nodes, &mut Interned::new(LastValuePredictor::new()), penalty);
+        let s2 = value_predicted_height(
+            &nodes,
+            &mut Interned::new(StridePredictor::two_delta()),
+            penalty,
+        );
+        let fcm3 =
+            value_predicted_height(&nodes, &mut Interned::new(FcmPredictor::new(3)), penalty);
         println!(
             "{:<10} {:>9} {:>9} {:>7.1} {:>6.2}x {:>6.2}x {:>6.2}x",
             benchmark.name(),

@@ -5,7 +5,8 @@
 //!
 //! Run with: `cargo run --release --example hybrid_explorer`
 
-use dvp_core::{FcmPredictor, HybridPredictor, PredictorSet, StridePredictor};
+use dvp_core::{FcmPredictor, HybridPredictor, Interned, PredictorSet, StridePredictor};
+use dvp_engine::{ReplayEngine, SharedTrace};
 use dvp_lang::OptLevel;
 use dvp_workloads::{Benchmark, Workload};
 
@@ -18,20 +19,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let workload = Workload::reference(benchmark).with_scale(1);
         let trace = workload.trace(OptLevel::O1, 200_000_000)?;
 
-        // Union of correct sets via the lockstep machinery (bit1 = stride,
-        // bit2 = fcm in the paper trio).
-        let mut set = PredictorSet::new();
-        set.push(Box::new(StridePredictor::two_delta()));
-        set.push(Box::new(FcmPredictor::new(3)));
-        for rec in &trace {
-            set.observe(rec);
-        }
+        // Union of correct sets via the lockstep machinery (bit 0 = stride,
+        // bit 1 = fcm), fed the trace's interned ids.
+        let shared = SharedTrace::from_records(trace.clone());
+        let set = ReplayEngine::sequential().replay_correlated(&shared, || {
+            let mut set = PredictorSet::new();
+            set.push(Box::new(StridePredictor::two_delta()));
+            set.push(Box::new(FcmPredictor::new(3)));
+            set
+        });
         let total = set.total() as f64;
         let s2 = set.accuracy(0) * 100.0;
         let fcm = set.accuracy(1) * 100.0;
         let union = (total - set.subset_count(None, 0b00) as f64) / total * 100.0;
 
-        let mut hybrid = HybridPredictor::stride_fcm(3);
+        let mut hybrid = Interned::new(HybridPredictor::stride_fcm(3));
         let (correct, _) = dvp_core::run_trace(&mut hybrid, trace.iter());
         let hybrid_acc = correct as f64 / total * 100.0;
 

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example locality_scan`
 
-use dvp_core::{EntropyProfile, LastValuePredictor, LocalityProfile, Predictor};
+use dvp_core::{EntropyProfile, Interned, LastValuePredictor, LocalityProfile};
 use dvp_lang::OptLevel;
 use dvp_workloads::{Benchmark, Workload};
 
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let mut locality = LocalityProfile::new(16);
         let mut entropy = EntropyProfile::new();
-        let mut lvp = LastValuePredictor::new();
+        let mut lvp = Interned::new(LastValuePredictor::new());
         let mut lvp_correct = 0u64;
         for rec in &trace {
             locality.record(rec);

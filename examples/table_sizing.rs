@@ -13,14 +13,14 @@
 
 use dvp_core::{
     FcmPredictor, FiniteFcmPredictor, FiniteHybridPredictor, FiniteLastValuePredictor,
-    FiniteStridePredictor, Predictor, StridePredictor, TableSpec,
+    FiniteStridePredictor, Interned, Predictor, StridePredictor, TableSpec,
 };
 use dvp_lang::OptLevel;
 use dvp_trace::TraceRecord;
 use dvp_workloads::{Benchmark, Workload};
 
-fn accuracy(p: &mut dyn Predictor, trace: &[TraceRecord]) -> f64 {
-    let (correct, total) = dvp_core::run_trace(p, trace.iter());
+fn accuracy(p: impl Predictor, trace: &[TraceRecord]) -> f64 {
+    let (correct, total) = dvp_core::run_trace(&mut Interned::new(p), trace.iter());
     100.0 * correct as f64 / total.max(1) as f64
 }
 
@@ -43,19 +43,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for bits in [4u32, 6, 8, 10, 12, 14] {
         let untagged = TableSpec::new(bits);
         let tagged = TableSpec::new(bits).with_tag_bits(8);
-        let mut f = FiniteFcmPredictor::new(2, untagged, TableSpec::new(bits + 4));
-        let mut h = FiniteHybridPredictor::paper_geometry(bits);
+        let f = FiniteFcmPredictor::new(2, untagged, TableSpec::new(bits + 4));
+        let h = FiniteHybridPredictor::paper_geometry(bits);
+        let fcm_kib = f.storage_bits() / 8 / 1024;
         let hybrid_kib = h.storage_bits() / 8 / 1024;
         println!(
             "{:>8} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>9} {:>8.1} {:>8}",
             1u64 << bits,
-            accuracy(&mut FiniteLastValuePredictor::new(untagged), &trace),
-            accuracy(&mut FiniteLastValuePredictor::new(tagged), &trace),
-            accuracy(&mut FiniteStridePredictor::new(untagged), &trace),
-            accuracy(&mut FiniteStridePredictor::new(tagged), &trace),
-            accuracy(&mut f, &trace),
-            f.storage_bits() / 8 / 1024,
-            accuracy(&mut h, &trace),
+            accuracy(FiniteLastValuePredictor::new(untagged), &trace),
+            accuracy(FiniteLastValuePredictor::new(tagged), &trace),
+            accuracy(FiniteStridePredictor::new(untagged), &trace),
+            accuracy(FiniteStridePredictor::new(tagged), &trace),
+            accuracy(f, &trace),
+            fcm_kib,
+            accuracy(h, &trace),
             hybrid_kib,
         );
     }
@@ -64,9 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "unbound",
         "-",
         "-",
-        accuracy(&mut StridePredictor::two_delta(), &trace),
+        accuracy(StridePredictor::two_delta(), &trace),
         "-",
-        accuracy(&mut FcmPredictor::new(2), &trace),
+        accuracy(FcmPredictor::new(2), &trace),
         "-",
         "-",
         "-"

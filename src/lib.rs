@@ -22,10 +22,10 @@
 //! This facade crate re-exports everything for one-line access:
 //!
 //! ```
-//! use dvp::core::{FcmPredictor, Predictor};
+//! use dvp::core::{FcmPredictor, Interned};
 //! use dvp::trace::Pc;
 //!
-//! let mut fcm = FcmPredictor::new(2);
+//! let mut fcm = Interned::new(FcmPredictor::new(2));
 //! for &v in [1u64, 5, 9, 1, 5, 9, 1, 5].iter() {
 //!     fcm.observe(Pc(0), v);
 //! }

@@ -3,8 +3,8 @@
 
 use dvp::asm::assemble;
 use dvp::core::{
-    dataflow_height, oracle_height, value_predicted_height, FcmPredictor, LastValuePredictor,
-    Predictor, StridePredictor,
+    dataflow_height, oracle_height, value_predicted_height, FcmPredictor, Interned,
+    LastValuePredictor, Predictor, StridePredictor,
 };
 use dvp::lang::{compile, OptLevel};
 use dvp::sim::{collect_dataflow, Machine};
@@ -54,7 +54,8 @@ fn serial_program_is_dataflow_bound_and_stride_breaks_it() {
 
     // Both loop-carried chains are stride-class sequences: the stride
     // predictor collapses the critical path dramatically.
-    let stride = value_predicted_height(&nodes, &mut StridePredictor::two_delta(), 0);
+    let stride =
+        value_predicted_height(&nodes, &mut Interned::new(StridePredictor::two_delta()), 0);
     assert!(
         stride.speedup() > 5.0,
         "stride must break the induction/accumulator spine: {:?}",
@@ -63,7 +64,7 @@ fn serial_program_is_dataflow_bound_and_stride_breaks_it() {
 
     // The fcm predictor cannot extrapolate non-repeating strides (paper
     // Table 1, row S): it gains far less on this program.
-    let fcm = value_predicted_height(&nodes, &mut FcmPredictor::new(3), 0);
+    let fcm = value_predicted_height(&nodes, &mut Interned::new(FcmPredictor::new(3)), 0);
     assert!(
         stride.speedup() > fcm.speedup(),
         "stride {} must out-speed fcm {} on pure stride chains",
@@ -89,12 +90,13 @@ fn value_trace_is_identical_between_plain_and_dataflow_runs() {
 fn penalty_free_speculation_never_slows_the_limit() {
     let nodes = dataflow_of(SERIAL);
     let base = dataflow_height(&nodes);
-    for mut p in [
+    for p in [
         Box::new(LastValuePredictor::new()) as Box<dyn Predictor>,
         Box::new(StridePredictor::two_delta()),
         Box::new(FcmPredictor::new(2)),
     ] {
-        let report = value_predicted_height(&nodes, p.as_mut(), 0);
+        let mut p = Interned::new(p);
+        let report = value_predicted_height(&nodes, &mut p, 0);
         assert_eq!(report.base_height, base);
         assert!(report.vp_height <= base, "{} slowed the limit", p.name());
     }

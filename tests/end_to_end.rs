@@ -3,7 +3,8 @@
 //! facade.
 
 use dvp::asm::assemble;
-use dvp::core::{FcmPredictor, Predictor, PredictorSet, StridePredictor};
+use dvp::core::{FcmPredictor, Interned, Predictor, PredictorSet, StridePredictor};
+use dvp::engine::{ReplayEngine, SharedTrace};
 use dvp::lang::{compile, OptLevel};
 use dvp::sim::Machine;
 use dvp::trace::{InstrCategory, TraceRecord};
@@ -41,12 +42,13 @@ fn full_pipeline_produces_predictable_trace() {
 
     // The table loads form a repeated non-stride sequence: fcm must beat
     // stride on the Loads category, exactly the paper's core claim.
-    let mut set = PredictorSet::new();
-    set.push(Box::new(StridePredictor::two_delta()));
-    set.push(Box::new(FcmPredictor::new(2)));
-    for rec in &trace {
-        set.observe(rec);
-    }
+    let shared = SharedTrace::from_records(trace);
+    let set = ReplayEngine::sequential().replay_correlated(&shared, || {
+        let mut set = PredictorSet::new();
+        set.push(Box::new(StridePredictor::two_delta()));
+        set.push(Box::new(FcmPredictor::new(2)));
+        set
+    });
     let loads_total: u64 = (0..4u32).map(|m| set.subset_count(Some(InstrCategory::Loads), m)).sum();
     let fcm_loads: u64 =
         [0b10u32, 0b11].iter().map(|&m| set.subset_count(Some(InstrCategory::Loads), m)).sum();
@@ -85,7 +87,7 @@ fn optimization_levels_preserve_behaviour_but_change_mix() {
 #[test]
 fn idealized_tables_have_one_entry_per_static_instruction() {
     let trace = trace_of(OptLevel::O1);
-    let mut fcm = FcmPredictor::new(1);
+    let mut fcm = Interned::new(FcmPredictor::new(1));
     for rec in &trace {
         fcm.update(rec.pc, rec.value);
     }

@@ -26,9 +26,9 @@ fn engine_replay_equals_sequential_lockstep_on_real_trace() {
     // The pre-engine sequential loop: all predictors in lockstep.
     let mut predictors: Vec<Box<dyn Predictor>> = bank.iter().map(PredictorConfig::build).collect();
     let mut trackers = vec![AccuracyTracker::new(); predictors.len()];
-    for rec in trace.iter() {
+    for (rec, id) in trace.iter_with_ids() {
         for (p, tracker) in predictors.iter_mut().zip(&mut trackers) {
-            tracker.record(rec.category, p.observe(rec.pc, rec.value));
+            tracker.record(rec.category, p.step(id, rec.pc, rec.value) == Some(rec.value));
         }
     }
 
@@ -53,8 +53,8 @@ fn engine_replay_equals_sequential_lockstep_on_real_trace() {
 fn correlated_replay_equals_sequential_trio_on_real_trace() {
     let trace = trace();
     let mut sequential = PredictorSet::paper_trio();
-    for rec in trace.iter() {
-        sequential.observe(rec);
+    for (r, id) in trace.iter_with_ids() {
+        sequential.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
     }
     for (workers, shards) in [(1, 4), (4, 8), (2, 5)] {
         let engine = ReplayEngine::new().with_workers(workers).with_shards(shards);

@@ -5,16 +5,17 @@
 
 use dvp::core::{
     DelayedPredictor, FcmPredictor, FiniteFcmPredictor, FiniteHybridPredictor,
-    FiniteStridePredictor, LastValuePredictor, Predictor, StridePredictor, TableSpec,
+    FiniteStridePredictor, Interned, LastValuePredictor, Predictor, StridePredictor, TableSpec,
 };
 use dvp::engine::ReplayEngine;
 use dvp::experiments::{accuracy, overlap, values, TraceStore};
 use dvp::trace::InstrCategory;
 use std::sync::OnceLock;
 
-/// The shapes below need enough records for FCM warmup (~100k upward; see
-/// the ablation_trace_length bench), so the cap stays at 200k even in
-/// debug builds — results are computed once and shared across tests.
+/// The shapes below need enough records for FCM warmup (~100k upward;
+/// compare `repro figure3` with the quarter-scale `repro --quick figure3`),
+/// so the cap stays at 200k even in debug builds — results are computed
+/// once and shared across tests.
 fn store() -> TraceStore {
     TraceStore::with_scale_div(1000).with_record_cap(200_000)
 }
@@ -106,14 +107,14 @@ fn claim_shifts_hardest_addsub_easier() {
 }
 
 #[test]
-fn claim_unbounded_immediate_update_idealization() {
+fn claim_unbounded_tables_with_immediate_updates() {
     // Sanity of the methodology: predictors see each static instruction in
     // isolation (no aliasing) and are updated immediately — so feeding the
     // same trace twice must *improve or maintain* fcm accuracy (warm
     // tables), never degrade it.
     let mut store = store();
     let trace = store.trace(dvp::workloads::Benchmark::Perl).unwrap().to_vec();
-    let mut fcm = FcmPredictor::new(2);
+    let mut fcm = Interned::new(FcmPredictor::new(2));
     let (first, n) = dvp::core::run_trace(&mut fcm, trace.iter());
     let (second, _) = dvp::core::run_trace(&mut fcm, trace.iter());
     assert!(second >= first, "warm tables {second} vs cold {first} over {n}");
@@ -125,14 +126,14 @@ fn claim_hybrid_usefulness() {
     // fcm wins and stride where stride wins.
     let mut store = store();
     let trace = store.trace(dvp::workloads::Benchmark::M88k).unwrap().to_vec();
-    let acc = |p: &mut dyn Predictor| {
-        let (c, t) = dvp::core::run_trace(p, trace.iter());
+    let acc = |p: Box<dyn Predictor>| {
+        let (c, t) = dvp::core::run_trace(&mut Interned::new(p), trace.iter());
         c as f64 / t as f64
     };
-    let s2 = acc(&mut StridePredictor::two_delta());
-    let fcm = acc(&mut FcmPredictor::new(3));
-    let l = acc(&mut LastValuePredictor::new());
-    let hybrid = acc(&mut dvp::core::HybridPredictor::stride_fcm(3));
+    let s2 = acc(Box::new(StridePredictor::two_delta()));
+    let fcm = acc(Box::new(FcmPredictor::new(3)));
+    let l = acc(Box::new(LastValuePredictor::new()));
+    let hybrid = acc(Box::new(dvp::core::HybridPredictor::stride_fcm(3)));
     assert!(hybrid >= s2.max(l), "hybrid {hybrid} >= components' floor");
     assert!(hybrid >= fcm - 0.05, "hybrid {hybrid} close to fcm {fcm}");
 }
@@ -145,17 +146,17 @@ fn claim_hybrid_gives_high_accuracy_at_lower_cost() {
     // predictor of comparable storage.
     let mut store = store();
     let trace = store.trace(dvp::workloads::Benchmark::Cc).unwrap().to_vec();
-    let acc = |p: &mut dyn Predictor| {
-        let (c, t) = dvp::core::run_trace(p, trace.iter());
+    let acc = |p: Box<dyn Predictor>| {
+        let (c, t) = dvp::core::run_trace(&mut Interned::new(p), trace.iter());
         c as f64 / t as f64
     };
-    let mut hybrid = FiniteHybridPredictor::paper_geometry(10);
-    let mut fcm = FiniteFcmPredictor::new(2, TableSpec::new(10), TableSpec::new(14));
+    let hybrid = FiniteHybridPredictor::paper_geometry(10);
+    let fcm = FiniteFcmPredictor::new(2, TableSpec::new(10), TableSpec::new(14));
     // Comparable budgets: the hybrid adds a stride table + chooser, well
     // under a doubling.
     assert!(hybrid.storage_bits() < 2 * fcm.storage_bits());
-    let hybrid_acc = acc(&mut hybrid);
-    let fcm_acc = acc(&mut fcm);
+    let hybrid_acc = acc(Box::new(hybrid));
+    let fcm_acc = acc(Box::new(fcm));
     assert!(
         hybrid_acc > fcm_acc + 0.02,
         "finite hybrid {hybrid_acc:.3} should clearly beat finite fcm {fcm_acc:.3}"
@@ -169,19 +170,19 @@ fn claim_idealized_results_are_upper_bounds() {
     // must dominate their realizable counterparts on the same trace.
     let mut store = store();
     let trace = store.trace(dvp::workloads::Benchmark::Go).unwrap().to_vec();
-    let acc = |p: &mut dyn Predictor| {
-        let (c, t) = dvp::core::run_trace(p, trace.iter());
+    let acc = |p: Box<dyn Predictor>| {
+        let (c, t) = dvp::core::run_trace(&mut Interned::new(p), trace.iter());
         c as f64 / t as f64
     };
-    let unbounded_s2 = acc(&mut StridePredictor::two_delta());
-    let tiny_s2 = acc(&mut FiniteStridePredictor::new(TableSpec::new(5)));
+    let unbounded_s2 = acc(Box::new(StridePredictor::two_delta()));
+    let tiny_s2 = acc(Box::new(FiniteStridePredictor::new(TableSpec::new(5))));
     assert!(
         unbounded_s2 > tiny_s2,
         "unbounded {unbounded_s2:.3} must bound a 32-entry table {tiny_s2:.3}"
     );
 
-    let immediate = acc(&mut FcmPredictor::new(2));
-    let delayed = acc(&mut DelayedPredictor::new(FcmPredictor::new(2), 64));
+    let immediate = acc(Box::new(FcmPredictor::new(2)));
+    let delayed = acc(Box::new(DelayedPredictor::new(FcmPredictor::new(2), 64)));
     assert!(
         immediate >= delayed,
         "immediate update {immediate:.3} must bound delay-64 {delayed:.3}"

@@ -5,8 +5,8 @@
 use dvp::asm::assemble;
 use dvp::core::{
     DelayedPredictor, EntropyProfile, FcmPredictor, FiniteFcmPredictor, FiniteLastValuePredictor,
-    FiniteStridePredictor, LastValuePredictor, LocalityProfile, Predictor, StridePredictor,
-    TableSpec,
+    FiniteStridePredictor, Interned, LastValuePredictor, LocalityProfile, Predictor,
+    StridePredictor, TableSpec,
 };
 use dvp::lang::{compile, OptLevel};
 use dvp::sim::Machine;
@@ -43,8 +43,8 @@ fn trace() -> Vec<TraceRecord> {
     trace
 }
 
-fn accuracy(p: &mut dyn Predictor, trace: &[TraceRecord]) -> f64 {
-    let (correct, total) = dvp::core::run_trace(p, trace.iter());
+fn accuracy(p: impl Predictor, trace: &[TraceRecord]) -> f64 {
+    let (correct, total) = dvp::core::run_trace(&mut Interned::new(p), trace.iter());
     correct as f64 / total.max(1) as f64
 }
 
@@ -57,20 +57,20 @@ fn large_finite_tables_recover_the_idealized_accuracy() {
     // exactly (the fold keeps distinct PCs in distinct slots; identical
     // accuracy is not guaranteed, closeness is).
     let spec = TableSpec::new(12).with_tag_bits(16);
-    let fin_l = accuracy(&mut FiniteLastValuePredictor::new(spec), &trace);
-    let ub_l = accuracy(&mut LastValuePredictor::new(), &trace);
+    let fin_l = accuracy(FiniteLastValuePredictor::new(spec), &trace);
+    let ub_l = accuracy(LastValuePredictor::new(), &trace);
     assert!((fin_l - ub_l).abs() < 0.01, "finite l {fin_l} vs unbounded {ub_l}");
 
-    let fin_s = accuracy(&mut FiniteStridePredictor::new(spec), &trace);
-    let ub_s = accuracy(&mut StridePredictor::two_delta(), &trace);
+    let fin_s = accuracy(FiniteStridePredictor::new(spec), &trace);
+    let ub_s = accuracy(StridePredictor::two_delta(), &trace);
     assert!((fin_s - ub_s).abs() < 0.01, "finite s2 {fin_s} vs unbounded {ub_s}");
 }
 
 #[test]
 fn tiny_tables_alias_and_lose_accuracy() {
     let trace = trace();
-    let tiny = accuracy(&mut FiniteStridePredictor::new(TableSpec::new(3)), &trace);
-    let large = accuracy(&mut FiniteStridePredictor::new(TableSpec::new(12)), &trace);
+    let tiny = accuracy(FiniteStridePredictor::new(TableSpec::new(3)), &trace);
+    let large = accuracy(FiniteStridePredictor::new(TableSpec::new(12)), &trace);
     assert!(
         tiny < large - 0.10,
         "an 8-slot table must visibly alias: tiny {tiny} vs large {large}"
@@ -80,20 +80,20 @@ fn tiny_tables_alias_and_lose_accuracy() {
 #[test]
 fn finite_fcm_predicts_the_hash_walk() {
     let trace = trace();
-    let mut fcm = FiniteFcmPredictor::new(2, TableSpec::new(10), TableSpec::new(14));
-    let acc = accuracy(&mut fcm, &trace);
-    assert!(acc > 0.40, "two-level fcm accuracy {acc}");
+    let fcm = FiniteFcmPredictor::new(2, TableSpec::new(10), TableSpec::new(14));
     assert!(fcm.storage_bits() > 0);
+    let acc = accuracy(fcm, &trace);
+    assert!(acc > 0.40, "two-level fcm accuracy {acc}");
 }
 
 #[test]
 fn update_delay_degrades_gracefully_on_real_traces() {
     let trace = trace();
-    let immediate = accuracy(&mut DelayedPredictor::new(FcmPredictor::new(2), 0), &trace);
-    let direct = accuracy(&mut FcmPredictor::new(2), &trace);
+    let immediate = accuracy(DelayedPredictor::new(FcmPredictor::new(2), 0), &trace);
+    let direct = accuracy(FcmPredictor::new(2), &trace);
     assert!((immediate - direct).abs() < 1e-12, "delay 0 must be transparent");
 
-    let delayed = accuracy(&mut DelayedPredictor::new(FcmPredictor::new(2), 64), &trace);
+    let delayed = accuracy(DelayedPredictor::new(FcmPredictor::new(2), 64), &trace);
     assert!(delayed <= immediate, "delay cannot help fcm: {delayed} vs {immediate}");
 }
 
@@ -104,7 +104,7 @@ fn depth1_locality_equals_last_value_accuracy_on_real_traces() {
     for rec in &trace {
         profile.record(rec);
     }
-    let lvp = accuracy(&mut LastValuePredictor::new(), &trace);
+    let lvp = accuracy(LastValuePredictor::new(), &trace);
     assert!((profile.locality(1, None) - lvp).abs() < 1e-12);
     // And deeper history exposes strictly more locality on this workload
     // (the hash-table cells rotate among a few values).

@@ -13,7 +13,7 @@ use dvp::engine::ReplayEngine;
 use dvp::experiments::result_cache::{encode_entry, purge_stale, scan_entries};
 use dvp::experiments::serve::{
     route_backend, run_job, JobSpec, Outcome, Router, RouterOptions, ServeClient, ServeOptions,
-    Server,
+    Server, MAX_REQUEST_LINE,
 };
 use proptest::prelude::*;
 use std::io::Write as _;
@@ -217,6 +217,44 @@ fn malformed_frames_get_structured_errors_and_never_kill_the_connection() {
     match client.submit(&job_matrix()[0]).expect("transport") {
         Outcome::Result { .. } => {}
         other => panic!("server wedged after malformed input: {other:?}"),
+    }
+}
+
+/// Sends one newline-free line a byte past the request-line cap and
+/// returns every frame the server wrote before closing the connection.
+fn frames_after_an_over_long_line(addr: &str) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
+    stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).expect("send the giant line");
+    stream.flush().expect("flush");
+    let reader = std::io::BufReader::new(stream);
+    std::io::BufRead::lines(reader).map_while(Result::ok).collect()
+}
+
+#[test]
+fn an_over_long_request_line_gets_an_error_and_both_tiers_keep_serving() {
+    let engine = engine();
+    let job = &job_matrix()[1];
+    let expected = run_job(&JobSpec::parse(job).unwrap(), &engine, None).unwrap();
+    let worker = Server::start(engine, ServeOptions::default()).expect("bind worker");
+    let router = Router::start(RouterOptions {
+        backends: vec![addr_of(&worker)],
+        ..RouterOptions::default()
+    })
+    .expect("start router");
+    for addr in [addr_of(&worker), router.addr().to_string()] {
+        let frames = frames_after_an_over_long_line(&addr);
+        assert_eq!(frames.len(), 2, "hello, one error, then the connection closes: {frames:?}");
+        assert!(frames[0].contains("\"frame\":\"hello\""), "{frames:?}");
+        assert!(frames[1].contains("\"frame\":\"error\""), "{frames:?}");
+        assert!(frames[1].contains("exceeds"), "{frames:?}");
+        // The server is still up and a second client is served the
+        // one-shot bytes.
+        let mut client = ServeClient::connect(&addr).expect("second client");
+        match client.submit(job).expect("transport") {
+            Outcome::Result { payload, .. } => assert_eq!(payload, expected, "{addr}"),
+            other => panic!("{addr} after an over-long line: {other:?}"),
+        }
     }
 }
 
