@@ -22,6 +22,18 @@
 //!   inline array; high-fanout contexts relocate to a geometric spill
 //!   arena. The entry's first follower is always the current argmax, so a
 //!   prediction is one read.
+//! - **Constant-time follower updates.** A spilled list longer than a
+//!   short scan carries an open-addressed follower index in a third
+//!   arena: a power-of-two region of twice the list's capacity holding
+//!   `1 + position` per follower, probed from `mix(value)`. It is built
+//!   when the list relocates, patched in two slots when an argmax swap
+//!   moves two followers, and rebuilt after saturating-mode halving, so a
+//!   bump costs O(1) amortized however many distinct values the context
+//!   has seen (a PC's order-0 context sees every value it ever produced).
+//! - **A compact entry.** Stamps come from one predictor-wide bump clock
+//!   (they only order followers within one context, so the argmax and
+//!   its tie-breaks are unchanged), the bucket hash is cached as a `u32`
+//!   tag, and the narrow fields pack, keeping an entry at 96 bytes.
 //! - **Fused multi-order probe.** One descending walk locates the longest
 //!   matching context and caches every probed entry index; the update
 //!   phase reuses those hits instead of re-probing.
@@ -77,6 +89,13 @@ const INLINE_KEY: usize = 3;
 /// Followers stored inline in a [`CtxEntry`]; higher fanout spills.
 const INLINE_FOLLOWERS: usize = 2;
 
+/// Spilled follower lists up to this capacity find a follower by scanning;
+/// larger lists carry an open-addressed follower index. Measured on the
+/// replay-scaling traces, every threshold from 2 to 32 ran within noise
+/// of the others and 8 had the lowest median: a scan of up to eight rows
+/// costs about one index probe and needs no index region.
+const SCAN_CAP: usize = 8;
+
 /// Probe-cache sentinel: "this (slot, order, context) has no entry".
 const NO_ENTRY: u32 = u32::MAX;
 
@@ -101,8 +120,9 @@ fn mix(x: u64) -> u64 {
 }
 
 /// One `(value, count, stamp)` row of a context's frequency table. Stamps
-/// are per-context ticks, so they are unique within an entry — count ties
-/// always break deterministically toward the most recent value.
+/// come from one predictor-wide clock, so they are unique within an entry
+/// and ordered by recency — count ties always break deterministically
+/// toward the most recent value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Follower {
     value: Value,
@@ -116,44 +136,123 @@ struct Follower {
 /// the argmax by `(count, stamp)` — predictions never scan.
 #[derive(Debug, Clone)]
 struct CtxEntry {
-    /// Full bucket hash (cached for rehashing and as a probe accelerator).
-    hash: u64,
-    /// Per-context recency clock; incremented by every bump.
-    tick: u64,
-    /// The context itself when `key_len <= INLINE_KEY`.
-    key: [Value; INLINE_KEY],
-    /// Offset into the key arena when `key_len > INLINE_KEY`.
-    key_spill: u32,
+    /// Low 32 bits of the bucket hash: a probe accelerator, and enough to
+    /// reseat the entry when the bucket index grows (it never outgrows
+    /// `u32` entry indices).
+    tag: u32,
     /// Owning dense slot (per-instruction isolation is part of the key).
     slot: u32,
-    /// Context length == the model order this entry belongs to.
-    key_len: u16,
     /// Live followers.
     len: u32,
-    /// Follower capacity; `<= INLINE_FOLLOWERS` means inline storage.
-    cap: u32,
     /// Offset into the follower spill arena when not inline.
     spill_pos: u32,
+    /// Offset into the follower index arena when `cap > SCAN_CAP`.
+    index_pos: u32,
+    /// Context length == the model order this entry belongs to.
+    key_len: u8,
+    /// Follower capacity is `1 << cap_log2`; up to `INLINE_FOLLOWERS`
+    /// means inline storage.
+    cap_log2: u8,
+    /// The context itself when `key_len <= INLINE_KEY`; otherwise `key[0]`
+    /// is its offset into the key arena.
+    key: [Value; INLINE_KEY],
     /// Inline follower storage (the common case: most contexts are
     /// followed by one or two distinct values).
     inline: [Follower; INLINE_FOLLOWERS],
 }
 
-/// Bumps `value` inside an existing follower list, maintaining the
-/// front-is-argmax invariant. Returns the new count, or `None` when the
-/// value is not present (the caller appends it).
+// Stride-like traces create one entry per order per record, so the entry
+// size sets both their memory and their cache misses.
+const _: () = assert!(std::mem::size_of::<CtxEntry>() == 96);
+// Capacities are powers of two (`cap_log2`), so index regions are too.
+const _: () = assert!(INLINE_FOLLOWERS.is_power_of_two());
+
+impl CtxEntry {
+    #[inline]
+    fn cap(&self) -> usize {
+        1 << self.cap_log2
+    }
+}
+
+/// Bumps `value` inside a short follower list by scanning it, maintaining
+/// the front-is-argmax invariant. Returns the new count, or `None` when
+/// the value is not present (the caller appends it).
 #[inline]
-fn bump_existing(fs: &mut [Follower], value: Value, tick: u64) -> Option<u64> {
+fn bump_scanned(fs: &mut [Follower], value: Value, stamp: u64) -> Option<u64> {
     let i = fs.iter().position(|f| f.value == value)?;
+    Some(bump_at(fs, i, stamp))
+}
+
+/// Counts one occurrence of follower `i`, swaps it to the front when it
+/// becomes the argmax, and returns its new count. The bumped follower
+/// holds the newest stamp, so it is the argmax exactly when its count
+/// reaches the front's.
+#[inline]
+fn bump_at(fs: &mut [Follower], i: usize, stamp: u64) -> u64 {
     fs[i].count += 1;
-    fs[i].stamp = tick;
+    fs[i].stamp = stamp;
     let count = fs[i].count;
-    // The bumped follower holds the globally newest stamp, so it is the new
-    // argmax exactly when its count reaches the front's.
     if count >= fs[0].count {
         fs.swap(0, i);
     }
+    count
+}
+
+/// Bumps `value` in a long follower list through its index `region`: a
+/// power-of-two open-addressed table of `1 + position` (0 = empty),
+/// probed linearly from `mix(value)` and confirmed against the stored
+/// value. An argmax swap rewrites the two slots it moves.
+#[inline]
+fn bump_indexed(fs: &mut [Follower], region: &mut [u32], value: Value, stamp: u64) -> Option<u64> {
+    let mask = region.len() - 1;
+    let mut b = mix(value) as usize & mask;
+    let i = loop {
+        match region[b] {
+            0 => return None,
+            s if fs[s as usize - 1].value == value => break s as usize - 1,
+            _ => b = (b + 1) & mask,
+        }
+    };
+    let front = fs[0].value;
+    let count = bump_at(fs, i, stamp);
+    if i > 0 && fs[0].value == value {
+        let slot = front_slot(region, front);
+        region[slot] = i as u32 + 1;
+        region[b] = 1;
+    }
     Some(count)
+}
+
+/// The index slot of the front follower, found on its value's probe path
+/// (each position appears exactly once in a region).
+#[inline]
+fn front_slot(region: &[u32], front: Value) -> usize {
+    let mask = region.len() - 1;
+    let mut b = mix(front) as usize & mask;
+    while region[b] != 1 {
+        b = (b + 1) & mask;
+    }
+    b
+}
+
+/// Records follower position `at` for `value` in an index region (which
+/// is at most half full, so an empty slot always exists).
+#[inline]
+fn index_insert(region: &mut [u32], value: Value, at: usize) {
+    let mask = region.len() - 1;
+    let mut b = mix(value) as usize & mask;
+    while region[b] != 0 {
+        b = (b + 1) & mask;
+    }
+    region[b] = at as u32 + 1;
+}
+
+/// Rebuilds an index region from scratch over a follower list.
+fn index_rebuild(region: &mut [u32], fs: &[Follower]) {
+    region.fill(0);
+    for (at, f) in fs.iter().enumerate() {
+        index_insert(region, f.value, at);
+    }
 }
 
 /// Halves every count, drops zeros, and re-seats the argmax at the front
@@ -177,10 +276,10 @@ fn halve_followers(fs: &mut [Follower]) -> u32 {
 }
 
 /// The flat open-addressed value-history table: every (slot, order,
-/// context) entry of the predictor, plus the key and follower spill
-/// arenas. Entries are never removed (matching the unbounded paper
-/// model), so entry indices are stable across bucket growth — the fused
-/// probe caches them safely.
+/// context) entry of the predictor, plus the key, follower spill and
+/// follower index arenas. Entries are never removed (matching the
+/// unbounded paper model), so entry indices are stable across bucket
+/// growth — the fused probe caches them safely.
 #[derive(Debug, Clone, Default)]
 struct Vht {
     /// Power-of-two open-addressed index: `1 + entry index`, 0 = empty.
@@ -192,6 +291,14 @@ struct Vht {
     /// Spilled follower lists; relocation leaves old regions behind
     /// (bounded ≤2x waste, no per-context allocations).
     spill: Vec<Follower>,
+    /// Follower index regions of spilled lists above `SCAN_CAP`: each
+    /// list owns `2 * cap` slots, rebuilt on relocation and left behind
+    /// like the spill regions.
+    index: Vec<u32>,
+    /// Predictor-wide bump clock. Stamps only order followers within one
+    /// context, so one shared clock breaks ties exactly as per-context
+    /// clocks would.
+    clock: u64,
 }
 
 impl Vht {
@@ -207,7 +314,7 @@ impl Vht {
             && if ctx.len() <= INLINE_KEY {
                 e.key[..ctx.len()] == *ctx
             } else {
-                self.keys[e.key_spill as usize..][..ctx.len()] == *ctx
+                self.keys[e.key[0] as usize..][..ctx.len()] == *ctx
             }
     }
 
@@ -226,7 +333,7 @@ impl Vht {
             }
             let idx = bucket - 1;
             let e = &self.entries[idx as usize];
-            if e.hash == hash && self.key_matches(e, slot, ctx) {
+            if e.tag == hash as u32 && self.key_matches(e, slot, ctx) {
                 return idx;
             }
             b = (b + 1) & mask;
@@ -243,23 +350,21 @@ impl Vht {
         }
         let idx = u32::try_from(self.entries.len()).expect("context entries fit u32");
         let mut key = [0; INLINE_KEY];
-        let mut key_spill = 0;
         if ctx.len() <= INLINE_KEY {
             key[..ctx.len()].copy_from_slice(ctx);
         } else {
-            key_spill = u32::try_from(self.keys.len()).expect("key arena fits u32");
+            key[0] = self.keys.len() as Value;
             self.keys.extend_from_slice(ctx);
         }
         self.entries.push(CtxEntry {
-            hash,
-            tick: 0,
-            key,
-            key_spill,
+            tag: hash as u32,
             slot,
-            key_len: ctx.len() as u16,
             len: 0,
-            cap: INLINE_FOLLOWERS as u32,
             spill_pos: 0,
+            index_pos: 0,
+            key_len: ctx.len() as u8,
+            cap_log2: INLINE_FOLLOWERS.trailing_zeros() as u8,
+            key,
             inline: [Follower::default(); INLINE_FOLLOWERS],
         });
         let mask = self.buckets.len() - 1;
@@ -271,13 +376,13 @@ impl Vht {
         idx
     }
 
-    /// Doubles the bucket index and reseats every entry by its cached hash.
+    /// Doubles the bucket index and reseats every entry by its cached tag.
     fn grow(&mut self) {
         let new_len = self.buckets.len() * 2;
         let mask = new_len - 1;
         let mut buckets = vec![0u32; new_len];
         for (i, e) in self.entries.iter().enumerate() {
-            let mut b = (e.hash as usize) & mask;
+            let mut b = (e.tag as usize) & mask;
             while buckets[b] != 0 {
                 b = (b + 1) & mask;
             }
@@ -287,7 +392,7 @@ impl Vht {
     }
 
     /// The entry's current argmax value, or `None` while it has no
-    /// followers (an emptied context stops matching but keeps its tick,
+    /// followers (an emptied context stops matching but keeps existing,
     /// exactly like an empty `ContextCounts` in the nested-map model).
     #[inline]
     fn top_value(&self, idx: u32) -> Option<Value> {
@@ -295,7 +400,7 @@ impl Vht {
         if e.len == 0 {
             return None;
         }
-        Some(if e.cap as usize <= INLINE_FOLLOWERS {
+        Some(if e.cap() <= INLINE_FOLLOWERS {
             e.inline[0].value
         } else {
             self.spill[e.spill_pos as usize].value
@@ -305,21 +410,25 @@ impl Vht {
     /// Counts one occurrence of `value` after this entry's context:
     /// `count += 1`, stamp = fresh tick, with saturating-mode halving.
     fn bump(&mut self, idx: u32, value: Value, mode: CounterMode) {
+        self.clock += 1;
+        let stamp = self.clock;
         let i = idx as usize;
-        let (tick, inline_now, pos, len) = {
-            let e = &mut self.entries[i];
-            e.tick += 1;
-            (e.tick, e.cap as usize <= INLINE_FOLLOWERS, e.spill_pos as usize, e.len as usize)
-        };
-        let bumped = if inline_now {
-            bump_existing(&mut self.entries[i].inline[..len], value, tick)
+        let e = &mut self.entries[i];
+        let (len, cap) = (e.len as usize, e.cap());
+        let bumped = if cap <= INLINE_FOLLOWERS {
+            bump_scanned(&mut e.inline[..len], value, stamp)
         } else {
-            bump_existing(&mut self.spill[pos..pos + len], value, tick)
+            let fs = &mut self.spill[e.spill_pos as usize..][..len];
+            if cap <= SCAN_CAP {
+                bump_scanned(fs, value, stamp)
+            } else {
+                bump_indexed(fs, &mut self.index[e.index_pos as usize..][..2 * cap], value, stamp)
+            }
         };
         let count = match bumped {
             Some(count) => count,
             None => {
-                self.push_follower(i, value, tick);
+                self.push_follower(i, value, stamp);
                 1
             }
         };
@@ -330,61 +439,82 @@ impl Vht {
         }
     }
 
-    /// Appends a fresh `(value, 1, tick)` follower, relocating the list to
-    /// (or within) the spill arena when full.
-    fn push_follower(&mut self, i: usize, value: Value, tick: u64) {
-        let (len, cap) = {
-            let e = &self.entries[i];
-            (e.len as usize, e.cap as usize)
-        };
-        if len == cap {
-            let new_cap = cap * 2;
-            let new_pos = self.spill.len();
-            if cap <= INLINE_FOLLOWERS {
-                let inline = self.entries[i].inline;
-                self.spill.extend_from_slice(&inline[..len]);
-            } else {
-                let old = self.entries[i].spill_pos as usize;
-                self.spill.extend_from_within(old..old + len);
-            }
-            self.spill.resize(new_pos + new_cap, Follower::default());
-            let e = &mut self.entries[i];
-            e.spill_pos = u32::try_from(new_pos).expect("spill arena fits u32");
-            e.cap = new_cap as u32;
+    /// Appends a fresh `(value, 1, stamp)` follower, relocating the list
+    /// to (or within) the spill arena when full.
+    fn push_follower(&mut self, i: usize, value: Value, stamp: u64) {
+        if self.entries[i].len as usize == self.entries[i].cap() {
+            self.relocate(i);
         }
-        let (inline_now, pos, len) = {
-            let e = &mut self.entries[i];
-            let len = e.len as usize;
-            e.len += 1;
-            (e.cap as usize <= INLINE_FOLLOWERS, e.spill_pos as usize, len)
-        };
-        let fresh = Follower { value, count: 1, stamp: tick };
-        if inline_now {
-            let e = &mut self.entries[i];
+        let e = &mut self.entries[i];
+        let (len, cap) = (e.len as usize, e.cap());
+        e.len += 1;
+        let fresh = Follower { value, count: 1, stamp };
+        // The newest follower takes the front exactly when the front's
+        // count is 1 too (it then wins the tie on recency).
+        if cap <= INLINE_FOLLOWERS {
             e.inline[len] = fresh;
             if len > 0 && e.inline[0].count <= 1 {
                 e.inline.swap(0, len);
             }
-        } else {
-            self.spill[pos + len] = fresh;
-            if len > 0 && self.spill[pos].count <= 1 {
-                self.spill.swap(pos, pos + len);
+            return;
+        }
+        let fs = &mut self.spill[e.spill_pos as usize..][..=len];
+        fs[len] = fresh;
+        let to_front = len > 0 && fs[0].count <= 1;
+        if cap > SCAN_CAP {
+            let region = &mut self.index[e.index_pos as usize..][..2 * cap];
+            if to_front {
+                let front = front_slot(region, fs[0].value);
+                region[front] = len as u32 + 1;
+                index_insert(region, value, 0);
+            } else {
+                index_insert(region, value, len);
             }
+        }
+        if to_front {
+            fs.swap(0, len);
+        }
+    }
+
+    /// Moves a full follower list to a fresh spill region of twice its
+    /// capacity, building its index there once it outgrows the scan.
+    fn relocate(&mut self, i: usize) {
+        let e = &self.entries[i];
+        let (len, cap) = (e.len as usize, e.cap());
+        let new_pos = self.spill.len();
+        if cap <= INLINE_FOLLOWERS {
+            self.spill.extend_from_slice(&e.inline[..len]);
+        } else {
+            let old = e.spill_pos as usize;
+            self.spill.extend_from_within(old..old + len);
+        }
+        self.spill.resize(new_pos + 2 * cap, Follower::default());
+        let e = &mut self.entries[i];
+        e.spill_pos = u32::try_from(new_pos).expect("spill arena fits u32");
+        e.cap_log2 += 1;
+        let new_cap = e.cap();
+        if new_cap > SCAN_CAP {
+            let index_pos = self.index.len();
+            e.index_pos = u32::try_from(index_pos).expect("index arena fits u32");
+            self.index.resize(index_pos + 2 * new_cap, 0);
+            index_rebuild(&mut self.index[index_pos..], &self.spill[new_pos..][..len]);
         }
     }
 
     /// Saturating-mode halving of one entry's followers.
     fn halve(&mut self, i: usize) {
-        let (inline_now, pos, len) = {
-            let e = &self.entries[i];
-            (e.cap as usize <= INLINE_FOLLOWERS, e.spill_pos as usize, e.len as usize)
-        };
-        let keep = if inline_now {
-            halve_followers(&mut self.entries[i].inline[..len])
-        } else {
-            halve_followers(&mut self.spill[pos..pos + len])
-        };
-        self.entries[i].len = keep;
+        let e = &mut self.entries[i];
+        let (len, cap) = (e.len as usize, e.cap());
+        if cap <= INLINE_FOLLOWERS {
+            e.len = halve_followers(&mut e.inline[..len]);
+            return;
+        }
+        let fs = &mut self.spill[e.spill_pos as usize..][..len];
+        e.len = halve_followers(fs);
+        if cap > SCAN_CAP {
+            let region = &mut self.index[e.index_pos as usize..][..2 * cap];
+            index_rebuild(region, &fs[..e.len as usize]);
+        }
     }
 }
 

@@ -175,6 +175,46 @@ fn arb_config() -> impl Strategy<Value = (usize, Blending, CounterMode)> {
     )
 }
 
+/// A long stream over one to three PCs where half the values come from a
+/// wide alphabet and half from four hot values: low-order contexts then
+/// collect hundreds of followers (past the scan threshold, through
+/// several relocations of their follower lists and indexes) while the hot
+/// values keep swapping the argmax and, under small saturating maxima,
+/// keep halving the lists.
+fn arb_wide_stream() -> impl Strategy<Value = Vec<(Pc, Value)>> {
+    (1u64..=3, prop::collection::vec((0u64..3, prop_oneof![0u64..512, 0u64..4]), 1..4_000))
+        .prop_map(|(pcs, raw)| {
+            raw.into_iter().map(|(pc, v)| (Pc(0x400 + 4 * (pc % pcs)), v)).collect()
+        })
+}
+
+fn arb_wide_config() -> impl Strategy<Value = (usize, Blending, CounterMode)> {
+    (
+        0usize..=3,
+        prop_oneof![
+            Just(Blending::LazyExclusion),
+            Just(Blending::Full),
+            Just(Blending::SingleOrder)
+        ],
+        prop_oneof![
+            Just(CounterMode::Exact),
+            (1u32..=64).prop_map(|max| CounterMode::Saturating { max }),
+        ],
+    )
+}
+
+/// Steps the flat predictor and the oracle through `stream` in lockstep,
+/// requiring the same pre-update prediction at every record.
+fn assert_lockstep(
+    flat: &mut Interned<FcmPredictor>,
+    oracle: &mut OracleFcm,
+    stream: impl IntoIterator<Item = (Pc, Value)>,
+) {
+    for (i, (pc, value)) in stream.into_iter().enumerate() {
+        assert_eq!(flat.step(pc, value), oracle.step(pc, value), "record {i} ({pc:?}, {value})");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
@@ -228,6 +268,23 @@ proptest! {
             );
         }
         prop_assert_eq!(flat.context_entries(), oracle.context_entries());
+    }
+
+    /// Large follower lists — indexed, relocated, argmax-swapped and
+    /// halved — agree with the oracle record for record.
+    #[test]
+    fn wide_alphabet_fcm_equals_nested_oracle(
+        config in arb_wide_config(),
+        stream in arb_wide_stream(),
+    ) {
+        let (order, blending, counter_mode) = config;
+        let mut flat = Interned::new(FcmPredictor::with_config(order, blending, counter_mode));
+        let mut oracle = OracleFcm::new(order, blending, counter_mode);
+        assert_lockstep(&mut flat, &mut oracle, stream.iter().copied());
+        prop_assert_eq!(flat.context_entries(), oracle.context_entries());
+        for &(pc, _) in &stream {
+            prop_assert_eq!(flat.predict(pc), oracle.predict(pc));
+        }
     }
 
     /// `observe_batch` is the per-record loop, bit for bit, for every
@@ -310,4 +367,31 @@ fn saturating_emptied_contexts_agree_with_the_oracle() {
     }
     assert_eq!(flat.predict(pc), oracle.predict(pc));
     assert_eq!(flat.context_entries(), oracle.context_entries());
+}
+
+/// One order-0 context collects 10,000 distinct followers, then a
+/// mid-list value is bumped until it is the clear argmax, then (with
+/// saturating counters) the list is halved and regrown. Every prediction,
+/// the argmax and the entry count track the oracle throughout.
+#[test]
+fn one_context_with_ten_thousand_followers_agrees_with_the_oracle() {
+    let pc = Pc(0x400);
+    for mode in [CounterMode::Exact, CounterMode::Saturating { max: 64 }] {
+        let mut flat = Interned::new(FcmPredictor::with_config(0, Blending::LazyExclusion, mode));
+        let mut oracle = OracleFcm::new(0, Blending::LazyExclusion, mode);
+        let distinct = (0..10_000u64).map(|v| (pc, v * 7 + 1));
+        // Every seventh value gets a second count, so some survive halving.
+        let repeats = (0..10_000u64).step_by(7).map(|v| (pc, v * 7 + 1));
+        let mid = 5_000 * 7 + 1;
+        let bumps = std::iter::repeat_n((pc, mid), 100);
+        let regrow = (0..3_000u64).flat_map(|v| [(pc, v * 11 + 3), (pc, mid), (pc, 4 * 7 + 1)]);
+        assert_lockstep(&mut flat, &mut oracle, distinct.chain(repeats));
+        assert_eq!(flat.predict(pc), oracle.predict(pc), "{mode:?}: before the bumps");
+        assert_lockstep(&mut flat, &mut oracle, bumps);
+        assert_eq!(flat.predict(pc), Some(mid), "{mode:?}: the bumped value is the argmax");
+        assert_lockstep(&mut flat, &mut oracle, regrow);
+        assert_eq!(flat.predict(pc), oracle.predict(pc), "{mode:?}: after regrowth");
+        assert_eq!(flat.context_entries(), 1);
+        assert_eq!(flat.context_entries(), oracle.context_entries());
+    }
 }

@@ -1,13 +1,15 @@
-//! `repro bench` — the perf-smoke harness behind `BENCH_9.json`.
+//! `repro bench` — the perf-smoke harness behind `BENCH_14.json`.
 //!
 //! Replays one fixed, seeded synthetic trace through each predictor
 //! family's batched dense hot path ([`Predictor::observe_batch`] over the
 //! trace's chunks — exactly how the replay engine drives predictors) and
 //! reports records/second per family as stable, hand-rolled JSON. The
-//! committed baseline (`BENCH_9.json` at the repository root) lets CI run
-//! a report-only comparison with a deliberately generous regression
-//! tripwire: machine-to-machine variance is expected; a family running
-//! **3x** slower than baseline is not.
+//! committed baseline (`BENCH_14.json` at the repository root; the older
+//! `BENCH_9.json` stays as the record it was) lets CI run a comparison
+//! with a deliberately generous regression tripwire: machine-to-machine
+//! variance is expected; a family running **3x** slower than baseline is
+//! not. Hits are no timing, so a family whose `correct` count moves
+//! fails the check outright.
 
 use dvp_core::{HybridPredictor, Predictor, PredictorConfig};
 use dvp_engine::SharedTrace;
@@ -99,7 +101,7 @@ pub fn run(records: usize, passes: usize) -> Vec<BenchResult> {
         .collect()
 }
 
-/// Renders results as the stable `BENCH_9.json` shape. The engine epoch
+/// Renders results as the stable `BENCH_*.json` shape. The engine epoch
 /// identifies which predictor-semantics surface produced the numbers, so
 /// two baseline files are only comparable when their epochs match
 /// ([`parse_baseline`] tolerates the extra line).
@@ -121,19 +123,36 @@ pub fn to_json(records: usize, results: &[BenchResult]) -> String {
     out
 }
 
-/// Extracts `(name, ns_per_record)` pairs from a baseline JSON file
-/// written by [`to_json`]. Tolerant of whitespace but not of a different
-/// shape — an unreadable baseline yields an empty list, which [`check`]
-/// reports as such.
+/// A committed baseline as [`parse_baseline`] reads it back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Baseline {
+    /// Records the baseline replayed; [`check`] compares only runs of
+    /// the same trace.
+    pub records: usize,
+    /// Per-family results in file order.
+    pub results: Vec<BenchResult>,
+}
+
+/// Reads a baseline JSON file written by [`to_json`] back. Tolerant of
+/// whitespace but not of a different shape: `None` when the record count
+/// or every result row is missing.
 #[must_use]
-pub fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
+pub fn parse_baseline(text: &str) -> Option<Baseline> {
+    let mut records = None;
+    let mut results = Vec::new();
     for line in text.lines() {
+        if let Some(n) = extract_num(line, "\"records\":") {
+            records = Some(n);
+        }
         let Some(name) = extract_str(line, "\"name\":") else { continue };
-        let Some(ns) = extract_num(line, "\"ns_per_record\":") else { continue };
-        out.push((name, ns));
+        let Some(correct) = extract_num(line, "\"correct\":") else { continue };
+        let Some(ns_per_record) = extract_num(line, "\"ns_per_record\":") else { continue };
+        results.push(BenchResult { name, correct, ns_per_record });
     }
-    out
+    if results.is_empty() {
+        return None;
+    }
+    Some(Baseline { records: records?, results })
 }
 
 fn extract_str(line: &str, key: &str) -> Option<String> {
@@ -143,48 +162,74 @@ fn extract_str(line: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_owned())
 }
 
-fn extract_num(line: &str, key: &str) -> Option<f64> {
+fn extract_num<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
     let rest = line.split(key).nth(1)?.trim_start();
     let end =
         rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(rest.len());
     rest[..end].parse().ok()
 }
 
-/// Compares current results to a baseline: renders a side-by-side table
-/// (returned, for the caller to print) and reports whether any family
-/// crossed the [`REGRESSION_FACTOR`] tripwire.
+/// Compares a run of `records` records to a baseline: renders a
+/// side-by-side table (returned, for the caller to print) and reports
+/// whether the check failed. It fails when the runs replayed different
+/// record counts (their timings and hits are not comparable), when any
+/// family's `correct` count differs from the baseline's (the trace or the
+/// predictor's semantics moved), or when any family crossed the
+/// [`REGRESSION_FACTOR`] tripwire.
 #[must_use]
-pub fn check(results: &[BenchResult], baseline: &[(String, f64)]) -> (String, bool) {
-    let mut table =
-        TextTable::new(vec!["family", "baseline ns/rec", "current ns/rec", "ratio", "verdict"]);
-    let mut regressed = false;
+pub fn check(records: usize, results: &[BenchResult], baseline: &Baseline) -> (String, bool) {
+    if records != baseline.records {
+        let report = format!(
+            "the baseline replayed {} records but this run replayed {records}: not comparable\n",
+            baseline.records
+        );
+        return (report, true);
+    }
+    let mut table = TextTable::new(vec![
+        "family",
+        "baseline ns/rec",
+        "current ns/rec",
+        "ratio",
+        "correct",
+        "verdict",
+    ]);
+    let mut failed = false;
     for r in results {
-        let Some((_, base)) = baseline.iter().find(|(name, _)| *name == r.name) else {
+        let Some(base) = baseline.results.iter().find(|b| b.name == r.name) else {
             table.row(vec![
                 r.name.clone(),
                 "-".into(),
                 format!("{:.2}", r.ns_per_record),
                 "-".into(),
+                r.correct.to_string(),
                 "no baseline".into(),
             ]);
             continue;
         };
-        let ratio = if *base > 0.0 { r.ns_per_record / base } else { f64::INFINITY };
-        let verdict = if ratio > REGRESSION_FACTOR {
-            regressed = true;
-            "REGRESSED"
+        let ratio = if base.ns_per_record > 0.0 {
+            r.ns_per_record / base.ns_per_record
         } else {
-            "ok"
+            f64::INFINITY
+        };
+        let verdict = if r.correct != base.correct {
+            failed = true;
+            format!("WRONG (baseline {})", base.correct)
+        } else if ratio > REGRESSION_FACTOR {
+            failed = true;
+            "REGRESSED".to_owned()
+        } else {
+            "ok".to_owned()
         };
         table.row(vec![
             r.name.clone(),
-            format!("{base:.2}"),
+            format!("{:.2}", base.ns_per_record),
             format!("{:.2}", r.ns_per_record),
             format!("{ratio:.2}x"),
-            verdict.into(),
+            r.correct.to_string(),
+            verdict,
         ]);
     }
-    (table.render(), regressed)
+    (table.render(), failed)
 }
 
 #[cfg(test)]
@@ -211,41 +256,66 @@ mod tests {
         }
     }
 
+    fn result(name: &str, correct: u64, ns_per_record: f64) -> BenchResult {
+        BenchResult { name: name.into(), correct, ns_per_record }
+    }
+
+    fn baseline(records: usize, results: Vec<BenchResult>) -> Baseline {
+        Baseline { records, results }
+    }
+
     #[test]
     fn json_round_trips_through_the_baseline_parser() {
-        let results = vec![
-            BenchResult { name: "l".into(), correct: 10, ns_per_record: 5.25 },
-            BenchResult { name: "fcm3".into(), correct: 7, ns_per_record: 123.5 },
-        ];
+        let results = vec![result("l", 10, 5.25), result("fcm3", 7, 123.5)];
         let json = to_json(1_000, &results);
-        let parsed = parse_baseline(&json);
-        assert_eq!(parsed, vec![("l".to_owned(), 5.25), ("fcm3".to_owned(), 123.5)]);
+        assert_eq!(parse_baseline(&json), Some(baseline(1_000, results)));
         // The epoch stamp identifies the producing semantics surface and
         // must never confuse the (line-oriented) baseline parser.
         let stamp = format!("\"engine_epoch\": \"{:016x}\"", dvp_engine::engine_epoch());
         assert!(json.contains(&stamp), "{json}");
+        // A file without a record count or without rows is no baseline.
+        assert_eq!(parse_baseline(&json.replace("\"records\"", "\"rows\"")), None);
+        assert_eq!(parse_baseline("{\"records\": 1000}"), None);
     }
 
     #[test]
     fn check_trips_only_past_the_regression_factor() {
-        let baseline = vec![("l".to_owned(), 10.0), ("s2".to_owned(), 10.0)];
+        let base = baseline(1_000, vec![result("l", 4, 10.0), result("s2", 5, 10.0)]);
         // 2.9x is inside the generous budget.
-        let fine = vec![
-            BenchResult { name: "l".into(), correct: 0, ns_per_record: 29.0 },
-            BenchResult { name: "s2".into(), correct: 0, ns_per_record: 10.0 },
-        ];
-        let (report, regressed) = check(&fine, &baseline);
-        assert!(!regressed, "{report}");
+        let fine = vec![result("l", 4, 29.0), result("s2", 5, 10.0)];
+        let (report, failed) = check(1_000, &fine, &base);
+        assert!(!failed, "{report}");
         assert!(report.contains("2.90x"), "{report}");
         // 3.1x trips.
-        let slow = vec![BenchResult { name: "s2".into(), correct: 0, ns_per_record: 31.0 }];
-        let (report, regressed) = check(&slow, &baseline);
-        assert!(regressed, "{report}");
+        let slow = vec![result("s2", 5, 31.0)];
+        let (report, failed) = check(1_000, &slow, &base);
+        assert!(failed, "{report}");
         assert!(report.contains("REGRESSED"), "{report}");
         // A family missing from the baseline reports, but never trips.
-        let novel = vec![BenchResult { name: "new".into(), correct: 0, ns_per_record: 1.0 }];
-        let (report, regressed) = check(&novel, &baseline);
-        assert!(!regressed);
+        let novel = vec![result("new", 0, 1.0)];
+        let (report, failed) = check(1_000, &novel, &base);
+        assert!(!failed);
         assert!(report.contains("no baseline"), "{report}");
+    }
+
+    #[test]
+    fn check_fails_on_a_record_count_mismatch() {
+        // A smaller trace runs faster per record: that is not a speedup.
+        let base = baseline(200_000, vec![result("fcm3", 120_904, 745.0)]);
+        let quick = vec![result("fcm3", 29_495, 300.0)];
+        let (report, failed) = check(50_000, &quick, &base);
+        assert!(failed, "{report}");
+        assert!(report.contains("200000") && report.contains("50000"), "{report}");
+    }
+
+    #[test]
+    fn check_fails_on_a_correct_count_mismatch() {
+        // Fast but wrong: the witness moved, so the timing means nothing.
+        let base = baseline(1_000, vec![result("fcm1", 500, 100.0), result("l", 40, 5.0)]);
+        let current = vec![result("fcm1", 499, 50.0), result("l", 40, 5.0)];
+        let (report, failed) = check(1_000, &current, &base);
+        assert!(failed, "{report}");
+        assert!(report.contains("WRONG (baseline 500)"), "{report}");
+        assert_eq!(report.matches("WRONG").count(), 1, "{report}");
     }
 }

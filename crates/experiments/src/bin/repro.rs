@@ -21,8 +21,8 @@
 //! repro sweep --quick --format csv   # smaller grid, machine-readable output
 //! repro phases                       # SimPoint phase plans per workload
 //! repro bench                        # per-family perf smoke (records/sec JSON)
-//! repro bench --check BENCH_9.json   # ... compared against the committed
-//!                                    # baseline (fails past 3x regression)
+//! repro bench --check BENCH_14.json  # ... at the committed baseline's size,
+//!                                    # failing on changed hits or a 3x slowdown
 //! repro --quick all --sample         # additionally validate phase-sampled
 //!                                    # replay against the full replay (≤1pp)
 //! repro sweep --sample               # sweep with sampled-error gating
@@ -366,13 +366,15 @@ fn run_sweep_tool(
 /// requested benchmark's SimPoint phase plan and print the plan tables.
 /// `repro bench`: the perf-smoke harness. Replays the fixed seeded
 /// synthetic trace through every predictor family's batched dense hot
-/// path, prints records/second JSON (the `BENCH_9.json` shape) on
-/// stdout, and with `--check FILE` renders a baseline-vs-current table
-/// on stderr — failing only past the generous regression tripwire
-/// (timing noise is expected; a 3x slowdown is not).
+/// path and prints records/second JSON (the `BENCH_*.json` shape) on
+/// stdout. With `--check FILE` it replays at the baseline's record count
+/// (so `--records` is a usage error there) and renders a
+/// baseline-vs-current table on stderr, failing when a family's hits
+/// differ from the baseline's or its time crosses the generous
+/// regression tripwire (timing noise is expected; a 3x slowdown is not).
 fn run_bench_tool(commands: &[String], scale_div: u32) -> ExitCode {
-    let usage = "usage: repro bench [--quick] [--records N] [--passes N] [--check FILE]";
-    let mut records = dvp_experiments::bench::BENCH_RECORDS / scale_div as usize;
+    let usage = "usage: repro bench [--quick] [--records N | --check FILE] [--passes N]";
+    let mut records: Option<usize> = None;
     let mut passes = dvp_experiments::bench::BENCH_PASSES;
     let mut check: Option<PathBuf> = None;
     let mut skip = false;
@@ -386,7 +388,7 @@ fn run_bench_tool(commands: &[String], scale_div: u32) -> ExitCode {
                 let Some(n) = parse_count(commands, i + 1, arg) else {
                     return ExitCode::FAILURE;
                 };
-                records = n;
+                records = Some(n);
                 skip = true;
             }
             "--passes" => {
@@ -410,32 +412,46 @@ fn run_bench_tool(commands: &[String], scale_div: u32) -> ExitCode {
             }
         }
     }
+    let baseline = match &check {
+        None => None,
+        Some(_) if records.is_some() => {
+            eprintln!("--check replays at the baseline's record count; drop --records\n{usage}");
+            return ExitCode::FAILURE;
+        }
+        Some(path) => {
+            let text = match fs::read_to_string(path) {
+                Ok(text) => text,
+                Err(err) => {
+                    eprintln!("cannot read baseline {}: {err}", path.display());
+                    return ExitCode::FAILURE;
+                }
+            };
+            let Some(baseline) = dvp_experiments::bench::parse_baseline(&text) else {
+                eprintln!("baseline {} holds no record count or no results", path.display());
+                return ExitCode::FAILURE;
+            };
+            Some(baseline)
+        }
+    };
+    let records = match &baseline {
+        Some(baseline) => baseline.records,
+        None => records.unwrap_or(dvp_experiments::bench::BENCH_RECORDS / scale_div as usize),
+    };
     eprintln!("[repro] bench: {records} records x {passes} passes per family...");
     let results = dvp_experiments::bench::run(records, passes);
     print!("{}", dvp_experiments::bench::to_json(records, &results));
-    if let Some(path) = check {
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("cannot read baseline {}: {err}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = dvp_experiments::bench::parse_baseline(&text);
-        if baseline.is_empty() {
-            eprintln!("baseline {} holds no results", path.display());
-            return ExitCode::FAILURE;
-        }
-        let (report, regressed) = dvp_experiments::bench::check(&results, &baseline);
+    if let Some(baseline) = baseline {
+        let (report, failed) = dvp_experiments::bench::check(records, &results, &baseline);
         eprintln!("{report}");
-        if regressed {
+        if failed {
             eprintln!(
-                "[repro] bench: at least one family regressed past {}x baseline",
+                "[repro] bench: the check failed (hits differ from the baseline, or a family \
+                 regressed past {}x)",
                 dvp_experiments::bench::REGRESSION_FACTOR
             );
             return ExitCode::FAILURE;
         }
-        eprintln!("[repro] bench: all families within the regression budget");
+        eprintln!("[repro] bench: hits match the baseline; all families within the budget");
     }
     ExitCode::SUCCESS
 }
@@ -1435,7 +1451,7 @@ fn main() -> ExitCode {
              all | <experiment>...\n       \
              repro sweep [--sample] [--format table|csv|json]\n       \
              repro phases [BENCHMARK...]\n       \
-             repro bench [--records N] [--passes N] [--check FILE]\n       \
+             repro bench [--records N | --check FILE] [--passes N]\n       \
              repro trace <export|stats|verify> --trace-dir DIR\n       \
              repro trace gen --records N --out FILE [--pcs N] [--seed S]\n       \
              repro trace replay FILE [--resident] [--sample] [--warm]\n       \

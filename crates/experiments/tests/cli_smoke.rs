@@ -51,6 +51,21 @@ fn bad_flag_values_fail_fast() {
 }
 
 #[test]
+fn bench_check_replays_only_at_the_baseline_size() {
+    // `--check` takes its record count from the baseline, so an explicit
+    // `--records` is a usage error, caught before anything replays.
+    let out = repro(&["bench", "--records", "1000", "--check", "BENCH_14.json"]);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "nothing may replay");
+    let stderr = stderr_of(&out);
+    assert!(stderr.contains("drop --records") && stderr.contains("usage:"), "{stderr}");
+    let out = repro(&["bench", "--check", "/nonexistent/baseline.json"]);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "nothing may replay");
+    assert!(stderr_of(&out).contains("cannot read baseline"), "{}", stderr_of(&out));
+}
+
+#[test]
 fn trace_tool_requires_a_trace_dir() {
     let out = repro(&["trace", "stats"]);
     assert!(!out.status.success());
