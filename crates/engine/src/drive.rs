@@ -215,7 +215,6 @@ fn merge<M: Model>(tallies: impl IntoIterator<Item = M::Tally>, units: usize) ->
 /// trailing sections are validated last.
 fn produce<R: Read>(
     reader: &mut R,
-    version: u8,
     header: &v2::Header,
     plan: Plan<'_>,
     window: &ChunkWindow<(u64, Vec<TraceRecord>)>,
@@ -244,7 +243,7 @@ fn produce<R: Read>(
     }
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest)?;
-    v2::validate_trailing(version, &rest)?;
+    v2::validate_trailing(&rest)?;
     Ok(())
 }
 
@@ -306,7 +305,7 @@ impl ReplayEngine {
         M: Model,
         F: Fn(usize, usize) -> M + Sync,
     {
-        let (version, header) = v2::read_versioned_header(&mut reader)?;
+        let header = v2::read_header(&mut reader)?;
         plan.check(header.record_count).map_err(|message| TraceIoError::Format { message })?;
         let (shards, units) = (self.shards(), plan.units(self.shards()));
         let jobs = configs * units;
@@ -314,7 +313,7 @@ impl ReplayEngine {
         let folded = decode_ahead(
             self.chunk_window(),
             consumers,
-            |window| produce(&mut reader, version, &header, plan, window),
+            |window| produce(&mut reader, &header, plan, window),
             |window, consumer| {
                 let mut owned: Vec<Job<M>> = (consumer..jobs)
                     .step_by(consumers)
@@ -407,8 +406,8 @@ mod tests {
     #[derive(Clone, Copy, Debug)]
     enum Source {
         Resident,
-        V2,
-        V4,
+        Stored,
+        Compressed,
     }
 
     #[derive(Clone, Copy, Debug)]
@@ -435,8 +434,8 @@ mod tests {
                     Mode::Warm => sampled(&engine.replay_sampled_warm(trace, &bank, plan)),
                 }
             }
-            Source::V2 => containers.0,
-            Source::V4 => containers.1,
+            Source::Stored => containers.0,
+            Source::Compressed => containers.1,
         };
         let (header, surface) = match mode {
             Mode::Full => engine.replay_streaming(bytes, &bank).map(|(h, r)| (h, full(&r))),
@@ -456,19 +455,19 @@ mod tests {
     fn every_source_plan_and_setting_matches_sequential_resident() {
         let records = records(30_000);
         let meta = v2::TraceMeta::default();
-        let mut plain = Vec::new();
-        v2::write_records(&mut plain, &meta, &records, 2048).expect("writes");
+        let mut stored = Vec::new();
+        v2::write_with_sections(&mut stored, &meta, records.chunks(2048), &[]).expect("writes");
         let mut compressed = Vec::new();
         v2::write_compressed(&mut compressed, &meta, records.chunks(2048), &[]).expect("writes");
         let trace = SharedTrace::from_records(records);
         let options = PhaseOptions { window_records: 512, clusters: 4, ..PhaseOptions::default() };
         let plan = phase_plan(&trace, &options);
-        let containers = (plain.as_slice(), compressed.as_slice());
+        let containers = (stored.as_slice(), compressed.as_slice());
         let sequential = ReplayEngine::sequential();
         let parallel = ReplayEngine::new().with_workers(4).with_shards(3).with_chunk_window(2);
         for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
             let reference = run(&sequential, Source::Resident, mode, &trace, containers, &plan);
-            for source in [Source::Resident, Source::V2, Source::V4] {
+            for source in [Source::Resident, Source::Stored, Source::Compressed] {
                 for engine in [&sequential, &parallel] {
                     assert_eq!(
                         run(engine, source, mode, &trace, containers, &plan),

@@ -27,7 +27,7 @@
 //!    is a thin wrapper over one private driver: a chunk source (resident
 //!    or streamed) folded through one job loop under a replay plan.
 //! 5. **Load persisted traces in parallel.** [`ReplayEngine::load_trace`]
-//!    assembles a [`SharedTrace`] chunk for chunk from a v2 trace
+//!    assembles a [`SharedTrace`] chunk for chunk from a trace
 //!    container ([`dvp_trace::io::v2`]) on the same worker pool — each
 //!    chunk decodes as an independent, checksummed job, and no
 //!    intermediate flat record vector is ever built.

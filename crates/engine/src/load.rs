@@ -21,10 +21,11 @@ impl ReplayEngine {
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceIoError`] for a malformed header, a chunk failing
-    /// validation, a truncated payload section, trailing bytes, or a
-    /// persisted interner section that misses a PC — for the lowest-index
-    /// failing chunk, whichever worker hit it first.
+    /// Returns a [`TraceIoError`] for an unsupported version, a malformed
+    /// header, a chunk failing validation, a truncated payload section, a
+    /// torn or corrupt trailing section, or a persisted interner section
+    /// that misses a PC — for the lowest-index failing chunk, whichever
+    /// worker hit it first.
     ///
     /// # Examples
     ///
@@ -36,7 +37,7 @@ impl ReplayEngine {
     /// let records: Vec<TraceRecord> =
     ///     (0..500u64).map(|i| TraceRecord::new(Pc(4 * (i % 9)), InstrCategory::AddSub, i)).collect();
     /// let mut bytes = Vec::new();
-    /// v2::write_records(&mut bytes, &v2::TraceMeta::default(), &records, 128)?;
+    /// v2::write_compressed(&mut bytes, &v2::TraceMeta::default(), records.chunks(128), &[])?;
     ///
     /// let (header, trace) = ReplayEngine::new().load_trace(&bytes)?;
     /// assert_eq!(trace.to_vec(), records);
@@ -107,7 +108,7 @@ impl ReplayEngine {
     /// let records: Vec<TraceRecord> =
     ///     (0..2000u64).map(|i| TraceRecord::new(Pc(4 * (i % 9)), InstrCategory::AddSub, i / 9)).collect();
     /// let mut bytes = Vec::new();
-    /// v2::write_records(&mut bytes, &v2::TraceMeta::default(), &records, 256)?;
+    /// v2::write_compressed(&mut bytes, &v2::TraceMeta::default(), records.chunks(256), &[])?;
     ///
     /// let engine = ReplayEngine::new();
     /// let bank = PredictorConfig::paper_bank();
@@ -153,8 +154,13 @@ mod tests {
 
     fn container(n: u64, capacity: usize) -> Vec<u8> {
         let mut bytes = Vec::new();
-        v2::write_records(&mut bytes, &v2::TraceMeta::default(), &records(n), capacity)
-            .expect("writes");
+        v2::write_compressed(
+            &mut bytes,
+            &v2::TraceMeta::default(),
+            records(n).chunks(capacity),
+            &[],
+        )
+        .expect("writes");
         bytes
     }
 
@@ -181,10 +187,11 @@ mod tests {
         }
         let original = builder.finish();
         let mut bytes = Vec::new();
-        v2::write(
+        v2::write_compressed(
             &mut bytes,
             &v2::TraceMeta::default(),
             original.chunks().iter().map(Vec::as_slice),
+            &[],
         )
         .expect("writes");
         let (_, loaded) = ReplayEngine::new().load_trace(&bytes).expect("loads");

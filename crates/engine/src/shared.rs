@@ -68,7 +68,7 @@ impl SharedTrace {
 
     /// Assembles a trace directly from pre-built chunks, preserving their
     /// boundaries and copying nothing (empty chunks are dropped). This is
-    /// how a v2 container becomes a `SharedTrace` without an intermediate
+    /// how a trace container becomes a `SharedTrace` without an intermediate
     /// flat `Vec<TraceRecord>`: each decoded chunk moves straight into the
     /// shared buffer (see [`ReplayEngine::load_trace`](crate::ReplayEngine::load_trace)).
     ///

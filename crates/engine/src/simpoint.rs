@@ -27,11 +27,11 @@
 //!    preceded by a warmup prefix observed *untallied* to heat the cold
 //!    predictor — and weights each window's tally by the fraction of the
 //!    trace its cluster covers. [`ReplayEngine::replay_sampled_streaming`]
-//!    does the same against a v2/v3/v4 container without materializing
+//!    does the same against a trace container without materializing
 //!    it, skipping the decode (not just the replay) of every chunk no
 //!    phase touches.
 //!
-//! Plans persist as the `PHAS` optional section of a v3/v4 container
+//! Plans persist as the `PHAS` optional section of a trace container
 //! (see `docs/TRACE_FORMAT.md`), so a warm trace cache replays sampled
 //! without re-profiling.
 //!
@@ -664,7 +664,8 @@ mod tests {
     fn streaming_rejects_mismatched_plan_and_corrupt_needed_chunks() {
         let records: Vec<TraceRecord> = phased_trace(10_000).to_vec();
         let mut bytes = Vec::new();
-        v2::write_records(&mut bytes, &v2::TraceMeta::default(), &records, 1024).expect("writes");
+        v2::write_compressed(&mut bytes, &v2::TraceMeta::default(), records.chunks(1024), &[])
+            .expect("writes");
         let trace = SharedTrace::from_records(records);
         let plan = phase_plan(&trace, &options());
         let bank = PredictorConfig::fcm_orders([1]);

@@ -15,7 +15,6 @@
 //! repro trace gen --records N --out f # synthetic container of N records
 //! repro trace replay f               # stream-replay a container in bounded
 //!                                    # memory (--resident loads it whole)
-//! repro --no-compress ...            # write v3 (uncompressed) containers
 //! repro --chunk-window N ...         # live chunks resident while streaming
 //! repro sweep                        # synthetic scenario × predictor matrix
 //! repro sweep --quick --format csv   # smaller grid, machine-readable output
@@ -49,8 +48,9 @@
 //! replay engine: each benchmark's trace is simulated once into a shared
 //! buffer, and the predictor×workload matrix fans out across worker
 //! threads with per-PC sharding. With `--trace-dir`, traces additionally
-//! persist across runs as v2 containers (spec: `docs/TRACE_FORMAT.md`) and
-//! later runs replay them without simulating at all — the tables are
+//! persist across runs as compressed version-4 containers (spec:
+//! `docs/TRACE_FORMAT.md`; a file of any other version is regenerated)
+//! and later runs replay them without simulating at all — the tables are
 //! byte-identical at any `--workers`/`--shards` setting and whether a
 //! trace came from the simulator or the cache. Cache activity is reported
 //! on stderr (`[repro] trace cache: ...`), never on stdout.
@@ -63,8 +63,8 @@ use dvp_experiments::serve::{
     run_job, JobSpec, Outcome, Router, RouterOptions, ServeClient, ServeOptions, Server,
 };
 use dvp_experiments::{
-    accuracy, analytic, characterize, information, overlap, phases, realism, sensitivity, speedup,
-    sweep, values, TextTable, TraceStore,
+    accuracy, analytic, characterize, durable, information, overlap, phases, realism, sensitivity,
+    speedup, sweep, values, TextTable, TraceStore,
 };
 use dvp_trace::io::v2;
 use dvp_trace::InstrCategory;
@@ -294,7 +294,6 @@ fn run_sweep_tool(
     trace_dir: Option<PathBuf>,
     quick: bool,
     engine: &ReplayEngine,
-    compress: bool,
     sample: bool,
 ) -> ExitCode {
     let usage = "usage: repro sweep [--quick] [--sample] [--format table|csv|json] [--workers N] \
@@ -325,7 +324,7 @@ fn run_sweep_tool(
             }
         }
     }
-    let mut store = TraceStore::new().with_cache_compression(compress);
+    let mut store = TraceStore::new();
     if let Some(dir) = &trace_dir {
         store = store.with_trace_dir(dir);
     }
@@ -459,12 +458,7 @@ fn run_bench_tool(commands: &[String], scale_div: u32) -> ExitCode {
 /// The plans are a pure sequential function of each trace, so the output
 /// is byte-identical at any `--workers`/`--shards`/`--chunk-window`
 /// setting.
-fn run_phases_tool(
-    commands: &[String],
-    trace_dir: Option<PathBuf>,
-    scale_div: u32,
-    compress: bool,
-) -> ExitCode {
+fn run_phases_tool(commands: &[String], trace_dir: Option<PathBuf>, scale_div: u32) -> ExitCode {
     let usage = "usage: repro phases [BENCHMARK...] [--quick] [--trace-dir DIR]";
     let mut benchmarks: Vec<Benchmark> = Vec::new();
     for arg in commands {
@@ -487,7 +481,7 @@ fn run_phases_tool(
     if benchmarks.is_empty() {
         benchmarks.extend(Benchmark::ALL);
     }
-    let mut store = TraceStore::with_scale_div(scale_div).with_cache_compression(compress);
+    let mut store = TraceStore::with_scale_div(scale_div);
     if let Some(dir) = &trace_dir {
         store = store.with_trace_dir(dir);
     }
@@ -510,7 +504,7 @@ fn run_phases_tool(
 /// `repro trace gen`: write a synthetic trace container of a requested
 /// size — the generator behind the CI bounded-memory replay check, and a
 /// quick way to make large inputs for `repro trace replay`.
-fn run_trace_gen(args: &[String], compress: bool, usage: &str) -> ExitCode {
+fn run_trace_gen(args: &[String], usage: &str) -> ExitCode {
     let mut records: Option<usize> = None;
     let mut out: Option<PathBuf> = None;
     let mut seed = 1u64;
@@ -579,25 +573,16 @@ fn run_trace_gen(args: &[String], compress: bool, usage: &str) -> ExitCode {
         retired: scenario.total_records(),
         predicted: scenario.total_records(),
     };
-    let result = (|| {
-        let file = fs::File::create(&out)?;
-        let mut writer = io::BufWriter::new(file);
-        // The records are resident anyway, so embed the phase plan too:
-        // `repro trace replay --sample` then needs no profiling pass.
-        let plan = dvp_engine::phase_plan(&trace, &dvp_engine::PhaseOptions::default());
-        let sections = [
-            (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
-            (v2::SECTION_PHASES, v2::encode_phases(&plan)),
-        ];
-        let chunks = trace.chunks().iter().map(Vec::as_slice);
-        let header = if compress {
-            v2::write_compressed(&mut writer, &meta, chunks, &sections)?
-        } else {
-            v2::write_with_sections(&mut writer, &meta, chunks, &sections)?
-        };
-        io::Write::flush(&mut writer)?;
-        Ok::<_, dvp_trace::io::TraceIoError>(header)
-    })();
+    // The records are resident anyway, so embed the phase plan too:
+    // `repro trace replay --sample` then needs no profiling pass.
+    let plan = dvp_engine::phase_plan(&trace, &dvp_engine::PhaseOptions::default());
+    let sections = [
+        (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
+        (v2::SECTION_PHASES, v2::encode_phases(&plan)),
+    ];
+    let result = durable::replace_file(&out, |writer| {
+        v2::write_compressed(writer, &meta, trace.chunks().iter().map(Vec::as_slice), &sections)
+    });
     match result {
         Ok(header) => {
             eprintln!(
@@ -768,17 +753,16 @@ fn run_trace_tool(
     trace_dir: Option<PathBuf>,
     scale_div: u32,
     engine: &ReplayEngine,
-    compress: bool,
     sample: bool,
 ) -> ExitCode {
     let usage =
         "usage: repro trace <export|stats|verify> --trace-dir DIR [--quick] [--workers N]\n\
                  \x20      repro trace gen --records N --out FILE [--pcs N] [--seed S] \
-                 [--chunk-records N] [--no-compress]\n\
+                 [--chunk-records N]\n\
                  \x20      repro trace replay FILE [--resident] [--sample] [--warm] [--workers N] \
                  [--shards N] [--chunk-window N]";
     match commands.first().map(String::as_str) {
-        Some("gen") => return run_trace_gen(&commands[1..], compress, usage),
+        Some("gen") => return run_trace_gen(&commands[1..], usage),
         Some("replay") => return run_trace_replay(&commands[1..], engine, usage, sample),
         _ => {}
     }
@@ -792,9 +776,7 @@ fn run_trace_tool(
     };
     match command.as_str() {
         "export" => {
-            let mut store = TraceStore::with_scale_div(scale_div)
-                .with_cache_compression(compress)
-                .with_trace_dir(&dir);
+            let mut store = TraceStore::with_scale_div(scale_div).with_trace_dir(&dir);
             eprintln!(
                 "[repro] exporting all benchmark traces to {} ({} workers)...",
                 dir.display(),
@@ -1051,7 +1033,7 @@ fn run_cache_tool(args: &[String]) -> ExitCode {
                 if entries.len() == 1 { "y" } else { "ies" }
             );
             let (mut current, mut stale_count, mut unreadable) = (0usize, 0usize, 0usize);
-            let mut table = TextTable::new(vec!["File", "Version", "Epoch", "State", "KiB"]);
+            let mut table = TextTable::new(vec!["File", "Epoch", "State", "KiB"]);
             let mut broken: Vec<String> = Vec::new();
             for entry in &entries {
                 let file = entry.path.file_name().map_or_else(
@@ -1069,8 +1051,7 @@ fn run_cache_tool(args: &[String]) -> ExitCode {
                         };
                         table.row(vec![
                             file,
-                            header.version.to_string(),
-                            header.epoch.map_or_else(|| "-".to_owned(), |e| format!("{e:016x}")),
+                            format!("{:016x}", header.epoch),
                             state.to_owned(),
                             (entry.bytes / 1024).to_string(),
                         ]);
@@ -1365,7 +1346,6 @@ fn main() -> ExitCode {
     let mut engine = ReplayEngine::new();
     let mut trace_dir: Option<PathBuf> = None;
     let mut no_trace_cache = false;
-    let mut compress = true;
     let mut sample = false;
     let mut args: Vec<String> = Vec::new();
     let mut skip = false;
@@ -1397,7 +1377,6 @@ fn main() -> ExitCode {
                 engine = engine.with_chunk_window(chunks);
                 skip = true;
             }
-            "--no-compress" => compress = false,
             "--sample" => sample = true,
             "--trace-dir" => {
                 let Some(dir) = raw.get(i + 1) else {
@@ -1421,13 +1400,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     if args.first().map(String::as_str) == Some("trace") {
-        return run_trace_tool(&args[1..], trace_dir, scale_div, &engine, compress, sample);
+        return run_trace_tool(&args[1..], trace_dir, scale_div, &engine, sample);
     }
     if args.first().map(String::as_str) == Some("sweep") {
-        return run_sweep_tool(&args[1..], trace_dir, scale_div > 1, &engine, compress, sample);
+        return run_sweep_tool(&args[1..], trace_dir, scale_div > 1, &engine, sample);
     }
     if args.first().map(String::as_str) == Some("phases") {
-        return run_phases_tool(&args[1..], trace_dir, scale_div, compress);
+        return run_phases_tool(&args[1..], trace_dir, scale_div);
     }
     if args.first().map(String::as_str) == Some("bench") {
         return run_bench_tool(&args[1..], scale_div);
@@ -1447,7 +1426,7 @@ fn main() -> ExitCode {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: repro [--quick] [--sample] [--workers N] [--shards N] [--trace-dir DIR] \
-             [--no-trace-cache] [--no-compress] [--chunk-window N]\n             \
+             [--no-trace-cache] [--chunk-window N]\n             \
              all | <experiment>...\n       \
              repro sweep [--sample] [--format table|csv|json]\n       \
              repro phases [BENCHMARK...]\n       \
@@ -1466,12 +1445,12 @@ fn main() -> ExitCode {
              Regenerates the tables and figures of Sazeides & Smith (MICRO-30 1997)\n\
              through the parallel replay engine (default: all cores; output is\n\
              byte-identical at any worker count). With --trace-dir, workload traces\n\
-             persist across runs (compressed containers by default; --no-compress\n\
-             writes v3) and warm runs perform zero simulation. `repro sweep`\n\
-             replays the synthetic scenario x predictor matrix instead; `repro\n\
-             phases` prints each workload's SimPoint phase plan; --sample checks\n\
-             phase-sampled replay against the full replay (and fails the run past\n\
-             a 1pp error). `repro trace replay` streams a container through a\n\
+             persist across runs as version-4 containers (a file of any other\n\
+             version is regenerated) and warm runs perform zero simulation.\n\
+             `repro sweep` replays the synthetic scenario x predictor matrix\n\
+             instead; `repro phases` prints each workload's SimPoint phase plan;\n\
+             --sample checks phase-sampled replay against the full replay (and\n\
+             fails the run past a 1pp error). `repro trace replay` streams a container through a\n\
              bounded chunk window (--chunk-window) without ever holding the full\n\
              trace in memory (--sample replays only its stored phase plan;\n\
              --warm functionally warms: exact state, windows tallied). `repro\n\
@@ -1492,7 +1471,7 @@ fn main() -> ExitCode {
         args
     };
 
-    let mut store = TraceStore::with_scale_div(scale_div).with_cache_compression(compress);
+    let mut store = TraceStore::with_scale_div(scale_div);
     if let Some(dir) = &trace_dir {
         store = store.with_trace_dir(dir);
     }

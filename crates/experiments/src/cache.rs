@@ -4,7 +4,7 @@
 //! Generating a trace — compiling the workload and simulating it to
 //! completion — is pure fixed cost that every `repro` invocation used to
 //! repeat, because the in-memory trace cache dies with the process. This
-//! module persists each generated trace as a v2 container
+//! module persists each generated trace as a version-4 container
 //! ([`dvp_trace::io::v2`], specified in `docs/TRACE_FORMAT.md`) inside a
 //! cache directory, keyed by the workload's [`Fingerprint`] (benchmark,
 //! input, seed, scale, optimization level, record cap). A later run with
@@ -22,12 +22,15 @@
 //!   treated as a miss;
 //! * every load validates the header checksum and each chunk's checksum,
 //!   so a corrupted file is detected, reported, and regenerated;
-//! * writes go to a temporary file first and are renamed into place, so a
-//!   crashed run never leaves a torn container behind;
+//! * a container of any version but 4 is invalid the same way, so a file
+//!   an older build wrote is regenerated, never served;
+//! * writes go through [`durable::replace_file`] (temporary file, fsync,
+//!   rename), so a crashed run never leaves a torn container behind;
 //! * cache failures (unwritable directory, corrupt file) never fail the
 //!   run — they fall back to simulation and are counted in
 //!   [`CacheStats`].
 
+use crate::durable;
 use dvp_engine::{ReplayEngine, SharedTrace};
 use dvp_lang::OptLevel;
 use dvp_trace::io::v2::{self, Fingerprint, Header, TraceMeta};
@@ -77,7 +80,7 @@ pub enum CacheLookup {
     /// No container on disk for this fingerprint.
     Miss,
     /// A container exists but must not be used; the string says why
-    /// (corrupt, or a stale fingerprint).
+    /// (corrupt, an unsupported version, or a stale fingerprint).
     Invalid(String),
 }
 
@@ -95,7 +98,7 @@ pub struct CacheEntry {
     pub header: Result<Header, TraceIoError>,
 }
 
-/// The disk tier: a directory of fingerprint-keyed v2 trace containers.
+/// The disk tier: a directory of fingerprint-keyed trace containers.
 ///
 /// This type only does I/O and validation; hit/miss accounting lives in
 /// the owning [`TraceStore`](crate::TraceStore)'s [`CacheStats`].
@@ -115,11 +118,6 @@ pub struct CacheEntry {
 #[derive(Debug)]
 pub struct TraceCache {
     dir: PathBuf,
-    /// Write new containers compressed ([`v2::write_compressed`], the
-    /// version-4 format). Old v2/v3 files load either way.
-    compress: bool,
-    /// Minimum age before an orphaned `.tmp-*` file may be swept.
-    sweep_min_age: std::time::Duration,
     /// Guards the one-time orphaned-`.tmp-*` sweep of the directory.
     swept: std::sync::Once,
 }
@@ -127,33 +125,9 @@ pub struct TraceCache {
 impl TraceCache {
     /// A cache rooted at `dir`. The directory is created on first use; a
     /// directory that cannot be created surfaces as write warnings, never
-    /// as a failed run. New containers are written compressed by default
-    /// (see [`TraceCache::with_compression`]).
+    /// as a failed run.
     pub fn new(dir: impl Into<PathBuf>) -> TraceCache {
-        TraceCache {
-            dir: dir.into(),
-            compress: true,
-            sweep_min_age: crate::result_cache::SWEEP_MIN_AGE,
-            swept: std::sync::Once::new(),
-        }
-    }
-
-    /// Overrides the orphan-sweep age gate
-    /// ([`SWEEP_MIN_AGE`](crate::result_cache::SWEEP_MIN_AGE) by
-    /// default). `Duration::ZERO` restores pid-liveness-only sweeping.
-    #[must_use]
-    pub fn with_sweep_min_age(mut self, min_age: std::time::Duration) -> TraceCache {
-        self.sweep_min_age = min_age;
-        self
-    }
-
-    /// Chooses whether [`write_through`](TraceCache::write_through) emits
-    /// compressed (version-4) or uncompressed (version-3) containers.
-    /// Reading is unaffected: every supported version always loads.
-    #[must_use]
-    pub fn with_compression(mut self, compress: bool) -> TraceCache {
-        self.compress = compress;
-        self
+        TraceCache { dir: dir.into(), swept: std::sync::Once::new() }
     }
 
     /// The cache directory.
@@ -223,16 +197,16 @@ impl TraceCache {
         }
     }
 
-    /// Persists a trace as a trace container, chunk for chunk from the
-    /// shared buffer, with the trace's PC interner appended as an optional
-    /// section (so a warm load assigns dense ids by parallel read-only
-    /// lookups instead of a sequential interning pass) and its SimPoint
-    /// phase plan as another ([`v2::SECTION_PHASES`], so a sampled replay
-    /// needs no profiling pass). The write lands in
-    /// a temporary sibling file first, is **fsynced**, and only then
-    /// renamed into place (followed by a best-effort directory sync), so
-    /// neither a crashed run nor a machine crash right after the rename
-    /// can expose a torn or empty container under the final name.
+    /// Persists a trace as a compressed container, chunk for chunk from
+    /// the shared buffer, with the trace's PC interner appended as an
+    /// optional section (so a warm load assigns dense ids by parallel
+    /// read-only lookups instead of a sequential interning pass) and its
+    /// SimPoint phase plan as another ([`v2::SECTION_PHASES`], so a sampled
+    /// replay needs no profiling pass). The file is written through
+    /// [`durable::replace_file`], so neither a crashed run nor a machine
+    /// crash right after the rename can expose a torn or empty container
+    /// under the final name, and concurrent writers of one fingerprint
+    /// each commit a whole container.
     ///
     /// # Errors
     ///
@@ -246,88 +220,21 @@ impl TraceCache {
         fs::create_dir_all(&self.dir)?;
         self.sweep_orphans();
         let path = self.path_for(&meta.fingerprint);
-        let tmp = path.with_extension(format!("{TRACE_EXTENSION}.tmp-{}", std::process::id()));
-        let result = (|| {
-            let file = fs::File::create(&tmp)?;
-            let mut writer = io::BufWriter::new(file);
-            let plan = dvp_engine::phase_plan(trace, &dvp_engine::PhaseOptions::default());
-            let sections = [
-                (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
-                (v2::SECTION_PHASES, v2::encode_phases(&plan)),
-            ];
-            let chunks = trace.chunks().iter().map(Vec::as_slice);
-            if self.compress {
-                v2::write_compressed(&mut writer, meta, chunks, &sections)?;
-            } else {
-                v2::write_with_sections(&mut writer, meta, chunks, &sections)?;
-            }
-            io::Write::flush(&mut writer)?;
-            // Durability, not just atomicity: rename orders the directory
-            // entry, but only an fsync orders the *data* against a crash —
-            // without it a power cut can leave the final name pointing at
-            // a zero-length or partial file.
-            writer.get_ref().sync_all()?;
-            fs::rename(&tmp, &path)?;
-            // Best-effort: persist the rename itself. Filesystems without
-            // directory fsync (or sandboxed runs) still get atomicity.
-            if let Ok(dir) = fs::File::open(&self.dir) {
-                let _ = dir.sync_all();
-            }
-            Ok(path.clone())
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        result
+        let plan = dvp_engine::phase_plan(trace, &dvp_engine::PhaseOptions::default());
+        let sections = [
+            (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
+            (v2::SECTION_PHASES, v2::encode_phases(&plan)),
+        ];
+        durable::replace_file(&path, |writer| {
+            v2::write_compressed(writer, meta, trace.chunks().iter().map(Vec::as_slice), &sections)
+        })?;
+        Ok(path)
     }
 
-    /// Removes `*.tmp-<pid>` leftovers of dead processes, once per cache
-    /// instance. A crashed writer (power cut, kill -9) strands its
-    /// temporary file forever — the rename that would have consumed it
-    /// never ran — so the next cache user sweeps siblings. A file is
-    /// swept only when its recorded pid is not this process, does not
-    /// exist in the local `/proc` (when present), *and* the file is
-    /// older than the age gate: a pid absent locally may be a live
-    /// writer on another machine sharing the directory over a network
-    /// filesystem, so neither signal alone is trusted.
+    /// Sweeps the temporary files of dead writers from the directory
+    /// ([`durable::sweep_orphans`]), once per cache instance.
     fn sweep_orphans(&self) {
-        self.swept.call_once(|| {
-            let Ok(entries) = fs::read_dir(&self.dir) else { return };
-            for entry in entries.flatten() {
-                let path = entry.path();
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-                let Some((_, pid)) = name.rsplit_once(".tmp-") else { continue };
-                let Ok(pid) = pid.parse::<u32>() else { continue };
-                if pid == std::process::id()
-                    || Self::writer_may_be_alive(pid)
-                    || Self::younger_than(&entry, self.sweep_min_age)
-                {
-                    continue;
-                }
-                let _ = fs::remove_file(&path);
-            }
-        });
-    }
-
-    /// Whether the process that owns a temporary file could still be
-    /// running *on this machine*: its pid exists under `/proc`. Without
-    /// `/proc` the answer is unknowable and `false` is returned — the
-    /// age gate is then the only protection.
-    fn writer_may_be_alive(pid: u32) -> bool {
-        let proc_root = Path::new("/proc");
-        proc_root.is_dir() && proc_root.join(pid.to_string()).exists()
-    }
-
-    /// Whether the file was modified less than `min_age` ago. Unreadable
-    /// metadata or a future mtime (clock skew) count as young — when in
-    /// doubt, keep the file.
-    fn younger_than(entry: &fs::DirEntry, min_age: std::time::Duration) -> bool {
-        entry
-            .metadata()
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|t| t.elapsed().ok())
-            .is_none_or(|age| age < min_age)
+        self.swept.call_once(|| durable::sweep_orphans(&self.dir, durable::SWEEP_MIN_AGE));
     }
 
     /// All `*.dvpt` containers in the cache directory, sorted by file
@@ -361,8 +268,9 @@ impl TraceCache {
         Ok(entries)
     }
 
-    /// Fully verifies one container: header, every chunk checksum, every
-    /// record decodes, no trailing bytes. Decoding fans out on `engine`.
+    /// Fully verifies one container: version and header, every chunk
+    /// checksum, every record decodes, every trailing section frame.
+    /// Decoding fans out on `engine`.
     ///
     /// # Errors
     ///
@@ -386,7 +294,7 @@ impl TraceCache {
     /// decodes to an inconsistent plan.
     pub fn read_phase_plan(path: &Path) -> Result<Option<PhasePlan>, TraceIoError> {
         let mut reader = io::BufReader::new(fs::File::open(path)?);
-        let (version, header) = v2::read_versioned_header(&mut reader)?;
+        let header = v2::read_header(&mut reader)?;
         let payload_bytes: u64 = header.chunks.iter().map(|c| u64::from(c.len)).sum();
         let copied = io::copy(&mut io::Read::take(&mut reader, payload_bytes), &mut io::sink())?;
         if copied != payload_bytes {
@@ -396,7 +304,7 @@ impl TraceCache {
         }
         let mut rest = Vec::new();
         io::Read::read_to_end(&mut reader, &mut rest)?;
-        let sections = v2::validate_trailing(version, &rest)?;
+        let sections = v2::validate_trailing(&rest)?;
         sections
             .iter()
             .find(|section| section.magic == v2::SECTION_PHASES)
@@ -520,68 +428,90 @@ mod tests {
     }
 
     #[test]
-    fn writes_are_compressed_by_default_and_v3_on_request() {
+    fn writes_are_compressed_version_4_containers() {
         let tmp = TempDir::new("versions");
         let engine = ReplayEngine::new();
         let meta = sample_meta();
         let trace = sample_trace(4000);
-
-        let compressed = TraceCache::new(&tmp.0);
-        let path = compressed.write_through(&meta, &trace).expect("writes");
+        let cache = TraceCache::new(&tmp.0);
+        let path = cache.write_through(&meta, &trace).expect("writes");
         let bytes = fs::read(&path).unwrap();
-        assert_eq!(bytes[4], v2::VERSION_COMPRESSED, "default writes are version 4");
+        assert_eq!(bytes[4], v2::VERSION);
         assert!((bytes.len() as u64) < 17 * 4000, "far smaller than the flat encoding");
-        match compressed.lookup(&engine, &meta.fingerprint) {
-            CacheLookup::Hit(_, got) => assert_eq!(got.to_vec(), trace.to_vec()),
-            other => panic!("expected hit, got {other:?}"),
-        }
-
-        let plain = TraceCache::new(&tmp.0).with_compression(false);
-        let path = plain.write_through(&meta, &trace).expect("writes");
-        let plain_bytes = fs::read(&path).unwrap();
-        assert_eq!(plain_bytes[4], v2::VERSION_SECTIONS, "--no-compress writes version 3");
-        assert!(bytes.len() < plain_bytes.len(), "compression shrinks this trace");
-        match plain.lookup(&engine, &meta.fingerprint) {
+        match cache.lookup(&engine, &meta.fingerprint) {
             CacheLookup::Hit(_, got) => assert_eq!(got.to_vec(), trace.to_vec()),
             other => panic!("expected hit, got {other:?}"),
         }
     }
 
     #[test]
-    fn orphaned_tmp_files_of_dead_processes_are_swept() {
+    fn concurrent_write_throughs_of_one_fingerprint_all_commit() {
+        // Serve's job workers share one trace directory: two jobs on one
+        // workload write the same fingerprint at once. Each write must
+        // own its temporary file, or one truncates the other's and a
+        // rename fails.
+        let tmp = TempDir::new("concurrent");
+        let cache = TraceCache::new(&tmp.0);
+        let meta = sample_meta();
+        let trace = sample_trace(20_000);
+        for writers in [2, 8] {
+            let start = std::sync::Barrier::new(writers);
+            let results: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..writers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            cache.write_through(&meta, &trace)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+            });
+            for result in results {
+                result.expect("every concurrent write-through commits");
+            }
+            match cache.lookup(&ReplayEngine::sequential(), &meta.fingerprint) {
+                CacheLookup::Hit(_, got) => assert_eq!(got.to_vec(), trace.to_vec()),
+                other => panic!("expected hit after {writers} writers, got {other:?}"),
+            }
+            let names: Vec<String> = fs::read_dir(&tmp.0)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            assert!(names.iter().all(|n| !n.contains(".tmp-")), "temporary files left: {names:?}");
+        }
+    }
+
+    #[test]
+    fn first_use_sweeps_orphans_once_per_instance() {
         let tmp = TempDir::new("sweep");
         fs::create_dir_all(&tmp.0).unwrap();
-        // Pid 4_000_000_000 is far above any real pid_max: a dead writer.
-        let dead = tmp.0.join(format!("stale.{TRACE_EXTENSION}.tmp-4000000000"));
-        let own = tmp.0.join(format!("inflight.{TRACE_EXTENSION}.tmp-{}", std::process::id()));
-        let unrelated = tmp.0.join("keep.txt");
-        for p in [&dead, &own, &unrelated] {
-            fs::write(p, b"partial").unwrap();
-        }
-
-        // Age gate disabled: pid liveness alone decides.
-        let cache = TraceCache::new(&tmp.0).with_sweep_min_age(std::time::Duration::ZERO);
+        // Pid 4_000_000_000 is far above any real pid_max: a dead writer,
+        // and two hours is past the sweep's age gate.
+        let dead = tmp.0.join(format!("stale.{TRACE_EXTENSION}.tmp-4000000000-0"));
+        let plant = || {
+            fs::write(&dead, b"partial").unwrap();
+            let two_hours_ago =
+                std::time::SystemTime::now() - std::time::Duration::from_secs(2 * 3600);
+            fs::File::options()
+                .write(true)
+                .open(&dead)
+                .unwrap()
+                .set_modified(two_hours_ago)
+                .unwrap();
+        };
+        plant();
+        let cache = TraceCache::new(&tmp.0);
         let _ = cache.lookup(&ReplayEngine::sequential(), &sample_meta().fingerprint);
-        assert!(!dead.exists(), "dead process's tmp file must be swept");
-        assert!(own.exists(), "this process's in-flight tmp file must survive");
-        assert!(unrelated.exists(), "non-tmp files are untouched");
-
-        // The sweep runs once per cache instance: a re-planted orphan
-        // survives lookups on the same instance…
-        fs::write(&dead, b"partial again").unwrap();
+        assert!(!dead.exists(), "a dead writer's old temporary file is swept on first use");
+        // A re-planted orphan survives lookups on the same instance…
+        plant();
         let _ = cache.lookup(&ReplayEngine::sequential(), &sample_meta().fingerprint);
         assert!(dead.exists());
-        // …and is collected by the next gate-free instance.
-        let _ = TraceCache::new(&tmp.0)
-            .with_sweep_min_age(std::time::Duration::ZERO)
-            .lookup(&ReplayEngine::sequential(), &sample_meta().fingerprint);
-        assert!(!dead.exists());
-        // A default-gated instance keeps a *fresh* dead-pid file: locally
-        // dead may be another machine's live writer on a shared FS.
-        fs::write(&dead, b"fresh again").unwrap();
+        // …and is collected by the next instance's first use.
         let _ =
             TraceCache::new(&tmp.0).lookup(&ReplayEngine::sequential(), &sample_meta().fingerprint);
-        assert!(dead.exists(), "a fresh tmp file must survive the default age gate");
+        assert!(!dead.exists());
     }
 
     #[test]
@@ -590,14 +520,11 @@ mod tests {
         let meta = sample_meta();
         let trace = sample_trace(6000);
         let expected = dvp_engine::phase_plan(&trace, &dvp_engine::PhaseOptions::default());
-        for compress in [true, false] {
-            let cache = TraceCache::new(&tmp.0).with_compression(compress);
-            let path = cache.write_through(&meta, &trace).expect("writes");
-            let stored = TraceCache::read_phase_plan(&path)
-                .expect("section frames validate")
-                .expect("plan section present");
-            assert_eq!(stored, expected, "compress={compress}");
-        }
+        let path = TraceCache::new(&tmp.0).write_through(&meta, &trace).expect("writes");
+        let stored = TraceCache::read_phase_plan(&path)
+            .expect("section frames validate")
+            .expect("plan section present");
+        assert_eq!(stored, expected);
     }
 
     #[test]

@@ -103,7 +103,6 @@ pub struct TraceStore {
     scale_div: u32,
     record_cap: Option<usize>,
     cache: Option<TraceCache>,
-    cache_compress: bool,
     stats: CacheStats,
 }
 
@@ -119,7 +118,6 @@ impl Default for TraceStore {
             scale_div: 1,
             record_cap: None,
             cache: None,
-            cache_compress: true,
             stats: CacheStats::default(),
         }
     }
@@ -152,19 +150,7 @@ impl TraceStore {
     /// there before simulating, and simulated traces are written through.
     #[must_use]
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache = Some(TraceCache::new(dir).with_compression(self.cache_compress));
-        self
-    }
-
-    /// Chooses whether the disk tier writes compressed (version-4, the
-    /// default) or uncompressed containers — `repro --no-compress` flips
-    /// this. Applies to an already-configured trace directory and to any
-    /// configured later; reading accepts every supported version
-    /// regardless.
-    #[must_use]
-    pub fn with_cache_compression(mut self, compress: bool) -> Self {
-        self.cache_compress = compress;
-        self.cache = self.cache.map(|cache| cache.with_compression(compress));
+        self.cache = Some(TraceCache::new(dir));
         self
     }
 
@@ -516,6 +502,23 @@ mod tests {
         let traces = store.synthetic_traces(&ReplayEngine::sequential(), &[scenario]);
         assert_eq!(traces[0].len(), 30);
         assert_eq!(traces[0].to_vec(), scenario.records()[..30]);
+    }
+
+    #[test]
+    fn failed_write_through_still_returns_the_simulated_trace() {
+        // A regular file where the trace directory should be: the lookup
+        // cannot read and every write-through fails.
+        let blocker =
+            std::env::temp_dir().join(format!("dvp-blocked-trace-dir-{}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").expect("writes the blocker");
+        let mut cached =
+            TraceStore::with_scale_div(1000).with_record_cap(500).with_trace_dir(&blocker);
+        let mut uncached = TraceStore::with_scale_div(1000).with_record_cap(500);
+        let trace = cached.trace(Benchmark::M88k).expect("a failed write-through is a warning");
+        assert_eq!(trace.to_vec(), uncached.trace(Benchmark::M88k).unwrap().to_vec());
+        let stats = cached.cache_stats();
+        assert_eq!((stats.simulated, stats.written, stats.disk_hits), (1, 0, 0));
+        let _ = std::fs::remove_file(&blocker);
     }
 
     #[test]

@@ -38,9 +38,10 @@
 //! All workload-driven experiments share a [`TraceStore`] so each benchmark
 //! is simulated once per `repro` invocation — and, with `repro
 //! --trace-dir`, at most once *ever* per configuration: the [`cache`]
-//! module persists traces as chunked v2 containers (byte-level spec in
-//! `docs/TRACE_FORMAT.md`) that later runs load in parallel instead of
-//! simulating, with byte-identical output.
+//! module persists traces as chunked version-4 containers (byte-level
+//! spec in `docs/TRACE_FORMAT.md`) that later runs load in parallel
+//! instead of simulating, with byte-identical output. Both on-disk caches
+//! write through one crash-safe path, [`durable`].
 //!
 //! # Examples
 //!
@@ -67,6 +68,7 @@ pub mod bench;
 pub mod cache;
 pub mod characterize;
 mod context;
+pub mod durable;
 pub mod information;
 pub mod overlap;
 pub mod phases;

@@ -12,12 +12,10 @@
 //! * an in-memory LRU of at most `capacity` entries (recency updated on
 //!   every hit, least-recently-used evicted first), and
 //! * an optional on-disk tier ([`ResultCache::with_dir`]) of one
-//!   checksummed entry file per key, written with the same
-//!   fsync-then-rename durability idiom as the trace cache
-//!   ([`TraceCache::write_through`](crate::cache::TraceCache::write_through)):
-//!   a `kill -9` mid-write can never leave a torn entry under the final
-//!   name, and orphaned `.tmp-<pid>` files of dead writers are swept on
-//!   first use.
+//!   checksummed entry file per key, written through the same durability
+//!   path as the trace cache ([`durable::replace_file`]): a `kill -9`
+//!   mid-write can never leave a torn entry under the final name, and
+//!   orphaned temporary files of dead writers are swept on first use.
 //!
 //! Like the trace cache, the disk tier is **safe by construction**: every
 //! read re-validates the entry byte for byte (magic, version, lengths,
@@ -32,22 +30,21 @@
 //! # Versioning: the engine epoch
 //!
 //! A payload is only as durable as the semantics that rendered it. Every
-//! v2 entry therefore stamps the **engine epoch**
+//! entry therefore stamps the **engine epoch**
 //! ([`dvp_engine::engine_epoch`]) — a fingerprint of the
 //! predictor-semantics surface — into its header, and [`decode_entry`]
-//! rejects entries whose epoch differs from the reader's. Pre-epoch v1
-//! entries carry no such stamp and are rejected unconditionally:
-//! recomputing a result is cheap, serving a stale one is a correctness
-//! bug. [`scan_entries`] and [`purge_stale`] are the header-level
-//! maintenance surface behind `repro cache stats` / `repro cache purge
-//! --stale`.
+//! rejects entries whose epoch differs from the reader's. An entry of any
+//! other format version is rejected the same way: recomputing a result is
+//! cheap, serving a stale one is a correctness bug. [`scan_entries`] and
+//! [`purge_stale`] are the header-level maintenance surface behind `repro
+//! cache stats` / `repro cache purge --stale`.
 
+use crate::durable;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// File extension of persisted result entries.
 pub const RESULT_EXTENSION: &str = "dvpr";
@@ -55,15 +52,9 @@ pub const RESULT_EXTENSION: &str = "dvpr";
 /// Magic bytes opening every result entry file.
 pub const RESULT_MAGIC: [u8; 4] = *b"DVPR";
 
-/// The current entry format version. v2 added the engine-epoch field;
-/// v1 entries (which predate epochs) are always rejected and recomputed.
+/// The one entry format version this build reads and writes; entries of
+/// any other version are rejected and recomputed.
 pub const RESULT_VERSION: u8 = 2;
-
-/// Default minimum age before an orphaned `.tmp-*` file may be swept.
-/// Protects live temp files of *other machines* sharing the cache
-/// directory over a network filesystem, whose pids are meaningless in
-/// the local `/proc`.
-pub const SWEEP_MIN_AGE: Duration = Duration::from_secs(3600);
 
 /// FNV-1a 64 of one byte slice — the entry checksum function (same
 /// algorithm as the trace container's, `docs/TRACE_FORMAT.md`).
@@ -76,20 +67,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Byte length of the fixed v2 header: magic (4) + version (1) + engine
+/// Byte length of the fixed header: magic (4) + version (1) + engine
 /// epoch (8) + key length (4) + payload length (4).
-const HEAD_V2: usize = 4 + 1 + 8 + 4 + 4;
+const HEAD: usize = 4 + 1 + 8 + 4 + 4;
 
-/// Byte length of the fixed pre-epoch v1 header (no epoch field).
-const HEAD_V1: usize = 4 + 1 + 4 + 4;
-
-/// Encodes one v2 result-cache entry: `"DVPR"` + version + engine epoch
+/// Encodes one result-cache entry: `"DVPR"` + version + engine epoch
 /// (u64 LE) + key length (u32 LE) + payload length (u32 LE) + key +
 /// payload + FNV-1a 64 (u64 LE) over everything before the checksum. See
 /// `docs/RESULT_FORMAT.md`.
 #[must_use]
 pub fn encode_entry(key: &str, payload: &str, epoch: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEAD_V2 + key.len() + payload.len() + 8);
+    let mut out = Vec::with_capacity(HEAD + key.len() + payload.len() + 8);
     out.extend_from_slice(&RESULT_MAGIC);
     out.push(RESULT_VERSION);
     out.extend_from_slice(&epoch.to_le_bytes());
@@ -104,23 +92,75 @@ pub fn encode_entry(key: &str, payload: &str, epoch: u64) -> Vec<u8> {
 
 /// Decodes and validates one entry read under `key` at engine epoch
 /// `epoch`, returning the payload. Every framing invariant is checked —
-/// magic, version (v1 entries predate epochs and are rejected
-/// unconditionally), declared lengths vs the exact file size (trailing
-/// bytes are an error), the checksum over everything before it, the
-/// stored engine epoch vs the reader's, UTF-8 of both strings, and that
-/// the stored key equals the expected one (a mis-filed entry must never
-/// be served for the wrong job).
+/// magic, version, declared lengths vs the exact file size (trailing bytes
+/// are an error), the checksum over everything before it (see
+/// [`read_entry_header`]), then the stored engine epoch vs the reader's,
+/// UTF-8 of the payload, and that the stored key equals the expected one
+/// (a mis-filed entry must never be served for the wrong job).
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violated invariant, naming
 /// the byte offset and the expected-vs-found values.
 pub fn decode_entry(key: &str, epoch: u64, bytes: &[u8]) -> Result<String, String> {
-    if bytes.len() < HEAD_V2 + 8 {
+    let header = read_entry_header(bytes)?;
+    // Epoch staleness is checked after the checksum so a corrupted epoch
+    // field reports as corruption, and only an intact entry from a
+    // different build reports as stale.
+    if header.epoch != epoch {
+        return Err(format!(
+            "stale engine epoch at offset 5: entry {:016x}, current {epoch:016x}",
+            header.epoch
+        ));
+    }
+    if header.key != key {
+        return Err(format!(
+            "key mismatch at offset {HEAD}: entry holds `{}`, expected `{key}`",
+            header.key
+        ));
+    }
+    let start = HEAD + key.len();
+    let payload = std::str::from_utf8(&bytes[start..start + header.payload_len as usize])
+        .map_err(|err| format!("payload at offset {start} is not UTF-8: {err}"))?;
+    Ok(payload.to_owned())
+}
+
+/// The validated header of one on-disk entry — the key-independent view
+/// `repro cache` maintenance works from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EntryHeader {
+    /// The engine epoch stamped into the entry.
+    pub epoch: u64,
+    /// The canonical job key the entry was written under.
+    pub key: String,
+    /// Declared payload length in bytes.
+    pub payload_len: u32,
+}
+
+impl EntryHeader {
+    /// Whether the entry may be served at `current` epoch.
+    #[must_use]
+    pub fn is_current(&self, current: u64) -> bool {
+        self.epoch == current
+    }
+}
+
+/// Parses and integrity-checks one entry without knowing its key or the
+/// current epoch: magic, version, declared lengths vs the exact file size,
+/// checksum and UTF-8 of the key are validated, and the stored identity is
+/// returned for the caller to judge (staleness is a policy, corruption a
+/// fact).
+///
+/// # Errors
+///
+/// A human-readable description of the first violated invariant, naming
+/// the byte offset and the expected-vs-found values.
+pub fn read_entry_header(bytes: &[u8]) -> Result<EntryHeader, String> {
+    if bytes.len() < HEAD + 8 {
         return Err(format!(
             "entry too short: {} bytes on disk, at least {} required",
             bytes.len(),
-            HEAD_V2 + 8
+            HEAD + 8
         ));
     }
     if bytes[..4] != RESULT_MAGIC {
@@ -130,124 +170,23 @@ pub fn decode_entry(key: &str, epoch: u64, bytes: &[u8]) -> Result<String, Strin
         ));
     }
     if bytes[4] != RESULT_VERSION {
-        let hint = if bytes[4] == 1 { " (pre-epoch v1 entries are never trusted)" } else { "" };
         return Err(format!(
-            "unsupported version at offset 4: expected {RESULT_VERSION}, found {}{hint}",
+            "unsupported version at offset 4: expected {RESULT_VERSION}, found {}",
             bytes[4]
         ));
     }
-    let stored_epoch = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes"));
+    let epoch = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes"));
     let key_len = u32::from_le_bytes(bytes[13..17].try_into().expect("4 bytes")) as usize;
-    let payload_len = u32::from_le_bytes(bytes[17..21].try_into().expect("4 bytes")) as usize;
-    let expected_len = HEAD_V2 + key_len + payload_len + 8;
-    if bytes.len() != expected_len {
+    let payload_len = u32::from_le_bytes(bytes[17..21].try_into().expect("4 bytes"));
+    let body_end = HEAD + key_len + payload_len as usize;
+    if bytes.len() != body_end + 8 {
         return Err(format!(
-            "length mismatch: {} bytes on disk, {expected_len} declared \
+            "length mismatch: {} bytes on disk, {} declared \
              (key_len {key_len} at offset 13, payload_len {payload_len} at offset 17)",
-            bytes.len()
-        ));
-    }
-    let body_end = HEAD_V2 + key_len + payload_len;
-    let stored_sum = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    let actual_sum = fnv1a64(&bytes[..body_end]);
-    if stored_sum != actual_sum {
-        return Err(format!(
-            "checksum mismatch at offset {body_end}: stored {stored_sum:016x}, \
-             actual {actual_sum:016x}"
-        ));
-    }
-    // Epoch staleness is checked after the checksum so a corrupted epoch
-    // field reports as corruption, and only an intact entry from a
-    // different build reports as stale.
-    if stored_epoch != epoch {
-        return Err(format!(
-            "stale engine epoch at offset 5: entry {stored_epoch:016x}, current {epoch:016x}"
-        ));
-    }
-    let stored_key = std::str::from_utf8(&bytes[HEAD_V2..HEAD_V2 + key_len])
-        .map_err(|err| format!("key at offset {HEAD_V2} is not UTF-8: {err}"))?;
-    if stored_key != key {
-        return Err(format!(
-            "key mismatch at offset {HEAD_V2}: entry holds `{stored_key}`, expected `{key}`"
-        ));
-    }
-    let payload = std::str::from_utf8(&bytes[HEAD_V2 + key_len..body_end])
-        .map_err(|err| format!("payload at offset {} is not UTF-8: {err}", HEAD_V2 + key_len))?;
-    Ok(payload.to_owned())
-}
-
-/// The validated header of one on-disk entry, either version — the
-/// key-independent view `repro cache` maintenance works from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EntryHeader {
-    /// Entry format version (1 or 2).
-    pub version: u8,
-    /// The engine epoch stamped into a v2 entry; `None` for pre-epoch v1.
-    pub epoch: Option<u64>,
-    /// The canonical job key the entry was written under.
-    pub key: String,
-    /// Declared payload length in bytes.
-    pub payload_len: u32,
-}
-
-impl EntryHeader {
-    /// Whether the entry may be served at `current` epoch: a v2 entry
-    /// stamped with exactly that epoch. v1 entries are never current.
-    #[must_use]
-    pub fn is_current(&self, current: u64) -> bool {
-        self.version == RESULT_VERSION && self.epoch == Some(current)
-    }
-}
-
-/// Parses and integrity-checks one entry without knowing its key or the
-/// current epoch: framing, lengths, and checksum are validated for both
-/// the v2 and the legacy v1 layout, and the stored identity is returned
-/// for the caller to judge (staleness is a policy, corruption a fact).
-///
-/// # Errors
-///
-/// A human-readable description of the first violated invariant.
-pub fn read_entry_header(bytes: &[u8]) -> Result<EntryHeader, String> {
-    if bytes.len() < HEAD_V1 + 8 {
-        return Err(format!(
-            "entry too short: {} bytes on disk, at least {} required",
             bytes.len(),
-            HEAD_V1 + 8
+            body_end + 8
         ));
     }
-    if bytes[..4] != RESULT_MAGIC {
-        return Err(format!(
-            "bad magic at offset 0: expected {RESULT_MAGIC:02x?}, found {:02x?}",
-            &bytes[..4]
-        ));
-    }
-    let version = bytes[4];
-    let (head, epoch) = match version {
-        1 => (HEAD_V1, None),
-        2 => {
-            if bytes.len() < HEAD_V2 + 8 {
-                return Err(format!(
-                    "entry too short: {} bytes on disk, at least {} required",
-                    bytes.len(),
-                    HEAD_V2 + 8
-                ));
-            }
-            (HEAD_V2, Some(u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes"))))
-        }
-        other => {
-            return Err(format!("unsupported version at offset 4: expected 1 or 2, found {other}"))
-        }
-    };
-    let key_len = u32::from_le_bytes(bytes[head - 8..head - 4].try_into().expect("4 bytes"));
-    let payload_len = u32::from_le_bytes(bytes[head - 4..head].try_into().expect("4 bytes"));
-    let expected_len = head + key_len as usize + payload_len as usize + 8;
-    if bytes.len() != expected_len {
-        return Err(format!(
-            "length mismatch: {} bytes on disk, {expected_len} declared",
-            bytes.len()
-        ));
-    }
-    let body_end = head + key_len as usize + payload_len as usize;
     let stored_sum = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
     let actual_sum = fnv1a64(&bytes[..body_end]);
     if stored_sum != actual_sum {
@@ -256,10 +195,10 @@ pub fn read_entry_header(bytes: &[u8]) -> Result<EntryHeader, String> {
              actual {actual_sum:016x}"
         ));
     }
-    let key = std::str::from_utf8(&bytes[head..head + key_len as usize])
-        .map_err(|err| format!("key at offset {head} is not UTF-8: {err}"))?
+    let key = std::str::from_utf8(&bytes[HEAD..HEAD + key_len])
+        .map_err(|err| format!("key at offset {HEAD} is not UTF-8: {err}"))?
         .to_owned();
-    Ok(EntryHeader { version, epoch, key, payload_len })
+    Ok(EntryHeader { epoch, key, payload_len })
 }
 
 /// One on-disk `.dvpr` file as seen by maintenance: its path, size, and
@@ -304,15 +243,16 @@ pub fn scan_entries(dir: &Path) -> io::Result<Vec<EntryInfo>> {
 /// What [`purge_stale`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PurgeReport {
-    /// Entries removed: stale-epoch, pre-epoch v1, or invalid.
+    /// Entries removed: stale-epoch, other-version, or invalid.
     pub removed: usize,
     /// Entries kept: valid v2 entries at the current epoch.
     pub kept: usize,
 }
 
 /// Removes every entry under `dir` that [`decode_entry`] would refuse to
-/// serve at `current` epoch — stale-epoch v2 entries, pre-epoch v1
-/// entries, and corrupt files — keeping only current, intact entries.
+/// serve at `current` epoch — stale-epoch entries, entries of another
+/// format version, and corrupt files — keeping only current, intact
+/// entries.
 ///
 /// # Errors
 ///
@@ -385,8 +325,6 @@ pub struct ResultCache {
     /// The engine epoch stamped into every written entry and required of
     /// every read one.
     epoch: u64,
-    /// Minimum age before an orphaned `.tmp-*` file may be swept.
-    sweep_min_age: Duration,
     stats: ResultCacheStats,
     /// Guards the one-time orphaned-`.tmp-*` sweep of the directory.
     swept: std::sync::Once,
@@ -403,7 +341,6 @@ impl ResultCache {
             capacity,
             dir: None,
             epoch: dvp_engine::engine_epoch(),
-            sweep_min_age: SWEEP_MIN_AGE,
             stats: ResultCacheStats::default(),
             swept: std::sync::Once::new(),
         }
@@ -423,14 +360,6 @@ impl ResultCache {
     #[must_use]
     pub fn with_epoch(mut self, epoch: u64) -> ResultCache {
         self.epoch = epoch;
-        self
-    }
-
-    /// Overrides the orphan-sweep age gate ([`SWEEP_MIN_AGE`] by
-    /// default). `Duration::ZERO` restores pid-liveness-only sweeping.
-    #[must_use]
-    pub fn with_sweep_min_age(mut self, min_age: Duration) -> ResultCache {
-        self.sweep_min_age = min_age;
         self
     }
 
@@ -492,8 +421,8 @@ impl ResultCache {
 
     /// Stores a computed payload in both tiers: front of the memory LRU
     /// (evicting from the back while over capacity) and, when a directory
-    /// is configured, written through to disk atomically (temporary
-    /// sibling file, fsync, rename — the trace cache's durability idiom).
+    /// is configured, written through to disk atomically
+    /// ([`durable::replace_file`]).
     pub fn insert(&mut self, key: &str, payload: &str) {
         self.remember(key, payload);
         if let Err(err) = self.disk_put(key, payload) {
@@ -536,79 +465,23 @@ impl ResultCache {
     }
 
     fn disk_put(&mut self, key: &str, payload: &str) -> io::Result<()> {
-        let Some(path) = self.path_for(key) else { return Ok(()) };
-        let dir = self.dir.clone().expect("path_for implies dir");
-        fs::create_dir_all(&dir)?;
+        let (Some(dir), Some(path)) = (self.dir.as_deref(), self.path_for(key)) else {
+            return Ok(());
+        };
+        fs::create_dir_all(dir)?;
         self.sweep_orphans();
-        let tmp = path.with_extension(format!("{RESULT_EXTENSION}.tmp-{}", std::process::id()));
-        let result = (|| {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&encode_entry(key, payload, self.epoch))?;
-            file.flush()?;
-            // Durability, not just atomicity: rename orders the directory
-            // entry, but only an fsync orders the *data* against a crash.
-            file.sync_all()?;
-            fs::rename(&tmp, &path)?;
-            // Best-effort: persist the rename itself.
-            if let Ok(dir) = fs::File::open(&dir) {
-                let _ = dir.sync_all();
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        } else {
-            self.stats.written += 1;
-        }
-        result
+        let entry = encode_entry(key, payload, self.epoch);
+        durable::replace_file(&path, |writer| writer.write_all(&entry))?;
+        self.stats.written += 1;
+        Ok(())
     }
 
-    /// Removes `*.tmp-<pid>` leftovers of dead processes, once per cache
-    /// instance. A file is swept only when its recorded pid is not this
-    /// process, does not exist in the local `/proc` (when present), *and*
-    /// the file is older than the age gate — a pid absent locally may be
-    /// a live writer on another machine sharing the directory over a
-    /// network filesystem, so neither signal alone is trusted.
+    /// Sweeps the temporary files of dead writers from the directory
+    /// ([`durable::sweep_orphans`]), once per cache instance.
     fn sweep_orphans(&self) {
         let Some(dir) = self.dir.as_deref() else { return };
-        self.swept.call_once(|| {
-            let Ok(entries) = fs::read_dir(dir) else { return };
-            for entry in entries.flatten() {
-                let path = entry.path();
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-                let Some((_, pid)) = name.rsplit_once(".tmp-") else { continue };
-                let Ok(pid) = pid.parse::<u32>() else { continue };
-                if pid == std::process::id()
-                    || writer_may_be_alive(pid)
-                    || younger_than(&entry, self.sweep_min_age)
-                {
-                    continue;
-                }
-                let _ = fs::remove_file(&path);
-            }
-        });
+        self.swept.call_once(|| durable::sweep_orphans(dir, durable::SWEEP_MIN_AGE));
     }
-}
-
-/// Whether the process that owns a temporary file could still be running
-/// *on this machine*: its pid exists under `/proc`. Without `/proc` the
-/// answer is unknowable and `false` is returned — the age gate is then
-/// the only protection.
-fn writer_may_be_alive(pid: u32) -> bool {
-    let proc_root = Path::new("/proc");
-    proc_root.is_dir() && proc_root.join(pid.to_string()).exists()
-}
-
-/// Whether the file was modified less than `min_age` ago. Unreadable
-/// metadata or a future mtime (clock skew) count as young — when in
-/// doubt, keep the file.
-fn younger_than(entry: &fs::DirEntry, min_age: Duration) -> bool {
-    entry
-        .metadata()
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|t| t.elapsed().ok())
-        .is_none_or(|age| age < min_age)
 }
 
 #[cfg(test)]
@@ -631,20 +504,6 @@ mod tests {
         fn drop(&mut self) {
             let _ = fs::remove_dir_all(&self.0);
         }
-    }
-
-    /// Hand-builds a pre-epoch v1 entry (the PR 8 layout) byte for byte.
-    fn encode_v1_entry(key: &str, payload: &str) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&RESULT_MAGIC);
-        out.push(1u8);
-        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(key.as_bytes());
-        out.extend_from_slice(payload.as_bytes());
-        let checksum = fnv1a64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
     }
 
     #[test]
@@ -695,7 +554,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_stale_epochs_and_v1_entries() {
+    fn decode_rejects_stale_epochs() {
         // An intact entry from a different build: stale, with both epochs
         // named so the operator can see which build wrote it.
         let bytes = encode_entry("k", "payload", 0xAAAA);
@@ -703,32 +562,18 @@ mod tests {
             decode_entry("k", 0xBBBB, &bytes).unwrap_err(),
             "stale engine epoch at offset 5: entry 000000000000aaaa, current 000000000000bbbb"
         );
-        // A pre-epoch v1 entry is structurally valid but carries no epoch
-        // stamp: rejected unconditionally.
-        let v1 = encode_v1_entry("k", "payload");
-        assert_eq!(
-            decode_entry("k", 0xBBBB, &v1).unwrap_err(),
-            "unsupported version at offset 4: expected 2, found 1 \
-             (pre-epoch v1 entries are never trusted)"
-        );
     }
 
     #[test]
-    fn headers_parse_for_both_versions_and_judge_currency() {
-        let v2 = read_entry_header(&encode_entry("job|x", "body", 42)).unwrap();
-        assert_eq!(
-            v2,
-            EntryHeader { version: 2, epoch: Some(42), key: "job|x".into(), payload_len: 4 }
-        );
-        assert!(v2.is_current(42));
-        assert!(!v2.is_current(43));
+    fn headers_parse_and_judge_currency() {
+        let header = read_entry_header(&encode_entry("job|x", "body", 42)).unwrap();
+        assert_eq!(header, EntryHeader { epoch: 42, key: "job|x".into(), payload_len: 4 });
+        assert!(header.is_current(42));
+        assert!(!header.is_current(43));
 
-        let v1 = read_entry_header(&encode_v1_entry("job|x", "body")).unwrap();
-        assert_eq!(
-            v1,
-            EntryHeader { version: 1, epoch: None, key: "job|x".into(), payload_len: 4 }
-        );
-        assert!(!v1.is_current(42), "v1 entries are never current");
+        let mut other_version = encode_entry("job|x", "body", 42);
+        other_version[4] = 1;
+        assert!(read_entry_header(&other_version).unwrap_err().contains("unsupported version"));
 
         let mut corrupt = encode_entry("job|x", "body", 42);
         let last = corrupt.len() - 1;
@@ -742,10 +587,12 @@ mod tests {
         fs::create_dir_all(&tmp.0).unwrap();
         fs::write(tmp.0.join("current.dvpr"), encode_entry("a", "A", 7)).unwrap();
         fs::write(tmp.0.join("stale.dvpr"), encode_entry("b", "B", 6)).unwrap();
-        fs::write(tmp.0.join("legacy.dvpr"), encode_v1_entry("c", "C")).unwrap();
+        let mut legacy = encode_entry("c", "C", 7);
+        legacy[4] = 1;
+        fs::write(tmp.0.join("legacy.dvpr"), legacy).unwrap();
         fs::write(tmp.0.join("torn.dvpr"), b"DVPR").unwrap();
         fs::write(tmp.0.join("ignored.txt"), b"not an entry").unwrap();
-        fs::write(tmp.0.join("inflight.dvpr.tmp-1"), b"partial").unwrap();
+        fs::write(tmp.0.join("inflight.dvpr.tmp-1-0"), b"partial").unwrap();
 
         let infos = scan_entries(&tmp.0).unwrap();
         let names: Vec<_> =
@@ -762,7 +609,7 @@ mod tests {
         assert!(!tmp.0.join("legacy.dvpr").exists());
         assert!(!tmp.0.join("torn.dvpr").exists());
         assert!(tmp.0.join("ignored.txt").exists(), "foreign files are untouched");
-        assert!(tmp.0.join("inflight.dvpr.tmp-1").exists(), "temp files are the sweep's job");
+        assert!(tmp.0.join("inflight.dvpr.tmp-1-0").exists(), "temp files are the sweep's job");
     }
 
     #[test]
@@ -856,42 +703,6 @@ mod tests {
         fs::rename(from, to).unwrap();
         assert_eq!(cache.get("key-two"), None, "stored key must match the lookup key");
         assert_eq!(cache.stats().invalid, 1);
-    }
-
-    #[test]
-    fn orphaned_tmp_files_of_dead_processes_are_swept() {
-        let tmp = TempDir::new("sweep");
-        fs::create_dir_all(&tmp.0).unwrap();
-        // Pid 4_000_000_000 is far above any real pid_max: a dead writer.
-        let dead = tmp.0.join(format!("stale.{RESULT_EXTENSION}.tmp-4000000000"));
-        let own = tmp.0.join(format!("inflight.{RESULT_EXTENSION}.tmp-{}", std::process::id()));
-        let unrelated = tmp.0.join("keep.txt");
-        for p in [&dead, &own, &unrelated] {
-            fs::write(p, b"partial").unwrap();
-        }
-
-        // Age gate disabled: pid liveness alone decides.
-        let mut cache = ResultCache::new(2).with_dir(&tmp.0).with_sweep_min_age(Duration::ZERO);
-        let _ = cache.get("anything");
-        assert!(!dead.exists(), "dead process's tmp file must be swept");
-        assert!(own.exists(), "this process's in-flight tmp file must survive");
-        assert!(unrelated.exists(), "non-tmp files are untouched");
-    }
-
-    #[test]
-    fn fresh_tmp_files_survive_the_default_age_gate_even_with_a_dead_pid() {
-        // A pid that is dead *locally* may be a live writer on another
-        // machine sharing this directory over a network filesystem; a
-        // freshly written temp file must therefore never be swept, only
-        // one both dead and older than the gate.
-        let tmp = TempDir::new("sweep-age-gate");
-        fs::create_dir_all(&tmp.0).unwrap();
-        let foreign = tmp.0.join(format!("peer.{RESULT_EXTENSION}.tmp-4000000001"));
-        fs::write(&foreign, b"live on another machine").unwrap();
-
-        let mut cache = ResultCache::new(2).with_dir(&tmp.0);
-        let _ = cache.get("anything");
-        assert!(foreign.exists(), "a fresh tmp file must survive the default age gate");
     }
 
     #[test]

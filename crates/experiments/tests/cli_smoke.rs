@@ -66,6 +66,23 @@ fn bench_check_replays_only_at_the_baseline_size() {
 }
 
 #[test]
+fn failed_trace_write_through_warns_and_keeps_the_output() {
+    // A regular file where the trace directory should be: the job still
+    // prints the simulated result, byte-identical to an uncached run, and
+    // the failed write-through is a warning on stderr.
+    let blocker = std::env::temp_dir().join(format!("dvp-cli-blocked-{}", std::process::id()));
+    std::fs::write(&blocker, b"not a directory").expect("writes the blocker");
+    let job = r#"{"scenario":{"kind":"stride","pcs":2,"records_per_pc":32,"seed":4,"stride":2},"bank":["l"]}"#;
+    let uncached = repro(&["job", "--json", job]);
+    let blocked = repro(&["--trace-dir", blocker.to_str().expect("utf-8"), "job", "--json", job]);
+    let _ = std::fs::remove_file(&blocker);
+    assert!(uncached.status.success(), "{}", stderr_of(&uncached));
+    assert!(blocked.status.success(), "a failed write-through must not fail the run");
+    assert_eq!(blocked.stdout, uncached.stdout);
+    assert!(stderr_of(&blocked).contains("write-through failed"), "{}", stderr_of(&blocked));
+}
+
+#[test]
 fn trace_tool_requires_a_trace_dir() {
     let out = repro(&["trace", "stats"]);
     assert!(!out.status.success());

@@ -51,7 +51,7 @@ fn every_single_byte_flip_is_rejected() {
 }
 
 /// The reject reasons carry the byte offset and expected-vs-found values
-/// (the v1 trace-reader idiom): pin the exact wording per failure class.
+/// (the trace-reader idiom): pin the exact wording per failure class.
 #[test]
 fn reject_reasons_carry_offsets_and_expected_vs_found() {
     let good = encode_entry(KEY, PAYLOAD, EPOCH);
@@ -64,20 +64,14 @@ fn reject_reasons_carry_offsets_and_expected_vs_found() {
     let err = decode_entry(KEY, EPOCH, &bad_magic).unwrap_err();
     assert_eq!(err, "bad magic at offset 0: expected [44, 56, 50, 52], found [58, 56, 50, 52]");
 
-    // A version byte of 1 is a *structurally plausible* legacy entry, and
-    // the reason says why it is still refused.
-    let mut v1 = good.clone();
-    v1[4] = 1;
-    let err = decode_entry(KEY, EPOCH, &v1).unwrap_err();
-    assert_eq!(
-        err,
-        "unsupported version at offset 4: expected 2, found 1 \
-         (pre-epoch v1 entries are never trusted)"
-    );
-    let mut v9 = good.clone();
-    v9[4] = 9;
-    let err = decode_entry(KEY, EPOCH, &v9).unwrap_err();
-    assert_eq!(err, "unsupported version at offset 4: expected 2, found 9");
+    // Every version but the current one, the retired pre-epoch 1
+    // included, is refused with the same reason.
+    for version in [1u8, 9] {
+        let mut other = good.clone();
+        other[4] = version;
+        let err = decode_entry(KEY, EPOCH, &other).unwrap_err();
+        assert_eq!(err, format!("unsupported version at offset 4: expected 2, found {version}"));
+    }
 
     let mut truncated = good.clone();
     truncated.truncate(good.len() - 3);

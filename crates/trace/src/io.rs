@@ -1,30 +1,22 @@
-//! Trace persistence: JSON-lines (debuggable), the flat v1 binary format
-//! (17 bytes/record), and the chunked [`v2`] container that the persistent
-//! trace cache is built on.
+//! Trace persistence: the chunked, checksummed [`v2`] container the
+//! persistent trace cache is built on, and its per-chunk compression
+//! framing ([`compress`]).
 //!
 //! The paper's methodology is trace-driven; persisting traces lets
 //! experiments replay identical streams without re-simulating, and lets
-//! external tools consume them. Both binary formats are specified byte for
-//! byte in `docs/TRACE_FORMAT.md` at the repository root — the spec is the
+//! external tools consume them. The container is specified byte for byte
+//! in `docs/TRACE_FORMAT.md` at the repository root — the spec is the
 //! contract; this module is one implementation of it.
 //!
-//! **Format guide.** v1 ([`write_binary`]/[`read_binary`]) is a bare
-//! record stream: simple, but it carries no record count, no workload
-//! identity, and no checksum, so a reader cannot tell a truncated or
-//! corrupted file from a short trace. The [`v2`] container fixes all
-//! three (header + fingerprint + per-chunk checksums) and its chunks
-//! decode independently, which is what lets `dvp-engine` load a cached
-//! trace in parallel. New code should write v2.
+//! **One live version.** Only container version 4 is read or written.
+//! Any other version byte is an [`TraceIoError::UnsupportedVersion`]
+//! error, which a cache treats as a miss to regenerate.
 
 pub mod compress;
 pub mod v2;
 
-use crate::{InstrCategory, Pc, TraceRecord};
 use std::fmt;
-use std::io::{self, BufRead, Read, Write};
-
-/// Magic bytes of the v1 binary trace format (`"DVPT"` + version 1).
-const MAGIC: [u8; 5] = [b'D', b'V', b'P', b'T', 1];
+use std::io;
 
 /// Error while reading a persisted trace.
 #[derive(Debug)]
@@ -36,6 +28,9 @@ pub enum TraceIoError {
         /// Human-readable description of the problem.
         message: String,
     },
+    /// A trace container whose version byte is not the one this build
+    /// reads ([`v2::VERSION`]).
+    UnsupportedVersion(u8),
 }
 
 impl fmt::Display for TraceIoError {
@@ -43,6 +38,11 @@ impl fmt::Display for TraceIoError {
         match self {
             TraceIoError::Io(e) => write!(f, "trace i/o failed: {e}"),
             TraceIoError::Format { message } => write!(f, "malformed trace: {message}"),
+            TraceIoError::UnsupportedVersion(version) => write!(
+                f,
+                "unsupported container version {version} (this build reads version {} only)",
+                v2::VERSION
+            ),
         }
     }
 }
@@ -51,7 +51,7 @@ impl std::error::Error for TraceIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceIoError::Io(e) => Some(e),
-            TraceIoError::Format { .. } => None,
+            TraceIoError::Format { .. } | TraceIoError::UnsupportedVersion(_) => None,
         }
     }
 }
@@ -66,241 +66,9 @@ fn format_err(message: impl Into<String>) -> TraceIoError {
     TraceIoError::Format { message: message.into() }
 }
 
-/// Writes records as JSON lines (one record per line).
-///
-/// # Errors
-///
-/// Propagates I/O and serialization failures.
-///
-/// # Examples
-///
-/// ```
-/// use dvp_trace::{io::{read_jsonl, write_jsonl}, InstrCategory, Pc, TraceRecord};
-///
-/// let records = vec![TraceRecord::new(Pc(4), InstrCategory::AddSub, 7)];
-/// let mut buf = Vec::new();
-/// write_jsonl(&mut buf, records.iter())?;
-/// assert_eq!(read_jsonl(buf.as_slice())?, records);
-/// # Ok::<(), dvp_trace::io::TraceIoError>(())
-/// ```
-pub fn write_jsonl<'a, W, I>(writer: &mut W, records: I) -> Result<(), TraceIoError>
-where
-    W: Write,
-    I: IntoIterator<Item = &'a TraceRecord>,
-{
-    for rec in records {
-        let line = serde_json::to_string(rec).map_err(|e| format_err(format!("serialize: {e}")))?;
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-    }
-    Ok(())
-}
-
-/// Reads a JSON-lines trace written by [`write_jsonl`].
-///
-/// # Errors
-///
-/// Returns a [`TraceIoError`] on I/O failure or malformed lines (blank
-/// lines are tolerated).
-pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Vec<TraceRecord>, TraceIoError> {
-    let mut records = Vec::new();
-    for (number, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec: TraceRecord = serde_json::from_str(&line)
-            .map_err(|e| format_err(format!("line {}: {e}", number + 1)))?;
-        records.push(rec);
-    }
-    Ok(records)
-}
-
-/// Writes records in the compact binary format: a 5-byte header followed
-/// by 17 bytes per record (little-endian `pc: u64`, `category: u8`,
-/// `value: u64`).
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_binary<'a, W, I>(writer: &mut W, records: I) -> Result<(), TraceIoError>
-where
-    W: Write,
-    I: IntoIterator<Item = &'a TraceRecord>,
-{
-    writer.write_all(&MAGIC)?;
-    for rec in records {
-        writer.write_all(&rec.pc.0.to_le_bytes())?;
-        writer.write_all(&[rec.category.index() as u8])?;
-        writer.write_all(&rec.value.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Reads a binary trace written by [`write_binary`].
-///
-/// A v1 stream carries no record count, so the only valid way for it to
-/// end is exactly at a record boundary: any partial record at the end of
-/// the stream is rejected as trailing garbage (or a truncation — v1
-/// cannot tell the two apart), with the byte offset where the well-formed
-/// prefix ended. Trailing garbage that happens to be a whole multiple of
-/// the record size and carries valid category bytes is **not** detectable
-/// in v1 — that blind spot is one of the reasons the [`v2`] container
-/// exists (see `docs/TRACE_FORMAT.md`).
-///
-/// # Errors
-///
-/// Returns a [`TraceIoError`] on I/O failure, a bad header, a partial
-/// trailing record, or an invalid category byte; `Format` errors name the
-/// absolute byte offset of the offending record.
-pub fn read_binary<R: Read>(mut reader: R) -> Result<Vec<TraceRecord>, TraceIoError> {
-    const RECORD_LEN: usize = 17;
-    let mut magic = [0u8; 5];
-    reader.read_exact(&mut magic).map_err(|_| format_err("missing header"))?;
-    if magic != MAGIC {
-        return Err(format_err("bad magic bytes (not a dvp v1 binary trace)"));
-    }
-    let mut records = Vec::new();
-    let mut buf = [0u8; RECORD_LEN];
-    'records: loop {
-        // Absolute offset of the record currently being read.
-        let offset = MAGIC.len() + RECORD_LEN * records.len();
-        // Fill the record buffer manually so a clean EOF (0 bytes before a
-        // record) is distinguishable from a partial record (EOF mid-fill).
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            match reader.read(&mut buf[filled..]) {
-                Ok(0) if filled == 0 => break 'records,
-                Ok(0) => {
-                    return Err(format_err(format!(
-                        "{filled}-byte partial record at byte offset {offset} after {} complete \
-                         records (trailing garbage, or a truncated stream)",
-                        records.len(),
-                    )))
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        // Infallible destructuring of the 17-byte record buffer — the
-        // decode path must stay free of panicking `expect`s even where the
-        // lengths are static.
-        let Some((pc_bytes, tail)) = buf.split_first_chunk::<8>() else {
-            return Err(format_err(format!("record buffer underflow at byte offset {offset}")));
-        };
-        let Some((&cat_byte, tail)) = tail.split_first() else {
-            return Err(format_err(format!("record buffer underflow at byte offset {offset}")));
-        };
-        let Some((value_bytes, _)) = tail.split_first_chunk::<8>() else {
-            return Err(format_err(format!("record buffer underflow at byte offset {offset}")));
-        };
-        let pc = u64::from_le_bytes(*pc_bytes);
-        let cat = InstrCategory::from_index(cat_byte as usize).ok_or_else(|| {
-            format_err(format!(
-                "invalid category byte {} at byte offset {} (record {})",
-                cat_byte,
-                offset + 8,
-                records.len(),
-            ))
-        })?;
-        let value = u64::from_le_bytes(*value_bytes);
-        records.push(TraceRecord::new(Pc(pc), cat, value));
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Vec<TraceRecord> {
-        vec![
-            TraceRecord::new(Pc(0x400000), InstrCategory::AddSub, 1),
-            TraceRecord::new(Pc(0x400004), InstrCategory::Loads, u64::MAX),
-            TraceRecord::new(Pc(0x400008), InstrCategory::Other, 0),
-        ]
-    }
-
-    #[test]
-    fn jsonl_round_trip() {
-        let records = sample();
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, records.iter()).unwrap();
-        assert_eq!(buf.iter().filter(|&&b| b == b'\n').count(), 3);
-        let back = read_jsonl(buf.as_slice()).unwrap();
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn jsonl_tolerates_blank_lines() {
-        let records = sample();
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, records.iter()).unwrap();
-        buf.extend_from_slice(b"\n\n");
-        assert_eq!(read_jsonl(buf.as_slice()).unwrap(), records);
-    }
-
-    #[test]
-    fn jsonl_reports_bad_line_number() {
-        let err = read_jsonl("{\"bad\": true}\n".as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("line 1"), "{err}");
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let records = sample();
-        let mut buf = Vec::new();
-        write_binary(&mut buf, records.iter()).unwrap();
-        assert_eq!(buf.len(), 5 + 17 * records.len());
-        assert_eq!(read_binary(buf.as_slice()).unwrap(), records);
-    }
-
-    #[test]
-    fn binary_empty_trace() {
-        let mut buf = Vec::new();
-        write_binary(&mut buf, [].iter()).unwrap();
-        assert!(read_binary(buf.as_slice()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let err = read_binary(&b"NOPE!"[..]).unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
-    }
-
-    #[test]
-    fn binary_rejects_truncated_record() {
-        let mut buf = Vec::new();
-        write_binary(&mut buf, sample().iter()).unwrap();
-        buf.truncate(buf.len() - 1); // lose the last byte of the last record
-        let err = read_binary(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("truncated"), "{err}");
-        assert!(err.to_string().contains("2 complete records"), "{err}");
-        // The partial record starts right after two complete ones.
-        assert!(err.to_string().contains(&format!("byte offset {}", 5 + 2 * 17)), "{err}");
-    }
-
-    #[test]
-    fn binary_rejects_trailing_garbage() {
-        let mut buf = Vec::new();
-        write_binary(&mut buf, sample().iter()).unwrap();
-        let end = buf.len();
-        buf.extend_from_slice(b"JUNK");
-        let err = read_binary(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("trailing garbage"), "{err}");
-        assert!(err.to_string().contains(&format!("byte offset {end}")), "{err}");
-    }
-
-    #[test]
-    fn binary_rejects_bad_category() {
-        let mut buf = Vec::new();
-        write_binary(&mut buf, sample().iter()).unwrap();
-        buf[5 + 8] = 200; // corrupt the first record's category byte
-        let err = read_binary(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("category"), "{err}");
-        assert!(err.to_string().contains(&format!("byte offset {}", 5 + 8)), "{err}");
-    }
 
     #[test]
     fn error_display_and_source() {
@@ -309,5 +77,8 @@ mod tests {
         assert!(std::error::Error::source(&io_err).is_some());
         let fmt_err = format_err("nope");
         assert!(std::error::Error::source(&fmt_err).is_none());
+        let version = TraceIoError::UnsupportedVersion(3);
+        assert!(version.to_string().contains("unsupported container version 3"), "{version}");
+        assert!(std::error::Error::source(&version).is_none());
     }
 }

@@ -1,6 +1,6 @@
-//! Per-chunk compressed-payload framing for version-4 containers.
+//! Per-chunk payload framing of the version-4 container.
 //!
-//! A v4 chunk payload is one *method* byte followed by the chunk body:
+//! A chunk payload is one *method* byte followed by the chunk body:
 //!
 //! ```text
 //! offset  size   field
@@ -9,19 +9,31 @@
 //! +1      len−1  body
 //! ```
 //!
-//! The writer always picks whichever framing is smaller, so a stored
-//! payload is exactly `raw_len + 1` bytes and an LZ payload is strictly
-//! smaller than that — which is what lets the header validator bound
-//! `len ≤ raw_len + 1`. The chunk checksum in the index covers the
-//! *stored* bytes (method byte included), so corruption is detected
-//! before any decompression work happens.
+//! [`compress_payload`] picks whichever framing is smaller and
+//! [`store_payload`] always stores, so a stored payload is exactly
+//! `raw_len + 1` bytes and an LZ payload is strictly smaller than that —
+//! which is what lets the header validator bound `len ≤ raw_len + 1`.
+//! The chunk checksum in the index covers the *stored* bytes (method byte
+//! included), so corruption is detected before any decompression work
+//! happens.
 
 use super::{format_err, TraceIoError};
+use std::borrow::Cow;
 
 /// Method byte of an uncompressed (stored) chunk body.
 pub const METHOD_STORED: u8 = 0;
 /// Method byte of a `minilz`-compressed chunk body.
 pub const METHOD_LZ: u8 = 1;
+
+/// Frames one raw chunk encoding as a stored payload: the
+/// [`METHOD_STORED`] byte followed by the raw bytes.
+#[must_use]
+pub fn store_payload(raw: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(1 + raw.len());
+    payload.push(METHOD_STORED);
+    payload.extend_from_slice(raw);
+    payload
+}
 
 /// Frames one raw chunk encoding as a v4 payload, compressing when that
 /// is a net win and storing the raw bytes otherwise. The result is never
@@ -35,16 +47,13 @@ pub fn compress_payload(raw: &[u8]) -> Vec<u8> {
         payload.extend_from_slice(&packed);
         payload
     } else {
-        let mut payload = Vec::with_capacity(1 + raw.len());
-        payload.push(METHOD_STORED);
-        payload.extend_from_slice(raw);
-        payload
+        store_payload(raw)
     }
 }
 
 /// Recovers the raw chunk encoding from a v4 payload. `raw_len` is the
 /// index entry's declared decoded length; the result is exactly that
-/// long.
+/// long. A stored body is borrowed, never copied.
 ///
 /// The decoder grows its output with the bytes actually produced, so a
 /// hostile `raw_len` cannot force a large allocation.
@@ -55,14 +64,14 @@ pub fn compress_payload(raw: &[u8]) -> Vec<u8> {
 /// method byte, a stored body whose length disagrees with `raw_len`, or
 /// any malformed LZ stream (truncation, bad offsets, wrong decoded
 /// length) — decoding never panics.
-pub fn decompress_payload(payload: &[u8], raw_len: usize) -> Result<Vec<u8>, TraceIoError> {
+pub fn decompress_payload(payload: &[u8], raw_len: usize) -> Result<Cow<'_, [u8]>, TraceIoError> {
     let Some((&method, body)) = payload.split_first() else {
         return Err(format_err("compressed chunk payload is empty (missing method byte)"));
     };
     match method {
         METHOD_STORED => {
             if body.len() == raw_len {
-                Ok(body.to_vec())
+                Ok(Cow::Borrowed(body))
             } else {
                 Err(format_err(format!(
                     "stored chunk body is {} bytes, index declares {raw_len}",
@@ -71,6 +80,7 @@ pub fn decompress_payload(payload: &[u8], raw_len: usize) -> Result<Vec<u8>, Tra
             }
         }
         METHOD_LZ => minilz::decompress(body, raw_len)
+            .map(Cow::Owned)
             .map_err(|e| format_err(format!("chunk decompression failed: {e}"))),
         other => Err(format_err(format!("unknown chunk compression method {other}"))),
     }
@@ -109,7 +119,7 @@ mod tests {
     fn empty_payload_round_trips_as_stored() {
         let payload = compress_payload(&[]);
         assert_eq!(payload, [METHOD_STORED]);
-        assert_eq!(decompress_payload(&payload, 0).expect("round trips"), Vec::<u8>::new());
+        assert!(decompress_payload(&payload, 0).expect("round trips").is_empty());
     }
 
     #[test]

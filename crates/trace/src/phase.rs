@@ -10,7 +10,7 @@
 //! records.
 //!
 //! This crate owns only the *vocabulary* and the on-disk shape (the plan
-//! persists as the `PHAS` optional section of a v3/v4 container — see
+//! persists as the `PHAS` optional section of a trace container — see
 //! `docs/TRACE_FORMAT.md`); the profiling pass, the clustering, and the
 //! sampled replay live in `dvp-engine`.
 //!

@@ -1,12 +1,11 @@
-//! Property tests over the persisted trace formats: the v1 stream and the
-//! v2 chunked container must agree record-for-record on any trace, and the
-//! v2 container must detect every corruption a single byte flip, a
-//! truncation, trailing bytes, or a stale fingerprint can produce.
+//! Property tests over the persisted trace container (version 4): its
+//! stored-chunk and compressed-chunk encodings must agree record-for-record
+//! on any trace, and both must detect every corruption a single byte flip,
+//! a truncation, trailing bytes, or a stale fingerprint can produce.
 //!
-//! The byte layouts under test are specified in `docs/TRACE_FORMAT.md`.
+//! The byte layout under test is specified in `docs/TRACE_FORMAT.md`.
 
 use dvp_trace::io::v2;
-use dvp_trace::io::{read_binary, write_binary};
 use dvp_trace::{InstrCategory, Pc, PhasePlan, SimPointPhase, TraceRecord};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -72,142 +71,97 @@ fn plan_for(n: usize, window: u64, phases: usize) -> PhasePlan {
     plan
 }
 
-fn v1_bytes(records: &[TraceRecord]) -> Vec<u8> {
+/// A container with every chunk stored raw (method byte 0).
+fn stored_bytes(records: &[TraceRecord], chunk_capacity: usize) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_binary(&mut buf, records.iter()).expect("v1 writes");
+    v2::write_with_sections(&mut buf, &meta_for(records), records.chunks(chunk_capacity), &[])
+        .expect("stored writes");
     buf
 }
 
-fn v2_bytes(records: &[TraceRecord], chunk_capacity: usize) -> Vec<u8> {
-    let mut buf = Vec::new();
-    v2::write_records(&mut buf, &meta_for(records), records, chunk_capacity).expect("v2 writes");
-    buf
-}
-
-fn v4_bytes(records: &[TraceRecord], chunk_capacity: usize) -> Vec<u8> {
+/// A container with every chunk the LZ codec shrinks compressed.
+fn compressed_bytes(records: &[TraceRecord], chunk_capacity: usize) -> Vec<u8> {
     let mut buf = Vec::new();
     v2::write_compressed(&mut buf, &meta_for(records), records.chunks(chunk_capacity), &[])
-        .expect("v4 writes");
+        .expect("compressed writes");
     buf
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // The tentpole equivalence: any trace round-trips identically through
-    // v1 and through v2 at any chunk capacity, so replacing a v1 stream
-    // with a v2 container can never change an experiment.
+    // The encoding equivalence: any trace round-trips identically through
+    // stored and compressed chunks at any chunk capacity, so compressing
+    // the cache can never change an experiment.
     #[test]
-    fn v1_and_v2_round_trips_agree(case in (records(), 1usize..700)) {
+    fn stored_and_compressed_round_trips_agree(case in (records(), 1usize..700)) {
         let (records, capacity) = case;
-        let via_v1 = read_binary(v1_bytes(&records).as_slice()).expect("v1 reads");
-        let (header, via_v2) =
-            v2::read(&mut v2_bytes(&records, capacity).as_slice()).expect("v2 reads");
-        prop_assert_eq!(&via_v1, &records);
-        prop_assert_eq!(&via_v2, &records);
-        prop_assert_eq!(via_v1, via_v2);
+        let (stored_header, via_stored) =
+            v2::read(&mut stored_bytes(&records, capacity).as_slice()).expect("stored reads");
+        let (header, via_compressed) = v2::read(&mut compressed_bytes(&records, capacity).as_slice())
+            .expect("compressed reads");
+        prop_assert_eq!(&via_stored, &records);
+        prop_assert_eq!(&via_compressed, &records);
+        prop_assert_eq!(header.record_count, stored_header.record_count);
         prop_assert_eq!(header.record_count as usize, records.len());
         prop_assert_eq!(header.meta, meta_for(&records));
         prop_assert_eq!(header.chunks.len(), records.len().div_ceil(capacity));
     }
 
-    // Every single-byte corruption of a v2 container is detected: the
-    // header (including the chunk index) is covered by the header
-    // checksum, each payload by its chunk checksum, and the magic by a
-    // direct comparison. One documented exception (see "v3 — optional
-    // sections" in docs/TRACE_FORMAT.md): flipping the version byte of a
-    // section-free container between 2 and 3 is semantically inert — the
-    // empty section region is valid under both versions — so that flip
-    // must instead be *accepted with identical records*.
+    // Every single-byte corruption of a stored-chunk container is
+    // detected: the header (including the chunk index) is covered by the
+    // header checksum, each payload (method byte included) by its chunk
+    // checksum, the magic by a direct comparison, and every flip of the
+    // version byte lands on an unsupported version.
     #[test]
-    fn v2_detects_any_single_byte_flip(
+    fn stored_detects_any_single_byte_flip(
         case in (vec(record(), 1..200), any::<u64>()),
         bit in 0u8..8,
     ) {
         let (records, flip) = case;
-        let bytes = v2_bytes(&records, 64);
+        let bytes = stored_bytes(&records, 64);
         let position = (flip % bytes.len() as u64) as usize;
         let mut corrupt = bytes.clone();
         corrupt[position] ^= 1 << bit;
-        if position == 4 && corrupt[4] == 3 {
-            let (_, reread) = v2::read(&mut corrupt.as_slice())
-                .expect("version byte 2->3 of a section-free container stays valid");
-            prop_assert_eq!(reread, records);
-        } else {
-            prop_assert!(
-                v2::read(&mut corrupt.as_slice()).is_err(),
-                "flip of bit {} at byte {} went undetected",
-                bit,
-                position
-            );
-        }
+        prop_assert!(
+            v2::read(&mut corrupt.as_slice()).is_err(),
+            "flip of bit {} at byte {} went undetected",
+            bit,
+            position
+        );
     }
 
-    // Any truncation of a v2 container is detected, at every prefix
-    // length — v1 can only detect truncations that split a record.
+    // Any truncation of a stored-chunk container is detected, at every
+    // prefix length.
     #[test]
-    fn v2_detects_any_truncation(case in (vec(record(), 1..150), any::<u64>())) {
+    fn stored_detects_any_truncation(case in (vec(record(), 1..150), any::<u64>())) {
         let (records, cut) = case;
-        let bytes = v2_bytes(&records, 32);
+        let bytes = stored_bytes(&records, 32);
         let cut = (cut % bytes.len() as u64) as usize;
         prop_assert!(v2::read(&mut bytes[..cut].as_ref()).is_err(), "cut at {} accepted", cut);
     }
 
-    // Any appended bytes are detected (v1 only notices when the trailing
-    // length is not a whole record).
+    // Any appended bytes are detected: they must parse as a checksummed
+    // section frame, and junk never does.
     #[test]
-    fn v2_detects_trailing_bytes(case in (records(), vec(any::<u8>(), 1..40))) {
+    fn stored_detects_trailing_bytes(case in (records(), vec(any::<u8>(), 1..40))) {
         let (records, junk) = case;
-        let mut bytes = v2_bytes(&records, 64);
+        let mut bytes = stored_bytes(&records, 64);
         bytes.extend_from_slice(&junk);
         let err = v2::read(&mut bytes.as_slice()).unwrap_err();
-        prop_assert!(err.to_string().contains("trailing"), "{}", err);
+        prop_assert!(err.to_string().contains("section"), "{}", err);
     }
 
-    // v1's documented blind spot, pinned as a property: whole-record
-    // trailing garbage with valid category bytes is accepted by v1 —
-    // exactly the failure mode the v2 container exists to close.
+    // Every single-byte corruption of a compressed container is detected:
+    // chunk checksums cover the stored (compressed) bytes and the method
+    // byte, the header checksum covers the 28-byte index entries.
     #[test]
-    fn v1_accepts_whole_record_garbage_v2_never_does(case in (records(), record())) {
-        let (records, garbage) = case;
-        let mut bytes = v1_bytes(&records);
-        bytes.extend_from_slice(&v1_bytes(std::slice::from_ref(&garbage))[5..]);
-        let read = read_binary(bytes.as_slice()).expect("v1 cannot detect this");
-        prop_assert_eq!(read.len(), records.len() + 1);
-    }
-
-    // The compressed (v4) container is just an encoding change: any trace
-    // round-trips through it bit-identically to v1 and v2 at any chunk
-    // capacity, so compressing the cache can never change an experiment.
-    #[test]
-    fn v4_round_trip_agrees_with_v1_and_v2(case in (records(), 1usize..700)) {
-        let (records, capacity) = case;
-        let via_v1 = read_binary(v1_bytes(&records).as_slice()).expect("v1 reads");
-        let (v2_header, via_v2) =
-            v2::read(&mut v2_bytes(&records, capacity).as_slice()).expect("v2 reads");
-        let (header, via_v4) =
-            v2::read(&mut v4_bytes(&records, capacity).as_slice()).expect("v4 reads");
-        prop_assert_eq!(&via_v4, &records);
-        prop_assert_eq!(&via_v4, &via_v1);
-        prop_assert_eq!(via_v4, via_v2);
-        prop_assert_eq!(header.record_count, v2_header.record_count);
-        prop_assert_eq!(header.meta, meta_for(&records));
-        prop_assert_eq!(header.chunks.len(), records.len().div_ceil(capacity));
-    }
-
-    // Every single-byte corruption of a v4 container is detected — with
-    // *no* version-flip exception this time: chunk checksums cover the
-    // stored (compressed) bytes and the method byte, the header checksum
-    // covers the 28-byte index entries, and no single-bit flip of version
-    // byte 4 lands on another supported version (2 and 3 both differ from
-    // 4 in two bits).
-    #[test]
-    fn v4_detects_any_single_byte_flip(
+    fn compressed_detects_any_single_byte_flip(
         case in (vec(record(), 1..200), any::<u64>()),
         bit in 0u8..8,
     ) {
         let (records, flip) = case;
-        let bytes = v4_bytes(&records, 64);
+        let bytes = compressed_bytes(&records, 64);
         let position = (flip % bytes.len() as u64) as usize;
         let mut corrupt = bytes.clone();
         corrupt[position] ^= 1 << bit;
@@ -219,23 +173,24 @@ proptest! {
         );
     }
 
-    // Any truncation of a v4 container is detected, at every prefix
-    // length — a payload cut lands inside a compressed chunk (stored-byte
-    // checksum or decompression failure), a header cut inside the index.
+    // Any truncation of a compressed container is detected, at every
+    // prefix length — a payload cut lands inside a compressed chunk
+    // (stored-byte checksum or decompression failure), a header cut inside
+    // the index.
     #[test]
-    fn v4_detects_any_truncation(case in (vec(record(), 1..150), any::<u64>())) {
+    fn compressed_detects_any_truncation(case in (vec(record(), 1..150), any::<u64>())) {
         let (records, cut) = case;
-        let bytes = v4_bytes(&records, 32);
+        let bytes = compressed_bytes(&records, 32);
         let cut = (cut % bytes.len() as u64) as usize;
         prop_assert!(v2::read(&mut bytes[..cut].as_ref()).is_err(), "cut at {} accepted", cut);
     }
 
-    // Any appended bytes are detected: v4 supports trailing sections, so
-    // injected junk must fail to parse as a checksummed section frame.
+    // Any appended bytes are detected: injected junk must fail to parse as
+    // a checksummed section frame.
     #[test]
-    fn v4_detects_trailing_bytes(case in (records(), vec(any::<u8>(), 1..40))) {
+    fn compressed_detects_trailing_bytes(case in (records(), vec(any::<u8>(), 1..40))) {
         let (records, junk) = case;
-        let mut bytes = v4_bytes(&records, 64);
+        let mut bytes = compressed_bytes(&records, 64);
         bytes.extend_from_slice(&junk);
         prop_assert!(
             v2::read(&mut bytes.as_slice()).is_err(),
@@ -245,7 +200,7 @@ proptest! {
     }
 
     // A `PHAS` section round-trips a phase plan exactly through both the
-    // plain (v3) and compressed (v4) containers, and the same trace
+    // stored and compressed encodings, and the same trace
     // written *without* the section stays loadable with identical
     // records — the section is additive, never load-bearing.
     #[test]
@@ -271,7 +226,8 @@ proptest! {
             } else {
                 v2::write_with_sections(&mut with, &meta, records.chunks(64), &sections)
                     .expect("writes");
-                v2::write_records(&mut without, &meta, &records, 64).expect("writes");
+                v2::write_with_sections(&mut without, &meta, records.chunks(64), &[])
+                    .expect("writes");
             }
             let (_, _, found) = v2::split_with_sections(&with).expect("sectioned reads");
             let body = found
@@ -288,9 +244,7 @@ proptest! {
 
     // Every single-byte flip of a container carrying a `PHAS` section is
     // rejected — the section frame checksum covers the plan bytes, so a
-    // corrupted plan can never weight a sampled replay. (With sections
-    // present there is no v2<->v3 version-flip exception: downgrading the
-    // version byte turns the section region into trailing garbage.)
+    // corrupted plan can never weight a sampled replay.
     #[test]
     fn phas_single_byte_flip_is_always_rejected(
         case in (vec(record(), 1..120), any::<u64>(), any::<bool>()),
@@ -364,11 +318,11 @@ proptest! {
     // survives the round trip exactly, so a cache can compare it against
     // the configuration it expects.
     #[test]
-    fn v2_fingerprint_survives_round_trip(records in records(), scale in 1u32..100) {
+    fn fingerprint_survives_round_trip(records in records(), scale in 1u32..100) {
         let mut meta = meta_for(&records);
         meta.fingerprint.scale = scale;
         let mut bytes = Vec::new();
-        v2::write_records(&mut bytes, &meta, &records, 128).expect("writes");
+        v2::write_compressed(&mut bytes, &meta, records.chunks(128), &[]).expect("writes");
         let (header, _) = v2::read(&mut bytes.as_slice()).expect("reads");
         prop_assert_eq!(&header.meta.fingerprint, &meta.fingerprint);
         let mut stale = meta.fingerprint.clone();
@@ -380,10 +334,10 @@ proptest! {
 /// Overwrites one `u32` field of the only index entry of a single-chunk
 /// container and re-seals the header checksum, as a forger would: FNV-1a
 /// is no authentication, so a hostile header always checksums.
-fn forge_index_field(bytes: &mut [u8], entry_len: usize, field_at: usize, value: u32) {
+fn forge_index_field(bytes: &mut [u8], field_at: usize, value: u32) {
     let header = v2::read_header(&mut &bytes[..]).expect("valid before forging");
     let header_end = bytes.len() - header.chunks[0].len as usize;
-    let field = header_end - entry_len + field_at;
+    let field = header_end - 28 + field_at;
     bytes[field..field + 4].copy_from_slice(&value.to_le_bytes());
     let checksum = bytes[13..header_end].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -393,18 +347,19 @@ fn forge_index_field(bytes: &mut [u8], entry_len: usize, field_at: usize, value:
 
 // A one-record chunk whose index entry declares ~4 GiB of payload must be
 // rejected by header validation, naming the chunk, before any reader sizes
-// a buffer from it: v2 forges the stored `len` (offset 8 of a 24-byte
-// entry), v4 the decoded `raw_len` (offset 12 of a 28-byte entry, the
-// stored `len` staying within `raw_len + 1`).
+// a buffer from it, in either encoding: a forged decoded `raw_len` (offset
+// 12 of the 28-byte entry) breaks the per-record bound, a forged stored
+// `len` (offset 8) the `len ≤ raw_len + 1` bound.
 #[test]
 fn forged_chunk_length_is_rejected_before_allocating() {
     let one = [TraceRecord::new(Pc(0x40_0000), InstrCategory::ALL[0], 7)];
-    for (mut bytes, entry_len, field_at) in
-        [(v2_bytes(&one, 1), 24, 8), (v4_bytes(&one, 1), 28, 12)]
-    {
-        forge_index_field(&mut bytes, entry_len, field_at, u32::MAX - 15);
-        let err = v2::read_header(&mut bytes.as_slice()).unwrap_err().to_string();
-        assert!(err.contains("chunk 0") && err.contains("at most 21 bytes"), "{err}");
-        assert!(v2::read(&mut bytes.as_slice()).is_err());
+    for bytes in [stored_bytes(&one, 1), compressed_bytes(&one, 1)] {
+        for (field_at, names) in [(12, "at most 21 bytes"), (8, "method byte")] {
+            let mut forged = bytes.clone();
+            forge_index_field(&mut forged, field_at, u32::MAX - 15);
+            let err = v2::read_header(&mut forged.as_slice()).unwrap_err().to_string();
+            assert!(err.contains("chunk 0") && err.contains(names), "{err}");
+            assert!(v2::read(&mut forged.as_slice()).is_err());
+        }
     }
 }

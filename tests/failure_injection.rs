@@ -2,10 +2,13 @@
 //! input with a meaningful error — never a panic, never silent acceptance.
 
 use dvp::asm::assemble;
+use dvp::experiments::durable;
 use dvp::lang::{compile, OptLevel};
 use dvp::sim::{Machine, SimError};
-use dvp::trace::io::{read_binary, read_jsonl, write_binary, TraceIoError};
+use dvp::trace::io::{v2, TraceIoError};
 use dvp::trace::{InstrCategory, Pc, TraceRecord};
+use std::io::{self, ErrorKind, Write};
+use std::path::{Path, PathBuf};
 
 // ----- compiler ------------------------------------------------------------
 
@@ -144,13 +147,18 @@ fn sample_records() -> Vec<TraceRecord> {
         .collect()
 }
 
+fn container(records: &[TraceRecord]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    v2::write_compressed(&mut bytes, &v2::TraceMeta::default(), records.chunks(16), &[])
+        .expect("serializes");
+    bytes
+}
+
 #[test]
 fn binary_trace_rejects_truncation() {
-    let records = sample_records();
-    let mut bytes = Vec::new();
-    write_binary(&mut bytes, records.iter()).expect("serializes");
-    bytes.truncate(bytes.len() - 5); // cut mid-record
-    let err = read_binary(bytes.as_slice()).unwrap_err();
+    let mut bytes = container(&sample_records());
+    bytes.truncate(bytes.len() - 5); // cut inside the last chunk
+    let err = v2::read(&mut bytes.as_slice()).unwrap_err();
     assert!(
         matches!(err, TraceIoError::Format { .. } | TraceIoError::Io(_)),
         "truncation must be detected: {err}"
@@ -160,14 +168,19 @@ fn binary_trace_rejects_truncation() {
 #[test]
 fn binary_trace_rejects_garbage_header() {
     let garbage = b"this is not a trace file at all".to_vec();
-    assert!(read_binary(garbage.as_slice()).is_err());
+    assert!(v2::read(&mut garbage.as_slice()).is_err());
 }
 
 #[test]
-fn jsonl_trace_rejects_malformed_line() {
-    let text = "{\"pc\":1,\"category\":\"AddSub\",\"value\":2}\nnot json at all\n";
-    let err = read_jsonl(text.as_bytes()).unwrap_err();
-    assert!(matches!(err, TraceIoError::Format { .. } | TraceIoError::Io(_)), "{err}");
+fn binary_trace_rejects_retired_container_versions() {
+    // Versions 1–3 are retired: a structured error, never a best-effort
+    // read of a layout this build no longer speaks.
+    for version in [1u8, 2, 3] {
+        let mut bytes = container(&sample_records());
+        bytes[4] = version;
+        let err = v2::read(&mut bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, TraceIoError::UnsupportedVersion(v) if v == version), "{err}");
+    }
 }
 
 #[test]
@@ -177,8 +190,105 @@ fn binary_roundtrip_is_lossless_under_extreme_values() {
         TraceRecord::new(Pc(u32::MAX as u64 & !3), InstrCategory::Shift, u64::MAX),
         TraceRecord::new(Pc(4), InstrCategory::Lui, i64::MIN as u64),
     ];
-    let mut bytes = Vec::new();
-    write_binary(&mut bytes, records.iter()).expect("serializes");
-    let back = read_binary(bytes.as_slice()).expect("deserializes");
+    let (_, back) = v2::read(&mut container(&records).as_slice()).expect("deserializes");
     assert_eq!(records, back);
+}
+
+// ----- durable file replacement ----------------------------------------------------
+
+/// A unique, self-cleaning temp dir under the system temp root.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("dvp-failure-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A writer that accepts `budget` bytes and then fails every write: with
+/// `Some(kind)` as that error, with `None` by accepting zero bytes (a short
+/// write, which `write_all` reports as `WriteZero`).
+struct Faulty<W> {
+    inner: W,
+    budget: usize,
+    fault: Option<ErrorKind>,
+}
+
+impl<W: Write> Write for Faulty<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.budget == 0 {
+            return match self.fault {
+                Some(kind) => Err(io::Error::new(kind, "injected fault")),
+                None => Ok(0),
+            };
+        }
+        let n = self.inner.write(&buf[..buf.len().min(self.budget)])?;
+        self.budget -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// The names of every file under `dir`, sorted.
+fn names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("lists")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Commits `old` at a fresh path, then replaces it through a writer that
+/// fails after half of `new`: the error must surface, the committed file
+/// must be byte-identical, and no temporary file may remain.
+fn assert_failed_replace_keeps_the_old_file(fault: Option<ErrorKind>, expect: ErrorKind) {
+    let tmp = TempDir::new(&format!("fault-{expect:?}"));
+    let path = tmp.0.join("entry.dvpt");
+    let old = b"committed contents".to_vec();
+    durable::replace_file(&path, |w| w.write_all(&old)).expect("first write commits");
+    let new = vec![0xA5u8; 64 * 1024];
+    let err = durable::replace_file(&path, |w| {
+        Faulty { inner: w, budget: new.len() / 2, fault }.write_all(&new)
+    })
+    .unwrap_err();
+    assert_eq!(err.kind(), expect, "{err}");
+    assert_eq!(std::fs::read(&path).expect("old file readable"), old);
+    assert_eq!(names(&tmp.0), ["entry.dvpt"], "no temporary file may remain");
+}
+
+#[test]
+fn durable_replace_survives_a_full_disk() {
+    assert_failed_replace_keeps_the_old_file(Some(ErrorKind::StorageFull), ErrorKind::StorageFull);
+}
+
+#[test]
+fn durable_replace_survives_a_short_write() {
+    assert_failed_replace_keeps_the_old_file(None, ErrorKind::WriteZero);
+}
+
+#[test]
+fn durable_replace_survives_a_failed_rename() {
+    // The destination is a non-empty directory: the data writes and syncs
+    // fine, then the rename fails.
+    let tmp = TempDir::new("rename");
+    let path = tmp.0.join("entry.dvpt");
+    std::fs::create_dir(&path).expect("blocking directory");
+    std::fs::write(path.join("inside"), b"committed").expect("writes");
+    let result = durable::replace_file(&path, |w| w.write_all(b"new contents"));
+    assert!(result.is_err(), "a rename onto a non-empty directory must fail");
+    assert_eq!(std::fs::read(path.join("inside")).expect("still there"), b"committed");
+    assert_eq!(names(&tmp.0), ["entry.dvpt"], "no temporary file may remain");
 }

@@ -2,7 +2,7 @@
 //! container replayed through the bounded chunk window — never holding
 //! more than a few chunks in memory — produces tallies *byte-identical*
 //! to the fully resident replay, at every worker count, shard count, and
-//! window size, for compressed (v4) and uncompressed (v3) containers
+//! window size, for containers with compressed and with stored chunks
 //! alike. Corrupt streams must error out, never panic and never return
 //! partial tallies.
 
@@ -50,9 +50,9 @@ fn container(trace: &SharedTrace, compressed: bool) -> Vec<u8> {
     let sections = [(v2::SECTION_INTERNER, v2::encode_interner(trace.interner()))];
     let chunks = trace.chunks().iter().map(Vec::as_slice);
     if compressed {
-        v2::write_compressed(&mut bytes, &meta(), chunks, &sections).expect("writes v4");
+        v2::write_compressed(&mut bytes, &meta(), chunks, &sections).expect("writes compressed");
     } else {
-        v2::write_with_sections(&mut bytes, &meta(), chunks, &sections).expect("writes v3");
+        v2::write_with_sections(&mut bytes, &meta(), chunks, &sections).expect("writes stored");
     }
     bytes
 }
@@ -79,13 +79,13 @@ fn tally_surface(replays: &[ConfigReplay]) -> Vec<(String, Vec<(u64, u64)>)> {
 fn streaming_tallies_equal_resident_tallies_at_every_setting() {
     let trace = scenario_trace();
     let bank = PredictorConfig::paper_bank();
-    let v4 = container(&trace, true);
-    let v3 = container(&trace, false);
-    assert!(v4.len() < v3.len(), "compressed container must be smaller");
+    let compressed = container(&trace, true);
+    let stored = container(&trace, false);
+    assert!(compressed.len() < stored.len(), "compressed container must be smaller");
 
     // The reference: a fully resident sequential replay.
     let reference_engine = ReplayEngine::sequential();
-    let (_, resident) = reference_engine.load_trace(&v4).expect("loads");
+    let (_, resident) = reference_engine.load_trace(&compressed).expect("loads");
     let reference = tally_surface(&reference_engine.replay(&resident, &bank));
 
     // The trace spans far more chunks than any window below ever holds
@@ -100,7 +100,7 @@ fn streaming_tallies_equal_resident_tallies_at_every_setting() {
         (ReplayEngine::new().with_workers(2).with_chunk_window(8), "window 8"),
     ];
     for (engine, label) in settings {
-        for (bytes, encoding) in [(&v4, "v4"), (&v3, "v3")] {
+        for (bytes, encoding) in [(&compressed, "compressed"), (&stored, "stored")] {
             let (header, streamed) =
                 engine.replay_streaming(bytes.as_slice(), &bank).expect("streams");
             assert_eq!(header.record_count as usize, RECORDS, "{label}/{encoding}");

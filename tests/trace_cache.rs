@@ -186,34 +186,55 @@ fn synthetic_cold_and_warm_serve_identical_traces_including_interner() {
 }
 
 #[test]
-fn compressed_and_uncompressed_stores_agree_and_compressed_is_smaller() {
-    // Compression is an encoding decision, never a semantic one: a store
-    // writing v4 (compressed, the default) and a store writing v3 must
-    // serve identical traces for every benchmark workload — and the v4
-    // container must actually be smaller on disk, for all seven.
-    let cdir = TempDir::new("v4");
-    let udir = TempDir::new("v3");
+fn compressed_and_stored_containers_agree_and_compressed_is_smaller() {
+    // Compression is an encoding decision, never a semantic one: each
+    // benchmark's container as the cache writes it (compressed) and the
+    // same trace re-encoded with every chunk stored raw must load
+    // identical traces — and the cache's container must actually be
+    // smaller on disk, for all seven.
+    use dvp::trace::io::v2;
+
+    let dir = TempDir::new("encodings");
     let engine = ReplayEngine::new().with_workers(2);
-
-    let mut compressed = store(&cdir);
+    let mut compressed = store(&dir);
     compressed.prefetch(&engine, &Benchmark::ALL).expect("compressed prefetch");
-    let mut uncompressed = TraceStore::with_scale_div(1000)
-        .with_record_cap(20_000)
-        .with_cache_compression(false)
-        .with_trace_dir(&udir.0);
-    uncompressed.prefetch(&engine, &Benchmark::ALL).expect("uncompressed prefetch");
-
     for benchmark in Benchmark::ALL {
-        let a = compressed.trace(benchmark).expect("compressed trace");
-        let b = uncompressed.trace(benchmark).expect("uncompressed trace");
-        assert_eq!(a.to_vec(), b.to_vec(), "{benchmark}: records must not depend on encoding");
-        assert_eq!(a.interner(), b.interner(), "{benchmark}: interner must not depend on encoding");
+        let fresh = compressed.trace(benchmark).expect("compressed trace");
+        let fingerprint = TraceCache::fingerprint(
+            &compressed.workload(benchmark),
+            REFERENCE_OPT,
+            compressed.record_cap(),
+        );
+        let path = compressed.cache().expect("configured").path_for(&fingerprint);
+        let packed = std::fs::read(path).expect("written through");
+        let (header, _) = engine.load_trace(&packed).expect("compressed loads");
+        let sections = [(v2::SECTION_INTERNER, v2::encode_interner(fresh.interner()))];
+        let mut stored = Vec::new();
+        let chunks = fresh.chunks().iter().map(Vec::as_slice);
+        v2::write_with_sections(&mut stored, &header.meta, chunks, &sections).expect("writes");
+        let (_, reloaded) = engine.load_trace(&stored).expect("stored loads");
+        assert_eq!(
+            reloaded.to_vec(),
+            fresh.to_vec(),
+            "{benchmark}: records must not depend on encoding"
+        );
+        assert_eq!(
+            reloaded.interner(),
+            fresh.interner(),
+            "{benchmark}: interner must not depend on encoding"
+        );
+        assert!(
+            packed.len() < stored.len(),
+            "{benchmark}: compressed container ({} B) not smaller than stored ({} B)",
+            packed.len(),
+            stored.len()
+        );
     }
 
     // Warm load of the compressed tier: zero simulation, and the trace —
     // including dense ids rebuilt from the persisted PCIN section — is
     // byte-identical to the cold generation.
-    let mut warm = store(&cdir);
+    let mut warm = store(&dir);
     warm.prefetch(&engine, &Benchmark::ALL).expect("warm prefetch");
     assert_eq!(warm.cache_stats().simulated, 0, "warm compressed run must not simulate");
     assert_eq!(warm.cache_stats().disk_hits, Benchmark::ALL.len() as u64);
@@ -228,29 +249,6 @@ fn compressed_and_uncompressed_stores_agree_and_compressed_is_smaller() {
             assert_eq!(fresh_rec, loaded_rec, "{benchmark}");
             assert_eq!(fresh_id, loaded_id, "{benchmark}: dense ids diverged");
         }
-    }
-
-    // Same fingerprints, same file names, different encodings: compare
-    // each container's on-disk size across the two directories.
-    let sizes = |dir: &TempDir| {
-        let mut sizes = std::collections::BTreeMap::new();
-        for entry in std::fs::read_dir(&dir.0).expect("cache dir exists") {
-            let entry = entry.expect("entry");
-            let len = entry.metadata().expect("metadata").len();
-            sizes.insert(entry.file_name().into_string().expect("utf8 name"), len);
-        }
-        sizes
-    };
-    let compressed_sizes = sizes(&cdir);
-    let uncompressed_sizes = sizes(&udir);
-    assert_eq!(compressed_sizes.len(), Benchmark::ALL.len());
-    assert_eq!(compressed_sizes.len(), uncompressed_sizes.len(), "same fingerprints");
-    for (name, v4_bytes) in &compressed_sizes {
-        let v3_bytes = uncompressed_sizes[name];
-        assert!(
-            *v4_bytes < v3_bytes,
-            "{name}: compressed container ({v4_bytes} B) not smaller than v3 ({v3_bytes} B)"
-        );
     }
 }
 
