@@ -1,8 +1,8 @@
 //! Accuracy accounting and value-characteristic analyses (Sections 4.1–4.3).
 
 use crate::set::PcTally;
-use dvp_trace::{InstrCategory, Pc, TraceRecord, Value};
-use std::collections::{HashMap, HashSet};
+use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcSlots, Value};
+use std::collections::HashSet;
 
 const N_CATEGORIES: usize = InstrCategory::ALL.len();
 
@@ -104,12 +104,11 @@ pub const VALUE_BUCKETS: [u64; 9] = [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536
 ///
 /// ```
 /// use dvp_core::ValueProfile;
-/// use dvp_trace::{InstrCategory, Pc, TraceRecord};
+/// use dvp_trace::{InstrCategory, Observer, Pc, PcId};
 ///
 /// let mut profile = ValueProfile::new();
-/// for i in 0..10 {
-///     profile.record(&TraceRecord::new(Pc(0), InstrCategory::AddSub, i % 2));
-/// }
+/// let values: Vec<u64> = (0..10).map(|i| i % 2).collect();
+/// profile.observe_batch(&[PcId(0); 10], &[Pc(0); 10], &values, &[InstrCategory::AddSub; 10]);
 /// // PC 0 produced 2 unique values over 10 dynamic executions.
 /// let (static_hist, dynamic_hist) = profile.histograms(None);
 /// assert_eq!(static_hist[1], 1); // bucket "≤4 values" holds the one PC
@@ -117,7 +116,8 @@ pub const VALUE_BUCKETS: [u64; 9] = [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ValueProfile {
-    entries: HashMap<Pc, (InstrCategory, HashSet<Value>, u64)>,
+    /// Per static instruction: category, distinct values, executions.
+    entries: PcSlots<(InstrCategory, HashSet<Value>, u64)>,
 }
 
 impl ValueProfile {
@@ -127,17 +127,10 @@ impl ValueProfile {
         ValueProfile::default()
     }
 
-    /// Folds one trace record into the profile.
-    pub fn record(&mut self, rec: &TraceRecord) {
-        let entry = self.entries.entry(rec.pc).or_insert_with(|| (rec.category, HashSet::new(), 0));
-        entry.1.insert(rec.value);
-        entry.2 += 1;
-    }
-
     /// Number of distinct static instructions profiled.
     #[must_use]
     pub fn static_count(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().count()
     }
 
     /// Bucket index in [`VALUE_BUCKETS`] for a unique-value count
@@ -152,37 +145,53 @@ impl ValueProfile {
     /// `category` (or everything with `None`).
     #[must_use]
     pub fn histograms(&self, category: Option<InstrCategory>) -> (Vec<u64>, Vec<u64>) {
-        let n = VALUE_BUCKETS.len() + 1;
-        let mut static_hist = vec![0u64; n];
-        let mut dynamic_hist = vec![0u64; n];
-        for (cat, values, dyn_count) in self.entries.values() {
-            if category.is_some_and(|c| c != *cat) {
-                continue;
-            }
-            let bucket = Self::bucket_of(values.len() as u64);
-            static_hist[bucket] += 1;
-            dynamic_hist[bucket] += *dyn_count;
-        }
-        (static_hist, dynamic_hist)
-    }
-
-    /// Fraction of static instructions generating exactly one value
-    /// (the paper reports > 50%).
-    #[must_use]
-    pub fn single_value_static_fraction(&self) -> f64 {
-        if self.entries.is_empty() {
-            return 0.0;
-        }
-        let ones = self.entries.values().filter(|(_, v, _)| v.len() == 1).count();
-        ones as f64 / self.entries.len() as f64
+        let statics = self.entries.iter().map(|(_, (cat, values, executions))| {
+            (*cat, Self::bucket_of(values.len() as u64), *executions)
+        });
+        histograms(VALUE_BUCKETS.len() + 1, category, statics)
     }
 }
 
-impl Extend<TraceRecord> for ValueProfile {
-    fn extend<T: IntoIterator<Item = TraceRecord>>(&mut self, iter: T) {
-        for rec in iter {
-            self.record(&rec);
+/// `(static counts, dynamic-weighted counts)` over `n` buckets, from each
+/// static instruction's `(category, bucket, executions)`, restricted to
+/// `category` (or everything with `None`).
+pub(crate) fn histograms(
+    n: usize,
+    category: Option<InstrCategory>,
+    statics: impl Iterator<Item = (InstrCategory, usize, u64)>,
+) -> (Vec<u64>, Vec<u64>) {
+    let mut hists = (vec![0u64; n], vec![0u64; n]);
+    for (cat, bucket, executions) in statics {
+        if category.is_none_or(|want| cat == want) {
+            hists.0[bucket] += 1;
+            hists.1[bucket] += executions;
         }
+    }
+    hists
+}
+
+impl Observer for ValueProfile {
+    fn observe_batch(
+        &mut self,
+        ids: &[PcId],
+        pcs: &[Pc],
+        values: &[Value],
+        categories: &[InstrCategory],
+    ) {
+        for (j, &value) in values.iter().enumerate() {
+            let entry = self
+                .entries
+                .get_or_insert_with(ids[j], pcs[j], || (categories[j], HashSet::new(), 0));
+            entry.1.insert(value);
+            entry.2 += 1;
+        }
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.entries.merge(other.entries, |mine, theirs| {
+            mine.1.extend(theirs.1);
+            mine.2 += theirs.2;
+        });
     }
 }
 
@@ -267,6 +276,14 @@ pub fn improvement_at(points: &[ImprovementPoint], static_pct: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::set::tests::feed;
+    use dvp_trace::TraceRecord;
+
+    fn profile(records: &[TraceRecord]) -> ValueProfile {
+        let mut p = ValueProfile::new();
+        feed(&mut p, records);
+        p
+    }
 
     #[test]
     fn tracker_counts_per_category_and_overall() {
@@ -315,9 +332,10 @@ mod tests {
 
     #[test]
     fn profile_separates_categories() {
-        let mut profile = ValueProfile::new();
-        profile.record(&TraceRecord::new(Pc(0), InstrCategory::AddSub, 1));
-        profile.record(&TraceRecord::new(Pc(4), InstrCategory::Loads, 2));
+        let profile = profile(&[
+            TraceRecord::new(Pc(0), InstrCategory::AddSub, 1),
+            TraceRecord::new(Pc(4), InstrCategory::Loads, 2),
+        ]);
         let (s_add, _) = profile.histograms(Some(InstrCategory::AddSub));
         let (s_all, _) = profile.histograms(None);
         assert_eq!(s_add.iter().sum::<u64>(), 1);
@@ -325,20 +343,31 @@ mod tests {
     }
 
     #[test]
-    fn single_value_fraction() {
-        let mut profile = ValueProfile::new();
-        for i in 0..4u64 {
-            profile.record(&TraceRecord::new(Pc(0), InstrCategory::AddSub, 9));
-            profile.record(&TraceRecord::new(Pc(4), InstrCategory::AddSub, i));
-        }
-        assert_eq!(profile.single_value_static_fraction(), 0.5);
-        assert_eq!(profile.static_count(), 2);
+    fn single_value_statics_fill_the_first_bucket() {
+        let records: Vec<TraceRecord> = (0..4u64)
+            .flat_map(|i| {
+                [
+                    TraceRecord::new(Pc(0), InstrCategory::AddSub, 9),
+                    TraceRecord::new(Pc(4), InstrCategory::AddSub, i),
+                ]
+            })
+            .collect();
+        let whole = profile(&records);
+        assert_eq!(whole.histograms(None).0[..2], [1, 1]);
+        assert_eq!(whole.static_count(), 2);
+
+        // PC shards merge into the whole.
+        let (even, odd): (Vec<TraceRecord>, Vec<TraceRecord>) =
+            records.iter().partition(|r| r.pc == Pc(0));
+        let mut merged = profile(&odd);
+        merged.merge(profile(&even));
+        assert_eq!(merged.histograms(None), whole.histograms(None));
     }
 
     #[test]
     fn empty_profile_is_safe() {
         let profile = ValueProfile::new();
-        assert_eq!(profile.single_value_static_fraction(), 0.0);
+        assert_eq!(profile.static_count(), 0);
         let (s, d) = profile.histograms(None);
         assert!(s.iter().all(|&x| x == 0) && d.iter().all(|&x| x == 0));
     }

@@ -16,7 +16,8 @@
 //! predictability co-vary — and where the paper's predictors run out of
 //! exploitable redundancy.
 
-use dvp_trace::{InstrCategory, Pc, TraceRecord, Value};
+use crate::analysis::histograms;
+use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcSlots, Value};
 use std::collections::HashMap;
 
 /// Upper bounds (in bits) of the entropy buckets; the final bucket is
@@ -26,7 +27,9 @@ pub const ENTROPY_BUCKETS: [f64; 6] = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
 /// Shannon entropy (bits) of a discrete distribution given by `counts`.
 ///
 /// Zero counts are ignored; an empty or single-outcome distribution has
-/// entropy 0.
+/// entropy 0. The terms are summed in ascending count order, so the bits
+/// of the result do not depend on the order `counts` come in (callers
+/// pass hash-map values, and floating-point addition is not associative).
 ///
 /// # Examples
 ///
@@ -39,7 +42,8 @@ pub const ENTROPY_BUCKETS: [f64; 6] = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
 /// ```
 #[must_use]
 pub fn shannon_entropy<I: IntoIterator<Item = u64>>(counts: I) -> f64 {
-    let counts: Vec<u64> = counts.into_iter().filter(|&c| c > 0).collect();
+    let mut counts: Vec<u64> = counts.into_iter().filter(|&c| c > 0).collect();
+    counts.sort_unstable();
     let total: u64 = counts.iter().sum();
     if total == 0 {
         return 0.0;
@@ -54,33 +58,27 @@ pub fn shannon_entropy<I: IntoIterator<Item = u64>>(counts: I) -> f64 {
         .sum::<f64>()
 }
 
-#[derive(Debug, Clone, Default)]
-struct EntropyEntry {
-    category: Option<InstrCategory>,
-    counts: HashMap<Value, u64>,
-    executions: u64,
-}
-
 /// Per-static-instruction value-stream entropy accounting.
 ///
 /// # Examples
 ///
 /// ```
 /// use dvp_core::EntropyProfile;
-/// use dvp_trace::{InstrCategory, Pc, TraceRecord};
+/// use dvp_trace::{InstrCategory, Observer, Pc, PcId};
 ///
+/// // PC 0 is constant; PC 4 is uniform over 4 values (2 bits).
+/// let ids: Vec<PcId> = (0..32).map(|i| PcId(i % 2)).collect();
+/// let pcs: Vec<Pc> = ids.iter().map(|id| Pc(4 * u64::from(id.0))).collect();
+/// let values: Vec<u64> = (0..32).map(|i| if i % 2 == 0 { 7 } else { i / 2 % 4 }).collect();
 /// let mut profile = EntropyProfile::new();
-/// for i in 0..16u64 {
-///     // PC 0: constant; PC 4: uniform over 4 values (2 bits).
-///     profile.record(&TraceRecord::new(Pc(0), InstrCategory::Lui, 7));
-///     profile.record(&TraceRecord::new(Pc(4), InstrCategory::Loads, i % 4));
-/// }
+/// profile.observe_batch(&ids, &pcs, &values, &[InstrCategory::Loads; 32]);
 /// assert_eq!(profile.entropy_of(Pc(0)), Some(0.0));
 /// assert!((profile.entropy_of(Pc(4)).unwrap() - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EntropyProfile {
-    entries: HashMap<Pc, EntropyEntry>,
+    /// Per static instruction: its category and each value's count.
+    entries: PcSlots<(InstrCategory, HashMap<Value, u64>)>,
 }
 
 impl EntropyProfile {
@@ -90,52 +88,57 @@ impl EntropyProfile {
         EntropyProfile::default()
     }
 
-    /// Folds one trace record into the profile.
-    pub fn record(&mut self, rec: &TraceRecord) {
-        let entry = self.entries.entry(rec.pc).or_default();
-        entry.category.get_or_insert(rec.category);
-        *entry.counts.entry(rec.value).or_insert(0) += 1;
-        entry.executions += 1;
+    /// `(pc, category, entropy, executions)` of each profiled static
+    /// instruction, in slot order.
+    fn statics(&self) -> impl Iterator<Item = (Pc, InstrCategory, f64, u64)> + '_ {
+        self.entries.iter().map(|(pc, (category, counts))| {
+            (pc, *category, shannon_entropy(counts.values().copied()), counts.values().sum())
+        })
     }
 
     /// Zeroth-order entropy (bits) of the value stream of the static
-    /// instruction at `pc`, or `None` if it was never recorded.
+    /// instruction at `pc`, or `None` if it was never observed.
     #[must_use]
     pub fn entropy_of(&self, pc: Pc) -> Option<f64> {
-        self.entries.get(&pc).map(|e| shannon_entropy(e.counts.values().copied()))
+        self.statics().find(|&(at, ..)| at == pc).map(|(_, _, h, _)| h)
     }
 
     /// Number of distinct static instructions profiled.
     #[must_use]
     pub fn static_count(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().count()
+    }
+
+    /// Every profiled static instruction as `(pc, entropy, executions)`,
+    /// in ascending PC order: the canonical order the means sum in, so
+    /// they do not depend on how many shards built the profile.
+    #[must_use]
+    pub fn entropies(&self) -> Vec<(Pc, f64, u64)> {
+        let mut all: Vec<_> = self.statics().map(|(pc, _, h, n)| (pc, h, n)).collect();
+        all.sort_unstable_by_key(|&(pc, ..)| pc);
+        all
     }
 
     /// Mean entropy over static instructions (each PC weighted equally).
     #[must_use]
     pub fn static_mean_entropy(&self) -> f64 {
-        if self.entries.is_empty() {
+        let all = self.entropies();
+        if all.is_empty() {
             return 0.0;
         }
-        let sum: f64 =
-            self.entries.values().map(|e| shannon_entropy(e.counts.values().copied())).sum();
-        sum / self.entries.len() as f64
+        all.iter().map(|&(_, h, _)| h).sum::<f64>() / all.len() as f64
     }
 
     /// Mean entropy weighted by dynamic execution count — the entropy of the
     /// static instruction an *average dynamic instruction* comes from.
     #[must_use]
     pub fn dynamic_mean_entropy(&self) -> f64 {
-        let total: u64 = self.entries.values().map(|e| e.executions).sum();
+        let all = self.entropies();
+        let total: u64 = all.iter().map(|&(.., n)| n).sum();
         if total == 0 {
             return 0.0;
         }
-        let sum: f64 = self
-            .entries
-            .values()
-            .map(|e| shannon_entropy(e.counts.values().copied()) * e.executions as f64)
-            .sum();
-        sum / total as f64
+        all.iter().map(|&(_, h, n)| h * n as f64).sum::<f64>() / total as f64
     }
 
     /// Bucket index in [`ENTROPY_BUCKETS`] for an entropy value
@@ -150,34 +153,8 @@ impl EntropyProfile {
     /// with `None`).
     #[must_use]
     pub fn histograms(&self, category: Option<InstrCategory>) -> (Vec<u64>, Vec<u64>) {
-        let n = ENTROPY_BUCKETS.len() + 1;
-        let mut static_hist = vec![0u64; n];
-        let mut dynamic_hist = vec![0u64; n];
-        for entry in self.entries.values() {
-            if category.is_some_and(|c| entry.category != Some(c)) {
-                continue;
-            }
-            let bucket = Self::bucket_of(shannon_entropy(entry.counts.values().copied()));
-            static_hist[bucket] += 1;
-            dynamic_hist[bucket] += entry.executions;
-        }
-        (static_hist, dynamic_hist)
-    }
-
-    /// Splits per-PC prediction outcomes by entropy bucket: returns, per
-    /// bucket, `(predictions, correct)` sums over the static instructions in
-    /// that bucket. `outcomes` maps each PC to its (predicted, correct)
-    /// totals for some predictor; PCs absent from the profile are skipped.
-    #[must_use]
-    pub fn accuracy_by_bucket(&self, outcomes: &HashMap<Pc, (u64, u64)>) -> Vec<(u64, u64)> {
-        let mut buckets = vec![(0u64, 0u64); ENTROPY_BUCKETS.len() + 1];
-        for (pc, &(predicted, correct)) in outcomes {
-            let Some(entry) = self.entries.get(pc) else { continue };
-            let bucket = Self::bucket_of(shannon_entropy(entry.counts.values().copied()));
-            buckets[bucket].0 += predicted;
-            buckets[bucket].1 += correct;
-        }
-        buckets
+        let statics = self.statics().map(|(_, cat, h, n)| (cat, Self::bucket_of(h), n));
+        histograms(ENTROPY_BUCKETS.len() + 1, category, statics)
     }
 
     /// Display labels for the entropy buckets, in order.
@@ -193,20 +170,44 @@ impl EntropyProfile {
     }
 }
 
-impl Extend<TraceRecord> for EntropyProfile {
-    fn extend<T: IntoIterator<Item = TraceRecord>>(&mut self, iter: T) {
-        for rec in iter {
-            self.record(&rec);
+impl Observer for EntropyProfile {
+    fn observe_batch(
+        &mut self,
+        ids: &[PcId],
+        pcs: &[Pc],
+        values: &[Value],
+        categories: &[InstrCategory],
+    ) {
+        for (j, &value) in values.iter().enumerate() {
+            let (_, counts) =
+                self.entries.get_or_insert_with(ids[j], pcs[j], || (categories[j], HashMap::new()));
+            *counts.entry(value).or_insert(0) += 1;
         }
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.entries.merge(other.entries, |(_, mine), (_, theirs)| {
+            for (value, count) in theirs {
+                *mine.entry(value).or_insert(0) += count;
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::set::tests::feed;
+    use dvp_trace::TraceRecord;
 
     fn rec(pc: u64, value: Value) -> TraceRecord {
         TraceRecord::new(Pc(pc), InstrCategory::AddSub, value)
+    }
+
+    fn profile(records: &[TraceRecord]) -> EntropyProfile {
+        let mut p = EntropyProfile::new();
+        feed(&mut p, records);
+        p
     }
 
     #[test]
@@ -223,6 +224,25 @@ mod tests {
     }
 
     #[test]
+    fn entropy_bits_do_not_depend_on_count_order() {
+        // Every permutation (Heap's algorithm) must give the same bits.
+        let mut counts = [1u64, 2, 3, 5, 7, 11, 13];
+        let reference = shannon_entropy(counts).to_bits();
+        let mut stack = [0usize; 7];
+        let (mut i, mut permutations) = (1, 1);
+        while i < counts.len() {
+            if stack[i] < i {
+                counts.swap(if i % 2 == 0 { 0 } else { stack[i] }, i);
+                assert_eq!(shannon_entropy(counts).to_bits(), reference, "{counts:?}");
+                (stack[i], i, permutations) = (stack[i] + 1, 1, permutations + 1);
+            } else {
+                (stack[i], i) = (0, i + 1);
+            }
+        }
+        assert_eq!(permutations, 5040);
+    }
+
+    #[test]
     fn entropy_is_maximal_for_uniform() {
         // Skewing a 2-outcome distribution lowers entropy below 1 bit.
         let skewed = shannon_entropy([9u64, 1]);
@@ -231,11 +251,7 @@ mod tests {
 
     #[test]
     fn profile_tracks_per_pc_distributions() {
-        let mut p = EntropyProfile::new();
-        for i in 0..32u64 {
-            p.record(&rec(0, 1));
-            p.record(&rec(4, i % 2));
-        }
+        let p = profile(&(0..32u64).flat_map(|i| [rec(0, 1), rec(4, i % 2)]).collect::<Vec<_>>());
         assert_eq!(p.entropy_of(Pc(0)), Some(0.0));
         assert!((p.entropy_of(Pc(4)).unwrap() - 1.0).abs() < 1e-12);
         assert_eq!(p.entropy_of(Pc(8)), None);
@@ -244,14 +260,10 @@ mod tests {
 
     #[test]
     fn mean_entropies_weight_as_documented() {
-        let mut p = EntropyProfile::new();
         // PC 0: entropy 0, executed 90 times; PC 4: entropy 1, executed 10.
-        for _ in 0..90 {
-            p.record(&rec(0, 5));
-        }
-        for i in 0..10u64 {
-            p.record(&rec(4, i % 2));
-        }
+        let mut records = vec![rec(0, 5); 90];
+        records.extend((0..10u64).map(|i| rec(4, i % 2)));
+        let p = profile(&records);
         assert!((p.static_mean_entropy() - 0.5).abs() < 1e-9);
         assert!((p.dynamic_mean_entropy() - 0.1).abs() < 1e-9);
     }
@@ -268,11 +280,8 @@ mod tests {
 
     #[test]
     fn histograms_cover_all_statics() {
-        let mut p = EntropyProfile::new();
-        for i in 0..100u64 {
-            p.record(&rec(0, 7)); // entropy 0
-            p.record(&rec(4, i)); // entropy log2(100) ≈ 6.6
-        }
+        // PC 0 has entropy 0; PC 4 log2(100) ≈ 6.6.
+        let p = profile(&(0..100u64).flat_map(|i| [rec(0, 7), rec(4, i)]).collect::<Vec<_>>());
         let (s, d) = p.histograms(None);
         assert_eq!(s.iter().sum::<u64>(), 2);
         assert_eq!(d.iter().sum::<u64>(), 200);
@@ -282,32 +291,33 @@ mod tests {
 
     #[test]
     fn histograms_respect_category_filter() {
-        let mut p = EntropyProfile::new();
-        p.record(&TraceRecord::new(Pc(0), InstrCategory::Loads, 1));
-        p.record(&TraceRecord::new(Pc(4), InstrCategory::Shift, 1));
+        let p = profile(&[
+            TraceRecord::new(Pc(0), InstrCategory::Loads, 1),
+            TraceRecord::new(Pc(4), InstrCategory::Shift, 1),
+        ]);
         let (s, _) = p.histograms(Some(InstrCategory::Loads));
         assert_eq!(s.iter().sum::<u64>(), 1);
     }
 
     #[test]
-    fn accuracy_by_bucket_sums_outcomes() {
-        let mut p = EntropyProfile::new();
-        for _ in 0..10 {
-            p.record(&rec(0, 7)); // bucket 0
-        }
-        for i in 0..10u64 {
-            p.record(&rec(4, i)); // high entropy
-        }
-        let mut outcomes = HashMap::new();
-        outcomes.insert(Pc(0), (10u64, 9u64));
-        outcomes.insert(Pc(4), (10u64, 2u64));
-        outcomes.insert(Pc(999), (5u64, 5u64)); // unknown PC: skipped
-        let buckets = p.accuracy_by_bucket(&outcomes);
-        assert_eq!(buckets[0], (10, 9));
-        let bucket_high = EntropyProfile::bucket_of(p.entropy_of(Pc(4)).unwrap());
-        assert_eq!(buckets[bucket_high], (10, 2));
-        let total: u64 = buckets.iter().map(|b| b.0).sum();
-        assert_eq!(total, 20, "unknown PCs contribute nothing");
+    fn entropies_are_in_pc_order_and_shard_merges_are_exact() {
+        let records: Vec<TraceRecord> =
+            (0..300u64).map(|i| rec(4 * ((i * 7) % 5), (i * i) % (1 + i % 5))).collect();
+        let whole = profile(&records);
+        let (even, odd): (Vec<TraceRecord>, Vec<TraceRecord>) =
+            records.iter().partition(|r| r.pc.0 % 8 == 0);
+        let mut merged = profile(&odd);
+        merged.merge(profile(&even));
+        let pcs: Vec<Pc> = merged.entropies().iter().map(|&(pc, ..)| pc).collect();
+        assert_eq!(pcs, [Pc(0), Pc(4), Pc(8), Pc(12), Pc(16)]);
+        let bits = |p: &EntropyProfile| {
+            (
+                p.static_mean_entropy().to_bits(),
+                p.dynamic_mean_entropy().to_bits(),
+                p.histograms(None),
+            )
+        };
+        assert_eq!(bits(&merged), bits(&whole));
     }
 
     #[test]
@@ -328,10 +338,16 @@ mod tests {
     }
 
     #[test]
-    fn extend_accepts_record_iterators() {
+    fn batches_fold_like_single_records() {
+        let records: Vec<TraceRecord> = (0..5u64).map(|i| rec(0, i)).collect();
         let mut p = EntropyProfile::new();
-        p.extend((0..5u64).map(|i| rec(0, i)));
+        let values: Vec<Value> = records.iter().map(|r| r.value).collect();
+        p.observe_batch(&[PcId(0); 5], &[Pc(0); 5], &values, &[InstrCategory::AddSub; 5]);
         assert_eq!(p.static_count(), 1);
+        assert_eq!(
+            p.entropy_of(Pc(0)).unwrap().to_bits(),
+            profile(&records).entropy_of(Pc(0)).unwrap().to_bits()
+        );
         assert!(p.entropy_of(Pc(0)).unwrap() > 2.0);
     }
 }

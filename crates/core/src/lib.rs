@@ -23,9 +23,17 @@
 //! Evaluation scaffolding lives alongside the predictors:
 //! [`PredictorSet`] correlates the correct-prediction sets of several
 //! predictors (Figure 8/9 of the paper), [`AccuracyTracker`] and
-//! [`ValueProfile`] implement the Section 4 accounting, and
-//! [`sequences`] generates and measures the Section 1.1 sequence taxonomy
-//! (Table 1, Figure 2).
+//! [`ValueProfile`] implement the Section 4 accounting,
+//! [`EntropyProfile`] and [`LocalityProfile`] the Section 1.2 framings,
+//! and [`sequences`] generates and measures the Section 1.1 sequence
+//! taxonomy (Table 1, Figure 2).
+//!
+//! The set and the three profiles are [`dvp_trace::Observer`]s: they fold
+//! `(PcId, Pc)`-keyed record columns through `observe_batch`, keep their
+//! per-instruction state in one dense [`dvp_trace::PcSlots`] table, and
+//! `merge` PC shards exactly, so the replay engine's one observer entry
+//! (`dvp_engine::ReplayEngine::observe`) runs any of them sharded, with
+//! results identical to one sequential pass.
 //!
 //! # Quickstart
 //!

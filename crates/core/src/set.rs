@@ -2,8 +2,7 @@
 //! sets (Section 4.2 / Figure 8 of the paper).
 
 use crate::{Interned, Predictor};
-use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord, Value};
-use std::collections::HashMap;
+use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcSlots, TraceRecord, Value};
 
 const N_CATEGORIES: usize = InstrCategory::ALL.len();
 
@@ -23,24 +22,6 @@ pub struct PcTally {
     pub category: Option<InstrCategory>,
 }
 
-impl PcTally {
-    /// Adds another tally for the same static instruction into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two tallies track a different number of predictors.
-    pub fn merge(&mut self, other: &PcTally) {
-        assert_eq!(self.correct.len(), other.correct.len(), "mismatched predictor counts");
-        self.total += other.total;
-        for (mine, theirs) in self.correct.iter_mut().zip(&other.correct) {
-            *mine += theirs;
-        }
-        if self.category.is_none() {
-            self.category = other.category;
-        }
-    }
-}
-
 /// Runs a group of predictors over the same trace and records, for every
 /// dynamic instruction, the *subset* of predictors that were correct.
 ///
@@ -53,7 +34,7 @@ impl PcTally {
 ///
 /// ```
 /// use dvp_core::{FcmPredictor, LastValuePredictor, PredictorSet, StridePredictor};
-/// use dvp_trace::{InstrCategory, Pc, PcId};
+/// use dvp_trace::{InstrCategory, Observer, Pc, PcId};
 ///
 /// let mut set = PredictorSet::new();
 /// set.push(Box::new(LastValuePredictor::new()));
@@ -75,42 +56,13 @@ pub struct PredictorSet {
     predictors: Vec<Box<dyn Predictor>>,
     /// subset_counts[category][mask] and an extra row for "all categories".
     subset_counts: Vec<Vec<u64>>,
-    per_pc: Option<PerPcTallies>,
+    /// Per-static-instruction tallies, when tracking is enabled.
+    per_pc: Option<PcSlots<PcTally>>,
     total: u64,
     /// Batch scratch, reused across calls: each record's correct-set mask,
     /// and one predictor's outcomes.
     masks: Vec<CorrectMask>,
     correct: Vec<bool>,
-}
-
-/// Per-PC tallies stored densely by the driving id space; the owning `Pc`
-/// is recorded in the slot at creation so reports can translate back
-/// without consulting any interner.
-#[derive(Debug, Default)]
-struct PerPcTallies {
-    by_id: Vec<Option<(Pc, PcTally)>>,
-}
-
-impl PerPcTallies {
-    fn record(&mut self, id: PcId, pc: Pc, category: InstrCategory, mask: CorrectMask, n: usize) {
-        let index = id.index();
-        if index >= self.by_id.len() {
-            self.by_id.resize_with(index + 1, || None);
-        }
-        let (_, tally) = self.by_id[index].get_or_insert_with(|| {
-            (pc, PcTally { total: 0, correct: vec![0; n], category: Some(category) })
-        });
-        tally.total += 1;
-        for (i, c) in tally.correct.iter_mut().enumerate() {
-            if mask & (1 << i) != 0 {
-                *c += 1;
-            }
-        }
-    }
-
-    fn occupied(&self) -> impl Iterator<Item = &(Pc, PcTally)> {
-        self.by_id.iter().filter_map(Option::as_ref)
-    }
 }
 
 impl std::fmt::Debug for PredictorSet {
@@ -134,7 +86,7 @@ impl PredictorSet {
     /// instruction (needed for Figure 9; costs one dense slot per PC).
     #[must_use]
     pub fn with_per_pc_tracking() -> Self {
-        PredictorSet { per_pc: Some(PerPcTallies::default()), ..PredictorSet::default() }
+        PredictorSet { per_pc: Some(PcSlots::default()), ..PredictorSet::default() }
     }
 
     /// The canonical trio of the paper's Figure 8: last value, two-delta
@@ -178,66 +130,6 @@ impl PredictorSet {
     #[must_use]
     pub fn names(&self) -> Vec<String> {
         self.predictors.iter().map(|p| p.name().to_owned()).collect()
-    }
-
-    /// Feeds a run of records, given as parallel slices, to every
-    /// predictor through its [`observe_batch`](Predictor::observe_batch),
-    /// then tallies each record's correct-set mask. `ids` are the records'
-    /// dense ids; all ids fed to one set must come from a single interner.
-    ///
-    /// Batch boundaries are invisible: each predictor keeps strictly
-    /// per-PC state, so predictor *i*'s outcome for record *j* is
-    /// independent of the other predictors' progress through the batch.
-    /// The win is dispatch amortization — one virtual call per predictor
-    /// per batch instead of one per predictor per record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the four slices have different lengths.
-    pub fn observe_batch(
-        &mut self,
-        ids: &[PcId],
-        pcs: &[Pc],
-        values: &[Value],
-        categories: &[InstrCategory],
-    ) {
-        let n = ids.len();
-        assert!(
-            pcs.len() == n && values.len() == n && categories.len() == n,
-            "observe_batch slice lengths differ"
-        );
-        self.masks.clear();
-        self.masks.resize(n, 0);
-        self.correct.clear();
-        self.correct.resize(n, false);
-        for (i, p) in self.predictors.iter_mut().enumerate() {
-            p.observe_batch(ids, pcs, values, &mut self.correct);
-            for (mask, &ok) in self.masks.iter_mut().zip(&self.correct) {
-                *mask |= CorrectMask::from(ok) << i;
-            }
-        }
-        let predictors = self.predictors.len();
-        for (j, &mask) in self.masks.iter().enumerate() {
-            self.subset_counts[categories[j].index()][mask as usize] += 1;
-            self.subset_counts[N_CATEGORIES][mask as usize] += 1;
-            if let Some(per_pc) = &mut self.per_pc {
-                per_pc.record(ids[j], pcs[j], categories[j], mask, predictors);
-            }
-        }
-        self.total += n as u64;
-    }
-
-    /// Pre-sizes every predictor's dense state (and the per-PC tallies)
-    /// for `n` interned ids.
-    pub fn reserve_ids(&mut self, n: usize) {
-        for p in &mut self.predictors {
-            p.reserve_ids(n);
-        }
-        if let Some(per_pc) = &mut self.per_pc {
-            if per_pc.by_id.len() < n {
-                per_pc.by_id.resize_with(n, || None);
-            }
-        }
     }
 
     /// Count of dynamic instructions whose correct-set is *exactly* `mask`,
@@ -285,28 +177,80 @@ impl PredictorSet {
     /// (first appearance for a sequential replay).
     #[must_use]
     pub fn per_pc_tallies(&self) -> Option<Vec<(Pc, PcTally)>> {
-        self.per_pc.as_ref().map(|per_pc| per_pc.occupied().cloned().collect())
+        self.per_pc.as_ref().map(|per_pc| per_pc.iter().map(|(pc, t)| (pc, t.clone())).collect())
     }
 
-    /// Merges another set's accounting into this one.
+    /// Accuracy of predictor `index` over everything observed so far.
+    #[must_use]
+    pub fn accuracy(&self, index: usize) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.correct_total(index) as f64 / self.total as f64
+        }
+    }
+}
+
+/// Correlated replay: every predictor observes each batch, and each
+/// record's correct-set mask is tallied.
+impl Observer for PredictorSet {
+    /// Feeds the batch to every predictor through its
+    /// [`observe_batch`](Predictor::observe_batch) — one virtual call per
+    /// predictor per batch; batch boundaries are invisible, as each keeps
+    /// strictly per-PC state — then tallies each record's correct-set mask.
     ///
-    /// Used by the parallel replay engine: each PC shard runs its own
-    /// `PredictorSet` over a disjoint slice of the trace, and the shard
-    /// results are merged afterwards. Because all counts are exact integer
-    /// tallies, the merged set is identical to one produced by a single
-    /// sequential pass, regardless of merge order.
+    /// # Panics
     ///
-    /// Per-PC tallies are kept only if *both* sets track them; tallies for
-    /// the same PC are added together (matched by PC — the two sets'
-    /// dense id spaces are unrelated). A merged set is a reporting value:
-    /// feeding it further records is unsupported, as the merge compacts
-    /// the dense tally ids.
+    /// Panics if the four slices have different lengths.
+    fn observe_batch(
+        &mut self,
+        ids: &[PcId],
+        pcs: &[Pc],
+        values: &[Value],
+        categories: &[InstrCategory],
+    ) {
+        let n = ids.len();
+        assert!(
+            pcs.len() == n && values.len() == n && categories.len() == n,
+            "observe_batch slice lengths differ"
+        );
+        self.masks.clear();
+        self.masks.resize(n, 0);
+        self.correct.clear();
+        self.correct.resize(n, false);
+        for (i, p) in self.predictors.iter_mut().enumerate() {
+            p.observe_batch(ids, pcs, values, &mut self.correct);
+            for (mask, &ok) in self.masks.iter_mut().zip(&self.correct) {
+                *mask |= CorrectMask::from(ok) << i;
+            }
+        }
+        let predictors = self.predictors.len();
+        for (j, &mask) in self.masks.iter().enumerate() {
+            self.subset_counts[categories[j].index()][mask as usize] += 1;
+            self.subset_counts[N_CATEGORIES][mask as usize] += 1;
+            if let Some(per_pc) = &mut self.per_pc {
+                let tally = per_pc.get_or_insert_with(ids[j], pcs[j], || PcTally {
+                    total: 0,
+                    correct: vec![0; predictors],
+                    category: Some(categories[j]),
+                });
+                tally.total += 1;
+                for (i, c) in tally.correct.iter_mut().enumerate() {
+                    *c += u64::from((mask >> i) & 1);
+                }
+            }
+        }
+        self.total += n as u64;
+    }
+
+    /// Adds another set's counts into this one. Per-PC tallies are kept
+    /// only if *both* sets track them, and merge through [`PcSlots::merge`].
     ///
     /// # Panics
     ///
     /// Panics if the two sets hold different predictor configurations
     /// (compared by name).
-    pub fn merge(&mut self, other: PredictorSet) {
+    fn merge(&mut self, other: PredictorSet) {
         assert_eq!(self.names(), other.names(), "mismatched predictor banks");
         if self.subset_counts.is_empty() {
             self.subset_counts = other.subset_counts;
@@ -319,41 +263,17 @@ impl PredictorSet {
         }
         self.total += other.total;
         self.per_pc = match (self.per_pc.take(), other.per_pc) {
-            (Some(mine), Some(theirs)) => {
-                // The two sets were driven by different interners (each
-                // shard re-interns its sub-trace), so tallies are matched
-                // by PC: one temporary index per merge, touched once per
-                // static instruction — never per record.
-                let mut index: HashMap<Pc, usize> =
-                    mine.occupied().enumerate().map(|(slot, &(pc, _))| (pc, slot)).collect();
-                // Compact `mine` so indexes are stable under appends.
-                let mut slots: Vec<Option<(Pc, PcTally)>> =
-                    mine.by_id.into_iter().flatten().map(Some).collect();
-                for (pc, tally) in theirs.by_id.into_iter().flatten() {
-                    match index.get(&pc) {
-                        Some(&slot) => {
-                            slots[slot].as_mut().expect("occupied").1.merge(&tally);
-                        }
-                        None => {
-                            index.insert(pc, slots.len());
-                            slots.push(Some((pc, tally)));
-                        }
+            (Some(mut mine), Some(theirs)) => {
+                mine.merge(theirs, |mine, theirs| {
+                    mine.total += theirs.total;
+                    for (m, t) in mine.correct.iter_mut().zip(theirs.correct) {
+                        *m += t;
                     }
-                }
-                Some(PerPcTallies { by_id: slots })
+                });
+                Some(mine)
             }
             _ => None,
         };
-    }
-
-    /// Accuracy of predictor `index` over everything observed so far.
-    #[must_use]
-    pub fn accuracy(&self, index: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.correct_total(index) as f64 / self.total as f64
-        }
     }
 }
 
@@ -391,20 +311,21 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{FcmPredictor, LastValuePredictor, StridePredictor};
     use dvp_trace::PcInterner;
+    use std::collections::HashMap;
 
     fn rec(pc: u64, value: Value) -> TraceRecord {
         TraceRecord::new(Pc(pc), InstrCategory::AddSub, value)
     }
 
     /// Feeds `records` one at a time under first-appearance ids.
-    fn feed(set: &mut PredictorSet, records: &[TraceRecord]) {
+    pub(crate) fn feed<O: Observer>(observer: &mut O, records: &[TraceRecord]) {
         let mut interner = PcInterner::new();
         for r in records {
-            set.observe_batch(&[interner.intern(r.pc)], &[r.pc], &[r.value], &[r.category]);
+            observer.observe_batch(&[interner.intern(r.pc)], &[r.pc], &[r.value], &[r.category]);
         }
     }
 

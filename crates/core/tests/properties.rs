@@ -6,7 +6,7 @@ use dvp_core::{
     Interned, LastValuePredictor, LocalityProfile, Predictor, PredictorSet, StridePredictor,
     TableSpec, TwoLevelStridePredictor,
 };
-use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord, Value};
+use dvp_trace::{InstrCategory, Observer, Pc, PcId, TraceRecord, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -343,11 +343,11 @@ proptest! {
     #[test]
     fn locality_is_monotone_and_depth1_equals_last_value(values in arb_small_values(300)) {
         let mut profile = LocalityProfile::new(8);
+        let n = values.len();
+        profile.observe_batch(&vec![PcId(0); n], &vec![Pc(0); n], &values, &vec![InstrCategory::AddSub; n]);
         let mut lvp = Interned::new(LastValuePredictor::new());
         let mut lvp_correct = 0u64;
         for &v in &values {
-            let rec = TraceRecord::new(Pc(0), InstrCategory::AddSub, v);
-            profile.record(&rec);
             lvp_correct += u64::from(lvp.observe(Pc(0), v));
         }
         let series = profile.series(None);
@@ -363,9 +363,8 @@ proptest! {
     #[test]
     fn entropy_is_bounded_by_log2_of_distinct_values(values in arb_small_values(300)) {
         let mut profile = EntropyProfile::new();
-        for &v in &values {
-            profile.record(&TraceRecord::new(Pc(0), InstrCategory::AddSub, v));
-        }
+        let n = values.len();
+        profile.observe_batch(&vec![PcId(0); n], &vec![Pc(0); n], &values, &vec![InstrCategory::AddSub; n]);
         let h = profile.entropy_of(Pc(0)).expect("recorded");
         let distinct = values.iter().collect::<HashSet<_>>().len() as f64;
         prop_assert!(h >= -1e-12, "entropy cannot be negative: {h}");

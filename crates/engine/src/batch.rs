@@ -2,14 +2,14 @@
 //!
 //! The replay driver funnels every record into
 //! [`dvp_core::Predictor::observe_batch`] (or
-//! [`dvp_core::PredictorSet::observe_batch`]) through this scratch buffer,
+//! [`dvp_trace::Observer::observe_batch`]) through this scratch buffer,
 //! so the per-record cost is a few vector writes and the virtual predictor
 //! dispatch amortizes over a chunk. Batch boundaries are invisible in the
 //! tallies: `observe_batch` is bit-for-bit the per-record loop, so *any*
 //! flush schedule produces identical results.
 
-use dvp_core::{Predictor, PredictorSet};
-use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord, Value};
+use dvp_core::Predictor;
+use dvp_trace::{InstrCategory, Observer, Pc, PcId, TraceRecord, Value};
 
 /// Reusable structure-of-arrays gather buffers for batched replay.
 ///
@@ -18,8 +18,8 @@ use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord, Value};
 /// global trace position, and [`observe`](BatchScratch::observe) replays
 /// the selection through one `observe_batch` call, yielding
 /// `(position, category, correct)` per record in trace order;
-/// [`observe_set`](BatchScratch::observe_set) hands the same columns to a
-/// correlated set.
+/// [`observe_into`](BatchScratch::observe_into) hands the same columns to
+/// an [`Observer`].
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     ids: Vec<PcId>,
@@ -75,9 +75,9 @@ impl BatchScratch {
         (self.base, &self.offsets, &self.categories, &self.correct)
     }
 
-    /// Replays the selection through a correlated set.
-    pub(crate) fn observe_set(&self, set: &mut PredictorSet) {
-        set.observe_batch(&self.ids, &self.pcs, &self.values, &self.categories);
+    /// Folds the selection into an observer.
+    pub(crate) fn observe_into<O: Observer>(&self, observer: &mut O) {
+        observer.observe_batch(&self.ids, &self.pcs, &self.values, &self.categories);
     }
 }
 

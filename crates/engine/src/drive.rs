@@ -7,9 +7,9 @@ use crate::batch::BatchScratch;
 use crate::pool::decode_ahead;
 use crate::shared::ChunkWindow;
 use crate::{shard_of_pc, ReplayEngine, SharedTrace};
-use dvp_core::{AccuracyTracker, Predictor, PredictorConfig, PredictorSet};
+use dvp_core::{AccuracyTracker, Predictor, PredictorConfig};
 use dvp_trace::io::{v2, TraceIoError};
-use dvp_trace::{PcId, PcInterner, PhasePlan, TraceRecord};
+use dvp_trace::{Observer, PcId, PcInterner, PhasePlan, TraceRecord};
 use std::io::Read;
 use std::ops::Range;
 
@@ -144,13 +144,13 @@ impl Model for Tallied {
     }
 }
 
-/// A correlated set observes its records in lockstep, straight from the
-/// batch's columns.
-impl Model for PredictorSet {
-    type Tally = PredictorSet;
+/// An observer (a correlated predictor set, a per-instruction profile)
+/// folds the batch's columns and is its own report.
+impl<O: Observer + Send> Model for O {
+    type Tally = O;
 
     fn feed(&mut self, batch: &mut BatchScratch) {
-        batch.observe_set(self);
+        batch.observe_into(self);
     }
 
     fn finish(self) -> Self::Tally {

@@ -2,7 +2,8 @@
 
 use crate::drive::Plan;
 use crate::{par_map, try_par_map, SharedTrace};
-use dvp_core::{AccuracyTracker, PredictorConfig, PredictorSet};
+use dvp_core::{AccuracyTracker, PredictorConfig};
+use dvp_trace::Observer;
 
 /// Default number of PC shards per replayed trace.
 ///
@@ -168,27 +169,25 @@ impl ReplayEngine {
         traces.iter().map(|trace| self.replay(trace, bank)).collect()
     }
 
-    /// Replays one trace through *correlated* predictor sets: `build` makes
-    /// a fresh [`PredictorSet`] per PC shard, every shard's set observes its
-    /// sub-trace in lockstep, and the shard sets are merged in shard order.
-    ///
-    /// This is the parallel form of the paper's Figure 8/9 methodology,
-    /// where the quantity of interest is the per-record *subset* of
-    /// predictors that were simultaneously correct — something that cannot
-    /// be reconstructed from independent per-predictor replays.
-    pub fn replay_correlated<F>(&self, trace: &SharedTrace, build: F) -> PredictorSet
+    /// Folds one trace through an [`Observer`] — a correlated
+    /// [`dvp_core::PredictorSet`] (Figures 8/9) or a per-instruction
+    /// profile: `build` makes one observer per PC shard, each observes its
+    /// shard's records in trace order, and the shard observers merge in
+    /// shard order into exactly the observer of one sequential pass.
+    pub fn observe<O, F>(&self, trace: &SharedTrace, build: F) -> O
     where
-        F: Fn() -> PredictorSet + Sync,
+        O: Observer + Send,
+        F: Fn() -> O + Sync,
     {
         let make = |_, _| build();
-        self.drive(trace, Plan::Full, 1, make).pop().expect("one merged set")
+        self.drive(trace, Plan::Full, 1, make).pop().expect("one merged observer")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvp_core::Predictor;
+    use dvp_core::{Predictor, PredictorSet};
     use dvp_trace::{InstrCategory, Pc, TraceRecord};
 
     fn mixed_trace(n: u64) -> SharedTrace {
@@ -278,7 +277,7 @@ mod tests {
             sequential.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
         }
         let engine = ReplayEngine::new().with_workers(4).with_shards(6);
-        let merged = engine.replay_correlated(&trace, PredictorSet::paper_trio);
+        let merged = engine.observe(&trace, PredictorSet::paper_trio);
         assert_eq!(merged.total(), sequential.total());
         for mask in 0..8u32 {
             assert_eq!(merged.subset_count(None, mask), sequential.subset_count(None, mask));

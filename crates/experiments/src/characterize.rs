@@ -4,6 +4,7 @@
 
 use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};
+use dvp_engine::ReplayEngine;
 use dvp_trace::{InstrCategory, TraceSummary};
 use dvp_workloads::{Benchmark, BuildError};
 
@@ -105,7 +106,8 @@ pub struct Table45 {
     pub summaries: Vec<(Benchmark, TraceSummary)>,
 }
 
-/// Runs Tables 4–5.
+/// Runs Tables 4–5: one sequential driver fold of a [`TraceSummary`] per
+/// benchmark.
 ///
 /// # Errors
 ///
@@ -113,8 +115,8 @@ pub struct Table45 {
 pub fn table45(store: &mut TraceStore) -> Result<Table45, BuildError> {
     let mut summaries = Vec::new();
     for benchmark in Benchmark::ALL {
-        let summary: TraceSummary = store.trace(benchmark)?.iter().copied().collect();
-        summaries.push((benchmark, summary));
+        let trace = store.trace(benchmark)?;
+        summaries.push((benchmark, ReplayEngine::sequential().observe(&trace, TraceSummary::new)));
     }
     Ok(Table45 { summaries })
 }

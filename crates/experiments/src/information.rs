@@ -13,10 +13,10 @@
 
 use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};
-use dvp_core::{EntropyProfile, FcmPredictor, LocalityProfile, Predictor};
-use dvp_trace::Pc;
+use crate::values::pool;
+use dvp_core::{EntropyProfile, FcmPredictor, LocalityProfile, PredictorSet, ENTROPY_BUCKETS};
+use dvp_engine::ReplayEngine;
 use dvp_workloads::{Benchmark, BuildError};
-use std::collections::HashMap;
 
 /// History depths reported by [`locality`] (Lipasti et al. report 1 and 16;
 /// the intermediate depths show the shape between them).
@@ -26,12 +26,6 @@ pub const LOCALITY_DEPTHS: [usize; 5] = [1, 2, 4, 8, 16];
 /// (order 3 is the paper's headline context predictor).
 pub const ENTROPY_FCM_ORDER: usize = 3;
 
-/// Namespaces a PC by benchmark so pooled per-PC maps never collide across
-/// workloads (same trick as the Figure 10 experiment).
-fn namespaced(pc: Pc, benchmark_index: usize) -> Pc {
-    Pc(pc.0 | ((benchmark_index as u64 + 1) << 32))
-}
-
 /// Per-benchmark value locality at each depth of [`LOCALITY_DEPTHS`].
 #[derive(Debug, Clone)]
 pub struct LocalityResults {
@@ -40,7 +34,8 @@ pub struct LocalityResults {
     pub rows: Vec<(Benchmark, Vec<f64>)>,
 }
 
-/// Measures history-depth value locality for every benchmark.
+/// Measures history-depth value locality for every benchmark, one
+/// sequential driver fold per trace.
 ///
 /// # Errors
 ///
@@ -49,11 +44,9 @@ pub fn locality(store: &mut TraceStore) -> Result<LocalityResults, BuildError> {
     let max_depth = *LOCALITY_DEPTHS.last().expect("non-empty depth list");
     let mut rows = Vec::with_capacity(Benchmark::ALL.len());
     for benchmark in Benchmark::ALL {
-        let mut profile = LocalityProfile::new(max_depth);
         let trace = store.trace(benchmark)?;
-        for rec in trace.iter() {
-            profile.record(rec);
-        }
+        let profile =
+            ReplayEngine::sequential().observe(&trace, || LocalityProfile::new(max_depth));
         let series: Vec<f64> = LOCALITY_DEPTHS.iter().map(|&d| profile.locality(d, None)).collect();
         rows.push((benchmark, series));
     }
@@ -108,35 +101,39 @@ pub struct EntropyResults {
     pub bench_means: Vec<(Benchmark, f64, f64)>,
 }
 
-/// Profiles value-stream entropy and correlates it with FCM accuracy.
+/// Profiles value-stream entropy and correlates it with FCM accuracy: per
+/// benchmark, one sequential fold of an [`EntropyProfile`] and one of a
+/// per-PC-tracked FCM; pooled figures sum the benchmarks'.
 ///
 /// # Errors
 ///
 /// Propagates workload build/run errors.
 pub fn entropy(store: &mut TraceStore) -> Result<EntropyResults, BuildError> {
-    let mut pooled = EntropyProfile::new();
-    let mut outcomes: HashMap<Pc, (u64, u64)> = HashMap::new();
-    let mut bench_means = Vec::with_capacity(Benchmark::ALL.len());
-    for (index, benchmark) in Benchmark::ALL.into_iter().enumerate() {
-        let mut local = EntropyProfile::new();
-        let mut fcm = FcmPredictor::new(ENTROPY_FCM_ORDER);
+    let engine = ReplayEngine::sequential();
+    let mut fcm_by_bucket = vec![(0u64, 0u64); ENTROPY_BUCKETS.len() + 1];
+    let (mut hists, mut bench_means) = (Vec::new(), Vec::new());
+    for benchmark in Benchmark::ALL {
         let trace = store.trace(benchmark)?;
-        fcm.reserve_ids(trace.interner().len());
-        for (rec, id) in trace.iter_with_ids() {
-            let pc = namespaced(rec.pc, index);
-            let mut pooled_rec = *rec;
-            pooled_rec.pc = pc;
-            pooled.record(&pooled_rec);
-            local.record(rec);
-            let correct = fcm.step(id, pc, rec.value) == Some(rec.value);
-            let entry = outcomes.entry(pc).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += u64::from(correct);
+        let profile = engine.observe(&trace, EntropyProfile::new);
+        let fcm = engine.observe(&trace, || {
+            let mut set = PredictorSet::with_per_pc_tracking();
+            set.push(Box::new(FcmPredictor::new(ENTROPY_FCM_ORDER)));
+            set
+        });
+        // Join the FCM's per-PC outcomes to entropy buckets, once per
+        // static instruction.
+        let entropies = profile.entropies();
+        for (pc, tally) in fcm.per_pc_tallies().expect("tracks per PC") {
+            let at = entropies.binary_search_by_key(&pc, |&(at, ..)| at).expect("profiled PC");
+            let bucket = &mut fcm_by_bucket[EntropyProfile::bucket_of(entropies[at].1)];
+            bucket.0 += tally.total;
+            bucket.1 += tally.correct[0];
         }
-        bench_means.push((benchmark, local.static_mean_entropy(), local.dynamic_mean_entropy()));
+        let means = (profile.static_mean_entropy(), profile.dynamic_mean_entropy());
+        bench_means.push((benchmark, means.0, means.1));
+        hists.push(profile.histograms(None));
     }
-    let (static_hist, dynamic_hist) = pooled.histograms(None);
-    let fcm_by_bucket = pooled.accuracy_by_bucket(&outcomes);
+    let (static_hist, dynamic_hist) = pool(hists);
     Ok(EntropyResults { static_hist, dynamic_hist, fcm_by_bucket, bench_means })
 }
 

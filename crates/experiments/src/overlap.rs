@@ -4,7 +4,7 @@
 use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};
 use dvp_core::{improvement_at, improvement_curve, ImprovementPoint, PcTally, PredictorSet};
-use dvp_engine::{ReplayEngine, SharedTrace};
+use dvp_engine::ReplayEngine;
 use dvp_trace::InstrCategory;
 use dvp_workloads::{Benchmark, BuildError};
 
@@ -36,11 +36,8 @@ pub const SHOWN_CATEGORIES: [InstrCategory; 5] = [
 pub struct OverlapResults {
     /// Per-benchmark predictor sets (kept for per-benchmark queries).
     pub per_benchmark: Vec<(Benchmark, PredictorSet)>,
-    /// Per-static-instruction tallies pooled across benchmarks. Tallies
-    /// are keyed densely by [`PcId`](dvp_trace::PcId) inside each set;
-    /// pooling concatenates them (static instructions of different
-    /// benchmarks can never be the same instruction, so no namespacing is
-    /// needed), and PCs are only translated back when a report asks.
+    /// Every benchmark's per-static-instruction tallies, concatenated
+    /// (static instructions of different benchmarks are never the same).
     pub pooled_tallies: Vec<PcTally>,
 }
 
@@ -49,7 +46,7 @@ pub struct OverlapResults {
 ///
 /// The correct-*subset* of each dynamic instruction needs all three
 /// predictors on the same record, so each benchmark replays through
-/// [`ReplayEngine::replay_correlated`]: every PC shard runs its own
+/// [`ReplayEngine::observe`]: every PC shard runs its own
 /// [`PredictorSet::paper_trio`] and the shard sets merge back — exact
 /// counts, so the result is identical to a sequential pass at any worker
 /// count.
@@ -62,12 +59,9 @@ pub fn run(store: &mut TraceStore, engine: &ReplayEngine) -> Result<OverlapResul
     let mut per_benchmark: Vec<(Benchmark, PredictorSet)> = Vec::new();
     for benchmark in Benchmark::ALL {
         let trace = store.trace(benchmark)?;
-        per_benchmark.push((benchmark, engine.replay_correlated(&trace, PredictorSet::paper_trio)));
+        per_benchmark.push((benchmark, engine.observe(&trace, PredictorSet::paper_trio)));
     }
 
-    // Pool the per-static-instruction tallies by concatenation: the dense
-    // keying frees Figure 9 from PCs entirely (and from the PC-namespacing
-    // the old pooled map needed).
     let mut pooled_tallies = Vec::new();
     for (_, set) in &per_benchmark {
         if let Some(tallies) = set.per_pc_tallies() {
@@ -145,19 +139,6 @@ impl OverlapResults {
     pub fn improvement_at_20pct(&self) -> f64 {
         improvement_at(&self.figure9_curve(None), 20.0)
     }
-}
-
-/// Feeds a trace through a fresh paper trio, record by record under the
-/// trace's ids, and returns the set (exposed for tests that need a
-/// one-benchmark overlap without the engine).
-#[must_use]
-pub fn trio_over(trace: &SharedTrace) -> PredictorSet {
-    let mut set = PredictorSet::paper_trio();
-    set.reserve_ids(trace.interner().len());
-    for (r, id) in trace.iter_with_ids() {
-        set.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
-    }
-    set
 }
 
 #[cfg(test)]

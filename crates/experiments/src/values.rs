@@ -5,35 +5,39 @@ use crate::context::TraceStore;
 use crate::overlap::SHOWN_CATEGORIES;
 use crate::table_fmt::{pct, TextTable};
 use dvp_core::{ValueProfile, VALUE_BUCKETS};
-use dvp_trace::{Pc, TraceRecord};
+use dvp_engine::ReplayEngine;
+use dvp_trace::InstrCategory;
 use dvp_workloads::{Benchmark, BuildError};
 
-/// Figure 10 results: a pooled value profile over all benchmarks.
+/// Figure 10 results: one value profile per benchmark, pooled when
+/// reported.
 #[derive(Debug)]
 pub struct ValueResults {
-    /// The pooled profile (PCs namespaced per benchmark).
-    pub profile: ValueProfile,
+    /// Each benchmark's profile, in [`Benchmark::ALL`] order.
+    pub per_benchmark: Vec<(Benchmark, ValueProfile)>,
 }
 
-/// Runs the value-characteristics analysis.
+/// Runs the value-characteristics analysis: one sequential driver fold of
+/// a [`ValueProfile`] per benchmark.
 ///
 /// # Errors
 ///
 /// Propagates workload build/run errors.
 pub fn run(store: &mut TraceStore) -> Result<ValueResults, BuildError> {
-    let mut profile = ValueProfile::new();
-    for (index, benchmark) in Benchmark::ALL.into_iter().enumerate() {
+    let mut per_benchmark = Vec::with_capacity(Benchmark::ALL.len());
+    for benchmark in Benchmark::ALL {
         let trace = store.trace(benchmark)?;
-        for rec in trace.iter() {
-            let namespaced = TraceRecord::new(
-                Pc(rec.pc.0 | ((index as u64 + 1) << 32)),
-                rec.category,
-                rec.value,
-            );
-            profile.record(&namespaced);
-        }
+        per_benchmark
+            .push((benchmark, ReplayEngine::sequential().observe(&trace, ValueProfile::new)));
     }
-    Ok(ValueResults { profile })
+    Ok(ValueResults { per_benchmark })
+}
+
+/// Sums `(static, dynamic)` histograms bucket by bucket: static
+/// instructions of different benchmarks are never the same instruction.
+pub(crate) fn pool(hists: impl IntoIterator<Item = (Vec<u64>, Vec<u64>)>) -> (Vec<u64>, Vec<u64>) {
+    let add = |a: Vec<u64>, b: Vec<u64>| a.iter().zip(&b).map(|(x, y)| x + y).collect();
+    hists.into_iter().reduce(|a, b| (add(a.0, b.0), add(a.1, b.1))).unwrap_or_default()
 }
 
 impl ValueResults {
@@ -46,12 +50,28 @@ impl ValueResults {
         labels
     }
 
+    /// Pooled histograms over every benchmark: `(static counts,
+    /// dynamic-weighted counts)` per bucket, restricted to `category` (or
+    /// everything with `None`).
+    #[must_use]
+    pub fn histograms(&self, category: Option<InstrCategory>) -> (Vec<u64>, Vec<u64>) {
+        pool(self.per_benchmark.iter().map(|(_, profile)| profile.histograms(category)))
+    }
+
+    /// Fraction of static instructions generating exactly one value (the
+    /// paper reports > 50%): the first bucket's share.
+    #[must_use]
+    pub fn single_value_static_fraction(&self) -> f64 {
+        let (static_hist, _) = self.histograms(None);
+        static_hist[0] as f64 / static_hist.iter().sum::<u64>().max(1) as f64
+    }
+
     fn render_half(&self, dynamic: bool) -> String {
         let mut header = vec!["Values".to_owned(), "All".to_owned()];
         header.extend(SHOWN_CATEGORIES.iter().map(|c| c.code().to_owned()));
         let mut table = TextTable::new(header);
-        let mut columns = vec![self.profile.histograms(None)];
-        columns.extend(SHOWN_CATEGORIES.iter().map(|&c| self.profile.histograms(Some(c))));
+        let mut columns = vec![self.histograms(None)];
+        columns.extend(SHOWN_CATEGORIES.iter().map(|&c| self.histograms(Some(c))));
         let select =
             |pair: &(Vec<u64>, Vec<u64>)| if dynamic { pair.1.clone() } else { pair.0.clone() };
         let hists: Vec<Vec<u64>> = columns.iter().map(select).collect();
@@ -79,7 +99,7 @@ impl ValueResults {
              Single-value static fraction: {:.1}%\n",
             self.render_half(false),
             self.render_half(true),
-            self.profile.single_value_static_fraction() * 100.0,
+            self.single_value_static_fraction() * 100.0,
         )
     }
 
@@ -87,7 +107,7 @@ impl ValueResults {
     /// `bound` unique values.
     #[must_use]
     pub fn dynamic_fraction_below(&self, bound: u64) -> f64 {
-        let (_, dynamic) = self.profile.histograms(None);
+        let (_, dynamic) = self.histograms(None);
         let total: u64 = dynamic.iter().sum();
         if total == 0 {
             return 0.0;
@@ -109,7 +129,7 @@ mod tests {
         let results = run(&mut store).unwrap();
         // Paper: a large fraction of statics produce a single value, and
         // most dynamics come from statics with bounded value sets.
-        let single = results.profile.single_value_static_fraction();
+        let single = results.single_value_static_fraction();
         assert!(single > 0.25, "single-value statics {single}");
         let below_4096 = results.dynamic_fraction_below(4096);
         assert!(below_4096 > 0.80, "dynamics from <=4096-value statics: {below_4096}");

@@ -14,7 +14,7 @@
 //! section so warm cache loads skip the sequential interning pass (see
 //! `docs/TRACE_FORMAT.md`).
 
-use crate::Pc;
+use crate::{InstrCategory, Pc, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -172,6 +172,75 @@ impl PartialEq for PcInterner {
 
 impl Eq for PcInterner {}
 
+/// Per-static-instruction state, stored densely by [`PcId`]: slot `i`
+/// holds id `i`'s state and its [`Pc`], recorded when the slot is created,
+/// so reports name their instructions without the interner that drove
+/// the fold.
+#[derive(Debug, Clone)]
+pub struct PcSlots<T> {
+    slots: Vec<Option<(Pc, T)>>,
+}
+
+impl<T> Default for PcSlots<T> {
+    fn default() -> Self {
+        PcSlots { slots: Vec::new() }
+    }
+}
+
+impl<T> PcSlots<T> {
+    /// The state of `id`, created by `make` and tagged with `pc` on first
+    /// sight.
+    pub fn get_or_insert_with(&mut self, id: PcId, pc: Pc, make: impl FnOnce() -> T) -> &mut T {
+        if id.index() >= self.slots.len() {
+            self.slots.resize_with(id.index() + 1, || None);
+        }
+        &mut self.slots[id.index()].get_or_insert_with(|| (pc, make())).1
+    }
+
+    /// Iterates the occupied slots as `(pc, state)`, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (Pc, &T)> + '_ {
+        self.slots.iter().flatten().map(|(pc, state)| (*pc, state))
+    }
+
+    /// Folds `other` in, matching slots by PC (shards of a resident trace
+    /// share its ids, but each consumer of a streamed container interns
+    /// its own): `add` combines the states of a PC both hold, and the rest
+    /// are appended. The merged table is a report; its slots follow no
+    /// interner.
+    pub fn merge(&mut self, other: PcSlots<T>, mut add: impl FnMut(&mut T, T)) {
+        let index: HashMap<Pc, usize> =
+            self.slots.iter().enumerate().filter_map(|(i, s)| Some((s.as_ref()?.0, i))).collect();
+        for (pc, state) in other.slots.into_iter().flatten() {
+            match index.get(&pc).and_then(|&i| self.slots[i].as_mut()) {
+                Some((_, mine)) => add(mine, state),
+                None => self.slots.push(Some((pc, state))),
+            }
+        }
+    }
+}
+
+/// A fold over a trace's records that the replay driver runs sharded by
+/// PC: correlated predictor sets, the per-instruction profiles, trace
+/// summaries.
+///
+/// Records arrive in trace order as parallel columns, with ids from one
+/// interner per observer. State is per PC and totals are exact sums, so
+/// the merge of observers of a trace's disjoint PC shards equals the
+/// observer of the whole trace, at any shard count.
+pub trait Observer: Sized {
+    /// Folds a run of records, given as parallel columns.
+    fn observe_batch(
+        &mut self,
+        ids: &[PcId],
+        pcs: &[Pc],
+        values: &[Value],
+        categories: &[InstrCategory],
+    );
+
+    /// Folds in another observer's report of records this one did not see.
+    fn merge(&mut self, other: Self);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +289,22 @@ mod tests {
         assert_eq!(interner.get(Pc(0)), None);
         assert_eq!(interner.iter().count(), 0);
         assert_eq!(PcInterner::from_pcs(Vec::new()).unwrap(), interner);
+    }
+
+    #[test]
+    fn slots_merge_by_pc_across_unrelated_id_spaces() {
+        let mut a: PcSlots<u64> = PcSlots::default();
+        *a.get_or_insert_with(PcId(0), Pc(8), || 0) += 3;
+        *a.get_or_insert_with(PcId(2), Pc(4), || 0) += 1;
+        let mut b: PcSlots<u64> = PcSlots::default();
+        *b.get_or_insert_with(PcId(0), Pc(4), || 0) += 10;
+        *b.get_or_insert_with(PcId(3), Pc(12), || 0) += 5;
+        assert_eq!((a.iter().count(), b.iter().count()), (2, 2));
+        a.merge(b, |mine, theirs| *mine += theirs);
+        let mut merged: Vec<(Pc, u64)> = a.iter().map(|(pc, &n)| (pc, n)).collect();
+        merged.sort_unstable();
+        assert_eq!(merged, [(Pc(4), 11), (Pc(8), 3), (Pc(12), 5)]);
+        assert_eq!(PcSlots::<u8>::default().iter().count(), 0);
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod summary;
 
 pub use category::InstrCategory;
 pub use dataflow::{DepNode, MAX_DEPS};
-pub use intern::{PcId, PcInterner};
+pub use intern::{Observer, PcId, PcInterner, PcSlots};
 pub use phase::{PhasePlan, PhasePlanError, SimPointPhase};
 pub use record::{Pc, TraceRecord, Value};
 pub use summary::{CategoryMix, TraceSummary};

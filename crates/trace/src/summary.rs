@@ -1,6 +1,6 @@
 //! Static and dynamic instruction accounting over a trace.
 
-use crate::{InstrCategory, Pc, TraceRecord};
+use crate::{InstrCategory, Observer, Pc, PcId, TraceRecord, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -64,22 +64,6 @@ impl CategoryMix {
     /// Iterates over `(category, count)` pairs in reporting order.
     pub fn iter(&self) -> impl Iterator<Item = (InstrCategory, u64)> + '_ {
         InstrCategory::ALL.iter().map(|&c| (c, self.count(c)))
-    }
-}
-
-impl Extend<InstrCategory> for CategoryMix {
-    fn extend<T: IntoIterator<Item = InstrCategory>>(&mut self, iter: T) {
-        for cat in iter {
-            self.record(cat);
-        }
-    }
-}
-
-impl FromIterator<InstrCategory> for CategoryMix {
-    fn from_iter<T: IntoIterator<Item = InstrCategory>>(iter: T) -> Self {
-        let mut mix = CategoryMix::new();
-        mix.extend(iter);
-        mix
     }
 }
 
@@ -160,10 +144,27 @@ impl TraceSummary {
     }
 }
 
-impl Extend<TraceRecord> for TraceSummary {
-    fn extend<T: IntoIterator<Item = TraceRecord>>(&mut self, iter: T) {
-        for rec in iter {
-            self.record(&rec);
+/// Each record goes through [`TraceSummary::record`].
+impl Observer for TraceSummary {
+    fn observe_batch(
+        &mut self,
+        _ids: &[PcId],
+        pcs: &[Pc],
+        values: &[Value],
+        categories: &[InstrCategory],
+    ) {
+        for ((&pc, &value), &category) in pcs.iter().zip(values).zip(categories) {
+            self.record(&TraceRecord::new(pc, category, value));
+        }
+    }
+
+    fn merge(&mut self, other: Self) {
+        for (mine, theirs) in self.dynamic.counts.iter_mut().zip(other.dynamic.counts) {
+            *mine += theirs;
+        }
+        self.dynamic.total += other.dynamic.total;
+        for (mine, theirs) in self.static_pcs.iter_mut().zip(other.static_pcs) {
+            mine.extend(theirs);
         }
     }
 }
@@ -171,7 +172,7 @@ impl Extend<TraceRecord> for TraceSummary {
 impl FromIterator<TraceRecord> for TraceSummary {
     fn from_iter<T: IntoIterator<Item = TraceRecord>>(iter: T) -> Self {
         let mut summary = TraceSummary::new();
-        summary.extend(iter);
+        iter.into_iter().for_each(|rec| summary.record(&rec));
         summary
     }
 }
@@ -222,6 +223,28 @@ mod tests {
         let s: TraceSummary = recs.iter().copied().collect();
         let total: f64 = InstrCategory::ALL.iter().map(|&c| s.dynamic_fraction(c)).sum();
         assert!((total - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merged_shard_summaries_equal_the_whole() {
+        let recs: Vec<TraceRecord> = (0..40u64)
+            .map(|i| {
+                let cat = if i % 3 == 0 { InstrCategory::Loads } else { InstrCategory::AddSub };
+                rec(4 * (i % 6), cat, i)
+            })
+            .collect();
+        let whole: TraceSummary = recs.iter().copied().collect();
+        let mut shards = [TraceSummary::new(), TraceSummary::new()];
+        for r in &recs {
+            let shard = &mut shards[(r.pc.0 / 4 % 2) as usize];
+            shard.observe_batch(&[PcId(0)], &[r.pc], &[r.value], &[r.category]);
+        }
+        let [mut merged, odd] = shards;
+        merged.merge(odd);
+        assert_eq!(merged.dynamic_mix(), whole.dynamic_mix());
+        for cat in InstrCategory::ALL {
+            assert_eq!(merged.static_count(cat), whole.static_count(cat), "{cat:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Union of correct sets via the lockstep machinery (bit 0 = stride,
         // bit 1 = fcm), fed the trace's interned ids.
         let shared = SharedTrace::from_records(trace.clone());
-        let set = ReplayEngine::sequential().replay_correlated(&shared, || {
+        let set = ReplayEngine::sequential().observe(&shared, || {
             let mut set = PredictorSet::new();
             set.push(Box::new(StridePredictor::two_delta()));
             set.push(Box::new(FcmPredictor::new(3)));

@@ -11,6 +11,7 @@
 //! Run with: `cargo run --release --example locality_scan`
 
 use dvp_core::{EntropyProfile, Interned, LastValuePredictor, LocalityProfile};
+use dvp_engine::{ReplayEngine, SharedTrace};
 use dvp_lang::OptLevel;
 use dvp_workloads::{Benchmark, Workload};
 
@@ -23,15 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let workload = Workload::reference(benchmark).with_scale(1);
         let trace = workload.trace(OptLevel::O1, 200_000_000)?;
 
-        let mut locality = LocalityProfile::new(16);
-        let mut entropy = EntropyProfile::new();
         let mut lvp = Interned::new(LastValuePredictor::new());
-        let mut lvp_correct = 0u64;
-        for rec in &trace {
-            locality.record(rec);
-            entropy.record(rec);
-            lvp_correct += u64::from(lvp.observe(rec.pc, rec.value));
-        }
+        let (lvp_correct, _) = dvp_core::run_trace(&mut lvp, trace.iter());
+        let shared = SharedTrace::from_records(trace);
+        let engine = ReplayEngine::new();
+        let locality = engine.observe(&shared, || LocalityProfile::new(16));
+        let entropy = engine.observe(&shared, EntropyProfile::new);
 
         println!(
             "{:<10} {:>7.1} {:>7.1} {:>7.1} {:>8.1} {:>9.2} {:>9.2}",
@@ -39,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             100.0 * locality.locality(1, None),
             100.0 * locality.locality(4, None),
             100.0 * locality.locality(16, None),
-            100.0 * lvp_correct as f64 / trace.len().max(1) as f64,
+            100.0 * lvp_correct as f64 / shared.len().max(1) as f64,
             entropy.static_mean_entropy(),
             entropy.dynamic_mean_entropy(),
         );

@@ -43,7 +43,7 @@ fn full_pipeline_produces_predictable_trace() {
     // The table loads form a repeated non-stride sequence: fcm must beat
     // stride on the Loads category, exactly the paper's core claim.
     let shared = SharedTrace::from_records(trace);
-    let set = ReplayEngine::sequential().replay_correlated(&shared, || {
+    let set = ReplayEngine::sequential().observe(&shared, || {
         let mut set = PredictorSet::new();
         set.push(Box::new(StridePredictor::two_delta()));
         set.push(Box::new(FcmPredictor::new(2)));

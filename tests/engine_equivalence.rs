@@ -3,10 +3,13 @@
 //! and therefore byte-identical rendered tables — at any worker and shard
 //! count, including the sequential reference configuration.
 
-use dvp::core::{AccuracyTracker, Predictor, PredictorConfig, PredictorSet};
+use dvp::core::{
+    AccuracyTracker, EntropyProfile, LocalityProfile, Predictor, PredictorConfig, PredictorSet,
+    ValueProfile,
+};
 use dvp::engine::{ReplayEngine, SharedTrace};
 use dvp::experiments::TraceStore;
-use dvp::trace::InstrCategory;
+use dvp::trace::{InstrCategory, Observer, TraceSummary};
 use dvp::workloads::Benchmark;
 use std::sync::OnceLock;
 
@@ -58,7 +61,7 @@ fn correlated_replay_equals_sequential_trio_on_real_trace() {
     }
     for (workers, shards) in [(1, 4), (4, 8), (2, 5)] {
         let engine = ReplayEngine::new().with_workers(workers).with_shards(shards);
-        let merged = engine.replay_correlated(trace, PredictorSet::paper_trio);
+        let merged = engine.observe(trace, PredictorSet::paper_trio);
         assert_eq!(merged.total(), sequential.total());
         for mask in 0..8u32 {
             for category in InstrCategory::ALL.into_iter().map(Some).chain([None]) {
@@ -79,5 +82,44 @@ fn correlated_replay_equals_sequential_trio_on_real_trace() {
             assert_eq!(m[pc].correct, tally.correct, "{pc}");
             assert_eq!(m[pc].category, tally.category, "{pc}");
         }
+    }
+}
+
+#[test]
+fn profile_folds_equal_the_sequential_fold_on_real_trace() {
+    let trace = trace();
+    let categories = || InstrCategory::ALL.into_iter().map(Some).chain([None]);
+    let entropy = |p: EntropyProfile| {
+        let hists: Vec<_> = categories().map(|c| p.histograms(c)).collect();
+        let means = (p.static_mean_entropy().to_bits(), p.dynamic_mean_entropy().to_bits());
+        (p.static_count(), means, hists)
+    };
+    let locality = |p: LocalityProfile| {
+        (p.static_count(), p.total(), categories().map(|c| p.series(c)).collect::<Vec<_>>())
+    };
+    let values = |p: ValueProfile| {
+        (p.static_count(), categories().map(|c| p.histograms(c)).collect::<Vec<_>>())
+    };
+    let summary = |s: TraceSummary| {
+        let per_category = InstrCategory::ALL.map(|c| (s.dynamic_count(c), s.static_count(c)));
+        (s.dynamic_total(), s.static_total(), per_category)
+    };
+    let fold = |engine: &ReplayEngine| {
+        (
+            entropy(engine.observe(trace, EntropyProfile::new)),
+            locality(engine.observe(trace, || LocalityProfile::new(16))),
+            values(engine.observe(trace, ValueProfile::new)),
+            summary(engine.observe(trace, TraceSummary::new)),
+        )
+    };
+    let sequential = fold(&ReplayEngine::sequential());
+    assert!(sequential.0 .0 > 100, "a real trace has many static instructions");
+    for (workers, shards) in [(1, 4), (4, 8), (2, 5)] {
+        let sharded = fold(&ReplayEngine::new().with_workers(workers).with_shards(shards));
+        let at = format!("workers={workers} shards={shards}");
+        assert_eq!(sharded.0, sequential.0, "entropy {at}");
+        assert_eq!(sharded.1, sequential.1, "locality {at}");
+        assert_eq!(sharded.2, sequential.2, "values {at}");
+        assert_eq!(sharded.3, sequential.3, "summary {at}");
     }
 }

@@ -78,7 +78,7 @@ fn claim_most_statics_generate_few_values() {
     // dynamics come from low-value statics).
     let mut store = store();
     let results = values::run(&mut store).unwrap();
-    let (static_hist, _) = results.profile.histograms(None);
+    let (static_hist, _) = results.histograms(None);
     let max_bucket = static_hist.iter().copied().max().unwrap();
     assert_eq!(static_hist[0], max_bucket, "single-value bucket should dominate: {static_hist:?}");
     assert!(results.dynamic_fraction_below(4096) > 0.85);

@@ -8,6 +8,7 @@ use dvp::core::{
     FiniteStridePredictor, Interned, LastValuePredictor, LocalityProfile, Predictor,
     StridePredictor, TableSpec,
 };
+use dvp::engine::{ReplayEngine, SharedTrace};
 use dvp::lang::{compile, OptLevel};
 use dvp::sim::Machine;
 use dvp::trace::TraceRecord;
@@ -100,10 +101,8 @@ fn update_delay_degrades_gracefully_on_real_traces() {
 #[test]
 fn depth1_locality_equals_last_value_accuracy_on_real_traces() {
     let trace = trace();
-    let mut profile = LocalityProfile::new(16);
-    for rec in &trace {
-        profile.record(rec);
-    }
+    let shared = SharedTrace::from_records(trace.clone());
+    let profile = ReplayEngine::sequential().observe(&shared, || LocalityProfile::new(16));
     let lvp = accuracy(LastValuePredictor::new(), &trace);
     assert!((profile.locality(1, None) - lvp).abs() < 1e-12);
     // And deeper history exposes strictly more locality on this workload
@@ -113,11 +112,8 @@ fn depth1_locality_equals_last_value_accuracy_on_real_traces() {
 
 #[test]
 fn entropy_profile_flags_induction_variables_as_high_entropy() {
-    let trace = trace();
-    let mut profile = EntropyProfile::new();
-    for rec in &trace {
-        profile.record(rec);
-    }
+    let shared = SharedTrace::from_records(trace());
+    let profile = ReplayEngine::sequential().observe(&shared, EntropyProfile::new);
     assert!(profile.static_count() > 10);
     // The dynamic mean must be positive (value streams carry information)
     // and bounded by the trace's raw information content.
