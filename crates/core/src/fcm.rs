@@ -30,10 +30,15 @@
 //!   moves two followers, and rebuilt after saturating-mode halving, so a
 //!   bump costs O(1) amortized however many distinct values the context
 //!   has seen (a PC's order-0 context sees every value it ever produced).
+//! - **Tagged buckets.** Each bucket is one `u64` word packing the low 32
+//!   bits of the context hash (the tag) above `1 + entry index`. A probe
+//!   compares tags in the bucket array and reads an entry only on a tag
+//!   match, and growth reseats every word by its tag without reading a
+//!   single entry.
 //! - **A compact entry.** Stamps come from one predictor-wide bump clock
 //!   (they only order followers within one context, so the argmax and
-//!   its tie-breaks are unchanged), the bucket hash is cached as a `u32`
-//!   tag, and the narrow fields pack, keeping an entry at 96 bytes.
+//!   its tie-breaks are unchanged) and the narrow fields pack, keeping an
+//!   entry at 96 bytes.
 //! - **Fused multi-order probe.** One descending walk locates the longest
 //!   matching context and caches every probed entry index; the update
 //!   phase reuses those hits instead of re-probing.
@@ -108,6 +113,13 @@ const SLOT_SALT: u64 = 0xA24B_AED4_963E_E407;
 /// Mixes the order into the bucket hash.
 const ORDER_SALT: u64 = 0x9FB2_1C65_1E98_DF25;
 
+/// Bucket hash of an order-`ord` context of `slot` whose rolling hash is
+/// `g` (0 at order 0).
+#[inline]
+fn ctx_hash(g: u64, slot: usize, ord: usize) -> u64 {
+    mix(g ^ (slot as u64).wrapping_mul(SLOT_SALT) ^ (ord as u64 + 1).wrapping_mul(ORDER_SALT))
+}
+
 /// `splitmix64` finalizer: full-avalanche 64-bit mixer.
 #[inline]
 fn mix(x: u64) -> u64 {
@@ -136,10 +148,6 @@ struct Follower {
 /// the argmax by `(count, stamp)` — predictions never scan.
 #[derive(Debug, Clone)]
 struct CtxEntry {
-    /// Low 32 bits of the bucket hash: a probe accelerator, and enough to
-    /// reseat the entry when the bucket index grows (it never outgrows
-    /// `u32` entry indices).
-    tag: u32,
     /// Owning dense slot (per-instruction isolation is part of the key).
     slot: u32,
     /// Live followers.
@@ -162,7 +170,8 @@ struct CtxEntry {
 }
 
 // Stride-like traces create one entry per order per record, so the entry
-// size sets both their memory and their cache misses.
+// size sets both their memory and their cache misses. The fields take 90
+// bytes; alignment pads them to 96.
 const _: () = assert!(std::mem::size_of::<CtxEntry>() == 96);
 // Capacities are powers of two (`cap_log2`), so index regions are too.
 const _: () = assert!(INLINE_FOLLOWERS.is_power_of_two());
@@ -275,6 +284,35 @@ fn halve_followers(fs: &mut [Follower]) -> u32 {
     u32::try_from(keep).expect("follower list fits u32")
 }
 
+/// The index a table of `len` entries gives its next entry. It stays
+/// below [`NO_ENTRY`], so it never reads as "absent" to the descent and
+/// `1 + idx` never wraps to the empty bucket word.
+#[inline]
+fn next_index(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&idx| idx < NO_ENTRY)
+        .expect("context entries fit below NO_ENTRY")
+}
+
+/// A bucket word: the hash tag above `1 + idx`. `idx` stays below
+/// [`NO_ENTRY`], so the low half is never 0 and a word is never empty.
+#[inline]
+fn bucket(tag: u32, idx: u32) -> u64 {
+    (u64::from(tag) << 32) | u64::from(idx + 1)
+}
+
+/// Writes `word` into the first empty bucket on its tag's probe path.
+#[inline]
+fn seat(buckets: &mut [u64], word: u64) {
+    let mask = buckets.len() - 1;
+    let mut b = (word >> 32) as usize & mask;
+    while buckets[b] != 0 {
+        b = (b + 1) & mask;
+    }
+    buckets[b] = word;
+}
+
 /// The flat open-addressed value-history table: every (slot, order,
 /// context) entry of the predictor, plus the key, follower spill and
 /// follower index arenas. Entries are never removed (matching the
@@ -282,8 +320,9 @@ fn halve_followers(fs: &mut [Follower]) -> u32 {
 /// growth — the fused probe caches them safely.
 #[derive(Debug, Clone, Default)]
 struct Vht {
-    /// Power-of-two open-addressed index: `1 + entry index`, 0 = empty.
-    buckets: Vec<u32>,
+    /// Power-of-two open-addressed index of packed words (see [`bucket`]),
+    /// 0 = empty.
+    buckets: Vec<u64>,
     /// Entry arena, append-only.
     entries: Vec<CtxEntry>,
     /// Spilled context keys (orders above `INLINE_KEY`), append-only.
@@ -319,22 +358,25 @@ impl Vht {
     }
 
     /// Finds the entry for `(slot, ctx)` under `hash`, or [`NO_ENTRY`].
+    /// Only a bucket whose tag matches costs an entry read.
     #[inline]
     fn probe(&self, hash: u64, slot: u32, ctx: &[Value]) -> u32 {
         if self.buckets.is_empty() {
             return NO_ENTRY;
         }
+        let tag = hash as u32;
         let mask = self.buckets.len() - 1;
-        let mut b = (hash as usize) & mask;
+        let mut b = tag as usize & mask;
         loop {
-            let bucket = self.buckets[b];
-            if bucket == 0 {
+            let word = self.buckets[b];
+            if word == 0 {
                 return NO_ENTRY;
             }
-            let idx = bucket - 1;
-            let e = &self.entries[idx as usize];
-            if e.tag == hash as u32 && self.key_matches(e, slot, ctx) {
-                return idx;
+            if (word >> 32) as u32 == tag {
+                let idx = word as u32 - 1;
+                if self.key_matches(&self.entries[idx as usize], slot, ctx) {
+                    return idx;
+                }
             }
             b = (b + 1) & mask;
         }
@@ -343,12 +385,12 @@ impl Vht {
     /// Inserts a fresh empty entry for `(slot, ctx)` (which must not be
     /// present) and returns its index.
     fn insert(&mut self, hash: u64, slot: u32, ctx: &[Value]) -> u32 {
+        let idx = next_index(self.entries.len());
         if self.buckets.is_empty() {
             self.buckets = vec![0; 64];
         } else if (self.entries.len() + 1) * 8 > self.buckets.len() * 7 {
             self.grow();
         }
-        let idx = u32::try_from(self.entries.len()).expect("context entries fit u32");
         let mut key = [0; INLINE_KEY];
         if ctx.len() <= INLINE_KEY {
             key[..ctx.len()].copy_from_slice(ctx);
@@ -357,7 +399,6 @@ impl Vht {
             self.keys.extend_from_slice(ctx);
         }
         self.entries.push(CtxEntry {
-            tag: hash as u32,
             slot,
             len: 0,
             spill_pos: 0,
@@ -367,26 +408,16 @@ impl Vht {
             key,
             inline: [Follower::default(); INLINE_FOLLOWERS],
         });
-        let mask = self.buckets.len() - 1;
-        let mut b = (hash as usize) & mask;
-        while self.buckets[b] != 0 {
-            b = (b + 1) & mask;
-        }
-        self.buckets[b] = idx + 1;
+        seat(&mut self.buckets, bucket(hash as u32, idx));
         idx
     }
 
-    /// Doubles the bucket index and reseats every entry by its cached tag.
+    /// Doubles the bucket index, reseating every word by its tag in bucket
+    /// order. No entry is read.
     fn grow(&mut self) {
-        let new_len = self.buckets.len() * 2;
-        let mask = new_len - 1;
-        let mut buckets = vec![0u32; new_len];
-        for (i, e) in self.entries.iter().enumerate() {
-            let mut b = (e.tag as usize) & mask;
-            while buckets[b] != 0 {
-                b = (b + 1) & mask;
-            }
-            buckets[b] = i as u32 + 1;
+        let mut buckets = vec![0; self.buckets.len() * 2];
+        for &word in self.buckets.iter().filter(|&&word| word != 0) {
+            seat(&mut buckets, word);
         }
         self.buckets = buckets;
     }
@@ -662,7 +693,7 @@ impl FcmPredictor {
     #[inline]
     fn hash_at(&self, slot: usize, ord: usize) -> u64 {
         let g = if ord == 0 { 0 } else { self.ghash[slot * self.order + ord - 1] };
-        mix(g ^ (slot as u64).wrapping_mul(SLOT_SALT) ^ (ord as u64 + 1).wrapping_mul(ORDER_SALT))
+        ctx_hash(g, slot, ord)
     }
 
     /// Probes the VHT for the current order-`ord` context of `slot`.
@@ -1069,6 +1100,53 @@ mod tests {
         // 17 now has count 3 — the clear argmax.
         assert_eq!(p.predict(PC), Some(17));
         assert_eq!(p.context_entries(), 1);
+    }
+
+    /// Two distinct order-1 contexts of slot 0 whose hashes share their
+    /// low 32 bits (the bucket tag), found by a birthday search: about ten
+    /// such pairs are expected among the first 300k candidates.
+    fn tag_collision() -> (Value, Value) {
+        let mut seen = std::collections::HashMap::new();
+        (0..300_000)
+            .find_map(|v| seen.insert(ctx_hash(mix(v), 0, 1) as u32, v).map(|first| (first, v)))
+            .expect("a 32-bit tag collision among 300k contexts")
+    }
+
+    #[test]
+    fn colliding_tags_resolve_by_full_key_before_and_after_growth() {
+        let (a, b) = tag_collision();
+        let (hash_a, hash_b) = (ctx_hash(mix(a), 0, 1), ctx_hash(mix(b), 0, 1));
+        assert_eq!(hash_a as u32, hash_b as u32);
+        let (id, pc) = (PcId(0), PC);
+        let mut p = FcmPredictor::with_config(1, Blending::SingleOrder, CounterMode::Exact);
+        // Contexts (a) -> 11 and (b) -> 22 share a tag, so they share a home
+        // bucket at every table size.
+        for v in [a, 11, b, 22] {
+            p.step(id, pc, v);
+        }
+        let entry_a = p.vht.probe(hash_a, 0, &[a]);
+        let entry_b = p.vht.probe(hash_b, 0, &[b]);
+        assert!(entry_a != NO_ENTRY && entry_b != NO_ENTRY && entry_a != entry_b);
+        for grown in [false, true] {
+            if grown {
+                p.vht.grow();
+            }
+            assert_eq!(p.vht.probe(hash_a, 0, &[a]), entry_a, "grown: {grown}");
+            assert_eq!(p.vht.probe(hash_b, 0, &[b]), entry_b, "grown: {grown}");
+            for (context, follower) in [(a, 11), (b, 22)] {
+                let mut q = p.clone();
+                q.step(id, pc, context);
+                assert_eq!(q.predict(id, pc), Some(follower), "grown: {grown}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "below NO_ENTRY")]
+    fn entry_indices_stop_below_the_absent_sentinel() {
+        // The last usable index still packs into a non-empty bucket word.
+        assert_eq!(bucket(7, next_index(NO_ENTRY as usize - 1)), (7 << 32) | u64::from(NO_ENTRY));
+        let _ = next_index(NO_ENTRY as usize);
     }
 
     #[test]

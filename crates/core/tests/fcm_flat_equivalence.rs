@@ -395,3 +395,25 @@ fn one_context_with_ten_thousand_followers_agrees_with_the_oracle() {
         assert_eq!(flat.context_entries(), oracle.context_entries());
     }
 }
+
+/// A stride-like stream: four PCs each sweep their own array (base plus
+/// eight times the position, wrapping after 6,000 to 9,000 elements), so
+/// the first sweep makes a fresh context at every order on every record
+/// and later sweeps hit at order 3. The table grows past ninety thousand
+/// entries; it starts at 64 buckets and doubles before passing 7/8 load,
+/// so more than `7/8 * (64 << 10)` entries means more than ten doublings.
+#[test]
+fn stride_stream_across_many_bucket_growths_agrees_with_the_oracle() {
+    let mut flat = Interned::new(FcmPredictor::new(3));
+    let mut oracle = OracleFcm::new(3, Blending::LazyExclusion, CounterMode::Exact);
+    let stream = (0..100_000u64).map(|i| {
+        let (pc, n) = (i % 4, i / 4);
+        (Pc(0x400 + 4 * pc), ((pc + 1) << 32) | (8 * (n % (6_000 + 1_000 * pc))))
+    });
+    assert_lockstep(&mut flat, &mut oracle, stream);
+    assert!(flat.context_entries() > 7 * (64 << 10) / 8, "{}", flat.context_entries());
+    assert_eq!(flat.context_entries(), oracle.context_entries());
+    for pc in (0..4).map(|pc| Pc(0x400 + 4 * pc)) {
+        assert_eq!(flat.predict(pc), oracle.predict(pc));
+    }
+}

@@ -1,11 +1,11 @@
-//! `repro bench` — the perf-smoke harness behind `BENCH_14.json`.
+//! `repro bench` — the perf-smoke harness behind `BENCH_17.json`.
 //!
 //! Replays one fixed, seeded synthetic trace through each predictor
 //! family's batched dense hot path ([`Predictor::observe_batch`] over the
 //! trace's chunks — exactly how the replay engine drives predictors) and
 //! reports records/second per family as stable, hand-rolled JSON. The
-//! committed baseline (`BENCH_14.json` at the repository root; the older
-//! `BENCH_9.json` stays as the record it was) lets CI run a comparison
+//! committed baseline (`BENCH_17.json` at the repository root; the older
+//! `BENCH_9.json` and `BENCH_14.json` stay as the records they were) lets CI run a comparison
 //! with a deliberately generous regression tripwire: machine-to-machine
 //! variance is expected; a family running **3x** slower than baseline is
 //! not. Hits are no timing, so a family whose `correct` count moves

@@ -20,7 +20,7 @@
 //! repro sweep --quick --format csv   # smaller grid, machine-readable output
 //! repro phases                       # SimPoint phase plans per workload
 //! repro bench                        # per-family perf smoke (records/sec JSON)
-//! repro bench --check BENCH_14.json  # ... at the committed baseline's size,
+//! repro bench --check BENCH_17.json  # ... at the committed baseline's size,
 //!                                    # failing on changed hits or a 3x slowdown
 //! repro --quick all --sample         # additionally validate phase-sampled
 //!                                    # replay against the full replay (≤1pp)

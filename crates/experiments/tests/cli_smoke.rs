@@ -54,7 +54,7 @@ fn bad_flag_values_fail_fast() {
 fn bench_check_replays_only_at_the_baseline_size() {
     // `--check` takes its record count from the baseline, so an explicit
     // `--records` is a usage error, caught before anything replays.
-    let out = repro(&["bench", "--records", "1000", "--check", "BENCH_14.json"]);
+    let out = repro(&["bench", "--records", "1000", "--check", "BENCH_17.json"]);
     assert!(!out.status.success());
     assert!(out.stdout.is_empty(), "nothing may replay");
     let stderr = stderr_of(&out);
