@@ -31,7 +31,6 @@
 //! repro serve                        # replay daemon on an ephemeral port
 //! repro serve --listen 0.0.0.0:7117  # ... on a fixed address
 //! repro serve --result-dir results/  # persist the result cache across runs
-//! repro serve --worker --result-dir a/ # one shard of a routed tier
 //! repro serve --router H:P,H:P       # consistent-hash front door: forward
 //!                                    # each job to the worker owning its key
 //! repro client ADDR --job '{...}'    # submit a job, stream its frames
@@ -809,15 +808,13 @@ fn run_trace_tool(
 
 /// `repro serve`: run the replay daemon until a client requests shutdown.
 /// With `--router a,b,...` it runs the consistent-hash front door instead
-/// (no jobs execute locally); `--worker` is the explicit spelling of the
-/// default worker role for scripts that start both tiers.
+/// (no jobs execute locally); each of its workers is a plain daemon.
 fn run_serve_tool(args: &[String], trace_dir: Option<PathBuf>, engine: &ReplayEngine) -> ExitCode {
-    let usage = "usage: repro serve [--worker] [--listen ADDR] [--queue N] [--inflight N] \
+    let usage = "usage: repro serve [--listen ADDR] [--queue N] [--inflight N] \
                  [--job-workers N] [--results N] [--result-dir DIR]\n\
                  \x20      repro serve --router ADDR,ADDR... [--listen ADDR] [--retries N]";
     let mut options = ServeOptions { trace_dir, ..ServeOptions::default() };
     let mut router_backends: Option<Vec<String>> = None;
-    let mut worker = false;
     let mut retries: Option<u32> = None;
     // Worker-tier flags make no sense on a router (it executes nothing);
     // remember which ones appeared so the conflict error can name them.
@@ -837,7 +834,6 @@ fn run_serve_tool(args: &[String], trace_dir: Option<PathBuf>, engine: &ReplayEn
                 options.listen = addr.clone();
                 skip = true;
             }
-            "--worker" => worker = true,
             "--router" => {
                 let Some(list) = args.get(i + 1) else {
                     eprintln!("--router expects a comma-separated backend list\n{usage}");
@@ -915,10 +911,6 @@ fn run_serve_tool(args: &[String], trace_dir: Option<PathBuf>, engine: &ReplayEn
         return ExitCode::FAILURE;
     }
     if let Some(backends) = router_backends {
-        if worker {
-            eprintln!("--router and --worker are mutually exclusive\n{usage}");
-            return ExitCode::FAILURE;
-        }
         if let Some(flag) = worker_flags.first() {
             eprintln!("{flag} is a worker flag and does not apply to --router mode\n{usage}");
             return ExitCode::FAILURE;
@@ -1434,7 +1426,7 @@ fn main() -> ExitCode {
              repro trace <export|stats|verify> --trace-dir DIR\n       \
              repro trace gen --records N --out FILE [--pcs N] [--seed S]\n       \
              repro trace replay FILE [--resident] [--sample] [--warm]\n       \
-             repro serve [--worker] [--listen ADDR] [--queue N] [--inflight N] \
+             repro serve [--listen ADDR] [--queue N] [--inflight N] \
              [--job-workers N] [--results N] [--result-dir DIR]\n       \
              repro serve --router ADDR,ADDR... [--listen ADDR] [--retries N]\n       \
              repro client ADDR [--job JSON]... [--spec FILE]... [--batch] \

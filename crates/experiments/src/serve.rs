@@ -55,12 +55,19 @@
 //! daemon scales out shared-nothing. A [`Router`] (`repro serve
 //! --router a,b,...`) accepts the same line protocol and forwards each
 //! job to the backend worker owning its canonical key — rendezvous
-//! hashing ([`route_backend`]), so each `repro serve --worker` process
-//! owns a disjoint key range with its own disk tier. Backend frames are
-//! relayed **verbatim**, so routed payloads are byte-identical to
-//! worker-direct and one-shot ones; an unreachable backend produces a
+//! hashing ([`route_backend`]), so each worker (a plain `repro serve`
+//! process) owns a disjoint key range with its own disk tier. Backend
+//! frames are relayed **verbatim**, so routed payloads are byte-identical
+//! to worker-direct and one-shot ones; an unreachable backend produces a
 //! structured `backend_down` terminal frame after bounded reconnect
 //! attempts, never a hang.
+//!
+//! Both tiers share one front door: one listener (accept loop, shutdown,
+//! join), one connection loop (`hello`, capped request lines, strict
+//! parsing, and the locally answered `ping` / `stats` / `shutdown`) and
+//! one frame writer. They differ only in what becomes of jobs: the daemon
+//! admits them, the router forwards them over backend links that are
+//! ordinary [`ServeClient`]s.
 //!
 //! # Examples
 //!
@@ -650,27 +657,18 @@ fn id_json(id: Option<u64>) -> String {
     id.map_or_else(|| "null".to_owned(), |n| n.to_string())
 }
 
-fn hello_frame() -> String {
-    format!("{{\"frame\":\"hello\",\"protocol\":{PROTOCOL_VERSION},\"server\":\"repro-serve\"}}")
+/// The greeting both tiers open a connection with; `server` is
+/// `repro-serve` or `repro-router`.
+fn hello_frame(server: &str) -> String {
+    format!("{{\"frame\":\"hello\",\"protocol\":{PROTOCOL_VERSION},\"server\":\"{server}\"}}")
 }
 
-fn accepted_frame(id: Option<u64>, key: &str) -> String {
-    let mut out = format!("{{\"frame\":\"accepted\",\"id\":{},\"key\":", id_json(id));
-    json::write_string(key, &mut out);
-    out.push('}');
-    out
-}
-
-fn rejected_frame(id: Option<u64>, reason: &str) -> String {
-    let mut out = format!("{{\"frame\":\"rejected\",\"id\":{},\"reason\":", id_json(id));
-    json::write_string(reason, &mut out);
-    out.push('}');
-    out
-}
-
-fn progress_frame(id: Option<u64>, state: &str) -> String {
-    let mut out = format!("{{\"frame\":\"progress\",\"id\":{},\"state\":", id_json(id));
-    json::write_string(state, &mut out);
+/// A per-job frame with one string field:
+/// `{"frame":"<kind>","id":<id>,"<field>":"<value>"}` (`accepted` / `key`,
+/// `rejected` / `reason`, `progress` / `state`, `error` / `message`).
+fn job_frame(kind: &str, id: Option<u64>, field: &str, value: &str) -> String {
+    let mut out = format!("{{\"frame\":\"{kind}\",\"id\":{},\"{field}\":", id_json(id));
+    json::write_string(value, &mut out);
     out.push('}');
     out
 }
@@ -680,13 +678,6 @@ fn result_frame(id: Option<u64>, cache: &str, payload: &str) -> String {
     json::write_string(cache, &mut out);
     out.push_str(",\"payload\":");
     json::write_string(payload, &mut out);
-    out.push('}');
-    out
-}
-
-fn error_frame(id: Option<u64>, message: &str) -> String {
-    let mut out = format!("{{\"frame\":\"error\",\"id\":{},\"message\":", id_json(id));
-    json::write_string(message, &mut out);
     out.push('}');
     out
 }
@@ -820,7 +811,7 @@ impl Default for ServeOptions {
     }
 }
 
-/// State shared by the accept thread, connection threads, and job workers.
+/// State shared by the connection threads and job workers.
 struct ServerShared {
     engine: ReplayEngine,
     queue: JobQueue,
@@ -828,18 +819,10 @@ struct ServerShared {
     inflight_cap: usize,
     trace_dir: Option<PathBuf>,
     epoch: u64,
-    shutdown: AtomicBool,
     completed: AtomicU64,
-    addr: SocketAddr,
 }
 
 impl ServerShared {
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
-    }
-
     fn stats_frame(&self) -> String {
         let stats = self.cache.lock().expect("cache mutex never poisoned").stats();
         format!(
@@ -862,14 +845,13 @@ impl ServerShared {
 /// The `repro serve` daemon (see the [module docs](self) for the
 /// protocol and job lifecycle).
 pub struct Server {
-    addr: SocketAddr,
+    listener: Listener,
     shared: Arc<ServerShared>,
-    accept: Option<thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Server").field("addr", &self.addr).finish()
+        f.debug_struct("Server").field("addr", &self.addr()).finish()
     }
 }
 
@@ -882,7 +864,6 @@ impl Server {
     /// Propagates bind failures (busy port, bad address).
     pub fn start(engine: ReplayEngine, options: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(&options.listen)?;
-        let addr = listener.local_addr()?;
         let mut cache = ResultCache::new(options.memory_entries).with_epoch(options.epoch);
         if let Some(dir) = &options.result_dir {
             cache = cache.with_dir(dir);
@@ -892,30 +873,29 @@ impl Server {
             engine,
             cache: Mutex::new(cache),
             inflight_cap: options.inflight_cap,
-            trace_dir: options.trace_dir.clone(),
+            trace_dir: options.trace_dir,
             epoch: options.epoch,
-            shutdown: AtomicBool::new(false),
             completed: AtomicU64::new(0),
-            addr,
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept = thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_shared.shutdown.load(Ordering::SeqCst) {
-                    break;
+        let conn_shared = Arc::clone(&shared);
+        let listener = Listener::start(listener, move |door, stream| {
+            let inflight = Arc::new(AtomicUsize::new(0));
+            let stats = || conn_shared.stats_frame();
+            serve_connection(door, stream, "repro-serve", stats, |writer, jobs| {
+                // One interleaved response stream: admit every job in order;
+                // its frames then arrive tagged by id in completion order.
+                for (id, spec) in jobs {
+                    submit_job(&conn_shared, writer, &inflight, id, spec);
                 }
-                let Ok(stream) = stream else { continue };
-                let conn_shared = Arc::clone(&accept_shared);
-                thread::spawn(move || handle_connection(&conn_shared, stream));
-            }
-        });
-        Ok(Server { addr, shared, accept: Some(accept) })
+            });
+        })?;
+        Ok(Server { listener, shared })
     }
 
     /// The bound address (read this back after listening on port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.door.addr
     }
 
     /// Result-cache counters so far.
@@ -940,27 +920,16 @@ impl Server {
     /// Begins shutdown: no new connections are accepted. Already-admitted
     /// jobs still run to completion.
     pub fn request_shutdown(&self) {
-        self.shared.request_shutdown();
+        self.listener.door.request_shutdown();
     }
 
     /// Blocks until a client requests shutdown (or one was already
     /// requested), drains in-flight jobs, and returns the final
     /// result-cache counters.
     pub fn join(mut self) -> ResultCacheStats {
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+        self.listener.join();
         let _ = self.shared.queue.wait_idle(Duration::from_secs(60));
         self.result_stats()
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if let Some(handle) = self.accept.take() {
-            self.shared.request_shutdown();
-            let _ = handle.join();
-        }
     }
 }
 
@@ -1001,20 +970,26 @@ fn request_lines(stream: TcpStream) -> impl Iterator<Item = Result<String, Strin
     })
 }
 
-/// Writes one frame line; write errors mean the client is gone and are
-/// deliberately ignored (a disconnected client must never wedge a job).
+/// Writes one protocol line and flushes it: the one place a line meets a
+/// socket, for the client and both server tiers alike.
+fn write_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
+    stream.write_all(line.as_bytes())?;
+    stream.write_all(b"\n")?;
+    stream.flush()
+}
+
+/// Writes one frame line under its connection's writer lock; write errors
+/// mean the client is gone and are deliberately ignored (a disconnected
+/// client must never wedge a job).
 fn write_frame(writer: &Mutex<TcpStream>, line: &str) {
-    let mut stream = writer.lock().expect("writer mutex never poisoned");
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
-    let _ = stream.flush();
+    let _ = write_line(&mut writer.lock().expect("writer mutex never poisoned"), line);
 }
 
 /// One client request, parsed strictly (see [`parse_request`]).
 #[derive(Debug)]
 enum Request {
-    Submit { id: Option<u64>, spec: Box<JobSpec> },
-    Batch { jobs: Vec<(u64, JobSpec)> },
+    /// A `submit` (one job, optional id) or a `jobs` batch (ids required).
+    Jobs(Vec<(Option<u64>, JobSpec)>),
     Ping,
     Stats,
     Shutdown,
@@ -1053,7 +1028,7 @@ fn parse_request(line: &str) -> Result<Request, String> {
     let mut op: Option<String> = None;
     let mut id: Option<u64> = None;
     let mut spec: Option<JobSpec> = None;
-    let mut batch: Option<Vec<(u64, JobSpec)>> = None;
+    let mut batch: Option<Vec<(Option<u64>, JobSpec)>> = None;
     let mut first = true;
     while !parser.end_object(&mut first).map_err(fail)? {
         let key = parser.string().map_err(fail)?;
@@ -1067,15 +1042,15 @@ fn parse_request(line: &str) -> Result<Request, String> {
             }
             "job" => spec = Some(JobSpec::parse_value(&mut parser)?),
             "jobs" => {
-                let mut list: Vec<(u64, JobSpec)> = Vec::new();
+                let mut list = Vec::new();
                 parser.begin_array().map_err(fail)?;
                 let mut first_el = true;
                 while !parser.end_array(&mut first_el).map_err(fail)? {
                     let (el_id, el_spec) = parse_batch_element(&mut parser)?;
-                    if list.iter().any(|(existing, _)| *existing == el_id) {
+                    if list.iter().any(|(existing, _)| *existing == Some(el_id)) {
                         return Err(format!("duplicate batch id {el_id}"));
                     }
-                    list.push((el_id, el_spec));
+                    list.push((Some(el_id), el_spec));
                 }
                 batch = Some(list);
             }
@@ -1089,7 +1064,7 @@ fn parse_request(line: &str) -> Result<Request, String> {
                 return Err("op `submit` takes a `job` object, not `jobs`".to_owned());
             }
             let spec = spec.ok_or("submit requires a `job` object")?;
-            Ok(Request::Submit { id, spec: Box::new(spec) })
+            Ok(Request::Jobs(vec![(id, spec)]))
         }
         Some("jobs") => {
             if spec.is_some() {
@@ -1099,7 +1074,7 @@ fn parse_request(line: &str) -> Result<Request, String> {
             if jobs.is_empty() {
                 return Err("`jobs` must contain at least one element".to_owned());
             }
-            Ok(Request::Batch { jobs })
+            Ok(Request::Jobs(jobs))
         }
         Some("ping") => Ok(Request::Ping),
         Some("stats") => Ok(Request::Stats),
@@ -1111,38 +1086,102 @@ fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn handle_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
+/// A listener's shutdown switch, shared with its connection threads so a
+/// client's `shutdown` request can flip it.
+struct Door {
+    addr: SocketAddr,
+    shutdown: AtomicBool,
+}
+
+impl Door {
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Wake the accept loop so it observes the flag.
+        let _ = TcpStream::connect(self.addr);
+    }
+}
+
+/// The accept side of both tiers: one thread accepts connections and
+/// serves each on a thread of its own. Dropping the listener shuts it
+/// down and joins the accept thread.
+struct Listener {
+    door: Arc<Door>,
+    accept: Option<thread::JoinHandle<()>>,
+}
+
+impl Listener {
+    fn start(
+        listener: TcpListener,
+        serve: impl Fn(&Door, TcpStream) + Send + Sync + 'static,
+    ) -> io::Result<Listener> {
+        let door =
+            Arc::new(Door { addr: listener.local_addr()?, shutdown: AtomicBool::new(false) });
+        let accept_door = Arc::clone(&door);
+        let serve = Arc::new(serve);
+        let accept = thread::spawn(move || {
+            for stream in listener.incoming() {
+                if accept_door.shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                let (door, serve) = (Arc::clone(&accept_door), Arc::clone(&serve));
+                thread::spawn(move || serve(&door, stream));
+            }
+        });
+        Ok(Listener { door, accept: Some(accept) })
+    }
+
+    /// Blocks until the accept loop stopped (a shutdown was requested).
+    fn join(&mut self) {
+        if let Some(handle) = self.accept.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if self.accept.is_some() {
+            self.door.request_shutdown();
+            self.join();
+        }
+    }
+}
+
+/// The connection loop of both tiers: the `hello`, capped request lines,
+/// strict parsing, and the locally answered `ping`, `stats` and
+/// `shutdown`. A tier supplies its `stats` frame and what becomes of
+/// jobs: the daemon admits them, the router forwards them. Every frame
+/// goes out through the connection's one writer lock.
+fn serve_connection(
+    door: &Door,
+    stream: TcpStream,
+    server: &str,
+    stats_frame: impl Fn() -> String,
+    mut jobs: impl FnMut(&Arc<Mutex<TcpStream>>, Vec<(Option<u64>, JobSpec)>),
+) {
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
     let writer = Arc::new(Mutex::new(write_half));
-    write_frame(&writer, &hello_frame());
-    let inflight = Arc::new(AtomicUsize::new(0));
+    write_frame(&writer, &hello_frame(server));
     for line in request_lines(stream) {
         let line = match line {
             Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => line,
             Err(too_long) => {
-                write_frame(&writer, &error_frame(None, &too_long));
+                write_frame(&writer, &job_frame("error", None, "message", &too_long));
                 break;
             }
         };
         match parse_request(&line) {
-            Err(why) => write_frame(&writer, &error_frame(None, &why)),
+            Err(why) => write_frame(&writer, &job_frame("error", None, "message", &why)),
+            Ok(Request::Jobs(list)) => jobs(&writer, list),
             Ok(Request::Ping) => write_frame(&writer, "{\"frame\":\"pong\"}"),
-            Ok(Request::Stats) => write_frame(&writer, &shared.stats_frame()),
+            Ok(Request::Stats) => write_frame(&writer, &stats_frame()),
             Ok(Request::Shutdown) => {
                 write_frame(&writer, "{\"frame\":\"bye\"}");
-                shared.request_shutdown();
+                door.request_shutdown();
                 break;
-            }
-            Ok(Request::Submit { id, spec }) => submit_job(shared, &writer, &inflight, id, *spec),
-            Ok(Request::Batch { jobs }) => {
-                // One interleaved response stream: admit every element in
-                // order, then frames arrive tagged by the client's ids in
-                // completion order.
-                for (id, spec) in jobs {
-                    submit_job(shared, &writer, &inflight, Some(id), spec);
-                }
             }
         }
     }
@@ -1157,7 +1196,7 @@ fn submit_job(
 ) {
     if inflight.load(Ordering::SeqCst) >= shared.inflight_cap {
         let reason = format!("in-flight limit ({}) reached", shared.inflight_cap);
-        write_frame(writer, &rejected_frame(id, &reason));
+        write_frame(writer, &job_frame("rejected", id, "reason", &reason));
         return;
     }
     let key = spec.canonical_key_at(shared.epoch);
@@ -1166,7 +1205,7 @@ fn submit_job(
         // Count completion *before* the terminal frame: a client must
         // never observe its result while `completed()` still lags.
         shared.completed.fetch_add(1, Ordering::SeqCst);
-        write_frame(writer, &accepted_frame(id, &key));
+        write_frame(writer, &job_frame("accepted", id, "key", &key));
         write_frame(writer, &result_frame(id, "hit", &payload));
         return;
     }
@@ -1176,7 +1215,7 @@ fn submit_job(
     let job_inflight = Arc::clone(inflight);
     let job_key = key.clone();
     let job = move || {
-        write_frame(&job_writer, &progress_frame(id, "replaying"));
+        write_frame(&job_writer, &job_frame("progress", id, "state", "replaying"));
         let outcome = run_job(&spec, &job_shared.engine, job_shared.trace_dir.as_deref());
         if let Ok(payload) = &outcome {
             job_shared.cache.lock().expect("cache mutex never poisoned").insert(&job_key, payload);
@@ -1185,25 +1224,21 @@ fn submit_job(
         job_shared.completed.fetch_add(1, Ordering::SeqCst);
         match outcome {
             Ok(payload) => write_frame(&job_writer, &result_frame(id, "miss", &payload)),
-            Err(why) => write_frame(&job_writer, &error_frame(id, &why)),
+            Err(why) => write_frame(&job_writer, &job_frame("error", id, "message", &why)),
         }
         job_inflight.fetch_sub(1, Ordering::SeqCst);
     };
     // Hold the writer lock across admission so the worker's `progress`
     // frame can never precede this job's `accepted` frame.
-    let guard = writer.lock().expect("writer mutex never poisoned");
-    let admitted = shared.queue.try_submit(job);
-    let line = match admitted {
-        Ok(_ticket) => accepted_frame(id, &key),
+    let mut stream = writer.lock().expect("writer mutex never poisoned");
+    let line = match shared.queue.try_submit(job) {
+        Ok(_ticket) => job_frame("accepted", id, "key", &key),
         Err(err) => {
             inflight.fetch_sub(1, Ordering::SeqCst);
-            rejected_frame(id, &err.to_string())
+            job_frame("rejected", id, "reason", &err.to_string())
         }
     };
-    let mut stream = guard;
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
-    let _ = stream.flush();
+    let _ = write_line(&mut stream, &line);
 }
 
 // ---------------------------------------------------------------------------
@@ -1241,6 +1276,44 @@ pub enum Outcome {
     },
 }
 
+/// The [`Outcome`] a terminal frame (`result`, `rejected`, `error`,
+/// `backend_down`) carries, or `None` for a frame that does not end its
+/// job. The client and the router's relay both find a job's end here.
+fn terminal_outcome(frame: Frame) -> Option<Outcome> {
+    Some(match frame.frame.as_str() {
+        "result" => Outcome::Result {
+            cache: frame.cache.unwrap_or_default(),
+            payload: frame.payload.unwrap_or_default(),
+        },
+        "rejected" => Outcome::Rejected { reason: frame.reason.unwrap_or_default() },
+        "error" => Outcome::Error { message: frame.message.unwrap_or_default() },
+        "backend_down" => Outcome::BackendDown {
+            backend: frame.backend.unwrap_or_default(),
+            reason: frame.reason.unwrap_or_default(),
+        },
+        _ => return None,
+    })
+}
+
+/// The request line submitting `jobs`, each an id and its job JSON
+/// (embedded verbatim): one `jobs` batch when `batch`, else a `submit` of
+/// the single job.
+fn submit_request<S: AsRef<str>>(
+    batch: bool,
+    jobs: impl IntoIterator<Item = (Option<u64>, S)>,
+) -> String {
+    let elements: Vec<String> = jobs
+        .into_iter()
+        .map(|(id, job)| format!("\"id\":{},\"job\":{}", id_json(id), job.as_ref()))
+        .collect();
+    if batch {
+        format!("{{\"op\":\"jobs\",\"jobs\":[{{{}}}]}}", elements.join("},{"))
+    } else {
+        debug_assert_eq!(elements.len(), 1, "a submit carries one job");
+        format!("{{\"op\":\"submit\",{}}}", elements[0])
+    }
+}
+
 /// A blocking line-protocol client: one connection, sequential requests.
 /// Used by `repro client`, the integration suite, and CI.
 #[derive(Debug)]
@@ -1276,11 +1349,10 @@ impl ServeClient {
     }
 
     fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        write_line(&mut self.writer, line)
     }
 
+    /// Reads the next frame; its `raw` line is what the router relays.
     fn read_frame(&mut self) -> io::Result<Frame> {
         let mut line = String::new();
         loop {
@@ -1313,30 +1385,12 @@ impl ServeClient {
     ) -> io::Result<Outcome> {
         let id = self.next_id;
         self.next_id += 1;
-        self.send_line(&format!("{{\"op\":\"submit\",\"id\":{id},\"job\":{job_json}}}"))?;
+        self.send_line(&submit_request(false, [(Some(id), job_json)]))?;
         loop {
             let frame = self.read_frame()?;
             on_frame(&frame);
-            match frame.frame.as_str() {
-                "result" => {
-                    return Ok(Outcome::Result {
-                        cache: frame.cache.unwrap_or_default(),
-                        payload: frame.payload.unwrap_or_default(),
-                    })
-                }
-                "rejected" => {
-                    return Ok(Outcome::Rejected { reason: frame.reason.unwrap_or_default() })
-                }
-                "error" => {
-                    return Ok(Outcome::Error { message: frame.message.unwrap_or_default() })
-                }
-                "backend_down" => {
-                    return Ok(Outcome::BackendDown {
-                        backend: frame.backend.unwrap_or_default(),
-                        reason: frame.reason.unwrap_or_default(),
-                    })
-                }
-                _ => {}
+            if let Some(outcome) = terminal_outcome(frame) {
+                return Ok(outcome);
             }
         }
     }
@@ -1374,35 +1428,15 @@ impl ServeClient {
         }
         let first_id = self.next_id;
         self.next_id += jobs.len() as u64;
-        let mut line = String::from("{\"op\":\"jobs\",\"jobs\":[");
-        for (offset, job_json) in jobs.iter().enumerate() {
-            if offset > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!("{{\"id\":{},\"job\":{job_json}}}", first_id + offset as u64));
-        }
-        line.push_str("]}");
-        self.send_line(&line)?;
+        self.send_line(&submit_request(true, (first_id..).map(Some).zip(jobs)))?;
         let mut outcomes: Vec<Option<Outcome>> = vec![None; jobs.len()];
         let mut open = jobs.len();
         while open > 0 {
             let frame = self.read_frame()?;
             on_frame(&frame);
-            let outcome = match frame.frame.as_str() {
-                "result" => Outcome::Result {
-                    cache: frame.cache.unwrap_or_default(),
-                    payload: frame.payload.unwrap_or_default(),
-                },
-                "rejected" => Outcome::Rejected { reason: frame.reason.unwrap_or_default() },
-                "error" => Outcome::Error { message: frame.message.unwrap_or_default() },
-                "backend_down" => Outcome::BackendDown {
-                    backend: frame.backend.unwrap_or_default(),
-                    reason: frame.reason.unwrap_or_default(),
-                },
-                _ => continue,
-            };
-            let slot = frame
-                .id
+            let id = frame.id;
+            let Some(outcome) = terminal_outcome(frame) else { continue };
+            let slot = id
                 .and_then(|id| id.checked_sub(first_id))
                 .and_then(|offset| usize::try_from(offset).ok())
                 .filter(|offset| *offset < jobs.len());
@@ -1436,19 +1470,28 @@ impl ServeClient {
         self.submit_batch_streaming(jobs, |_| {})
     }
 
+    /// Sends a request the server answers with one frame, which must be a
+    /// `want` frame.
+    fn exchange(&mut self, line: &str, want: &str) -> io::Result<Frame> {
+        self.send_line(line)?;
+        let frame = self.read_frame()?;
+        if frame.frame == want {
+            Ok(frame)
+        } else {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("expected {want}: {}", frame.raw),
+            ))
+        }
+    }
+
     /// Round-trips a `ping`.
     ///
     /// # Errors
     ///
     /// Propagates transport failures or a non-`pong` response.
     pub fn ping(&mut self) -> io::Result<()> {
-        self.send_line("{\"op\":\"ping\"}")?;
-        let frame = self.read_frame()?;
-        if frame.frame == "pong" {
-            Ok(())
-        } else {
-            Err(io::Error::new(io::ErrorKind::InvalidData, format!("expected pong: {}", frame.raw)))
-        }
+        self.exchange("{\"op\":\"ping\"}", "pong").map(drop)
     }
 
     /// Fetches the server's `stats` frame (raw JSON line).
@@ -1457,16 +1500,7 @@ impl ServeClient {
     ///
     /// Propagates transport failures or a non-`stats` response.
     pub fn stats(&mut self) -> io::Result<String> {
-        self.send_line("{\"op\":\"stats\"}")?;
-        let frame = self.read_frame()?;
-        if frame.frame == "stats" {
-            Ok(frame.raw)
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected stats: {}", frame.raw),
-            ))
-        }
+        self.exchange("{\"op\":\"stats\"}", "stats").map(|frame| frame.raw)
     }
 
     /// Asks the server to shut down and waits for the `bye` ack.
@@ -1475,13 +1509,7 @@ impl ServeClient {
     ///
     /// Propagates transport failures or a non-`bye` response.
     pub fn shutdown(&mut self) -> io::Result<()> {
-        self.send_line("{\"op\":\"shutdown\"}")?;
-        let frame = self.read_frame()?;
-        if frame.frame == "bye" {
-            Ok(())
-        } else {
-            Err(io::Error::new(io::ErrorKind::InvalidData, format!("expected bye: {}", frame.raw)))
-        }
+        self.exchange("{\"op\":\"shutdown\"}", "bye").map(drop)
     }
 }
 
@@ -1527,17 +1555,9 @@ struct RouterShared {
     connect_attempts: u32,
     forwarded: AtomicU64,
     down: AtomicU64,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
 }
 
 impl RouterShared {
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
-    }
-
     fn stats_frame(&self) -> String {
         format!(
             "{{\"frame\":\"stats\",\"router\":true,\"backends\":{},\"forwarded\":{},\
@@ -1593,76 +1613,25 @@ pub fn route_backend<'a>(backends: &'a [String], key: &str) -> &'a str {
     best.expect("nonempty backend list").0
 }
 
-/// One pooled connection from a router connection-thread to a backend.
-struct BackendLink {
-    reader: io::BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl BackendLink {
-    /// Connects with bounded attempts (short backoff between them) and
-    /// consumes the worker's `hello` frame.
-    fn connect(addr: &str, attempts: u32) -> Result<BackendLink, String> {
-        let attempts = attempts.max(1);
-        let mut last = String::new();
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                thread::sleep(Duration::from_millis(50 * u64::from(attempt)));
-            }
-            let stream = match TcpStream::connect(addr) {
-                Ok(stream) => stream,
-                Err(err) => {
-                    last = err.to_string();
-                    continue;
-                }
-            };
-            let _ = stream.set_nodelay(true);
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-            let Ok(writer) = stream.try_clone() else {
-                last = "could not clone the backend stream".to_owned();
-                continue;
-            };
-            let mut link = BackendLink { reader: io::BufReader::new(stream), writer };
-            match link.read_frame() {
-                Ok((frame, raw)) if frame.frame == "hello" => {
-                    let _ = raw;
-                    return Ok(link);
-                }
-                Ok((_, raw)) => last = format!("expected a hello frame, got `{raw}`"),
-                Err(err) => last = err.to_string(),
-            }
+/// Opens a backend link: a [`ServeClient`] connection, with `attempts`
+/// tries and a short, growing backoff between them.
+fn connect_backend(addr: &str, attempts: u32) -> Result<ServeClient, String> {
+    let mut last = String::new();
+    for attempt in 0..attempts {
+        if attempt > 0 {
+            thread::sleep(Duration::from_millis(50 * u64::from(attempt)));
         }
-        Err(format!("unreachable after {attempts} attempts: {last}"))
-    }
-
-    fn send(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
-    }
-
-    /// Reads one frame, returning it parsed *and* raw — the raw line is
-    /// what gets relayed to the client, verbatim, so routed payloads are
-    /// byte-identical to worker-direct ones by construction.
-    fn read_frame(&mut self) -> io::Result<(Frame, String)> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "backend closed the connection",
-                ));
+        match ServeClient::connect(addr) {
+            Ok(link) => return Ok(link),
+            // The client's EOF text says "server"; a `backend_down`
+            // reason names the peer as the backend.
+            Err(err) if err.kind() == io::ErrorKind::UnexpectedEof => {
+                last = "backend closed the connection".to_owned();
             }
-            let trimmed = line.trim_end_matches(['\n', '\r']);
-            if trimmed.is_empty() {
-                continue;
-            }
-            let frame = Frame::parse(trimmed)
-                .map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))?;
-            return Ok((frame, trimmed.to_owned()));
+            Err(err) => last = err.to_string(),
         }
     }
+    Err(format!("unreachable after {attempts} attempts: {last}"))
 }
 
 /// The scale-out front door: accepts the same line protocol as
@@ -1671,14 +1640,13 @@ impl BackendLink {
 /// `shutdown` are answered locally; `shutdown` stops the router only,
 /// never its workers.
 pub struct Router {
-    addr: SocketAddr,
+    listener: Listener,
     shared: Arc<RouterShared>,
-    accept: Option<thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Router").field("addr", &self.addr).finish()
+        f.debug_struct("Router").field("addr", &self.addr()).finish()
     }
 }
 
@@ -1701,33 +1669,31 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(&options.listen)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(RouterShared {
-            backends: options.backends.clone(),
+            backends: options.backends,
             connect_attempts: options.connect_attempts.max(1),
             forwarded: AtomicU64::new(0),
             down: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            addr,
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept = thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let conn_shared = Arc::clone(&accept_shared);
-                thread::spawn(move || handle_router_connection(&conn_shared, stream));
-            }
-        });
-        Ok(Router { addr, shared, accept: Some(accept) })
+        let conn_shared = Arc::clone(&shared);
+        let listener = Listener::start(listener, move |door, stream| {
+            // Requests on one router connection are forwarded sequentially
+            // by this thread, so backend links can be pooled per-connection
+            // without any id-collision risk across clients.
+            let mut links: Vec<Option<ServeClient>> =
+                conn_shared.backends.iter().map(|_| None).collect();
+            let stats = || conn_shared.stats_frame();
+            serve_connection(door, stream, "repro-router", stats, |writer, jobs| {
+                route_and_forward(&conn_shared, writer, &mut links, jobs);
+            });
+        })?;
+        Ok(Router { listener, shared })
     }
 
     /// The bound address (read this back after listening on port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.door.addr
     }
 
     /// Forwarding counters so far.
@@ -1739,75 +1705,14 @@ impl Router {
     /// Begins shutdown: no new connections are accepted. Workers are
     /// untouched.
     pub fn request_shutdown(&self) {
-        self.shared.request_shutdown();
+        self.listener.door.request_shutdown();
     }
 
     /// Blocks until a client requests shutdown (or one was already
     /// requested) and returns the final forwarding counters.
     pub fn join(mut self) -> RouterStats {
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+        self.listener.join();
         self.shared.stats()
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        if let Some(handle) = self.accept.take() {
-            self.shared.request_shutdown();
-            let _ = handle.join();
-        }
-    }
-}
-
-fn router_hello_frame() -> String {
-    format!("{{\"frame\":\"hello\",\"protocol\":{PROTOCOL_VERSION},\"server\":\"repro-router\"}}")
-}
-
-/// Writes one frame line to the router's client; write errors mean the
-/// client is gone and are deliberately ignored.
-fn send_client_line(client: &mut TcpStream, line: &str) {
-    let _ = client.write_all(line.as_bytes());
-    let _ = client.write_all(b"\n");
-    let _ = client.flush();
-}
-
-fn handle_router_connection(shared: &Arc<RouterShared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let Ok(mut client) = stream.try_clone() else { return };
-    send_client_line(&mut client, &router_hello_frame());
-    // Requests on one router connection are forwarded sequentially by
-    // this thread, so backend links can be pooled per-connection without
-    // any id-collision risk across clients.
-    let mut links: Vec<Option<BackendLink>> = Vec::new();
-    links.resize_with(shared.backends.len(), || None);
-    for line in request_lines(stream) {
-        let line = match line {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => line,
-            Err(too_long) => {
-                send_client_line(&mut client, &error_frame(None, &too_long));
-                break;
-            }
-        };
-        match parse_request(&line) {
-            Err(why) => send_client_line(&mut client, &error_frame(None, &why)),
-            Ok(Request::Ping) => send_client_line(&mut client, "{\"frame\":\"pong\"}"),
-            Ok(Request::Stats) => send_client_line(&mut client, &shared.stats_frame()),
-            Ok(Request::Shutdown) => {
-                send_client_line(&mut client, "{\"frame\":\"bye\"}");
-                shared.request_shutdown();
-                break;
-            }
-            Ok(Request::Submit { id, spec }) => {
-                route_and_forward(shared, &mut client, &mut links, vec![(id, *spec)]);
-            }
-            Ok(Request::Batch { jobs }) => {
-                let jobs = jobs.into_iter().map(|(id, spec)| (Some(id), spec)).collect();
-                route_and_forward(shared, &mut client, &mut links, jobs);
-            }
-        }
     }
 }
 
@@ -1816,8 +1721,8 @@ fn handle_router_connection(shared: &Arc<RouterShared>, stream: TcpStream) {
 /// group over that backend's pooled link.
 fn route_and_forward(
     shared: &RouterShared,
-    client: &mut TcpStream,
-    links: &mut [Option<BackendLink>],
+    client: &Mutex<TcpStream>,
+    links: &mut [Option<ServeClient>],
     jobs: Vec<(Option<u64>, JobSpec)>,
 ) {
     let mut groups: Vec<Vec<(Option<u64>, JobSpec)>> = Vec::new();
@@ -1848,25 +1753,13 @@ fn route_and_forward(
 /// are answered with `backend_down` frames.
 fn forward_group(
     shared: &RouterShared,
-    client: &mut TcpStream,
-    slot: &mut Option<BackendLink>,
+    client: &Mutex<TcpStream>,
+    slot: &mut Option<ServeClient>,
     backend: &str,
     group: &[(Option<u64>, JobSpec)],
 ) {
-    let request = if group.len() == 1 {
-        let (id, spec) = &group[0];
-        format!("{{\"op\":\"submit\",\"id\":{},\"job\":{}}}", id_json(*id), spec.to_json())
-    } else {
-        let mut line = String::from("{\"op\":\"jobs\",\"jobs\":[");
-        for (offset, (id, spec)) in group.iter().enumerate() {
-            if offset > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!("{{\"id\":{},\"job\":{}}}", id_json(*id), spec.to_json()));
-        }
-        line.push_str("]}");
-        line
-    };
+    let request =
+        submit_request(group.len() > 1, group.iter().map(|(id, spec)| (*id, spec.to_json())));
     let ids: Vec<Option<u64>> = group.iter().map(|(id, _)| *id).collect();
     // One fresh-link resend: a pooled connection may have died since its
     // last use, and that must not cost the client its jobs.
@@ -1874,12 +1767,12 @@ fn forward_group(
     loop {
         let mut link = match slot.take() {
             Some(link) => link,
-            None => match BackendLink::connect(backend, shared.connect_attempts) {
+            None => match connect_backend(backend, shared.connect_attempts) {
                 Ok(link) => link,
                 Err(why) => {
                     shared.down.fetch_add(ids.len() as u64, Ordering::SeqCst);
                     for id in &ids {
-                        send_client_line(client, &backend_down_frame(*id, backend, &why));
+                        write_frame(client, &backend_down_frame(*id, backend, &why));
                     }
                     return;
                 }
@@ -1887,20 +1780,22 @@ fn forward_group(
         };
         let mut pending = ids.clone();
         let mut received_any = false;
-        if link.send(&request).is_ok() {
+        if link.send_line(&request).is_ok() {
             while !pending.is_empty() {
-                let Ok((frame, raw)) = link.read_frame() else { break };
+                let Ok(frame) = link.read_frame() else { break };
                 received_any = true;
-                if matches!(frame.frame.as_str(), "result" | "rejected" | "error" | "backend_down")
-                {
-                    match frame.id {
+                // Relayed verbatim, so routed payloads are byte-identical
+                // to worker-direct ones by construction.
+                write_frame(client, &frame.raw);
+                let id = frame.id;
+                if terminal_outcome(frame).is_some() {
+                    match id {
                         Some(done) => pending.retain(|id| *id != Some(done)),
                         // A request-level failure answers the whole group:
                         // the backend sends nothing further for it.
                         None => pending.clear(),
                     }
                 }
-                send_client_line(client, &raw);
             }
         }
         if pending.is_empty() {
@@ -1916,7 +1811,7 @@ fn forward_group(
         shared.forwarded.fetch_add(answered, Ordering::SeqCst);
         shared.down.fetch_add(pending.len() as u64, Ordering::SeqCst);
         for id in &pending {
-            send_client_line(client, &backend_down_frame(*id, backend, "connection lost mid-job"));
+            write_frame(client, &backend_down_frame(*id, backend, "connection lost mid-job"));
         }
         return;
     }
@@ -2090,11 +1985,11 @@ mod tests {
     fn batch_requests_parse_strictly() {
         let element = format!("{{\"id\":1,\"job\":{}}}", tiny_spec());
         let ok = format!("{{\"op\":\"jobs\",\"jobs\":[{element}]}}");
-        let Ok(Request::Batch { jobs }) = parse_request(&ok) else {
+        let Ok(Request::Jobs(jobs)) = parse_request(&ok) else {
             panic!("one-element batch parses")
         };
         assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].0, 1);
+        assert_eq!(jobs[0].0, Some(1));
 
         let dup = format!("{{\"op\":\"jobs\",\"jobs\":[{element},{element}]}}");
         assert!(parse_request(&dup).unwrap_err().contains("duplicate batch id 1"));

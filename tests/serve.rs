@@ -12,8 +12,8 @@
 use dvp::engine::ReplayEngine;
 use dvp::experiments::result_cache::{encode_entry, purge_stale, scan_entries};
 use dvp::experiments::serve::{
-    route_backend, run_job, JobSpec, Outcome, Router, RouterOptions, ServeClient, ServeOptions,
-    Server, MAX_REQUEST_LINE,
+    route_backend, run_job, JobSpec, Outcome, Router, RouterOptions, RouterStats, ServeClient,
+    ServeOptions, Server, MAX_REQUEST_LINE,
 };
 use proptest::prelude::*;
 use std::io::Write as _;
@@ -69,10 +69,7 @@ fn addr_of(server: &Server) -> String {
 /// Waits (bounded) for the router's counters to converge: the client can
 /// observe its last terminal frame a beat before the connection thread
 /// ticks the counters, so stats assertions must not race that window.
-fn wait_router_stats(
-    router: &Router,
-    pred: impl Fn(dvp::experiments::serve::RouterStats) -> bool,
-) -> dvp::experiments::serve::RouterStats {
+fn wait_router_stats(router: &Router, pred: impl Fn(RouterStats) -> bool) -> RouterStats {
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     loop {
         let stats = router.stats();
@@ -187,36 +184,44 @@ fn admission_control_rejects_structuredly_and_the_connection_survives() {
 #[test]
 fn malformed_frames_get_structured_errors_and_never_kill_the_connection() {
     let server = Server::start(engine(), ServeOptions::default()).expect("bind");
-    let addr = addr_of(&server);
-    let mut stream = TcpStream::connect(&addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
-    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-    let mut line = String::new();
-    std::io::BufRead::read_line(&mut reader, &mut line).expect("hello");
-    assert!(line.contains("\"frame\":\"hello\""), "{line}");
+    let router = Router::start(RouterOptions {
+        backends: vec![addr_of(&server)],
+        ..RouterOptions::default()
+    })
+    .expect("start router");
+    // Both tiers run the same connection loop, so both answer the same
+    // garbage with the same structured errors.
+    for addr in [addr_of(&server), router.addr().to_string()] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut line).expect("hello");
+        assert!(line.contains("\"frame\":\"hello\""), "{addr}: {line}");
 
-    for (bad, needle) in [
-        ("this is not json", "error"),
-        ("{\"op\":\"warp\"}", "unknown op `warp`"),
-        ("{\"op\":\"ping\",\"bogus\":1}", "unknown request field `bogus`"),
-        ("{\"op\":\"submit\",\"job\":{\"scenario\":{\"kind\":\"constant\",\"pcs\":1,\"records_per_pc\":8},\"warp\":9}}", "unknown job field `warp`"),
-        ("{\"op\":\"submit\",\"job\":{\"scenario\":{\"kind\":\"stride\",\"pcs\":1,\"records_per_pc\":8,\"stride\":0}}}", "nonzero"),
-    ] {
-        writeln!(stream, "{bad}").expect("send");
-        stream.flush().expect("flush");
-        line.clear();
-        std::io::BufRead::read_line(&mut reader, &mut line).expect("error frame");
-        assert!(line.contains("\"frame\":\"error\""), "for `{bad}` got {line}");
-        assert!(line.contains(needle), "for `{bad}` expected `{needle}` in {line}");
-    }
+        for (bad, needle) in [
+            ("this is not json", "error"),
+            ("{\"op\":\"warp\"}", "unknown op `warp`"),
+            ("{\"op\":\"ping\",\"bogus\":1}", "unknown request field `bogus`"),
+            ("{\"op\":\"submit\",\"job\":{\"scenario\":{\"kind\":\"constant\",\"pcs\":1,\"records_per_pc\":8},\"warp\":9}}", "unknown job field `warp`"),
+            ("{\"op\":\"submit\",\"job\":{\"scenario\":{\"kind\":\"stride\",\"pcs\":1,\"records_per_pc\":8,\"stride\":0}}}", "nonzero"),
+        ] {
+            writeln!(stream, "{bad}").expect("send");
+            stream.flush().expect("flush");
+            line.clear();
+            std::io::BufRead::read_line(&mut reader, &mut line).expect("error frame");
+            assert!(line.contains("\"frame\":\"error\""), "{addr}: for `{bad}` got {line}");
+            assert!(line.contains(needle), "{addr}: for `{bad}` expected `{needle}` in {line}");
+        }
 
-    // After five garbage requests, the same connection still runs a job.
-    drop(reader);
-    drop(stream);
-    let mut client = ServeClient::connect(&addr).expect("reconnect");
-    match client.submit(&job_matrix()[0]).expect("transport") {
-        Outcome::Result { .. } => {}
-        other => panic!("server wedged after malformed input: {other:?}"),
+        // After five garbage requests, the server still runs a job.
+        drop(reader);
+        drop(stream);
+        let mut client = ServeClient::connect(&addr).expect("reconnect");
+        match client.submit(&job_matrix()[0]).expect("transport") {
+            Outcome::Result { .. } => {}
+            other => panic!("{addr} wedged after malformed input: {other:?}"),
+        }
     }
 }
 
@@ -614,6 +619,85 @@ fn a_dead_backend_yields_backend_down_and_the_live_one_still_serves() {
     // The connection survives structured failure: the next job for the
     // live owner still round-trips on the same client.
     client.ping().expect("backend_down leaves the client connection usable");
+}
+
+/// Reads the first line a server sends on a fresh connection.
+fn hello_line(addr: &str) -> String {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let mut line = String::new();
+    std::io::BufRead::read_line(&mut std::io::BufReader::new(stream), &mut line).expect("hello");
+    line
+}
+
+#[test]
+fn both_tiers_answer_hello_ping_stats_and_shutdown_locally() {
+    let job = &job_matrix()[2];
+    let worker = Server::start(engine(), ServeOptions::default()).expect("bind worker");
+    let router = Router::start(RouterOptions {
+        backends: vec![addr_of(&worker)],
+        ..RouterOptions::default()
+    })
+    .expect("start router");
+    let router_addr = router.addr().to_string();
+    // One routed job gives both tiers' counters something to report.
+    let mut client = ServeClient::connect(&router_addr).expect("connect router");
+    assert!(matches!(client.submit(job).expect("transport"), Outcome::Result { .. }));
+    wait_router_stats(&router, |s| s.forwarded == 1);
+
+    for (addr, server, stats_field) in [
+        (addr_of(&worker), "repro-serve", "\"result_hits\":0,\"misses\":1,"),
+        (router_addr, "repro-router", "\"router\":true,\"backends\":1,\"forwarded\":1,"),
+    ] {
+        let hello = hello_line(&addr);
+        assert!(hello.contains("\"frame\":\"hello\",\"protocol\":1,"), "{hello}");
+        assert!(hello.contains(&format!("\"server\":\"{server}\"")), "{hello}");
+        let mut client = ServeClient::connect(&addr).expect("connect");
+        client.ping().expect("pong");
+        let stats = client.stats().expect("stats frame");
+        assert!(stats.contains(stats_field), "{server}: {stats}");
+        client.shutdown().expect("bye");
+    }
+    // A client's `shutdown` stopped each tier's listener, so both joins
+    // return, with their final counters.
+    assert_eq!(router.join(), RouterStats { forwarded: 1, backend_down: 0 });
+    let stats = worker.join();
+    assert_eq!((stats.hits, stats.misses), (0, 1));
+}
+
+#[test]
+fn a_backend_that_never_says_hello_is_down_after_the_bounded_retries() {
+    // An impostor backend: greets every connection with `pong`, then hangs
+    // up. The router's two connect attempts each meet it once.
+    let impostor = std::net::TcpListener::bind("127.0.0.1:0").expect("bind impostor");
+    let impostor_addr = impostor.local_addr().expect("addr").to_string();
+    let accepts = std::thread::spawn(move || {
+        for stream in impostor.incoming().take(2) {
+            let mut stream = stream.expect("accept");
+            stream.write_all(b"{\"frame\":\"pong\"}\n").expect("greet");
+        }
+    });
+    let router = Router::start(RouterOptions {
+        backends: vec![impostor_addr.clone()],
+        connect_attempts: 2,
+        ..RouterOptions::default()
+    })
+    .expect("start router");
+    let mut client = ServeClient::connect(&router.addr().to_string()).expect("connect");
+    match client.submit(&job_matrix()[0]).expect("transport") {
+        Outcome::BackendDown { backend, reason } => {
+            assert_eq!(backend, impostor_addr);
+            assert_eq!(
+                reason,
+                "unreachable after 2 attempts: expected a hello frame, got `{\"frame\":\"pong\"}`"
+            );
+        }
+        other => panic!("a backend without a hello must be down: {other:?}"),
+    }
+    accepts.join().expect("the impostor saw exactly the two attempts");
+    client.ping().expect("backend_down leaves the router connection usable");
+    let stats = wait_router_stats(&router, |s| s.backend_down == 1);
+    assert_eq!(stats.forwarded, 0);
 }
 
 proptest! {
