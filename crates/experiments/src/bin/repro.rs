@@ -5,42 +5,29 @@
 //! repro figure3 table6               # specific experiments
 //! repro --quick all                  # 1/4-scale workloads (faster, noisier)
 //! repro --workers 4 all              # cap the replay engine at 4 threads
-//! repro --workers 1 all              # sequential reference run (same output)
-//! repro --trace-dir cache/ all       # persistent trace cache: first run
-//!                                    # simulates + saves, later runs load
+//! repro --workers 1 all              # sequential reference (byte-identical output)
+//! repro --trace-dir traces/ all      # persistent cache: cold run saves, warm runs load
 //! repro --no-trace-cache ...         # ignore --trace-dir for this run
-//! repro trace export --trace-dir d/  # simulate + persist all benchmark traces
-//! repro trace stats  --trace-dir d/  # list cached containers (header-level)
-//! repro trace verify --trace-dir d/  # full checksum + decode validation
-//! repro trace gen --records N --out f # synthetic container of N records
-//! repro trace replay f               # stream-replay a container in bounded
-//!                                    # memory (--resident loads it whole)
-//! repro --chunk-window N ...         # live chunks resident while streaming
-//! repro sweep                        # synthetic scenario × predictor matrix
+//! repro --quick all --sample         # also check phase-sampled replay (<=1pp error)
+//! repro --list                       # list experiment ids
+//! repro sweep                        # synthetic scenario x predictor matrix
 //! repro sweep --quick --format csv   # smaller grid, machine-readable output
 //! repro phases                       # SimPoint phase plans per workload
-//! repro bench                        # per-family perf smoke (records/sec JSON)
-//! repro bench --check BENCH_17.json  # ... at the committed baseline's size,
-//!                                    # failing on changed hits or a 3x slowdown
-//! repro --quick all --sample         # additionally validate phase-sampled
-//!                                    # replay against the full replay (≤1pp)
-//! repro sweep --sample               # sweep with sampled-error gating
-//! repro trace replay f --sample      # replay only the container's PHAS plan
-//! repro trace replay f --warm        # sampled with functional warming (state
-//!                                    # exact; only the plan's windows tallied)
-//! repro serve                        # replay daemon on an ephemeral port
-//! repro serve --listen 0.0.0.0:7117  # ... on a fixed address
-//! repro serve --result-dir results/  # persist the result cache across runs
-//! repro serve --router H:P,H:P       # consistent-hash front door: forward
-//!                                    # each job to the worker owning its key
-//! repro client ADDR --job '{...}'    # submit a job, stream its frames
-//! repro client ADDR --job '{...}' --job '{...}' --batch  # one round trip
-//! repro client ADDR --spec job.json --payload-only --stats --shutdown
-//! repro job --spec job.json          # run one job inline (no daemon); output
-//!                                    # is byte-identical to the served result
+//! repro bench                        # per-family perf smoke (ns/record, JSON)
+//! repro bench --check BENCH_17.json  # compare against the committed baseline
+//! repro trace export --trace-dir d/  # simulate + persist all benchmark traces
+//! repro trace stats  --trace-dir d/  # list cached containers
+//! repro trace verify --trace-dir d/  # validate every checksum + record
+//! repro trace gen --records N --out f  # synthetic container of N records
+//! repro trace replay f               # stream a container in bounded memory
+//! repro trace replay f --warm        # phase-sampled, with functional warming
+//! repro serve --result-dir results/  # replay daemon with a persistent result cache
+//! repro serve --router ADDR1,ADDR2   # consistent-hash router over workers
+//! repro client ADDR --spec job.json  # submit a job, stream its frames
+//! repro client ADDR --spec a.json --spec b.json --batch  # many jobs, one round trip
+//! repro job --spec job.json          # one job inline, byte-identical to the daemon
 //! repro cache stats --result-dir d/  # classify entries vs this binary's epoch
-//! repro cache purge --stale --result-dir d/  # drop other-epoch entries
-//! repro --list                       # list experiment ids
+//! repro cache purge --stale --result-dir d/  # drop entries it would refuse to serve
 //! ```
 //!
 //! All workload-driven experiments run through the `dvp-engine` parallel
@@ -53,60 +40,262 @@
 //! byte-identical at any `--workers`/`--shards` setting and whether a
 //! trace came from the simulator or the cache. Cache activity is reported
 //! on stderr (`[repro] trace cache: ...`), never on stdout.
+//!
+//! Every command line is read by one argument cursor ([`Args`]). The global
+//! flags may appear anywhere; each subcommand's usage is written once, in
+//! [`TOOLS`], and each experiment id once, in [`EXPERIMENTS`]. Every tool
+//! returns its error as text, which `main` prints once before exiting 1.
 
 use dvp_core::PredictorConfig;
-use dvp_engine::{ReplayEngine, SharedTraceBuilder};
-use dvp_experiments::cache::TraceCache;
-use dvp_experiments::result_cache;
+use dvp_engine::{ReplayEngine, SharedTrace, SharedTraceBuilder};
+use dvp_experiments::cache::{CacheEntry, TraceCache};
 use dvp_experiments::serve::{
-    run_job, JobSpec, Outcome, Router, RouterOptions, ServeClient, ServeOptions, Server,
+    run_job, Frame, JobSpec, Outcome, Router, RouterOptions, ServeClient, ServeOptions, Server,
 };
 use dvp_experiments::{
-    accuracy, analytic, characterize, durable, information, overlap, phases, realism, sensitivity,
-    speedup, sweep, values, TextTable, TraceStore,
+    accuracy, analytic, bench, characterize, durable, information, overlap, phases, realism,
+    result_cache, sensitivity, speedup, sweep, values, TextTable, TraceStore,
 };
-use dvp_trace::io::v2;
+use dvp_trace::io::{v2, TraceIoError};
 use dvp_trace::InstrCategory;
 use dvp_workloads::synthetic::{Scenario, ScenarioKind};
-use dvp_workloads::Benchmark;
+use dvp_workloads::{Benchmark, BuildError};
+use std::fmt::Display;
 use std::fs;
-use std::io;
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// Renders one experiment's output.
+type Render = fn(&mut Harness) -> Result<String, BuildError>;
 
 /// Every experiment id in `repro all` order (the paper's tables and
 /// figures first, then the extras/extensions), with whether it replays
 /// every benchmark's cached trace — the single source of truth driving
-/// the upfront parallel prefetch. (Experiments marked `false` either need
-/// no workloads at all or generate their own traces: the sensitivity
-/// experiments build gcc variants — cached individually through the
-/// store's disk tier — and `ext-speedup` collects dependence traces.)
-const EXPERIMENTS: [(&str, bool); 23] = [
-    ("table1", false),
-    ("figure1", false),
-    ("figure2", false),
-    ("table2", true),
-    ("table3", false),
-    ("table4", true),
-    ("table5", true),
-    ("figure3", true),
-    ("figure4", true),
-    ("figure5", true),
-    ("figure6", true),
-    ("figure7", true),
-    ("figure8", true),
-    ("figure9", true),
-    ("figure10", true),
-    ("table6", false),
-    ("table7", false),
-    ("figure11", false),
-    ("ext-tables", true),
-    ("ext-delay", true),
-    ("ext-locality", true),
-    ("ext-entropy", true),
-    ("ext-speedup", false),
+/// the upfront parallel prefetch — and how it renders. (Experiments marked
+/// `false` either need no workloads at all or generate their own traces:
+/// the sensitivity experiments build gcc variants — cached individually
+/// through the store's disk tier — and `ext-speedup` collects dependence
+/// traces.)
+const EXPERIMENTS: [(&str, bool, Render); 23] = [
+    ("table1", false, |_| Ok(analytic::table1().render())),
+    ("figure1", false, |_| Ok(analytic::figure1().render())),
+    ("figure2", false, |_| Ok(analytic::figure2().render())),
+    ("table2", true, |h| Ok(characterize::table2(&mut h.store)?.render())),
+    ("table3", false, |_| Ok(characterize::table3())),
+    ("table4", true, |h| Ok(characterize::table45(&mut h.store)?.render_static())),
+    ("table5", true, |h| Ok(characterize::table45(&mut h.store)?.render_dynamic())),
+    ("figure3", true, |h| Ok(h.accuracy()?.render_overall())),
+    ("figure4", true, |h| Ok(h.accuracy()?.render_category(InstrCategory::AddSub))),
+    ("figure5", true, |h| Ok(h.accuracy()?.render_category(InstrCategory::Loads))),
+    ("figure6", true, |h| Ok(h.accuracy()?.render_category(InstrCategory::Logic))),
+    ("figure7", true, |h| Ok(h.accuracy()?.render_category(InstrCategory::Shift))),
+    ("figure8", true, |h| Ok(h.overlap()?.render_figure8())),
+    ("figure9", true, |h| Ok(h.overlap()?.render_figure9())),
+    ("figure10", true, |h| Ok(values::run(&mut h.store)?.render())),
+    ("table6", false, |h| Ok(sensitivity::table6(&mut h.store, &h.engine)?.render())),
+    ("table7", false, |h| Ok(sensitivity::table7(&mut h.store, &h.engine)?.render())),
+    ("figure11", false, |h| Ok(sensitivity::figure11(&mut h.store, &h.engine)?.render())),
+    ("ext-tables", true, |h| Ok(realism::table_sweep(&mut h.store, &h.engine)?.render())),
+    ("ext-delay", true, |h| Ok(realism::delay_sweep(&mut h.store, &h.engine)?.render())),
+    ("ext-locality", true, |h| Ok(information::locality(&mut h.store)?.render())),
+    ("ext-entropy", true, |h| Ok(information::entropy(&mut h.store)?.render())),
+    ("ext-speedup", false, |h| Ok(speedup::run(&h.store, &h.engine)?.render())),
 ];
 
+/// A `repro` subcommand: its name, its usage lines (the only copy; the
+/// top-level usage prints them too) and its entry point.
+struct Tool {
+    name: &'static str,
+    usage: &'static [&'static str],
+    run: fn(Args, &Globals) -> Result<ExitCode, String>,
+}
+
+/// Every subcommand, in usage order.
+const TOOLS: [Tool; 8] = [
+    Tool {
+        name: "sweep",
+        usage: &["repro sweep [--quick] [--sample] [--format table|csv|json]"],
+        run: run_sweep_tool,
+    },
+    Tool {
+        name: "phases",
+        usage: &["repro phases [BENCHMARK...] [--quick]"],
+        run: run_phases_tool,
+    },
+    Tool {
+        name: "bench",
+        usage: &["repro bench [--quick] [--records N | --check FILE] [--passes N]"],
+        run: run_bench_tool,
+    },
+    Tool {
+        name: "trace",
+        usage: &[
+            "repro trace <export|stats|verify> --trace-dir DIR [--quick]",
+            "repro trace gen --records N --out FILE [--pcs N] [--seed S] [--chunk-records N]",
+            "repro trace replay FILE [--resident] [--sample] [--warm]",
+        ],
+        run: run_trace_tool,
+    },
+    Tool {
+        name: "serve",
+        usage: &[
+            "repro serve [--listen ADDR] [--queue N] [--inflight N] [--job-workers N] \
+             [--results N] [--result-dir DIR]",
+            "repro serve --router ADDR,ADDR... [--listen ADDR] [--retries N]",
+        ],
+        run: run_serve_tool,
+    },
+    Tool {
+        name: "client",
+        usage: &["repro client ADDR [--job JSON]... [--spec FILE]... [--batch] [--payload-only] \
+                  [--ping] [--stats] [--shutdown]"],
+        run: run_client_tool,
+    },
+    Tool { name: "job", usage: &["repro job (--json JSON | --spec FILE)"], run: run_job_tool },
+    Tool {
+        name: "cache",
+        usage: &[
+            "repro cache stats --result-dir DIR",
+            "repro cache purge --stale --result-dir DIR",
+        ],
+        run: run_cache_tool,
+    },
+];
+
+/// The experiments' own usage line.
+const EXPERIMENTS_USAGE: &str =
+    "repro [--quick] [--sample] [--trace-dir DIR] [--no-trace-cache] all | <experiment>...";
+
+/// What the top-level usage says after the command lines.
+const ABOUT: &str = "\
+The global flags --quick, --sample, --workers/-j N, --shards N,
+--chunk-window N, --trace-dir DIR and --no-trace-cache may appear anywhere
+on the command line; every command that uses one honours it.
+
+Regenerates the tables and figures of Sazeides & Smith (MICRO-30 1997)
+through the parallel replay engine (default: all cores; output is
+byte-identical at any worker count). With --trace-dir, workload traces
+persist across runs as version-4 containers (a file of any other version
+is regenerated) and warm runs perform zero simulation. `repro sweep`
+replays the synthetic scenario x predictor matrix instead; `repro phases`
+prints each workload's SimPoint phase plan; --sample checks phase-sampled
+replay against the full replay (and fails the run past a 1pp error).
+`repro trace replay` streams a container through a bounded chunk window
+(--chunk-window) without ever holding the full trace in memory (--sample
+replays only its stored phase plan; --warm functionally warms: exact
+state, windows tallied). `repro serve` runs a replay daemon
+(newline-delimited JSON over TCP) with an epoch-versioned,
+fingerprint-keyed result cache; with --router it forwards each job to the
+worker owning its key instead (rendezvous hashing; relayed payloads are
+byte-identical). `repro client` submits jobs (--batch sends them as one
+request); `repro job` runs one job inline with byte-identical output;
+`repro cache` inspects and purges a result directory against this
+binary's engine epoch.";
+
+/// `usage: ` followed by `lines`, one command per line.
+fn usage_text(lines: &[&str]) -> String {
+    format!("usage: {}", lines.join("\n       "))
+}
+
+/// The one argument cursor: every tool reads its arguments front to back,
+/// and every parse error it reports names the flag and ends in the tool's
+/// usage.
+struct Args {
+    rest: std::vec::IntoIter<String>,
+    tool: &'static str,
+    usage: String,
+}
+
+impl Args {
+    fn new(args: Vec<String>, tool: &'static str, usage: String) -> Args {
+        Args { rest: args.into_iter(), tool, usage }
+    }
+
+    fn next(&mut self) -> Option<String> {
+        self.rest.next()
+    }
+
+    /// `message`, followed by the tool's usage (if it has one).
+    fn error(&self, message: impl Display) -> String {
+        if self.usage.is_empty() {
+            message.to_string()
+        } else {
+            format!("{message}\n{}", self.usage)
+        }
+    }
+
+    /// The value following `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.next().ok_or_else(|| self.error(format!("{flag} expects a value")))
+    }
+
+    /// The positive integer following `flag`.
+    fn count(&mut self, flag: &str) -> Result<usize, String> {
+        let value = self.value(flag)?;
+        match value.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(self.error(format!("{flag} expects a positive integer, got `{value}`"))),
+        }
+    }
+
+    /// The error for an argument the tool does not accept.
+    fn unknown(&self, arg: &str) -> String {
+        let kind = if arg.starts_with('-') { "flag" } else { "argument" };
+        self.error(format!("unknown {} {kind} `{arg}`", self.tool))
+    }
+}
+
+/// The flags accepted anywhere on the command line.
+struct Globals {
+    scale_div: u32,
+    engine: ReplayEngine,
+    trace_dir: Option<PathBuf>,
+    sample: bool,
+}
+
+impl Globals {
+    /// A trace store at the run's scale, over the trace directory if any.
+    fn store(&self) -> TraceStore {
+        let store = TraceStore::with_scale_div(self.scale_div);
+        match &self.trace_dir {
+            Some(dir) => store.with_trace_dir(dir),
+            None => store,
+        }
+    }
+}
+
+/// Reports the store's cache activity on stderr: stdout must stay
+/// byte-identical between cold and warm runs. A fully warm run reports
+/// `0 simulated`.
+fn report_cache(store: &TraceStore) {
+    if store.cache().is_some() {
+        eprintln!("[repro] trace cache: {}", store.cache_stats());
+    }
+}
+
+fn build_failed(err: BuildError) -> String {
+    format!("workload generation failed: {err:?}")
+}
+
+fn exit_status(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Prints the listening address (scripts poll stdout for it to learn an
+/// ephemeral port).
+fn announce(addr: SocketAddr) {
+    println!("listening on {addr}");
+    let _ = io::stdout().flush();
+}
+
+/// What the experiments share: one trace store, one engine, and the
+/// accuracy and overlap results that several figures render.
 struct Harness {
     store: TraceStore,
     engine: ReplayEngine,
@@ -115,112 +304,71 @@ struct Harness {
 }
 
 impl Harness {
-    fn accuracy(&mut self) -> &accuracy::AccuracyResults {
+    fn accuracy(&mut self) -> Result<&accuracy::AccuracyResults, BuildError> {
         if self.accuracy.is_none() {
             eprintln!("[repro] running accuracy experiment (figures 3-7)...");
-            self.accuracy =
-                Some(accuracy::run(&mut self.store, &self.engine).expect("accuracy experiment"));
+            self.accuracy = Some(accuracy::run(&mut self.store, &self.engine)?);
         }
-        self.accuracy.as_ref().expect("just initialized")
+        Ok(self.accuracy.as_ref().expect("just initialized"))
     }
 
-    fn overlap(&mut self) -> &overlap::OverlapResults {
+    fn overlap(&mut self) -> Result<&overlap::OverlapResults, BuildError> {
         if self.overlap.is_none() {
             eprintln!("[repro] running overlap experiment (figures 8-9)...");
-            self.overlap =
-                Some(overlap::run(&mut self.store, &self.engine).expect("overlap experiment"));
+            self.overlap = Some(overlap::run(&mut self.store, &self.engine)?);
         }
-        self.overlap.as_ref().expect("just initialized")
-    }
-
-    fn run(&mut self, id: &str) -> Option<String> {
-        let engine = self.engine.clone();
-        let text = match id {
-            "table1" => analytic::table1().render(),
-            "figure1" => analytic::figure1().render(),
-            "figure2" => analytic::figure2().render(),
-            "table2" => characterize::table2(&mut self.store).expect("table2").render(),
-            "table3" => characterize::table3(),
-            "table4" => characterize::table45(&mut self.store).expect("table4").render_static(),
-            "table5" => characterize::table45(&mut self.store).expect("table5").render_dynamic(),
-            "figure3" => self.accuracy().render_overall(),
-            "figure4" => self.accuracy().render_category(InstrCategory::AddSub),
-            "figure5" => self.accuracy().render_category(InstrCategory::Loads),
-            "figure6" => self.accuracy().render_category(InstrCategory::Logic),
-            "figure7" => self.accuracy().render_category(InstrCategory::Shift),
-            "figure8" => self.overlap().render_figure8(),
-            "figure9" => self.overlap().render_figure9(),
-            "figure10" => values::run(&mut self.store).expect("figure10").render(),
-            "table6" => sensitivity::table6(&mut self.store, &engine).expect("table6").render(),
-            "table7" => sensitivity::table7(&mut self.store, &engine).expect("table7").render(),
-            "figure11" => {
-                sensitivity::figure11(&mut self.store, &engine).expect("figure11").render()
-            }
-            "ext-tables" => {
-                realism::table_sweep(&mut self.store, &engine).expect("ext-tables").render()
-            }
-            "ext-delay" => {
-                realism::delay_sweep(&mut self.store, &engine).expect("ext-delay").render()
-            }
-            "ext-locality" => {
-                information::locality(&mut self.store).expect("ext-locality").render()
-            }
-            "ext-entropy" => information::entropy(&mut self.store).expect("ext-entropy").render(),
-            "ext-speedup" => speedup::run(&self.store, &engine).expect("ext-speedup").render(),
-            _ => return None,
-        };
-        Some(text)
+        Ok(self.overlap.as_ref().expect("just initialized"))
     }
 }
 
-fn parse_count(args: &[String], index: usize, flag: &str) -> Option<usize> {
-    let Some(value) = args.get(index) else {
-        eprintln!("{flag} expects a positive integer value");
-        return None;
-    };
-    match value.parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            eprintln!("{flag} expects a positive integer, got `{value}`");
-            None
-        }
-    }
+/// The bare file name of a cache entry (the full path if the name is
+/// unrepresentable).
+fn entry_name(path: &Path) -> String {
+    path.file_name()
+        .map_or_else(|| path.display().to_string(), |n| n.to_string_lossy().into_owned())
 }
 
-/// The bare file name of a cache entry for listings (falls back to the
-/// full path if the name is unrepresentable).
-fn entry_name(entry: &dvp_experiments::cache::CacheEntry) -> String {
-    entry
-        .path
-        .file_name()
-        .map_or_else(|| entry.path.display().to_string(), |n| n.to_string_lossy().into_owned())
+/// Prints a cache listing: a table with one row per readable entry (its
+/// file name, then `cells`), then one `unreadable:` line per entry whose
+/// header did not parse. Returns how many were unreadable.
+fn print_listing<'a, E: Display>(
+    columns: Vec<&str>,
+    entries: impl IntoIterator<Item = (&'a Path, Result<Vec<String>, E>)>,
+) -> usize {
+    let mut table = TextTable::new(columns);
+    let mut unreadable: Vec<String> = Vec::new();
+    for (path, cells) in entries {
+        let file = entry_name(path);
+        match cells {
+            Ok(cells) => table.row(std::iter::once(file).chain(cells).collect()),
+            Err(err) => unreadable.push(format!("{file}: {err}")),
+        }
+    }
+    if !table.is_empty() {
+        println!("{}", table.render());
+    }
+    for line in &unreadable {
+        println!("unreadable: {line}");
+    }
+    unreadable.len()
+}
+
+fn cache_entries(cache: &TraceCache) -> Result<Vec<CacheEntry>, String> {
+    cache.entries().map_err(|err| format!("cannot list {}: {err}", cache.dir().display()))
 }
 
 /// Prints a header-level listing of every container in the cache directory
-/// to stdout. Returns failure if a file cannot even be listed.
-fn print_cache_stats(cache: &TraceCache) -> ExitCode {
-    let entries = match cache.entries() {
-        Ok(entries) => entries,
-        Err(err) => {
-            eprintln!("cannot list {}: {err}", cache.dir().display());
-            return ExitCode::FAILURE;
-        }
-    };
+/// to stdout. Fails if a file cannot even be listed.
+fn print_cache_stats(cache: &TraceCache) -> Result<ExitCode, String> {
+    let entries = cache_entries(cache)?;
     println!("trace cache at {}: {} container(s)", cache.dir().display(), entries.len());
-    if entries.is_empty() {
-        return ExitCode::SUCCESS;
-    }
-    let mut table = TextTable::new(vec![
-        "File", "Workload", "Input", "Opt", "Scale", "Records", "Chunks", "KiB",
-    ]);
-    let mut broken: Vec<String> = Vec::new();
-    for entry in &entries {
-        let file = entry_name(entry);
-        match &entry.header {
-            Ok(header) => {
+    let columns = vec!["File", "Workload", "Input", "Opt", "Scale", "Records", "Chunks", "KiB"];
+    let unreadable = print_listing(
+        columns,
+        entries.iter().map(|entry| {
+            let cells = entry.header.as_ref().map(|header| {
                 let fp = &header.meta.fingerprint;
-                table.row(vec![
-                    file,
+                vec![
                     fp.workload.clone(),
                     fp.input.clone(),
                     fp.opt_level.clone(),
@@ -228,41 +376,25 @@ fn print_cache_stats(cache: &TraceCache) -> ExitCode {
                     header.record_count.to_string(),
                     header.chunks.len().to_string(),
                     (entry.bytes / 1024).to_string(),
-                ]);
-            }
-            Err(err) => broken.push(format!("{file}: {err}")),
-        }
-    }
-    if !table.is_empty() {
-        println!("{}", table.render());
-    }
-    for line in &broken {
-        println!("unreadable: {line}");
-    }
-    if broken.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+                ]
+            });
+            (entry.path.as_path(), cells)
+        }),
+    );
+    Ok(exit_status(unreadable == 0))
 }
 
 /// Fully validates every container in the cache directory (header +
 /// every chunk checksum + every record decodes, in parallel on `engine`).
-fn verify_cache(cache: &TraceCache, engine: &ReplayEngine) -> ExitCode {
-    let entries = match cache.entries() {
-        Ok(entries) => entries,
-        Err(err) => {
-            eprintln!("cannot list {}: {err}", cache.dir().display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn verify_cache(cache: &TraceCache, engine: &ReplayEngine) -> Result<ExitCode, String> {
+    let entries = cache_entries(cache)?;
     if entries.is_empty() {
         println!("trace cache at {}: nothing to verify", cache.dir().display());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let mut failures = 0usize;
     for entry in &entries {
-        let file = entry_name(entry);
+        let file = entry_name(&entry.path);
         match TraceCache::verify_file(engine, &entry.path) {
             Ok(header) => println!(
                 "OK   {file} ({} records, {} chunks, {} KiB)",
@@ -277,58 +409,29 @@ fn verify_cache(cache: &TraceCache, engine: &ReplayEngine) -> ExitCode {
         }
     }
     println!("verified {} container(s), {failures} failure(s)", entries.len());
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit_status(failures == 0))
 }
 
-/// The `repro sweep` tool: fan the synthetic scenario × predictor matrix
-/// through the engine and render it as a table, CSV, or JSON. Exits
-/// nonzero when any scenario misses its analytic expectation (a predictor
-/// regression), so CI catches semantic failures even without a golden.
-fn run_sweep_tool(
-    commands: &[String],
-    trace_dir: Option<PathBuf>,
-    quick: bool,
-    engine: &ReplayEngine,
-    sample: bool,
-) -> ExitCode {
-    let usage = "usage: repro sweep [--quick] [--sample] [--format table|csv|json] [--workers N] \
-                 [--shards N] [--trace-dir DIR]";
+/// `repro sweep`: fan the synthetic scenario × predictor matrix through
+/// the engine and render it as a table, CSV, or JSON. Fails when any
+/// scenario misses its analytic expectation (a predictor regression), so
+/// CI catches semantic failures even without a golden.
+fn run_sweep_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String> {
     let mut format = "table".to_owned();
-    let mut skip = false;
-    for (i, arg) in commands.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--format" => {
-                let Some(value) = commands.get(i + 1) else {
-                    eprintln!("--format expects one of: table, csv, json\n{usage}");
-                    return ExitCode::FAILURE;
-                };
-                if !["table", "csv", "json"].contains(&value.as_str()) {
-                    eprintln!("unknown sweep format `{value}` (expected table, csv, or json)");
-                    return ExitCode::FAILURE;
-                }
-                format = value.clone();
-                skip = true;
-            }
-            other => {
-                eprintln!("unknown sweep argument `{other}`\n{usage}");
-                return ExitCode::FAILURE;
-            }
+            "--format" => format = args.value(&arg)?,
+            _ => return Err(args.unknown(&arg)),
         }
     }
-    let mut store = TraceStore::new();
-    if let Some(dir) = &trace_dir {
-        store = store.with_trace_dir(dir);
+    if !["table", "csv", "json"].contains(&format.as_str()) {
+        return Err(format!("unknown sweep format `{format}` (expected table, csv, or json)"));
     }
-    let grid = sweep::default_grid(quick);
+    let mut store = globals.store();
+    let engine = &globals.engine;
+    let grid = sweep::default_grid(globals.scale_div > 1);
     let bank = PredictorConfig::paper_bank();
+    let sample = globals.sample;
     eprintln!(
         "[repro] sweeping {} scenarios x {} configurations ({} workers{})...",
         grid.len(),
@@ -346,22 +449,44 @@ fn run_sweep_tool(
         "json" => println!("{}", results.render_json()),
         _ => println!("{}", results.render()),
     }
-    if store.cache().is_some() {
-        eprintln!("[repro] trace cache: {}", store.cache_stats());
-    }
-    if results.all_met() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
+    report_cache(&store);
+    if !results.all_met() {
+        return Err(format!(
             "[repro] sweep: at least one scenario missed its analytic expectation{}",
             if sample { " or exceeded the sampling error limit" } else { "" }
-        );
-        ExitCode::FAILURE
+        ));
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// The `repro phases` tool: build (or recall from the trace cache) every
-/// requested benchmark's SimPoint phase plan and print the plan tables.
+/// `repro phases`: build (or recall from the trace cache) every requested
+/// benchmark's SimPoint phase plan and print the plan tables. The plans
+/// are a pure sequential function of each trace, so the output is
+/// byte-identical at any `--workers`/`--shards`/`--chunk-window` setting.
+fn run_phases_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String> {
+    let mut benchmarks: Vec<Benchmark> = Vec::new();
+    while let Some(arg) = args.next() {
+        let Some(&benchmark) = Benchmark::ALL.iter().find(|b| b.name() == arg) else {
+            let names: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
+            let expected = names.join(", ");
+            return Err(args
+                .error(format!("unknown phases benchmark `{arg}` (expected one of: {expected})")));
+        };
+        if !benchmarks.contains(&benchmark) {
+            benchmarks.push(benchmark);
+        }
+    }
+    if benchmarks.is_empty() {
+        benchmarks.extend(Benchmark::ALL);
+    }
+    let mut store = globals.store();
+    eprintln!("[repro] planning phases for {} workload(s)...", benchmarks.len());
+    let report = phases::report(&mut store, &benchmarks).map_err(build_failed)?;
+    println!("{}", report.render());
+    report_cache(&store);
+    Ok(ExitCode::SUCCESS)
+}
+
 /// `repro bench`: the perf-smoke harness. Replays the fixed seeded
 /// synthetic trace through every predictor family's batched dense hot
 /// path and prints records/second JSON (the `BENCH_*.json` shape) on
@@ -370,192 +495,116 @@ fn run_sweep_tool(
 /// baseline-vs-current table on stderr, failing when a family's hits
 /// differ from the baseline's or its time crosses the generous
 /// regression tripwire (timing noise is expected; a 3x slowdown is not).
-fn run_bench_tool(commands: &[String], scale_div: u32) -> ExitCode {
-    let usage = "usage: repro bench [--quick] [--records N | --check FILE] [--passes N]";
-    let mut records: Option<usize> = None;
-    let mut passes = dvp_experiments::bench::BENCH_PASSES;
-    let mut check: Option<PathBuf> = None;
-    let mut skip = false;
-    for (i, arg) in commands.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
+fn run_bench_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String> {
+    let (mut records, mut passes, mut check) = (None, bench::BENCH_PASSES, None);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--records" => {
-                let Some(n) = parse_count(commands, i + 1, arg) else {
-                    return ExitCode::FAILURE;
-                };
-                records = Some(n);
-                skip = true;
-            }
-            "--passes" => {
-                let Some(n) = parse_count(commands, i + 1, arg) else {
-                    return ExitCode::FAILURE;
-                };
-                passes = n;
-                skip = true;
-            }
-            "--check" => {
-                let Some(path) = commands.get(i + 1) else {
-                    eprintln!("--check expects a baseline JSON path\n{usage}");
-                    return ExitCode::FAILURE;
-                };
-                check = Some(PathBuf::from(path));
-                skip = true;
-            }
-            other => {
-                eprintln!("unknown bench argument `{other}`\n{usage}");
-                return ExitCode::FAILURE;
-            }
+            "--records" => records = Some(args.count(&arg)?),
+            "--passes" => passes = args.count(&arg)?,
+            "--check" => check = Some(PathBuf::from(args.value(&arg)?)),
+            _ => return Err(args.unknown(&arg)),
         }
     }
-    let baseline = match &check {
+    let baseline = match check {
         None => None,
         Some(_) if records.is_some() => {
-            eprintln!("--check replays at the baseline's record count; drop --records\n{usage}");
-            return ExitCode::FAILURE;
+            return Err(args.error("--check replays at the baseline's record count; drop --records"))
         }
         Some(path) => {
-            let text = match fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("cannot read baseline {}: {err}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            let Some(baseline) = dvp_experiments::bench::parse_baseline(&text) else {
-                eprintln!("baseline {} holds no record count or no results", path.display());
-                return ExitCode::FAILURE;
-            };
+            let text = fs::read_to_string(&path)
+                .map_err(|err| format!("cannot read baseline {}: {err}", path.display()))?;
+            let baseline = bench::parse_baseline(&text).ok_or_else(|| {
+                format!("baseline {} holds no record count or no results", path.display())
+            })?;
             Some(baseline)
         }
     };
     let records = match &baseline {
         Some(baseline) => baseline.records,
-        None => records.unwrap_or(dvp_experiments::bench::BENCH_RECORDS / scale_div as usize),
+        None => records.unwrap_or(bench::BENCH_RECORDS / globals.scale_div as usize),
     };
     eprintln!("[repro] bench: {records} records x {passes} passes per family...");
-    let results = dvp_experiments::bench::run(records, passes);
-    print!("{}", dvp_experiments::bench::to_json(records, &results));
+    let results = bench::run(records, passes);
+    print!("{}", bench::to_json(records, &results));
     if let Some(baseline) = baseline {
-        let (report, failed) = dvp_experiments::bench::check(records, &results, &baseline);
+        let (report, failed) = bench::check(records, &results, &baseline);
         eprintln!("{report}");
         if failed {
-            eprintln!(
+            return Err(format!(
                 "[repro] bench: the check failed (hits differ from the baseline, or a family \
                  regressed past {}x)",
-                dvp_experiments::bench::REGRESSION_FACTOR
-            );
-            return ExitCode::FAILURE;
+                bench::REGRESSION_FACTOR
+            ));
         }
         eprintln!("[repro] bench: hits match the baseline; all families within the budget");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// The plans are a pure sequential function of each trace, so the output
-/// is byte-identical at any `--workers`/`--shards`/`--chunk-window`
-/// setting.
-fn run_phases_tool(commands: &[String], trace_dir: Option<PathBuf>, scale_div: u32) -> ExitCode {
-    let usage = "usage: repro phases [BENCHMARK...] [--quick] [--trace-dir DIR]";
-    let mut benchmarks: Vec<Benchmark> = Vec::new();
-    for arg in commands {
-        match Benchmark::ALL.iter().find(|b| b.name() == arg.as_str()) {
-            Some(&benchmark) => {
-                if !benchmarks.contains(&benchmark) {
-                    benchmarks.push(benchmark);
-                }
-            }
-            None => {
-                let names: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
-                eprintln!(
-                    "unknown phases benchmark `{arg}` (expected one of: {})\n{usage}",
-                    names.join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+/// `repro trace <export|stats|verify|gen|replay>`.
+fn run_trace_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String> {
+    let command = args.next().unwrap_or_default();
+    match command.as_str() {
+        "gen" => return run_trace_gen(args),
+        "replay" => return run_trace_replay(args, globals),
+        _ => {}
     }
-    if benchmarks.is_empty() {
-        benchmarks.extend(Benchmark::ALL);
+    let Some(dir) = &globals.trace_dir else {
+        return Err(args.error("repro trace requires --trace-dir"));
+    };
+    if let Some(extra) = args.next() {
+        return Err(args.unknown(&extra));
     }
-    let mut store = TraceStore::with_scale_div(scale_div);
-    if let Some(dir) = &trace_dir {
-        store = store.with_trace_dir(dir);
-    }
-    eprintln!("[repro] planning phases for {} workload(s)...", benchmarks.len());
-    match phases::report(&mut store, &benchmarks) {
-        Ok(report) => {
-            println!("{}", report.render());
-            if store.cache().is_some() {
-                eprintln!("[repro] trace cache: {}", store.cache_stats());
-            }
-            ExitCode::SUCCESS
+    match command.as_str() {
+        "export" => {
+            let mut store = globals.store();
+            let engine = &globals.engine;
+            eprintln!(
+                "[repro] exporting all benchmark traces to {} ({} workers)...",
+                dir.display(),
+                engine.workers()
+            );
+            store.prefetch(engine, &Benchmark::ALL).map_err(build_failed)?;
+            // Also persist the sensitivity studies' variant traces (Table
+            // 6 inputs, Table 7 optimization levels) so a later
+            // `repro all` against this directory simulates nothing.
+            sensitivity::variant_jobs(&store)
+                .and_then(|jobs| store.variant_traces(engine, jobs))
+                .map_err(|err| format!("variant workload generation failed: {err:?}"))?;
+            report_cache(&store);
+            print_cache_stats(store.cache().expect("configured above"))
         }
-        Err(err) => {
-            eprintln!("workload generation failed: {err:?}");
-            ExitCode::FAILURE
-        }
+        "stats" => print_cache_stats(&TraceCache::new(dir)),
+        "verify" => verify_cache(&TraceCache::new(dir), &globals.engine),
+        "" => Err(args.error("repro trace expects a command")),
+        _ => Err(args.error(format!("unknown trace command `{command}`"))),
     }
 }
 
 /// `repro trace gen`: write a synthetic trace container of a requested
 /// size — the generator behind the CI bounded-memory replay check, and a
 /// quick way to make large inputs for `repro trace replay`.
-fn run_trace_gen(args: &[String], usage: &str) -> ExitCode {
-    let mut records: Option<usize> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut seed = 1u64;
-    let mut pcs = 64usize;
-    let mut chunk_records = dvp_engine::DEFAULT_CHUNK_LEN;
-    let mut skip = false;
-    for (i, arg) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
+fn run_trace_gen(mut args: Args) -> Result<ExitCode, String> {
+    args.tool = "trace gen";
+    let (mut records, mut out, mut seed) = (None, None, 1u64);
+    let (mut pcs, mut chunk_records) = (64usize, dvp_engine::DEFAULT_CHUNK_LEN);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--records" => {
-                let Some(n) = parse_count(args, i + 1, arg) else { return ExitCode::FAILURE };
-                records = Some(n);
-                skip = true;
-            }
-            "--pcs" => {
-                let Some(n) = parse_count(args, i + 1, arg) else { return ExitCode::FAILURE };
-                pcs = n;
-                skip = true;
-            }
-            "--chunk-records" => {
-                let Some(n) = parse_count(args, i + 1, arg) else { return ExitCode::FAILURE };
-                chunk_records = n;
-                skip = true;
-            }
+            "--records" => records = Some(args.count(&arg)?),
+            "--pcs" => pcs = args.count(&arg)?,
+            "--chunk-records" => chunk_records = args.count(&arg)?,
             "--seed" => {
-                let Some(value) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) else {
-                    eprintln!("--seed expects an unsigned integer");
-                    return ExitCode::FAILURE;
-                };
-                seed = value;
-                skip = true;
+                let value = args.value(&arg)?;
+                seed = value.parse().map_err(|_| {
+                    args.error(format!("--seed expects an unsigned integer, got `{value}`"))
+                })?;
             }
-            "--out" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("--out expects a file path");
-                    return ExitCode::FAILURE;
-                };
-                out = Some(PathBuf::from(path));
-                skip = true;
-            }
-            other => {
-                eprintln!("unknown trace gen argument `{other}`\n{usage}");
-                return ExitCode::FAILURE;
-            }
+            "--out" => out = Some(PathBuf::from(args.value(&arg)?)),
+            _ => return Err(args.unknown(&arg)),
         }
     }
     let (Some(cap), Some(out)) = (records, out) else {
-        eprintln!("repro trace gen requires --records N and --out FILE\n{usage}");
-        return ExitCode::FAILURE;
+        return Err(args.error("repro trace gen requires --records N and --out FILE"));
     };
     let pcs = u32::try_from(pcs.min(cap.max(1))).unwrap_or(u32::MAX);
     let per_pc = u32::try_from(cap.div_ceil(pcs as usize)).unwrap_or(u32::MAX);
@@ -579,149 +628,116 @@ fn run_trace_gen(args: &[String], usage: &str) -> ExitCode {
         (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
         (v2::SECTION_PHASES, v2::encode_phases(&plan)),
     ];
-    let result = durable::replace_file(&out, |writer| {
+    let header = durable::replace_file(&out, |writer| {
         v2::write_compressed(writer, &meta, trace.chunks().iter().map(Vec::as_slice), &sections)
-    });
-    match result {
-        Ok(header) => {
-            eprintln!(
-                "[repro] wrote {} records in {} chunks to {}",
-                header.record_count,
-                header.chunks.len(),
-                out.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("cannot write {}: {err}", out.display());
-            ExitCode::FAILURE
-        }
-    }
+    })
+    .map_err(|err| format!("cannot write {}: {err}", out.display()))?;
+    eprintln!(
+        "[repro] wrote {} records in {} chunks to {}",
+        header.record_count,
+        header.chunks.len(),
+        out.display()
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Replays the container at `path` either resident (`load_trace`, then
+/// `on_trace`) or streaming (`on_stream` over the open file).
+fn replay_container<T>(
+    path: &Path,
+    engine: &ReplayEngine,
+    resident: bool,
+    on_trace: impl FnOnce(&SharedTrace) -> T,
+    on_stream: impl FnOnce(io::BufReader<fs::File>) -> Result<(v2::Header, T), TraceIoError>,
+) -> Result<(v2::Header, T), String> {
+    let outcome = if resident {
+        fs::read(path)
+            .map_err(TraceIoError::from)
+            .and_then(|bytes| engine.load_trace(&bytes))
+            .map(|(header, trace)| (header, on_trace(&trace)))
+    } else {
+        fs::File::open(path)
+            .map_err(TraceIoError::from)
+            .and_then(|file| on_stream(io::BufReader::new(file)))
+    };
+    outcome.map_err(|err| format!("cannot replay {}: {err}", path.display()))
 }
 
 /// `repro trace replay`: replay one container through the paper's
 /// predictor bank — streaming through the bounded chunk window by default
 /// (fixed resident memory, whatever the file size), or fully resident with
-/// `--resident`. Both paths print byte-identical tallies.
-fn run_trace_replay(args: &[String], engine: &ReplayEngine, usage: &str, sample: bool) -> ExitCode {
-    let mut file: Option<PathBuf> = None;
-    let mut resident = false;
-    let mut sample = sample;
-    let mut warm = false;
-    for arg in args {
+/// `--resident`. The global `--sample` replays only the container's stored
+/// phase plan (the `PHAS` section written by `repro trace gen` and the
+/// trace cache): streaming, chunks no phase touches are never decoded.
+/// `--warm` samples with functional warming instead: every record is
+/// observed to keep predictor state exact (every chunk decodes), but still
+/// only the plan's windows are tallied — slower than cold sampling, but
+/// the weighted estimate matches the full replay to within the
+/// clustering's weighting error even for history-hungry predictors. Every
+/// printed number is an exact integer tally (or derived from the per-phase
+/// tallies), byte-identical between the streaming and resident paths at
+/// any engine setting.
+fn run_trace_replay(mut args: Args, globals: &Globals) -> Result<ExitCode, String> {
+    args.tool = "trace replay";
+    let (mut file, mut resident, mut warm) = (None, false, false);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--resident" => resident = true,
-            "--sample" => sample = true,
-            "--warm" => {
-                sample = true;
-                warm = true;
-            }
-            other if !other.starts_with('-') && file.is_none() => file = Some(PathBuf::from(other)),
-            other => {
-                eprintln!("unknown trace replay argument `{other}`\n{usage}");
-                return ExitCode::FAILURE;
-            }
+            "--warm" => warm = true,
+            _ if !arg.starts_with('-') && file.is_none() => file = Some(PathBuf::from(&arg)),
+            _ => return Err(args.unknown(&arg)),
         }
     }
-    let Some(path) = file else {
-        eprintln!("repro trace replay requires a container file\n{usage}");
-        return ExitCode::FAILURE;
-    };
+    let path = file.ok_or_else(|| args.error("repro trace replay requires a container file"))?;
+    let engine = &globals.engine;
     let bank = PredictorConfig::paper_bank();
-    if sample {
-        return run_trace_replay_sampled(&path, resident, warm, engine, &bank);
-    }
-    let outcome = if resident {
-        fs::read(&path).map_err(dvp_trace::io::TraceIoError::from).and_then(|bytes| {
-            engine.load_trace(&bytes).map(|(header, trace)| (header, engine.replay(&trace, &bank)))
-        })
-    } else {
-        fs::File::open(&path)
-            .map_err(dvp_trace::io::TraceIoError::from)
-            .and_then(|file| engine.replay_streaming(io::BufReader::new(file), &bank))
-    };
-    let (header, replays) = match outcome {
-        Ok(result) => result,
-        Err(err) => {
-            eprintln!("cannot replay {}: {err}", path.display());
-            return ExitCode::FAILURE;
+    if !globals.sample && !warm {
+        let (header, replays) = replay_container(
+            &path,
+            engine,
+            resident,
+            |trace| engine.replay(trace, &bank),
+            |reader| engine.replay_streaming(reader, &bank),
+        )?;
+        println!("replayed {} records in {} chunks", header.record_count, header.chunks.len());
+        let mut table = TextTable::new(vec!["Config", "Predicted", "Correct"]);
+        for replay in &replays {
+            table.row(vec![
+                replay.name.clone(),
+                replay.tracker.predicted(None).to_string(),
+                replay.tracker.correct(None).to_string(),
+            ]);
         }
-    };
-    // Exact integer tallies only: the output must be byte-identical
-    // between the streaming and resident paths at any engine setting.
-    println!("replayed {} records in {} chunks", header.record_count, header.chunks.len());
-    let mut table = TextTable::new(vec!["Config", "Predicted", "Correct"]);
-    for replay in &replays {
-        table.row(vec![
-            replay.name.clone(),
-            replay.tracker.predicted(None).to_string(),
-            replay.tracker.correct(None).to_string(),
-        ]);
+        println!("{}", table.render());
+        return Ok(ExitCode::SUCCESS);
     }
-    println!("{}", table.render());
-    ExitCode::SUCCESS
-}
-
-/// `repro trace replay --sample`: replay only the container's stored
-/// phase plan (the `PHAS` section written by `repro trace gen` and the
-/// trace cache). Streaming by default — chunks no phase touches are
-/// never even decoded — or resident with `--resident`. With `--warm` the
-/// replay functionally warms instead: every record is observed to keep
-/// predictor state exact (every chunk decodes), but still only the
-/// plan's windows are tallied — slower than cold sampling, but the
-/// weighted estimate matches the full replay to within the clustering's
-/// weighting error even for history-hungry predictors. The per-phase
-/// tallies (and therefore every printed number) are byte-identical
-/// between the streaming and resident paths at any engine setting.
-fn run_trace_replay_sampled(
-    path: &std::path::Path,
-    resident: bool,
-    warm: bool,
-    engine: &ReplayEngine,
-    bank: &[PredictorConfig],
-) -> ExitCode {
-    let plan = match TraceCache::read_phase_plan(path) {
+    let plan = match TraceCache::read_phase_plan(&path) {
         Ok(Some(plan)) => plan,
         Ok(None) => {
-            eprintln!(
+            return Err(format!(
                 "cannot sample {}: the container carries no phase plan (PHAS section); \
                  regenerate it with `repro trace gen` or replay without --sample",
                 path.display()
-            );
-            return ExitCode::FAILURE;
+            ))
         }
-        Err(err) => {
-            eprintln!("cannot sample {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
+        Err(err) => return Err(format!("cannot sample {}: {err}", path.display())),
     };
-    let outcome = if resident {
-        fs::read(path).map_err(dvp_trace::io::TraceIoError::from).and_then(|bytes| {
-            engine.load_trace(&bytes).map(|(header, trace)| {
-                let replays = if warm {
-                    engine.replay_sampled_warm(&trace, bank, &plan)
-                } else {
-                    engine.replay_sampled(&trace, bank, &plan)
-                };
-                (header, replays)
-            })
-        })
+    let (header, replays) = if warm {
+        replay_container(
+            &path,
+            engine,
+            resident,
+            |trace| engine.replay_sampled_warm(trace, &bank, &plan),
+            |reader| engine.replay_sampled_warm_streaming(reader, &bank, &plan),
+        )?
     } else {
-        fs::File::open(path).map_err(dvp_trace::io::TraceIoError::from).and_then(|file| {
-            let reader = io::BufReader::new(file);
-            if warm {
-                engine.replay_sampled_warm_streaming(reader, bank, &plan)
-            } else {
-                engine.replay_sampled_streaming(reader, bank, &plan)
-            }
-        })
-    };
-    let (header, replays) = match outcome {
-        Ok(result) => result,
-        Err(err) => {
-            eprintln!("cannot replay {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
+        replay_container(
+            &path,
+            engine,
+            resident,
+            |trace| engine.replay_sampled(trace, &bank, &plan),
+            |reader| engine.replay_sampled_streaming(reader, &bank, &plan),
+        )?
     };
     println!(
         "sampled {} of {} records across {} phases{}",
@@ -743,407 +759,132 @@ fn run_trace_replay_sampled(
         ]);
     }
     println!("{}", table.render());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// The `repro trace <export|stats|verify|gen|replay>` tool.
-fn run_trace_tool(
-    commands: &[String],
-    trace_dir: Option<PathBuf>,
-    scale_div: u32,
-    engine: &ReplayEngine,
-    sample: bool,
-) -> ExitCode {
-    let usage =
-        "usage: repro trace <export|stats|verify> --trace-dir DIR [--quick] [--workers N]\n\
-                 \x20      repro trace gen --records N --out FILE [--pcs N] [--seed S] \
-                 [--chunk-records N]\n\
-                 \x20      repro trace replay FILE [--resident] [--sample] [--warm] [--workers N] \
-                 [--shards N] [--chunk-window N]";
-    match commands.first().map(String::as_str) {
-        Some("gen") => return run_trace_gen(&commands[1..], usage),
-        Some("replay") => return run_trace_replay(&commands[1..], engine, usage, sample),
-        _ => {}
-    }
-    let Some(dir) = trace_dir else {
-        eprintln!("repro trace requires --trace-dir\n{usage}");
-        return ExitCode::FAILURE;
-    };
-    let [command] = commands else {
-        eprintln!("{usage}");
-        return ExitCode::FAILURE;
-    };
-    match command.as_str() {
-        "export" => {
-            let mut store = TraceStore::with_scale_div(scale_div).with_trace_dir(&dir);
-            eprintln!(
-                "[repro] exporting all benchmark traces to {} ({} workers)...",
-                dir.display(),
-                engine.workers()
-            );
-            if let Err(err) = store.prefetch(engine, &Benchmark::ALL) {
-                eprintln!("workload generation failed: {err:?}");
-                return ExitCode::FAILURE;
-            }
-            // Also persist the sensitivity studies' variant traces (Table
-            // 6 inputs, Table 7 optimization levels) so a later
-            // `repro all` against this directory simulates nothing.
-            let variants = sensitivity::variant_jobs(&store)
-                .and_then(|jobs| store.variant_traces(engine, jobs));
-            if let Err(err) = variants {
-                eprintln!("variant workload generation failed: {err:?}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("[repro] trace cache: {}", store.cache_stats());
-            print_cache_stats(store.cache().expect("configured above"))
-        }
-        "stats" => print_cache_stats(&TraceCache::new(dir)),
-        "verify" => verify_cache(&TraceCache::new(dir), engine),
-        other => {
-            eprintln!("unknown trace command `{other}`\n{usage}");
-            ExitCode::FAILURE
-        }
-    }
-}
+/// Flags that configure a daemon's job execution; a router executes
+/// nothing, so it refuses them.
+const WORKER_FLAGS: [&str; 5] =
+    ["--queue", "--inflight", "--job-workers", "--results", "--result-dir"];
 
 /// `repro serve`: run the replay daemon until a client requests shutdown.
 /// With `--router a,b,...` it runs the consistent-hash front door instead
 /// (no jobs execute locally); each of its workers is a plain daemon.
-fn run_serve_tool(args: &[String], trace_dir: Option<PathBuf>, engine: &ReplayEngine) -> ExitCode {
-    let usage = "usage: repro serve [--listen ADDR] [--queue N] [--inflight N] \
-                 [--job-workers N] [--results N] [--result-dir DIR]\n\
-                 \x20      repro serve --router ADDR,ADDR... [--listen ADDR] [--retries N]";
-    let mut options = ServeOptions { trace_dir, ..ServeOptions::default() };
-    let mut router_backends: Option<Vec<String>> = None;
-    let mut retries: Option<u32> = None;
-    // Worker-tier flags make no sense on a router (it executes nothing);
-    // remember which ones appeared so the conflict error can name them.
-    let mut worker_flags: Vec<&str> = Vec::new();
-    let mut skip = false;
-    for (i, arg) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
+fn run_serve_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String> {
+    let mut options = ServeOptions { trace_dir: globals.trace_dir.clone(), ..Default::default() };
+    let (mut backends, mut retries, mut worker_flag) = (None, None, None);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--listen" => {
-                let Some(addr) = args.get(i + 1) else {
-                    eprintln!("--listen expects an address\n{usage}");
-                    return ExitCode::FAILURE;
-                };
-                options.listen = addr.clone();
-                skip = true;
-            }
+            "--listen" => options.listen = args.value(&arg)?,
             "--router" => {
-                let Some(list) = args.get(i + 1) else {
-                    eprintln!("--router expects a comma-separated backend list\n{usage}");
-                    return ExitCode::FAILURE;
-                };
-                let backends: Vec<String> = list
+                let list: Vec<String> = args
+                    .value(&arg)?
                     .split(',')
                     .map(str::trim)
                     .filter(|b| !b.is_empty())
                     .map(String::from)
                     .collect();
-                if backends.is_empty() {
-                    eprintln!("--router expects at least one backend address\n{usage}");
-                    return ExitCode::FAILURE;
+                if list.is_empty() {
+                    return Err(args.error("--router expects at least one backend address"));
                 }
-                router_backends = Some(backends);
-                skip = true;
+                backends = Some(list);
             }
-            "--retries" => {
-                let Some(n) = parse_count(args, i + 1, arg) else {
-                    return ExitCode::FAILURE;
-                };
-                retries = Some(u32::try_from(n).unwrap_or(u32::MAX));
-                skip = true;
-            }
-            "--queue" => {
-                let Some(n) = parse_count(args, i + 1, arg) else {
-                    return ExitCode::FAILURE;
-                };
-                options.queue_capacity = n;
-                worker_flags.push("--queue");
-                skip = true;
-            }
-            "--inflight" => {
-                let Some(n) = parse_count(args, i + 1, arg) else {
-                    return ExitCode::FAILURE;
-                };
-                options.inflight_cap = n;
-                worker_flags.push("--inflight");
-                skip = true;
-            }
-            "--job-workers" => {
-                let Some(n) = parse_count(args, i + 1, arg) else {
-                    return ExitCode::FAILURE;
-                };
-                options.job_workers = n;
-                worker_flags.push("--job-workers");
-                skip = true;
-            }
-            "--results" => {
-                let Some(n) = parse_count(args, i + 1, arg) else {
-                    return ExitCode::FAILURE;
-                };
-                options.memory_entries = n;
-                worker_flags.push("--results");
-                skip = true;
-            }
-            "--result-dir" => {
-                let Some(dir) = args.get(i + 1) else {
-                    eprintln!("--result-dir expects a directory path\n{usage}");
-                    return ExitCode::FAILURE;
-                };
-                options.result_dir = Some(PathBuf::from(dir));
-                worker_flags.push("--result-dir");
-                skip = true;
-            }
-            other => {
-                eprintln!("unknown serve flag `{other}`\n{usage}");
-                return ExitCode::FAILURE;
-            }
+            "--retries" => retries = Some(u32::try_from(args.count(&arg)?).unwrap_or(u32::MAX)),
+            "--queue" => options.queue_capacity = args.count(&arg)?,
+            "--inflight" => options.inflight_cap = args.count(&arg)?,
+            "--job-workers" => options.job_workers = args.count(&arg)?,
+            "--results" => options.memory_entries = args.count(&arg)?,
+            "--result-dir" => options.result_dir = Some(PathBuf::from(args.value(&arg)?)),
+            _ => return Err(args.unknown(&arg)),
+        }
+        if WORKER_FLAGS.contains(&arg.as_str()) {
+            worker_flag.get_or_insert(arg);
         }
     }
-    if options.listen.parse::<std::net::SocketAddr>().is_err() {
-        eprintln!("invalid --listen address `{}`", options.listen);
-        return ExitCode::FAILURE;
+    let listen = options.listen.clone();
+    if listen.parse::<SocketAddr>().is_err() {
+        return Err(format!("invalid --listen address `{listen}`"));
     }
-    if let Some(backends) = router_backends {
-        if let Some(flag) = worker_flags.first() {
-            eprintln!("{flag} is a worker flag and does not apply to --router mode\n{usage}");
-            return ExitCode::FAILURE;
+    let Some(backends) = backends else {
+        if retries.is_some() {
+            return Err(args.error("--retries applies only to --router mode"));
         }
-        for backend in &backends {
-            if backend.parse::<std::net::SocketAddr>().is_err() {
-                eprintln!("invalid --router backend `{backend}` (expected host:port)");
-                return ExitCode::FAILURE;
-            }
-        }
-        let router_options = RouterOptions {
-            listen: options.listen.clone(),
-            backends,
-            connect_attempts: retries.unwrap_or(RouterOptions::default().connect_attempts),
-        };
-        let backend_count = router_options.backends.len();
-        let router = match Router::start(router_options) {
-            Ok(router) => router,
-            Err(err) => {
-                eprintln!("cannot bind {}: {err}", options.listen);
-                return ExitCode::FAILURE;
-            }
-        };
-        // CI and scripts poll stdout for this line to learn the port.
-        println!("listening on {}", router.addr());
-        let _ = io::Write::flush(&mut io::stdout());
-        let stats = router.join();
-        eprintln!(
-            "[repro] router: {backend_count} backend(s), {} forwarded, {} backend_down",
-            stats.forwarded, stats.backend_down
-        );
-        return ExitCode::SUCCESS;
-    }
-    if retries.is_some() {
-        eprintln!("--retries applies only to --router mode\n{usage}");
-        return ExitCode::FAILURE;
-    }
-    let server = match Server::start(engine.clone(), options.clone()) {
-        Ok(server) => server,
-        Err(err) => {
-            eprintln!("cannot bind {}: {err}", options.listen);
-            return ExitCode::FAILURE;
-        }
+        let server = Server::start(globals.engine.clone(), options)
+            .map_err(|err| format!("cannot bind {listen}: {err}"))?;
+        announce(server.addr());
+        eprintln!("[repro] result cache: {}", server.join());
+        return Ok(ExitCode::SUCCESS);
     };
-    // CI and scripts poll stdout for this line to learn the ephemeral port.
-    println!("listening on {}", server.addr());
-    let _ = io::Write::flush(&mut io::stdout());
-    let stats = server.join();
-    eprintln!("[repro] result cache: {stats}");
-    ExitCode::SUCCESS
+    if let Some(flag) = worker_flag {
+        return Err(
+            args.error(format!("{flag} is a worker flag and does not apply to --router mode"))
+        );
+    }
+    if let Some(bad) = backends.iter().find(|b| b.parse::<SocketAddr>().is_err()) {
+        return Err(format!("invalid --router backend `{bad}` (expected host:port)"));
+    }
+    let backend_count = backends.len();
+    let connect_attempts = retries.unwrap_or(RouterOptions::default().connect_attempts);
+    let router =
+        Router::start(RouterOptions { listen: listen.clone(), backends, connect_attempts })
+            .map_err(|err| format!("cannot bind {listen}: {err}"))?;
+    announce(router.addr());
+    let stats = router.join();
+    eprintln!(
+        "[repro] router: {backend_count} backend(s), {} forwarded, {} backend_down",
+        stats.forwarded, stats.backend_down
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `repro cache <stats|purge>`: inspect and maintain an on-disk result
-/// cache without starting a daemon. `stats` classifies every entry
-/// against the running binary's engine epoch; `purge --stale` deletes
-/// exactly the entries this binary would refuse to serve.
-fn run_cache_tool(args: &[String]) -> ExitCode {
-    let usage = "usage: repro cache stats --result-dir DIR\n\
-                 \x20      repro cache purge --stale --result-dir DIR";
-    let mut command: Option<String> = None;
-    let mut result_dir: Option<PathBuf> = None;
-    let mut stale = false;
-    let mut skip = false;
-    for (i, arg) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
+fn read_spec(path: &str) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|err| format!("cannot read job spec `{path}`: {err}"))
+}
+
+fn parse_spec(text: &str) -> Result<JobSpec, String> {
+    JobSpec::parse(text).map_err(|why| format!("invalid job spec: {why}"))
+}
+
+/// Prints one job's outcome. A result is `Ok(false)`; a job the tier
+/// turned away (`rejected`, `backend_down`; exit code 2) is `Ok(true)`; a
+/// failed job is its error message.
+fn report_outcome(outcome: Outcome, payload_only: bool) -> Result<bool, String> {
+    match outcome {
+        Outcome::Result { payload, .. } => {
+            if payload_only {
+                print!("{payload}");
+            }
+            Ok(false)
         }
-        match arg.as_str() {
-            "--result-dir" => {
-                let Some(dir) = args.get(i + 1) else {
-                    eprintln!("--result-dir expects a directory path\n{usage}");
-                    return ExitCode::FAILURE;
-                };
-                result_dir = Some(PathBuf::from(dir));
-                skip = true;
-            }
-            "--stale" => stale = true,
-            "stats" | "purge" if command.is_none() => command = Some(arg.clone()),
-            other => {
-                eprintln!("unknown cache argument `{other}`\n{usage}");
-                return ExitCode::FAILURE;
-            }
+        Outcome::Rejected { reason } => {
+            eprintln!("job rejected: {reason}");
+            Ok(true)
         }
-    }
-    let Some(command) = command else {
-        eprintln!("repro cache expects a command\n{usage}");
-        return ExitCode::FAILURE;
-    };
-    let Some(dir) = result_dir else {
-        eprintln!("repro cache requires --result-dir\n{usage}");
-        return ExitCode::FAILURE;
-    };
-    let epoch = dvp_engine::engine_epoch();
-    match command.as_str() {
-        "stats" => {
-            if stale {
-                eprintln!("--stale applies only to `repro cache purge`\n{usage}");
-                return ExitCode::FAILURE;
-            }
-            let entries = match result_cache::scan_entries(&dir) {
-                Ok(entries) => entries,
-                Err(err) => {
-                    eprintln!("cannot list {}: {err}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!(
-                "result cache at {}: {} entr{}, engine epoch {epoch:016x}",
-                dir.display(),
-                entries.len(),
-                if entries.len() == 1 { "y" } else { "ies" }
-            );
-            let (mut current, mut stale_count, mut unreadable) = (0usize, 0usize, 0usize);
-            let mut table = TextTable::new(vec!["File", "Epoch", "State", "KiB"]);
-            let mut broken: Vec<String> = Vec::new();
-            for entry in &entries {
-                let file = entry.path.file_name().map_or_else(
-                    || entry.path.display().to_string(),
-                    |n| n.to_string_lossy().into_owned(),
-                );
-                match &entry.header {
-                    Ok(header) => {
-                        let state = if header.is_current(epoch) {
-                            current += 1;
-                            "current"
-                        } else {
-                            stale_count += 1;
-                            "stale"
-                        };
-                        table.row(vec![
-                            file,
-                            format!("{:016x}", header.epoch),
-                            state.to_owned(),
-                            (entry.bytes / 1024).to_string(),
-                        ]);
-                    }
-                    Err(err) => {
-                        unreadable += 1;
-                        broken.push(format!("{file}: {err}"));
-                    }
-                }
-            }
-            if !table.is_empty() {
-                println!("{}", table.render());
-            }
-            for line in &broken {
-                println!("unreadable: {line}");
-            }
-            println!("{current} current, {stale_count} stale, {unreadable} unreadable");
-            ExitCode::SUCCESS
+        Outcome::BackendDown { backend, reason } => {
+            eprintln!("backend down ({backend}): {reason}");
+            Ok(true)
         }
-        "purge" => {
-            if !stale {
-                eprintln!(
-                    "repro cache purge requires --stale (only staleness-based \
-                           purging is supported)\n{usage}"
-                );
-                return ExitCode::FAILURE;
-            }
-            match result_cache::purge_stale(&dir, epoch) {
-                Ok(report) => {
-                    println!(
-                        "purged {} stale entr{}, kept {} current (engine epoch {epoch:016x})",
-                        report.removed,
-                        if report.removed == 1 { "y" } else { "ies" },
-                        report.kept
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(err) => {
-                    eprintln!("cannot purge {}: {err}", dir.display());
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => unreachable!("command is validated above"),
+        Outcome::Error { message } => Err(format!("job failed: {message}")),
     }
 }
 
 /// `repro client`: submit jobs to a running daemon and stream the frames.
-fn run_client_tool(args: &[String]) -> ExitCode {
-    let usage = "usage: repro client ADDR [--job JSON]... [--spec FILE]... [--batch] \
-                 [--payload-only] [--ping] [--stats] [--shutdown]";
-    let Some(addr) = args.first().filter(|a| !a.starts_with("--")).cloned() else {
-        eprintln!("repro client expects a server address\n{usage}");
-        return ExitCode::FAILURE;
-    };
+fn run_client_tool(mut args: Args, _: &Globals) -> Result<ExitCode, String> {
+    let addr = args.next().filter(|a| !a.starts_with("--"));
+    let addr = addr.ok_or_else(|| args.error("repro client expects a server address"))?;
     let mut jobs: Vec<String> = Vec::new();
-    let mut batch = false;
-    let mut payload_only = false;
-    let mut do_ping = false;
-    let mut do_stats = false;
-    let mut do_shutdown = false;
-    let rest = &args[1..];
-    let mut skip = false;
-    for (i, arg) in rest.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
+    let (mut batch, mut payload_only, mut ping, mut stats, mut shutdown) =
+        (false, false, false, false, false);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--job" => {
-                let Some(spec) = rest.get(i + 1) else {
-                    eprintln!("--job expects a JSON job spec\n{usage}");
-                    return ExitCode::FAILURE;
-                };
-                jobs.push(spec.clone());
-                skip = true;
-            }
-            "--spec" => {
-                let Some(path) = rest.get(i + 1) else {
-                    eprintln!("--spec expects a file path\n{usage}");
-                    return ExitCode::FAILURE;
-                };
-                match fs::read_to_string(path) {
-                    Ok(text) => jobs.push(text),
-                    Err(err) => {
-                        eprintln!("cannot read job spec `{path}`: {err}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                skip = true;
-            }
+            "--job" => jobs.push(args.value(&arg)?),
+            "--spec" => jobs.push(read_spec(&args.value(&arg)?)?),
             "--batch" => batch = true,
             "--payload-only" => payload_only = true,
-            "--ping" => do_ping = true,
-            "--stats" => do_stats = true,
-            "--shutdown" => do_shutdown = true,
-            other => {
-                eprintln!("unknown client flag `{other}`\n{usage}");
-                return ExitCode::FAILURE;
-            }
+            "--ping" => ping = true,
+            "--stats" => stats = true,
+            "--shutdown" => shutdown = true,
+            _ => return Err(args.unknown(&arg)),
         }
     }
     // Validate locally before touching the network — a bad spec is the
@@ -1151,348 +892,168 @@ fn run_client_tool(args: &[String]) -> ExitCode {
     // one-line wire form (a spec file may be pretty-printed or end in a
     // newline, neither of which survives a line protocol).
     for job in &mut jobs {
-        match JobSpec::parse(job) {
-            Ok(spec) => *job = spec.to_json(),
-            Err(why) => {
-                eprintln!("invalid job spec: {why}");
-                return ExitCode::FAILURE;
-            }
-        }
+        *job = parse_spec(job)?.to_json();
     }
-    let mut client = match ServeClient::connect(&addr) {
-        Ok(client) => client,
-        Err(err) => {
-            eprintln!("cannot connect to {addr}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if do_ping {
-        if let Err(err) = client.ping() {
-            eprintln!("ping failed: {err}");
-            return ExitCode::FAILURE;
-        }
+    let mut client =
+        ServeClient::connect(&addr).map_err(|err| format!("cannot connect to {addr}: {err}"))?;
+    let connection_failed = |err: io::Error| format!("connection to {addr} failed: {err}");
+    if ping {
+        client.ping().map_err(|err| format!("ping failed: {err}"))?;
         if !payload_only {
             println!("pong");
         }
     }
-    let mut worst = ExitCode::SUCCESS;
+    let echo = |frame: &Frame| {
+        if !payload_only {
+            println!("{}", frame.raw);
+        }
+    };
+    let (mut turned_away, mut failed) = (false, false);
     if batch {
         // One `jobs` request, one interleaved stream; outcomes come back
-        // in input order regardless of completion order.
-        let outcomes = match client.submit_batch_streaming(&jobs, |frame| {
-            if !payload_only {
-                println!("{}", frame.raw);
-            }
-        }) {
-            Ok(outcomes) => outcomes,
-            Err(err) => {
-                eprintln!("connection to {addr} failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut failed = false;
-        for outcome in outcomes {
-            match outcome {
-                Outcome::Result { payload, .. } => {
-                    if payload_only {
-                        print!("{payload}");
-                    }
-                }
-                Outcome::Rejected { reason } => {
-                    eprintln!("job rejected: {reason}");
-                    if !failed {
-                        worst = ExitCode::from(2);
-                    }
-                }
-                Outcome::BackendDown { backend, reason } => {
-                    eprintln!("backend down ({backend}): {reason}");
-                    if !failed {
-                        worst = ExitCode::from(2);
-                    }
-                }
-                Outcome::Error { message } => {
-                    eprintln!("job failed: {message}");
+        // in input order regardless of completion order. A failed job
+        // does not stop the others from being reported.
+        for outcome in client.submit_batch_streaming(&jobs, echo).map_err(connection_failed)? {
+            match report_outcome(outcome, payload_only) {
+                Ok(away) => turned_away |= away,
+                Err(message) => {
+                    eprintln!("{message}");
                     failed = true;
-                    worst = ExitCode::FAILURE;
                 }
             }
         }
     } else {
         for job in &jobs {
-            let outcome = client.submit_streaming(job, |frame| {
-                if !payload_only {
-                    println!("{}", frame.raw);
-                }
-            });
-            match outcome {
-                Ok(Outcome::Result { payload, .. }) => {
-                    if payload_only {
-                        print!("{payload}");
-                    }
-                }
-                Ok(Outcome::Rejected { reason }) => {
-                    eprintln!("job rejected: {reason}");
-                    worst = ExitCode::from(2);
-                }
-                Ok(Outcome::BackendDown { backend, reason }) => {
-                    eprintln!("backend down ({backend}): {reason}");
-                    worst = ExitCode::from(2);
-                }
-                Ok(Outcome::Error { message }) => {
-                    eprintln!("job failed: {message}");
-                    return ExitCode::FAILURE;
-                }
-                Err(err) => {
-                    eprintln!("connection to {addr} failed: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let outcome = client.submit_streaming(job, echo).map_err(connection_failed)?;
+            turned_away |= report_outcome(outcome, payload_only)?;
         }
     }
-    if do_stats {
-        match client.stats() {
-            Ok(line) => println!("{line}"),
-            Err(err) => {
-                eprintln!("stats failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if stats {
+        println!("{}", client.stats().map_err(|err| format!("stats failed: {err}"))?);
     }
-    if do_shutdown {
-        if let Err(err) = client.shutdown() {
-            eprintln!("shutdown failed: {err}");
-            return ExitCode::FAILURE;
-        }
+    if shutdown {
+        client.shutdown().map_err(|err| format!("shutdown failed: {err}"))?;
     }
-    worst
+    Ok(if !failed && turned_away { ExitCode::from(2) } else { exit_status(!failed) })
 }
 
 /// `repro job`: run one job spec inline, without a daemon. The payload is
 /// byte-identical to what `repro serve` streams for the same spec.
-fn run_job_tool(args: &[String], trace_dir: Option<PathBuf>, engine: &ReplayEngine) -> ExitCode {
-    let usage = "usage: repro job (--json JSON | --spec FILE)";
-    let mut text: Option<String> = None;
-    let mut skip = false;
-    for (i, arg) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
+fn run_job_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String> {
+    let mut text = None;
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => {
-                let Some(json) = args.get(i + 1) else {
-                    eprintln!("--json expects a JSON job spec\n{usage}");
-                    return ExitCode::FAILURE;
-                };
-                text = Some(json.clone());
-                skip = true;
-            }
-            "--spec" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("--spec expects a file path\n{usage}");
-                    return ExitCode::FAILURE;
-                };
-                match fs::read_to_string(path) {
-                    Ok(contents) => text = Some(contents),
-                    Err(err) => {
-                        eprintln!("cannot read job spec `{path}`: {err}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                skip = true;
-            }
-            other => {
-                eprintln!("unknown job flag `{other}`\n{usage}");
-                return ExitCode::FAILURE;
-            }
+            "--json" => text = Some(args.value(&arg)?),
+            "--spec" => text = Some(read_spec(&args.value(&arg)?)?),
+            _ => return Err(args.unknown(&arg)),
         }
     }
-    let Some(text) = text else {
-        eprintln!("repro job expects a spec\n{usage}");
-        return ExitCode::FAILURE;
-    };
-    let spec = match JobSpec::parse(&text) {
-        Ok(spec) => spec,
-        Err(why) => {
-            eprintln!("invalid job spec: {why}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_job(&spec, engine, trace_dir.as_deref()) {
-        Ok(payload) => {
-            // The payload already ends in a newline; print! keeps the
-            // bytes identical to the daemon's result frame.
-            print!("{payload}");
-            ExitCode::SUCCESS
-        }
-        Err(why) => {
-            eprintln!("job failed: {why}");
-            ExitCode::FAILURE
-        }
-    }
+    let spec = parse_spec(&text.ok_or_else(|| args.error("repro job expects a spec"))?)?;
+    let payload = run_job(&spec, &globals.engine, globals.trace_dir.as_deref())
+        .map_err(|why| format!("job failed: {why}"))?;
+    // The payload already ends in a newline; print! keeps the bytes
+    // identical to the daemon's result frame.
+    print!("{payload}");
+    Ok(ExitCode::SUCCESS)
 }
 
-fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale_div = 1;
-    let mut engine = ReplayEngine::new();
-    let mut trace_dir: Option<PathBuf> = None;
-    let mut no_trace_cache = false;
-    let mut sample = false;
-    let mut args: Vec<String> = Vec::new();
-    let mut skip = false;
-    for (i, arg) in raw.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
+/// `repro cache <stats|purge>`: inspect and maintain an on-disk result
+/// cache without starting a daemon. `stats` classifies every entry
+/// against the running binary's engine epoch; `purge --stale` deletes
+/// exactly the entries this binary would refuse to serve.
+fn run_cache_tool(mut args: Args, _: &Globals) -> Result<ExitCode, String> {
+    let (mut command, mut dir, mut stale) = (None, None, false);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => scale_div = 4,
-            "--workers" | "-j" => {
-                let Some(workers) = parse_count(&raw, i + 1, arg) else {
-                    return ExitCode::FAILURE;
-                };
-                engine = engine.with_workers(workers);
-                skip = true;
-            }
-            "--shards" => {
-                let Some(shards) = parse_count(&raw, i + 1, arg) else {
-                    return ExitCode::FAILURE;
-                };
-                engine = engine.with_shards(shards);
-                skip = true;
-            }
-            "--chunk-window" => {
-                let Some(chunks) = parse_count(&raw, i + 1, arg) else {
-                    return ExitCode::FAILURE;
-                };
-                engine = engine.with_chunk_window(chunks);
-                skip = true;
-            }
-            "--sample" => sample = true,
-            "--trace-dir" => {
-                let Some(dir) = raw.get(i + 1) else {
-                    eprintln!("--trace-dir expects a directory path");
-                    return ExitCode::FAILURE;
-                };
-                trace_dir = Some(PathBuf::from(dir));
-                skip = true;
-            }
-            "--no-trace-cache" => no_trace_cache = true,
-            _ => args.push(arg.clone()),
+            "--result-dir" => dir = Some(PathBuf::from(args.value(&arg)?)),
+            "--stale" => stale = true,
+            "stats" | "purge" if command.is_none() => command = Some(arg),
+            _ => return Err(args.unknown(&arg)),
         }
     }
-    if no_trace_cache {
-        trace_dir = None;
-    }
-    if args.iter().any(|a| a == "--list" || a == "-l") {
-        for (id, _) in EXPERIMENTS {
-            println!("{id}");
+    let command = command.ok_or_else(|| args.error("repro cache expects a command"))?;
+    let dir = dir.ok_or_else(|| args.error("repro cache requires --result-dir"))?;
+    let epoch = dvp_engine::engine_epoch();
+    if command == "purge" {
+        if !stale {
+            return Err(args.error(
+                "repro cache purge requires --stale (only staleness-based purging is supported)",
+            ));
         }
-        return ExitCode::SUCCESS;
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        return run_trace_tool(&args[1..], trace_dir, scale_div, &engine, sample);
-    }
-    if args.first().map(String::as_str) == Some("sweep") {
-        return run_sweep_tool(&args[1..], trace_dir, scale_div > 1, &engine, sample);
-    }
-    if args.first().map(String::as_str) == Some("phases") {
-        return run_phases_tool(&args[1..], trace_dir, scale_div);
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        return run_bench_tool(&args[1..], scale_div);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return run_serve_tool(&args[1..], trace_dir, &engine);
-    }
-    if args.first().map(String::as_str) == Some("client") {
-        return run_client_tool(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("cache") {
-        return run_cache_tool(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("job") {
-        return run_job_tool(&args[1..], trace_dir, &engine);
-    }
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: repro [--quick] [--sample] [--workers N] [--shards N] [--trace-dir DIR] \
-             [--no-trace-cache] [--chunk-window N]\n             \
-             all | <experiment>...\n       \
-             repro sweep [--sample] [--format table|csv|json]\n       \
-             repro phases [BENCHMARK...]\n       \
-             repro bench [--records N | --check FILE] [--passes N]\n       \
-             repro trace <export|stats|verify> --trace-dir DIR\n       \
-             repro trace gen --records N --out FILE [--pcs N] [--seed S]\n       \
-             repro trace replay FILE [--resident] [--sample] [--warm]\n       \
-             repro serve [--listen ADDR] [--queue N] [--inflight N] \
-             [--job-workers N] [--results N] [--result-dir DIR]\n       \
-             repro serve --router ADDR,ADDR... [--listen ADDR] [--retries N]\n       \
-             repro client ADDR [--job JSON]... [--spec FILE]... [--batch] \
-             [--payload-only] [--ping] [--stats] [--shutdown]\n       \
-             repro job (--json JSON | --spec FILE)\n       \
-             repro cache <stats|purge --stale> --result-dir DIR\n       \
-             repro --list\n\n\
-             Regenerates the tables and figures of Sazeides & Smith (MICRO-30 1997)\n\
-             through the parallel replay engine (default: all cores; output is\n\
-             byte-identical at any worker count). With --trace-dir, workload traces\n\
-             persist across runs as version-4 containers (a file of any other\n\
-             version is regenerated) and warm runs perform zero simulation.\n\
-             `repro sweep` replays the synthetic scenario x predictor matrix\n\
-             instead; `repro phases` prints each workload's SimPoint phase plan;\n\
-             --sample checks phase-sampled replay against the full replay (and\n\
-             fails the run past a 1pp error). `repro trace replay` streams a container through a\n\
-             bounded chunk window (--chunk-window) without ever holding the full\n\
-             trace in memory (--sample replays only its stored phase plan;\n\
-             --warm functionally warms: exact state, windows tallied). `repro\n\
-             serve` runs a replay daemon (newline-delimited JSON over TCP) with\n\
-             an epoch-versioned, fingerprint-keyed result cache; with --router\n\
-             it forwards each job to the worker owning its key instead (rendez-\n\
-             vous hashing; relayed payloads are byte-identical). `repro client`\n\
-             submits jobs (--batch sends them as one request); `repro job` runs\n\
-             one job inline with byte-identical output; `repro cache` inspects\n\
-             and purges a result directory against this binary's engine epoch."
+        let report = result_cache::purge_stale(&dir, epoch)
+            .map_err(|err| format!("cannot purge {}: {err}", dir.display()))?;
+        println!(
+            "purged {} stale entr{}, kept {} current (engine epoch {epoch:016x})",
+            report.removed,
+            if report.removed == 1 { "y" } else { "ies" },
+            report.kept
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::SUCCESS);
     }
+    if stale {
+        return Err(args.error("--stale applies only to `repro cache purge`"));
+    }
+    let entries = result_cache::scan_entries(&dir)
+        .map_err(|err| format!("cannot list {}: {err}", dir.display()))?;
+    println!(
+        "result cache at {}: {} entr{}, engine epoch {epoch:016x}",
+        dir.display(),
+        entries.len(),
+        if entries.len() == 1 { "y" } else { "ies" }
+    );
+    let (mut current, mut stale_count) = (0usize, 0usize);
+    let unreadable = print_listing(
+        vec!["File", "Epoch", "State", "KiB"],
+        entries.iter().map(|entry| {
+            let cells = entry.header.as_ref().map(|header| {
+                let state = if header.is_current(epoch) {
+                    current += 1;
+                    "current"
+                } else {
+                    stale_count += 1;
+                    "stale"
+                };
+                let epoch = format!("{:016x}", header.epoch);
+                vec![epoch, state.to_owned(), (entry.bytes / 1024).to_string()]
+            });
+            (entry.path.as_path(), cells)
+        }),
+    );
+    println!("{current} current, {stale_count} stale, {unreadable} unreadable");
+    Ok(ExitCode::SUCCESS)
+}
 
-    let ids: Vec<String> = if args.iter().any(|a| a == "all") {
-        EXPERIMENTS.iter().map(|(id, _)| (*id).to_owned()).collect()
+/// Runs the requested experiments in order (with `all` anywhere, every
+/// experiment), then — with `--sample` — the phase-sampling error harness.
+fn run_experiments(ids: &[String], globals: Globals) -> Result<ExitCode, String> {
+    // Check every id before doing any work.
+    let experiments = if ids.iter().any(|id| id == "all") {
+        EXPERIMENTS.to_vec()
     } else {
-        args
+        let find = |id: &String| {
+            EXPERIMENTS.iter().find(|(name, ..)| name == id).copied().ok_or_else(|| {
+                let targets: Vec<&str> = ["all"]
+                    .into_iter()
+                    .chain(TOOLS.iter().map(|tool| tool.name))
+                    .chain(EXPERIMENTS.iter().map(|(name, ..)| *name))
+                    .collect();
+                format!("unknown target `{id}`\nvalid targets: {}", targets.join(", "))
+            })
+        };
+        ids.iter().map(find).collect::<Result<Vec<_>, String>>()?
     };
-
-    let mut store = TraceStore::with_scale_div(scale_div);
-    if let Some(dir) = &trace_dir {
-        store = store.with_trace_dir(dir);
-    }
-    let mut harness = Harness { store, engine, accuracy: None, overlap: None };
+    let sample = globals.sample;
+    let mut harness =
+        Harness { store: globals.store(), engine: globals.engine, accuracy: None, overlap: None };
     // Experiments that replay every benchmark's trace share the store's
     // cache: generate all traces up front, in parallel, before the first
     // table. (Experiments left out generate what they need themselves.)
-    if ids
-        .iter()
-        .any(|id| EXPERIMENTS.iter().any(|&(name, needs_traces)| needs_traces && name == id))
-    {
+    if experiments.iter().any(|&(_, prefetch, _)| prefetch) {
         eprintln!("[repro] prefetching benchmark traces ({} workers)...", harness.engine.workers());
-        if let Err(err) = harness.store.prefetch(&harness.engine, &Benchmark::ALL) {
-            eprintln!("workload generation failed: {err:?}");
-            return ExitCode::FAILURE;
-        }
+        harness.store.prefetch(&harness.engine, &Benchmark::ALL).map_err(build_failed)?;
     }
-    for id in &ids {
-        match harness.run(id) {
-            Some(text) => {
-                println!("{text}");
-            }
-            None => {
-                let ids: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
-                eprintln!("unknown target `{id}`");
-                eprintln!("valid targets: all, sweep, phases, trace, {}", ids.join(", "));
-                return ExitCode::FAILURE;
-            }
-        }
+    for (_, _, render) in experiments {
+        println!("{}", render(&mut harness).map_err(build_failed)?);
     }
     // `--sample` appends the phase-sampling error harness after the normal
     // experiment output (so existing goldens never change) and turns an
@@ -1500,27 +1061,63 @@ fn main() -> ExitCode {
     let mut sample_ok = true;
     if sample {
         eprintln!("[repro] validating phase-sampled replay against the full replay...");
-        match phases::validate(&mut harness.store, &harness.engine, &PredictorConfig::paper_bank())
-        {
-            Ok(validation) => {
-                println!("{}", validation.render());
-                sample_ok = validation.all_within_limit();
-            }
-            Err(err) => {
-                eprintln!("workload generation failed: {err:?}");
-                return ExitCode::FAILURE;
-            }
+        let bank = PredictorConfig::paper_bank();
+        let validation =
+            phases::validate(&mut harness.store, &harness.engine, &bank).map_err(build_failed)?;
+        println!("{}", validation.render());
+        sample_ok = validation.all_within_limit();
+    }
+    report_cache(&harness.store);
+    if !sample_ok {
+        return Err("[repro] --sample: a sampled accuracy estimate exceeded the error limit".into());
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Reads the global flags from anywhere in `argv`, then hands the rest to
+/// the `--list`, the named tool, the usage or the experiments.
+fn run(argv: Vec<String>) -> Result<ExitCode, String> {
+    let (mut scale_div, mut engine, mut trace_dir) = (1, ReplayEngine::new(), None);
+    let (mut sample, mut no_trace_cache) = (false, false);
+    let mut rest: Vec<String> = Vec::new();
+    let mut args = Args::new(argv, "", String::new());
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => scale_div = 4,
+            "--workers" | "-j" => engine = engine.with_workers(args.count(&arg)?),
+            "--shards" => engine = engine.with_shards(args.count(&arg)?),
+            "--chunk-window" => engine = engine.with_chunk_window(args.count(&arg)?),
+            "--sample" => sample = true,
+            "--trace-dir" => trace_dir = Some(PathBuf::from(args.value(&arg)?)),
+            "--no-trace-cache" => no_trace_cache = true,
+            _ => rest.push(arg),
         }
     }
-    if harness.store.cache().is_some() {
-        // Stats go to stderr: stdout must stay byte-identical between cold
-        // and warm runs. A fully warm run reports `0 simulated`.
-        eprintln!("[repro] trace cache: {}", harness.store.cache_stats());
+    let trace_dir = trace_dir.filter(|_| !no_trace_cache);
+    let globals = Globals { scale_div, engine, trace_dir, sample };
+    if rest.iter().any(|a| a == "--list" || a == "-l") {
+        for (id, ..) in EXPERIMENTS {
+            println!("{id}");
+        }
+        return Ok(ExitCode::SUCCESS);
     }
-    if sample_ok {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("[repro] --sample: a sampled accuracy estimate exceeded the error limit");
+    let first = rest.first().map_or("", String::as_str);
+    if let Some(tool) = TOOLS.iter().find(|tool| tool.name == first) {
+        rest.remove(0);
+        return (tool.run)(Args::new(rest, tool.name, usage_text(tool.usage)), &globals);
+    }
+    if rest.is_empty() || rest.iter().any(|a| a == "--help" || a == "-h") {
+        let mut lines = vec![EXPERIMENTS_USAGE];
+        lines.extend(TOOLS.iter().flat_map(|tool| tool.usage.iter().copied()));
+        lines.push("repro --list");
+        return Err(format!("{}\n\n{ABOUT}", usage_text(&lines)));
+    }
+    run_experiments(&rest, globals)
+}
+
+fn main() -> ExitCode {
+    run(std::env::args().skip(1).collect()).unwrap_or_else(|message| {
+        eprintln!("{message}");
         ExitCode::FAILURE
-    }
+    })
 }

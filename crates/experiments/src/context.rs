@@ -324,12 +324,14 @@ impl TraceStore {
 
     /// Loads or generates arbitrary `(workload, opt)` variant traces —
     /// e.g. the sensitivity studies' alternate inputs and optimization
-    /// levels — through the disk tier, returning for each job, in input
-    /// order, the (possibly record-capped) trace and the full run's
-    /// predicted-instruction count. Misses simulate in parallel on
-    /// `engine` and are written through; variants are not held in the
-    /// in-memory benchmark map (each experiment runs once per process —
-    /// persistence is what pays).
+    /// levels — returning for each job, in input order, the (possibly
+    /// record-capped) trace and the full run's predicted-instruction
+    /// count. A job whose fingerprint matches a benchmark trace already in
+    /// memory (Table 6's reference input, Table 7's reference level) is
+    /// served from it; the rest go through the disk tier. Misses simulate
+    /// in parallel on `engine` and are written through; variants are not
+    /// added to the in-memory benchmark map (each experiment runs once per
+    /// process — persistence is what pays).
     ///
     /// # Errors
     ///
@@ -342,7 +344,16 @@ impl TraceStore {
         let mut out: Vec<Option<(SharedTrace, u64)>> = vec![None; jobs.len()];
         let mut to_simulate: Vec<(usize, Workload, OptLevel)> = Vec::new();
         for (index, (workload, opt)) in jobs.into_iter().enumerate() {
-            match self.disk_lookup(engine, &workload, opt) {
+            let fingerprint = TraceCache::fingerprint(&workload, opt, self.record_cap);
+            let memo = self.traces.iter().find(|(&benchmark, _)| {
+                TraceCache::fingerprint(&self.workload(benchmark), REFERENCE_OPT, self.record_cap)
+                    == fingerprint
+            });
+            if let Some((benchmark, trace)) = memo {
+                out[index] = Some((trace.clone(), self.predicted[benchmark]));
+                continue;
+            }
+            match self.disk_lookup_fingerprint(engine, &fingerprint) {
                 Some((meta, trace)) => out[index] = Some((trace, meta.predicted)),
                 None => to_simulate.push((index, workload, opt)),
             }

@@ -22,13 +22,17 @@ fn good_target_exits_zero_with_output() {
 
 #[test]
 fn unknown_target_fails_and_lists_valid_targets_on_stderr() {
-    let out = repro(&["table99"]);
-    assert!(!out.status.success(), "unknown targets must exit nonzero");
-    assert!(out.stdout.is_empty(), "nothing may land on stdout");
-    let stderr = stderr_of(&out);
-    assert!(stderr.contains("unknown target `table99`"), "{stderr}");
-    for target in ["sweep", "trace", "all", "table1", "figure11", "ext-speedup"] {
-        assert!(stderr.contains(target), "valid-target list must include {target}: {stderr}");
+    // Every id is checked before any experiment runs, so a valid id ahead
+    // of the unknown one prints nothing either.
+    for args in [&["table99"][..], &["table1", "table99"][..]] {
+        let out = repro(args);
+        assert!(!out.status.success(), "unknown targets must exit nonzero: {args:?}");
+        assert!(out.stdout.is_empty(), "nothing may land on stdout: {args:?}");
+        let stderr = stderr_of(&out);
+        assert!(stderr.contains("unknown target `table99`"), "{stderr}");
+        for target in ["sweep", "trace", "all", "table1", "figure11", "ext-speedup"] {
+            assert!(stderr.contains(target), "valid-target list must include {target}: {stderr}");
+        }
     }
 }
 
@@ -47,6 +51,58 @@ fn bad_flag_values_fail_fast() {
         let out = repro(args);
         assert!(!out.status.success(), "{args:?}");
         assert!(stderr_of(&out).contains("positive integer"), "{args:?}");
+    }
+    // One missing or bad value per tool, plus a global flag placed after
+    // a subcommand: each fails before doing any work and names its flag.
+    let cases: [(&[&str], &str); 10] = [
+        (&["sweep", "--format"], "--format"),
+        (&["bench", "--passes", "0"], "--passes"),
+        (&["trace", "gen", "--records"], "--records"),
+        (&["trace", "gen", "--seed", "x"], "--seed"),
+        (&["serve", "--listen"], "--listen"),
+        (&["client", "127.0.0.1:1", "--job"], "--job"),
+        (&["job", "--json"], "--json"),
+        (&["cache", "stats", "--result-dir"], "--result-dir"),
+        (&["sweep", "--workers", "0"], "--workers"),
+        (&["table1", "--trace-dir"], "--trace-dir"),
+    ];
+    for (args, flag) in cases {
+        let out = repro(args);
+        assert!(!out.status.success(), "{args:?} must exit nonzero");
+        assert!(out.stdout.is_empty(), "nothing may land on stdout: {args:?}");
+        assert!(stderr_of(&out).contains(flag), "{args:?}: {}", stderr_of(&out));
+    }
+}
+
+/// The lines of the first ```` ```text ```` block in `text`, with `prefix`
+/// (a doc-comment marker) stripped.
+fn text_block<'a>(text: &'a str, prefix: &str) -> Vec<&'a str> {
+    text.lines()
+        .map(|line| line.strip_prefix(prefix).unwrap_or(line).trim_end())
+        .skip_while(|line| *line != "```text")
+        .skip(1)
+        .take_while(|line| *line != "```")
+        .collect()
+}
+
+#[test]
+fn readme_and_module_doc_list_the_same_commands() {
+    let source = include_str!("../src/bin/repro.rs");
+    let readme = include_str!("../../../README.md");
+    let section = readme.split("## The `repro` binary").nth(1).expect("README has the section");
+    let doc = text_block(source, "//! ");
+    assert!(!doc.is_empty(), "the module doc lists commands");
+    assert_eq!(doc, text_block(section, ""), "README and module doc must list the same commands");
+
+    // Every subcommand the list shows appears in the usage text.
+    let ids = String::from_utf8(repro(&["--list"]).stdout).expect("utf-8 ids");
+    let usage = stderr_of(&repro(&[]));
+    for line in doc {
+        let word = line.split_whitespace().nth(1).unwrap_or_default();
+        if word.starts_with('-') || word == "all" || ids.lines().any(|id| id == word) {
+            continue;
+        }
+        assert!(usage.contains(&format!("repro {word} ")), "usage lacks `repro {word}`: {usage}");
     }
 }
 

@@ -110,6 +110,25 @@ fn cache_hit_output_equals_cache_miss_output() {
 }
 
 #[test]
+fn sensitivity_variants_reuse_the_memoized_reference_trace() {
+    // Table 6's reference input and Table 7's reference level have the
+    // fingerprint of cc's benchmark trace: once that trace is in memory,
+    // neither table simulates it again (7 = cc + four other inputs + two
+    // other levels, where re-simulating cc twice would give 9), and the
+    // tables are byte-equal to a fresh store's.
+    let engine = ReplayEngine::new();
+    let mut warm = TraceStore::with_scale_div(1000).with_record_cap(20_000);
+    warm.prefetch(&engine, &[Benchmark::Cc]).expect("prefetch cc");
+    let table6 = sensitivity::table6(&mut warm, &engine).expect("table6");
+    let table7 = sensitivity::table7(&mut warm, &engine).expect("table7");
+    assert_eq!(warm.cache_stats().simulated, 7);
+
+    let mut fresh = TraceStore::with_scale_div(1000).with_record_cap(20_000);
+    assert_eq!(table6.render(), sensitivity::table6(&mut fresh, &engine).expect("t6").render());
+    assert_eq!(table7.render(), sensitivity::table7(&mut fresh, &engine).expect("t7").render());
+}
+
+#[test]
 fn persisted_interner_section_equals_fresh_interning_on_real_workloads() {
     // The container's optional interner section exists so warm loads can
     // skip the sequential interning pass; it must reproduce the exact
