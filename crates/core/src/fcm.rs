@@ -17,19 +17,26 @@
 //!   for `j = 1..=k` incrementally per record, so an order-k blended
 //!   predictor derives all of its probe hashes from one shared rolling
 //!   state instead of rehashing `j` boxed slices per record.
-//! - **Inline follower counts with a spill arena.** The per-context
-//!   `(value, count, stamp)` frequency table starts as a two-element
-//!   inline array; high-fanout contexts relocate to a geometric spill
-//!   arena. The entry's first follower is always the current argmax, so a
-//!   prediction is one read.
-//! - **Constant-time follower updates.** A spilled list longer than a
-//!   short scan carries an open-addressed follower index in a third
-//!   arena: a power-of-two region of twice the list's capacity holding
-//!   `1 + position` per follower, probed from `mix(value)`. It is built
-//!   when the list relocates, patched in two slots when an argmax swap
-//!   moves two followers, and rebuilt after saturating-mode halving, so a
-//!   bump costs O(1) amortized however many distinct values the context
-//!   has seen (a PC's order-0 context sees every value it ever produced).
+//! - **Inline follower counts, then lists of their own.** The
+//!   per-context `(value, count, stamp)` frequency table starts as a
+//!   two-element inline array. A list that outgrows it moves into a
+//!   `Spilled` list with allocations of its own, which doubles through
+//!   the allocator, so the blocks a grown list gives back are reused. The
+//!   entry's first follower is always the current argmax, so a prediction
+//!   is one read.
+//! - **Constant-time follower updates.** A list longer than a short scan
+//!   carries an open-addressed follower index beside its followers: a
+//!   power-of-two region of twice the list's capacity holding
+//!   `1 + position` per follower, probed from `mix(value)`. It is rebuilt
+//!   when the list grows, patched in two slots when an argmax swap moves
+//!   two followers, and rebuilt after saturating-mode halving, so a bump
+//!   costs O(1) amortized however many distinct values the context has
+//!   seen (a PC's order-0 context sees every value it ever produced).
+//! - **Arenas that never copy themselves.** Entries, spilled keys and
+//!   the spilled lists' headers live on fixed pages of 4096 items that
+//!   are allocated once at full size and never grow, so growth never
+//!   moves or copies what is stored, and never holds an old and a new
+//!   array at once.
 //! - **Tagged buckets.** Each bucket is one `u64` word packing the low 32
 //!   bits of the context hash (the tag) above `1 + entry index`. A probe
 //!   compares tags in the bucket array and reads an entry only on a tag
@@ -37,8 +44,8 @@
 //!   single entry.
 //! - **A compact entry.** Stamps come from one predictor-wide bump clock
 //!   (they only order followers within one context, so the argmax and
-//!   its tie-breaks are unchanged) and the narrow fields pack, keeping an
-//!   entry at 96 bytes.
+//!   its tie-breaks are unchanged), the narrow fields pack, and a spilled
+//!   list needs one position, keeping an entry at 88 bytes.
 //! - **Fused multi-order probe.** One descending walk locates the longest
 //!   matching context and caches every probed entry index; the update
 //!   phase reuses those hits instead of re-probing.
@@ -152,10 +159,8 @@ struct CtxEntry {
     slot: u32,
     /// Live followers.
     len: u32,
-    /// Offset into the follower spill arena when not inline.
+    /// The position of the spilled follower list when not inline.
     spill_pos: u32,
-    /// Offset into the follower index arena when `cap > SCAN_CAP`.
-    index_pos: u32,
     /// Context length == the model order this entry belongs to.
     key_len: u8,
     /// Follower capacity is `1 << cap_log2`; up to `INLINE_FOLLOWERS`
@@ -170,11 +175,13 @@ struct CtxEntry {
 }
 
 // Stride-like traces create one entry per order per record, so the entry
-// size sets both their memory and their cache misses. The fields take 90
-// bytes; alignment pads them to 96.
-const _: () = assert!(std::mem::size_of::<CtxEntry>() == 96);
+// size sets both their memory and their cache misses. The fields take 86
+// bytes; alignment pads them to 88.
+const _: () = assert!(std::mem::size_of::<CtxEntry>() == 88);
 // Capacities are powers of two (`cap_log2`), so index regions are too.
 const _: () = assert!(INLINE_FOLLOWERS.is_power_of_two());
+// An inline list that doubles still fits the scan, so it needs no index.
+const _: () = assert!(2 * INLINE_FOLLOWERS <= SCAN_CAP);
 
 impl CtxEntry {
     #[inline]
@@ -313,27 +320,141 @@ fn seat(buckets: &mut [u64], word: u64) {
     buckets[b] = word;
 }
 
+/// Items per [`Paged`] page, as a shift: a position is
+/// `page << PAGE_BITS | offset`.
+const PAGE_BITS: u32 = 12;
+
+/// Items per [`Paged`] page.
+const PAGE: usize = 1 << PAGE_BITS;
+
+/// Append-only storage on fixed pages of [`PAGE`] items. Each page is
+/// allocated once at full capacity and never grows, so nothing stored
+/// ever moves or is copied, and growing the arena never holds an old and
+/// a new copy at once (a doubling `Vec` does both).
+#[derive(Debug)]
+struct Paged<T> {
+    pages: Vec<Vec<T>>,
+}
+
+impl<T> Default for Paged<T> {
+    fn default() -> Self {
+        Paged { pages: Vec::new() }
+    }
+}
+
+// A derived clone would size each page to its length, so a clone's last
+// page would grow, and move, on its next push.
+impl<T: Clone> Clone for Paged<T> {
+    fn clone(&self) -> Self {
+        let pages = self
+            .pages
+            .iter()
+            .map(|page| {
+                let mut copy = Vec::with_capacity(PAGE);
+                copy.extend_from_slice(page);
+                copy
+            })
+            .collect();
+        Paged { pages }
+    }
+}
+
+impl<T> Paged<T> {
+    /// The position the next [`Paged::push`] returns while the last page
+    /// has room: the item count when every write is a push.
+    fn len(&self) -> usize {
+        self.pages.last().map_or(0, |last| ((self.pages.len() - 1) << PAGE_BITS) + last.len())
+    }
+
+    /// The last page and its number, after starting a fresh page unless
+    /// the last one has room for `n` more items.
+    fn page_with_room(&mut self, n: usize) -> (usize, &mut Vec<T>) {
+        assert!(n <= PAGE, "a run of {n} items does not fit a page");
+        if self.pages.last().is_none_or(|last| last.len() + n > PAGE) {
+            self.pages.push(Vec::with_capacity(PAGE));
+        }
+        let page = self.pages.len() - 1;
+        (page, &mut self.pages[page])
+    }
+
+    /// Appends `item` and returns its position.
+    fn push(&mut self, item: T) -> u32 {
+        let (page, items) = self.page_with_room(1);
+        let pos = position(page, items.len());
+        items.push(item);
+        pos
+    }
+
+    #[inline]
+    fn get(&self, pos: u32) -> &T {
+        &self.pages[(pos >> PAGE_BITS) as usize][pos as usize & (PAGE - 1)]
+    }
+
+    #[inline]
+    fn get_mut(&mut self, pos: u32) -> &mut T {
+        &mut self.pages[(pos >> PAGE_BITS) as usize][pos as usize & (PAGE - 1)]
+    }
+
+    /// The `n` items of the run at `pos`.
+    #[inline]
+    fn run(&self, pos: u32, n: usize) -> &[T] {
+        let at = pos as usize & (PAGE - 1);
+        &self.pages[(pos >> PAGE_BITS) as usize][at..at + n]
+    }
+
+    #[inline]
+    fn run_mut(&mut self, pos: u32, n: usize) -> &mut [T] {
+        let at = pos as usize & (PAGE - 1);
+        &mut self.pages[(pos >> PAGE_BITS) as usize][at..at + n]
+    }
+}
+
+impl<T: Clone + Default> Paged<T> {
+    /// Appends a run of `n` default items inside one page (a run never
+    /// crosses a page; a page end too short for it is left unused) and
+    /// returns the run's position.
+    fn reserve_run(&mut self, n: usize) -> u32 {
+        let (page, items) = self.page_with_room(n);
+        let pos = position(page, items.len());
+        items.resize(items.len() + n, T::default());
+        pos
+    }
+}
+
+/// The [`Paged`] position of `offset` in `page`.
+#[inline]
+fn position(page: usize, offset: usize) -> u32 {
+    u32::try_from((page << PAGE_BITS) | offset).expect("paged arena fits u32")
+}
+
+/// A follower list that outgrew the inline pair, in allocations of its
+/// own: the live followers, with room for the entry's capacity, and once
+/// that capacity passes [`SCAN_CAP`] an index region of twice the
+/// capacity (empty below it). Growth reallocates both, so the allocator
+/// gets back, and reuses, what the smaller list held.
+#[derive(Debug, Clone, Default)]
+struct Spilled {
+    fs: Vec<Follower>,
+    index: Box<[u32]>,
+}
+
 /// The flat open-addressed value-history table: every (slot, order,
-/// context) entry of the predictor, plus the key, follower spill and
-/// follower index arenas. Entries are never removed (matching the
-/// unbounded paper model), so entry indices are stable across bucket
-/// growth — the fused probe caches them safely.
+/// context) entry of the predictor, plus the key and follower arenas.
+/// Entries are never removed (matching the unbounded paper model), so
+/// entry indices are stable across bucket growth — the fused probe caches
+/// them safely. The paged arenas never move what they hold.
 #[derive(Debug, Clone, Default)]
 struct Vht {
     /// Power-of-two open-addressed index of packed words (see [`bucket`]),
     /// 0 = empty.
     buckets: Vec<u64>,
-    /// Entry arena, append-only.
-    entries: Vec<CtxEntry>,
+    /// Entry arena, append-only; an entry's index is its position.
+    entries: Paged<CtxEntry>,
     /// Spilled context keys (orders above `INLINE_KEY`), append-only.
-    keys: Vec<Value>,
-    /// Spilled follower lists; relocation leaves old regions behind
-    /// (bounded ≤2x waste, no per-context allocations).
-    spill: Vec<Follower>,
-    /// Follower index regions of spilled lists above `SCAN_CAP`: each
-    /// list owns `2 * cap` slots, rebuilt on relocation and left behind
-    /// like the spill regions.
-    index: Vec<u32>,
+    keys: Paged<Value>,
+    /// Follower lists that outgrew the inline pair, append-only; a
+    /// spilled entry's `spill_pos` is its list's position.
+    spilled: Paged<Spilled>,
     /// Predictor-wide bump clock. Stamps only order followers within one
     /// context, so one shared clock breaks ties exactly as per-context
     /// clocks would.
@@ -353,7 +474,7 @@ impl Vht {
             && if ctx.len() <= INLINE_KEY {
                 e.key[..ctx.len()] == *ctx
             } else {
-                self.keys[e.key[0] as usize..][..ctx.len()] == *ctx
+                self.keys.run(e.key[0] as u32, ctx.len()) == ctx
             }
     }
 
@@ -374,7 +495,7 @@ impl Vht {
             }
             if (word >> 32) as u32 == tag {
                 let idx = word as u32 - 1;
-                if self.key_matches(&self.entries[idx as usize], slot, ctx) {
+                if self.key_matches(self.entries.get(idx), slot, ctx) {
                     return idx;
                 }
             }
@@ -395,19 +516,20 @@ impl Vht {
         if ctx.len() <= INLINE_KEY {
             key[..ctx.len()].copy_from_slice(ctx);
         } else {
-            key[0] = self.keys.len() as Value;
-            self.keys.extend_from_slice(ctx);
+            let pos = self.keys.reserve_run(ctx.len());
+            self.keys.run_mut(pos, ctx.len()).copy_from_slice(ctx);
+            key[0] = Value::from(pos);
         }
-        self.entries.push(CtxEntry {
+        let pushed = self.entries.push(CtxEntry {
             slot,
             len: 0,
             spill_pos: 0,
-            index_pos: 0,
             key_len: ctx.len() as u8,
             cap_log2: INLINE_FOLLOWERS.trailing_zeros() as u8,
             key,
             inline: [Follower::default(); INLINE_FOLLOWERS],
         });
+        assert_eq!(pushed, idx, "an entry's index is its position");
         seat(&mut self.buckets, bucket(hash as u32, idx));
         idx
     }
@@ -427,14 +549,14 @@ impl Vht {
     /// exactly like an empty `ContextCounts` in the nested-map model).
     #[inline]
     fn top_value(&self, idx: u32) -> Option<Value> {
-        let e = &self.entries[idx as usize];
+        let e = self.entries.get(idx);
         if e.len == 0 {
             return None;
         }
         Some(if e.cap() <= INLINE_FOLLOWERS {
             e.inline[0].value
         } else {
-            self.spill[e.spill_pos as usize].value
+            self.spilled.get(e.spill_pos).fs[0].value
         })
     }
 
@@ -443,63 +565,60 @@ impl Vht {
     fn bump(&mut self, idx: u32, value: Value, mode: CounterMode) {
         self.clock += 1;
         let stamp = self.clock;
-        let i = idx as usize;
-        let e = &mut self.entries[i];
-        let (len, cap) = (e.len as usize, e.cap());
-        let bumped = if cap <= INLINE_FOLLOWERS {
-            bump_scanned(&mut e.inline[..len], value, stamp)
+        let e = self.entries.get_mut(idx);
+        let bumped = if e.cap() <= INLINE_FOLLOWERS {
+            bump_scanned(&mut e.inline[..e.len as usize], value, stamp)
         } else {
-            let fs = &mut self.spill[e.spill_pos as usize..][..len];
-            if cap <= SCAN_CAP {
+            let Spilled { fs, index } = self.spilled.get_mut(e.spill_pos);
+            if index.is_empty() {
                 bump_scanned(fs, value, stamp)
             } else {
-                bump_indexed(fs, &mut self.index[e.index_pos as usize..][..2 * cap], value, stamp)
+                bump_indexed(fs, index, value, stamp)
             }
         };
         let count = match bumped {
             Some(count) => count,
             None => {
-                self.push_follower(i, value, stamp);
+                self.push_follower(idx, value, stamp);
                 1
             }
         };
         if let CounterMode::Saturating { max } = mode {
             if count >= u64::from(max) {
-                self.halve(i);
+                self.halve(idx);
             }
         }
     }
 
     /// Appends a fresh `(value, 1, stamp)` follower, relocating the list
-    /// to (or within) the spill arena when full.
-    fn push_follower(&mut self, i: usize, value: Value, stamp: u64) {
-        if self.entries[i].len as usize == self.entries[i].cap() {
-            self.relocate(i);
+    /// first when it is full. The newest follower takes the front exactly
+    /// when the front's count is 1 too (it then wins the tie on recency).
+    fn push_follower(&mut self, idx: u32, value: Value, stamp: u64) {
+        let e = self.entries.get(idx);
+        if e.len as usize == e.cap() {
+            self.relocate(idx);
         }
-        let e = &mut self.entries[i];
-        let (len, cap) = (e.len as usize, e.cap());
+        let e = self.entries.get_mut(idx);
+        let len = e.len as usize;
         e.len += 1;
         let fresh = Follower { value, count: 1, stamp };
-        // The newest follower takes the front exactly when the front's
-        // count is 1 too (it then wins the tie on recency).
-        if cap <= INLINE_FOLLOWERS {
+        if e.cap() <= INLINE_FOLLOWERS {
             e.inline[len] = fresh;
             if len > 0 && e.inline[0].count <= 1 {
                 e.inline.swap(0, len);
             }
             return;
         }
-        let fs = &mut self.spill[e.spill_pos as usize..][..=len];
-        fs[len] = fresh;
+        let Spilled { fs, index } = self.spilled.get_mut(e.spill_pos);
+        fs.push(fresh);
         let to_front = len > 0 && fs[0].count <= 1;
-        if cap > SCAN_CAP {
-            let region = &mut self.index[e.index_pos as usize..][..2 * cap];
+        if !index.is_empty() {
             if to_front {
-                let front = front_slot(region, fs[0].value);
-                region[front] = len as u32 + 1;
-                index_insert(region, value, 0);
+                let front = front_slot(index, fs[0].value);
+                index[front] = len as u32 + 1;
+                index_insert(index, value, 0);
             } else {
-                index_insert(region, value, len);
+                index_insert(index, value, len);
             }
         }
         if to_front {
@@ -507,45 +626,41 @@ impl Vht {
         }
     }
 
-    /// Moves a full follower list to a fresh spill region of twice its
-    /// capacity, building its index there once it outgrows the scan.
-    fn relocate(&mut self, i: usize) {
-        let e = &self.entries[i];
+    /// Doubles a full follower list's capacity: an inline list moves into
+    /// a fresh [`Spilled`] list, and a spilled list reallocates its own
+    /// followers, building its index once it outgrows the scan.
+    fn relocate(&mut self, idx: u32) {
+        let e = self.entries.get_mut(idx);
         let (len, cap) = (e.len as usize, e.cap());
-        let new_pos = self.spill.len();
-        if cap <= INLINE_FOLLOWERS {
-            self.spill.extend_from_slice(&e.inline[..len]);
-        } else {
-            let old = e.spill_pos as usize;
-            self.spill.extend_from_within(old..old + len);
-        }
-        self.spill.resize(new_pos + 2 * cap, Follower::default());
-        let e = &mut self.entries[i];
-        e.spill_pos = u32::try_from(new_pos).expect("spill arena fits u32");
         e.cap_log2 += 1;
-        let new_cap = e.cap();
-        if new_cap > SCAN_CAP {
-            let index_pos = self.index.len();
-            e.index_pos = u32::try_from(index_pos).expect("index arena fits u32");
-            self.index.resize(index_pos + 2 * new_cap, 0);
-            index_rebuild(&mut self.index[index_pos..], &self.spill[new_pos..][..len]);
+        if cap <= INLINE_FOLLOWERS {
+            let mut fs = Vec::with_capacity(2 * cap);
+            fs.extend_from_slice(&e.inline[..len]);
+            e.spill_pos = self.spilled.push(Spilled { fs, index: Box::default() });
+            return;
+        }
+        let Spilled { fs, index } = self.spilled.get_mut(e.spill_pos);
+        fs.reserve_exact(cap);
+        if 2 * cap > SCAN_CAP {
+            *index = vec![0; 4 * cap].into_boxed_slice();
+            index_rebuild(index, fs);
         }
     }
 
     /// Saturating-mode halving of one entry's followers.
-    fn halve(&mut self, i: usize) {
-        let e = &mut self.entries[i];
-        let (len, cap) = (e.len as usize, e.cap());
-        if cap <= INLINE_FOLLOWERS {
-            e.len = halve_followers(&mut e.inline[..len]);
-            return;
-        }
-        let fs = &mut self.spill[e.spill_pos as usize..][..len];
-        e.len = halve_followers(fs);
-        if cap > SCAN_CAP {
-            let region = &mut self.index[e.index_pos as usize..][..2 * cap];
-            index_rebuild(region, &fs[..e.len as usize]);
-        }
+    fn halve(&mut self, idx: u32) {
+        let e = self.entries.get_mut(idx);
+        e.len = if e.cap() <= INLINE_FOLLOWERS {
+            halve_followers(&mut e.inline[..e.len as usize])
+        } else {
+            let Spilled { fs, index } = self.spilled.get_mut(e.spill_pos);
+            let live = halve_followers(fs);
+            fs.truncate(live as usize);
+            if !index.is_empty() {
+                index_rebuild(index, fs);
+            }
+            live
+        };
     }
 }
 
@@ -1068,7 +1183,7 @@ mod tests {
 
     #[test]
     fn spilled_context_keys_do_not_alias() {
-        // Order > INLINE_KEY forces keys through the spill arena; distinct
+        // Order > INLINE_KEY forces keys through the key arena; distinct
         // 5-value contexts must stay distinct (full-concatenation match).
         let mut p =
             Interned::new(FcmPredictor::with_config(5, Blending::SingleOrder, CounterMode::Exact));
@@ -1087,7 +1202,7 @@ mod tests {
     #[test]
     fn high_fanout_contexts_spill_and_keep_exact_argmax() {
         // One order-0 context followed by many distinct values exercises the
-        // follower spill arena and the front-is-argmax invariant.
+        // spilled follower lists and the front-is-argmax invariant.
         let mut p = Interned::new(FcmPredictor::new(0));
         for v in 0..40u64 {
             p.update(PC, v);
@@ -1147,6 +1262,76 @@ mod tests {
         // The last usable index still packs into a non-empty bucket word.
         assert_eq!(bucket(7, next_index(NO_ENTRY as usize - 1)), (7 << 32) | u64::from(NO_ENTRY));
         let _ = next_index(NO_ENTRY as usize);
+    }
+
+    #[test]
+    fn a_run_past_a_page_end_starts_the_next_page_and_reads_back_intact() {
+        let mut arena: Paged<Follower> = Paged::default();
+        let row = |value: Value| Follower { value, count: value + 1, stamp: 2 * value };
+        for value in 0..(PAGE - 6) as Value {
+            arena.push(row(value));
+        }
+        // A run of four fits the six slots left on page 0; the next run of
+        // four does not fit the two after it, so it opens page 1.
+        let fits = arena.reserve_run(4);
+        assert_eq!(fits as usize, PAGE - 6);
+        let next = arena.reserve_run(4);
+        assert_eq!(next, 1 << PAGE_BITS);
+        assert_eq!((arena.pages.len(), arena.len()), (2, PAGE + 4));
+        for (pos, base) in [(fits, 100_000), (next, 200_000)] {
+            for (i, f) in arena.run_mut(pos, 4).iter_mut().enumerate() {
+                *f = row(base + i as Value);
+            }
+        }
+        let want = |base: Value| (0..4).map(|i| row(base + i)).collect::<Vec<_>>();
+        assert_eq!(arena.run(fits, 4), want(100_000));
+        assert_eq!(arena.run(next, 4), want(200_000));
+        assert_eq!(*arena.get(0), row(0));
+        assert_eq!(*arena.get((PAGE - 7) as u32), row((PAGE - 7) as Value));
+    }
+
+    #[test]
+    fn a_cloned_arena_fills_its_last_page_in_place() {
+        let mut arena: Paged<Value> = Paged::default();
+        arena.push(1);
+        let mut copy = arena.clone();
+        let first: *const Value = copy.get(0);
+        for v in 2..=PAGE as Value {
+            copy.push(v);
+        }
+        assert!(std::ptr::eq(copy.get(0), first), "the clone's page moved");
+        assert_eq!((copy.pages.len(), copy.len()), (1, PAGE));
+        assert_eq!((*arena.get(0), arena.len()), (1, 1));
+    }
+
+    #[test]
+    fn entries_and_spilled_lists_never_move_across_pages_of_inserts() {
+        fn hash(v: Value) -> u64 {
+            ctx_hash(mix(v), 0, 1)
+        }
+        // Three followers each: every entry spills a list of four.
+        fn insert_spilled(vht: &mut Vht, v: Value) -> u32 {
+            let idx = vht.insert(hash(v), 0, &[v]);
+            for follower in [v, v + 1, v + 2] {
+                vht.bump(idx, follower, CounterMode::Exact);
+            }
+            idx
+        }
+        let mut vht = Vht::default();
+        let first = insert_spilled(&mut vht, 0);
+        let entry: *const CtxEntry = vht.entries.get(first);
+        let spill_pos = vht.entries.get(first).spill_pos;
+        let list: *const Spilled = vht.spilled.get(spill_pos);
+        // A doubling `Vec` would have reallocated, and moved entry 0,
+        // many times over these inserts.
+        for v in 1..=(2 * PAGE) as Value {
+            insert_spilled(&mut vht, 10 * v);
+        }
+        assert!(vht.entries.pages.len() > 2 && vht.spilled.pages.len() > 2);
+        assert!(std::ptr::eq(vht.entries.get(first), entry), "entry 0 moved");
+        assert!(std::ptr::eq(vht.spilled.get(spill_pos), list), "entry 0's list moved");
+        assert_eq!(vht.probe(hash(0), 0, &[0]), first);
+        assert_eq!(vht.top_value(first), Some(2));
     }
 
     #[test]

@@ -417,3 +417,35 @@ fn stride_stream_across_many_bucket_growths_agrees_with_the_oracle() {
         assert_eq!(flat.predict(pc), oracle.predict(pc));
     }
 }
+
+/// One saturating order-0 context outgrows the follower scan (eight
+/// followers), so its list gains an index, halves down to six live
+/// followers, and grows past its old capacity again. Predictions and the
+/// entry count track the oracle throughout.
+#[test]
+fn a_long_follower_list_halves_below_the_scan_and_regrows_with_the_oracle() {
+    let pc = Pc(0x400);
+    let mode = CounterMode::Saturating { max: 8 };
+    let mut flat = Interned::new(FcmPredictor::with_config(0, Blending::LazyExclusion, mode));
+    let mut oracle = OracleFcm::new(0, Blending::LazyExclusion, mode);
+    let fresh = |base: Value, n: Value| (base..base + n).map(move |v| (pc, v));
+    // 24 distinct followers (an indexed list of capacity 32), five seen twice.
+    let grow = fresh(100, 24).chain((0..5).map(|v| (pc, 100 + 4 * v)));
+    // A hot value reaches the maximum and every count halves: the five
+    // doubles and the hot value stay live, the 19 singles drop out.
+    let halve = std::iter::repeat_n((pc, 7), 8);
+    // 40 fresh followers pass the old capacity, then a second hot value
+    // halves the regrown list.
+    let regrow = fresh(1_000, 40).chain(std::iter::repeat_n((pc, 1_003), 7));
+    for (phase, stream) in [
+        ("grow", grow.collect::<Vec<_>>()),
+        ("halve", halve.collect()),
+        ("regrow", regrow.collect()),
+    ] {
+        assert_lockstep(&mut flat, &mut oracle, stream);
+        assert_eq!(flat.predict(pc), oracle.predict(pc), "after {phase}");
+        assert_eq!(flat.context_entries(), oracle.context_entries(), "after {phase}");
+    }
+    assert_eq!(flat.predict(pc), Some(1_003), "the second hot value leads after its halving");
+    assert_eq!(flat.context_entries(), 1);
+}

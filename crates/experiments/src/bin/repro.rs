@@ -14,7 +14,7 @@
 //! repro sweep --quick --format csv   # smaller grid, machine-readable output
 //! repro phases                       # SimPoint phase plans per workload
 //! repro bench                        # per-family perf smoke (ns/record, JSON)
-//! repro bench --check BENCH_17.json  # compare against the committed baseline
+//! repro bench --check BENCH_20.json  # compare against the committed baseline
 //! repro trace export --trace-dir d/  # simulate + persist all benchmark traces
 //! repro trace stats  --trace-dir d/  # list cached containers
 //! repro trace verify --trace-dir d/  # validate every checksum + record

@@ -110,7 +110,7 @@ fn readme_and_module_doc_list_the_same_commands() {
 fn bench_check_replays_only_at_the_baseline_size() {
     // `--check` takes its record count from the baseline, so an explicit
     // `--records` is a usage error, caught before anything replays.
-    let out = repro(&["bench", "--records", "1000", "--check", "BENCH_17.json"]);
+    let out = repro(&["bench", "--records", "1000", "--check", "BENCH_20.json"]);
     assert!(!out.status.success());
     assert!(out.stdout.is_empty(), "nothing may replay");
     let stderr = stderr_of(&out);

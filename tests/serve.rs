@@ -571,7 +571,6 @@ fn routed_worker_direct_and_one_shot_payloads_are_byte_identical() {
 #[test]
 fn a_dead_backend_yields_backend_down_and_the_live_one_still_serves() {
     let engine = engine();
-    let jobs = job_matrix();
     // Reserve an address that is guaranteed closed: bind, note, drop.
     let dead = {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("reserve");
@@ -582,6 +581,19 @@ fn a_dead_backend_yields_backend_down_and_the_live_one_still_serves() {
     let live = Server::start(engine.clone(), ServeOptions::default()).expect("bind live");
     let live_addr = addr_of(&live);
     let backends = vec![dead.clone(), live_addr.clone()];
+    // Both ports are ephemeral, so rendezvous hashing may give either
+    // backend none of the matrix: add seed variants of the first job
+    // until each backend owns at least one.
+    let owner_of =
+        |job: &str| route_backend(&backends, &JobSpec::parse(job).unwrap().canonical_key());
+    let mut jobs = job_matrix();
+    for seed in 12.. {
+        let owned = |backend: &str| jobs.iter().any(|job| owner_of(job) == backend);
+        if owned(&dead) && owned(&live_addr) {
+            break;
+        }
+        jobs.push(jobs[0].replace("\"seed\":11", &format!("\"seed\":{seed}")));
+    }
     let router = Router::start(RouterOptions {
         backends: backends.clone(),
         connect_attempts: 1,
@@ -593,7 +605,7 @@ fn a_dead_backend_yields_backend_down_and_the_live_one_still_serves() {
     let mut dead_jobs = 0u64;
     let mut live_jobs = 0u64;
     for (i, job) in jobs.iter().enumerate() {
-        let owner = route_backend(&backends, &JobSpec::parse(job).unwrap().canonical_key());
+        let owner = owner_of(job);
         match client.submit(job).expect("transport") {
             Outcome::BackendDown { backend, reason } => {
                 assert_eq!(owner, dead, "job {i}: only the dead owner may fail");
