@@ -256,9 +256,10 @@ struct Globals {
 }
 
 impl Globals {
-    /// A trace store at the run's scale, over the trace directory if any.
+    /// A trace store at the run's scale and on the run's engine, over the
+    /// trace directory if any.
     fn store(&self) -> TraceStore {
-        let store = TraceStore::with_scale_div(self.scale_div);
+        let store = TraceStore::with_scale_div(self.scale_div).with_engine(self.engine.clone());
         match &self.trace_dir {
             Some(dir) => store.with_trace_dir(dir),
             None => store,
@@ -569,7 +570,7 @@ fn run_trace_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String>
             // 6 inputs, Table 7 optimization levels) so a later
             // `repro all` against this directory simulates nothing.
             sensitivity::variant_jobs(&store)
-                .and_then(|jobs| store.variant_traces(engine, jobs))
+                .and_then(|jobs| store.variant_traces(jobs))
                 .map_err(|err| format!("variant workload generation failed: {err:?}"))?;
             report_cache(&store);
             print_cache_stats(store.cache().expect("configured above"))

@@ -5,7 +5,7 @@ use crate::cache::{CacheLookup, CacheStats, TraceCache};
 use dvp_engine::{ReplayEngine, SharedTrace};
 use dvp_lang::OptLevel;
 use dvp_trace::io::v2::{Fingerprint, TraceMeta};
-use dvp_trace::PhasePlan;
+use dvp_trace::{PhasePlan, TraceRecord};
 use dvp_workloads::synthetic::Scenario;
 use dvp_workloads::{Benchmark, BuildError, Workload};
 use std::collections::HashMap;
@@ -23,41 +23,49 @@ pub const REFERENCE_OPT: OptLevel = OptLevel::O1;
 /// Step budget for any single workload run.
 pub const STEP_BUDGET: u64 = 2_000_000_000;
 
-/// Simulates one workload at `opt` into a [`SharedTrace`], returning
-/// `(trace, retired, predicted)`. The trace respects `record_cap`;
-/// `retired` and `predicted` always count the full run.
-fn generate(
-    workload: &Workload,
-    opt: OptLevel,
-    record_cap: Option<usize>,
-) -> Result<(SharedTrace, u64, u64), BuildError> {
-    let mut machine = workload.machine(opt)?;
-    let mut builder = SharedTrace::builder();
-    let mut predicted = 0u64;
-    let cap = record_cap.unwrap_or(usize::MAX);
-    machine.run_with(STEP_BUDGET, &mut |rec| {
-        predicted += 1;
-        if builder.len() < cap {
-            builder.push(rec);
-        }
-    })?;
-    Ok((builder.finish(), machine.retired(), predicted))
+/// Where a trace comes from: a workload simulated at an optimization
+/// level, or a synthetic scenario.
+enum Source {
+    Workload(Workload, OptLevel),
+    Scenario(Scenario),
 }
 
-/// Generates one synthetic scenario into a [`SharedTrace`] (through the
-/// same builder/interner path as simulation), returning `(trace, emitted)`
-/// where `emitted` counts the full stream — always exactly
-/// [`Scenario::total_records`], since generation is unconditional; the
-/// record cap only truncates what is stored.
-fn generate_synthetic(scenario: &Scenario, record_cap: Option<usize>) -> (SharedTrace, u64) {
-    let mut builder = SharedTrace::builder();
-    let cap = record_cap.unwrap_or(usize::MAX);
-    scenario.generate_with(&mut |rec| {
-        if builder.len() < cap {
-            builder.push(rec);
+impl Source {
+    /// The cache key of the trace this source produces under `record_cap`.
+    fn fingerprint(&self, record_cap: Option<usize>) -> Fingerprint {
+        match self {
+            Source::Workload(workload, opt) => TraceCache::fingerprint(workload, *opt, record_cap),
+            Source::Scenario(scenario) => scenario.fingerprint(record_cap),
         }
-    });
-    (builder.finish(), scenario.total_records())
+    }
+
+    /// Runs the source through the [`SharedTrace`] builder (and so the PC
+    /// interner). The trace respects `record_cap`; the metadata's
+    /// `retired` and `predicted` always count the full run (for a
+    /// scenario, both are [`Scenario::total_records`]).
+    fn generate(&self, record_cap: Option<usize>) -> Result<(TraceMeta, SharedTrace), BuildError> {
+        let (mut builder, mut predicted) = (SharedTrace::builder(), 0u64);
+        let cap = record_cap.unwrap_or(usize::MAX);
+        let mut sink = |rec: TraceRecord| {
+            predicted += 1;
+            if builder.len() < cap {
+                builder.push(rec);
+            }
+        };
+        let retired = match self {
+            Source::Workload(workload, opt) => {
+                let mut machine = workload.machine(*opt)?;
+                machine.run_with(STEP_BUDGET, &mut sink)?;
+                machine.retired()
+            }
+            Source::Scenario(scenario) => {
+                scenario.generate_with(&mut sink);
+                scenario.total_records()
+            }
+        };
+        let meta = TraceMeta { fingerprint: self.fingerprint(record_cap), retired, predicted };
+        Ok((meta, builder.finish()))
+    }
 }
 
 /// Lazily generates and caches the value trace of each benchmark so that a
@@ -66,21 +74,35 @@ fn generate_synthetic(scenario: &Scenario, record_cap: Option<usize>) -> (Shared
 ///
 /// Traces are held as [`SharedTrace`]s: handing one to an experiment (or to
 /// every job of a parallel replay) clones an [`Arc`](std::sync::Arc), never
-/// the records. [`TraceStore::prefetch`] generates several benchmarks'
-/// traces concurrently on a [`ReplayEngine`]'s worker pool; generation is
-/// deterministic per benchmark, so a prefetched store is indistinguishable
-/// from a lazily-filled one.
+/// the records. The store carries the run's [`ReplayEngine`]
+/// ([`TraceStore::with_engine`]; [`ReplayEngine::sequential`] by default):
+/// disk loads decode chunk-for-chunk on its worker pool, and missing traces
+/// generate there concurrently. Generation is deterministic per
+/// configuration, so the engine never changes a trace.
 ///
-/// # The disk tier
+/// # One path, three tiers
 ///
-/// [`TraceStore::with_trace_dir`] adds a persistent [`TraceCache`] below
-/// the in-memory map. Every miss consults the directory first (validating
-/// checksums and the workload [fingerprint](dvp_trace::io::v2::Fingerprint)
-/// before trusting a file) and writes freshly simulated traces through, so
-/// the *next* process starts warm. Traces loaded from disk are
-/// byte-identical to freshly simulated ones — `tests/trace_cache.rs` pins
-/// this on real workloads — and [`TraceStore::cache_stats`] reports how
-/// many simulations the run actually performed.
+/// Benchmark traces ([`TraceStore::trace`], [`TraceStore::prefetch`]),
+/// variant workloads ([`TraceStore::variant_traces`]) and synthetic
+/// scenarios ([`TraceStore::synthetic_traces`]) all come through one path,
+/// keyed by their [fingerprint](dvp_trace::io::v2::Fingerprint). Each
+/// request is served, in input order, from the first tier that has it:
+///
+/// 1. the in-memory map of benchmark traces (variants with a benchmark's
+///    fingerprint, such as Table 6's reference input, are served from it);
+/// 2. the disk tier, when [`TraceStore::with_trace_dir`] adds a persistent
+///    [`TraceCache`] (checksums and the fingerprint are validated before a
+///    file is trusted);
+/// 3. one batch on the engine that generates each distinct missing
+///    fingerprint once and writes it through to the disk tier inside the
+///    same job, so the *next* process starts warm.
+///
+/// Traces loaded from disk are byte-identical to freshly generated ones —
+/// `tests/trace_cache.rs` pins this on real workloads — and
+/// [`TraceStore::cache_stats`] reports how many generations the run
+/// actually performed. When one job of a batch fails, the batch returns
+/// the earliest error: traces that generated before it are already
+/// persisted, but the store keeps none of them.
 ///
 /// # Examples
 ///
@@ -96,12 +118,11 @@ fn generate_synthetic(scenario: &Scenario, record_cap: Option<usize>) -> (Shared
 /// ```
 #[derive(Debug)]
 pub struct TraceStore {
-    traces: HashMap<Benchmark, SharedTrace>,
-    retired: HashMap<Benchmark, u64>,
-    predicted: HashMap<Benchmark, u64>,
+    traces: HashMap<Fingerprint, (TraceMeta, SharedTrace)>,
     phase_plans: HashMap<Benchmark, PhasePlan>,
     scale_div: u32,
     record_cap: Option<usize>,
+    engine: ReplayEngine,
     cache: Option<TraceCache>,
     stats: CacheStats,
 }
@@ -112,11 +133,10 @@ impl Default for TraceStore {
     fn default() -> Self {
         TraceStore {
             traces: HashMap::new(),
-            retired: HashMap::new(),
-            predicted: HashMap::new(),
             phase_plans: HashMap::new(),
             scale_div: 1,
             record_cap: None,
+            engine: ReplayEngine::sequential(),
             cache: None,
             stats: CacheStats::default(),
         }
@@ -154,6 +174,21 @@ impl TraceStore {
         self
     }
 
+    /// Loads and generates traces on `engine` instead of the default
+    /// [`ReplayEngine::sequential`].
+    #[must_use]
+    pub fn with_engine(mut self, engine: ReplayEngine) -> Self {
+        self.engine = engine;
+        self
+    }
+
+    /// The engine this store loads and generates on; analyses that fold
+    /// its traces may run on it too.
+    #[must_use]
+    pub fn engine(&self) -> &ReplayEngine {
+        &self.engine
+    }
+
     /// The disk tier, if one is configured.
     #[must_use]
     pub fn cache(&self) -> Option<&TraceCache> {
@@ -174,83 +209,79 @@ impl TraceStore {
         Workload::reference(benchmark).with_scale(scale)
     }
 
-    /// Looks one workload configuration up in the disk tier (if any).
-    fn disk_lookup(
+    /// Serves every source, in input order, from memory, then the disk
+    /// tier, then one batch on the store's engine that generates each
+    /// distinct missing fingerprint once and writes it through in the same
+    /// job. With `keep`, the results join the in-memory map.
+    fn fetch(
         &mut self,
-        engine: &ReplayEngine,
-        workload: &Workload,
-        opt: OptLevel,
-    ) -> Option<(TraceMeta, SharedTrace)> {
-        let fingerprint = TraceCache::fingerprint(workload, opt, self.record_cap);
-        self.disk_lookup_fingerprint(engine, &fingerprint)
-    }
-
-    /// Looks one fingerprint up in the disk tier (if any), recording stats
-    /// and reporting rejected candidates on stderr.
-    fn disk_lookup_fingerprint(
-        &mut self,
-        engine: &ReplayEngine,
-        fingerprint: &Fingerprint,
-    ) -> Option<(TraceMeta, SharedTrace)> {
-        match self.cache.as_ref()?.lookup(engine, fingerprint) {
-            CacheLookup::Hit(meta, trace) => {
-                self.stats.disk_hits += 1;
-                Some((meta, trace))
+        sources: Vec<Source>,
+        keep: bool,
+    ) -> Result<Vec<(TraceMeta, SharedTrace)>, BuildError> {
+        let record_cap = self.record_cap;
+        let mut found: HashMap<Fingerprint, Option<(TraceMeta, SharedTrace)>> = HashMap::new();
+        let (mut order, mut missing) = (Vec::with_capacity(sources.len()), Vec::new());
+        for source in sources {
+            let fingerprint = source.fingerprint(record_cap);
+            if !found.contains_key(&fingerprint) {
+                let hit = match (self.traces.get(&fingerprint), &self.cache) {
+                    (Some(hit), _) => Some(hit.clone()),
+                    (None, Some(cache)) => match cache.lookup(&self.engine, &fingerprint) {
+                        CacheLookup::Hit(meta, trace) => {
+                            self.stats.disk_hits += 1;
+                            Some((meta, trace))
+                        }
+                        CacheLookup::Miss => None,
+                        CacheLookup::Invalid(why) => {
+                            self.stats.invalid += 1;
+                            eprintln!("[trace-cache] rejected {why}; regenerating");
+                            None
+                        }
+                    },
+                    (None, None) => None,
+                };
+                if hit.is_none() {
+                    missing.push(source);
+                }
+                found.insert(fingerprint.clone(), hit);
             }
-            CacheLookup::Miss => None,
-            CacheLookup::Invalid(why) => {
-                self.stats.invalid += 1;
-                eprintln!("[trace-cache] rejected {why}; regenerating");
-                None
+            order.push(fingerprint);
+        }
+        // Write failures are warnings, never run failures.
+        let cache = self.cache.as_ref();
+        let generated = self.engine.try_map(missing, |source| -> Result<_, BuildError> {
+            let (meta, trace) = source.generate(record_cap)?;
+            let written = cache.is_some_and(|cache| match cache.write_through(&meta, &trace) {
+                Ok(_) => true,
+                Err(err) => {
+                    let workload = &meta.fingerprint.workload;
+                    eprintln!("[trace-cache] write-through failed for {workload}: {err}");
+                    false
+                }
+            });
+            Ok((meta, trace, written))
+        })?;
+        for (meta, trace, written) in generated {
+            self.stats.simulated += 1;
+            self.stats.written += u64::from(written);
+            found.insert(meta.fingerprint.clone(), Some((meta, trace)));
+        }
+        let fetched: Vec<(TraceMeta, SharedTrace)> = order
+            .iter()
+            .map(|fingerprint| found[fingerprint].clone().expect("found or generated"))
+            .collect();
+        if keep {
+            for (meta, trace) in &fetched {
+                self.traces.insert(meta.fingerprint.clone(), (meta.clone(), trace.clone()));
             }
         }
+        Ok(fetched)
     }
 
-    /// Writes a freshly simulated trace through to the disk tier (if any);
-    /// write failures are warnings, never run failures.
-    fn write_through(
-        &mut self,
-        workload: &Workload,
-        opt: OptLevel,
-        retired: u64,
-        predicted: u64,
-        trace: &SharedTrace,
-    ) {
-        let meta = TraceMeta {
-            fingerprint: TraceCache::fingerprint(workload, opt, self.record_cap),
-            retired,
-            predicted,
-        };
-        self.write_through_meta(&meta, trace);
-    }
-
-    /// Fingerprint-generic write-through (synthetic traces share it).
-    fn write_through_meta(&mut self, meta: &TraceMeta, trace: &SharedTrace) {
-        let Some(cache) = &self.cache else { return };
-        match cache.write_through(meta, trace) {
-            Ok(_) => self.stats.written += 1,
-            Err(err) => eprintln!(
-                "[trace-cache] write-through failed for {}: {err}",
-                meta.fingerprint.workload
-            ),
-        }
-    }
-
-    /// Loads `benchmark`'s trace from the disk tier or simulates it (with
-    /// write-through), without touching the in-memory map.
-    fn acquire(
-        &mut self,
-        engine: &ReplayEngine,
-        benchmark: Benchmark,
-    ) -> Result<(SharedTrace, u64, u64), BuildError> {
-        let workload = self.workload(benchmark);
-        if let Some((meta, trace)) = self.disk_lookup(engine, &workload, REFERENCE_OPT) {
-            return Ok((trace, meta.retired, meta.predicted));
-        }
-        let (trace, retired, predicted) = generate(&workload, REFERENCE_OPT, self.record_cap)?;
-        self.stats.simulated += 1;
-        self.write_through(&workload, REFERENCE_OPT, retired, predicted, &trace);
-        Ok((trace, retired, predicted))
+    /// `benchmark`'s reference trace and its run totals, kept in memory.
+    fn benchmark(&mut self, benchmark: Benchmark) -> Result<(TraceMeta, SharedTrace), BuildError> {
+        let source = Source::Workload(self.workload(benchmark), REFERENCE_OPT);
+        Ok(self.fetch(vec![source], true)?.remove(0))
     }
 
     /// The cached trace for `benchmark`, generating it on first use. The
@@ -260,66 +291,34 @@ impl TraceStore {
     ///
     /// Propagates workload build/run errors.
     pub fn trace(&mut self, benchmark: Benchmark) -> Result<SharedTrace, BuildError> {
-        if !self.traces.contains_key(&benchmark) {
-            // The lazy path has no caller-provided engine; decode inline.
-            let engine = ReplayEngine::sequential();
-            let (trace, retired, predicted) = self.acquire(&engine, benchmark)?;
-            self.retired.insert(benchmark, retired);
-            self.predicted.insert(benchmark, predicted);
-            self.traces.insert(benchmark, trace);
-        }
-        Ok(self.traces[&benchmark].clone())
+        Ok(self.benchmark(benchmark)?.1)
     }
 
-    /// Fills every not-yet-cached trace among `benchmarks` in parallel on
-    /// `engine`'s worker pool: disk hits are decoded chunk-for-chunk
-    /// through the pool, the rest are simulated concurrently (and written
-    /// through when a trace directory is configured). Already-cached
-    /// benchmarks are untouched; duplicates are filled once.
+    /// Fills every not-yet-cached trace among `benchmarks` in one batch:
+    /// disk hits decode chunk-for-chunk on the worker pool, the rest
+    /// simulate concurrently. Already-cached benchmarks are untouched;
+    /// duplicates are filled once.
+    ///
+    /// The batch runs on `engine`, not on the store's own: this parameter
+    /// stays only because the frozen `perfbench` harness passes it, and the
+    /// next change to that harness removes it.
     ///
     /// # Errors
     ///
-    /// Propagates the first (in benchmark order) workload build/run error;
-    /// traces that generated successfully are discarded in that case.
+    /// Propagates the first (in benchmark order) workload build/run error.
     pub fn prefetch(
         &mut self,
         engine: &ReplayEngine,
         benchmarks: &[Benchmark],
     ) -> Result<(), BuildError> {
-        let mut missing: Vec<Benchmark> = Vec::new();
-        for &benchmark in benchmarks {
-            if !self.traces.contains_key(&benchmark) && !missing.contains(&benchmark) {
-                missing.push(benchmark);
-            }
-        }
-        // Disk tier first: each hit streams through the worker pool.
-        let mut to_simulate: Vec<Benchmark> = Vec::new();
-        for benchmark in missing {
-            let workload = self.workload(benchmark);
-            match self.disk_lookup(engine, &workload, REFERENCE_OPT) {
-                Some((meta, trace)) => {
-                    self.retired.insert(benchmark, meta.retired);
-                    self.predicted.insert(benchmark, meta.predicted);
-                    self.traces.insert(benchmark, trace);
-                }
-                None => to_simulate.push(benchmark),
-            }
-        }
-        let record_cap = self.record_cap;
-        let jobs: Vec<(Benchmark, Workload)> =
-            to_simulate.into_iter().map(|b| (b, self.workload(b))).collect();
-        let generated = engine.try_map(jobs, |(benchmark, workload)| {
-            generate(&workload, REFERENCE_OPT, record_cap).map(|result| (benchmark, result))
-        })?;
-        for (benchmark, (trace, retired, predicted)) in generated {
-            self.stats.simulated += 1;
-            let workload = self.workload(benchmark);
-            self.write_through(&workload, REFERENCE_OPT, retired, predicted, &trace);
-            self.retired.insert(benchmark, retired);
-            self.predicted.insert(benchmark, predicted);
-            self.traces.insert(benchmark, trace);
-        }
-        Ok(())
+        let sources = benchmarks
+            .iter()
+            .map(|&benchmark| Source::Workload(self.workload(benchmark), REFERENCE_OPT))
+            .collect();
+        let own = std::mem::replace(&mut self.engine, engine.clone());
+        let fetched = self.fetch(sources, true);
+        self.engine = own;
+        fetched.map(drop)
     }
 
     /// Loads or generates arbitrary `(workload, opt)` variant traces —
@@ -328,89 +327,36 @@ impl TraceStore {
     /// record-capped) trace and the full run's predicted-instruction
     /// count. A job whose fingerprint matches a benchmark trace already in
     /// memory (Table 6's reference input, Table 7's reference level) is
-    /// served from it; the rest go through the disk tier. Misses simulate
-    /// in parallel on `engine` and are written through; variants are not
-    /// added to the in-memory benchmark map (each experiment runs once per
-    /// process — persistence is what pays).
+    /// served from it, and a job listed twice generates once. Variants are
+    /// not added to the in-memory benchmark map (each experiment runs once
+    /// per process — persistence is what pays).
     ///
     /// # Errors
     ///
     /// Propagates the first (in input order) workload build/run error.
     pub fn variant_traces(
         &mut self,
-        engine: &ReplayEngine,
         jobs: Vec<(Workload, OptLevel)>,
     ) -> Result<Vec<(SharedTrace, u64)>, BuildError> {
-        let mut out: Vec<Option<(SharedTrace, u64)>> = vec![None; jobs.len()];
-        let mut to_simulate: Vec<(usize, Workload, OptLevel)> = Vec::new();
-        for (index, (workload, opt)) in jobs.into_iter().enumerate() {
-            let fingerprint = TraceCache::fingerprint(&workload, opt, self.record_cap);
-            let memo = self.traces.iter().find(|(&benchmark, _)| {
-                TraceCache::fingerprint(&self.workload(benchmark), REFERENCE_OPT, self.record_cap)
-                    == fingerprint
-            });
-            if let Some((benchmark, trace)) = memo {
-                out[index] = Some((trace.clone(), self.predicted[benchmark]));
-                continue;
-            }
-            match self.disk_lookup_fingerprint(engine, &fingerprint) {
-                Some((meta, trace)) => out[index] = Some((trace, meta.predicted)),
-                None => to_simulate.push((index, workload, opt)),
-            }
-        }
-        let record_cap = self.record_cap;
-        let generated = engine.try_map(to_simulate, |(index, workload, opt)| {
-            generate(&workload, opt, record_cap).map(|result| (index, workload, opt, result))
-        })?;
-        for (index, workload, opt, (trace, retired, predicted)) in generated {
-            self.stats.simulated += 1;
-            self.write_through(&workload, opt, retired, predicted, &trace);
-            out[index] = Some((trace, predicted));
-        }
-        Ok(out.into_iter().map(|slot| slot.expect("every job filled")).collect())
+        let sources = jobs.into_iter().map(|(workload, opt)| Source::Workload(workload, opt));
+        let fetched = self.fetch(sources.collect(), false)?;
+        Ok(fetched.into_iter().map(|(meta, trace)| (trace, meta.predicted)).collect())
     }
 
-    /// Loads or generates the traces of synthetic [`Scenario`]s through
-    /// the disk tier, returning one [`SharedTrace`] per scenario, in input
-    /// order. Exactly like [`TraceStore::variant_traces`], misses are
-    /// produced in parallel on `engine` and written through (fingerprinted
-    /// by [`Scenario::fingerprint`]), so a warm `repro sweep --trace-dir`
-    /// run generates nothing; scenarios are not held in the in-memory
-    /// benchmark map. Generated scenarios count as `simulated` in
-    /// [`CacheStats`].
+    /// Loads or generates the traces of synthetic [`Scenario`]s, returning
+    /// one [`SharedTrace`] per scenario, in input order. Misses persist
+    /// (fingerprinted by [`Scenario::fingerprint`]), so a warm `repro
+    /// sweep --trace-dir` run generates nothing; scenarios are not held in
+    /// the in-memory benchmark map. Generated scenarios count as
+    /// `simulated` in [`CacheStats`].
     ///
     /// Generation is infallible (no compiler or simulator is involved) and
     /// honours the store's record cap — the cap truncates the stored trace
     /// without changing what the full scenario would emit.
-    pub fn synthetic_traces(
-        &mut self,
-        engine: &ReplayEngine,
-        scenarios: &[Scenario],
-    ) -> Vec<SharedTrace> {
-        let mut out: Vec<Option<SharedTrace>> = vec![None; scenarios.len()];
-        let mut to_generate: Vec<(usize, Scenario)> = Vec::new();
-        for (index, scenario) in scenarios.iter().enumerate() {
-            let fingerprint = scenario.fingerprint(self.record_cap);
-            match self.disk_lookup_fingerprint(engine, &fingerprint) {
-                Some((_, trace)) => out[index] = Some(trace),
-                None => to_generate.push((index, *scenario)),
-            }
-        }
-        let record_cap = self.record_cap;
-        let generated = engine.map(to_generate, |(index, scenario)| {
-            (index, scenario, generate_synthetic(&scenario, record_cap))
-        });
-        for (index, scenario, (trace, emitted)) in generated {
-            self.stats.simulated += 1;
-            let meta = TraceMeta {
-                fingerprint: scenario.fingerprint(record_cap),
-                retired: emitted,
-                predicted: emitted,
-            };
-            self.write_through_meta(&meta, &trace);
-            out[index] = Some(trace);
-        }
-        out.into_iter().map(|slot| slot.expect("every scenario filled")).collect()
+    pub fn synthetic_traces(&mut self, scenarios: &[Scenario]) -> Vec<SharedTrace> {
+        let sources = scenarios.iter().map(|&scenario| Source::Scenario(scenario)).collect();
+        let fetched = self.fetch(sources, false).expect("scenario generation cannot fail");
+        fetched.into_iter().map(|(_, trace)| trace).collect()
     }
 
     /// The SimPoint phase plan for `benchmark`'s trace (default
@@ -432,16 +378,14 @@ impl TraceStore {
         Ok(self.phase_plans[&benchmark].clone())
     }
 
-    /// Total dynamic (retired) instructions for `benchmark`'s run,
-    /// available after [`TraceStore::trace`] has been called for it.
+    /// Total dynamic (retired) instructions for `benchmark`'s run.
     ///
     /// # Errors
     ///
     /// Propagates workload build/run errors (the trace is generated if
     /// needed).
     pub fn retired(&mut self, benchmark: Benchmark) -> Result<u64, BuildError> {
-        self.trace(benchmark)?;
-        Ok(self.retired[&benchmark])
+        Ok(self.benchmark(benchmark)?.0.retired)
     }
 
     /// The configured record cap, if any (consumers generating their own
@@ -458,8 +402,7 @@ impl TraceStore {
     ///
     /// Propagates workload build/run errors.
     pub fn predicted(&mut self, benchmark: Benchmark) -> Result<u64, BuildError> {
-        self.trace(benchmark)?;
-        Ok(self.predicted[&benchmark])
+        Ok(self.benchmark(benchmark)?.0.predicted)
     }
 }
 
@@ -494,8 +437,8 @@ mod tests {
             Scenario::new(ScenarioKind::Constant, 2, 50, 1),
             Scenario::new(ScenarioKind::Periodic { period: 4 }, 3, 40, 2),
         ];
-        let mut store = TraceStore::new();
-        let traces = store.synthetic_traces(&ReplayEngine::new().with_workers(2), &scenarios);
+        let mut store = TraceStore::new().with_engine(ReplayEngine::new().with_workers(2));
+        let traces = store.synthetic_traces(&scenarios);
         assert_eq!(traces.len(), 2);
         assert_eq!(traces[0].len(), 100);
         assert_eq!(traces[1].len(), 120);
@@ -510,9 +453,22 @@ mod tests {
         use dvp_workloads::synthetic::ScenarioKind;
         let scenario = Scenario::new(ScenarioKind::Constant, 2, 100, 3);
         let mut store = TraceStore::new().with_record_cap(30);
-        let traces = store.synthetic_traces(&ReplayEngine::sequential(), &[scenario]);
+        let traces = store.synthetic_traces(&[scenario]);
         assert_eq!(traces[0].len(), 30);
         assert_eq!(traces[0].to_vec(), scenario.records()[..30]);
+    }
+
+    #[test]
+    fn a_job_listed_twice_in_one_batch_simulates_once() {
+        let mut store = TraceStore::with_scale_div(1000)
+            .with_record_cap(2_000)
+            .with_engine(ReplayEngine::new().with_workers(2));
+        let job = (store.workload(Benchmark::Cc), OptLevel::O0);
+        let traces = store.variant_traces(vec![job.clone(), job]).expect("simulates");
+        assert_eq!(store.cache_stats().simulated, 1);
+        assert_eq!(traces.len(), 2);
+        assert_eq!(traces[0].0.to_vec(), traces[1].0.to_vec());
+        assert_eq!(traces[0].1, traces[1].1);
     }
 
     #[test]

@@ -45,6 +45,8 @@ pub fn locality(store: &mut TraceStore) -> Result<LocalityResults, BuildError> {
     let mut rows = Vec::with_capacity(Benchmark::ALL.len());
     for benchmark in Benchmark::ALL {
         let trace = store.trace(benchmark)?;
+        // Sequential on purpose: this fold is cheap, and sharded 8 ways on
+        // 2 workers it measured slower (0.48 -> 0.58 s wall).
         let profile =
             ReplayEngine::sequential().observe(&trace, || LocalityProfile::new(max_depth));
         let series: Vec<f64> = LOCALITY_DEPTHS.iter().map(|&d| profile.locality(d, None)).collect();
@@ -102,14 +104,16 @@ pub struct EntropyResults {
 }
 
 /// Profiles value-stream entropy and correlates it with FCM accuracy: per
-/// benchmark, one sequential fold of an [`EntropyProfile`] and one of a
-/// per-PC-tracked FCM; pooled figures sum the benchmarks'.
+/// benchmark, one fold of an [`EntropyProfile`] and one of a
+/// per-PC-tracked FCM, both on the store's engine (every tally is per PC,
+/// so sharding never changes a count); pooled figures sum the
+/// benchmarks'.
 ///
 /// # Errors
 ///
 /// Propagates workload build/run errors.
 pub fn entropy(store: &mut TraceStore) -> Result<EntropyResults, BuildError> {
-    let engine = ReplayEngine::sequential();
+    let engine = store.engine().clone();
     let mut fcm_by_bucket = vec![(0u64, 0u64); ENTROPY_BUCKETS.len() + 1];
     let (mut hists, mut bench_means) = (Vec::new(), Vec::new());
     for benchmark in Benchmark::ALL {

@@ -21,10 +21,11 @@ fn sensitivity_bank() -> Vec<PredictorConfig> {
 
 /// Every variant workload trace the sensitivity studies consume — Table
 /// 6's five `cc` inputs at the reference optimization level plus Table
-/// 7's three optimization levels of the default input — deduplicated by
-/// fingerprint. `repro trace export` pushes these through
-/// [`TraceStore::variant_traces`] so a subsequent `repro all` against the
-/// same cache directory performs zero value-trace simulation.
+/// 7's three optimization levels of the default input. The default input
+/// at the reference level appears twice; [`TraceStore::variant_traces`]
+/// generates each fingerprint once per batch. `repro trace export` pushes
+/// these through it so a subsequent `repro all` against the same cache
+/// directory performs zero value-trace simulation.
 ///
 /// # Errors
 ///
@@ -38,11 +39,6 @@ pub fn variant_jobs(store: &TraceStore) -> Result<Vec<(Workload, OptLevel)>, Bui
     for &flags in &OptLevel::ALL {
         jobs.push((store.workload(Benchmark::Cc), flags));
     }
-    let cap = store.record_cap();
-    let mut seen = std::collections::HashSet::new();
-    jobs.retain(|(workload, opt)| {
-        seen.insert(crate::cache::TraceCache::fingerprint(workload, *opt, cap).digest())
-    });
     Ok(jobs)
 }
 
@@ -67,9 +63,9 @@ pub struct Table6 {
 
 /// Runs Table 6: the same `cc` program over its five input files. The
 /// variant traces come through the store's cache tiers (cache misses
-/// simulate in parallel, one job per input, and persist when a trace
-/// directory is configured); the order-2 FCM replays then run as a 5×1
-/// matrix of sharded jobs.
+/// simulate in parallel on the store's engine, one job per input, and
+/// persist when a trace directory is configured); the order-2 FCM replays
+/// then run as a 5×1 matrix of sharded jobs.
 ///
 /// # Errors
 ///
@@ -80,7 +76,7 @@ pub fn table6(store: &mut TraceStore, engine: &ReplayEngine) -> Result<Table6, B
         .iter()
         .map(|&(name, _, _)| Ok((Workload::cc_with_input(name)?.with_scale(scale), REFERENCE_OPT)))
         .collect::<Result<_, BuildError>>()?;
-    let variants = store.variant_traces(engine, jobs)?;
+    let variants = store.variant_traces(jobs)?;
     let traces: Vec<SharedTrace> = variants.iter().map(|(trace, _)| trace.clone()).collect();
     let rows = CC_INPUTS
         .iter()
@@ -139,9 +135,9 @@ pub struct Table7 {
 
 /// Runs Table 7: the default `cc` input compiled at `O0`, `O1` and `O2`.
 /// Each optimization level's trace comes through the store's cache tiers
-/// (misses compile-and-trace in parallel and persist when a trace
-/// directory is configured), then the order-2 FCM replays run as a 3×1
-/// matrix.
+/// (misses compile-and-trace in parallel on the store's engine and
+/// persist when a trace directory is configured), then the order-2 FCM
+/// replays run as a 3×1 matrix.
 ///
 /// # Errors
 ///
@@ -150,7 +146,7 @@ pub fn table7(store: &mut TraceStore, engine: &ReplayEngine) -> Result<Table7, B
     let workload = store.workload(Benchmark::Cc);
     let jobs: Vec<(Workload, OptLevel)> =
         OptLevel::ALL.iter().map(|&flags| (workload.clone(), flags)).collect();
-    let variants = store.variant_traces(engine, jobs)?;
+    let variants = store.variant_traces(jobs)?;
     let traces: Vec<SharedTrace> = variants.iter().map(|(trace, _)| trace.clone()).collect();
     let rows = OptLevel::ALL
         .iter()

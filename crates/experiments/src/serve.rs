@@ -595,7 +595,8 @@ pub fn run_job(
     let mut store = match &spec.source {
         JobSource::Scenario(_) => TraceStore::new(),
         JobSource::Workload { scale_div, .. } => TraceStore::with_scale_div(*scale_div),
-    };
+    }
+    .with_engine(engine.clone());
     if let Some(cap) = spec.record_cap {
         store = store.with_record_cap(cap);
     }
@@ -604,7 +605,7 @@ pub fn run_job(
     }
     let trace = match &spec.source {
         JobSource::Scenario(scenario) => {
-            store.synthetic_traces(engine, &[*scenario]).pop().expect("one scenario in, one out")
+            store.synthetic_traces(&[*scenario]).pop().expect("one scenario in, one out")
         }
         JobSource::Workload { benchmark, .. } => {
             store.trace(*benchmark).map_err(|err| format!("workload generation failed: {err:?}"))?

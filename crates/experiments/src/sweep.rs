@@ -103,8 +103,9 @@ pub fn default_grid(quick: bool) -> Vec<Scenario> {
 /// Replays every scenario of `grid` under every configuration of `bank`
 /// (one `replay_matrix` call — the full matrix fans out as (trace, config,
 /// shard) jobs) and scores each row against its analytic expectation.
-/// Scenario traces are acquired through `store`, so a configured trace
-/// directory serves warm runs without generating.
+/// Scenario traces are acquired through `store` (and generated on its
+/// engine), so a configured trace directory serves warm runs without
+/// generating.
 pub fn run(
     store: &mut TraceStore,
     engine: &ReplayEngine,
@@ -137,7 +138,7 @@ fn run_inner(
     bank: &[PredictorConfig],
     sample: bool,
 ) -> SweepResults {
-    let traces = store.synthetic_traces(engine, grid);
+    let traces = store.synthetic_traces(grid);
     let matrix = engine.replay_matrix(&traces, bank);
     let rows = grid
         .iter()

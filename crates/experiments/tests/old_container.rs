@@ -62,7 +62,7 @@ fn version_3_container_is_invalid_regenerated_and_never_served() {
 
     // The store counts the file invalid, simulates, and rewrites it as v4.
     let mut store = TraceStore::new().with_record_cap(RECORDS).with_trace_dir(&tmp.0);
-    let traces = store.synthetic_traces(&engine, &[scenario()]);
+    let traces = store.synthetic_traces(&[scenario()]);
     assert_eq!(traces[0].to_vec(), scenario().records()[..RECORDS]);
     let stats = store.cache_stats();
     assert_eq!((stats.invalid, stats.simulated, stats.written, stats.disk_hits), (1, 1, 1, 0));

@@ -104,7 +104,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// silently change every downstream table. String fields keep the type
 /// independent of the workload crate; [`Fingerprint::digest`] condenses it
 /// to a filename-friendly hash.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Fingerprint {
     /// Workload (benchmark) name, e.g. `"m88k"`.
     pub workload: String,

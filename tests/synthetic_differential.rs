@@ -21,9 +21,9 @@ const RPP: u32 = 20_000;
 /// configuration name, going through the full store + engine path.
 fn accuracies(kind: ScenarioKind, seed: u64) -> HashMap<String, f64> {
     let scenario = Scenario::new(kind, 2, RPP, seed);
-    let mut store = TraceStore::new();
     let engine = ReplayEngine::new();
-    let trace = store.synthetic_traces(&engine, &[scenario]).pop().expect("one trace");
+    let mut store = TraceStore::new().with_engine(engine.clone());
+    let trace = store.synthetic_traces(&[scenario]).pop().expect("one trace");
     engine
         .replay(&trace, &PredictorConfig::paper_bank())
         .into_iter()
@@ -130,9 +130,9 @@ fn random_values_defeat_every_family() {
 #[test]
 fn mixed_blend_is_won_by_fcm3() {
     let scenario = Scenario::new(ScenarioKind::Mixed, 10, RPP, 12);
-    let mut store = TraceStore::new();
     let engine = ReplayEngine::new();
-    let trace = store.synthetic_traces(&engine, &[scenario]).pop().expect("one trace");
+    let mut store = TraceStore::new().with_engine(engine.clone());
+    let trace = store.synthetic_traces(&[scenario]).pop().expect("one trace");
     let replays = engine.replay(&trace, &PredictorConfig::paper_bank());
     let best = replays.iter().max_by(|a, b| a.accuracy().total_cmp(&b.accuracy())).unwrap();
     assert_eq!(best.name, "fcm3", "fcm3 saturates 3 of the 5 blended classes");

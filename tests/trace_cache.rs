@@ -83,6 +83,23 @@ fn warm_lazy_trace_equals_cold_without_any_engine() {
 }
 
 #[test]
+fn a_store_on_a_parallel_engine_loads_the_same_warm_trace() {
+    // The store decodes disk hits on its own engine: a two-worker store
+    // serves the warm trace byte-identical to a sequential store's.
+    let dir = TempDir::new("store-engine");
+    let fresh = store(&dir).trace(Benchmark::M88k).expect("simulates");
+    let mut sequential = store(&dir);
+    let mut parallel = store(&dir).with_engine(ReplayEngine::new().with_workers(2));
+    let a = sequential.trace(Benchmark::M88k).expect("sequential load");
+    let b = parallel.trace(Benchmark::M88k).expect("parallel load");
+    assert_eq!(a.to_vec(), fresh.to_vec());
+    assert_eq!(b.to_vec(), a.to_vec());
+    assert_eq!(b.interner(), a.interner());
+    let stats = parallel.cache_stats();
+    assert_eq!((stats.disk_hits, stats.simulated), (1, 0));
+}
+
+#[test]
 fn cache_hit_output_equals_cache_miss_output() {
     // The acceptance pin: a rendered experiment table must be byte-equal
     // whether its traces were simulated (cache miss) or loaded (cache
@@ -173,13 +190,13 @@ fn synthetic_cold_and_warm_serve_identical_traces_including_interner() {
         Scenario::new(ScenarioKind::Chase { heap: 32 }, 4, 1500, 12),
     ];
 
-    let mut cold = store(&dir);
-    let fresh = cold.synthetic_traces(&engine, &scenarios);
+    let mut cold = store(&dir).with_engine(engine.clone());
+    let fresh = cold.synthetic_traces(&scenarios);
     assert_eq!(cold.cache_stats().simulated, 2, "cold run generates everything");
     assert_eq!(cold.cache_stats().written, 2, "every generated trace persists");
 
-    let mut warm = store(&dir);
-    let loaded = warm.synthetic_traces(&engine, &scenarios);
+    let mut warm = store(&dir).with_engine(engine.clone());
+    let loaded = warm.synthetic_traces(&scenarios);
     assert_eq!(warm.cache_stats().simulated, 0, "warm run must not generate");
     assert_eq!(warm.cache_stats().disk_hits, 2);
     assert_eq!(warm.cache_stats().invalid, 0);
@@ -198,8 +215,8 @@ fn synthetic_cold_and_warm_serve_identical_traces_including_interner() {
     // A reseeded scenario is a different fingerprint: clean miss, fresh
     // generation — never a stale hit.
     let reseeded = Scenario::new(ScenarioKind::Chase { heap: 32 }, 4, 1500, 99);
-    let mut other = store(&dir);
-    let regenerated = other.synthetic_traces(&engine, &[reseeded]);
+    let mut other = store(&dir).with_engine(engine);
+    let regenerated = other.synthetic_traces(&[reseeded]);
     assert_eq!(other.cache_stats().simulated, 1);
     assert_ne!(regenerated[0].to_vec(), fresh[1].to_vec(), "reseeding must change the stream");
 }
