@@ -18,7 +18,7 @@ use dvp_workloads::synthetic::{Scenario, ScenarioKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::TextTable;
+use crate::{json, TextTable};
 
 /// Records in the full-scale bench trace (`--quick` divides by the
 /// global scale divisor).
@@ -104,7 +104,7 @@ pub fn run(records: usize, passes: usize) -> Vec<BenchResult> {
 /// Renders results as the stable `BENCH_*.json` shape. The engine epoch
 /// identifies which predictor-semantics surface produced the numbers, so
 /// two baseline files are only comparable when their epochs match
-/// ([`parse_baseline`] tolerates the extra line).
+/// ([`parse_baseline`] skips the field).
 #[must_use]
 pub fn to_json(records: usize, results: &[BenchResult]) -> String {
     let mut out = String::from("{\n");
@@ -113,10 +113,12 @@ pub fn to_json(records: usize, results: &[BenchResult]) -> String {
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
+        out.push_str("    {\"name\": ");
+        json::write_string(&r.name, &mut out);
         let _ = writeln!(
             out,
-            "    {{\"name\": \"{}\", \"correct\": {}, \"ns_per_record\": {:.2}}}{comma}",
-            r.name, r.correct, r.ns_per_record
+            ", \"correct\": {}, \"ns_per_record\": {:.2}}}{comma}",
+            r.correct, r.ns_per_record
         );
     }
     out.push_str("  ]\n}\n");
@@ -133,40 +135,53 @@ pub struct Baseline {
     pub results: Vec<BenchResult>,
 }
 
-/// Reads a baseline JSON file written by [`to_json`] back. Tolerant of
-/// whitespace but not of a different shape: `None` when the record count
-/// or every result row is missing.
-#[must_use]
-pub fn parse_baseline(text: &str) -> Option<Baseline> {
+/// Reads a baseline JSON file written by [`to_json`] back. Fields it
+/// does not know (the engine epoch) are skipped; any other shape is an
+/// error, as is a file without a record count or without result rows.
+///
+/// # Errors
+///
+/// What is malformed or missing.
+pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
+    let mut parser = json::Parser::new(text);
     let mut records = None;
     let mut results = Vec::new();
-    for line in text.lines() {
-        if let Some(n) = extract_num(line, "\"records\":") {
-            records = Some(n);
+    parser.object(|parser, key| -> Result<(), String> {
+        match key.as_str() {
+            "records" => records = Some(parser.number("records")?),
+            "results" => {
+                parser.array(|parser| parse_result(parser).map(|row| results.push(row)))?
+            }
+            _ => parser.skip_value()?,
         }
-        let Some(name) = extract_str(line, "\"name\":") else { continue };
-        let Some(correct) = extract_num(line, "\"correct\":") else { continue };
-        let Some(ns_per_record) = extract_num(line, "\"ns_per_record\":") else { continue };
-        results.push(BenchResult { name, correct, ns_per_record });
-    }
+        Ok(())
+    })?;
+    parser.finish()?;
+    let records = records.ok_or("no `records` count")?;
     if results.is_empty() {
-        return None;
+        return Err("no `results` rows".to_owned());
     }
-    Some(Baseline { records: records?, results })
+    Ok(Baseline { records, results })
 }
 
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let rest = line.split(key).nth(1)?;
-    let open = rest.find('"')?;
-    let rest = &rest[open + 1..];
-    Some(rest[..rest.find('"')?].to_owned())
-}
-
-fn extract_num<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
-    let rest = line.split(key).nth(1)?.trim_start();
-    let end =
-        rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// One `{"name": …, "correct": …, "ns_per_record": …}` row.
+fn parse_result(parser: &mut json::Parser) -> Result<BenchResult, String> {
+    let (mut name, mut correct, mut ns_per_record) = (None, None, None);
+    parser.object(|parser, key| -> Result<(), json::Error> {
+        match key.as_str() {
+            "name" => name = Some(parser.string()?),
+            "correct" => correct = Some(parser.number("correct")?),
+            "ns_per_record" => ns_per_record = Some(parser.number("ns_per_record")?),
+            _ => parser.skip_value()?,
+        }
+        Ok(())
+    })?;
+    match (name, correct, ns_per_record) {
+        (Some(name), Some(correct), Some(ns_per_record)) => {
+            Ok(BenchResult { name, correct, ns_per_record })
+        }
+        _ => Err("a result row lacks `name`, `correct` or `ns_per_record`".to_owned()),
+    }
 }
 
 /// Compares a run of `records` records to a baseline: renders a
@@ -268,14 +283,44 @@ mod tests {
     fn json_round_trips_through_the_baseline_parser() {
         let results = vec![result("l", 10, 5.25), result("fcm3", 7, 123.5)];
         let json = to_json(1_000, &results);
-        assert_eq!(parse_baseline(&json), Some(baseline(1_000, results)));
+        assert_eq!(parse_baseline(&json), Ok(baseline(1_000, results)));
         // The epoch stamp identifies the producing semantics surface and
-        // must never confuse the (line-oriented) baseline parser.
+        // must never confuse the baseline parser.
         let stamp = format!("\"engine_epoch\": \"{:016x}\"", dvp_engine::engine_epoch());
         assert!(json.contains(&stamp), "{json}");
         // A file without a record count or without rows is no baseline.
-        assert_eq!(parse_baseline(&json.replace("\"records\"", "\"rows\"")), None);
-        assert_eq!(parse_baseline("{\"records\": 1000}"), None);
+        let no_count = parse_baseline(&json.replace("\"records\"", "\"rows\"")).unwrap_err();
+        assert!(no_count.contains("no `records` count"), "{no_count}");
+        let no_rows = parse_baseline("{\"records\": 1000}").unwrap_err();
+        assert!(no_rows.contains("no `results` rows"), "{no_rows}");
+        let short_row = json.replace(", \"correct\": 7", "");
+        assert!(parse_baseline(&short_row).unwrap_err().contains("lacks"));
+        assert!(parse_baseline(&format!("{json}}}")).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn committed_baselines_parse_to_their_rows() {
+        // Every committed `BENCH_*.json`, read as the line scanner that
+        // preceded the JSON parser read it: 200,000 records and the same
+        // six rows, hits unchanged since the first baseline.
+        let files = [
+            (include_str!("../../../BENCH_9.json"), [7.40, 9.19, 510.57, 530.39, 745.54, 580.25]),
+            (include_str!("../../../BENCH_14.json"), [5.94, 7.44, 177.94, 213.17, 406.80, 254.99]),
+            (include_str!("../../../BENCH_17.json"), [9.56, 10.71, 157.58, 161.83, 219.27, 194.57]),
+            (include_str!("../../../BENCH_20.json"), [6.69, 7.98, 163.45, 246.34, 365.24, 330.31]),
+        ];
+        let names = ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid"];
+        let correct = [40_615, 82_496, 120_904, 120_904, 120_904, 161_464];
+        for (text, ns) in files {
+            let rows = (0..6).map(|i| result(names[i], correct[i], ns[i])).collect();
+            let parsed = parse_baseline(text).expect("committed baseline parses");
+            assert_eq!(parsed, baseline(200_000, rows));
+            // Files stamped with this epoch are exactly what the writer
+            // renders for their rows.
+            if text.contains(&format!("{:016x}", dvp_engine::engine_epoch())) {
+                assert_eq!(to_json(parsed.records, &parsed.results), text);
+            }
+        }
     }
 
     #[test]

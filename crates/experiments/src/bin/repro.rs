@@ -7,7 +7,6 @@
 //! repro --workers 4 all              # cap the replay engine at 4 threads
 //! repro --workers 1 all              # sequential reference (byte-identical output)
 //! repro --trace-dir traces/ all      # persistent cache: cold run saves, warm runs load
-//! repro --no-trace-cache ...         # ignore --trace-dir for this run
 //! repro --quick all --sample         # also check phase-sampled replay (<=1pp error)
 //! repro --list                       # list experiment ids
 //! repro sweep                        # synthetic scenario x predictor matrix
@@ -166,13 +165,13 @@ const TOOLS: [Tool; 8] = [
 
 /// The experiments' own usage line.
 const EXPERIMENTS_USAGE: &str =
-    "repro [--quick] [--sample] [--trace-dir DIR] [--no-trace-cache] all | <experiment>...";
+    "repro [--quick] [--sample] [--trace-dir DIR] all | <experiment>...";
 
 /// What the top-level usage says after the command lines.
 const ABOUT: &str = "\
 The global flags --quick, --sample, --workers/-j N, --shards N,
---chunk-window N, --trace-dir DIR and --no-trace-cache may appear anywhere
-on the command line; every command that uses one honours it.
+--chunk-window N and --trace-dir DIR may appear anywhere on the command
+line; every command that uses one honours it.
 
 Regenerates the tables and figures of Sazeides & Smith (MICRO-30 1997)
 through the parallel replay engine (default: all cores; output is
@@ -514,9 +513,8 @@ fn run_bench_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String>
         Some(path) => {
             let text = fs::read_to_string(&path)
                 .map_err(|err| format!("cannot read baseline {}: {err}", path.display()))?;
-            let baseline = bench::parse_baseline(&text).ok_or_else(|| {
-                format!("baseline {} holds no record count or no results", path.display())
-            })?;
+            let baseline = bench::parse_baseline(&text)
+                .map_err(|why| format!("baseline {}: {why}", path.display()))?;
             Some(baseline)
         }
     };
@@ -1079,7 +1077,7 @@ fn run_experiments(ids: &[String], globals: Globals) -> Result<ExitCode, String>
 /// the `--list`, the named tool, the usage or the experiments.
 fn run(argv: Vec<String>) -> Result<ExitCode, String> {
     let (mut scale_div, mut engine, mut trace_dir) = (1, ReplayEngine::new(), None);
-    let (mut sample, mut no_trace_cache) = (false, false);
+    let mut sample = false;
     let mut rest: Vec<String> = Vec::new();
     let mut args = Args::new(argv, "", String::new());
     while let Some(arg) = args.next() {
@@ -1090,11 +1088,9 @@ fn run(argv: Vec<String>) -> Result<ExitCode, String> {
             "--chunk-window" => engine = engine.with_chunk_window(args.count(&arg)?),
             "--sample" => sample = true,
             "--trace-dir" => trace_dir = Some(PathBuf::from(args.value(&arg)?)),
-            "--no-trace-cache" => no_trace_cache = true,
             _ => rest.push(arg),
         }
     }
-    let trace_dir = trace_dir.filter(|_| !no_trace_cache);
     let globals = Globals { scale_div, engine, trace_dir, sample };
     if rest.iter().any(|a| a == "--list" || a == "-l") {
         for (id, ..) in EXPERIMENTS {

@@ -70,6 +70,7 @@ pub mod characterize;
 mod context;
 pub mod durable;
 pub mod information;
+mod json;
 pub mod overlap;
 pub mod phases;
 pub mod realism;

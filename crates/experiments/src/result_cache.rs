@@ -56,16 +56,9 @@ pub const RESULT_MAGIC: [u8; 4] = *b"DVPR";
 /// any other version are rejected and recomputed.
 pub const RESULT_VERSION: u8 = 2;
 
-/// FNV-1a 64 of one byte slice — the entry checksum function (same
-/// algorithm as the trace container's, `docs/TRACE_FORMAT.md`).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// The entry checksum and file-name hash: the workspace's one FNV-1a 64
+/// (the trace container's checksum too, `docs/TRACE_FORMAT.md`).
+pub use dvp_trace::fnv1a64;
 
 /// Byte length of the fixed header: magic (4) + version (1) + engine
 /// epoch (8) + key length (4) + payload length (4).

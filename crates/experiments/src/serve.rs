@@ -121,13 +121,15 @@
 //! ```
 
 use crate::cache::TraceCache;
+use crate::json;
 use crate::result_cache::{ResultCache, ResultCacheStats};
 use crate::{TextTable, TraceStore, REFERENCE_OPT};
 use dvp_core::PredictorConfig;
 use dvp_engine::{JobQueue, ReplayEngine};
-use dvp_workloads::synthetic::{Scenario, ScenarioKind, MAX_CYCLE};
+use dvp_trace::Fnv;
+use dvp_workloads::synthetic::{Scenario, ScenarioKind};
 use dvp_workloads::Benchmark;
-use serde::json;
+use std::collections::HashSet;
 use std::io::{self, BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -215,21 +217,15 @@ impl ScenarioFields {
         value.ok_or_else(|| format!("scenario kind `{kind}` requires field `{name}`"))
     }
 
-    /// Builds the validated [`Scenario`], mirroring [`Scenario::new`]'s
-    /// panicking range asserts as structured errors (a daemon must never
+    /// Builds the validated [`Scenario`]. Field presence and which fields
+    /// a kind takes are checked here; the parameter ranges are
+    /// [`Scenario::try_new`]'s, answered as errors (a daemon must never
     /// panic on client input).
     fn build(self) -> Result<Scenario, String> {
         let kind_name = self.kind.clone().ok_or("scenario requires field `kind`")?;
         let pcs = self.pcs.ok_or("scenario requires field `pcs`")?;
         let records_per_pc =
             self.records_per_pc.ok_or("scenario requires field `records_per_pc`")?;
-        if pcs == 0 {
-            return Err("scenario `pcs` must be positive".to_owned());
-        }
-        if records_per_pc == 0 {
-            return Err("scenario `records_per_pc` must be positive".to_owned());
-        }
-        let seed = self.seed.unwrap_or(1);
         let kind = match kind_name.as_str() {
             "constant" => {
                 self.forbid(&kind_name, &[])?;
@@ -242,58 +238,29 @@ impl ScenarioFields {
             "stride" => {
                 self.forbid(&kind_name, &["stride", "jitter_pct"])?;
                 let stride = Self::require(self.stride, &kind_name, "stride")?;
-                if stride == 0 {
-                    return Err(
-                        "scenario `stride` must be nonzero (use kind `constant`)".to_owned()
-                    );
-                }
-                let jitter_pct = self.jitter_pct.unwrap_or(0);
-                if jitter_pct > 100 {
-                    return Err("scenario `jitter_pct` must be at most 100".to_owned());
-                }
-                ScenarioKind::Stride { stride, jitter_pct }
+                ScenarioKind::Stride { stride, jitter_pct: self.jitter_pct.unwrap_or(0) }
             }
             "periodic" => {
                 self.forbid(&kind_name, &["period"])?;
-                let period = Self::require(self.period, &kind_name, "period")?;
-                if !(1..=MAX_CYCLE).contains(&period) {
-                    return Err(format!("scenario `period` must be in 1..={MAX_CYCLE}"));
-                }
-                ScenarioKind::Periodic { period }
+                ScenarioKind::Periodic { period: Self::require(self.period, &kind_name, "period")? }
             }
             "markov" => {
                 self.forbid(&kind_name, &["order", "alphabet"])?;
                 let order = Self::require(self.order, &kind_name, "order")?;
                 let alphabet = Self::require(self.alphabet, &kind_name, "alphabet")?;
-                if !(1..=8).contains(&order) {
-                    return Err("scenario `order` must be in 1..=8".to_owned());
-                }
-                if !(2..=64).contains(&alphabet) {
-                    return Err(
-                        "scenario `alphabet` must be in 2..=64 for kind `markov`".to_owned()
-                    );
-                }
-                let alphabet = u32::try_from(alphabet).expect("<= 64");
-                if u64::from(alphabet).pow(order) > u64::from(MAX_CYCLE) {
-                    return Err(format!("scenario alphabet^order exceeds {MAX_CYCLE}"));
-                }
+                // Out of `u32` is out of the 2..=64 range `try_new` checks.
+                let alphabet = u32::try_from(alphabet).unwrap_or(u32::MAX);
                 ScenarioKind::Markov { order, alphabet }
             }
             "chase" => {
                 self.forbid(&kind_name, &["heap"])?;
-                let heap = Self::require(self.heap, &kind_name, "heap")?;
-                if !(2..=MAX_CYCLE).contains(&heap) {
-                    return Err(format!("scenario `heap` must be in 2..={MAX_CYCLE}"));
-                }
-                ScenarioKind::Chase { heap }
+                ScenarioKind::Chase { heap: Self::require(self.heap, &kind_name, "heap")? }
             }
             "random" => {
                 self.forbid(&kind_name, &["alphabet"])?;
-                let alphabet = Self::require(self.alphabet, &kind_name, "alphabet")?;
-                if alphabet < 2 {
-                    return Err("scenario `alphabet` must be at least 2".to_owned());
+                ScenarioKind::Random {
+                    alphabet: Self::require(self.alphabet, &kind_name, "alphabet")?,
                 }
-                ScenarioKind::Random { alphabet }
             }
             other => {
                 return Err(format!(
@@ -302,14 +269,8 @@ impl ScenarioFields {
                 ))
             }
         };
-        Ok(Scenario::new(kind, pcs, records_per_pc, seed))
+        Scenario::try_new(kind, pcs, records_per_pc, self.seed.unwrap_or(1))
     }
-}
-
-/// Parses one JSON number token into `T`, with the field name in errors.
-fn number_field<T: std::str::FromStr>(parser: &mut json::Parser, name: &str) -> Result<T, String> {
-    let text = parser.number_text().map_err(|err| format!("field `{name}`: {err}"))?;
-    text.parse::<T>().map_err(|_| format!("field `{name}`: invalid number `{text}`"))
 }
 
 impl JobSpec {
@@ -322,44 +283,31 @@ impl JobSpec {
     pub fn parse(text: &str) -> Result<JobSpec, String> {
         let mut parser = json::Parser::new(text);
         let spec = JobSpec::parse_value(&mut parser)?;
-        parser.finish().map_err(|err| err.to_string())?;
+        parser.finish()?;
         Ok(spec)
     }
 
     /// Parses one job-spec object at the parser's cursor (the form used
     /// inside a `submit` request's `"job"` field).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first violation.
-    pub fn parse_value(parser: &mut json::Parser) -> Result<JobSpec, String> {
-        let fail = |err: json::Error| err.to_string();
-        parser.begin_object().map_err(fail)?;
+    fn parse_value(parser: &mut json::Parser) -> Result<JobSpec, String> {
         let mut scenario: Option<Scenario> = None;
         let mut workload: Option<(Benchmark, u32)> = None;
         let mut bank: Option<Vec<String>> = None;
         let mut sample = false;
         let mut record_cap: Option<usize> = None;
-        let mut first = true;
-        while !parser.end_object(&mut first).map_err(fail)? {
-            let key = parser.string().map_err(fail)?;
-            parser.colon().map_err(fail)?;
+        parser.object(|parser, key| {
             match key.as_str() {
                 "scenario" => scenario = Some(Self::parse_scenario(parser)?),
                 "workload" => workload = Some(Self::parse_workload(parser)?),
                 "bank" => {
                     let mut names = Vec::new();
-                    parser.begin_array().map_err(fail)?;
-                    let mut first_el = true;
-                    while !parser.end_array(&mut first_el).map_err(fail)? {
-                        names.push(parser.string().map_err(fail)?);
-                    }
+                    parser.array(|parser| parser.string().map(|name| names.push(name)))?;
                     bank = Some(names);
                 }
-                "sample" => sample = parser.boolean().map_err(fail)?,
+                "sample" => sample = parser.boolean()?,
                 "record_cap" => {
-                    if !parser.try_null().map_err(fail)? {
-                        let cap: u64 = number_field(parser, "record_cap")?;
+                    if !parser.try_null() {
+                        let cap: u64 = parser.number("record_cap")?;
                         if cap == 0 {
                             return Err("field `record_cap` must be positive".to_owned());
                         }
@@ -369,7 +317,8 @@ impl JobSpec {
                 }
                 other => return Err(format!("unknown job field `{other}`")),
             }
-        }
+            Ok(())
+        })?;
         let source = match (scenario, workload) {
             (Some(s), None) => JobSource::Scenario(s),
             (None, Some((benchmark, scale_div))) => JobSource::Workload { benchmark, scale_div },
@@ -393,44 +342,35 @@ impl JobSpec {
     }
 
     fn parse_scenario(parser: &mut json::Parser) -> Result<Scenario, String> {
-        let fail = |err: json::Error| err.to_string();
-        parser.begin_object().map_err(fail)?;
         let mut fields = ScenarioFields::default();
-        let mut first = true;
-        while !parser.end_object(&mut first).map_err(fail)? {
-            let key = parser.string().map_err(fail)?;
-            parser.colon().map_err(fail)?;
+        parser.object(|parser, key| {
             match key.as_str() {
-                "kind" => fields.kind = Some(parser.string().map_err(fail)?),
-                "pcs" => fields.pcs = Some(number_field(parser, "pcs")?),
+                "kind" => fields.kind = Some(parser.string()?),
+                "pcs" => fields.pcs = Some(parser.number("pcs")?),
                 "records_per_pc" => {
-                    fields.records_per_pc = Some(number_field(parser, "records_per_pc")?);
+                    fields.records_per_pc = Some(parser.number("records_per_pc")?);
                 }
-                "seed" => fields.seed = Some(number_field(parser, "seed")?),
-                "stride" => fields.stride = Some(number_field(parser, "stride")?),
-                "jitter_pct" => fields.jitter_pct = Some(number_field(parser, "jitter_pct")?),
-                "period" => fields.period = Some(number_field(parser, "period")?),
-                "order" => fields.order = Some(number_field(parser, "order")?),
-                "alphabet" => fields.alphabet = Some(number_field(parser, "alphabet")?),
-                "heap" => fields.heap = Some(number_field(parser, "heap")?),
+                "seed" => fields.seed = Some(parser.number("seed")?),
+                "stride" => fields.stride = Some(parser.number("stride")?),
+                "jitter_pct" => fields.jitter_pct = Some(parser.number("jitter_pct")?),
+                "period" => fields.period = Some(parser.number("period")?),
+                "order" => fields.order = Some(parser.number("order")?),
+                "alphabet" => fields.alphabet = Some(parser.number("alphabet")?),
+                "heap" => fields.heap = Some(parser.number("heap")?),
                 other => return Err(format!("unknown scenario field `{other}`")),
             }
-        }
+            Ok(())
+        })?;
         fields.build()
     }
 
     fn parse_workload(parser: &mut json::Parser) -> Result<(Benchmark, u32), String> {
-        let fail = |err: json::Error| err.to_string();
-        parser.begin_object().map_err(fail)?;
         let mut benchmark: Option<Benchmark> = None;
         let mut scale_div = 1u32;
-        let mut first = true;
-        while !parser.end_object(&mut first).map_err(fail)? {
-            let key = parser.string().map_err(fail)?;
-            parser.colon().map_err(fail)?;
+        parser.object(|parser, key| {
             match key.as_str() {
                 "benchmark" => {
-                    let name = parser.string().map_err(fail)?;
+                    let name = parser.string()?;
                     let Some(&found) = Benchmark::ALL.iter().find(|b| b.name() == name) else {
                         let names: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
                         return Err(format!(
@@ -441,14 +381,15 @@ impl JobSpec {
                     benchmark = Some(found);
                 }
                 "scale_div" => {
-                    scale_div = number_field(parser, "scale_div")?;
+                    scale_div = parser.number("scale_div")?;
                     if scale_div == 0 {
                         return Err("field `scale_div` must be positive".to_owned());
                     }
                 }
                 other => return Err(format!("unknown workload field `{other}`")),
             }
-        }
+            Ok(())
+        })?;
         let benchmark = benchmark.ok_or("workload requires field `benchmark`")?;
         Ok((benchmark, scale_div))
     }
@@ -664,33 +605,18 @@ fn hello_frame(server: &str) -> String {
     format!("{{\"frame\":\"hello\",\"protocol\":{PROTOCOL_VERSION},\"server\":\"{server}\"}}")
 }
 
-/// A per-job frame with one string field:
-/// `{"frame":"<kind>","id":<id>,"<field>":"<value>"}` (`accepted` / `key`,
-/// `rejected` / `reason`, `progress` / `state`, `error` / `message`).
-fn job_frame(kind: &str, id: Option<u64>, field: &str, value: &str) -> String {
-    let mut out = format!("{{\"frame\":\"{kind}\",\"id\":{},\"{field}\":", id_json(id));
-    json::write_string(value, &mut out);
-    out.push('}');
-    out
-}
-
-fn result_frame(id: Option<u64>, cache: &str, payload: &str) -> String {
-    let mut out = format!("{{\"frame\":\"result\",\"id\":{},\"cache\":", id_json(id));
-    json::write_string(cache, &mut out);
-    out.push_str(",\"payload\":");
-    json::write_string(payload, &mut out);
-    out.push('}');
-    out
-}
-
-/// Terminal frame the router emits for a job whose owning backend could
-/// not be reached (or was lost mid-job): structured, per-job, never a
-/// hang.
-fn backend_down_frame(id: Option<u64>, backend: &str, reason: &str) -> String {
-    let mut out = format!("{{\"frame\":\"backend_down\",\"id\":{},\"backend\":", id_json(id));
-    json::write_string(backend, &mut out);
-    out.push_str(",\"reason\":");
-    json::write_string(reason, &mut out);
+/// A per-job frame with string fields:
+/// `{"frame":"<kind>","id":<id>,"<field>":"<value>",...}` (`accepted` /
+/// `key`, `rejected` / `reason`, `progress` / `state`, `error` /
+/// `message`, `result` / `cache` + `payload`, and the router's
+/// `backend_down` / `backend` + `reason` for a job whose owning backend
+/// could not be reached or was lost mid-job: structured, never a hang).
+fn job_frame(kind: &str, id: Option<u64>, fields: &[(&str, &str)]) -> String {
+    let mut out = format!("{{\"frame\":\"{kind}\",\"id\":{}", id_json(id));
+    for (field, value) in fields {
+        out.push_str(&format!(",\"{field}\":"));
+        json::write_string(value, &mut out);
+    }
     out.push('}');
     out
 }
@@ -730,36 +656,32 @@ impl Frame {
     ///
     /// Reports malformed JSON or a missing `frame` field.
     pub fn parse(line: &str) -> Result<Frame, String> {
-        let fail = |err: json::Error| err.to_string();
         let mut parser = json::Parser::new(line);
         let mut out = Frame { raw: line.to_owned(), ..Frame::default() };
-        parser.begin_object().map_err(fail)?;
-        let mut first = true;
         let mut saw_frame = false;
-        while !parser.end_object(&mut first).map_err(fail)? {
-            let field = parser.string().map_err(fail)?;
-            parser.colon().map_err(fail)?;
+        parser.object(|parser, field| -> Result<(), String> {
             match field.as_str() {
                 "frame" => {
-                    out.frame = parser.string().map_err(fail)?;
+                    out.frame = parser.string()?;
                     saw_frame = true;
                 }
                 "id" => {
-                    if !parser.try_null().map_err(fail)? {
-                        out.id = Some(number_field(&mut parser, "id")?);
+                    if !parser.try_null() {
+                        out.id = Some(parser.number("id")?);
                     }
                 }
-                "key" => out.key = Some(parser.string().map_err(fail)?),
-                "reason" => out.reason = Some(parser.string().map_err(fail)?),
-                "state" => out.state = Some(parser.string().map_err(fail)?),
-                "cache" => out.cache = Some(parser.string().map_err(fail)?),
-                "payload" => out.payload = Some(parser.string().map_err(fail)?),
-                "message" => out.message = Some(parser.string().map_err(fail)?),
-                "backend" => out.backend = Some(parser.string().map_err(fail)?),
-                _ => parser.skip_value().map_err(fail)?,
+                "key" => out.key = Some(parser.string()?),
+                "reason" => out.reason = Some(parser.string()?),
+                "state" => out.state = Some(parser.string()?),
+                "cache" => out.cache = Some(parser.string()?),
+                "payload" => out.payload = Some(parser.string()?),
+                "message" => out.message = Some(parser.string()?),
+                "backend" => out.backend = Some(parser.string()?),
+                _ => parser.skip_value()?,
             }
-        }
-        parser.finish().map_err(fail)?;
+            Ok(())
+        })?;
+        parser.finish()?;
         if !saw_frame {
             return Err("frame is missing `frame`".to_owned());
         }
@@ -1001,20 +923,16 @@ enum Request {
 /// interleaved response frames apart, so an element without one is
 /// useless and rejected up front).
 fn parse_batch_element(parser: &mut json::Parser) -> Result<(u64, JobSpec), String> {
-    let fail = |err: json::Error| err.to_string();
-    parser.begin_object().map_err(fail)?;
     let mut id: Option<u64> = None;
     let mut spec: Option<JobSpec> = None;
-    let mut first = true;
-    while !parser.end_object(&mut first).map_err(fail)? {
-        let key = parser.string().map_err(fail)?;
-        parser.colon().map_err(fail)?;
+    parser.object(|parser, key| {
         match key.as_str() {
-            "id" => id = Some(number_field(parser, "id")?),
+            "id" => id = Some(parser.number("id")?),
             "job" => spec = Some(JobSpec::parse_value(parser)?),
             other => return Err(format!("unknown batch-element field `{other}`")),
         }
-    }
+        Ok(())
+    })?;
     let id = id.ok_or("every batch element requires an `id`")?;
     let spec = spec.ok_or("every batch element requires a `job` object")?;
     Ok((id, spec))
@@ -1023,42 +941,38 @@ fn parse_batch_element(parser: &mut json::Parser) -> Result<(u64, JobSpec), Stri
 /// Parses one request line. Strict like the job spec itself: an unknown
 /// request field or op is an error answered with an `error` frame.
 fn parse_request(line: &str) -> Result<Request, String> {
-    let fail = |err: json::Error| err.to_string();
     let mut parser = json::Parser::new(line);
-    parser.begin_object().map_err(fail)?;
     let mut op: Option<String> = None;
     let mut id: Option<u64> = None;
     let mut spec: Option<JobSpec> = None;
     let mut batch: Option<Vec<(Option<u64>, JobSpec)>> = None;
-    let mut first = true;
-    while !parser.end_object(&mut first).map_err(fail)? {
-        let key = parser.string().map_err(fail)?;
-        parser.colon().map_err(fail)?;
+    parser.object(|parser, key| {
         match key.as_str() {
-            "op" => op = Some(parser.string().map_err(fail)?),
+            "op" => op = Some(parser.string()?),
             "id" => {
-                if !parser.try_null().map_err(fail)? {
-                    id = Some(number_field(&mut parser, "id")?);
+                if !parser.try_null() {
+                    id = Some(parser.number("id")?);
                 }
             }
-            "job" => spec = Some(JobSpec::parse_value(&mut parser)?),
+            "job" => spec = Some(JobSpec::parse_value(parser)?),
             "jobs" => {
                 let mut list = Vec::new();
-                parser.begin_array().map_err(fail)?;
-                let mut first_el = true;
-                while !parser.end_array(&mut first_el).map_err(fail)? {
-                    let (el_id, el_spec) = parse_batch_element(&mut parser)?;
-                    if list.iter().any(|(existing, _)| *existing == Some(el_id)) {
+                let mut seen = HashSet::new();
+                parser.array(|parser| {
+                    let (el_id, el_spec) = parse_batch_element(parser)?;
+                    if !seen.insert(el_id) {
                         return Err(format!("duplicate batch id {el_id}"));
                     }
                     list.push((Some(el_id), el_spec));
-                }
+                    Ok(())
+                })?;
                 batch = Some(list);
             }
             other => return Err(format!("unknown request field `{other}`")),
         }
-    }
-    parser.finish().map_err(fail)?;
+        Ok(())
+    })?;
+    parser.finish()?;
     match op.as_deref() {
         Some("submit") => {
             if batch.is_some() {
@@ -1170,12 +1084,12 @@ fn serve_connection(
             Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => line,
             Err(too_long) => {
-                write_frame(&writer, &job_frame("error", None, "message", &too_long));
+                write_frame(&writer, &job_frame("error", None, &[("message", &too_long)]));
                 break;
             }
         };
         match parse_request(&line) {
-            Err(why) => write_frame(&writer, &job_frame("error", None, "message", &why)),
+            Err(why) => write_frame(&writer, &job_frame("error", None, &[("message", &why)])),
             Ok(Request::Jobs(list)) => jobs(&writer, list),
             Ok(Request::Ping) => write_frame(&writer, "{\"frame\":\"pong\"}"),
             Ok(Request::Stats) => write_frame(&writer, &stats_frame()),
@@ -1197,7 +1111,7 @@ fn submit_job(
 ) {
     if inflight.load(Ordering::SeqCst) >= shared.inflight_cap {
         let reason = format!("in-flight limit ({}) reached", shared.inflight_cap);
-        write_frame(writer, &job_frame("rejected", id, "reason", &reason));
+        write_frame(writer, &job_frame("rejected", id, &[("reason", &reason)]));
         return;
     }
     let key = spec.canonical_key_at(shared.epoch);
@@ -1206,8 +1120,8 @@ fn submit_job(
         // Count completion *before* the terminal frame: a client must
         // never observe its result while `completed()` still lags.
         shared.completed.fetch_add(1, Ordering::SeqCst);
-        write_frame(writer, &job_frame("accepted", id, "key", &key));
-        write_frame(writer, &result_frame(id, "hit", &payload));
+        write_frame(writer, &job_frame("accepted", id, &[("key", &key)]));
+        write_frame(writer, &job_frame("result", id, &[("cache", "hit"), ("payload", &payload)]));
         return;
     }
     inflight.fetch_add(1, Ordering::SeqCst);
@@ -1216,7 +1130,7 @@ fn submit_job(
     let job_inflight = Arc::clone(inflight);
     let job_key = key.clone();
     let job = move || {
-        write_frame(&job_writer, &job_frame("progress", id, "state", "replaying"));
+        write_frame(&job_writer, &job_frame("progress", id, &[("state", "replaying")]));
         let outcome = run_job(&spec, &job_shared.engine, job_shared.trace_dir.as_deref());
         if let Ok(payload) = &outcome {
             job_shared.cache.lock().expect("cache mutex never poisoned").insert(&job_key, payload);
@@ -1224,8 +1138,11 @@ fn submit_job(
         // Count completion *before* the terminal frame (see the hit path).
         job_shared.completed.fetch_add(1, Ordering::SeqCst);
         match outcome {
-            Ok(payload) => write_frame(&job_writer, &result_frame(id, "miss", &payload)),
-            Err(why) => write_frame(&job_writer, &job_frame("error", id, "message", &why)),
+            Ok(payload) => write_frame(
+                &job_writer,
+                &job_frame("result", id, &[("cache", "miss"), ("payload", &payload)]),
+            ),
+            Err(why) => write_frame(&job_writer, &job_frame("error", id, &[("message", &why)])),
         }
         job_inflight.fetch_sub(1, Ordering::SeqCst);
     };
@@ -1233,10 +1150,10 @@ fn submit_job(
     // frame can never precede this job's `accepted` frame.
     let mut stream = writer.lock().expect("writer mutex never poisoned");
     let line = match shared.queue.try_submit(job) {
-        Ok(_ticket) => job_frame("accepted", id, "key", &key),
+        Ok(_ticket) => job_frame("accepted", id, &[("key", &key)]),
         Err(err) => {
             inflight.fetch_sub(1, Ordering::SeqCst);
-            job_frame("rejected", id, "reason", &err.to_string())
+            job_frame("rejected", id, &[("reason", &err.to_string())])
         }
     };
     let _ = write_line(&mut stream, &line);
@@ -1595,11 +1512,11 @@ pub fn route_backend<'a>(backends: &'a [String], key: &str) -> &'a str {
     assert!(!backends.is_empty(), "route_backend requires at least one backend");
     let mut best: Option<(&str, u64)> = None;
     for backend in backends {
-        let mut scored = Vec::with_capacity(backend.len() + 1 + key.len());
-        scored.extend_from_slice(backend.as_bytes());
-        scored.push(0); // separator: ("ab", "c") never collides with ("a", "bc")
-        scored.extend_from_slice(key.as_bytes());
-        let score = crate::result_cache::fnv1a64(&scored);
+        let mut fnv = Fnv::new();
+        fnv.update(backend.as_bytes());
+        fnv.update(&[0]); // separator: ("ab", "c") never collides with ("a", "bc")
+        fnv.update(key.as_bytes());
+        let score = fnv.finish();
         let wins = match best {
             None => true,
             // Deterministic tie-break on the name keeps the choice
@@ -1762,6 +1679,9 @@ fn forward_group(
     let request =
         submit_request(group.len() > 1, group.iter().map(|(id, spec)| (*id, spec.to_json())));
     let ids: Vec<Option<u64>> = group.iter().map(|(id, _)| *id).collect();
+    let backend_down = |id: Option<u64>, reason: &str| {
+        job_frame("backend_down", id, &[("backend", backend), ("reason", reason)])
+    };
     // One fresh-link resend: a pooled connection may have died since its
     // last use, and that must not cost the client its jobs.
     let mut resends_left = 1u32;
@@ -1773,13 +1693,13 @@ fn forward_group(
                 Err(why) => {
                     shared.down.fetch_add(ids.len() as u64, Ordering::SeqCst);
                     for id in &ids {
-                        write_frame(client, &backend_down_frame(*id, backend, &why));
+                        write_frame(client, &backend_down(*id, &why));
                     }
                     return;
                 }
             },
         };
-        let mut pending = ids.clone();
+        let mut pending: HashSet<Option<u64>> = ids.iter().copied().collect();
         let mut received_any = false;
         if link.send_line(&request).is_ok() {
             while !pending.is_empty() {
@@ -1791,7 +1711,9 @@ fn forward_group(
                 let id = frame.id;
                 if terminal_outcome(frame).is_some() {
                     match id {
-                        Some(done) => pending.retain(|id| *id != Some(done)),
+                        Some(done) => {
+                            pending.remove(&Some(done));
+                        }
                         // A request-level failure answers the whole group:
                         // the backend sends nothing further for it.
                         None => pending.clear(),
@@ -1811,8 +1733,9 @@ fn forward_group(
         let answered = (ids.len() - pending.len()) as u64;
         shared.forwarded.fetch_add(answered, Ordering::SeqCst);
         shared.down.fetch_add(pending.len() as u64, Ordering::SeqCst);
-        for id in &pending {
-            write_frame(client, &backend_down_frame(*id, backend, "connection lost mid-job"));
+        // In submission order, as the client sent them.
+        for id in ids.iter().filter(|id| pending.contains(id)) {
+            write_frame(client, &backend_down(*id, "connection lost mid-job"));
         }
         return;
     }
@@ -1939,7 +1862,12 @@ mod tests {
 
     #[test]
     fn frames_parse_leniently() {
-        let frame = Frame::parse(&result_frame(Some(7), "miss", "line1\nline2")).expect("parses");
+        let frame = Frame::parse(&job_frame(
+            "result",
+            Some(7),
+            &[("cache", "miss"), ("payload", "line1\nline2")],
+        ))
+        .expect("parses");
         assert_eq!(frame.frame, "result");
         assert_eq!(frame.id, Some(7));
         assert_eq!(frame.cache.as_deref(), Some("miss"));
@@ -1954,6 +1882,20 @@ mod tests {
 
         assert!(Frame::parse("{\"id\":1}").unwrap_err().contains("missing `frame`"));
         assert!(Frame::parse("nonsense").is_err());
+    }
+
+    #[test]
+    fn deeply_nested_unknown_fields_are_an_error_not_an_abort() {
+        // A 400 KB frame nesting 200k arrays inside a field the client
+        // skips: refused at the parser's depth cap, never a stack overflow.
+        let depth = 200_000;
+        let line =
+            format!("{{\"frame\":\"x\",\"extra\":{}{}}}", "[".repeat(depth), "]".repeat(depth));
+        let err = Frame::parse(&line).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Shallow unknown fields still skip.
+        let shallow = format!("{{\"frame\":\"x\",\"extra\":{}{}}}", "[".repeat(8), "]".repeat(8));
+        assert_eq!(Frame::parse(&shallow).expect("parses").frame, "x");
     }
 
     #[test]
@@ -2016,7 +1958,11 @@ mod tests {
 
     #[test]
     fn backend_down_frames_round_trip() {
-        let line = backend_down_frame(Some(4), "127.0.0.1:9", "unreachable after 2 attempts: x");
+        let line = job_frame(
+            "backend_down",
+            Some(4),
+            &[("backend", "127.0.0.1:9"), ("reason", "unreachable after 2 attempts: x")],
+        );
         let frame = Frame::parse(&line).expect("parses");
         assert_eq!(frame.frame, "backend_down");
         assert_eq!(frame.id, Some(4));
@@ -2034,6 +1980,9 @@ mod tests {
         let mut owners_seen = std::collections::BTreeSet::new();
         for key in &keys {
             let owner = route_backend(&backends, key);
+            // The documented score: FNV-1a 64 of `backend ‖ 0x00 ‖ key`.
+            let score = |b: &String| dvp_trace::fnv1a64(format!("{b}\0{key}").as_bytes());
+            assert_eq!(owner, backends.iter().max_by_key(|b| score(b)).unwrap());
             assert_eq!(owner, route_backend(&backends, key), "stable across calls");
             assert_eq!(owner, route_backend(&reversed, key), "independent of list order");
             owners_seen.insert(owner.to_owned());

@@ -34,6 +34,7 @@
 //! ```
 
 use crate::context::TraceStore;
+use crate::json;
 use crate::table_fmt::{pct, TextTable};
 use dvp_core::PredictorConfig;
 use dvp_engine::ReplayEngine;
@@ -262,19 +263,24 @@ impl SweepResults {
     /// Renders machine-readable JSON (an array of row objects).
     #[must_use]
     pub fn render_json(&self) -> String {
+        let quote = |text: &str| {
+            let mut quoted = String::new();
+            json::write_string(text, &mut quoted);
+            quoted
+        };
         let mut out = String::from("[\n");
         for (i, row) in self.rows.iter().enumerate() {
             let accuracy = row
                 .accuracy
                 .iter()
-                .map(|(name, acc)| format!("{}: {acc:.6}", json_str(name)))
+                .map(|(name, acc)| format!("{}: {acc:.6}", quote(name)))
                 .collect::<Vec<_>>()
                 .join(", ");
             let saturating = row
                 .expected
                 .saturating
                 .iter()
-                .map(|name| json_str(name))
+                .map(|name| quote(name))
                 .collect::<Vec<_>>()
                 .join(", ");
             let ceiling = row
@@ -288,8 +294,8 @@ impl SweepResults {
                 "  {{\"scenario\": {}, \"params\": {}, \"seed\": {}, \"records\": {}, \
                  \"accuracy\": {{{accuracy}}}, {err}\"expected\": {{\"saturating\": [{saturating}], \
                  \"floor\": {:.6}, \"others_ceiling\": {ceiling}}}, \"met\": {}}}{}\n",
-                json_str(row.scenario.name()),
-                json_str(&row.scenario.params()),
+                quote(row.scenario.name()),
+                quote(&row.scenario.params()),
                 row.scenario.seed(),
                 row.records,
                 row.expected.floor,
@@ -300,24 +306,6 @@ impl SweepResults {
         out.push(']');
         out
     }
-}
-
-/// Minimal JSON string quoting (scenario names and params are plain ASCII,
-/// but escape defensively).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -350,6 +338,10 @@ mod tests {
         let json = results.render_json();
         assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
         assert!(json.contains("\"scenario\": \"stride\""), "{json}");
+        // The rendering is one well-formed JSON value.
+        let mut parser = json::Parser::new(&json);
+        parser.skip_value().expect("well-formed");
+        parser.finish().expect("nothing after the array");
     }
 
     #[test]
@@ -404,12 +396,5 @@ mod tests {
         assert!(!plain.render().contains("Err(pp)"));
         assert!(!plain.render_csv().contains("sampled_err_pp"));
         assert!(!plain.render_json().contains("sampled_err_pp"));
-    }
-
-    #[test]
-    fn json_escaping_is_defensive() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 }

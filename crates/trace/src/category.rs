@@ -1,6 +1,5 @@
 //! Instruction categories from Table 3 of the paper.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -20,7 +19,7 @@ use std::str::FromStr;
 /// assert_eq!("Loads".parse::<InstrCategory>(), Ok(InstrCategory::Loads));
 /// assert_eq!(InstrCategory::ALL.len(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InstrCategory {
     /// Addition and subtraction (including immediates).
     AddSub,
@@ -163,14 +162,5 @@ mod tests {
     fn parse_rejects_unknown() {
         let err = "Floats".parse::<InstrCategory>().unwrap_err();
         assert!(err.to_string().contains("Floats"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        for cat in InstrCategory::ALL {
-            let json = serde_json::to_string(&cat).unwrap();
-            let back: InstrCategory = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, cat);
-        }
     }
 }

@@ -43,7 +43,7 @@
 //! ```
 
 use super::{format_err, TraceIoError};
-use crate::{InstrCategory, Pc, PcInterner, PhasePlan, SimPointPhase, TraceRecord};
+use crate::{fnv1a64, Fnv, InstrCategory, Pc, PcInterner, PhasePlan, SimPointPhase, TraceRecord};
 use std::io::{Read, Write};
 
 /// The one container version this build reads and writes. Any other
@@ -62,39 +62,6 @@ pub const SECTION_PHASES: [u8; 4] = *b"PHAS";
 /// Default records per chunk (matches the engine's shared-buffer chunking,
 /// so a `SharedTrace` round-trips chunk-for-chunk).
 pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
-
-/// FNV-1a 64-bit offset basis — the checksum of zero bytes.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a 64-bit hasher (the container's checksum function:
-/// simple, dependency-free, specified in one line).
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a 64 of one byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut fnv = Fnv::new();
-    fnv.update(bytes);
-    fnv.finish()
-}
 
 /// Identity of the workload run that produced a trace.
 ///
@@ -252,7 +219,7 @@ pub fn validate_trailing(mut rest: &[u8]) -> Result<Vec<Section<'_>>, TraceIoErr
                 body_and_rest.len()
             )));
         };
-        if fnv1a(body) != checksum {
+        if fnv1a64(body) != checksum {
             return Err(format_err(format!(
                 "optional section {:?} checksum mismatch (corrupt section)",
                 String::from_utf8_lossy(&magic)
@@ -496,7 +463,7 @@ pub fn decode_chunk(payload: &[u8], info: &ChunkInfo) -> Result<Vec<TraceRecord>
             info.len
         )));
     }
-    if fnv1a(payload) != info.checksum {
+    if fnv1a64(payload) != info.checksum {
         return Err(format_err(format!(
             "chunk checksum mismatch at payload offset {} (corrupt chunk)",
             info.offset
@@ -889,7 +856,7 @@ where
         };
         let len = u32::try_from(payload.len())
             .map_err(|_| format_err("chunk payload exceeds u32::MAX bytes"))?;
-        index.push(ChunkInfo { offset, len, raw_len, records, checksum: fnv1a(&payload) });
+        index.push(ChunkInfo { offset, len, raw_len, records, checksum: fnv1a64(&payload) });
         offset += u64::from(len);
         record_count += u64::from(records);
         chunk_capacity = chunk_capacity.max(records);
@@ -898,7 +865,7 @@ where
     let header = Header { meta: meta.clone(), record_count, chunk_capacity, chunks: index };
     let tail = encode_header_tail(&header)?;
     writer.write_all(&MAGIC)?;
-    writer.write_all(&fnv1a(&tail).to_le_bytes())?;
+    writer.write_all(&fnv1a64(&tail).to_le_bytes())?;
     writer.write_all(&tail)?;
     for payload in &payloads {
         writer.write_all(payload)?;
@@ -906,7 +873,7 @@ where
     for (magic, body) in sections {
         writer.write_all(magic)?;
         writer.write_all(&(body.len() as u64).to_le_bytes())?;
-        writer.write_all(&fnv1a(body).to_le_bytes())?;
+        writer.write_all(&fnv1a64(body).to_le_bytes())?;
         writer.write_all(body)?;
     }
     Ok(header)
@@ -1155,7 +1122,7 @@ mod tests {
             len: 3,
             raw_len: 3,
             records: u32::MAX,
-            checksum: fnv1a(&payload),
+            checksum: fnv1a64(&payload),
         };
         let err = decode_chunk(&payload, &info).unwrap_err();
         assert!(err.to_string().contains("at least 3 bytes"), "{err}");
@@ -1330,7 +1297,7 @@ mod tests {
         // 11 continuation bytes: longer than any valid 64-bit varint.
         let payload = super::super::compress::store_payload(&[0xffu8; 11]);
         let info =
-            ChunkInfo { offset: 0, len: 12, raw_len: 11, records: 1, checksum: fnv1a(&payload) };
+            ChunkInfo { offset: 0, len: 12, raw_len: 11, records: 1, checksum: fnv1a64(&payload) };
         let err = decode_chunk(&payload, &info).unwrap_err();
         assert!(err.to_string().contains("varint"), "{err}");
     }

@@ -33,6 +33,7 @@
 
 mod category;
 mod dataflow;
+mod fnv;
 mod intern;
 pub mod io;
 mod phase;
@@ -41,6 +42,7 @@ mod summary;
 
 pub use category::InstrCategory;
 pub use dataflow::{DepNode, MAX_DEPS};
+pub use fnv::{fnv1a64, Fnv};
 pub use intern::{Observer, PcId, PcInterner, PcSlots};
 pub use phase::{PhasePlan, PhasePlanError, SimPointPhase};
 pub use record::{Pc, TraceRecord, Value};

@@ -1,7 +1,6 @@
 //! The trace record: one entry per predicted dynamic instruction.
 
 use crate::InstrCategory;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A data value produced by an instruction.
@@ -26,9 +25,7 @@ pub type Value = u64;
 /// let pc = Pc(0x0040_0000);
 /// assert_eq!(format!("{pc}"), "0x00400000");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pc(pub u64);
 
 impl fmt::Display for Pc {
@@ -67,7 +64,7 @@ impl From<Pc> for u64 {
 /// assert_eq!(rec.value, 7);
 /// assert_eq!(rec.category, InstrCategory::AddSub);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
     /// Address of the static instruction.
     pub pc: Pc,
@@ -114,12 +111,5 @@ mod tests {
         assert!(s.contains("0x00000100"), "{s}");
         assert!(s.contains("Loads"), "{s}");
         assert!(s.contains("0xff"), "{s}");
-    }
-
-    #[test]
-    fn record_serde_round_trip() {
-        let rec = TraceRecord::new(Pc(0x2000), InstrCategory::Shift, 9);
-        let json = serde_json::to_string(&rec).unwrap();
-        assert_eq!(serde_json::from_str::<TraceRecord>(&json).unwrap(), rec);
     }
 }

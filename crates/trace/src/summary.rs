@@ -1,7 +1,6 @@
 //! Static and dynamic instruction accounting over a trace.
 
 use crate::{InstrCategory, Observer, Pc, PcId, TraceRecord, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 const N_CATEGORIES: usize = InstrCategory::ALL.len();
@@ -20,7 +19,7 @@ const N_CATEGORIES: usize = InstrCategory::ALL.len();
 /// assert_eq!(mix.count(InstrCategory::AddSub), 2);
 /// assert!((mix.fraction(InstrCategory::Loads) - 1.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CategoryMix {
     counts: [u64; N_CATEGORIES],
     total: u64,

@@ -173,38 +173,66 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics when the shape is degenerate (`pcs == 0`,
-    /// `records_per_pc == 0`) or a kind parameter is out of range:
-    /// zero `stride`, `jitter_pct > 100`, `period`/`heap`/`alphabet^order`
-    /// outside `1..=`[`MAX_CYCLE`], `order` outside `1..=8`, Markov
-    /// `alphabet` outside `2..=64`, or `Random` `alphabet < 2`.
+    /// Panics where [`Scenario::try_new`] returns an error.
     #[must_use]
     pub fn new(kind: ScenarioKind, pcs: u32, records_per_pc: u32, seed: u64) -> Scenario {
-        assert!(pcs > 0, "pcs must be positive");
-        assert!(records_per_pc > 0, "records_per_pc must be positive");
-        match kind {
-            ScenarioKind::Stride { stride, jitter_pct } => {
-                assert!(stride != 0, "stride must be nonzero (use Constant)");
-                assert!(jitter_pct <= 100, "jitter_pct is a percentage");
+        Scenario::try_new(kind, pcs, records_per_pc, seed).expect("invalid scenario")
+    }
+
+    /// Creates a scenario, or says which parameter is out of range.
+    ///
+    /// # Errors
+    ///
+    /// The shape is degenerate (`pcs == 0`, `records_per_pc == 0`) or a
+    /// kind parameter is out of range: zero `stride`, `jitter_pct > 100`,
+    /// `period`/`heap`/`alphabet^order` outside `1..=`[`MAX_CYCLE`],
+    /// `order` outside `1..=8`, Markov `alphabet` outside `2..=64`, or
+    /// `Random` `alphabet < 2`.
+    ///
+    /// ```
+    /// use dvp_workloads::synthetic::{Scenario, ScenarioKind};
+    ///
+    /// let err = Scenario::try_new(ScenarioKind::Periodic { period: 0 }, 1, 8, 1).unwrap_err();
+    /// assert!(err.contains("`period` must be in 1..="), "{err}");
+    /// ```
+    pub fn try_new(
+        kind: ScenarioKind,
+        pcs: u32,
+        records_per_pc: u32,
+        seed: u64,
+    ) -> Result<Scenario, String> {
+        let problem = match kind {
+            _ if pcs == 0 => "scenario `pcs` must be positive".to_owned(),
+            _ if records_per_pc == 0 => "scenario `records_per_pc` must be positive".to_owned(),
+            ScenarioKind::Stride { stride: 0, .. } => {
+                "scenario `stride` must be nonzero (use kind `constant`)".to_owned()
             }
-            ScenarioKind::Periodic { period } => {
-                assert!((1..=MAX_CYCLE).contains(&period), "period out of range");
+            ScenarioKind::Stride { jitter_pct: 101.., .. } => {
+                "scenario `jitter_pct` must be at most 100".to_owned()
             }
-            ScenarioKind::Markov { order, alphabet } => {
-                assert!((1..=8).contains(&order), "order out of range");
-                assert!((2..=64).contains(&alphabet), "alphabet out of range");
-                let states = u64::from(alphabet).pow(order);
-                assert!(states <= u64::from(MAX_CYCLE), "alphabet^order exceeds MAX_CYCLE");
+            ScenarioKind::Periodic { period } if !(1..=MAX_CYCLE).contains(&period) => {
+                format!("scenario `period` must be in 1..={MAX_CYCLE}")
             }
-            ScenarioKind::Chase { heap } => {
-                assert!((2..=MAX_CYCLE).contains(&heap), "heap out of range");
+            ScenarioKind::Markov { order, .. } if !(1..=8).contains(&order) => {
+                "scenario `order` must be in 1..=8".to_owned()
             }
-            ScenarioKind::Random { alphabet } => {
-                assert!(alphabet >= 2, "alphabet must be at least 2");
+            ScenarioKind::Markov { alphabet, .. } if !(2..=64).contains(&alphabet) => {
+                "scenario `alphabet` must be in 2..=64 for kind `markov`".to_owned()
             }
-            ScenarioKind::Constant | ScenarioKind::Mixed => {}
-        }
-        Scenario { kind, pcs, records_per_pc, seed }
+            ScenarioKind::Markov { order, alphabet }
+                if u64::from(alphabet).pow(order) > u64::from(MAX_CYCLE) =>
+            {
+                format!("scenario alphabet^order exceeds {MAX_CYCLE}")
+            }
+            ScenarioKind::Chase { heap } if !(2..=MAX_CYCLE).contains(&heap) => {
+                format!("scenario `heap` must be in 2..={MAX_CYCLE}")
+            }
+            ScenarioKind::Random { alphabet: 0 | 1 } => {
+                "scenario `alphabet` must be at least 2".to_owned()
+            }
+            _ => return Ok(Scenario { kind, pcs, records_per_pc, seed }),
+        };
+        Err(problem)
     }
 
     /// The generator class and its parameters.
@@ -761,7 +789,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stride must be nonzero")]
+    #[should_panic(expected = "`stride` must be nonzero")]
     fn zero_stride_rejected() {
         let _ = Scenario::new(ScenarioKind::Stride { stride: 0, jitter_pct: 0 }, 1, 1, 0);
     }
