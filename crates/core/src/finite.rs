@@ -10,14 +10,22 @@
 //! fixed table sizes."*
 //!
 //! This module supplies that missing step: fixed-size, direct-mapped
-//! versions of all three predictor families, so the aliasing effect can be
-//! measured (see the `ext-tables` experiment, `repro ext-tables`). The
-//! context-based predictor follows the two-level
-//! **VHT/VPT** organization of Sazeides & Smith's own follow-up technical
-//! report (*Implementations of Context Based Value Predictors*,
+//! versions of all three predictor families and of the stride + context
+//! hybrid, so the aliasing effect can be measured (see the `ext-tables`
+//! experiment, `repro ext-tables`). The context-based predictor follows the
+//! two-level **VHT/VPT** organization of Sazeides & Smith's own follow-up
+//! technical report (*Implementations of Context Based Value Predictors*,
 //! TR-ECE-97-8): a Value History Table indexed by PC holds the recent value
 //! history, which is hashed into a Value Prediction Table holding one
 //! predicted value per (hashed) context.
+//!
+//! Finiteness changes only *where* an instruction's entry lives, not the
+//! rule that updates it. The last-value, two-delta stride and chooser rules
+//! are the unbounded predictors' own (their `step_slot`s and the hybrid's
+//! `arbitrate`/`train_chooser`), run here over the crate's direct-mapped
+//! slot table, which alone computes slot indices and checks tags. Only the
+//! VPT, one value per hashed context behind a 2-bit replacement counter,
+//! has no unbounded counterpart.
 //!
 //! Within this module, predictions degrade for exactly two reasons, both of
 //! which the unbounded predictors rule out by construction:
@@ -27,7 +35,8 @@
 //! * **lossy contexts** — the VPT keeps a single value per hashed context
 //!   instead of exact per-value counts.
 
-use crate::Predictor;
+use crate::{hybrid, last_value::LastValueEntry, stride::StrideEntry, table::SlotTable};
+use crate::{LastValuePolicy, LastValuePredictor, Predictor, StridePolicy, StridePredictor};
 use dvp_trace::{Pc, PcId, Value};
 
 // The finite predictors index their direct-mapped tables by PC bits and
@@ -79,10 +88,9 @@ impl TableSpec {
     ///
     /// Panics if `tag_bits > 32`.
     #[must_use]
-    pub fn with_tag_bits(mut self, tag_bits: u32) -> Self {
+    pub fn with_tag_bits(self, tag_bits: u32) -> Self {
         assert!(tag_bits <= 32, "tag_bits {tag_bits} > 32");
-        self.tag_bits = tag_bits;
-        self
+        TableSpec { tag_bits, ..self }
     }
 
     /// Number of slots (`2^index_bits`).
@@ -110,34 +118,26 @@ impl TableSpec {
     /// dropped first (as any hardware table would).
     #[must_use]
     pub fn index_of(&self, pc: Pc) -> usize {
-        (fold(pc.0 >> 2, self.index_bits) & self.mask()) as usize
+        fold(pc.0 >> 2, self.index_bits) as usize
     }
 
     /// The tag of `pc` under this geometry (0 when untagged).
     #[must_use]
     pub fn tag_of(&self, pc: Pc) -> u64 {
-        if self.tag_bits == 0 {
-            return 0;
-        }
         // Tag from the bits just above the index, so PCs with equal index
-        // still get distinct tags.
+        // still get distinct tags (a zero-width mask leaves 0).
         ((pc.0 >> 2) >> self.index_bits) & ((1u64 << self.tag_bits) - 1)
-    }
-
-    fn mask(&self) -> u64 {
-        (1u64 << self.index_bits) - 1
     }
 }
 
 /// Folds a 64-bit word into `bits` bits by xor-ing `bits`-wide chunks.
-fn fold(word: u64, bits: u32) -> u64 {
+fn fold(mut word: u64, bits: u32) -> u64 {
     debug_assert!((1..=32).contains(&bits));
     let mask = (1u64 << bits) - 1;
     let mut acc = 0u64;
-    let mut rest = word;
-    while rest != 0 {
-        acc ^= rest & mask;
-        rest >>= bits;
+    while word != 0 {
+        acc ^= word & mask;
+        word >>= bits;
     }
     acc
 }
@@ -165,24 +165,18 @@ pub fn hash_history(history: &[Value], index_bits: u32) -> u64 {
     let shift = (index_bits / 3).max(1);
     let mut acc = 0u64;
     for &v in history {
-        let folded = fold(v, index_bits);
         acc = (acc << shift | acc >> (index_bits - shift.min(index_bits - 1))) & mask;
-        acc ^= folded;
+        acc ^= fold(v, index_bits);
     }
     acc & mask
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LastValueSlot {
-    tag: u64,
-    value: Value,
-}
-
 /// A fixed-size, direct-mapped last-value predictor.
 ///
-/// The finite counterpart of [`LastValuePredictor`](crate::LastValuePredictor)
-/// with the always-update policy. Aliasing static instructions overwrite each
-/// other's last value (untagged) or evict each other (tagged).
+/// The finite counterpart of [`LastValuePredictor`] with the always-update
+/// policy, whose rule it runs over a direct-mapped table. Aliasing static
+/// instructions overwrite each other's last value (untagged) or evict each
+/// other (tagged).
 ///
 /// # Examples
 ///
@@ -197,9 +191,8 @@ struct LastValueSlot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FiniteLastValuePredictor {
-    spec: TableSpec,
     name: String,
-    slots: Vec<Option<LastValueSlot>>,
+    table: SlotTable<LastValueEntry>,
 }
 
 impl FiniteLastValuePredictor {
@@ -207,34 +200,29 @@ impl FiniteLastValuePredictor {
     #[must_use]
     pub fn new(spec: TableSpec) -> Self {
         let name = format!("l-{}", spec.slots());
-        FiniteLastValuePredictor { spec, name, slots: vec![None; spec.slots()] }
+        FiniteLastValuePredictor { name, table: SlotTable::new(spec) }
     }
 
     /// The table geometry.
     #[must_use]
     pub fn spec(&self) -> TableSpec {
-        self.spec
+        self.table.spec()
     }
 
     /// Estimated storage cost in bits (values + tags).
     #[must_use]
     pub fn storage_bits(&self) -> u64 {
-        self.spec.slots() as u64 * (64 + u64::from(self.spec.tag_bits()))
+        self.spec().slots() as u64 * (64 + u64::from(self.spec().tag_bits()))
     }
 }
 
 impl Predictor for FiniteLastValuePredictor {
     fn predict(&self, _id: PcId, pc: Pc) -> Option<Value> {
-        let slot = self.slots[self.spec.index_of(pc)].as_ref()?;
-        (slot.tag == self.spec.tag_of(pc)).then_some(slot.value)
+        LastValuePredictor::predict_slot(self.table.get(pc))
     }
 
     fn step(&mut self, _id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        let tag = self.spec.tag_of(pc);
-        let slot = &mut self.slots[self.spec.index_of(pc)];
-        let prediction = slot.as_ref().and_then(|s| (s.tag == tag).then_some(s.value));
-        *slot = Some(LastValueSlot { tag, value: actual });
-        prediction
+        LastValuePredictor::step_slot(LastValuePolicy::Always, self.table.slot_mut(pc), actual)
     }
 
     fn name(&self) -> &str {
@@ -242,24 +230,16 @@ impl Predictor for FiniteLastValuePredictor {
     }
 
     fn static_entries(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.table.len()
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct StrideSlot {
-    tag: u64,
-    last: Value,
-    stride: Value,
-    last_delta: Value,
 }
 
 /// A fixed-size, direct-mapped two-delta stride predictor.
 ///
-/// The finite counterpart of
-/// [`StridePredictor::two_delta`](crate::StridePredictor::two_delta). A tag
-/// mismatch resets the slot for the new instruction (losing the old stride);
-/// untagged aliasing corrupts strides silently.
+/// The finite counterpart of [`StridePredictor::two_delta`], whose rule it
+/// runs over a direct-mapped table. A tag mismatch resets the slot for the
+/// new instruction (losing the old stride); untagged aliasing corrupts
+/// strides silently.
 ///
 /// # Examples
 ///
@@ -276,57 +256,37 @@ struct StrideSlot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FiniteStridePredictor {
-    spec: TableSpec,
     name: String,
-    slots: Vec<Option<StrideSlot>>,
+    table: SlotTable<StrideEntry>,
 }
 
 impl FiniteStridePredictor {
     /// Creates the predictor with the given table geometry.
     #[must_use]
     pub fn new(spec: TableSpec) -> Self {
-        let name = format!("s2-{}", spec.slots());
-        FiniteStridePredictor { spec, name, slots: vec![None; spec.slots()] }
+        FiniteStridePredictor { name: format!("s2-{}", spec.slots()), table: SlotTable::new(spec) }
     }
 
     /// The table geometry.
     #[must_use]
     pub fn spec(&self) -> TableSpec {
-        self.spec
+        self.table.spec()
     }
 
     /// Estimated storage cost in bits (three 64-bit fields + tag per slot).
     #[must_use]
     pub fn storage_bits(&self) -> u64 {
-        self.spec.slots() as u64 * (3 * 64 + u64::from(self.spec.tag_bits()))
+        self.spec().slots() as u64 * (3 * 64 + u64::from(self.spec().tag_bits()))
     }
 }
 
 impl Predictor for FiniteStridePredictor {
     fn predict(&self, _id: PcId, pc: Pc) -> Option<Value> {
-        let slot = self.slots[self.spec.index_of(pc)].as_ref()?;
-        (slot.tag == self.spec.tag_of(pc)).then(|| slot.last.wrapping_add(slot.stride))
+        StridePredictor::predict_slot(self.table.get(pc))
     }
 
     fn step(&mut self, _id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        let tag = self.spec.tag_of(pc);
-        let slot = &mut self.slots[self.spec.index_of(pc)];
-        match slot {
-            Some(s) if s.tag == tag => {
-                let prediction = s.last.wrapping_add(s.stride);
-                let delta = actual.wrapping_sub(s.last);
-                if delta == s.last_delta {
-                    s.stride = delta;
-                }
-                s.last_delta = delta;
-                s.last = actual;
-                Some(prediction)
-            }
-            _ => {
-                *slot = Some(StrideSlot { tag, last: actual, stride: 0, last_delta: 0 });
-                None
-            }
-        }
+        StridePredictor::step_slot(StridePolicy::TwoDelta, self.table.slot_mut(pc), actual)
     }
 
     fn name(&self) -> &str {
@@ -334,20 +294,8 @@ impl Predictor for FiniteStridePredictor {
     }
 
     fn static_entries(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.table.len()
     }
-}
-
-#[derive(Debug, Clone)]
-struct VhtSlot {
-    tag: u64,
-    history: Vec<Value>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct VptSlot {
-    value: Value,
-    confidence: u8,
 }
 
 /// A fixed-size two-level context-based (FCM) predictor.
@@ -356,7 +304,7 @@ struct VptSlot {
 /// **Value History Table** (VHT) indexed by PC holds the last `order` values
 /// of each static instruction; the history is hashed ([`hash_history`]) into
 /// a **Value Prediction Table** (VPT) that stores a single predicted value
-/// per hashed context, guarded by a small saturating replacement counter.
+/// per hashed context, guarded by a 2-bit saturating replacement counter.
 ///
 /// Relative to the unbounded [`FcmPredictor`](crate::FcmPredictor) this
 /// predictor loses accuracy through VHT aliasing, VPT context aliasing, and
@@ -383,15 +331,13 @@ struct VptSlot {
 pub struct FiniteFcmPredictor {
     order: usize,
     name: String,
-    vht_spec: TableSpec,
+    vht: SlotTable<Vec<Value>>,
     vpt_spec: TableSpec,
-    replace_max: u8,
-    vht: Vec<Option<VhtSlot>>,
-    vpt: Vec<Option<VptSlot>>,
+    vpt: Vec<Option<(Value, u8)>>,
 }
 
 impl FiniteFcmPredictor {
-    /// Default ceiling of the VPT replacement counter (2-bit counter).
+    /// Ceiling of the VPT replacement counter (2-bit counter).
     pub const DEFAULT_REPLACE_MAX: u8 = 3;
 
     /// Creates an order-`order` two-level predictor with the given VHT and
@@ -403,33 +349,10 @@ impl FiniteFcmPredictor {
     /// 8 and hardware history registers are short).
     #[must_use]
     pub fn new(order: usize, vht_spec: TableSpec, vpt_spec: TableSpec) -> Self {
-        Self::with_replace_max(order, vht_spec, vpt_spec, Self::DEFAULT_REPLACE_MAX)
-    }
-
-    /// As [`FiniteFcmPredictor::new`] with an explicit replacement-counter
-    /// ceiling; `replace_max == 0` replaces the VPT value on every miss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is 0 or greater than 8.
-    #[must_use]
-    pub fn with_replace_max(
-        order: usize,
-        vht_spec: TableSpec,
-        vpt_spec: TableSpec,
-        replace_max: u8,
-    ) -> Self {
         assert!((1..=8).contains(&order), "order {order} outside 1..=8");
         let name = format!("fcm{order}-vht{}-vpt{}", vht_spec.slots(), vpt_spec.slots());
-        FiniteFcmPredictor {
-            order,
-            name,
-            vht_spec,
-            vpt_spec,
-            replace_max,
-            vht: vec![None; vht_spec.slots()],
-            vpt: vec![None; vpt_spec.slots()],
-        }
+        let (vht, vpt) = (SlotTable::new(vht_spec), vec![None; vpt_spec.slots()]);
+        FiniteFcmPredictor { order, name, vht, vpt_spec, vpt }
     }
 
     /// The predictor's order (history length).
@@ -441,7 +364,7 @@ impl FiniteFcmPredictor {
     /// The VHT geometry.
     #[must_use]
     pub fn vht_spec(&self) -> TableSpec {
-        self.vht_spec
+        self.vht.spec()
     }
 
     /// The VPT geometry.
@@ -454,82 +377,50 @@ impl FiniteFcmPredictor {
     /// confidence counters.
     #[must_use]
     pub fn storage_bits(&self) -> u64 {
-        let vht = self.vht_spec.slots() as u64
-            * (self.order as u64 * 64 + u64::from(self.vht_spec.tag_bits()));
-        let vpt = self.vpt_spec.slots() as u64 * (64 + 2);
-        vht + vpt
+        let (vht, vpt) = (self.vht_spec(), self.vpt_spec);
+        vht.slots() as u64 * (self.order as u64 * 64 + u64::from(vht.tag_bits()))
+            + vpt.slots() as u64 * (64 + 2)
     }
 
-    /// The current history the VHT holds for `pc`, if a full-length one
-    /// exists under a matching tag.
-    fn full_history(&self, pc: Pc) -> Option<&[Value]> {
-        let slot = self.vht[self.vht_spec.index_of(pc)].as_ref()?;
-        (slot.tag == self.vht_spec.tag_of(pc) && slot.history.len() == self.order)
-            .then_some(slot.history.as_slice())
-    }
-
-    /// The VPT index of `pc`'s current context, if a full history exists.
+    /// The VPT index of `pc`'s current context, if the VHT holds a
+    /// full-length history for it.
     fn vpt_index(&self, pc: Pc) -> Option<usize> {
-        self.full_history(pc).map(|h| hash_history(h, self.vpt_spec.index_bits()) as usize)
+        let history = self.vht.get(pc).filter(|h| h.len() == self.order)?;
+        Some(hash_history(history, self.vpt_spec.index_bits()) as usize)
     }
 
-    /// Trains the VPT slot of the current context with `actual`
-    /// (hysteresis-guarded replacement).
-    fn train_vpt(&mut self, vpt_index: usize, actual: Value) {
+    /// The fused VPT step: reads the prediction of the current context's
+    /// slot, then trains it with `actual` (hysteresis-guarded replacement).
+    fn step_vpt(&mut self, vpt_index: usize, actual: Value) -> Option<Value> {
         let slot = &mut self.vpt[vpt_index];
+        let prediction = slot.map(|(value, _)| value);
         match slot {
-            Some(s) if s.value == actual => {
-                s.confidence = s.confidence.saturating_add(1).min(self.replace_max);
+            Some((value, confidence)) if *value == actual => {
+                *confidence = confidence.saturating_add(1).min(Self::DEFAULT_REPLACE_MAX);
             }
-            Some(s) => {
-                if s.confidence == 0 {
-                    s.value = actual;
-                } else {
-                    s.confidence -= 1;
-                }
-            }
-            None => *slot = Some(VptSlot { value: actual, confidence: 0 }),
+            Some((value, 0)) => *value = actual,
+            Some((_, confidence)) => *confidence -= 1,
+            None => *slot = Some((actual, 0)),
         }
-    }
-
-    /// Shifts `actual` into `pc`'s VHT history (allocating or evicting the
-    /// slot as the tag demands).
-    fn shift_vht(&mut self, pc: Pc, actual: Value) {
-        let tag = self.vht_spec.tag_of(pc);
-        let order = self.order;
-        let slot = &mut self.vht[self.vht_spec.index_of(pc)];
-        match slot {
-            Some(s) if s.tag == tag => {
-                if s.history.len() == order {
-                    s.history.remove(0);
-                }
-                s.history.push(actual);
-            }
-            _ => {
-                let mut history = Vec::with_capacity(order);
-                history.push(actual);
-                *slot = Some(VhtSlot { tag, history });
-            }
-        }
+        prediction
     }
 }
 
 impl Predictor for FiniteFcmPredictor {
     fn predict(&self, _id: PcId, pc: Pc) -> Option<Value> {
-        let vpt_index = self.vpt_index(pc)?;
-        self.vpt[vpt_index].as_ref().map(|s| s.value)
+        self.vpt_index(pc).and_then(|i| self.vpt[i]).map(|(value, _)| value)
     }
 
     fn step(&mut self, _id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        // Train the VPT entry of the *current* context (hashed once for
+        // Step the VPT entry of the *current* context (hashed once for
         // both the prediction read and the training write), then shift
         // the new value into the VHT history.
-        let mut prediction = None;
-        if let Some(vpt_index) = self.vpt_index(pc) {
-            prediction = self.vpt[vpt_index].as_ref().map(|s| s.value);
-            self.train_vpt(vpt_index, actual);
+        let prediction = self.vpt_index(pc).and_then(|i| self.step_vpt(i, actual));
+        let history = self.vht.slot_mut(pc).get_or_insert_with(|| Vec::with_capacity(self.order));
+        if history.len() == self.order {
+            history.remove(0);
         }
-        self.shift_vht(pc, actual);
+        history.push(actual);
         prediction
     }
 
@@ -538,7 +429,132 @@ impl Predictor for FiniteFcmPredictor {
     }
 
     fn static_entries(&self) -> usize {
-        self.vht.iter().filter(|s| s.is_some()).count()
+        self.vht.len()
+    }
+}
+
+/// Saturation bound of the finite hybrid's chooser counters (the range of
+/// a 2-bit-equivalent counter, `-3..=3`).
+const CHOOSER_MAX: i16 = 3;
+
+/// A fixed-size stride + context hybrid with a saturating-counter chooser.
+///
+/// Section 4.2 of the paper argues for a hybrid — *"one should try to use a
+/// stride predictor for most predictions, and use fcm prediction to get the
+/// remaining 20%"* — because context prediction "is the more expensive
+/// approach". The cost argument only bites once tables are finite, so this
+/// is the hybrid at its natural design point: both components and the
+/// chooser are direct-mapped tables. Components predict and update on every
+/// observation, and the chooser runs the rule of the unbounded
+/// [`HybridPredictor`](crate::HybridPredictor) with bound 3. The chooser is
+/// untagged (chooser aliasing is benign — it only sways which component is
+/// asked first).
+///
+/// # Examples
+///
+/// ```
+/// use dvp_core::{FiniteHybridPredictor, Interned, TableSpec};
+/// use dvp_trace::Pc;
+///
+/// let mut p = Interned::new(FiniteHybridPredictor::paper_geometry(10));
+/// let pc = Pc(0x44);
+/// // A stride run followed by a repeating non-stride: the hybrid rides the
+/// // stride component first, then the chooser migrates to the context side.
+/// for v in (0..20u64).map(|i| 4 * i) {
+///     p.observe(pc, v);
+/// }
+/// assert_eq!(p.predict(pc), Some(80));
+/// ```
+#[derive(Debug, Clone)]
+pub struct FiniteHybridPredictor {
+    stride: FiniteStridePredictor,
+    fcm: FiniteFcmPredictor,
+    name: String,
+    chooser: SlotTable<i16>,
+}
+
+impl FiniteHybridPredictor {
+    /// Builds the hybrid with explicit geometries for the stride table, the
+    /// FCM (VHT and VPT), and the chooser (whose tag bits are ignored).
+    #[must_use]
+    pub fn new(
+        stride_spec: TableSpec,
+        order: usize,
+        vht_spec: TableSpec,
+        vpt_spec: TableSpec,
+        chooser_spec: TableSpec,
+    ) -> Self {
+        let stride = FiniteStridePredictor::new(stride_spec);
+        let fcm = FiniteFcmPredictor::new(order, vht_spec, vpt_spec);
+        let name = format!("hybrid-{}+{}", stride.name(), fcm.name());
+        let chooser = SlotTable::new(TableSpec::new(chooser_spec.index_bits()));
+        FiniteHybridPredictor { stride, fcm, name, chooser }
+    }
+
+    /// The balanced geometry used by the `table_sizing` example: stride,
+    /// VHT and chooser tables of `2^index_bits` entries, an order-2 FCM,
+    /// and a VPT four bits larger.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index_bits` is outside `1..=24` (the VPT adds 4 bits and
+    /// [`TableSpec::new`] caps at 28).
+    #[must_use]
+    pub fn paper_geometry(index_bits: u32) -> Self {
+        assert!(
+            (1..=24).contains(&index_bits),
+            "index_bits {index_bits} outside the sensible range 1..=24"
+        );
+        let spec = TableSpec::new(index_bits);
+        FiniteHybridPredictor::new(spec, 2, spec, TableSpec::new(index_bits + 4), spec)
+    }
+
+    /// The stride component.
+    #[must_use]
+    pub fn stride(&self) -> &FiniteStridePredictor {
+        &self.stride
+    }
+
+    /// The context (FCM) component.
+    #[must_use]
+    pub fn fcm(&self) -> &FiniteFcmPredictor {
+        &self.fcm
+    }
+
+    /// Whether the chooser currently favours the context component for
+    /// `pc`. Fresh slots favour the (cheaper, faster-learning) stride side.
+    #[must_use]
+    pub fn favours_fcm(&self, pc: Pc) -> bool {
+        self.chooser.get(pc).is_some_and(|&c| c > 0)
+    }
+
+    /// Total storage in bits: both components plus the 2-bit-equivalent
+    /// chooser counters.
+    #[must_use]
+    pub fn storage_bits(&self) -> u64 {
+        let chooser = self.chooser.spec().slots() as u64 * 2;
+        self.stride.storage_bits() + self.fcm.storage_bits() + chooser
+    }
+}
+
+impl Predictor for FiniteHybridPredictor {
+    fn predict(&self, id: PcId, pc: Pc) -> Option<Value> {
+        let (s, f) = (self.stride.predict(id, pc), self.fcm.predict(id, pc));
+        hybrid::arbitrate(self.chooser.get(pc).map_or(0, |&c| c), s, f)
+    }
+
+    fn step(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
+        let s = self.stride.step(id, pc, actual);
+        let f = self.fcm.step(id, pc, actual);
+        hybrid::train_chooser(self.chooser.slot_mut(pc), CHOOSER_MAX, (s, f), actual)
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn static_entries(&self) -> usize {
+        self.stride.static_entries().max(self.fcm.static_entries())
     }
 }
 
@@ -749,22 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn finite_fcm_replace_max_zero_always_replaces() {
-        let mut p = Interned::new(FiniteFcmPredictor::with_replace_max(
-            1,
-            TableSpec::new(4),
-            TableSpec::new(8),
-            0,
-        ));
-        for _ in 0..10 {
-            p.update(PC, 7);
-        }
-        p.update(PC, 9); // context [7] -> 9 replaces immediately
-        p.update(PC, 7); // history back to [7]
-        assert_eq!(p.predict(PC), Some(9));
-    }
-
-    #[test]
     fn vht_eviction_loses_history() {
         let vht = TableSpec::new(2).with_tag_bits(8); // 4 slots
         let mut p = Interned::new(FiniteFcmPredictor::new(2, vht, TableSpec::new(10)));
@@ -814,5 +814,92 @@ mod tests {
         // Updating the same PC does not add a slot.
         p.update(Pc(0x0), 3);
         assert_eq!(p.static_entries(), 2);
+    }
+
+    #[test]
+    fn rides_stride_component_on_affine_sequences() {
+        let mut p = Interned::new(FiniteHybridPredictor::paper_geometry(8));
+        let mut correct = 0;
+        for v in (0..50u64).map(|i| 10 + 7 * i) {
+            correct += u32::from(p.observe(PC, v));
+        }
+        assert!(correct >= 46, "stride side must carry affine runs: {correct}");
+        assert!(!p.favours_fcm(PC), "no reason to leave the stride side");
+    }
+
+    #[test]
+    fn chooser_migrates_to_fcm_on_repeated_non_strides() {
+        let mut p = Interned::new(FiniteHybridPredictor::paper_geometry(8));
+        let period = [11u64, 3, 99, 20];
+        for _ in 0..12 {
+            for &v in &period {
+                p.observe(PC, v);
+            }
+        }
+        assert!(p.favours_fcm(PC), "context side wins repeated non-strides");
+        // And in steady state predictions are correct.
+        let mut correct = 0;
+        for _ in 0..3 {
+            for &v in &period {
+                correct += u32::from(p.observe(PC, v));
+            }
+        }
+        assert_eq!(correct, 12);
+    }
+
+    #[test]
+    fn beats_both_components_on_mixed_pcs() {
+        // One PC strides (fcm cannot extrapolate), another rotates a
+        // non-stride period (stride cannot follow): the hybrid must beat
+        // either component alone on the combined trace.
+        let stride_pc = Pc(0x100);
+        let rotate_pc = Pc(0x104);
+        let period = [5u64, 77, 13];
+        let feed = |mut p: Interned<Box<dyn Predictor>>| {
+            let mut correct = 0u32;
+            for i in 0..300u64 {
+                correct += u32::from(p.observe(stride_pc, 3 * i));
+                correct += u32::from(p.observe(rotate_pc, period[(i % 3) as usize]));
+            }
+            correct
+        };
+        let hybrid = feed(Interned::new(Box::new(FiniteHybridPredictor::paper_geometry(10))));
+        let stride_only =
+            feed(Interned::new(Box::new(FiniteStridePredictor::new(TableSpec::new(10)))));
+        let fcm_only = feed(Interned::new(Box::new(FiniteFcmPredictor::new(
+            2,
+            TableSpec::new(10),
+            TableSpec::new(14),
+        ))));
+        assert!(hybrid > stride_only, "hybrid {hybrid} vs stride {stride_only}");
+        assert!(hybrid > fcm_only, "hybrid {hybrid} vs fcm {fcm_only}");
+    }
+
+    #[test]
+    fn falls_back_across_components_when_one_has_no_prediction() {
+        let mut p = Interned::new(FiniteHybridPredictor::paper_geometry(6));
+        // One observation: the stride side already predicts (last + 0), the
+        // fcm side has no full history. The hybrid must still predict.
+        p.update(PC, 42);
+        assert_eq!(p.predict(PC), Some(42));
+    }
+
+    #[test]
+    fn storage_accounts_for_all_three_structures() {
+        let p = Interned::new(FiniteHybridPredictor::paper_geometry(8));
+        let sum = p.stride().storage_bits() + p.fcm().storage_bits() + 256 * 2;
+        assert_eq!(p.storage_bits(), sum);
+    }
+
+    #[test]
+    fn name_is_composed() {
+        let p = Interned::new(FiniteHybridPredictor::paper_geometry(4));
+        assert_eq!(p.name(), "hybrid-s2-16+fcm2-vht16-vpt256");
+    }
+
+    #[test]
+    #[should_panic(expected = "sensible range")]
+    fn rejects_oversized_geometry() {
+        let _ = Interned::new(FiniteHybridPredictor::paper_geometry(25));
     }
 }

@@ -9,14 +9,43 @@
 //! for hybrid branch predictors (McFarling, 1993).
 
 use crate::table::PcTable;
-use crate::Predictor;
+use crate::{FcmPredictor, Predictor, StridePredictor};
 use dvp_trace::{Pc, PcId, Value};
 
-/// Per-PC chooser state: a saturating counter biased toward the component
-/// that has been correct when the other was wrong.
-#[derive(Debug, Clone, Copy)]
-struct ChooserEntry {
-    counter: i16,
+/// Arbitrates two component predictions under an instruction's chooser
+/// counter (0 for an instruction without one): the second's when the
+/// counter is positive, else the first's, each falling back to the other.
+///
+/// With [`train_chooser`], this is the whole chooser rule: the unbounded
+/// hybrid keeps its counters by dense id, the finite one in a direct-mapped
+/// table.
+#[inline]
+pub(crate) fn arbitrate(counter: i16, a: Option<Value>, b: Option<Value>) -> Option<Value> {
+    if counter > 0 {
+        b.or(a)
+    } else {
+        a.or(b)
+    }
+}
+
+/// The fused chooser step: arbitrates the components' pre-update
+/// predictions `a` and `b` under `slot`'s counter, then moves the counter
+/// toward the component that was right while the other was wrong (no
+/// movement on ties), saturating at `±max`.
+#[inline]
+pub(crate) fn train_chooser(
+    slot: &mut Option<i16>,
+    max: i16,
+    (a, b): (Option<Value>, Option<Value>),
+    actual: Value,
+) -> Option<Value> {
+    let counter = slot.get_or_insert(0);
+    let prediction = arbitrate(*counter, a, b);
+    let (a_correct, b_correct) = (a == Some(actual), b == Some(actual));
+    if a_correct != b_correct {
+        *counter = if b_correct { (*counter + 1).min(max) } else { (*counter - 1).max(-max) };
+    }
+    prediction
 }
 
 /// A two-component hybrid value predictor.
@@ -46,20 +75,17 @@ pub struct HybridPredictor<A, B> {
     first: A,
     second: B,
     name: String,
-    chooser: PcTable<ChooserEntry>,
+    chooser: PcTable<i16>,
     max: i16,
 }
 
-impl HybridPredictor<crate::StridePredictor, FcmBox> {
+impl HybridPredictor<StridePredictor, FcmPredictor> {
     /// The hybrid the paper motivates: two-delta stride + order-`order` FCM.
     #[must_use]
-    pub fn stride_fcm(order: usize) -> HybridPredictor<crate::StridePredictor, FcmBox> {
-        HybridPredictor::new(crate::StridePredictor::two_delta(), crate::FcmPredictor::new(order))
+    pub fn stride_fcm(order: usize) -> Self {
+        HybridPredictor::new(StridePredictor::two_delta(), FcmPredictor::new(order))
     }
 }
-
-/// Alias so the common stride+fcm hybrid has a nameable type.
-pub type FcmBox = crate::FcmPredictor;
 
 impl<A: Predictor, B: Predictor> HybridPredictor<A, B> {
     /// Creates a hybrid of `first` and `second` with a ±8 saturating chooser.
@@ -98,26 +124,7 @@ impl<A: Predictor, B: Predictor> HybridPredictor<A, B> {
     /// the first component.
     #[must_use]
     pub fn favours_second(&self, id: PcId) -> bool {
-        self.chooser.get(id).is_some_and(|e| e.counter > 0)
-    }
-
-    /// Adjusts a chooser entry toward the component that was right while
-    /// the other was wrong (no movement on ties).
-    fn train_chooser(max: i16, entry: &mut ChooserEntry, a_correct: bool, b_correct: bool) {
-        if a_correct == b_correct {
-            return;
-        }
-        entry.counter =
-            if b_correct { (entry.counter + 1).min(max) } else { (entry.counter - 1).max(-max) };
-    }
-
-    /// Arbitrates the two component predictions under a chooser counter.
-    fn arbitrate(counter: i16, a: Option<Value>, b: Option<Value>) -> Option<Value> {
-        if counter > 0 {
-            b.or(a)
-        } else {
-            a.or(b)
-        }
+        self.chooser.get(id).is_some_and(|&c| c > 0)
     }
 }
 
@@ -139,8 +146,7 @@ impl<A: Predictor, B: Predictor> Predictor for HybridPredictor<A, B> {
     #[inline]
     fn predict(&self, id: PcId, pc: Pc) -> Option<Value> {
         let (a, b) = (self.first.predict(id, pc), self.second.predict(id, pc));
-        let counter = self.chooser.get(id).map_or(0, |e| e.counter);
-        Self::arbitrate(counter, a, b)
+        arbitrate(self.chooser.get(id).map_or(0, |&c| c), a, b)
     }
 
     #[inline]
@@ -152,17 +158,14 @@ impl<A: Predictor, B: Predictor> Predictor for HybridPredictor<A, B> {
         // arbitration read and the training write.
         let a = self.first.step(id, pc, actual);
         let b = self.second.step(id, pc, actual);
-        let entry = self.chooser.slot_mut(id).get_or_insert(ChooserEntry { counter: 0 });
-        let prediction = Self::arbitrate(entry.counter, a, b);
-        Self::train_chooser(self.max, entry, a == Some(actual), b == Some(actual));
-        prediction
+        train_chooser(self.chooser.slot_mut(id), self.max, (a, b), actual)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FcmPredictor, Interned, LastValuePredictor, StridePredictor};
+    use crate::{Interned, LastValuePredictor};
 
     const PC: Pc = Pc(0x500);
 

@@ -36,7 +36,7 @@ pub enum LastValuePolicy {
 }
 
 #[derive(Debug, Clone)]
-struct LastValueEntry {
+pub(crate) struct LastValueEntry {
     stored: Value,
     counter: u8,
     candidate: Option<Value>,
@@ -144,9 +144,17 @@ impl LastValuePredictor {
         }
     }
 
+    /// The prediction an entry holds. With [`step_slot`](Self::step_slot),
+    /// this is the whole rule: the unbounded and the finite predictors run
+    /// it over their own tables.
+    pub(crate) fn predict_slot(entry: Option<&LastValueEntry>) -> Option<Value> {
+        entry.map(|e| e.stored)
+    }
+
     /// The fused slot step: reads the slot's prediction, then applies the
     /// update — one state access for the whole observation.
-    fn step_slot(
+    #[inline]
+    pub(crate) fn step_slot(
         policy: LastValuePolicy,
         slot: &mut Option<LastValueEntry>,
         actual: Value,
@@ -181,7 +189,7 @@ impl Predictor for LastValuePredictor {
 
     #[inline]
     fn predict(&self, id: PcId, _pc: Pc) -> Option<Value> {
-        self.table.get(id).map(|e| e.stored)
+        Self::predict_slot(self.table.get(id))
     }
 
     #[inline]

@@ -73,7 +73,6 @@ mod entropy;
 mod extensions;
 mod fcm;
 mod finite;
-mod finite_hybrid;
 mod hybrid;
 mod last_value;
 mod locality;
@@ -94,9 +93,9 @@ pub use entropy::{shannon_entropy, EntropyProfile, ENTROPY_BUCKETS};
 pub use extensions::{ShiftPredictor, TwoLevelStridePredictor};
 pub use fcm::{Blending, CounterMode, FcmPredictor};
 pub use finite::{
-    hash_history, FiniteFcmPredictor, FiniteLastValuePredictor, FiniteStridePredictor, TableSpec,
+    hash_history, FiniteFcmPredictor, FiniteHybridPredictor, FiniteLastValuePredictor,
+    FiniteStridePredictor, TableSpec,
 };
-pub use finite_hybrid::FiniteHybridPredictor;
 pub use hybrid::HybridPredictor;
 pub use last_value::{LastValuePolicy, LastValuePredictor};
 pub use locality::LocalityProfile;

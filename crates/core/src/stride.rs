@@ -33,7 +33,7 @@ pub enum StridePolicy {
 }
 
 #[derive(Debug, Clone)]
-struct StrideEntry {
+pub(crate) struct StrideEntry {
     last: Value,
     /// Prediction stride (`s2` in the two-delta scheme).
     stride: Value,
@@ -136,9 +136,17 @@ impl StridePredictor {
         entry.seen += 1;
     }
 
+    /// The prediction an entry holds. With [`step_slot`](Self::step_slot),
+    /// this is the whole rule: the unbounded and the finite predictors run
+    /// it over their own tables.
+    pub(crate) fn predict_slot(entry: Option<&StrideEntry>) -> Option<Value> {
+        entry.map(|e| e.last.wrapping_add(e.stride))
+    }
+
     /// The fused slot step: one state access serves both the prediction
     /// and the policy update.
-    fn step_slot(
+    #[inline]
+    pub(crate) fn step_slot(
         policy: StridePolicy,
         slot: &mut Option<StrideEntry>,
         actual: Value,
@@ -178,7 +186,7 @@ impl Predictor for StridePredictor {
 
     #[inline]
     fn predict(&self, id: PcId, _pc: Pc) -> Option<Value> {
-        self.table.get(id).map(|e| e.last.wrapping_add(e.stride))
+        Self::predict_slot(self.table.get(id))
     }
 
     #[inline]

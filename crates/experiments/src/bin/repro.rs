@@ -49,7 +49,8 @@ use dvp_core::PredictorConfig;
 use dvp_engine::{ReplayEngine, SharedTrace, SharedTraceBuilder};
 use dvp_experiments::cache::{CacheEntry, TraceCache};
 use dvp_experiments::serve::{
-    run_job, Frame, JobSpec, Outcome, Router, RouterOptions, ServeClient, ServeOptions, Server,
+    replay_table, run_job, sampled_report, Frame, JobSpec, Outcome, Router, RouterOptions,
+    ServeClient, ServeOptions, Server,
 };
 use dvp_experiments::{
     accuracy, analytic, bench, characterize, durable, information, overlap, phases, realism,
@@ -699,15 +700,7 @@ fn run_trace_replay(mut args: Args, globals: &Globals) -> Result<ExitCode, Strin
             |reader| engine.replay_streaming(reader, &bank),
         )?;
         println!("replayed {} records in {} chunks", header.record_count, header.chunks.len());
-        let mut table = TextTable::new(vec!["Config", "Predicted", "Correct"]);
-        for replay in &replays {
-            table.row(vec![
-                replay.name.clone(),
-                replay.tracker.predicted(None).to_string(),
-                replay.tracker.correct(None).to_string(),
-            ]);
-        }
-        println!("{}", table.render());
+        println!("{}", replay_table(&replays));
         return Ok(ExitCode::SUCCESS);
     }
     let plan = match TraceCache::read_phase_plan(&path) {
@@ -738,26 +731,7 @@ fn run_trace_replay(mut args: Args, globals: &Globals) -> Result<ExitCode, Strin
             |reader| engine.replay_sampled_streaming(reader, &bank, &plan),
         )?
     };
-    println!(
-        "sampled {} of {} records across {} phases{}",
-        if warm { plan.simulated_records() } else { plan.replayed_records() },
-        header.record_count,
-        plan.phases.len(),
-        if warm { " (functional warming)" } else { "" }
-    );
-    // Simulated/Correct are exact integer tallies over the representative
-    // windows; Weighted% is the plan-weighted full-trace estimate.
-    let mut table = TextTable::new(vec!["Config", "Simulated", "Correct", "Weighted%"]);
-    for replay in &replays {
-        let correct: u64 = replay.phases.iter().map(|t| t.correct(None)).sum();
-        table.row(vec![
-            replay.name.clone(),
-            replay.simulated().to_string(),
-            correct.to_string(),
-            format!("{:.2}", replay.weighted_accuracy(&plan, None) * 100.0),
-        ]);
-    }
-    println!("{}", table.render());
+    println!("{}", sampled_report(&replays, &plan, header.record_count, warm));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1025,7 +999,11 @@ fn run_cache_tool(mut args: Args, _: &Globals) -> Result<ExitCode, String> {
 /// Runs the requested experiments in order (with `all` anywhere, every
 /// experiment), then — with `--sample` — the phase-sampling error harness.
 fn run_experiments(ids: &[String], globals: Globals) -> Result<ExitCode, String> {
-    // Check every id before doing any work.
+    // Check every argument before doing any work: a flag no parser took is
+    // a mistyped flag, not an experiment id.
+    if let Some(flag) = ids.iter().find(|arg| arg.starts_with('-')) {
+        return Err(Args::new(Vec::new(), "repro", usage_text(&[EXPERIMENTS_USAGE])).unknown(flag));
+    }
     let experiments = if ids.iter().any(|id| id == "all") {
         EXPERIMENTS.to_vec()
     } else {

@@ -125,8 +125,8 @@ use crate::json;
 use crate::result_cache::{ResultCache, ResultCacheStats};
 use crate::{TextTable, TraceStore, REFERENCE_OPT};
 use dvp_core::PredictorConfig;
-use dvp_engine::{JobQueue, ReplayEngine};
-use dvp_trace::Fnv;
+use dvp_engine::{ConfigReplay, JobQueue, ReplayEngine, SampledReplay};
+use dvp_trace::{Fnv, PhasePlan};
 use dvp_workloads::synthetic::{Scenario, ScenarioKind};
 use dvp_workloads::Benchmark;
 use std::collections::HashSet;
@@ -558,37 +558,63 @@ pub fn run_job(
     if spec.sample {
         let plan = dvp_engine::phase_plan(&trace, &dvp_engine::PhaseOptions::default());
         let replays = engine.replay_sampled_warm(&trace, &configs, &plan);
-        payload.push_str(&format!(
-            "sampled {} of {} records across {} phases (functional warming)\n",
-            plan.simulated_records(),
-            trace.len(),
-            plan.phases.len()
-        ));
-        let mut table = TextTable::new(vec!["Config", "Simulated", "Correct", "Weighted%"]);
-        for replay in &replays {
-            let correct: u64 = replay.phases.iter().map(|t| t.correct(None)).sum();
-            table.row(vec![
-                replay.name.clone(),
-                replay.simulated().to_string(),
-                correct.to_string(),
-                format!("{:.2}", replay.weighted_accuracy(&plan, None) * 100.0),
-            ]);
-        }
-        payload.push_str(&table.render());
+        payload.push_str(&sampled_report(&replays, &plan, trace.len() as u64, true));
     } else {
         let replays = engine.replay(&trace, &configs);
         payload.push_str(&format!("replayed {} records\n", trace.len()));
-        let mut table = TextTable::new(vec!["Config", "Predicted", "Correct"]);
-        for replay in &replays {
-            table.row(vec![
-                replay.name.clone(),
-                replay.tracker.predicted(None).to_string(),
-                replay.tracker.correct(None).to_string(),
-            ]);
-        }
-        payload.push_str(&table.render());
+        payload.push_str(&replay_table(&replays));
     }
     Ok(payload)
+}
+
+/// The `Config/Predicted/Correct` table of a full replay: the report of a
+/// job and of `repro trace replay`.
+#[must_use]
+pub fn replay_table(replays: &[ConfigReplay]) -> String {
+    let mut table = TextTable::new(vec!["Config", "Predicted", "Correct"]);
+    for replay in replays {
+        table.row(vec![
+            replay.name.clone(),
+            replay.tracker.predicted(None).to_string(),
+            replay.tracker.correct(None).to_string(),
+        ]);
+    }
+    table.render()
+}
+
+/// The report of a phase-sampled replay of `records` records under `plan`:
+/// a `sampled … of … records across … phases` line, then the
+/// `Config/Simulated/Correct/Weighted%` table. The sampled count is the
+/// records of the representative windows under functional warming (`warm`),
+/// else the records a cold sampled replay touches (windows plus warmup
+/// prefixes). The report of a sampled job and of `repro trace replay
+/// --sample|--warm`.
+#[must_use]
+pub fn sampled_report(
+    replays: &[SampledReplay],
+    plan: &PhasePlan,
+    records: u64,
+    warm: bool,
+) -> String {
+    // Simulated/Correct are exact integer tallies over the representative
+    // windows; Weighted% is the plan-weighted full-trace estimate.
+    let mut table = TextTable::new(vec!["Config", "Simulated", "Correct", "Weighted%"]);
+    for replay in replays {
+        let correct: u64 = replay.phases.iter().map(|t| t.correct(None)).sum();
+        table.row(vec![
+            replay.name.clone(),
+            replay.simulated().to_string(),
+            correct.to_string(),
+            format!("{:.2}", replay.weighted_accuracy(plan, None) * 100.0),
+        ]);
+    }
+    format!(
+        "sampled {} of {records} records across {} phases{}\n{}",
+        if warm { plan.simulated_records() } else { plan.replayed_records() },
+        plan.phases.len(),
+        if warm { " (functional warming)" } else { "" },
+        table.render()
+    )
 }
 
 // ---------------------------------------------------------------------------

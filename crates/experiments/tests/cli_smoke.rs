@@ -37,6 +37,24 @@ fn unknown_target_fails_and_lists_valid_targets_on_stderr() {
 }
 
 #[test]
+fn unknown_flags_fail_as_flags_not_targets() {
+    // A mistyped global flag (or one that no longer exists) is reported as
+    // an unknown `repro` flag with the experiments usage, never as a target.
+    for (args, flag) in [
+        (&["--no-trace-cache", "table1"][..], "--no-trace-cache"),
+        (&["--trace-dri", "x", "table1"][..], "--trace-dri"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "nothing may land on stdout: {args:?}");
+        let stderr = stderr_of(&out);
+        assert!(stderr.starts_with(&format!("unknown repro flag `{flag}`\n")), "{stderr}");
+        assert!(stderr.contains("usage: repro [--quick]"), "{stderr}");
+        assert!(!stderr.contains("unknown target"), "{stderr}");
+    }
+}
+
+#[test]
 fn no_arguments_prints_usage_and_fails() {
     let out = repro(&[]);
     assert!(!out.status.success());
