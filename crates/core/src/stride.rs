@@ -40,9 +40,11 @@ pub(crate) struct StrideEntry {
     /// Most recent observed delta (`s1` in the two-delta scheme).
     last_delta: Value,
     counter: u8,
-    /// Number of values seen; the first prediction needs one value.
-    seen: u64,
 }
+
+// The unbounded table holds one entry per static instruction and the
+// finite tables one per slot: three words and the counter pad to 32 bytes.
+const _: () = assert!(std::mem::size_of::<StrideEntry>() == 32);
 
 /// The stride predictor: predicts `last + stride`, where the stride is
 /// derived from the difference of the two most recent values.
@@ -133,7 +135,6 @@ impl StridePredictor {
             }
         }
         entry.last = actual;
-        entry.seen += 1;
     }
 
     /// The prediction an entry holds. With [`step_slot`](Self::step_slot),
@@ -158,13 +159,7 @@ impl StridePredictor {
                 Some(prediction)
             }
             None => {
-                *slot = Some(StrideEntry {
-                    last: actual,
-                    stride: 0,
-                    last_delta: 0,
-                    counter: 0,
-                    seen: 1,
-                });
+                *slot = Some(StrideEntry { last: actual, stride: 0, last_delta: 0, counter: 0 });
                 None
             }
         }

@@ -8,14 +8,19 @@
 //!
 //! 1. **Profile.** [`phase_plan`] slices the trace into fixed-length
 //!    record windows and fingerprints each with a small *behavior
-//!    vector* gathered in one cheap sequential pass over the
-//!    [`PcId`](dvp_trace::PcId) stream: the window's instruction-category
-//!    mix plus its last-value / stride / order-1-context /
-//!    order-3-context hit rates and its fraction of first-seen static
-//!    instructions — the same signals the predictors themselves key on,
-//!    so windows that cluster together really are interchangeable *for
-//!    prediction* (including how far along the fcm tables' warm-up ramp
-//!    they sit).
+//!    vector*: the window's instruction-category mix plus its
+//!    last-value / stride / order-1-context / order-3-context hit rates
+//!    and its fraction of first-seen static instructions — the same
+//!    signals the predictors themselves key on, so windows that cluster
+//!    together really are interchangeable *for prediction* (including
+//!    how far along the fcm tables' warm-up ramp they sit). Like the
+//!    predictors, every proxy reads one static instruction's own value
+//!    sequence, so the profile is gathered PC-major: one pass over the
+//!    [`PcId`](dvp_trace::PcId) stream files each record's value under
+//!    its PC, then each PC's values are walked in turn with one pair of
+//!    context maps that stays in cache. Transient memory is about 12
+//!    bytes per record and no longer tracks the distinct contexts of
+//!    every PC at once.
 //! 2. **Cluster.** The vectors are k-means-clustered with a seeded,
 //!    fully deterministic procedure (xorshift-seeded farthest-point
 //!    init, lowest-index tie-breaks, sequential iterations): the same
@@ -129,70 +134,97 @@ const CTX1_DIM: usize = LAST_DIM + 2;
 const CTX3_DIM: usize = LAST_DIM + 3;
 const FRESH_DIM: usize = LAST_DIM + 4;
 
-/// Fingerprints every `window_records`-record window of the trace in one
-/// sequential pass. Per-PC predictor-proxy state (last value, stride,
-/// order-1/order-3 context maps) persists *across* windows, exactly like
-/// real predictor state would.
+/// Mixes a PC's last three values into its order-3 context key
+/// (FNV-1a over the words).
+fn context_mix(history: &[u64; 3]) -> u64 {
+    history
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |acc, &v| (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Fingerprints every `window_records`-record window of the trace, one
+/// static instruction at a time. Every proxy (last value, stride, the
+/// order-1/order-3 context maps, first-seen) reads only its own PC's
+/// values and window counts are integer sums, so walking PC by PC gives
+/// exactly the vectors of a walk in record order. Proxy state persists
+/// *across* windows, like real predictor state.
+///
+/// One pass over the chunks tallies each window's category mix and files
+/// every record's value and window index in its PC's column. The PCs are
+/// then walked in id order with one pair of context maps, cleared between
+/// PCs, and each column is dropped once walked: transient memory is about
+/// 12 bytes per record plus one PC's maps.
+///
+/// # Panics
+///
+/// Panics if the trace holds more than 2^32 windows.
 fn behavior_vectors(trace: &SharedTrace, window_records: usize) -> Vec<[f64; DIMS]> {
     use std::collections::HashMap;
-    let window_records = window_records.max(1) as u64;
-    let n_ids = trace.interner().len();
-    let mut seen = vec![false; n_ids];
-    let mut last = vec![0u64; n_ids];
-    let mut stride = vec![0u64; n_ids];
-    let mut has_stride = vec![false; n_ids];
-    // Per-PC fcm proxies: order-1 maps the previous value to its last
-    // successor; order-3 maps a mix of the last three values. `depth`
-    // counts records seen per PC so order-3 only engages once the
-    // history is full.
-    let mut map1: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n_ids];
-    let mut map3: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n_ids];
-    let mut hist = vec![[0u64; 3]; n_ids];
-    let mut depth = vec![0u32; n_ids];
-    let mix = |h: &[u64; 3]| {
-        h.iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |acc, &v| (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3))
-    };
-    let mut vectors = Vec::with_capacity((trace.len() as u64).div_ceil(window_records) as usize);
-    let mut counts = [0u64; DIMS];
-    let mut in_window = 0u64;
-    for (rec, id) in trace.iter_with_ids() {
-        let i = id.index();
-        counts[rec.category.index()] += 1;
-        if seen[i] {
-            let prev = last[i];
-            if rec.value == prev {
-                counts[LAST_DIM] += 1;
+    let window_records = window_records.max(1);
+    let n_windows = trace.len().div_ceil(window_records);
+    assert!(
+        n_windows as u64 <= 1 << 32,
+        "{n_windows} profiling windows overflow a u32 window index"
+    );
+    let mut per_pc = vec![0usize; trace.interner().len()];
+    for id in trace.id_chunks().iter().flatten() {
+        per_pc[id.index()] += 1;
+    }
+    let mut values: Vec<Vec<u64>> = per_pc.iter().map(|&n| Vec::with_capacity(n)).collect();
+    let mut windows: Vec<Vec<u32>> = per_pc.iter().map(|&n| Vec::with_capacity(n)).collect();
+    let mut counts = vec![[0u64; DIMS]; n_windows];
+    let (mut window, mut in_window) = (0usize, 0usize);
+    for (chunk, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
+        for (rec, id) in chunk.iter().zip(ids) {
+            counts[window][rec.category.index()] += 1;
+            values[id.index()].push(rec.value);
+            windows[id.index()].push(window as u32);
+            in_window += 1;
+            if in_window == window_records {
+                window += 1;
+                in_window = 0;
             }
-            if has_stride[i] && rec.value == prev.wrapping_add(stride[i]) {
-                counts[STRIDE_DIM] += 1;
-            }
-            if map1[i].insert(prev, rec.value) == Some(rec.value) {
-                counts[CTX1_DIM] += 1;
-            }
-            if depth[i] >= 3 && map3[i].insert(mix(&hist[i]), rec.value) == Some(rec.value) {
-                counts[CTX3_DIM] += 1;
-            }
-            stride[i] = rec.value.wrapping_sub(prev);
-            has_stride[i] = true;
-        } else {
-            counts[FRESH_DIM] += 1;
-            seen[i] = true;
-        }
-        hist[i] = [hist[i][1], hist[i][2], rec.value];
-        depth[i] = depth[i].saturating_add(1);
-        last[i] = rec.value;
-        in_window += 1;
-        if in_window == window_records {
-            vectors.push(normalized(&counts, in_window));
-            counts = [0u64; DIMS];
-            in_window = 0;
         }
     }
-    if in_window > 0 {
-        vectors.push(normalized(&counts, in_window));
+    // The fcm proxies: order-1 maps the previous value to its last
+    // successor; order-3 maps a mix of the last three values, once a PC
+    // has that much history.
+    let mut map1: HashMap<u64, u64> = HashMap::new();
+    let mut map3: HashMap<u64, u64> = HashMap::new();
+    for (values, windows) in values.into_iter().zip(windows) {
+        let Some(&first) = windows.first() else { continue };
+        // Clearing a map costs its whole table, so a table an earlier PC
+        // grew would tax every later PC: shrink it to what this PC's
+        // records can fill (a no-op unless it is larger), which keeps
+        // the clears linear in the trace.
+        map1.shrink_to(values.len());
+        map3.shrink_to(values.len());
+        counts[first as usize][FRESH_DIM] += 1;
+        for j in 1..values.len() {
+            let (value, prev) = (values[j], values[j - 1]);
+            let tally = &mut counts[windows[j] as usize];
+            if value == prev {
+                tally[LAST_DIM] += 1;
+            }
+            if j >= 2 && value == prev.wrapping_add(prev.wrapping_sub(values[j - 2])) {
+                tally[STRIDE_DIM] += 1;
+            }
+            if map1.insert(prev, value) == Some(value) {
+                tally[CTX1_DIM] += 1;
+            }
+            if j >= 3
+                && map3.insert(context_mix(&[values[j - 3], values[j - 2], prev]), value)
+                    == Some(value)
+            {
+                tally[CTX3_DIM] += 1;
+            }
+        }
+        map1.clear();
+        map3.clear();
     }
-    vectors
+    let last_len = trace.len() - n_windows.saturating_sub(1) * window_records;
+    let window_len = |w: usize| if w + 1 == n_windows { last_len } else { window_records };
+    counts.iter().enumerate().map(|(w, counts)| normalized(counts, window_len(w) as u64)).collect()
 }
 
 fn normalized(counts: &[u64; DIMS], len: u64) -> [f64; DIMS] {
@@ -344,7 +376,16 @@ fn kmeans(
 /// ```
 #[must_use]
 pub fn phase_plan(trace: &SharedTrace, options: &PhaseOptions) -> PhasePlan {
-    let total = trace.len() as u64;
+    plan_from(trace.len() as u64, options, |window| behavior_vectors(trace, window))
+}
+
+/// [`phase_plan`] over the behavior vectors `vectors` computes for a
+/// window length.
+fn plan_from(
+    total: u64,
+    options: &PhaseOptions,
+    vectors: impl FnOnce(usize) -> Vec<[f64; DIMS]>,
+) -> PhasePlan {
     let window = effective_window(options, total);
     let mut plan = PhasePlan {
         window_records: window,
@@ -356,7 +397,7 @@ pub fn phase_plan(trace: &SharedTrace, options: &PhaseOptions) -> PhasePlan {
     if total == 0 {
         return plan;
     }
-    let vectors = behavior_vectors(trace, window as usize);
+    let vectors = vectors(window as usize);
     // Cap phases so the tallied windows hold at most 1/min_reduction of
     // the trace: k * window <= total / min_reduction.
     let clusters = match options.min_reduction {
@@ -579,6 +620,135 @@ mod tests {
 
     fn options() -> PhaseOptions {
         PhaseOptions { window_records: 512, clusters: 4, ..PhaseOptions::default() }
+    }
+
+    /// The record-order pass [`behavior_vectors`] replaced, kept as its
+    /// oracle: it walks the trace once in record order with every PC's
+    /// proxy state (two context maps per PC) alive at once.
+    fn record_order_vectors(trace: &SharedTrace, window_records: usize) -> Vec<[f64; DIMS]> {
+        use std::collections::HashMap;
+        let window_records = window_records.max(1) as u64;
+        let n_ids = trace.interner().len();
+        let mut seen = vec![false; n_ids];
+        let mut last = vec![0u64; n_ids];
+        let mut stride = vec![0u64; n_ids];
+        let mut has_stride = vec![false; n_ids];
+        let mut map1: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n_ids];
+        let mut map3: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n_ids];
+        let mut hist = vec![[0u64; 3]; n_ids];
+        let mut depth = vec![0u32; n_ids];
+        let mut vectors = Vec::new();
+        let mut counts = [0u64; DIMS];
+        let mut in_window = 0u64;
+        for (rec, id) in trace.iter_with_ids() {
+            let i = id.index();
+            counts[rec.category.index()] += 1;
+            if seen[i] {
+                let prev = last[i];
+                if rec.value == prev {
+                    counts[LAST_DIM] += 1;
+                }
+                if has_stride[i] && rec.value == prev.wrapping_add(stride[i]) {
+                    counts[STRIDE_DIM] += 1;
+                }
+                if map1[i].insert(prev, rec.value) == Some(rec.value) {
+                    counts[CTX1_DIM] += 1;
+                }
+                if depth[i] >= 3
+                    && map3[i].insert(context_mix(&hist[i]), rec.value) == Some(rec.value)
+                {
+                    counts[CTX3_DIM] += 1;
+                }
+                stride[i] = rec.value.wrapping_sub(prev);
+                has_stride[i] = true;
+            } else {
+                counts[FRESH_DIM] += 1;
+                seen[i] = true;
+            }
+            hist[i] = [hist[i][1], hist[i][2], rec.value];
+            depth[i] = depth[i].saturating_add(1);
+            last[i] = rec.value;
+            in_window += 1;
+            if in_window == window_records {
+                vectors.push(normalized(&counts, in_window));
+                counts = [0u64; DIMS];
+                in_window = 0;
+            }
+        }
+        if in_window > 0 {
+            vectors.push(normalized(&counts, in_window));
+        }
+        vectors
+    }
+
+    /// A seeded trace of `records` records over `pcs` PCs (PC 0 takes
+    /// about nine in ten records when `skewed`). Each record repeats its
+    /// PC's last value, steps it by a per-PC stride, or draws a value
+    /// below `range`, so every proxy both hits and misses.
+    fn xorshift_trace(seed: u64, records: u64, pcs: u64, skewed: bool, range: u64) -> SharedTrace {
+        let mut state = seed | 1;
+        let mut last = vec![0u64; pcs as usize];
+        (0..records)
+            .map(|_| {
+                let r = xorshift64(&mut state);
+                let pc = if skewed && r % 10 < 9 { 0 } else { (r >> 8) % pcs };
+                let value = match (r >> 20) % 4 {
+                    0 => last[pc as usize],
+                    1 => last[pc as usize].wrapping_add(pc + 1),
+                    _ => xorshift64(&mut state) % range,
+                };
+                last[pc as usize] = value;
+                let category = InstrCategory::ALL[(r >> 40) as usize % InstrCategory::ALL.len()];
+                TraceRecord::new(Pc(4 * pc), category, value)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pc_major_vectors_match_the_record_order_pass_bit_for_bit() {
+        let shapes = [(1, false), (7, false), (300, false), (300, true)];
+        let ranges = [4, 1 << 12, u64::MAX];
+        // Every proxy dimension must fire somewhere, or the comparison
+        // would not cover it.
+        let mut fired = [false; DIMS];
+        for (seed, (pcs, skewed)) in (1u64..).zip(shapes) {
+            for range in ranges {
+                // 10,007 records: every window size but 1 leaves a
+                // partial last window.
+                let trace = xorshift_trace(seed, 10_007, pcs, skewed, range);
+                let shards = trace.to_vec().chunks(999).map(<[_]>::to_vec).collect();
+                let chunked = SharedTrace::from_chunks(shards);
+                for window in [1, 3, 64, 1000, 4096] {
+                    let oracle = record_order_vectors(&trace, window);
+                    for vector in &oracle {
+                        for (fired, &share) in fired.iter_mut().zip(vector) {
+                            *fired |= share > 0.0;
+                        }
+                    }
+                    for trace in [&trace, &chunked] {
+                        let vectors = behavior_vectors(trace, window);
+                        assert_eq!(vectors.len(), oracle.len());
+                        for (w, (got, want)) in vectors.iter().zip(&oracle).enumerate() {
+                            assert_eq!(
+                                got.map(f64::to_bits),
+                                want.map(f64::to_bits),
+                                "window {w} of {window} records, {pcs} PCs (skewed {skewed}), \
+                                 values below {range}"
+                            );
+                        }
+                    }
+                }
+                for window_records in [64, 256] {
+                    let options = PhaseOptions { window_records, ..PhaseOptions::default() };
+                    let oracle = plan_from(trace.len() as u64, &options, |window| {
+                        record_order_vectors(&trace, window)
+                    });
+                    assert_eq!(phase_plan(&trace, &options), oracle);
+                    assert_eq!(phase_plan(&chunked, &options), oracle);
+                }
+            }
+        }
+        assert_eq!(fired, [true; DIMS]);
     }
 
     #[test]

@@ -1,18 +1,20 @@
-//! `repro bench` — the perf-smoke harness behind `BENCH_20.json`.
+//! `repro bench` — the perf-smoke harness behind `BENCH_24.json`.
 //!
 //! Replays one fixed, seeded synthetic trace through each predictor
 //! family's batched dense hot path ([`Predictor::observe_batch`] over the
 //! trace's chunks — exactly how the replay engine drives predictors) and
-//! reports records/second per family as stable, hand-rolled JSON. The
-//! committed baseline (`BENCH_20.json` at the repository root; the older
-//! `BENCH_9.json`, `BENCH_14.json` and `BENCH_17.json` stay as the records
-//! they were) lets CI run a comparison with a deliberately generous
-//! regression tripwire: machine-to-machine variance is expected; a family
-//! running **3x** slower than baseline is not. Hits are no timing, so a
-//! family whose `correct` count moves fails the check outright.
+//! reports ns/record per family as stable, hand-rolled JSON, then times
+//! [`phase_plan`] over that trace and over one four times as long (rows
+//! `plan` and `plan.4n`). The committed baseline (`BENCH_24.json` at the
+//! repository root; the older `BENCH_9.json`, `BENCH_14.json`,
+//! `BENCH_17.json` and `BENCH_20.json` stay as the records they were)
+//! lets CI run a comparison with a deliberately generous regression
+//! tripwire: machine-to-machine variance is expected; a row running
+//! **3x** slower than baseline is not. Hits are no timing, so a row whose
+//! `correct` count moves fails the check outright.
 
 use dvp_core::{HybridPredictor, Predictor, PredictorConfig};
-use dvp_engine::SharedTrace;
+use dvp_engine::{phase_plan, PhaseOptions, SharedTrace};
 use dvp_trace::Value;
 use dvp_workloads::synthetic::{Scenario, ScenarioKind};
 use std::fmt::Write as _;
@@ -24,20 +26,22 @@ use crate::{json, TextTable};
 /// global scale divisor).
 pub const BENCH_RECORDS: usize = 200_000;
 
-/// Replay passes per family; the fastest pass is reported (min-of-N
-/// rejects scheduler noise without averaging it in).
+/// Passes per row; the fastest pass is reported (min-of-N rejects
+/// scheduler noise without averaging it in).
 pub const BENCH_PASSES: usize = 3;
 
-/// Per-family ratio above which [`check`] fails the run.
+/// Per-row ratio above which [`check`] fails the run.
 pub const REGRESSION_FACTOR: f64 = 3.0;
 
-/// One family's measurement.
+/// One row's measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
-    /// Predictor family name (`l`, `s2`, `fcm1`..`fcm3`, `hybrid`).
+    /// Predictor family name (`l`, `s2`, `fcm1`..`fcm3`, `hybrid`), or
+    /// `plan`/`plan.4n` for phase profiling.
     pub name: String,
-    /// Correct predictions over the trace — a determinism witness: this
-    /// count depends only on the seeded trace, never on timing.
+    /// Correct predictions over the trace (for the profiling rows, the
+    /// plan's simulated records) — a determinism witness: this count
+    /// depends only on the seeded trace, never on timing.
     pub correct: u64,
     /// Fastest-pass cost per record, in nanoseconds.
     pub ns_per_record: f64,
@@ -67,10 +71,22 @@ pub fn bench_trace(records: usize) -> SharedTrace {
 }
 
 /// Replays every family over the seeded trace, `passes` times each, and
-/// returns the per-family results in bank order.
+/// returns the per-family results in bank order, followed by the phase
+/// profiling rows `plan` (the same trace) and `plan.4n` (the bench trace
+/// at four times the records): a per-record profiling cost that grows
+/// with trace length shows as `plan.4n` running slower than `plan`.
 #[must_use]
 pub fn run(records: usize, passes: usize) -> Vec<BenchResult> {
     let trace = bench_trace(records);
+    let mut results = replay_rows(&trace, passes);
+    results.push(plan_row("plan", &trace, passes));
+    drop(trace);
+    results.push(plan_row("plan.4n", &bench_trace(4 * records), passes));
+    results
+}
+
+/// One row per bench family, replaying `trace` `passes` times each.
+fn replay_rows(trace: &SharedTrace, passes: usize) -> Vec<BenchResult> {
     let mut values: Vec<Value> = Vec::new();
     let mut correct_buf: Vec<bool> = Vec::new();
     bench_bank()
@@ -99,6 +115,21 @@ pub fn run(records: usize, passes: usize) -> Vec<BenchResult> {
             BenchResult { name: config.name().to_owned(), correct, ns_per_record: best }
         })
         .collect()
+}
+
+/// The fastest of `passes` default [`phase_plan`]s of `trace`; the plan's
+/// simulated record count is the row's determinism witness.
+fn plan_row(name: &str, trace: &SharedTrace, passes: usize) -> BenchResult {
+    let mut best = f64::INFINITY;
+    let mut correct = 0u64;
+    for _ in 0..passes.max(1) {
+        let start = Instant::now();
+        let plan = phase_plan(trace, &PhaseOptions::default());
+        let nanos = start.elapsed().as_nanos() as f64;
+        best = best.min(nanos / trace.len().max(1) as f64);
+        correct = plan.simulated_records();
+    }
+    BenchResult { name: name.to_owned(), correct, ns_per_record: best }
 }
 
 /// Renders results as the stable `BENCH_*.json` shape. The engine epoch
@@ -131,7 +162,7 @@ pub struct Baseline {
     /// Records the baseline replayed; [`check`] compares only runs of
     /// the same trace.
     pub records: usize,
-    /// Per-family results in file order.
+    /// Per-row results in file order.
     pub results: Vec<BenchResult>,
 }
 
@@ -188,9 +219,9 @@ fn parse_result(parser: &mut json::Parser) -> Result<BenchResult, String> {
 /// side-by-side table (returned, for the caller to print) and reports
 /// whether the check failed. It fails when the runs replayed different
 /// record counts (their timings and hits are not comparable), when any
-/// family's `correct` count differs from the baseline's (the trace or the
-/// predictor's semantics moved), or when any family crossed the
-/// [`REGRESSION_FACTOR`] tripwire.
+/// row's `correct` count differs from the baseline's (the trace or the
+/// semantics moved), or when any row crossed the [`REGRESSION_FACTOR`]
+/// tripwire.
 #[must_use]
 pub fn check(records: usize, results: &[BenchResult], baseline: &Baseline) -> (String, bool) {
     if records != baseline.records {
@@ -201,7 +232,7 @@ pub fn check(records: usize, results: &[BenchResult], baseline: &Baseline) -> (S
         return (report, true);
     }
     let mut table = TextTable::new(vec![
-        "family",
+        "row",
         "baseline ns/rec",
         "current ns/rec",
         "ratio",
@@ -263,7 +294,7 @@ mod tests {
     fn results_cover_every_family_with_deterministic_hits() {
         let first = run(2_000, 1);
         let names: Vec<&str> = first.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid"]);
+        assert_eq!(names, ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n"]);
         let second = run(2_000, 1);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.correct, b.correct, "{} hits must not depend on timing", a.name);
@@ -302,17 +333,26 @@ mod tests {
     fn committed_baselines_parse_to_their_rows() {
         // Every committed `BENCH_*.json`, read as the line scanner that
         // preceded the JSON parser read it: 200,000 records and the same
-        // six rows, hits unchanged since the first baseline.
-        let files = [
-            (include_str!("../../../BENCH_9.json"), [7.40, 9.19, 510.57, 530.39, 745.54, 580.25]),
-            (include_str!("../../../BENCH_14.json"), [5.94, 7.44, 177.94, 213.17, 406.80, 254.99]),
-            (include_str!("../../../BENCH_17.json"), [9.56, 10.71, 157.58, 161.83, 219.27, 194.57]),
-            (include_str!("../../../BENCH_20.json"), [6.69, 7.98, 163.45, 246.34, 365.24, 330.31]),
+        // six family rows, hits unchanged since the first baseline;
+        // `BENCH_24.json` adds the two phase-profiling rows.
+        let files: [(&str, &[f64]); 5] = [
+            (include_str!("../../../BENCH_9.json"), &[7.40, 9.19, 510.57, 530.39, 745.54, 580.25]),
+            (include_str!("../../../BENCH_14.json"), &[5.94, 7.44, 177.94, 213.17, 406.80, 254.99]),
+            (
+                include_str!("../../../BENCH_17.json"),
+                &[9.56, 10.71, 157.58, 161.83, 219.27, 194.57],
+            ),
+            (include_str!("../../../BENCH_20.json"), &[6.69, 7.98, 163.45, 246.34, 365.24, 330.31]),
+            (
+                include_str!("../../../BENCH_24.json"),
+                &[7.04, 7.20, 156.90, 235.96, 361.46, 258.12, 47.66, 57.78],
+            ),
         ];
-        let names = ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid"];
-        let correct = [40_615, 82_496, 120_904, 120_904, 120_904, 161_464];
+        let names = ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n"];
+        let correct = [40_615, 82_496, 120_904, 120_904, 120_904, 161_464, 18_432, 38_144];
         for (text, ns) in files {
-            let rows = (0..6).map(|i| result(names[i], correct[i], ns[i])).collect();
+            let rows =
+                ns.iter().enumerate().map(|(i, &ns)| result(names[i], correct[i], ns)).collect();
             let parsed = parse_baseline(text).expect("committed baseline parses");
             assert_eq!(parsed, baseline(200_000, rows));
             // Files stamped with this epoch are exactly what the writer

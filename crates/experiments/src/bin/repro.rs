@@ -13,7 +13,7 @@
 //! repro sweep --quick --format csv   # smaller grid, machine-readable output
 //! repro phases                       # SimPoint phase plans per workload
 //! repro bench                        # per-family perf smoke (ns/record, JSON)
-//! repro bench --check BENCH_20.json  # compare against the committed baseline
+//! repro bench --check BENCH_24.json  # compare against the committed baseline
 //! repro trace export --trace-dir d/  # simulate + persist all benchmark traces
 //! repro trace stats  --trace-dir d/  # list cached containers
 //! repro trace verify --trace-dir d/  # validate every checksum + record
@@ -490,10 +490,10 @@ fn run_phases_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String
 
 /// `repro bench`: the perf-smoke harness. Replays the fixed seeded
 /// synthetic trace through every predictor family's batched dense hot
-/// path and prints records/second JSON (the `BENCH_*.json` shape) on
-/// stdout. With `--check FILE` it replays at the baseline's record count
+/// path, times phase profiling at that length and at four times it, and
+/// prints ns/record JSON (the `BENCH_*.json` shape) on stdout. With `--check FILE` it replays at the baseline's record count
 /// (so `--records` is a usage error there) and renders a
-/// baseline-vs-current table on stderr, failing when a family's hits
+/// baseline-vs-current table on stderr, failing when a row's hits
 /// differ from the baseline's or its time crosses the generous
 /// regression tripwire (timing noise is expected; a 3x slowdown is not).
 fn run_bench_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String> {
@@ -523,7 +523,7 @@ fn run_bench_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String>
         Some(baseline) => baseline.records,
         None => records.unwrap_or(bench::BENCH_RECORDS / globals.scale_div as usize),
     };
-    eprintln!("[repro] bench: {records} records x {passes} passes per family...");
+    eprintln!("[repro] bench: {records} records x {passes} passes per row...");
     let results = bench::run(records, passes);
     print!("{}", bench::to_json(records, &results));
     if let Some(baseline) = baseline {
@@ -531,12 +531,12 @@ fn run_bench_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String>
         eprintln!("{report}");
         if failed {
             return Err(format!(
-                "[repro] bench: the check failed (hits differ from the baseline, or a family \
+                "[repro] bench: the check failed (hits differ from the baseline, or a row \
                  regressed past {}x)",
                 bench::REGRESSION_FACTOR
             ));
         }
-        eprintln!("[repro] bench: hits match the baseline; all families within the budget");
+        eprintln!("[repro] bench: hits match the baseline; all rows within the budget");
     }
     Ok(ExitCode::SUCCESS)
 }
