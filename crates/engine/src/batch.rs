@@ -8,18 +8,22 @@
 //! tallies: `observe_batch` is bit-for-bit the per-record loop, so *any*
 //! flush schedule produces identical results.
 
+use crate::shard_of_pc;
 use dvp_core::Predictor;
-use dvp_trace::{InstrCategory, Observer, Pc, PcId, TraceRecord, Value};
+use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcInterner, TraceRecord, Value};
 
 /// Reusable structure-of-arrays gather buffers for batched replay.
 ///
-/// One shape: [`gather`](BatchScratch::gather) selects a span of a chunk
-/// (optionally only one PC shard's records) together with each record's
-/// global trace position, and [`observe`](BatchScratch::observe) replays
-/// the selection through one `observe_batch` call, yielding
-/// `(position, category, correct)` per record in trace order;
-/// [`observe_into`](BatchScratch::observe_into) hands the same columns to
-/// an [`Observer`].
+/// One shape: a gather selects a span of a chunk (optionally only one PC
+/// shard's records) together with each record's dense id and global
+/// trace position — [`gather`](BatchScratch::gather) takes the ids of a
+/// resident trace, [`gather_interning`](BatchScratch::gather_interning)
+/// interns the selected records of a streamed chunk as it goes — and
+/// [`observe`](BatchScratch::observe) replays the selection through one
+/// `observe_batch` call, yielding `(position, category, correct)` per
+/// record in trace order; [`observe_into`](BatchScratch::observe_into)
+/// hands the same columns to an [`Observer`]. Observing leaves the
+/// selection as it was, so one gather feeds any number of models.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     ids: Vec<PcId>,
@@ -44,19 +48,51 @@ impl BatchScratch {
         ids: &[PcId],
         shard: Option<(&[usize], usize)>,
     ) {
+        self.select(base, records, |offset, _| {
+            let id = ids[offset];
+            shard.is_none_or(|(shard_of, s)| shard_of[id.index()] == s).then_some(id)
+        });
+    }
+
+    /// Replaces the selection with `records` (the first at global
+    /// position `base`) — all of them, or with `Some((shards, shard))`
+    /// only those whose PC falls in `shard` of `shards` — interning each
+    /// selected PC into `interner`, so the ids name only PCs this
+    /// selection's owner replays.
+    pub(crate) fn gather_interning(
+        &mut self,
+        base: u64,
+        records: &[TraceRecord],
+        interner: &mut PcInterner,
+        shard: Option<(usize, usize)>,
+    ) {
+        self.select(base, records, |_, rec| {
+            shard
+                .is_none_or(|(shards, s)| shard_of_pc(rec.pc, shards) == s)
+                .then(|| interner.intern(rec.pc))
+        });
+    }
+
+    /// Replaces the selection with the records `pick` gives an id.
+    fn select(
+        &mut self,
+        base: u64,
+        records: &[TraceRecord],
+        mut pick: impl FnMut(usize, &TraceRecord) -> Option<PcId>,
+    ) {
         self.base = base;
         self.ids.clear();
         self.pcs.clear();
         self.values.clear();
         self.categories.clear();
         self.offsets.clear();
-        for (offset, (rec, &id)) in (0..).zip(records.iter().zip(ids)) {
-            if shard.is_none_or(|(shard_of, s)| shard_of[id.index()] == s) {
+        for (offset, rec) in records.iter().enumerate() {
+            if let Some(id) = pick(offset, rec) {
                 self.ids.push(id);
                 self.pcs.push(rec.pc);
                 self.values.push(rec.value);
                 self.categories.push(rec.category);
-                self.offsets.push(offset);
+                self.offsets.push(offset as u32);
             }
         }
     }
@@ -146,5 +182,20 @@ mod tests {
         assert_eq!(positions, picked.iter().map(|&i| 990 + i as u64).collect::<Vec<_>>());
         scratch.gather(0, &records[5..5], &ids[5..5], None);
         assert!(scratch.ids.is_empty() && scratch.offsets.is_empty());
+
+        // Streaming: the shard is read off the PC, and only the selected
+        // PCs are interned, densely in their first-appearance order.
+        let mut interner = PcInterner::new();
+        scratch.gather_interning(1000, &records[10..40], &mut interner, Some((3, 1)));
+        let picked: Vec<usize> = (10..40).filter(|&i| shard_of_pc(records[i].pc, 3) == 1).collect();
+        assert!(!picked.is_empty() && picked.len() < 30);
+        assert_eq!(scratch.pcs, picked.iter().map(|&i| records[i].pc).collect::<Vec<_>>());
+        assert!(interner.pcs().iter().all(|&pc| shard_of_pc(pc, 3) == 1));
+        let want: Vec<PcId> =
+            picked.iter().map(|&i| interner.get(records[i].pc).expect("interned")).collect();
+        assert_eq!(scratch.ids, want);
+        assert_eq!(scratch.offsets, picked.iter().map(|&i| i as u32 - 10).collect::<Vec<_>>());
+        scratch.gather_interning(7, &records[..3], &mut interner, None);
+        assert_eq!(scratch.pcs, records[..3].iter().map(|r| r.pc).collect::<Vec<_>>());
     }
 }

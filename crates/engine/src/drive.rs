@@ -1,7 +1,10 @@
 //! The replay driver: every public replay method is a thin wrapper that
 //! folds a chunk source (resident or streamed) through one job loop under
-//! a [`Plan`], on one PC partition ([`shard_of_pc`], computed once per
-//! dense id), with one merge in (configuration, unit) order.
+//! a [`Plan`], on one PC partition ([`shard_of_pc`]), with one merge in
+//! (configuration, unit) order. A resident trace is split into the
+//! engine's shards (looked up once per dense id); a streamed container is
+//! split into one shard per consumer thread, so each consumer gathers
+//! (and interns) its records once per chunk for every model it owns.
 
 use crate::batch::BatchScratch;
 use crate::pool::decode_ahead;
@@ -9,7 +12,7 @@ use crate::shared::ChunkWindow;
 use crate::{shard_of_pc, ReplayEngine, SharedTrace};
 use dvp_core::{AccuracyTracker, Predictor, PredictorConfig};
 use dvp_trace::io::{v2, TraceIoError};
-use dvp_trace::{Observer, PcId, PcInterner, PhasePlan, TraceRecord};
+use dvp_trace::{Observer, PcInterner, PhasePlan, TraceRecord};
 use std::io::Read;
 use std::ops::Range;
 
@@ -170,29 +173,11 @@ struct Job<M> {
     shard: Option<usize>,
 }
 
-impl<M: Model> Job<M> {
+impl<M> Job<M> {
     /// The span of a `len`-record chunk at position `base` this job reads.
     fn span(&self, base: u64, len: usize) -> Range<usize> {
         let clamp = |pos: u64| (pos.clamp(base, base + len as u64) - base) as usize;
         clamp(self.observed.start)..clamp(self.observed.end)
-    }
-
-    /// Folds one chunk (`records` with their parallel `ids`, starting at
-    /// global position `base`) into the job; `shard_of` maps ids to PC
-    /// shards, so the shard filter is one indexed load per record.
-    fn absorb(
-        &mut self,
-        base: u64,
-        records: &[TraceRecord],
-        ids: &[PcId],
-        shard_of: &[usize],
-        scratch: &mut BatchScratch,
-    ) {
-        let span = self.span(base, records.len());
-        let base = base + span.start as u64;
-        let shard = self.shard.map(|s| (shard_of, s));
-        scratch.gather(base, &records[span.clone()], &ids[span], shard);
-        self.model.feed(scratch);
     }
 }
 
@@ -250,7 +235,8 @@ fn produce<R: Read>(
 impl ReplayEngine {
     /// Replays a resident trace under `plan`: one job per (configuration,
     /// unit) on the worker pool, `make(config, unit)` building each job's
-    /// model. Returns one merged report per configuration.
+    /// model, so a worker holds one configuration's predictor at a time.
+    /// Returns one merged report per configuration.
     ///
     /// # Panics
     ///
@@ -275,7 +261,11 @@ impl ReplayEngine {
             let mut scratch = BatchScratch::default();
             let mut base = 0u64;
             for (records, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
-                job.absorb(base, records, ids, &shard_of, &mut scratch);
+                let span = job.span(base, records.len());
+                let shard = job.shard.map(|s| (shard_of.as_slice(), s));
+                let at = base + span.start as u64;
+                scratch.gather(at, &records[span.clone()], &ids[span], shard);
+                job.model.feed(&mut scratch);
                 base += records.len() as u64;
             }
             job.model.finish()
@@ -284,9 +274,14 @@ impl ReplayEngine {
     }
 
     /// Replays a container streaming under `plan`: the calling thread
-    /// produces chunks into the bounded window while consumer `c` folds
-    /// every chunk into jobs `c, c + consumers, …` (configuration-major),
-    /// interning each PC once into one interner shared by all its jobs.
+    /// produces chunks into the bounded window while each consumer folds
+    /// every chunk into the jobs it owns. Job `j` (configuration-major)
+    /// belongs to consumer `j % consumers`; when the plan's units are PC
+    /// shards there is one shard per consumer, so consumer `c` owns shard
+    /// `c` of every configuration. A consumer gathers a chunk once for
+    /// each run of owned jobs with the same span and shard (one run per
+    /// chunk for shard units), interning only the records it selects into
+    /// its own interner, and feeds every job of the run from that batch.
     /// Returns one merged report per configuration.
     ///
     /// # Errors
@@ -307,9 +302,9 @@ impl ReplayEngine {
     {
         let header = v2::read_header(&mut reader)?;
         plan.check(header.record_count).map_err(|message| TraceIoError::Format { message })?;
-        let (shards, units) = (self.shards(), plan.units(self.shards()));
+        let consumers = self.workers().min(configs * plan.units(self.workers()));
+        let units = plan.units(consumers);
         let jobs = configs * units;
-        let consumers = self.workers().min(jobs);
         let folded = decode_ahead(
             self.chunk_window(),
             consumers,
@@ -317,31 +312,28 @@ impl ReplayEngine {
             |window, consumer| {
                 let mut owned: Vec<Job<M>> = (consumer..jobs)
                     .step_by(consumers)
-                    .map(|j| plan.job(j % units, shards, make(j / units, j % units)))
+                    .map(|j| plan.job(j % units, consumers, make(j / units, j % units)))
                     .collect();
                 let mut interner = PcInterner::new();
-                let (mut shard_of, mut ids) = (Vec::new(), Vec::new());
                 let mut scratch = BatchScratch::default();
                 while let Some(chunk) = window.next(consumer) {
                     let (base, records) = &*chunk;
-                    // Intern only the records some owned job reads.
-                    let mut spans: Vec<Range<usize>> =
-                        owned.iter().map(|job| job.span(*base, records.len())).collect();
-                    spans.sort_by_key(|span| span.start);
-                    ids.clear();
-                    ids.resize(records.len(), PcId(0));
-                    let mut interned = 0;
-                    for span in spans {
-                        for i in span.start.max(interned)..span.end {
-                            ids[i] = interner.intern(records[i].pc);
-                            if ids[i].index() == shard_of.len() {
-                                shard_of.push(shard_of_pc(records[i].pc, shards));
-                            }
-                        }
-                        interned = interned.max(span.end);
-                    }
+                    let mut gathered = None;
                     for job in &mut owned {
-                        job.absorb(*base, records, &ids, &shard_of, &mut scratch);
+                        let selection = (job.span(*base, records.len()), job.shard);
+                        if gathered.as_ref() != Some(&selection) {
+                            let (span, shard) = &selection;
+                            let at = base + span.start as u64;
+                            let shard = shard.map(|s| (consumers, s));
+                            scratch.gather_interning(
+                                at,
+                                &records[span.clone()],
+                                &mut interner,
+                                shard,
+                            );
+                            gathered = Some(selection);
+                        }
+                        job.model.feed(&mut scratch);
                     }
                 }
                 owned.into_iter().map(|job| job.model.finish()).collect::<Vec<_>>()
@@ -464,11 +456,23 @@ mod tests {
         let plan = phase_plan(&trace, &options);
         let containers = (stored.as_slice(), compressed.as_slice());
         let sequential = ReplayEngine::sequential();
-        let parallel = ReplayEngine::new().with_workers(4).with_shards(3).with_chunk_window(2);
+        // Streaming shards by consumer (one per worker) and resident
+        // replay by the shard setting: both vary across the grid.
+        let engines: Vec<ReplayEngine> = [1, 2, 3, 5]
+            .into_iter()
+            .flat_map(|workers| {
+                [1, 3, 8].map(|shards| {
+                    ReplayEngine::new()
+                        .with_workers(workers)
+                        .with_shards(shards)
+                        .with_chunk_window(2)
+                })
+            })
+            .collect();
         for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
             let reference = run(&sequential, Source::Resident, mode, &trace, containers, &plan);
             for source in [Source::Resident, Source::Stored, Source::Compressed] {
-                for engine in [&sequential, &parallel] {
+                for engine in std::iter::once(&sequential).chain(&engines) {
                     assert_eq!(
                         run(engine, source, mode, &trace, containers, &plan),
                         reference,

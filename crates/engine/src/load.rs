@@ -84,9 +84,14 @@ impl ReplayEngine {
     /// replay chunk *N* while chunk *N + 1* decompresses, so the pipeline
     /// hides decode latency behind predictor work.
     ///
-    /// Resident records are bounded by roughly
-    /// `(chunk_window + workers) × chunk_capacity` regardless of trace
-    /// length. Tallies are byte-identical to
+    /// Resident records are bounded by `(chunk_window + 2) ×
+    /// chunk_capacity` decoded records — the window, the evicted chunk
+    /// consumers may still replay, and the chunk the producer decoded
+    /// while it waits for room — plus one gather buffer per worker, which
+    /// holds the worker's PC shard of at most one chunk; none of it grows
+    /// with trace length. Workers split the container into one PC shard
+    /// each (the [`with_shards`](ReplayEngine::with_shards) setting
+    /// shapes resident replay only). Tallies are byte-identical to
     /// [`replay`](ReplayEngine::replay) on the loaded trace at every
     /// worker, shard, and window setting.
     ///

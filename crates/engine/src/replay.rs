@@ -84,7 +84,11 @@ impl ReplayEngine {
         self
     }
 
-    /// Sets the per-trace PC shard count (clamped to at least 1).
+    /// Sets the per-trace PC shard count of resident replay (clamped to
+    /// at least 1): each (configuration, shard) is one job on the pool.
+    /// Streaming replay does not read it: it splits a container into one
+    /// PC shard per worker, so each worker gathers a chunk once for all
+    /// the configurations it owns. Neither setting changes a tally.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -108,7 +112,7 @@ impl ReplayEngine {
         self.workers
     }
 
-    /// The per-trace PC shard count.
+    /// The per-trace PC shard count of resident replay.
     #[must_use]
     pub fn shards(&self) -> usize {
         self.shards

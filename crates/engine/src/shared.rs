@@ -14,8 +14,9 @@ pub const DEFAULT_CHUNK_LEN: usize = 1 << 16;
 /// ([`ReplayEngine::replay_streaming`](crate::ReplayEngine::replay_streaming)).
 ///
 /// Four in-flight chunks keep the decoder a comfortable lap ahead of the
-/// replay workers while bounding resident records to
-/// `4 × chunk_capacity` regardless of trace length.
+/// replay workers while bounding the window to `4 × chunk_capacity`
+/// records regardless of trace length (see [`ReplayEngine::replay_streaming`](crate::ReplayEngine::replay_streaming)
+/// for what else is resident).
 pub const DEFAULT_CHUNK_WINDOW: usize = 4;
 
 /// An immutable value trace held in fixed-size chunks behind an [`Arc`].
@@ -220,10 +221,11 @@ pub fn shard_of_pc(pc: Pc, nshards: usize) -> usize {
 /// each see **every** chunk, in order, at their own pace. The window holds
 /// at most `capacity` chunks: the producer blocks while the slowest
 /// consumer is `capacity` chunks behind, and a chunk's storage is dropped
-/// as soon as every consumer has moved past it (consumers may briefly keep
-/// one clone alive while replaying it). Resident records are therefore
-/// bounded by `(capacity + 1) × chunk_capacity` no matter how long the
-/// trace is.
+/// as soon as every consumer has moved past it. A consumer holds one clone
+/// while it replays a chunk, and only the chunk just behind the window can
+/// be held once evicted, so the window keeps at most `capacity + 1` chunks
+/// alive no matter how long the trace is (the producer's next chunk,
+/// decoded while it waits for room, is its own).
 ///
 /// [`abort`](ChunkWindow::abort) poisons the window (decode error
 /// upstream): consumers drain immediately and the producer never blocks

@@ -1,20 +1,23 @@
-//! `repro bench` — the perf-smoke harness behind `BENCH_24.json`.
+//! `repro bench` — the perf-smoke harness behind `BENCH_25.json`.
 //!
 //! Replays one fixed, seeded synthetic trace through each predictor
 //! family's batched dense hot path ([`Predictor::observe_batch`] over the
 //! trace's chunks — exactly how the replay engine drives predictors) and
 //! reports ns/record per family as stable, hand-rolled JSON, then times
 //! [`phase_plan`] over that trace and over one four times as long (rows
-//! `plan` and `plan.4n`). The committed baseline (`BENCH_24.json` at the
-//! repository root; the older `BENCH_9.json`, `BENCH_14.json`,
-//! `BENCH_17.json` and `BENCH_20.json` stay as the records they were)
+//! `plan` and `plan.4n`) and a sequential [`ReplayEngine::load_trace`] of
+//! the trace's container (row `decode`). The committed baseline
+//! (`BENCH_25.json` at the repository root; the older `BENCH_9.json`,
+//! `BENCH_14.json`, `BENCH_17.json`, `BENCH_20.json` and `BENCH_24.json`
+//! stay as the records they were)
 //! lets CI run a comparison with a deliberately generous regression
 //! tripwire: machine-to-machine variance is expected; a row running
 //! **3x** slower than baseline is not. Hits are no timing, so a row whose
 //! `correct` count moves fails the check outright.
 
 use dvp_core::{HybridPredictor, Predictor, PredictorConfig};
-use dvp_engine::{phase_plan, PhaseOptions, SharedTrace};
+use dvp_engine::{phase_plan, PhaseOptions, ReplayEngine, SharedTrace};
+use dvp_trace::io::v2;
 use dvp_trace::Value;
 use dvp_workloads::synthetic::{Scenario, ScenarioKind};
 use std::fmt::Write as _;
@@ -36,12 +39,14 @@ pub const REGRESSION_FACTOR: f64 = 3.0;
 /// One row's measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
-    /// Predictor family name (`l`, `s2`, `fcm1`..`fcm3`, `hybrid`), or
-    /// `plan`/`plan.4n` for phase profiling.
+    /// Predictor family name (`l`, `s2`, `fcm1`..`fcm3`, `hybrid`),
+    /// `plan`/`plan.4n` for phase profiling, or `decode` for container
+    /// decode.
     pub name: String,
     /// Correct predictions over the trace (for the profiling rows, the
-    /// plan's simulated records) — a determinism witness: this count
-    /// depends only on the seeded trace, never on timing.
+    /// plan's simulated records; for `decode`, the records decoded) — a
+    /// determinism witness: this count depends only on the seeded trace,
+    /// never on timing.
     pub correct: u64,
     /// Fastest-pass cost per record, in nanoseconds.
     pub ns_per_record: f64,
@@ -73,15 +78,18 @@ pub fn bench_trace(records: usize) -> SharedTrace {
 /// Replays every family over the seeded trace, `passes` times each, and
 /// returns the per-family results in bank order, followed by the phase
 /// profiling rows `plan` (the same trace) and `plan.4n` (the bench trace
-/// at four times the records): a per-record profiling cost that grows
-/// with trace length shows as `plan.4n` running slower than `plan`.
+/// at four times the records) — a per-record profiling cost that grows
+/// with trace length shows as `plan.4n` running slower than `plan` — and
+/// the container decode row `decode` (the same trace).
 #[must_use]
 pub fn run(records: usize, passes: usize) -> Vec<BenchResult> {
     let trace = bench_trace(records);
     let mut results = replay_rows(&trace, passes);
     results.push(plan_row("plan", &trace, passes));
+    let decode = decode_row(&trace, passes);
     drop(trace);
     results.push(plan_row("plan.4n", &bench_trace(4 * records), passes));
+    results.push(decode);
     results
 }
 
@@ -130,6 +138,34 @@ fn plan_row(name: &str, trace: &SharedTrace, passes: usize) -> BenchResult {
         correct = plan.simulated_records();
     }
     BenchResult { name: name.to_owned(), correct, ns_per_record: best }
+}
+
+/// The fastest of `passes` sequential [`ReplayEngine::load_trace`]s of
+/// `trace`'s in-memory container, written as the trace cache writes one
+/// (compressed chunks plus the persisted interner, so ids come from
+/// read-only lookups): decompression, decoding and id assignment on one
+/// thread. The records decoded are the row's witness.
+fn decode_row(trace: &SharedTrace, passes: usize) -> BenchResult {
+    let mut bytes = Vec::new();
+    let sections = [(v2::SECTION_INTERNER, v2::encode_interner(trace.interner()))];
+    v2::write_compressed(
+        &mut bytes,
+        &v2::TraceMeta::default(),
+        trace.chunks().iter().map(Vec::as_slice),
+        &sections,
+    )
+    .expect("an in-memory container write cannot fail");
+    let engine = ReplayEngine::sequential();
+    let mut best = f64::INFINITY;
+    let mut correct = 0u64;
+    for _ in 0..passes.max(1) {
+        let start = Instant::now();
+        let loaded = engine.load_trace(&bytes);
+        let nanos = start.elapsed().as_nanos() as f64;
+        best = best.min(nanos / trace.len().max(1) as f64);
+        correct = loaded.expect("the bench container decodes").1.len() as u64;
+    }
+    BenchResult { name: "decode".to_owned(), correct, ns_per_record: best }
 }
 
 /// Renders results as the stable `BENCH_*.json` shape. The engine epoch
@@ -294,7 +330,11 @@ mod tests {
     fn results_cover_every_family_with_deterministic_hits() {
         let first = run(2_000, 1);
         let names: Vec<&str> = first.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n"]);
+        assert_eq!(
+            names,
+            ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode"]
+        );
+        assert_eq!(first[8].correct, 2_000);
         let second = run(2_000, 1);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.correct, b.correct, "{} hits must not depend on timing", a.name);
@@ -334,8 +374,9 @@ mod tests {
         // Every committed `BENCH_*.json`, read as the line scanner that
         // preceded the JSON parser read it: 200,000 records and the same
         // six family rows, hits unchanged since the first baseline;
-        // `BENCH_24.json` adds the two phase-profiling rows.
-        let files: [(&str, &[f64]); 5] = [
+        // `BENCH_24.json` adds the two phase-profiling rows and
+        // `BENCH_25.json` the decode row.
+        let files: [(&str, &[f64]); 6] = [
             (include_str!("../../../BENCH_9.json"), &[7.40, 9.19, 510.57, 530.39, 745.54, 580.25]),
             (include_str!("../../../BENCH_14.json"), &[5.94, 7.44, 177.94, 213.17, 406.80, 254.99]),
             (
@@ -347,9 +388,13 @@ mod tests {
                 include_str!("../../../BENCH_24.json"),
                 &[7.04, 7.20, 156.90, 235.96, 361.46, 258.12, 47.66, 57.78],
             ),
+            (
+                include_str!("../../../BENCH_25.json"),
+                &[7.74, 7.15, 170.58, 254.01, 383.10, 245.18, 48.45, 51.57, 36.12],
+            ),
         ];
-        let names = ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n"];
-        let correct = [40_615, 82_496, 120_904, 120_904, 120_904, 161_464, 18_432, 38_144];
+        let names = ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode"];
+        let correct = [40_615, 82_496, 120_904, 120_904, 120_904, 161_464, 18_432, 38_144, 200_000];
         for (text, ns) in files {
             let rows =
                 ns.iter().enumerate().map(|(i, &ns)| result(names[i], correct[i], ns)).collect();

@@ -13,7 +13,7 @@
 //! repro sweep --quick --format csv   # smaller grid, machine-readable output
 //! repro phases                       # SimPoint phase plans per workload
 //! repro bench                        # per-family perf smoke (ns/record, JSON)
-//! repro bench --check BENCH_24.json  # compare against the committed baseline
+//! repro bench --check BENCH_25.json  # compare against the committed baseline
 //! repro trace export --trace-dir d/  # simulate + persist all benchmark traces
 //! repro trace stats  --trace-dir d/  # list cached containers
 //! repro trace verify --trace-dir d/  # validate every checksum + record
@@ -490,8 +490,8 @@ fn run_phases_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String
 
 /// `repro bench`: the perf-smoke harness. Replays the fixed seeded
 /// synthetic trace through every predictor family's batched dense hot
-/// path, times phase profiling at that length and at four times it, and
-/// prints ns/record JSON (the `BENCH_*.json` shape) on stdout. With `--check FILE` it replays at the baseline's record count
+/// path, times phase profiling at that length and at four times it and
+/// a sequential load of the trace's container, and prints ns/record JSON (the `BENCH_*.json` shape) on stdout. With `--check FILE` it replays at the baseline's record count
 /// (so `--records` is a usage error there) and renders a
 /// baseline-vs-current table on stderr, failing when a row's hits
 /// differ from the baseline's or its time crosses the generous
