@@ -28,10 +28,10 @@
 //!   carries an open-addressed follower index beside its followers: a
 //!   power-of-two region of twice the list's capacity holding
 //!   `1 + position` per follower, probed from `mix(value)`. It is rebuilt
-//!   when the list grows, patched in two slots when an argmax swap moves
-//!   two followers, and rebuilt after saturating-mode halving, so a bump
-//!   costs O(1) amortized however many distinct values the context has
-//!   seen (a PC's order-0 context sees every value it ever produced).
+//!   when the list grows and patched in two slots when an argmax swap
+//!   moves two followers, so a bump costs O(1) amortized however many
+//!   distinct values the context has seen (a PC's order-0 context sees
+//!   every value it ever produced).
 //! - **Arenas that never copy themselves.** Entries, spilled keys and
 //!   the spilled lists' headers live on fixed pages of 4096 items that
 //!   are allocated once at full size and never grow, so growth never
@@ -57,7 +57,10 @@ use dvp_trace::{Pc, PcId, Value};
 ///
 /// An order-*k* FCM predictor is built from models of orders *k* down to 0
 /// (an order-0 model is an unconditional value-frequency table). The paper
-/// uses *blending* (Bell, Cleary & Witten) to combine them.
+/// uses *blending* (Bell, Cleary & Witten) to combine them. Either way,
+/// each context keeps exact counts of the values that followed it, as the
+/// paper simulates ("maintains exact counts for each value that follows a
+/// particular context").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Blending {
     /// The prediction comes from the longest matching context, and only the
@@ -65,30 +68,10 @@ pub enum Blending {
     /// the paper evaluates ("the blending algorithm with lazy exclusion").
     #[default]
     LazyExclusion,
-    /// The prediction comes from the longest matching context, but the
-    /// models at **every** order are updated on every value.
-    Full,
     /// Only the order-*k* model exists; if its context has never been seen,
-    /// no prediction is made. (Not used by the paper; provided for
-    /// ablation.)
+    /// no prediction is made. These are the single-order models of the
+    /// paper's Figure 1.
     SingleOrder,
-}
-
-/// How value occurrences are counted inside each context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CounterMode {
-    /// Exact, unbounded counts. This is what the paper simulates
-    /// ("maintains exact counts for each value that follows a particular
-    /// context").
-    #[default]
-    Exact,
-    /// Small saturating counters: when any count reaches `max`, all counts
-    /// for that context are halved. The paper notes this weights recent
-    /// history more heavily, as in text compression practice.
-    Saturating {
-        /// Count at which all counters of the context are halved.
-        max: u32,
-    },
 }
 
 /// Hard ceiling on the order (a guard against accidentally unbounded
@@ -191,52 +174,51 @@ impl CtxEntry {
 }
 
 /// Bumps `value` inside a short follower list by scanning it, maintaining
-/// the front-is-argmax invariant. Returns the new count, or `None` when
-/// the value is not present (the caller appends it).
+/// the front-is-argmax invariant. Returns `false` when the value is not
+/// present (the caller appends it).
 #[inline]
-fn bump_scanned(fs: &mut [Follower], value: Value, stamp: u64) -> Option<u64> {
-    let i = fs.iter().position(|f| f.value == value)?;
-    Some(bump_at(fs, i, stamp))
+fn bump_scanned(fs: &mut [Follower], value: Value, stamp: u64) -> bool {
+    let Some(i) = fs.iter().position(|f| f.value == value) else { return false };
+    bump_at(fs, i, stamp);
+    true
 }
 
-/// Counts one occurrence of follower `i`, swaps it to the front when it
-/// becomes the argmax, and returns its new count. The bumped follower
-/// holds the newest stamp, so it is the argmax exactly when its count
-/// reaches the front's.
+/// Counts one occurrence of follower `i` and swaps it to the front when it
+/// becomes the argmax. The bumped follower holds the newest stamp, so it
+/// is the argmax exactly when its count reaches the front's.
 #[inline]
-fn bump_at(fs: &mut [Follower], i: usize, stamp: u64) -> u64 {
+fn bump_at(fs: &mut [Follower], i: usize, stamp: u64) {
     fs[i].count += 1;
     fs[i].stamp = stamp;
-    let count = fs[i].count;
-    if count >= fs[0].count {
+    if fs[i].count >= fs[0].count {
         fs.swap(0, i);
     }
-    count
 }
 
 /// Bumps `value` in a long follower list through its index `region`: a
 /// power-of-two open-addressed table of `1 + position` (0 = empty),
 /// probed linearly from `mix(value)` and confirmed against the stored
-/// value. An argmax swap rewrites the two slots it moves.
+/// value. An argmax swap rewrites the two slots it moves. Returns `false`
+/// when the value is not present.
 #[inline]
-fn bump_indexed(fs: &mut [Follower], region: &mut [u32], value: Value, stamp: u64) -> Option<u64> {
+fn bump_indexed(fs: &mut [Follower], region: &mut [u32], value: Value, stamp: u64) -> bool {
     let mask = region.len() - 1;
     let mut b = mix(value) as usize & mask;
     let i = loop {
         match region[b] {
-            0 => return None,
+            0 => return false,
             s if fs[s as usize - 1].value == value => break s as usize - 1,
             _ => b = (b + 1) & mask,
         }
     };
     let front = fs[0].value;
-    let count = bump_at(fs, i, stamp);
+    bump_at(fs, i, stamp);
     if i > 0 && fs[0].value == value {
         let slot = front_slot(region, front);
         region[slot] = i as u32 + 1;
         region[b] = 1;
     }
-    Some(count)
+    true
 }
 
 /// The index slot of the front follower, found on its value's probe path
@@ -269,26 +251,6 @@ fn index_rebuild(region: &mut [u32], fs: &[Follower]) {
     for (at, f) in fs.iter().enumerate() {
         index_insert(region, f.value, at);
     }
-}
-
-/// Halves every count, drops zeros, and re-seats the argmax at the front
-/// (halving can flip ties toward newer stamps). Returns the live length.
-fn halve_followers(fs: &mut [Follower]) -> u32 {
-    let mut keep = 0;
-    for i in 0..fs.len() {
-        let count = fs[i].count / 2;
-        if count > 0 {
-            fs[keep] = Follower { count, ..fs[i] };
-            keep += 1;
-        }
-    }
-    let live = &mut fs[..keep];
-    if let Some(best) =
-        live.iter().enumerate().max_by_key(|(_, f)| (f.count, f.stamp)).map(|(i, _)| i)
-    {
-        live.swap(0, best);
-    }
-    u32::try_from(keep).expect("follower list fits u32")
 }
 
 /// The index a table of `len` entries gives its next entry. It stays
@@ -544,25 +506,22 @@ impl Vht {
         self.buckets = buckets;
     }
 
-    /// The entry's current argmax value, or `None` while it has no
-    /// followers (an emptied context stops matching but keeps existing,
-    /// exactly like an empty `ContextCounts` in the nested-map model).
+    /// The entry's current argmax value. Every entry has a follower: the
+    /// update that inserts an entry bumps it in the same call, and counts
+    /// only ever grow.
     #[inline]
-    fn top_value(&self, idx: u32) -> Option<Value> {
+    fn top_value(&self, idx: u32) -> Value {
         let e = self.entries.get(idx);
-        if e.len == 0 {
-            return None;
-        }
-        Some(if e.cap() <= INLINE_FOLLOWERS {
+        if e.cap() <= INLINE_FOLLOWERS {
             e.inline[0].value
         } else {
             self.spilled.get(e.spill_pos).fs[0].value
-        })
+        }
     }
 
     /// Counts one occurrence of `value` after this entry's context:
-    /// `count += 1`, stamp = fresh tick, with saturating-mode halving.
-    fn bump(&mut self, idx: u32, value: Value, mode: CounterMode) {
+    /// `count += 1`, stamp = fresh tick.
+    fn bump(&mut self, idx: u32, value: Value) {
         self.clock += 1;
         let stamp = self.clock;
         let e = self.entries.get_mut(idx);
@@ -576,17 +535,8 @@ impl Vht {
                 bump_indexed(fs, index, value, stamp)
             }
         };
-        let count = match bumped {
-            Some(count) => count,
-            None => {
-                self.push_follower(idx, value, stamp);
-                1
-            }
-        };
-        if let CounterMode::Saturating { max } = mode {
-            if count >= u64::from(max) {
-                self.halve(idx);
-            }
+        if !bumped {
+            self.push_follower(idx, value, stamp);
         }
     }
 
@@ -646,22 +596,6 @@ impl Vht {
             index_rebuild(index, fs);
         }
     }
-
-    /// Saturating-mode halving of one entry's followers.
-    fn halve(&mut self, idx: u32) {
-        let e = self.entries.get_mut(idx);
-        e.len = if e.cap() <= INLINE_FOLLOWERS {
-            halve_followers(&mut e.inline[..e.len as usize])
-        } else {
-            let Spilled { fs, index } = self.spilled.get_mut(e.spill_pos);
-            let live = halve_followers(fs);
-            fs.truncate(live as usize);
-            if !index.is_empty() {
-                index_rebuild(index, fs);
-            }
-            live
-        };
-    }
 }
 
 /// Result of the fused descending probe: the prediction, the longest
@@ -711,7 +645,6 @@ struct Descent {
 pub struct FcmPredictor {
     order: usize,
     blending: Blending,
-    counter_mode: CounterMode,
     name: String,
     /// Per-slot recent values, strided `order` wide, newest last within
     /// `hist_len[slot]`.
@@ -726,7 +659,7 @@ pub struct FcmPredictor {
 
 impl FcmPredictor {
     /// Creates an order-`order` FCM predictor with lazy-exclusion blending
-    /// and exact counters — the configuration evaluated in the paper.
+    /// — the configuration evaluated in the paper.
     ///
     /// # Panics
     ///
@@ -734,32 +667,25 @@ impl FcmPredictor {
     /// contexts; the paper studies orders 1..=8).
     #[must_use]
     pub fn new(order: usize) -> Self {
-        FcmPredictor::with_config(order, Blending::LazyExclusion, CounterMode::Exact)
+        FcmPredictor::with_config(order, Blending::LazyExclusion)
     }
 
-    /// Creates an FCM predictor with full control over blending and counter
-    /// handling.
+    /// Creates an FCM predictor with the given blending.
     ///
     /// # Panics
     ///
     /// Panics if `order > 64`.
     #[must_use]
-    pub fn with_config(order: usize, blending: Blending, counter_mode: CounterMode) -> Self {
+    pub fn with_config(order: usize, blending: Blending) -> Self {
         assert!(order <= MAX_ORDER, "FCM order {order} is unreasonably large");
         let blend = match blending {
             Blending::LazyExclusion => "",
-            Blending::Full => "-full",
             Blending::SingleOrder => "-single",
         };
-        let ctr = match counter_mode {
-            CounterMode::Exact => String::new(),
-            CounterMode::Saturating { max } => format!("-sat{max}"),
-        };
-        let name = format!("fcm{order}{blend}{ctr}");
+        let name = format!("fcm{order}{blend}");
         FcmPredictor {
             order,
             blending,
-            counter_mode,
             name,
             hist: Vec::new(),
             hist_len: Vec::new(),
@@ -778,12 +704,6 @@ impl FcmPredictor {
     #[must_use]
     pub fn blending(&self) -> Blending {
         self.blending
-    }
-
-    /// The counter mode in use.
-    #[must_use]
-    pub fn counter_mode(&self) -> CounterMode {
-        self.counter_mode
     }
 
     /// Total number of distinct (order, context) pairs stored across all
@@ -839,11 +759,11 @@ impl FcmPredictor {
                     d.found[order] = idx;
                     d.probed_down = order;
                     if idx != NO_ENTRY {
-                        d.prediction = self.vht.top_value(idx);
+                        d.prediction = Some(self.vht.top_value(idx));
                     }
                 }
             }
-            Blending::LazyExclusion | Blending::Full => {
+            Blending::LazyExclusion => {
                 for ord in (0..=order).rev() {
                     if ord > hist_len {
                         continue;
@@ -852,11 +772,9 @@ impl FcmPredictor {
                     d.found[ord] = idx;
                     d.probed_down = ord;
                     if idx != NO_ENTRY {
-                        if let Some(value) = self.vht.top_value(idx) {
-                            d.matched = Some(ord);
-                            d.prediction = Some(value);
-                            break;
-                        }
+                        d.matched = Some(ord);
+                        d.prediction = Some(self.vht.top_value(idx));
+                        break;
                     }
                 }
             }
@@ -876,11 +794,9 @@ impl FcmPredictor {
     /// probes, then advances the history and rolling hashes.
     fn apply_update(&mut self, slot: usize, d: &Descent, actual: Value) {
         let order = self.order;
-        let mode = self.counter_mode;
         let hist_len = self.hist_len[slot] as usize;
         let lowest_updated = match self.blending {
             Blending::SingleOrder => order,
-            Blending::Full => 0,
             // Lazy exclusion: update the matched order and higher. On a
             // complete miss (no context matched anywhere) every order is
             // seeded.
@@ -898,7 +814,7 @@ impl FcmPredictor {
                 let ctx = &self.hist[base + hist_len - ord..base + hist_len];
                 idx = self.vht.insert(hash, slot as u32, ctx);
             }
-            self.vht.bump(idx, actual, mode);
+            self.vht.bump(idx, actual);
         }
         self.push_history(slot, actual);
     }
@@ -1023,11 +939,7 @@ mod tests {
         let seq = [a, a, a, b, c, a, a, a, b, c, a, a, a];
         // Single-order models exactly as drawn in the figure.
         for (order, expected) in [(0, a), (1, a), (2, a), (3, b)] {
-            let mut p = Interned::new(FcmPredictor::with_config(
-                order,
-                Blending::SingleOrder,
-                CounterMode::Exact,
-            ));
+            let mut p = Interned::new(FcmPredictor::with_config(order, Blending::SingleOrder));
             for &v in &seq {
                 p.update(PC, v);
             }
@@ -1072,8 +984,7 @@ mod tests {
 
     #[test]
     fn single_order_makes_no_prediction_without_full_context_match() {
-        let mut p =
-            Interned::new(FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact));
+        let mut p = Interned::new(FcmPredictor::with_config(2, Blending::SingleOrder));
         p.update(PC, 1);
         p.update(PC, 2);
         p.update(PC, 3);
@@ -1083,58 +994,29 @@ mod tests {
 
     #[test]
     fn lazy_exclusion_does_not_update_lower_orders_on_high_match() {
-        // Construct a case where lazy exclusion and full blending diverge.
-        let mut lazy = Interned::new(FcmPredictor::with_config(
-            1,
-            Blending::LazyExclusion,
-            CounterMode::Exact,
-        ));
-        let mut full =
-            Interned::new(FcmPredictor::with_config(1, Blending::Full, CounterMode::Exact));
-        // Sequence: 1 2 1 2 1 2 ... then suddenly a fresh context.
-        for &v in &[1u64, 2, 1, 2, 1, 2] {
-            lazy.update(PC, v);
-            full.update(PC, v);
+        let mut p = Interned::new(FcmPredictor::new(1));
+        // 1 2 1: order 1 has not matched yet, so order 0 counts every value
+        // ({1: 2, 2: 1}). From the second 2 on, order 1 matches and order 0
+        // is no longer updated.
+        for &v in &[1u64, 2, 1, 2, 1, 2, 9] {
+            p.update(PC, v);
         }
-        // Under full blending the order-0 model has counts for both 1 and 2;
-        // under lazy exclusion order-0 stopped being updated once order-1
-        // matched, so its counts differ.
-        let novel = Pc(0x999);
-        assert_eq!(lazy.predict(novel), None);
-        assert_eq!(full.predict(novel), None);
-        // Probe the internal divergence through context_entries: both have
-        // the same contexts, but the counts differ. Verify via behaviour:
-        // feed a value that only order 0 can predict.
-        // (1,2) alternation: after the run, history = [2]; context (2) -> 1.
-        assert_eq!(lazy.predict(PC), Some(1));
-        assert_eq!(full.predict(PC), Some(1));
+        // Context (9) is novel, so order 0 predicts: still {1: 2, 2: 1}.
+        // Updating every order would have left {1: 3, 2: 3, 9: 1}, whose
+        // tie breaks toward the more recent 2.
+        assert_eq!(p.predict(PC), Some(1));
     }
 
     #[test]
-    fn saturating_counters_halve_and_adapt_faster() {
-        let mode = CounterMode::Saturating { max: 4 };
-        let mut p = Interned::new(FcmPredictor::with_config(0, Blending::SingleOrder, mode));
-        // Value 7 is seen many times; counts saturate around max.
+    fn exact_counts_outweigh_a_short_burst() {
+        let mut p = Interned::new(FcmPredictor::with_config(0, Blending::SingleOrder));
         for _ in 0..100 {
             p.update(PC, 7);
         }
-        // A short burst of 9s now overtakes quickly because 7's count was
-        // halved rather than reaching 100.
         for _ in 0..4 {
             p.update(PC, 9);
         }
-        assert_eq!(p.predict(PC), Some(9), "saturating counters favour recent history");
-
-        // With exact counters the same burst cannot overtake.
-        let mut exact =
-            Interned::new(FcmPredictor::with_config(0, Blending::SingleOrder, CounterMode::Exact));
-        for _ in 0..100 {
-            exact.update(PC, 7);
-        }
-        for _ in 0..4 {
-            exact.update(PC, 9);
-        }
-        assert_eq!(exact.predict(PC), Some(7));
+        assert_eq!(p.predict(PC), Some(7));
     }
 
     #[test]
@@ -1164,15 +1046,8 @@ mod tests {
     #[test]
     fn names_reflect_configuration() {
         assert_eq!(Interned::new(FcmPredictor::new(3)).name(), "fcm3");
-        let single =
-            Interned::new(FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact));
+        let single = Interned::new(FcmPredictor::with_config(2, Blending::SingleOrder));
         assert_eq!(single.name(), "fcm2-single");
-        let sat = Interned::new(FcmPredictor::with_config(
-            1,
-            Blending::Full,
-            CounterMode::Saturating { max: 16 },
-        ));
-        assert_eq!(sat.name(), "fcm1-full-sat16");
     }
 
     #[test]
@@ -1185,8 +1060,7 @@ mod tests {
     fn spilled_context_keys_do_not_alias() {
         // Order > INLINE_KEY forces keys through the key arena; distinct
         // 5-value contexts must stay distinct (full-concatenation match).
-        let mut p =
-            Interned::new(FcmPredictor::with_config(5, Blending::SingleOrder, CounterMode::Exact));
+        let mut p = Interned::new(FcmPredictor::with_config(5, Blending::SingleOrder));
         let period = [11u64, 22, 33, 44, 55, 66, 77];
         for &v in period.iter().cycle().take(42) {
             p.update(PC, v);
@@ -1233,7 +1107,7 @@ mod tests {
         let (hash_a, hash_b) = (ctx_hash(mix(a), 0, 1), ctx_hash(mix(b), 0, 1));
         assert_eq!(hash_a as u32, hash_b as u32);
         let (id, pc) = (PcId(0), PC);
-        let mut p = FcmPredictor::with_config(1, Blending::SingleOrder, CounterMode::Exact);
+        let mut p = FcmPredictor::with_config(1, Blending::SingleOrder);
         // Contexts (a) -> 11 and (b) -> 22 share a tag, so they share a home
         // bucket at every table size.
         for v in [a, 11, b, 22] {
@@ -1313,7 +1187,7 @@ mod tests {
         fn insert_spilled(vht: &mut Vht, v: Value) -> u32 {
             let idx = vht.insert(hash(v), 0, &[v]);
             for follower in [v, v + 1, v + 2] {
-                vht.bump(idx, follower, CounterMode::Exact);
+                vht.bump(idx, follower);
             }
             idx
         }
@@ -1331,21 +1205,6 @@ mod tests {
         assert!(std::ptr::eq(vht.entries.get(first), entry), "entry 0 moved");
         assert!(std::ptr::eq(vht.spilled.get(spill_pos), list), "entry 0's list moved");
         assert_eq!(vht.probe(hash(0), 0, &[0]), first);
-        assert_eq!(vht.top_value(first), Some(2));
-    }
-
-    #[test]
-    fn saturating_halving_can_empty_a_context_which_then_reseeds() {
-        // max = 1: every bump halves the just-bumped count back to zero, so
-        // the context stays empty and never predicts — but keeps existing.
-        let mut p = Interned::new(FcmPredictor::with_config(
-            0,
-            Blending::SingleOrder,
-            CounterMode::Saturating { max: 1 },
-        ));
-        p.update(PC, 5);
-        p.update(PC, 5);
-        assert_eq!(p.predict(PC), None);
-        assert_eq!(p.context_entries(), 1);
+        assert_eq!(vht.top_value(first), 2);
     }
 }

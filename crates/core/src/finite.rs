@@ -36,7 +36,7 @@
 //!   instead of exact per-value counts.
 
 use crate::{hybrid, last_value::LastValueEntry, stride::StrideEntry, table::SlotTable};
-use crate::{LastValuePolicy, LastValuePredictor, Predictor, StridePolicy, StridePredictor};
+use crate::{LastValuePredictor, Predictor, StridePolicy, StridePredictor};
 use dvp_trace::{Pc, PcId, Value};
 
 // The finite predictors index their direct-mapped tables by PC bits and
@@ -222,7 +222,7 @@ impl Predictor for FiniteLastValuePredictor {
     }
 
     fn step(&mut self, _id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        LastValuePredictor::step_slot(LastValuePolicy::Always, self.table.slot_mut(pc), actual)
+        LastValuePredictor::step_slot(self.table.slot_mut(pc), actual)
     }
 
     fn name(&self) -> &str {

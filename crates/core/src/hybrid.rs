@@ -12,6 +12,10 @@ use crate::table::PcTable;
 use crate::{FcmPredictor, Predictor, StridePredictor};
 use dvp_trace::{Pc, PcId, Value};
 
+/// Saturation bound of the unbounded hybrid's chooser counters (range
+/// `-8..=8`); the finite hybrid's chooser saturates at 3.
+const CHOOSER_MAX: i16 = 8;
+
 /// Arbitrates two component predictions under an instruction's chooser
 /// counter (0 for an instruction without one): the second's when the
 /// counter is positive, else the first's, each falling back to the other.
@@ -76,7 +80,6 @@ pub struct HybridPredictor<A, B> {
     second: B,
     name: String,
     chooser: PcTable<i16>,
-    max: i16,
 }
 
 impl HybridPredictor<StridePredictor, FcmPredictor> {
@@ -92,19 +95,7 @@ impl<A: Predictor, B: Predictor> HybridPredictor<A, B> {
     #[must_use]
     pub fn new(first: A, second: B) -> Self {
         let name = format!("hybrid({}+{})", first.name(), second.name());
-        HybridPredictor { first, second, name, chooser: PcTable::default(), max: 8 }
-    }
-
-    /// Sets the chooser saturation bound (counter range is `-max..=max`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max == 0`.
-    #[must_use]
-    pub fn with_chooser_max(mut self, max: i16) -> Self {
-        assert!(max > 0, "chooser bound must be positive");
-        self.max = max;
-        self
+        HybridPredictor { first, second, name, chooser: PcTable::default() }
     }
 
     /// The first (default) component.
@@ -158,7 +149,7 @@ impl<A: Predictor, B: Predictor> Predictor for HybridPredictor<A, B> {
         // arbitration read and the training write.
         let a = self.first.step(id, pc, actual);
         let b = self.second.step(id, pc, actual);
-        train_chooser(self.chooser.slot_mut(id), self.max, (a, b), actual)
+        train_chooser(self.chooser.slot_mut(id), CHOOSER_MAX, (a, b), actual)
     }
 }
 
@@ -211,27 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn chooser_counter_saturates() {
-        let mut hybrid = Interned::new(
-            HybridPredictor::new(LastValuePredictor::new(), FcmPredictor::new(1))
-                .with_chooser_max(2),
-        );
-        for &v in [1u64, 2].iter().cycle().take(100) {
-            hybrid.observe(PC, v);
-        }
-        // Still favours the fcm side; a couple of constant values now swing
-        // it back quickly because the counter saturated at 2 rather than 50.
-        assert!(hybrid.favours_second(PcId(0)));
-        for _ in 0..6 {
-            // Constant run: last-value correct, fcm also correct -> tie, no
-            // movement; so inject values both get wrong equally: chooser
-            // stays. This just documents tie behaviour.
-            hybrid.observe(PC, 7);
-        }
-        let _ = hybrid.name();
-    }
-
-    #[test]
     fn falls_back_to_other_component_when_favourite_has_no_prediction() {
         let mut hybrid =
             Interned::new(HybridPredictor::new(LastValuePredictor::new(), FcmPredictor::new(3)));
@@ -244,11 +214,5 @@ mod tests {
     fn name_composes_component_names() {
         let hybrid = Interned::new(HybridPredictor::stride_fcm(3));
         assert_eq!(hybrid.name(), "hybrid(s2+fcm3)");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_chooser_bound_is_rejected() {
-        let _ = Interned::new(HybridPredictor::stride_fcm(1).with_chooser_max(0));
     }
 }

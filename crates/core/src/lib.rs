@@ -9,12 +9,14 @@
 //! Two families of predictors are provided:
 //!
 //! * **Computational** predictors compute the next value from previous
-//!   values: [`LastValuePredictor`] (the identity function, with optional
-//!   hysteresis) and [`StridePredictor`] (adds a delta; the paper's "s2"
-//!   two-delta variant is the default).
+//!   values: [`LastValuePredictor`] (the identity function, the paper's
+//!   always-update "l") and [`StridePredictor`] (adds a delta; the paper's
+//!   "s2" two-delta variant is the default, and Table 1's hysteresis
+//!   stride the other policy).
 //! * **Context-based** predictors learn which values follow a particular
 //!   history: [`FcmPredictor`], a finite-context-method predictor with
-//!   blending and lazy exclusion, derived from text-compression models.
+//!   blending and lazy exclusion over exact counts, derived from
+//!   text-compression models (single-order models serve Figure 1).
 //!
 //! [`HybridPredictor`] combines a computational and a context-based
 //! component with a per-PC chooser, following the hybrid scheme the paper
@@ -70,7 +72,6 @@ mod config;
 mod dataflow;
 mod delayed;
 mod entropy;
-mod extensions;
 mod fcm;
 mod finite;
 mod hybrid;
@@ -90,14 +91,13 @@ pub use config::PredictorConfig;
 pub use dataflow::{dataflow_height, oracle_height, value_predicted_height, SpeedupReport};
 pub use delayed::DelayedPredictor;
 pub use entropy::{shannon_entropy, EntropyProfile, ENTROPY_BUCKETS};
-pub use extensions::{ShiftPredictor, TwoLevelStridePredictor};
-pub use fcm::{Blending, CounterMode, FcmPredictor};
+pub use fcm::{Blending, FcmPredictor};
 pub use finite::{
     hash_history, FiniteFcmPredictor, FiniteHybridPredictor, FiniteLastValuePredictor,
     FiniteStridePredictor, TableSpec,
 };
 pub use hybrid::HybridPredictor;
-pub use last_value::{LastValuePolicy, LastValuePredictor};
+pub use last_value::LastValuePredictor;
 pub use locality::LocalityProfile;
 pub use predictor::{Interned, Predictor};
 pub use set::{run_trace, CorrectMask, PcTally, PredictorSet};

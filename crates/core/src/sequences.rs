@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn table1_stride_on_stride() {
         // Paper: LT = 2, LD = 100%. The hysteresis variant achieves LT = 2.
-        let mut p = StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 1 });
+        let mut p = StridePredictor::with_policy(StridePolicy::Hysteresis);
         let learn = measure_learning(&mut p, &stride(10, 3, 100));
         assert_eq!(learn.learning_time, Some(2), "LT = 2");
         assert_eq!(learn.learning_degree, 1.0, "LD = 100%");
@@ -337,7 +337,7 @@ mod tests {
     fn table1_stride_on_repeated_stride() {
         // Paper: LD = (p-1)/p with one miss per period.
         let p_len = 5;
-        let mut p = StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 1 });
+        let mut p = StridePredictor::with_policy(StridePolicy::Hysteresis);
         let learn = measure_learning(&mut p, &repeated_stride(1, 1, p_len, 20 * p_len));
         let expected = (p_len - 1) as f64 / p_len as f64;
         assert!(
@@ -380,7 +380,7 @@ mod tests {
         // mispredicts exactly once per period in steady state; order-2 FCM
         // learns after period+order values and then never mispredicts.
         let seq = repeated_stride(1, 1, 4, 48);
-        let mut s = StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 1 });
+        let mut s = StridePredictor::with_policy(StridePolicy::Hysteresis);
         let learn_s = measure_learning(&mut s, &seq);
         assert!((learn_s.learning_degree - 0.75).abs() < 0.05, "LD ≈ 75%");
 

@@ -7,22 +7,15 @@ use dvp_trace::{Pc, PcId, Value};
 /// Update policy of a [`StridePredictor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StridePolicy {
-    /// Always recompute the stride from the two most recent values.
+    /// Saturating-counter hysteresis (Gonzalez & Gonzalez, 1997): a correct
+    /// prediction raises the confidence counter (up to 3), a wrong one
+    /// lowers it, and the stride is replaced only while the counter is
+    /// below 1. This reduces the mispredictions on repeated stride
+    /// sequences to one per iteration.
     ///
-    /// On a repeated stride sequence this mispredicts twice per iteration:
-    /// once at the wrap-around and once again because the wrap corrupts the
-    /// stride.
-    Simple,
-    /// Saturating-counter hysteresis (Gonzalez & Gonzalez, 1997): the stride
-    /// is replaced only while the confidence counter is below `threshold`.
-    /// This reduces the mispredictions on repeated stride sequences to one
-    /// per iteration.
-    Hysteresis {
-        /// Saturation ceiling of the confidence counter.
-        max: u8,
-        /// The stride may change only when the counter is below this value.
-        threshold: u8,
-    },
+    /// This is the stride predictor of the paper's Table 1 and Figure 2
+    /// ("s-sat3t1").
+    Hysteresis,
     /// The two-delta method (Eickemeyer & Vassiliadis, 1993): maintain two
     /// strides `s1` (always updated) and `s2` (used for prediction); `s2` is
     /// overwritten only when the same new stride is seen twice in a row.
@@ -31,6 +24,13 @@ pub enum StridePolicy {
     #[default]
     TwoDelta,
 }
+
+/// Saturation ceiling of the [`StridePolicy::Hysteresis`] counter.
+const HYSTERESIS_MAX: u8 = 3;
+
+/// Under [`StridePolicy::Hysteresis`], the stride may change only while
+/// the counter is below this value.
+const HYSTERESIS_THRESHOLD: u8 = 1;
 
 #[derive(Debug, Clone)]
 pub(crate) struct StrideEntry {
@@ -69,7 +69,6 @@ const _: () = assert!(std::mem::size_of::<StrideEntry>() == 32);
 #[derive(Debug, Clone)]
 pub struct StridePredictor {
     policy: StridePolicy,
-    name: String,
     table: PcTable<StrideEntry>,
 }
 
@@ -96,12 +95,7 @@ impl StridePredictor {
     /// Creates a stride predictor with the given update `policy`.
     #[must_use]
     pub fn with_policy(policy: StridePolicy) -> Self {
-        let name = match policy {
-            StridePolicy::Simple => "s-simple".to_owned(),
-            StridePolicy::Hysteresis { max, threshold } => format!("s-sat{max}t{threshold}"),
-            StridePolicy::TwoDelta => "s2".to_owned(),
-        };
-        StridePredictor { policy, name, table: PcTable::default() }
+        StridePredictor { policy, table: PcTable::default() }
     }
 
     /// The update policy in use.
@@ -113,17 +107,14 @@ impl StridePredictor {
     fn update_entry(policy: StridePolicy, entry: &mut StrideEntry, actual: Value) {
         let delta = actual.wrapping_sub(entry.last);
         match policy {
-            StridePolicy::Simple => {
-                entry.stride = delta;
-            }
-            StridePolicy::Hysteresis { max, threshold } => {
+            StridePolicy::Hysteresis => {
                 let predicted = entry.last.wrapping_add(entry.stride);
                 if predicted == actual {
-                    entry.counter = entry.counter.saturating_add(1).min(max);
+                    entry.counter = entry.counter.saturating_add(1).min(HYSTERESIS_MAX);
                 } else {
                     entry.counter = entry.counter.saturating_sub(1);
                 }
-                if entry.counter < threshold {
+                if entry.counter < HYSTERESIS_THRESHOLD {
                     entry.stride = delta;
                 }
             }
@@ -168,7 +159,10 @@ impl StridePredictor {
 
 impl Predictor for StridePredictor {
     fn name(&self) -> &str {
-        &self.name
+        match self.policy {
+            StridePolicy::Hysteresis => "s-sat3t1",
+            StridePolicy::TwoDelta => "s2",
+        }
     }
 
     fn static_entries(&self) -> usize {
@@ -254,16 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn simple_policy_mispredicts_twice_per_repeat() {
-        // 1 2 3 4 | 1 2 3 4 | ... : at each wrap the simple policy misses the
-        // wrap itself and then once more because the stride was corrupted.
-        let seq: Vec<Value> = (0..40).map(|i| 1 + (i % 4)).collect();
-        // Skip the first period (learning).
-        let miss = mispredictions(StridePolicy::Simple, &seq, 4);
-        assert_eq!(miss, 2 * 9, "two misses per repeated period");
-    }
-
-    #[test]
     fn two_delta_mispredicts_once_per_repeat() {
         let seq: Vec<Value> = (0..40).map(|i| 1 + (i % 4)).collect();
         let miss = mispredictions(StridePolicy::TwoDelta, &seq, 4);
@@ -273,9 +257,8 @@ mod tests {
     #[test]
     fn hysteresis_mispredicts_once_per_repeat() {
         let seq: Vec<Value> = (0..44).map(|i| 1 + (i % 4)).collect();
-        let policy = StridePolicy::Hysteresis { max: 3, threshold: 1 };
         // Skip two periods: the counter needs to warm past the threshold.
-        let miss = mispredictions(policy, &seq, 8);
+        let miss = mispredictions(StridePolicy::Hysteresis, &seq, 8);
         assert_eq!(miss, 9, "one miss per repeated period");
     }
 
@@ -294,15 +277,8 @@ mod tests {
     #[test]
     fn names_distinguish_policies() {
         assert_eq!(Interned::new(StridePredictor::two_delta()).name(), "s2");
-        assert_eq!(
-            Interned::new(StridePredictor::with_policy(StridePolicy::Simple)).name(),
-            "s-simple"
-        );
-        let h = Interned::new(StridePredictor::with_policy(StridePolicy::Hysteresis {
-            max: 3,
-            threshold: 2,
-        }));
-        assert_eq!(h.name(), "s-sat3t2");
+        let h = Interned::new(StridePredictor::with_policy(StridePolicy::Hysteresis));
+        assert_eq!(h.name(), "s-sat3t1");
     }
 
     #[test]

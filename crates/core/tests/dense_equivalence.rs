@@ -11,10 +11,9 @@
 //! keep aliasing by PC even for PCs `Interned` has never stepped.
 
 use dvp_core::{
-    Blending, CounterMode, DelayedPredictor, FcmPredictor, FiniteFcmPredictor,
-    FiniteHybridPredictor, FiniteLastValuePredictor, FiniteStridePredictor, HybridPredictor,
-    Interned, LastValuePredictor, Predictor, ShiftPredictor, StridePredictor, TableSpec,
-    TwoLevelStridePredictor,
+    Blending, DelayedPredictor, FcmPredictor, FiniteFcmPredictor, FiniteHybridPredictor,
+    FiniteLastValuePredictor, FiniteStridePredictor, HybridPredictor, Interned, LastValuePredictor,
+    Predictor, StridePredictor, TableSpec,
 };
 use dvp_trace::{Pc, PcId, PcInterner, Value};
 use proptest::prelude::*;
@@ -35,8 +34,6 @@ fn families() -> Vec<Box<dyn Predictor>> {
         Box::new(LastValuePredictor::new()),
         Box::new(StridePredictor::two_delta()),
         Box::new(HybridPredictor::stride_fcm(2)),
-        Box::new(ShiftPredictor::new()),
-        Box::new(TwoLevelStridePredictor::new()),
         Box::new(DelayedPredictor::new(FcmPredictor::new(2), 3)),
         Box::new(FiniteLastValuePredictor::new(TableSpec::new(3))),
         Box::new(FiniteStridePredictor::new(TableSpec::new(3).with_tag_bits(4))),
@@ -44,10 +41,8 @@ fn families() -> Vec<Box<dyn Predictor>> {
         Box::new(FiniteHybridPredictor::paper_geometry(3)),
     ];
     for order in 0..4 {
-        for blending in [Blending::LazyExclusion, Blending::Full, Blending::SingleOrder] {
-            for mode in [CounterMode::Exact, CounterMode::Saturating { max: 4 }] {
-                bank.push(Box::new(FcmPredictor::with_config(order, blending, mode)));
-            }
+        for blending in [Blending::LazyExclusion, Blending::SingleOrder] {
+            bank.push(Box::new(FcmPredictor::with_config(order, blending)));
         }
     }
     bank

@@ -3,15 +3,15 @@
 //! `FcmPredictor` stores every (instruction, order, context) entry in one
 //! open-addressed table with rolling context hashes and inline follower
 //! counts. These properties pin its observable behaviour — predictions,
-//! entry counts, blending and lazy-exclusion divergence, saturating
-//! halving — to `OracleFcm`, a direct nested-`HashMap` transliteration of
-//! Section 2.2 with none of the flat layout. A second property pins
+//! entry counts, lazy exclusion and single-order models, follower lists of
+//! every length — to `OracleFcm`, a direct nested-`HashMap`
+//! transliteration of Section 2.2 with none of the flat layout. A second property pins
 //! `Predictor::observe_batch` to the per-record loop for every predictor
 //! family the experiments replay.
 
 use std::collections::HashMap;
 
-use dvp_core::{Blending, CounterMode, FcmPredictor, Interned, Predictor, PredictorConfig};
+use dvp_core::{Blending, FcmPredictor, Interned, Predictor, PredictorConfig};
 use dvp_trace::{Pc, PcId, PcInterner, Value};
 use proptest::prelude::*;
 
@@ -32,26 +32,14 @@ impl OracleCtx {
         self.followers.iter().max_by_key(|&&(_, count, stamp)| (count, stamp)).map(|&(v, _, _)| v)
     }
 
-    fn bump(&mut self, value: Value, mode: CounterMode) {
+    fn bump(&mut self, value: Value) {
         self.tick += 1;
-        let count = match self.followers.iter_mut().find(|(v, _, _)| *v == value) {
+        match self.followers.iter_mut().find(|(v, _, _)| *v == value) {
             Some(row) => {
                 row.1 += 1;
                 row.2 = self.tick;
-                row.1
             }
-            None => {
-                self.followers.push((value, 1, self.tick));
-                1
-            }
-        };
-        if let CounterMode::Saturating { max } = mode {
-            if count >= u64::from(max) {
-                for row in &mut self.followers {
-                    row.1 /= 2;
-                }
-                self.followers.retain(|&(_, count, _)| count > 0);
-            }
+            None => self.followers.push((value, 1, self.tick)),
         }
     }
 }
@@ -64,24 +52,21 @@ struct OracleSlot {
     tables: Vec<HashMap<Box<[Value]>, OracleCtx>>,
 }
 
-/// The paper's order-k FCM with blending, written the obvious way:
+/// The paper's order-k FCM with exact counts, written the obvious way:
 /// nested maps, boxed context keys, no sharing between orders.
 struct OracleFcm {
     order: usize,
     blending: Blending,
-    counter_mode: CounterMode,
     slots: HashMap<Pc, OracleSlot>,
 }
 
 impl OracleFcm {
-    fn new(order: usize, blending: Blending, counter_mode: CounterMode) -> Self {
-        OracleFcm { order, blending, counter_mode, slots: HashMap::new() }
+    fn new(order: usize, blending: Blending) -> Self {
+        OracleFcm { order, blending, slots: HashMap::new() }
     }
 
     /// `(prediction, longest matched order)` for the slot's current
-    /// window. An entry that exists but has no followers (possible after
-    /// saturating halving) fails to match and the descent continues —
-    /// exactly the `or_default()` reuse semantics of the nested model.
+    /// window.
     fn descend(&self, slot: &OracleSlot) -> (Option<Value>, Option<usize>) {
         let ctx_at = |ord: usize| &slot.hist[slot.hist.len() - ord..];
         match self.blending {
@@ -95,7 +80,7 @@ impl OracleFcm {
                 }
                 (None, None)
             }
-            Blending::LazyExclusion | Blending::Full => {
+            Blending::LazyExclusion => {
                 for ord in (0..=self.order.min(slot.hist.len())).rev() {
                     if let Some(top) = slot.tables[ord].get(ctx_at(ord)).and_then(OracleCtx::top) {
                         return (Some(top), Some(ord));
@@ -116,14 +101,9 @@ impl OracleFcm {
             hist: Vec::new(),
             tables: (0..=order).map(|_| HashMap::new()).collect(),
         });
-        let matched = match self.blending {
-            Blending::SingleOrder => None,
-            Blending::LazyExclusion | Blending::Full => self.descend(&self.slots[&pc]).1,
-        };
         let lowest = match self.blending {
             Blending::SingleOrder => order,
-            Blending::Full => 0,
-            Blending::LazyExclusion => matched.unwrap_or(0),
+            Blending::LazyExclusion => self.descend(&self.slots[&pc]).1.unwrap_or(0),
         };
         let slot = self.slots.get_mut(&pc).expect("just inserted");
         for ord in lowest..=order {
@@ -131,7 +111,7 @@ impl OracleFcm {
                 continue;
             }
             let ctx: Box<[Value]> = slot.hist[slot.hist.len() - ord..].into();
-            slot.tables[ord].entry(ctx).or_default().bump(actual, self.counter_mode);
+            slot.tables[ord].entry(ctx).or_default().bump(actual);
         }
         if order > 0 {
             slot.hist.push(actual);
@@ -153,34 +133,25 @@ impl OracleFcm {
 }
 
 /// A short stream over a handful of PCs and a small value alphabet —
-/// small domains force context reuse, ties, and (with saturating
-/// counters) emptied entries.
+/// small domains force context reuse and ties.
 fn arb_stream(max_len: usize) -> impl Strategy<Value = Vec<(Pc, Value)>> {
     prop::collection::vec((0u64..6, 0u64..5), 1..max_len)
         .prop_map(|raw| raw.into_iter().map(|(pc, v)| (Pc(0x400 + 4 * pc), v)).collect())
 }
 
-fn arb_config() -> impl Strategy<Value = (usize, Blending, CounterMode)> {
-    (
-        0usize..=5,
-        prop_oneof![
-            Just(Blending::LazyExclusion),
-            Just(Blending::Full),
-            Just(Blending::SingleOrder)
-        ],
-        prop_oneof![
-            Just(CounterMode::Exact),
-            (1u32..=4).prop_map(|max| CounterMode::Saturating { max }),
-        ],
-    )
+fn arb_blending() -> impl Strategy<Value = Blending> {
+    prop_oneof![Just(Blending::LazyExclusion), Just(Blending::SingleOrder)]
+}
+
+fn arb_config() -> impl Strategy<Value = (usize, Blending)> {
+    (0usize..=5, arb_blending())
 }
 
 /// A long stream over one to three PCs where half the values come from a
 /// wide alphabet and half from four hot values: low-order contexts then
 /// collect hundreds of followers (past the scan threshold, through
 /// several relocations of their follower lists and indexes) while the hot
-/// values keep swapping the argmax and, under small saturating maxima,
-/// keep halving the lists.
+/// values keep swapping the argmax.
 fn arb_wide_stream() -> impl Strategy<Value = Vec<(Pc, Value)>> {
     (1u64..=3, prop::collection::vec((0u64..3, prop_oneof![0u64..512, 0u64..4]), 1..4_000))
         .prop_map(|(pcs, raw)| {
@@ -188,19 +159,8 @@ fn arb_wide_stream() -> impl Strategy<Value = Vec<(Pc, Value)>> {
         })
 }
 
-fn arb_wide_config() -> impl Strategy<Value = (usize, Blending, CounterMode)> {
-    (
-        0usize..=3,
-        prop_oneof![
-            Just(Blending::LazyExclusion),
-            Just(Blending::Full),
-            Just(Blending::SingleOrder)
-        ],
-        prop_oneof![
-            Just(CounterMode::Exact),
-            (1u32..=64).prop_map(|max| CounterMode::Saturating { max }),
-        ],
-    )
+fn arb_wide_config() -> impl Strategy<Value = (usize, Blending)> {
+    (0usize..=3, arb_blending())
 }
 
 /// Steps the flat predictor and the oracle through `stream` in lockstep,
@@ -220,17 +180,16 @@ proptest! {
 
     /// The flat table agrees with the nested-map oracle record for
     /// record: same pre-update prediction, same entry count, same final
-    /// predictions — across orders (0..=5 spans the inline-key limit),
-    /// all three blendings, and both counter modes (saturating maxima
-    /// small enough to empty contexts).
+    /// predictions — across orders (0..=5 spans the inline-key limit)
+    /// and both blendings.
     #[test]
     fn flat_fcm_equals_nested_oracle(
         config in arb_config(),
         stream in arb_stream(300),
     ) {
-        let (order, blending, counter_mode) = config;
-        let mut flat = Interned::new(FcmPredictor::with_config(order, blending, counter_mode));
-        let mut oracle = OracleFcm::new(order, blending, counter_mode);
+        let (order, blending) = config;
+        let mut flat = Interned::new(FcmPredictor::with_config(order, blending));
+        let mut oracle = OracleFcm::new(order, blending);
         for (i, &(pc, value)) in stream.iter().enumerate() {
             prop_assert_eq!(
                 flat.step(pc, value),
@@ -253,9 +212,9 @@ proptest! {
         config in arb_config(),
         stream in arb_stream(200),
     ) {
-        let (order, blending, counter_mode) = config;
-        let mut flat = FcmPredictor::with_config(order, blending, counter_mode);
-        let mut oracle = OracleFcm::new(order, blending, counter_mode);
+        let (order, blending) = config;
+        let mut flat = FcmPredictor::with_config(order, blending);
+        let mut oracle = OracleFcm::new(order, blending);
         let mut interner = PcInterner::new();
         for (i, &(pc, value)) in stream.iter().enumerate() {
             let id = interner.intern(pc);
@@ -270,16 +229,16 @@ proptest! {
         prop_assert_eq!(flat.context_entries(), oracle.context_entries());
     }
 
-    /// Large follower lists — indexed, relocated, argmax-swapped and
-    /// halved — agree with the oracle record for record.
+    /// Large follower lists — indexed, relocated and argmax-swapped —
+    /// agree with the oracle record for record.
     #[test]
     fn wide_alphabet_fcm_equals_nested_oracle(
         config in arb_wide_config(),
         stream in arb_wide_stream(),
     ) {
-        let (order, blending, counter_mode) = config;
-        let mut flat = Interned::new(FcmPredictor::with_config(order, blending, counter_mode));
-        let mut oracle = OracleFcm::new(order, blending, counter_mode);
+        let (order, blending) = config;
+        let mut flat = Interned::new(FcmPredictor::with_config(order, blending));
+        let mut oracle = OracleFcm::new(order, blending);
         assert_lockstep(&mut flat, &mut oracle, stream.iter().copied());
         prop_assert_eq!(flat.context_entries(), oracle.context_entries());
         for &(pc, _) in &stream {
@@ -326,74 +285,54 @@ proptest! {
     }
 }
 
-/// Lazy exclusion and full blending genuinely diverge — and the flat
-/// implementation diverges in exactly the way the oracle does.
+/// Lazy exclusion's exact outcomes, record by record, in the flat
+/// implementation and the oracle alike.
 ///
 /// Order 1, stream `1 2 1 2 7`, then predict with history `[7]` (context
-/// never seen, so the order-0 model decides):
-///
-/// * **lazy** stopped feeding order 0 once order 1 matched, leaving
-///   `{1: 2, 2: 1}` → predicts 1;
-/// * **full** kept counting, leaving `{1: 2, 2: 2, 7: 1}` with 2 stamped
-///   later → predicts 2.
+/// never seen, so the order-0 model decides). Order 0 counts the first
+/// three values, then stops once order 1 matches, leaving `{1: 2, 2: 1}`:
+/// it predicts 1, where a model that kept counting every order would hold
+/// `{1: 2, 2: 2, 7: 1}` and predict the more recent 2.
 #[test]
 fn lazy_exclusion_divergence_is_reproduced_exactly() {
-    let stream = [1u64, 2, 1, 2, 7];
     let pc = Pc(0x400);
+    let mut flat = Interned::new(FcmPredictor::new(1));
+    let mut oracle = OracleFcm::new(1, Blending::LazyExclusion);
     let mut outcomes = Vec::new();
-    for blending in [Blending::LazyExclusion, Blending::Full] {
-        let mut flat = Interned::new(FcmPredictor::with_config(1, blending, CounterMode::Exact));
-        let mut oracle = OracleFcm::new(1, blending, CounterMode::Exact);
-        for &v in &stream {
-            assert_eq!(flat.step(pc, v), oracle.step(pc, v), "{blending:?}");
-        }
-        assert_eq!(flat.predict(pc), oracle.predict(pc), "{blending:?}");
-        outcomes.push(flat.predict(pc));
+    for v in [1u64, 2, 1, 2, 7] {
+        let prediction = flat.step(pc, v);
+        assert_eq!(prediction, oracle.step(pc, v), "value {v}");
+        outcomes.push(prediction);
     }
-    assert_eq!(outcomes, vec![Some(1), Some(2)], "the two blendings must diverge");
-}
-
-/// Saturating halving with `max = 1` empties contexts on every bump; the
-/// emptied entries must keep existing (and keep failing to match) in
-/// both implementations.
-#[test]
-fn saturating_emptied_contexts_agree_with_the_oracle() {
-    let pc = Pc(0x400);
-    let mode = CounterMode::Saturating { max: 1 };
-    let mut flat = Interned::new(FcmPredictor::with_config(2, Blending::LazyExclusion, mode));
-    let mut oracle = OracleFcm::new(2, Blending::LazyExclusion, mode);
-    for &v in &[5u64, 5, 3, 5, 3, 3, 5] {
-        assert_eq!(flat.step(pc, v), oracle.step(pc, v));
-    }
+    assert_eq!(outcomes, [None, Some(1), Some(2), Some(2), Some(1)]);
     assert_eq!(flat.predict(pc), oracle.predict(pc));
+    assert_eq!(flat.predict(pc), Some(1), "order 0 froze once order 1 matched");
     assert_eq!(flat.context_entries(), oracle.context_entries());
 }
 
 /// One order-0 context collects 10,000 distinct followers, then a
-/// mid-list value is bumped until it is the clear argmax, then (with
-/// saturating counters) the list is halved and regrown. Every prediction,
-/// the argmax and the entry count track the oracle throughout.
+/// mid-list value is bumped until it is the clear argmax, then the list
+/// grows further. Every prediction, the argmax and the entry count track
+/// the oracle throughout.
 #[test]
 fn one_context_with_ten_thousand_followers_agrees_with_the_oracle() {
     let pc = Pc(0x400);
-    for mode in [CounterMode::Exact, CounterMode::Saturating { max: 64 }] {
-        let mut flat = Interned::new(FcmPredictor::with_config(0, Blending::LazyExclusion, mode));
-        let mut oracle = OracleFcm::new(0, Blending::LazyExclusion, mode);
-        let distinct = (0..10_000u64).map(|v| (pc, v * 7 + 1));
-        // Every seventh value gets a second count, so some survive halving.
-        let repeats = (0..10_000u64).step_by(7).map(|v| (pc, v * 7 + 1));
-        let mid = 5_000 * 7 + 1;
-        let bumps = std::iter::repeat_n((pc, mid), 100);
-        let regrow = (0..3_000u64).flat_map(|v| [(pc, v * 11 + 3), (pc, mid), (pc, 4 * 7 + 1)]);
-        assert_lockstep(&mut flat, &mut oracle, distinct.chain(repeats));
-        assert_eq!(flat.predict(pc), oracle.predict(pc), "{mode:?}: before the bumps");
-        assert_lockstep(&mut flat, &mut oracle, bumps);
-        assert_eq!(flat.predict(pc), Some(mid), "{mode:?}: the bumped value is the argmax");
-        assert_lockstep(&mut flat, &mut oracle, regrow);
-        assert_eq!(flat.predict(pc), oracle.predict(pc), "{mode:?}: after regrowth");
-        assert_eq!(flat.context_entries(), 1);
-        assert_eq!(flat.context_entries(), oracle.context_entries());
-    }
+    let mut flat = Interned::new(FcmPredictor::new(0));
+    let mut oracle = OracleFcm::new(0, Blending::LazyExclusion);
+    let distinct = (0..10_000u64).map(|v| (pc, v * 7 + 1));
+    // Every seventh value gets a second count.
+    let repeats = (0..10_000u64).step_by(7).map(|v| (pc, v * 7 + 1));
+    let mid = 5_000 * 7 + 1;
+    let bumps = std::iter::repeat_n((pc, mid), 100);
+    let regrow = (0..3_000u64).flat_map(|v| [(pc, v * 11 + 3), (pc, mid), (pc, 4 * 7 + 1)]);
+    assert_lockstep(&mut flat, &mut oracle, distinct.chain(repeats));
+    assert_eq!(flat.predict(pc), oracle.predict(pc), "before the bumps");
+    assert_lockstep(&mut flat, &mut oracle, bumps);
+    assert_eq!(flat.predict(pc), Some(mid), "the bumped value is the argmax");
+    assert_lockstep(&mut flat, &mut oracle, regrow);
+    assert_eq!(flat.predict(pc), oracle.predict(pc), "after regrowth");
+    assert_eq!(flat.context_entries(), 1);
+    assert_eq!(flat.context_entries(), oracle.context_entries());
 }
 
 /// A stride-like stream: four PCs each sweep their own array (base plus
@@ -405,7 +344,7 @@ fn one_context_with_ten_thousand_followers_agrees_with_the_oracle() {
 #[test]
 fn stride_stream_across_many_bucket_growths_agrees_with_the_oracle() {
     let mut flat = Interned::new(FcmPredictor::new(3));
-    let mut oracle = OracleFcm::new(3, Blending::LazyExclusion, CounterMode::Exact);
+    let mut oracle = OracleFcm::new(3, Blending::LazyExclusion);
     let stream = (0..100_000u64).map(|i| {
         let (pc, n) = (i % 4, i / 4);
         (Pc(0x400 + 4 * pc), ((pc + 1) << 32) | (8 * (n % (6_000 + 1_000 * pc))))
@@ -416,36 +355,4 @@ fn stride_stream_across_many_bucket_growths_agrees_with_the_oracle() {
     for pc in (0..4).map(|pc| Pc(0x400 + 4 * pc)) {
         assert_eq!(flat.predict(pc), oracle.predict(pc));
     }
-}
-
-/// One saturating order-0 context outgrows the follower scan (eight
-/// followers), so its list gains an index, halves down to six live
-/// followers, and grows past its old capacity again. Predictions and the
-/// entry count track the oracle throughout.
-#[test]
-fn a_long_follower_list_halves_below_the_scan_and_regrows_with_the_oracle() {
-    let pc = Pc(0x400);
-    let mode = CounterMode::Saturating { max: 8 };
-    let mut flat = Interned::new(FcmPredictor::with_config(0, Blending::LazyExclusion, mode));
-    let mut oracle = OracleFcm::new(0, Blending::LazyExclusion, mode);
-    let fresh = |base: Value, n: Value| (base..base + n).map(move |v| (pc, v));
-    // 24 distinct followers (an indexed list of capacity 32), five seen twice.
-    let grow = fresh(100, 24).chain((0..5).map(|v| (pc, 100 + 4 * v)));
-    // A hot value reaches the maximum and every count halves: the five
-    // doubles and the hot value stay live, the 19 singles drop out.
-    let halve = std::iter::repeat_n((pc, 7), 8);
-    // 40 fresh followers pass the old capacity, then a second hot value
-    // halves the regrown list.
-    let regrow = fresh(1_000, 40).chain(std::iter::repeat_n((pc, 1_003), 7));
-    for (phase, stream) in [
-        ("grow", grow.collect::<Vec<_>>()),
-        ("halve", halve.collect()),
-        ("regrow", regrow.collect()),
-    ] {
-        assert_lockstep(&mut flat, &mut oracle, stream);
-        assert_eq!(flat.predict(pc), oracle.predict(pc), "after {phase}");
-        assert_eq!(flat.context_entries(), oracle.context_entries(), "after {phase}");
-    }
-    assert_eq!(flat.predict(pc), Some(1_003), "the second hot value leads after its halving");
-    assert_eq!(flat.context_entries(), 1);
 }

@@ -38,7 +38,7 @@ fn predictors() -> Vec<Box<dyn Predictor>> {
     vec![
         Box::new(LastValuePredictor::new()),
         // Table 1's stride predictor "uses hysteresis for updates".
-        Box::new(StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 1 })),
+        Box::new(StridePredictor::with_policy(StridePolicy::Hysteresis)),
         Box::new(FcmPredictor::new(ORDER)),
     ]
 }
@@ -151,11 +151,7 @@ pub fn figure1() -> Figure1 {
         .collect();
     let predictions = (0..=3)
         .map(|order| {
-            let mut p = FcmPredictor::with_config(
-                order,
-                dvp_core::Blending::SingleOrder,
-                dvp_core::CounterMode::Exact,
-            );
+            let mut p = FcmPredictor::with_config(order, dvp_core::Blending::SingleOrder);
             for &v in &seq {
                 p.step(PcId(0), Pc(0), v);
             }
@@ -203,15 +199,14 @@ pub struct Figure2 {
 #[must_use]
 pub fn figure2() -> Figure2 {
     let values = repeated_stride(1, 1, 4, 12);
-    let mut stride =
-        StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 1 });
+    let mut stride = StridePredictor::with_policy(StridePolicy::Hysteresis);
     let mut fcm = FcmPredictor::new(2);
     let (id, pc) = (PcId(0), Pc(0));
     let stride_predictions = values.iter().map(|&v| stride.step(id, pc, v)).collect();
     let fcm_predictions = values.iter().map(|&v| fcm.step(id, pc, v)).collect();
     let long = repeated_stride(1, 1, 4, 400);
     let stride_learning = sequences::measure_learning(
-        &mut StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 1 }),
+        &mut StridePredictor::with_policy(StridePolicy::Hysteresis),
         &long,
     );
     let fcm_learning = sequences::measure_learning(&mut FcmPredictor::new(2), &long);

@@ -178,7 +178,8 @@ Regenerates the tables and figures of Sazeides & Smith (MICRO-30 1997)
 through the parallel replay engine (default: all cores; output is
 byte-identical at any worker count). With --trace-dir, workload traces
 persist across runs as version-4 containers (a file of any other version
-is regenerated) and warm runs perform zero simulation. `repro sweep`
+is regenerated) and warm runs simulate no workload trace (ext-speedup
+still simulates its dependence traces on every run). `repro sweep`
 replays the synthetic scenario x predictor matrix instead; `repro phases`
 prints each workload's SimPoint phase plan; --sample checks phase-sampled
 replay against the full replay (and fails the run past a 1pp error).

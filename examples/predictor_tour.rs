@@ -1,7 +1,7 @@
-//! A tour of the predictor design space on the paper's Section 1.1
-//! sequence taxonomy: every predictor variant (hysteresis policies,
-//! two-delta, blending modes, saturating counters, hybrids) against every
-//! sequence class.
+//! A tour of the paper's predictors on its Section 1.1 sequence taxonomy:
+//! last value, the hysteresis and two-delta strides, blended and
+//! single-order FCM, the stride + FCM hybrid, and the finite-table and
+//! delayed-update tier, each against every sequence class.
 //!
 //! Run with: `cargo run --release --example predictor_tour`
 
@@ -10,32 +10,19 @@ use dvp_core::sequences::{
     SequenceClass,
 };
 use dvp_core::{
-    Blending, CounterMode, DelayedPredictor, FcmPredictor, FiniteFcmPredictor,
-    FiniteHybridPredictor, FiniteStridePredictor, HybridPredictor, LastValuePolicy,
-    LastValuePredictor, Predictor, StridePolicy, StridePredictor, TableSpec,
+    Blending, DelayedPredictor, FcmPredictor, FiniteFcmPredictor, FiniteHybridPredictor,
+    FiniteStridePredictor, HybridPredictor, LastValuePredictor, Predictor, StridePolicy,
+    StridePredictor, TableSpec,
 };
 
 fn zoo() -> Vec<Box<dyn Predictor>> {
     vec![
         Box::new(LastValuePredictor::new()),
-        Box::new(LastValuePredictor::with_policy(LastValuePolicy::SaturatingCounter {
-            max: 3,
-            threshold: 2,
-        })),
-        Box::new(LastValuePredictor::with_policy(LastValuePolicy::ConsecutiveConfirm {
-            required: 2,
-        })),
-        Box::new(StridePredictor::with_policy(StridePolicy::Simple)),
-        Box::new(StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 1 })),
+        Box::new(StridePredictor::with_policy(StridePolicy::Hysteresis)),
         Box::new(StridePredictor::two_delta()),
         Box::new(FcmPredictor::new(1)),
         Box::new(FcmPredictor::new(3)),
-        Box::new(FcmPredictor::with_config(3, Blending::SingleOrder, CounterMode::Exact)),
-        Box::new(FcmPredictor::with_config(
-            3,
-            Blending::LazyExclusion,
-            CounterMode::Saturating { max: 16 },
-        )),
+        Box::new(FcmPredictor::with_config(3, Blending::SingleOrder)),
         Box::new(HybridPredictor::stride_fcm(3)),
         // The realizable tier: fixed direct-mapped tables and a delayed
         // update pipeline (single-PC sequences, so tiny tables suffice).
