@@ -694,18 +694,6 @@ impl FcmPredictor {
         }
     }
 
-    /// The predictor's order (context length).
-    #[must_use]
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
-    /// The blending policy in use.
-    #[must_use]
-    pub fn blending(&self) -> Blending {
-        self.blending
-    }
-
     /// Total number of distinct (order, context) pairs stored across all
     /// static instructions — a proxy for the unbounded-table cost the paper
     /// discusses in Section 4.3.

@@ -355,22 +355,10 @@ impl FiniteFcmPredictor {
         FiniteFcmPredictor { order, name, vht, vpt_spec, vpt }
     }
 
-    /// The predictor's order (history length).
-    #[must_use]
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
     /// The VHT geometry.
     #[must_use]
     pub fn vht_spec(&self) -> TableSpec {
         self.vht.spec()
-    }
-
-    /// The VPT geometry.
-    #[must_use]
-    pub fn vpt_spec(&self) -> TableSpec {
-        self.vpt_spec
     }
 
     /// Estimated storage cost in bits: VHT histories + tags, VPT values +

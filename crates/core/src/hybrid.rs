@@ -98,18 +98,6 @@ impl<A: Predictor, B: Predictor> HybridPredictor<A, B> {
         HybridPredictor { first, second, name, chooser: PcTable::default() }
     }
 
-    /// The first (default) component.
-    #[must_use]
-    pub fn first(&self) -> &A {
-        &self.first
-    }
-
-    /// The second component.
-    #[must_use]
-    pub fn second(&self) -> &B {
-        &self.second
-    }
-
     /// Which component the chooser currently favours for instruction `id`
     /// (`false` = first, `true` = second). Unseen instructions default to
     /// the first component.

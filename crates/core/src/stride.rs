@@ -79,14 +79,8 @@ impl Default for StridePredictor {
 }
 
 impl StridePredictor {
-    /// Creates a stride predictor with the paper's two-delta policy.
-    #[must_use]
-    pub fn new() -> Self {
-        StridePredictor::default()
-    }
-
-    /// Creates a two-delta stride predictor (alias of [`StridePredictor::new`],
-    /// named for symmetry with the paper's "s2").
+    /// Creates a stride predictor with the paper's two-delta policy (the
+    /// [`Default`]), named for symmetry with the paper's "s2".
     #[must_use]
     pub fn two_delta() -> Self {
         StridePredictor::with_policy(StridePolicy::TwoDelta)
@@ -96,12 +90,6 @@ impl StridePredictor {
     #[must_use]
     pub fn with_policy(policy: StridePolicy) -> Self {
         StridePredictor { policy, table: PcTable::default() }
-    }
-
-    /// The update policy in use.
-    #[must_use]
-    pub fn policy(&self) -> StridePolicy {
-        self.policy
     }
 
     fn update_entry(policy: StridePolicy, entry: &mut StrideEntry, actual: Value) {
@@ -283,7 +271,7 @@ mod tests {
 
     #[test]
     fn static_entries_counts_distinct_pcs() {
-        let mut p = Interned::new(StridePredictor::new());
+        let mut p = Interned::new(StridePredictor::two_delta());
         for i in 0..5 {
             p.update(Pc(i * 4), i);
         }

@@ -1,15 +1,16 @@
-//! `repro bench` — the perf-smoke harness behind `BENCH_25.json`.
+//! `repro bench` — the perf-smoke harness behind `BENCH_27.json`.
 //!
 //! Replays one fixed, seeded synthetic trace through each predictor
 //! family's batched dense hot path ([`Predictor::observe_batch`] over the
 //! trace's chunks — exactly how the replay engine drives predictors) and
 //! reports ns/record per family as stable, hand-rolled JSON, then times
 //! [`phase_plan`] over that trace and over one four times as long (rows
-//! `plan` and `plan.4n`) and a sequential [`ReplayEngine::load_trace`] of
-//! the trace's container (row `decode`). The committed baseline
-//! (`BENCH_25.json` at the repository root; the older `BENCH_9.json`,
-//! `BENCH_14.json`, `BENCH_17.json`, `BENCH_20.json` and `BENCH_24.json`
-//! stay as the records they were)
+//! `plan` and `plan.4n`), a sequential [`ReplayEngine::load_trace`] of
+//! the trace's container (row `decode`) and the trace writer
+//! [`cache::write_container`] (row `encode`). The committed baseline
+//! (`BENCH_27.json` at the repository root; the older `BENCH_9.json`,
+//! `BENCH_14.json`, `BENCH_17.json`, `BENCH_20.json`, `BENCH_24.json` and
+//! `BENCH_25.json` stay as the records they were)
 //! lets CI run a comparison with a deliberately generous regression
 //! tripwire: machine-to-machine variance is expected; a row running
 //! **3x** slower than baseline is not. Hits are no timing, so a row whose
@@ -21,9 +22,10 @@ use dvp_trace::io::v2;
 use dvp_trace::Value;
 use dvp_workloads::synthetic::{Scenario, ScenarioKind};
 use std::fmt::Write as _;
+use std::io::Cursor;
 use std::time::Instant;
 
-use crate::{json, TextTable};
+use crate::{cache, json, TextTable};
 
 /// Records in the full-scale bench trace (`--quick` divides by the
 /// global scale divisor).
@@ -40,13 +42,13 @@ pub const REGRESSION_FACTOR: f64 = 3.0;
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
     /// Predictor family name (`l`, `s2`, `fcm1`..`fcm3`, `hybrid`),
-    /// `plan`/`plan.4n` for phase profiling, or `decode` for container
-    /// decode.
+    /// `plan`/`plan.4n` for phase profiling, `decode` for container
+    /// decode, or `encode` for the container writer.
     pub name: String,
     /// Correct predictions over the trace (for the profiling rows, the
-    /// plan's simulated records; for `decode`, the records decoded) — a
-    /// determinism witness: this count depends only on the seeded trace,
-    /// never on timing.
+    /// plan's simulated records; for `decode`, the records decoded; for
+    /// `encode`, the container's bytes) — a determinism witness: this
+    /// count depends only on the seeded trace, never on timing.
     pub correct: u64,
     /// Fastest-pass cost per record, in nanoseconds.
     pub ns_per_record: f64,
@@ -79,17 +81,18 @@ pub fn bench_trace(records: usize) -> SharedTrace {
 /// returns the per-family results in bank order, followed by the phase
 /// profiling rows `plan` (the same trace) and `plan.4n` (the bench trace
 /// at four times the records) — a per-record profiling cost that grows
-/// with trace length shows as `plan.4n` running slower than `plan` — and
-/// the container decode row `decode` (the same trace).
+/// with trace length shows as `plan.4n` running slower than `plan` — the
+/// container decode row `decode` and the container write row `encode`
+/// (both the same trace).
 #[must_use]
 pub fn run(records: usize, passes: usize) -> Vec<BenchResult> {
     let trace = bench_trace(records);
     let mut results = replay_rows(&trace, passes);
     results.push(plan_row("plan", &trace, passes));
-    let decode = decode_row(&trace, passes);
+    let io_rows = [decode_row(&trace, passes), encode_row(&trace, passes)];
     drop(trace);
     results.push(plan_row("plan.4n", &bench_trace(4 * records), passes));
-    results.push(decode);
+    results.extend(io_rows);
     results
 }
 
@@ -166,6 +169,26 @@ fn decode_row(trace: &SharedTrace, passes: usize) -> BenchResult {
         correct = loaded.expect("the bench container decodes").1.len() as u64;
     }
     BenchResult { name: "decode".to_owned(), correct, ns_per_record: best }
+}
+
+/// The fastest of `passes` [`cache::write_container`]s of `trace` — the
+/// phase plan on this thread while a scoped encoder compresses and writes
+/// the payloads, then the sections and the header — into an in-memory
+/// [`Cursor`] (no file, no fsync). The container's byte count is the
+/// row's witness.
+fn encode_row(trace: &SharedTrace, passes: usize) -> BenchResult {
+    let mut best = f64::INFINITY;
+    let mut correct = 0u64;
+    for _ in 0..passes.max(1) {
+        let mut cursor = Cursor::new(Vec::new());
+        let start = Instant::now();
+        cache::write_container(&mut cursor, &v2::TraceMeta::default(), trace)
+            .expect("an in-memory container write cannot fail");
+        let nanos = start.elapsed().as_nanos() as f64;
+        best = best.min(nanos / trace.len().max(1) as f64);
+        correct = cursor.get_ref().len() as u64;
+    }
+    BenchResult { name: "encode".to_owned(), correct, ns_per_record: best }
 }
 
 /// Renders results as the stable `BENCH_*.json` shape. The engine epoch
@@ -332,9 +355,13 @@ mod tests {
         let names: Vec<&str> = first.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
-            ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode"]
+            ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode", "encode"]
         );
         assert_eq!(first[8].correct, 2_000);
+        let mut container = Cursor::new(Vec::new());
+        cache::write_container(&mut container, &v2::TraceMeta::default(), &bench_trace(2_000))
+            .expect("writes");
+        assert_eq!(first[9].correct, container.get_ref().len() as u64);
         let second = run(2_000, 1);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.correct, b.correct, "{} hits must not depend on timing", a.name);
@@ -374,9 +401,10 @@ mod tests {
         // Every committed `BENCH_*.json`, read as the line scanner that
         // preceded the JSON parser read it: 200,000 records and the same
         // six family rows, hits unchanged since the first baseline;
-        // `BENCH_24.json` adds the two phase-profiling rows and
-        // `BENCH_25.json` the decode row.
-        let files: [(&str, &[f64]); 6] = [
+        // `BENCH_24.json` adds the two phase-profiling rows,
+        // `BENCH_25.json` the decode row and `BENCH_27.json` the encode
+        // row.
+        let files: [(&str, &[f64]); 7] = [
             (include_str!("../../../BENCH_9.json"), &[7.40, 9.19, 510.57, 530.39, 745.54, 580.25]),
             (include_str!("../../../BENCH_14.json"), &[5.94, 7.44, 177.94, 213.17, 406.80, 254.99]),
             (
@@ -392,9 +420,15 @@ mod tests {
                 include_str!("../../../BENCH_25.json"),
                 &[7.74, 7.15, 170.58, 254.01, 383.10, 245.18, 48.45, 51.57, 36.12],
             ),
+            (
+                include_str!("../../../BENCH_27.json"),
+                &[3.63, 4.63, 155.35, 237.49, 361.30, 307.83, 52.72, 75.94, 35.85, 60.31],
+            ),
         ];
-        let names = ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode"];
-        let correct = [40_615, 82_496, 120_904, 120_904, 120_904, 161_464, 18_432, 38_144, 200_000];
+        let names =
+            ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode", "encode"];
+        let correct =
+            [40_615, 82_496, 120_904, 120_904, 120_904, 161_464, 18_432, 38_144, 200_000, 657_267];
         for (text, ns) in files {
             let rows =
                 ns.iter().enumerate().map(|(i, &ns)| result(names[i], correct[i], ns)).collect();

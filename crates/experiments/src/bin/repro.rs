@@ -13,7 +13,7 @@
 //! repro sweep --quick --format csv   # smaller grid, machine-readable output
 //! repro phases                       # SimPoint phase plans per workload
 //! repro bench                        # per-family perf smoke (ns/record, JSON)
-//! repro bench --check BENCH_25.json  # compare against the committed baseline
+//! repro bench --check BENCH_27.json  # compare against the committed baseline
 //! repro trace export --trace-dir d/  # simulate + persist all benchmark traces
 //! repro trace stats  --trace-dir d/  # list cached containers
 //! repro trace verify --trace-dir d/  # validate every checksum + record
@@ -47,7 +47,7 @@
 
 use dvp_core::PredictorConfig;
 use dvp_engine::{ReplayEngine, SharedTrace, SharedTraceBuilder};
-use dvp_experiments::cache::{CacheEntry, TraceCache};
+use dvp_experiments::cache::{self, CacheEntry, TraceCache};
 use dvp_experiments::serve::{
     replay_table, run_job, sampled_report, Frame, JobSpec, Outcome, Router, RouterOptions,
     ServeClient, ServeOptions, Server,
@@ -584,7 +584,11 @@ fn run_trace_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String>
 
 /// `repro trace gen`: write a synthetic trace container of a requested
 /// size — the generator behind the CI bounded-memory replay check, and a
-/// quick way to make large inputs for `repro trace replay`.
+/// quick way to make large inputs for `repro trace replay`. The container
+/// is the trace cache's ([`cache::write_container`], crash-safe through
+/// [`durable::replace_file`]): compressed payloads stream to the file
+/// from an encoder thread while this one profiles the trace, and the
+/// stored phase plan lets `repro trace replay --sample` skip profiling.
 fn run_trace_gen(mut args: Args) -> Result<ExitCode, String> {
     args.tool = "trace gen";
     let (mut records, mut out, mut seed) = (None, None, 1u64);
@@ -622,17 +626,9 @@ fn run_trace_gen(mut args: Args) -> Result<ExitCode, String> {
         retired: scenario.total_records(),
         predicted: scenario.total_records(),
     };
-    // The records are resident anyway, so embed the phase plan too:
-    // `repro trace replay --sample` then needs no profiling pass.
-    let plan = dvp_engine::phase_plan(&trace, &dvp_engine::PhaseOptions::default());
-    let sections = [
-        (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
-        (v2::SECTION_PHASES, v2::encode_phases(&plan)),
-    ];
-    let header = durable::replace_file(&out, |writer| {
-        v2::write_compressed(writer, &meta, trace.chunks().iter().map(Vec::as_slice), &sections)
-    })
-    .map_err(|err| format!("cannot write {}: {err}", out.display()))?;
+    let (header, _) =
+        durable::replace_file(&out, |writer| cache::write_container(writer, &meta, &trace))
+            .map_err(|err| format!("cannot write {}: {err}", out.display()))?;
     eprintln!(
         "[repro] wrote {} records in {} chunks to {}",
         header.record_count,

@@ -39,7 +39,7 @@ use dvp_trace::PhasePlan;
 use dvp_workloads::Workload;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// File extension of persisted trace containers.
@@ -74,9 +74,10 @@ impl fmt::Display for CacheStats {
 /// Outcome of a cache lookup.
 #[derive(Debug)]
 pub enum CacheLookup {
-    /// A valid container with the expected fingerprint: its metadata and
-    /// the loaded trace.
-    Hit(TraceMeta, SharedTrace),
+    /// A valid container with the expected fingerprint: its metadata, the
+    /// loaded trace, and the phase plan its [`v2::SECTION_PHASES`]
+    /// section carries (`None` for a container without one).
+    Hit(TraceMeta, SharedTrace, Option<PhasePlan>),
     /// No container on disk for this fingerprint.
     Miss,
     /// A container exists but must not be used; the string says why
@@ -171,7 +172,10 @@ impl TraceCache {
 
     /// Looks `fingerprint` up on disk, decoding a candidate container on
     /// `engine`'s worker pool and validating its checksums and stored
-    /// fingerprint.
+    /// fingerprint. A hit carries the phase plan the container stores, so
+    /// a sampled replay of a cached trace needs no profiling pass; a plan
+    /// that fails validation or does not cover the trace makes the
+    /// container invalid.
     #[must_use]
     pub fn lookup(&self, engine: &ReplayEngine, fingerprint: &Fingerprint) -> CacheLookup {
         self.sweep_orphans();
@@ -185,7 +189,10 @@ impl TraceCache {
         };
         match engine.load_trace(&bytes) {
             Ok((header, trace)) if header.meta.fingerprint == *fingerprint => {
-                CacheLookup::Hit(header.meta, trace)
+                match stored_plan(&bytes, trace.len()) {
+                    Ok(plan) => CacheLookup::Hit(header.meta, trace, plan),
+                    Err(err) => CacheLookup::Invalid(format!("{}: {err}", path.display())),
+                }
             }
             Ok((header, _)) => CacheLookup::Invalid(format!(
                 "{}: stale fingerprint (file: {:?}, expected: {:?})",
@@ -197,16 +204,15 @@ impl TraceCache {
         }
     }
 
-    /// Persists a trace as a compressed container, chunk for chunk from
-    /// the shared buffer, with the trace's PC interner appended as an
-    /// optional section (so a warm load assigns dense ids by parallel
-    /// read-only lookups instead of a sequential interning pass) and its
-    /// SimPoint phase plan as another ([`v2::SECTION_PHASES`], so a sampled
-    /// replay needs no profiling pass). The file is written through
-    /// [`durable::replace_file`], so neither a crashed run nor a machine
-    /// crash right after the rename can expose a torn or empty container
-    /// under the final name, and concurrent writers of one fingerprint
-    /// each commit a whole container.
+    /// Persists a trace as a compressed container through
+    /// [`write_container`] (the trace's PC interner and SimPoint phase
+    /// plan ride along as sections, so a warm load assigns dense ids by
+    /// parallel read-only lookups and a sampled replay needs no profiling
+    /// pass). The file is written through [`durable::replace_file`], so
+    /// neither a crashed run nor a machine crash right after the rename
+    /// can expose a torn or empty container under the final name, and
+    /// concurrent writers of one fingerprint each commit a whole
+    /// container.
     ///
     /// # Errors
     ///
@@ -217,18 +223,26 @@ impl TraceCache {
         meta: &TraceMeta,
         trace: &SharedTrace,
     ) -> Result<PathBuf, TraceIoError> {
+        self.write_through_with_plan(meta, trace).map(|(path, _)| path)
+    }
+
+    /// As [`TraceCache::write_through`], also returning the phase plan the
+    /// container stores, so the caller never profiles the trace again.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceCache::write_through`].
+    pub fn write_through_with_plan(
+        &self,
+        meta: &TraceMeta,
+        trace: &SharedTrace,
+    ) -> Result<(PathBuf, PhasePlan), TraceIoError> {
         fs::create_dir_all(&self.dir)?;
         self.sweep_orphans();
         let path = self.path_for(&meta.fingerprint);
-        let plan = dvp_engine::phase_plan(trace, &dvp_engine::PhaseOptions::default());
-        let sections = [
-            (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
-            (v2::SECTION_PHASES, v2::encode_phases(&plan)),
-        ];
-        durable::replace_file(&path, |writer| {
-            v2::write_compressed(writer, meta, trace.chunks().iter().map(Vec::as_slice), &sections)
-        })?;
-        Ok(path)
+        let (_, plan) =
+            durable::replace_file(&path, |writer| write_container(writer, meta, trace))?;
+        Ok((path, plan))
     }
 
     /// Sweeps the temporary files of dead writers from the directory
@@ -313,6 +327,64 @@ impl TraceCache {
     }
 }
 
+/// Writes `trace` as a compressed container with its PC interner and its
+/// default SimPoint phase plan as sections — the one trace writer, behind
+/// [`TraceCache::write_through`] and `repro trace gen` — and returns the
+/// header and the plan.
+///
+/// The write runs on two cores. A scoped encoder thread streams each
+/// compressed payload to `writer` as soon as it is made
+/// ([`v2::write_payloads`]) while the calling thread profiles the trace;
+/// after joining the encoder, the calling thread appends the `PCIN` and
+/// `PHAS` sections and seeks back to write the header
+/// ([`v2::PendingHeader::finish`]). The bytes equal those of a one-thread
+/// [`v2::write_compressed`] with the same sections. The plan stays on the
+/// calling thread on purpose: the profiling columns (about 12 bytes per
+/// record) would otherwise land in a second malloc arena that later work
+/// on this thread never reuses, and peak memory would grow by them.
+///
+/// # Errors
+///
+/// The first I/O or encoding failure. A failed payload write surfaces
+/// after the plan finishes (the encoder is joined either way).
+pub fn write_container<W: Write + Seek + Send>(
+    writer: &mut W,
+    meta: &TraceMeta,
+    trace: &SharedTrace,
+) -> Result<(Header, PhasePlan), TraceIoError> {
+    let (pending, plan) = std::thread::scope(|scope| {
+        let chunks = trace.chunks().iter().map(Vec::as_slice);
+        let encoder = scope.spawn(|| v2::write_payloads(&mut *writer, meta, chunks, true));
+        let plan = dvp_engine::phase_plan(trace, &dvp_engine::PhaseOptions::default());
+        (encoder.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), plan)
+    });
+    let sections = [
+        (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
+        (v2::SECTION_PHASES, v2::encode_phases(&plan)),
+    ];
+    let header = pending?.finish(writer, &sections)?;
+    Ok((header, plan))
+}
+
+/// The phase plan in a validated container's sections, if it has one,
+/// checked to cover all `records` records of its trace.
+fn stored_plan(bytes: &[u8], records: usize) -> Result<Option<PhasePlan>, TraceIoError> {
+    let (_, _, sections) = v2::split_with_sections(bytes)?;
+    let Some(section) = sections.iter().find(|section| section.magic == v2::SECTION_PHASES) else {
+        return Ok(None);
+    };
+    let plan = v2::decode_phases(section.body)?;
+    if plan.total_records != records as u64 {
+        return Err(TraceIoError::Format {
+            message: format!(
+                "phase section covers {} records, the trace holds {records}",
+                plan.total_records
+            ),
+        });
+    }
+    Ok(Some(plan))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,7 +437,7 @@ mod tests {
         let path = cache.write_through(&meta, &trace).expect("writes");
         assert!(path.exists());
         match cache.lookup(&engine, &meta.fingerprint) {
-            CacheLookup::Hit(got_meta, got_trace) => {
+            CacheLookup::Hit(got_meta, got_trace, _) => {
                 assert_eq!(got_meta, meta);
                 assert_eq!(got_trace.to_vec(), trace.to_vec());
             }
@@ -439,7 +511,7 @@ mod tests {
         assert_eq!(bytes[4], v2::VERSION);
         assert!((bytes.len() as u64) < 17 * 4000, "far smaller than the flat encoding");
         match cache.lookup(&engine, &meta.fingerprint) {
-            CacheLookup::Hit(_, got) => assert_eq!(got.to_vec(), trace.to_vec()),
+            CacheLookup::Hit(_, got, _) => assert_eq!(got.to_vec(), trace.to_vec()),
             other => panic!("expected hit, got {other:?}"),
         }
     }
@@ -471,7 +543,7 @@ mod tests {
                 result.expect("every concurrent write-through commits");
             }
             match cache.lookup(&ReplayEngine::sequential(), &meta.fingerprint) {
-                CacheLookup::Hit(_, got) => assert_eq!(got.to_vec(), trace.to_vec()),
+                CacheLookup::Hit(_, got, _) => assert_eq!(got.to_vec(), trace.to_vec()),
                 other => panic!("expected hit after {writers} writers, got {other:?}"),
             }
             let names: Vec<String> = fs::read_dir(&tmp.0)
@@ -525,6 +597,70 @@ mod tests {
             .expect("section frames validate")
             .expect("plan section present");
         assert_eq!(stored, expected);
+    }
+
+    #[test]
+    fn two_core_write_equals_the_one_thread_write() {
+        let meta = sample_meta();
+        for n in [0, 1, 5000] {
+            let trace = sample_trace(n);
+            let plan = dvp_engine::phase_plan(&trace, &dvp_engine::PhaseOptions::default());
+            let sections = [
+                (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
+                (v2::SECTION_PHASES, v2::encode_phases(&plan)),
+            ];
+            let mut expected = Vec::new();
+            let chunks = trace.chunks().iter().map(Vec::as_slice);
+            let expected_header =
+                v2::write_compressed(&mut expected, &meta, chunks, &sections).expect("writes");
+            let mut cursor = io::Cursor::new(Vec::new());
+            let (header, got_plan) = write_container(&mut cursor, &meta, &trace).expect("writes");
+            assert_eq!(cursor.into_inner(), expected, "{n} records");
+            assert_eq!((header, got_plan), (expected_header, plan));
+        }
+    }
+
+    #[test]
+    fn empty_and_one_record_traces_round_trip_with_their_plans() {
+        let tmp = TempDir::new("tiny");
+        let cache = TraceCache::new(&tmp.0);
+        let engine = ReplayEngine::new();
+        let meta = sample_meta();
+        for n in [0, 1] {
+            let trace = sample_trace(n);
+            let path = cache.write_through(&meta, &trace).expect("writes");
+            let plan = dvp_engine::phase_plan(&trace, &dvp_engine::PhaseOptions::default());
+            assert_eq!(plan.total_records, n);
+            assert_eq!(TraceCache::read_phase_plan(&path).expect("reads"), Some(plan.clone()));
+            match cache.lookup(&engine, &meta.fingerprint) {
+                CacheLookup::Hit(got_meta, got, stored) => {
+                    assert_eq!(got_meta, meta);
+                    assert_eq!(got.to_vec(), trace.to_vec(), "{n} records");
+                    assert_eq!(stored, Some(plan));
+                }
+                other => panic!("expected a hit for {n} records, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_phase_section_that_misses_the_trace_is_invalid() {
+        let tmp = TempDir::new("plan-mismatch");
+        fs::create_dir_all(&tmp.0).unwrap();
+        let cache = TraceCache::new(&tmp.0);
+        let meta = sample_meta();
+        let trace = sample_trace(500);
+        // A valid plan, but of a shorter trace.
+        let plan = dvp_engine::phase_plan(&sample_trace(400), &dvp_engine::PhaseOptions::default());
+        let sections = [(v2::SECTION_PHASES, v2::encode_phases(&plan))];
+        let mut bytes = Vec::new();
+        let chunks = trace.chunks().iter().map(Vec::as_slice);
+        v2::write_compressed(&mut bytes, &meta, chunks, &sections).unwrap();
+        fs::write(cache.path_for(&meta.fingerprint), bytes).unwrap();
+        match cache.lookup(&ReplayEngine::sequential(), &meta.fingerprint) {
+            CacheLookup::Invalid(why) => assert!(why.contains("covers 400 records"), "{why}"),
+            other => panic!("expected invalid, got {other:?}"),
+        }
     }
 
     #[test]

@@ -119,7 +119,10 @@ impl Source {
 #[derive(Debug)]
 pub struct TraceStore {
     traces: HashMap<Fingerprint, (TraceMeta, SharedTrace)>,
-    phase_plans: HashMap<Benchmark, PhasePlan>,
+    /// The phase plan each trace arrived with (the one its container
+    /// stores, or the one written with it), else the one profiled on first
+    /// request.
+    plans: HashMap<Fingerprint, PhasePlan>,
     scale_div: u32,
     record_cap: Option<usize>,
     engine: ReplayEngine,
@@ -133,7 +136,7 @@ impl Default for TraceStore {
     fn default() -> Self {
         TraceStore {
             traces: HashMap::new(),
-            phase_plans: HashMap::new(),
+            plans: HashMap::new(),
             scale_div: 1,
             record_cap: None,
             engine: ReplayEngine::sequential(),
@@ -227,8 +230,11 @@ impl TraceStore {
                 let hit = match (self.traces.get(&fingerprint), &self.cache) {
                     (Some(hit), _) => Some(hit.clone()),
                     (None, Some(cache)) => match cache.lookup(&self.engine, &fingerprint) {
-                        CacheLookup::Hit(meta, trace) => {
+                        CacheLookup::Hit(meta, trace, plan) => {
                             self.stats.disk_hits += 1;
+                            if let Some(plan) = plan {
+                                self.plans.insert(fingerprint.clone(), plan);
+                            }
                             Some((meta, trace))
                         }
                         CacheLookup::Miss => None,
@@ -251,19 +257,22 @@ impl TraceStore {
         let cache = self.cache.as_ref();
         let generated = self.engine.try_map(missing, |source| -> Result<_, BuildError> {
             let (meta, trace) = source.generate(record_cap)?;
-            let written = cache.is_some_and(|cache| match cache.write_through(&meta, &trace) {
-                Ok(_) => true,
+            let plan = cache.and_then(|cache| match cache.write_through_with_plan(&meta, &trace) {
+                Ok((_, plan)) => Some(plan),
                 Err(err) => {
                     let workload = &meta.fingerprint.workload;
                     eprintln!("[trace-cache] write-through failed for {workload}: {err}");
-                    false
+                    None
                 }
             });
-            Ok((meta, trace, written))
+            Ok((meta, trace, plan))
         })?;
-        for (meta, trace, written) in generated {
+        for (meta, trace, plan) in generated {
             self.stats.simulated += 1;
-            self.stats.written += u64::from(written);
+            if let Some(plan) = plan {
+                self.stats.written += 1;
+                self.plans.insert(meta.fingerprint.clone(), plan);
+            }
             found.insert(meta.fingerprint.clone(), Some((meta, trace)));
         }
         let fetched: Vec<(TraceMeta, SharedTrace)> = order
@@ -360,22 +369,34 @@ impl TraceStore {
     }
 
     /// The SimPoint phase plan for `benchmark`'s trace (default
-    /// [`dvp_engine::PhaseOptions`]), computed once per store. The plan is
-    /// a pure function of the trace, so recomputing here always agrees
-    /// with the copy a container's `PHAS` section persists — there is no
-    /// staleness to manage.
+    /// [`dvp_engine::PhaseOptions`]): the plan the trace arrived with —
+    /// the `PHAS` section of the container a disk hit loaded, or the plan
+    /// written with it — else profiled once per store. The plan is a pure
+    /// function of the trace, so the stored copy and a fresh profile agree.
     ///
     /// # Errors
     ///
     /// Propagates workload build/run errors (the trace is generated if
     /// needed).
     pub fn phase_plan(&mut self, benchmark: Benchmark) -> Result<PhasePlan, BuildError> {
-        if !self.phase_plans.contains_key(&benchmark) {
-            let trace = self.trace(benchmark)?;
-            let plan = dvp_engine::phase_plan(&trace, &dvp_engine::PhaseOptions::default());
-            self.phase_plans.insert(benchmark, plan);
-        }
-        Ok(self.phase_plans[&benchmark].clone())
+        let (meta, trace) = self.benchmark(benchmark)?;
+        Ok(self.plan_of(&meta.fingerprint, &trace))
+    }
+
+    /// As [`TraceStore::phase_plan`], for `scenario`, whose trace
+    /// [`TraceStore::synthetic_traces`] returned as `trace`.
+    pub fn scenario_phase_plan(&mut self, scenario: &Scenario, trace: &SharedTrace) -> PhasePlan {
+        let fingerprint = Source::Scenario(*scenario).fingerprint(self.record_cap);
+        self.plan_of(&fingerprint, trace)
+    }
+
+    /// The plan `fingerprint`'s trace arrived with, else `trace`'s profile,
+    /// kept for the next request.
+    fn plan_of(&mut self, fingerprint: &Fingerprint, trace: &SharedTrace) -> PhasePlan {
+        self.plans
+            .entry(fingerprint.clone())
+            .or_insert_with(|| dvp_engine::phase_plan(trace, &dvp_engine::PhaseOptions::default()))
+            .clone()
     }
 
     /// Total dynamic (retired) instructions for `benchmark`'s run.
@@ -486,6 +507,89 @@ mod tests {
         let stats = cached.cache_stats();
         assert_eq!((stats.simulated, stats.written, stats.disk_hits), (1, 0, 0));
         let _ = std::fs::remove_file(&blocker);
+    }
+
+    /// A unique, self-cleaning trace directory under the system temp root.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let dir =
+                std::env::temp_dir().join(format!("dvp-store-test-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn default_plan(trace: &SharedTrace) -> PhasePlan {
+        dvp_engine::phase_plan(trace, &dvp_engine::PhaseOptions::default())
+    }
+
+    #[test]
+    fn cold_and_warm_stores_hand_out_the_profile_of_the_trace() {
+        let tmp = TempDir::new("plans");
+        let store =
+            || TraceStore::with_scale_div(1000).with_record_cap(4_000).with_trace_dir(&tmp.0);
+        let mut cold = store();
+        let cold_plan = cold.phase_plan(Benchmark::M88k).expect("generates");
+        let mut warm = store();
+        let warm_plan = warm.phase_plan(Benchmark::M88k).expect("loads");
+        assert_eq!(warm.cache_stats().disk_hits, 1);
+        let trace = warm.trace(Benchmark::M88k).unwrap();
+        assert_eq!(warm_plan, default_plan(&trace));
+        assert_eq!(cold_plan, warm_plan);
+        let mut uncached = TraceStore::with_scale_div(1000).with_record_cap(4_000);
+        assert_eq!(uncached.phase_plan(Benchmark::M88k).unwrap(), warm_plan);
+    }
+
+    #[test]
+    fn a_stored_phase_plan_is_served_as_stored() {
+        use dvp_trace::io::v2;
+        use dvp_trace::SimPointPhase;
+        use dvp_workloads::synthetic::ScenarioKind;
+        // A container whose valid plan is not the default profile of its
+        // trace: one phase weighing the whole trace. Serving it unchanged
+        // shows the store did not profile the trace a second time.
+        let tmp = TempDir::new("stored-plan");
+        let scenario = Scenario::new(ScenarioKind::Mixed, 8, 500, 7);
+        let mut cold = TraceStore::new().with_trace_dir(&tmp.0);
+        let trace = cold.synthetic_traces(&[scenario]).pop().unwrap();
+        let records = trace.len() as u64;
+        let planted = PhasePlan {
+            window_records: 100,
+            warmup_records: 0,
+            seed: 0,
+            total_records: records,
+            phases: vec![SimPointPhase { cluster_records: records, start: 0, end: 100 }],
+        };
+        planted.validate().expect("a valid plan");
+        assert_ne!(planted, default_plan(&trace));
+        let path = cold.cache().unwrap().path_for(&scenario.fingerprint(None));
+        let meta = v2::split_bytes(&std::fs::read(&path).unwrap()).expect("written").0.meta;
+        let sections = [
+            (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
+            (v2::SECTION_PHASES, v2::encode_phases(&planted)),
+        ];
+        let mut bytes = Vec::new();
+        v2::write_compressed(
+            &mut bytes,
+            &meta,
+            trace.chunks().iter().map(Vec::as_slice),
+            &sections,
+        )
+        .unwrap();
+        std::fs::write(&path, bytes).unwrap();
+
+        let mut warm = TraceStore::new().with_trace_dir(&tmp.0);
+        let served = warm.synthetic_traces(&[scenario]).pop().unwrap();
+        assert_eq!(warm.cache_stats().disk_hits, 1);
+        assert_eq!(warm.scenario_phase_plan(&scenario, &served), planted);
     }
 
     #[test]

@@ -544,19 +544,24 @@ pub fn run_job(
     if let Some(dir) = trace_dir {
         store = store.with_trace_dir(dir);
     }
+    let failed = |err| format!("workload generation failed: {err:?}");
     let trace = match &spec.source {
         JobSource::Scenario(scenario) => {
             store.synthetic_traces(&[*scenario]).pop().expect("one scenario in, one out")
         }
-        JobSource::Workload { benchmark, .. } => {
-            store.trace(*benchmark).map_err(|err| format!("workload generation failed: {err:?}"))?
-        }
+        JobSource::Workload { benchmark, .. } => store.trace(*benchmark).map_err(failed)?,
     };
     // The payload embeds the epoch-free descriptor: the rendered bytes
     // describe the job, while epoch-binding lives in the cache key.
     let mut payload = format!("job {}\n", spec.descriptor());
     if spec.sample {
-        let plan = dvp_engine::phase_plan(&trace, &dvp_engine::PhaseOptions::default());
+        // The plan the trace arrived with, if its container stores one.
+        let plan = match &spec.source {
+            JobSource::Scenario(scenario) => store.scenario_phase_plan(scenario, &trace),
+            JobSource::Workload { benchmark, .. } => {
+                store.phase_plan(*benchmark).map_err(failed)?
+            }
+        };
         let replays = engine.replay_sampled_warm(&trace, &configs, &plan);
         payload.push_str(&sampled_report(&replays, &plan, trace.len() as u64, true));
     } else {

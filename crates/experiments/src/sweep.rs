@@ -154,7 +154,7 @@ fn run_inner(
                 })
                 .collect();
             let sampled_err_pp = sample.then(|| {
-                let plan = dvp_engine::phase_plan(trace, &dvp_engine::PhaseOptions::default());
+                let plan = store.scenario_phase_plan(scenario, trace);
                 let sampled = engine.replay_sampled_warm(trace, bank, &plan);
                 accuracy
                     .iter()

@@ -157,6 +157,34 @@ fn failed_trace_write_through_warns_and_keeps_the_output() {
 }
 
 #[test]
+fn trace_gen_writes_the_committed_container_byte_for_byte() {
+    // `fixtures/trace-gen-v4.dvpt` was written by the one-thread writer
+    // that buffered every payload before the header; the streaming writer
+    // (header last, by seeking back) must reproduce it exactly.
+    let out_path =
+        std::env::temp_dir().join(format!("dvp-cli-trace-gen-{}.dvpt", std::process::id()));
+    let out = repro(&[
+        "trace",
+        "gen",
+        "--records",
+        "3000",
+        "--pcs",
+        "9",
+        "--chunk-records",
+        "512",
+        "--seed",
+        "5",
+        "--out",
+        out_path.to_str().expect("utf-8"),
+    ]);
+    let written = std::fs::read(&out_path);
+    let _ = std::fs::remove_file(&out_path);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let fixture: &[u8] = include_bytes!("fixtures/trace-gen-v4.dvpt");
+    assert!(written.expect("the container exists") == fixture, "container bytes changed");
+}
+
+#[test]
 fn trace_tool_requires_a_trace_dir() {
     let out = repro(&["trace", "stats"]);
     assert!(!out.status.success());

@@ -69,7 +69,7 @@ fn version_3_container_is_invalid_regenerated_and_never_served() {
     assert_eq!(std::fs::read(&path).expect("rewritten")[4], v2::VERSION);
 
     match cache.lookup(&engine, &fingerprint) {
-        CacheLookup::Hit(_, trace) => assert_eq!(trace.to_vec(), traces[0].to_vec()),
+        CacheLookup::Hit(_, trace, _) => assert_eq!(trace.to_vec(), traces[0].to_vec()),
         other => panic!("the regenerated container must hit, got {other:?}"),
     }
     assert!(TraceCache::read_phase_plan(&path).expect("v4 reads").is_some());

@@ -44,7 +44,7 @@
 
 use super::{format_err, TraceIoError};
 use crate::{fnv1a64, Fnv, InstrCategory, Pc, PcInterner, PhasePlan, SimPointPhase, TraceRecord};
-use std::io::{Read, Write};
+use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 
 /// The one container version this build reads and writes. Any other
 /// version byte is a [`TraceIoError::UnsupportedVersion`] error.
@@ -786,6 +786,10 @@ pub fn chunk_payload<'a>(payload: &'a [u8], info: &ChunkInfo) -> Result<&'a [u8]
 /// count, so a write → [`read()`] round trip preserves chunk boundaries
 /// exactly.
 ///
+/// The container is built by [`write_payloads`] and [`PendingHeader::finish`]
+/// in an in-memory buffer and then written to `writer` in one piece; a
+/// caller with a seekable writer should call those two directly.
+///
 /// # Errors
 ///
 /// Propagates I/O failures; returns a [`TraceIoError::Format`] if a
@@ -800,7 +804,7 @@ where
     W: Write,
     I: IntoIterator<Item = &'a [TraceRecord]>,
 {
-    write_container(writer, meta, chunks, sections, false)
+    write_buffered(writer, meta, chunks, sections, false)
 }
 
 /// As [`write_with_sections`], but compressing each chunk payload the LZ
@@ -821,10 +825,12 @@ where
     W: Write,
     I: IntoIterator<Item = &'a [TraceRecord]>,
 {
-    write_container(writer, meta, chunks, sections, true)
+    write_buffered(writer, meta, chunks, sections, true)
 }
 
-fn write_container<'a, W, I>(
+/// Runs the streaming writer over an in-memory [`Cursor`] and copies the
+/// finished container to a writer that cannot seek.
+fn write_buffered<'a, W, I>(
     writer: &mut W,
     meta: &TraceMeta,
     chunks: I,
@@ -835,15 +841,62 @@ where
     W: Write,
     I: IntoIterator<Item = &'a [TraceRecord]>,
 {
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
-    let mut index: Vec<ChunkInfo> = Vec::new();
+    let mut cursor = Cursor::new(Vec::new());
+    let header =
+        write_payloads(&mut cursor, meta, chunks, compress)?.finish(&mut cursor, sections)?;
+    writer.write_all(cursor.get_ref())?;
+    Ok(header)
+}
+
+/// A container whose chunk payloads [`write_payloads`] has written but
+/// whose header slot still holds zeros: [`PendingHeader::finish`] appends
+/// the trailing sections and then writes the header.
+#[derive(Debug)]
+#[must_use = "a container is only valid once its header is written by `finish`"]
+pub struct PendingHeader {
+    /// Writer position of the container's first byte.
+    start: u64,
+    /// Bytes reserved for the magic, the header checksum and the tail.
+    reserved: usize,
+    /// The finished header: fingerprint, counts and the chunk index.
+    header: Header,
+}
+
+/// The streaming half of a container write: reserves the header at the
+/// writer's current position (its length is fixed by the fingerprint and
+/// the count of non-empty chunks), then encodes each non-empty chunk and
+/// writes its payload (LZ-compressed where the codec shrinks it when
+/// `compress`, else stored raw) as soon as it is made, so no more than one
+/// payload is held at a time. The writer is left after the last payload,
+/// where [`PendingHeader::finish`] appends the sections.
+///
+/// The split lets the payloads stream out while the caller computes
+/// section bodies (such as the phase plan) elsewhere; the bytes equal
+/// those of [`write_compressed`] (or [`write_with_sections`]) for the same
+/// input.
+///
+/// # Errors
+///
+/// Propagates I/O failures; returns a [`TraceIoError::Format`] if a
+/// fingerprint string, a chunk or the chunk count overflows its field.
+pub fn write_payloads<'a, W, I>(
+    writer: &mut W,
+    meta: &TraceMeta,
+    chunks: I,
+    compress: bool,
+) -> Result<PendingHeader, TraceIoError>
+where
+    W: Write + Seek,
+    I: IntoIterator<Item = &'a [TraceRecord]>,
+{
+    let chunks: Vec<&[TraceRecord]> = chunks.into_iter().filter(|c| !c.is_empty()).collect();
+    let mut header =
+        Header { meta: meta.clone(), record_count: 0, chunk_capacity: 0, chunks: Vec::new() };
+    let reserved = MAGIC.len() + 8 + encode_header_tail(&header)?.len() + 28 * chunks.len();
+    let start = writer.stream_position()?;
+    writer.write_all(&vec![0u8; reserved])?;
     let mut offset = 0u64;
-    let mut record_count = 0u64;
-    let mut chunk_capacity = 0u32;
     for chunk in chunks {
-        if chunk.is_empty() {
-            continue;
-        }
         let raw = encode_chunk(chunk);
         let records = u32::try_from(chunk.len())
             .map_err(|_| format_err("chunk holds more than u32::MAX records"))?;
@@ -856,27 +909,53 @@ where
         };
         let len = u32::try_from(payload.len())
             .map_err(|_| format_err("chunk payload exceeds u32::MAX bytes"))?;
-        index.push(ChunkInfo { offset, len, raw_len, records, checksum: fnv1a64(&payload) });
+        writer.write_all(&payload)?;
+        header.chunks.push(ChunkInfo {
+            offset,
+            len,
+            raw_len,
+            records,
+            checksum: fnv1a64(&payload),
+        });
         offset += u64::from(len);
-        record_count += u64::from(records);
-        chunk_capacity = chunk_capacity.max(records);
-        payloads.push(payload);
+        header.record_count += u64::from(records);
+        header.chunk_capacity = header.chunk_capacity.max(records);
     }
-    let header = Header { meta: meta.clone(), record_count, chunk_capacity, chunks: index };
-    let tail = encode_header_tail(&header)?;
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&fnv1a64(&tail).to_le_bytes())?;
-    writer.write_all(&tail)?;
-    for payload in &payloads {
-        writer.write_all(payload)?;
+    Ok(PendingHeader { start, reserved, header })
+}
+
+impl PendingHeader {
+    /// Completes the container [`write_payloads`] began on `writer`:
+    /// appends each `(magic, body)` section, framed and checksummed per
+    /// the spec, seeks back to write the header and its checksum into the
+    /// reserved slot, and leaves the writer at the container's end.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures, seeks included; returns a
+    /// [`TraceIoError::Format`] if the chunk count overflows its field.
+    pub fn finish<W: Write + Seek>(
+        self,
+        writer: &mut W,
+        sections: &[([u8; 4], Vec<u8>)],
+    ) -> Result<Header, TraceIoError> {
+        for (magic, body) in sections {
+            writer.write_all(magic)?;
+            writer.write_all(&(body.len() as u64).to_le_bytes())?;
+            writer.write_all(&fnv1a64(body).to_le_bytes())?;
+            writer.write_all(body)?;
+        }
+        let end = writer.stream_position()?;
+        let tail = encode_header_tail(&self.header)?;
+        // A longer header would overwrite the first payload bytes.
+        assert_eq!(MAGIC.len() + 8 + tail.len(), self.reserved, "the header fills its slot");
+        writer.seek(SeekFrom::Start(self.start))?;
+        writer.write_all(&MAGIC)?;
+        writer.write_all(&fnv1a64(&tail).to_le_bytes())?;
+        writer.write_all(&tail)?;
+        writer.seek(SeekFrom::Start(end))?;
+        Ok(self.header)
     }
-    for (magic, body) in sections {
-        writer.write_all(magic)?;
-        writer.write_all(&(body.len() as u64).to_le_bytes())?;
-        writer.write_all(&fnv1a64(body).to_le_bytes())?;
-        writer.write_all(body)?;
-    }
-    Ok(header)
 }
 
 /// Reads a whole container sequentially, validating every checksum and
@@ -1378,6 +1457,31 @@ mod tests {
         let (header, records) = read(&mut buf.as_slice()).expect("reads");
         assert!(records.is_empty());
         assert_eq!(header.record_count, 0);
+    }
+
+    #[test]
+    fn streamed_container_is_written_in_place_after_existing_bytes() {
+        // The header is written last, by seeking back: a container begun
+        // mid-stream lands after the bytes already there, equals the
+        // buffered write byte for byte, and leaves the writer at its end.
+        let (whole, interner) = compressed_container(1000, 96);
+        let sections = [(SECTION_INTERNER, encode_interner(&interner))];
+        let records = sample(1000);
+        let mut cursor = Cursor::new(b"prefix".to_vec());
+        cursor.set_position(6);
+        let pending =
+            write_payloads(&mut cursor, &meta(), records.chunks(96), true).expect("streams");
+        let header = pending.finish(&mut cursor, &sections).expect("finishes");
+        assert_eq!(cursor.position(), cursor.get_ref().len() as u64);
+        assert_eq!(&cursor.get_ref()[..6], b"prefix");
+        assert_eq!(&cursor.get_ref()[6..], whole.as_slice());
+        assert_eq!(header.chunks.len(), 11);
+        // Stored payloads stream the same way.
+        let mut stored = Cursor::new(Vec::new());
+        write_payloads(&mut stored, &meta(), records.chunks(96), false)
+            .and_then(|pending| pending.finish(&mut stored, &[]))
+            .expect("streams");
+        assert_eq!(stored.into_inner(), container(1000, 96));
     }
 
     #[test]

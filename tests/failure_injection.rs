@@ -2,12 +2,13 @@
 //! input with a meaningful error — never a panic, never silent acceptance.
 
 use dvp::asm::assemble;
-use dvp::experiments::durable;
+use dvp::engine::SharedTrace;
+use dvp::experiments::{cache, durable};
 use dvp::lang::{compile, OptLevel};
 use dvp::sim::{Machine, SimError};
 use dvp::trace::io::{v2, TraceIoError};
 use dvp::trace::{InstrCategory, Pc, TraceRecord};
-use std::io::{self, ErrorKind, Write};
+use std::io::{self, ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 // ----- compiler ------------------------------------------------------------
@@ -216,11 +217,14 @@ impl Drop for TempDir {
 
 /// A writer that accepts `budget` bytes and then fails every write: with
 /// `Some(kind)` as that error, with `None` by accepting zero bytes (a short
-/// write, which `write_all` reports as `WriteZero`).
+/// write, which `write_all` reports as `WriteZero`). Over a seekable
+/// writer it seeks too, except that with `fail_seek_back` every seek to an
+/// absolute position (a streamed container's return to its header) fails.
 struct Faulty<W> {
     inner: W,
     budget: usize,
     fault: Option<ErrorKind>,
+    fail_seek_back: bool,
 }
 
 impl<W: Write> Write for Faulty<W> {
@@ -238,6 +242,15 @@ impl<W: Write> Write for Faulty<W> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
+    }
+}
+
+impl<W: Seek> Seek for Faulty<W> {
+    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+        if self.fail_seek_back && matches!(pos, SeekFrom::Start(_)) {
+            return Err(io::Error::other("injected seek fault"));
+        }
+        self.inner.seek(pos)
     }
 }
 
@@ -261,7 +274,7 @@ fn assert_failed_replace_keeps_the_old_file(fault: Option<ErrorKind>, expect: Er
     durable::replace_file(&path, |w| w.write_all(&old)).expect("first write commits");
     let new = vec![0xA5u8; 64 * 1024];
     let err = durable::replace_file(&path, |w| {
-        Faulty { inner: w, budget: new.len() / 2, fault }.write_all(&new)
+        Faulty { inner: w, budget: new.len() / 2, fault, fail_seek_back: false }.write_all(&new)
     })
     .unwrap_err();
     assert_eq!(err.kind(), expect, "{err}");
@@ -291,4 +304,46 @@ fn durable_replace_survives_a_failed_rename() {
     assert!(result.is_err(), "a rename onto a non-empty directory must fail");
     assert_eq!(std::fs::read(path.join("inside")).expect("still there"), b"committed");
     assert_eq!(names(&tmp.0), ["entry.dvpt"], "no temporary file may remain");
+}
+
+/// Replaces a committed file with a streamed container of a 200,000-record
+/// trace through `Faulty` writers: one that fails inside the first payload
+/// and one whose seek back to the header fails. Each time the call must
+/// return the I/O error (the encoder thread is joined, never left
+/// hanging), the committed file must be byte-identical, and no temporary
+/// file may remain.
+#[test]
+fn streamed_container_write_fails_cleanly_inside_a_payload_and_at_the_seek_back() {
+    let tmp = TempDir::new("stream-fault");
+    let path = tmp.0.join("entry.dvpt");
+    let old = b"committed contents".to_vec();
+    durable::replace_file(&path, |w| w.write_all(&old)).expect("first write commits");
+    let trace: SharedTrace = (0..200_000u64)
+        .map(|i| TraceRecord::new(Pc(0x400000 + 4 * (i % 97)), InstrCategory::AddSub, i * i))
+        .collect();
+    let meta = v2::TraceMeta::default();
+    // The header slot of this one-fingerprint, four-chunk container is a
+    // few hundred bytes, so 4 KiB ends inside the first payload.
+    for (budget, fail_seek_back) in [(4096, false), (usize::MAX, true)] {
+        let (done, outcome) = std::sync::mpsc::channel();
+        let (target, trace, meta) = (path.clone(), trace.clone(), meta.clone());
+        let writer = std::thread::spawn(move || {
+            let result = durable::replace_file(&target, |w| {
+                let fault = Some(ErrorKind::StorageFull);
+                let mut faulty = Faulty { inner: w, budget, fault, fail_seek_back };
+                cache::write_container(&mut faulty, &meta, &trace)
+            });
+            done.send(result.map(drop)).expect("the test is listening");
+        });
+        let result = outcome
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a failed container write returns instead of hanging");
+        writer.join().expect("the writer does not panic");
+        let err = result.expect_err("the injected fault surfaces");
+        assert!(matches!(err, TraceIoError::Io(_)), "{err}");
+        let expected = if fail_seek_back { "injected seek fault" } else { "injected fault" };
+        assert!(err.to_string().contains(expected), "{err}");
+        assert_eq!(std::fs::read(&path).expect("old file readable"), old);
+        assert_eq!(names(&tmp.0), ["entry.dvpt"], "no temporary file may remain");
+    }
 }

@@ -332,7 +332,7 @@ fn every_single_byte_corruption_of_a_compressed_container_is_invalid() {
     let reference = trace.to_vec();
     let expect_rejected_or_pristine = |what: String| match cache.lookup(&engine, &fp) {
         CacheLookup::Invalid(_) => {}
-        CacheLookup::Hit(_, served) => {
+        CacheLookup::Hit(_, served, _) => {
             assert_eq!(served.to_vec(), reference, "{what} served a corrupted trace");
             assert_eq!(served.interner(), trace.interner(), "{what} corrupted the interner");
         }
