@@ -18,7 +18,7 @@
 //!   predictor derives all of its probe hashes from one shared rolling
 //!   state instead of rehashing `j` boxed slices per record.
 //! - **Inline follower counts, then lists of their own.** The
-//!   per-context `(value, count, stamp)` frequency table starts as a
+//!   per-context `(value, count)` frequency table starts as a
 //!   two-element inline array. A list that outgrows it moves into a
 //!   `Spilled` list with allocations of its own, which doubles through
 //!   the allocator, so the blocks a grown list gives back are reused. The
@@ -42,10 +42,13 @@
 //!   compares tags in the bucket array and reads an entry only on a tag
 //!   match, and growth reseats every word by its tag without reading a
 //!   single entry.
-//! - **A compact entry.** Stamps come from one predictor-wide bump clock
-//!   (they only order followers within one context, so the argmax and
-//!   its tie-breaks are unchanged), the narrow fields pack, and a spilled
-//!   list needs one position, keeping an entry at 88 bytes.
+//! - **One cache line per entry.** A follower is its value and count: the
+//!   one being bumped or appended is always the most recent, so comparing
+//!   its count against the front's (`>=`) breaks ties toward recency
+//!   without storing when each value was seen. An inline list's length is
+//!   the prefix of followers with a count, and a spilled list keeps its
+//!   position in the inline storage it left behind, so an entry takes 64
+//!   bytes.
 //! - **Fused multi-order probe.** One descending walk locates the longest
 //!   matching context and caches every probed entry index; the update
 //!   phase reuses those hits instead of re-probing.
@@ -121,29 +124,25 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One `(value, count, stamp)` row of a context's frequency table. Stamps
-/// come from one predictor-wide clock, so they are unique within an entry
-/// and ordered by recency — count ties always break deterministically
-/// toward the most recent value.
+/// One `(value, count)` row of a context's frequency table. A live
+/// follower's count is at least 1; an unused inline row reads 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Follower {
     value: Value,
     count: u64,
-    stamp: u64,
 }
 
 /// One (slot, order, context) entry of the flat table.
 ///
-/// Invariant: while `len > 0`, the first follower (inline or spilled) is
-/// the argmax by `(count, stamp)` — predictions never scan.
+/// Invariant: the first follower (inline or spilled) is the argmax by
+/// count, ties going to the value counted most recently — predictions
+/// never scan. Only a follower just counted can overtake the front, and it
+/// is the most recent, so it takes the front when its count reaches the
+/// front's.
 #[derive(Debug, Clone)]
 struct CtxEntry {
     /// Owning dense slot (per-instruction isolation is part of the key).
     slot: u32,
-    /// Live followers.
-    len: u32,
-    /// The position of the spilled follower list when not inline.
-    spill_pos: u32,
     /// Context length == the model order this entry belongs to.
     key_len: u8,
     /// Follower capacity is `1 << cap_log2`; up to `INLINE_FOLLOWERS`
@@ -153,14 +152,17 @@ struct CtxEntry {
     /// is its offset into the key arena.
     key: [Value; INLINE_KEY],
     /// Inline follower storage (the common case: most contexts are
-    /// followed by one or two distinct values).
+    /// followed by one or two distinct values): the live followers are the
+    /// prefix with a nonzero count. Once the list spills, the storage is
+    /// dead and `inline[0].value` holds the spilled list's position.
     inline: [Follower; INLINE_FOLLOWERS],
 }
 
 // Stride-like traces create one entry per order per record, so the entry
-// size sets both their memory and their cache misses. The fields take 86
-// bytes; alignment pads them to 88.
-const _: () = assert!(std::mem::size_of::<CtxEntry>() == 88);
+// size sets both their memory and their cache misses. The fields take 62
+// bytes; alignment pads them to 64, one cache line.
+const _: () = assert!(std::mem::size_of::<Follower>() == 16);
+const _: () = assert!(std::mem::size_of::<CtxEntry>() == 64);
 // Capacities are powers of two (`cap_log2`), so index regions are too.
 const _: () = assert!(INLINE_FOLLOWERS.is_power_of_two());
 // An inline list that doubles still fits the scan, so it needs no index.
@@ -171,25 +173,36 @@ impl CtxEntry {
     fn cap(&self) -> usize {
         1 << self.cap_log2
     }
+
+    /// The live inline followers (the list has not spilled).
+    #[inline]
+    fn inline_len(&self) -> usize {
+        self.inline.iter().take_while(|f| f.count > 0).count()
+    }
+
+    /// The position of the spilled follower list (the list has spilled).
+    #[inline]
+    fn list_pos(&self) -> u32 {
+        self.inline[0].value as u32
+    }
 }
 
 /// Bumps `value` inside a short follower list by scanning it, maintaining
 /// the front-is-argmax invariant. Returns `false` when the value is not
 /// present (the caller appends it).
 #[inline]
-fn bump_scanned(fs: &mut [Follower], value: Value, stamp: u64) -> bool {
+fn bump_scanned(fs: &mut [Follower], value: Value) -> bool {
     let Some(i) = fs.iter().position(|f| f.value == value) else { return false };
-    bump_at(fs, i, stamp);
+    bump_at(fs, i);
     true
 }
 
 /// Counts one occurrence of follower `i` and swaps it to the front when it
-/// becomes the argmax. The bumped follower holds the newest stamp, so it
-/// is the argmax exactly when its count reaches the front's.
+/// becomes the argmax. The bumped follower is the most recent, so it is
+/// the argmax exactly when its count reaches the front's.
 #[inline]
-fn bump_at(fs: &mut [Follower], i: usize, stamp: u64) {
+fn bump_at(fs: &mut [Follower], i: usize) {
     fs[i].count += 1;
-    fs[i].stamp = stamp;
     if fs[i].count >= fs[0].count {
         fs.swap(0, i);
     }
@@ -201,7 +214,7 @@ fn bump_at(fs: &mut [Follower], i: usize, stamp: u64) {
 /// value. An argmax swap rewrites the two slots it moves. Returns `false`
 /// when the value is not present.
 #[inline]
-fn bump_indexed(fs: &mut [Follower], region: &mut [u32], value: Value, stamp: u64) -> bool {
+fn bump_indexed(fs: &mut [Follower], region: &mut [u32], value: Value) -> bool {
     let mask = region.len() - 1;
     let mut b = mix(value) as usize & mask;
     let i = loop {
@@ -212,7 +225,7 @@ fn bump_indexed(fs: &mut [Follower], region: &mut [u32], value: Value, stamp: u6
         }
     };
     let front = fs[0].value;
-    bump_at(fs, i, stamp);
+    bump_at(fs, i);
     if i > 0 && fs[0].value == value {
         let slot = front_slot(region, front);
         region[slot] = i as u32 + 1;
@@ -415,12 +428,8 @@ struct Vht {
     /// Spilled context keys (orders above `INLINE_KEY`), append-only.
     keys: Paged<Value>,
     /// Follower lists that outgrew the inline pair, append-only; a
-    /// spilled entry's `spill_pos` is its list's position.
+    /// spilled entry's [`CtxEntry::list_pos`] is its list's position.
     spilled: Paged<Spilled>,
-    /// Predictor-wide bump clock. Stamps only order followers within one
-    /// context, so one shared clock breaks ties exactly as per-context
-    /// clocks would.
-    clock: u64,
 }
 
 impl Vht {
@@ -484,8 +493,6 @@ impl Vht {
         }
         let pushed = self.entries.push(CtxEntry {
             slot,
-            len: 0,
-            spill_pos: 0,
             key_len: ctx.len() as u8,
             cap_log2: INLINE_FOLLOWERS.trailing_zeros() as u8,
             key,
@@ -515,43 +522,44 @@ impl Vht {
         if e.cap() <= INLINE_FOLLOWERS {
             e.inline[0].value
         } else {
-            self.spilled.get(e.spill_pos).fs[0].value
+            self.spilled.get(e.list_pos()).fs[0].value
         }
     }
 
-    /// Counts one occurrence of `value` after this entry's context:
-    /// `count += 1`, stamp = fresh tick.
+    /// Counts one occurrence of `value` after this entry's context.
     fn bump(&mut self, idx: u32, value: Value) {
-        self.clock += 1;
-        let stamp = self.clock;
         let e = self.entries.get_mut(idx);
         let bumped = if e.cap() <= INLINE_FOLLOWERS {
-            bump_scanned(&mut e.inline[..e.len as usize], value, stamp)
+            let len = e.inline_len();
+            bump_scanned(&mut e.inline[..len], value)
         } else {
-            let Spilled { fs, index } = self.spilled.get_mut(e.spill_pos);
+            let Spilled { fs, index } = self.spilled.get_mut(e.list_pos());
             if index.is_empty() {
-                bump_scanned(fs, value, stamp)
+                bump_scanned(fs, value)
             } else {
-                bump_indexed(fs, index, value, stamp)
+                bump_indexed(fs, index, value)
             }
         };
         if !bumped {
-            self.push_follower(idx, value, stamp);
+            self.push_follower(idx, value);
         }
     }
 
-    /// Appends a fresh `(value, 1, stamp)` follower, relocating the list
-    /// first when it is full. The newest follower takes the front exactly
-    /// when the front's count is 1 too (it then wins the tie on recency).
-    fn push_follower(&mut self, idx: u32, value: Value, stamp: u64) {
+    /// Appends a fresh `(value, 1)` follower, relocating the list first
+    /// when it is full. The newest follower takes the front exactly when
+    /// the front's count is 1 too (it then wins the tie on recency).
+    fn push_follower(&mut self, idx: u32, value: Value) {
         let e = self.entries.get(idx);
-        if e.len as usize == e.cap() {
+        let len = if e.cap() <= INLINE_FOLLOWERS {
+            e.inline_len()
+        } else {
+            self.spilled.get(e.list_pos()).fs.len()
+        };
+        if len == e.cap() {
             self.relocate(idx);
         }
         let e = self.entries.get_mut(idx);
-        let len = e.len as usize;
-        e.len += 1;
-        let fresh = Follower { value, count: 1, stamp };
+        let fresh = Follower { value, count: 1 };
         if e.cap() <= INLINE_FOLLOWERS {
             e.inline[len] = fresh;
             if len > 0 && e.inline[0].count <= 1 {
@@ -559,7 +567,7 @@ impl Vht {
             }
             return;
         }
-        let Spilled { fs, index } = self.spilled.get_mut(e.spill_pos);
+        let Spilled { fs, index } = self.spilled.get_mut(e.list_pos());
         fs.push(fresh);
         let to_front = len > 0 && fs[0].count <= 1;
         if !index.is_empty() {
@@ -577,19 +585,21 @@ impl Vht {
     }
 
     /// Doubles a full follower list's capacity: an inline list moves into
-    /// a fresh [`Spilled`] list, and a spilled list reallocates its own
-    /// followers, building its index once it outgrows the scan.
+    /// a fresh [`Spilled`] list, whose position takes over the inline
+    /// storage, and a spilled list reallocates its own followers, building
+    /// its index once it outgrows the scan.
     fn relocate(&mut self, idx: u32) {
         let e = self.entries.get_mut(idx);
-        let (len, cap) = (e.len as usize, e.cap());
+        let cap = e.cap();
         e.cap_log2 += 1;
         if cap <= INLINE_FOLLOWERS {
             let mut fs = Vec::with_capacity(2 * cap);
-            fs.extend_from_slice(&e.inline[..len]);
-            e.spill_pos = self.spilled.push(Spilled { fs, index: Box::default() });
+            fs.extend_from_slice(&e.inline);
+            e.inline[0].value =
+                Value::from(self.spilled.push(Spilled { fs, index: Box::default() }));
             return;
         }
-        let Spilled { fs, index } = self.spilled.get_mut(e.spill_pos);
+        let Spilled { fs, index } = self.spilled.get_mut(e.list_pos());
         fs.reserve_exact(cap);
         if 2 * cap > SCAN_CAP {
             *index = vec![0; 4 * cap].into_boxed_slice();
@@ -958,6 +968,31 @@ mod tests {
         p.update(PC, 1);
         // Now 1 has count 2.
         assert_eq!(p.predict(PC), Some(1));
+
+        // One order-0 context walks through 1 -> 2 inline followers, the
+        // spill at 3 and the follower index built at 9, every count tied.
+        let (id, pc) = (PcId(0), PC);
+        let mut p = FcmPredictor::new(0);
+        let mut caps = Vec::new();
+        for n in 1..=17 {
+            p.step(id, pc, n);
+            assert_eq!(p.predict(id, pc), Some(n), "newest of {n} tied followers");
+            let e = p.vht.entries.get(0);
+            caps.push(e.cap());
+            if e.cap() > SCAN_CAP {
+                assert!(!p.vht.spilled.get(e.list_pos()).index.is_empty());
+            }
+            // Counting every follower again, oldest first: each bump ties
+            // the front, so each older follower retakes it in turn.
+            let mut q = p.clone();
+            for older in 1..=n {
+                q.step(id, pc, older);
+                assert_eq!(q.predict(id, pc), Some(older), "tie retaken among {n}");
+            }
+        }
+        assert_eq!(caps[..3], [2, 2, 4]);
+        assert_eq!(caps[7..9], [8, 16]);
+        assert_eq!(p.context_entries(), 1);
     }
 
     #[test]
@@ -1129,7 +1164,7 @@ mod tests {
     #[test]
     fn a_run_past_a_page_end_starts_the_next_page_and_reads_back_intact() {
         let mut arena: Paged<Follower> = Paged::default();
-        let row = |value: Value| Follower { value, count: value + 1, stamp: 2 * value };
+        let row = |value: Value| Follower { value, count: value + 1 };
         for value in 0..(PAGE - 6) as Value {
             arena.push(row(value));
         }
@@ -1182,8 +1217,8 @@ mod tests {
         let mut vht = Vht::default();
         let first = insert_spilled(&mut vht, 0);
         let entry: *const CtxEntry = vht.entries.get(first);
-        let spill_pos = vht.entries.get(first).spill_pos;
-        let list: *const Spilled = vht.spilled.get(spill_pos);
+        let list_pos = vht.entries.get(first).list_pos();
+        let list: *const Spilled = vht.spilled.get(list_pos);
         // A doubling `Vec` would have reallocated, and moved entry 0,
         // many times over these inserts.
         for v in 1..=(2 * PAGE) as Value {
@@ -1191,7 +1226,7 @@ mod tests {
         }
         assert!(vht.entries.pages.len() > 2 && vht.spilled.pages.len() > 2);
         assert!(std::ptr::eq(vht.entries.get(first), entry), "entry 0 moved");
-        assert!(std::ptr::eq(vht.spilled.get(spill_pos), list), "entry 0's list moved");
+        assert!(std::ptr::eq(vht.spilled.get(list_pos), list), "entry 0's list moved");
         assert_eq!(vht.probe(hash(0), 0, &[0]), first);
         assert_eq!(vht.top_value(first), 2);
     }

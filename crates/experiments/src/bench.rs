@@ -1,4 +1,4 @@
-//! `repro bench` — the perf-smoke harness behind `BENCH_27.json`.
+//! `repro bench` — the perf-smoke harness behind `BENCH_28.json`.
 //!
 //! Replays one fixed, seeded synthetic trace through each predictor
 //! family's batched dense hot path ([`Predictor::observe_batch`] over the
@@ -8,9 +8,9 @@
 //! `plan` and `plan.4n`), a sequential [`ReplayEngine::load_trace`] of
 //! the trace's container (row `decode`) and the trace writer
 //! [`cache::write_container`] (row `encode`). The committed baseline
-//! (`BENCH_27.json` at the repository root; the older `BENCH_9.json`,
-//! `BENCH_14.json`, `BENCH_17.json`, `BENCH_20.json`, `BENCH_24.json` and
-//! `BENCH_25.json` stay as the records they were)
+//! (`BENCH_28.json` at the repository root; the older `BENCH_9.json`,
+//! `BENCH_14.json`, `BENCH_17.json`, `BENCH_20.json`, `BENCH_24.json`,
+//! `BENCH_25.json` and `BENCH_27.json` stay as the records they were)
 //! lets CI run a comparison with a deliberately generous regression
 //! tripwire: machine-to-machine variance is expected; a row running
 //! **3x** slower than baseline is not. Hits are no timing, so a row whose
@@ -403,8 +403,8 @@ mod tests {
         // six family rows, hits unchanged since the first baseline;
         // `BENCH_24.json` adds the two phase-profiling rows,
         // `BENCH_25.json` the decode row and `BENCH_27.json` the encode
-        // row.
-        let files: [(&str, &[f64]); 7] = [
+        // row; `BENCH_28.json` times the 64-byte FCM entries.
+        let files: [(&str, &[f64]); 8] = [
             (include_str!("../../../BENCH_9.json"), &[7.40, 9.19, 510.57, 530.39, 745.54, 580.25]),
             (include_str!("../../../BENCH_14.json"), &[5.94, 7.44, 177.94, 213.17, 406.80, 254.99]),
             (
@@ -423,6 +423,10 @@ mod tests {
             (
                 include_str!("../../../BENCH_27.json"),
                 &[3.63, 4.63, 155.35, 237.49, 361.30, 307.83, 52.72, 75.94, 35.85, 60.31],
+            ),
+            (
+                include_str!("../../../BENCH_28.json"),
+                &[4.49, 5.13, 137.49, 243.45, 318.39, 218.23, 55.79, 49.73, 36.64, 54.46],
             ),
         ];
         let names =
