@@ -26,8 +26,8 @@ pub struct PcTally {
 /// dynamic instruction, the *subset* of predictors that were correct.
 ///
 /// This reproduces the methodology behind Figure 8 of the paper (the
-/// `l`/`s`/`f`/`ls`/`lf`/`sf`/`lsf`/`np` breakdown) and, with per-PC tracking
-/// enabled, Figure 9 (cumulative improvement of FCM over stride across
+/// `l`/`s`/`f`/`ls`/`lf`/`sf`/`lsf`/`np` breakdown) and, from its per-PC
+/// tallies, Figure 9 (cumulative improvement of FCM over stride across
 /// static instructions).
 ///
 /// # Examples
@@ -56,8 +56,8 @@ pub struct PredictorSet {
     predictors: Vec<Box<dyn Predictor>>,
     /// subset_counts[category][mask] and an extra row for "all categories".
     subset_counts: Vec<Vec<u64>>,
-    /// Per-static-instruction tallies, when tracking is enabled.
-    per_pc: Option<PcSlots<PcTally>>,
+    /// Per-static-instruction tallies (one dense slot per PC).
+    per_pc: PcSlots<PcTally>,
     total: u64,
     /// Batch scratch, reused across calls: each record's correct-set mask,
     /// and one predictor's outcomes.
@@ -70,30 +70,22 @@ impl std::fmt::Debug for PredictorSet {
         f.debug_struct("PredictorSet")
             .field("predictors", &self.names())
             .field("total", &self.total)
-            .field("per_pc_tracking", &self.per_pc.is_some())
             .finish()
     }
 }
 
 impl PredictorSet {
-    /// Creates an empty set without per-PC tracking.
+    /// Creates an empty set.
     #[must_use]
     pub fn new() -> Self {
         PredictorSet::default()
-    }
-
-    /// Creates an empty set that also tallies correctness per static
-    /// instruction (needed for Figure 9; costs one dense slot per PC).
-    #[must_use]
-    pub fn with_per_pc_tracking() -> Self {
-        PredictorSet { per_pc: Some(PcSlots::default()), ..PredictorSet::default() }
     }
 
     /// The canonical trio of the paper's Figure 8: last value, two-delta
     /// stride, and order-3 FCM (bits 0, 1, 2 respectively).
     #[must_use]
     pub fn paper_trio() -> Self {
-        let mut set = PredictorSet::with_per_pc_tracking();
+        let mut set = PredictorSet::new();
         set.push(Box::new(crate::LastValuePredictor::new()));
         set.push(Box::new(crate::StridePredictor::two_delta()));
         set.push(Box::new(crate::FcmPredictor::new(3)));
@@ -173,11 +165,11 @@ impl PredictorSet {
     }
 
     /// Per-PC tallies translated back to their PCs (report-formatting
-    /// time), if tracking was enabled. Order follows the driving id space
-    /// (first appearance for a sequential replay).
+    /// time). Order follows the driving id space (first appearance for a
+    /// sequential replay).
     #[must_use]
-    pub fn per_pc_tallies(&self) -> Option<Vec<(Pc, PcTally)>> {
-        self.per_pc.as_ref().map(|per_pc| per_pc.iter().map(|(pc, t)| (pc, t.clone())).collect())
+    pub fn per_pc_tallies(&self) -> Vec<(Pc, PcTally)> {
+        self.per_pc.iter().map(|(pc, t)| (pc, t.clone())).collect()
     }
 
     /// Accuracy of predictor `index` over everything observed so far.
@@ -228,23 +220,21 @@ impl Observer for PredictorSet {
         for (j, &mask) in self.masks.iter().enumerate() {
             self.subset_counts[categories[j].index()][mask as usize] += 1;
             self.subset_counts[N_CATEGORIES][mask as usize] += 1;
-            if let Some(per_pc) = &mut self.per_pc {
-                let tally = per_pc.get_or_insert_with(ids[j], pcs[j], || PcTally {
-                    total: 0,
-                    correct: vec![0; predictors],
-                    category: Some(categories[j]),
-                });
-                tally.total += 1;
-                for (i, c) in tally.correct.iter_mut().enumerate() {
-                    *c += u64::from((mask >> i) & 1);
-                }
+            let tally = self.per_pc.get_or_insert_with(ids[j], pcs[j], || PcTally {
+                total: 0,
+                correct: vec![0; predictors],
+                category: Some(categories[j]),
+            });
+            tally.total += 1;
+            for (i, c) in tally.correct.iter_mut().enumerate() {
+                *c += u64::from((mask >> i) & 1);
             }
         }
         self.total += n as u64;
     }
 
-    /// Adds another set's counts into this one. Per-PC tallies are kept
-    /// only if *both* sets track them, and merge through [`PcSlots::merge`].
+    /// Adds another set's counts into this one; per-PC tallies merge
+    /// through [`PcSlots::merge`].
     ///
     /// # Panics
     ///
@@ -262,18 +252,12 @@ impl Observer for PredictorSet {
             }
         }
         self.total += other.total;
-        self.per_pc = match (self.per_pc.take(), other.per_pc) {
-            (Some(mut mine), Some(theirs)) => {
-                mine.merge(theirs, |mine, theirs| {
-                    mine.total += theirs.total;
-                    for (m, t) in mine.correct.iter_mut().zip(theirs.correct) {
-                        *m += t;
-                    }
-                });
-                Some(mine)
+        self.per_pc.merge(other.per_pc, |mine, theirs| {
+            mine.total += theirs.total;
+            for (m, t) in mine.correct.iter_mut().zip(theirs.correct) {
+                *m += t;
             }
-            _ => None,
-        };
+        });
     }
 }
 
@@ -411,7 +395,7 @@ pub(crate) mod tests {
     fn per_pc_tallies_record_category_and_counts() {
         let records: Vec<TraceRecord> =
             (0..40u64).map(|i| TraceRecord::new(Pc(12), InstrCategory::Logic, i % 2)).collect();
-        let tallies = trio_over(&records).per_pc_tallies().unwrap();
+        let tallies = trio_over(&records).per_pc_tallies();
         let (pc, tally) = &tallies[0];
         assert_eq!(*pc, Pc(12));
         assert_eq!(tally.total, 40);
@@ -443,8 +427,8 @@ pub(crate) mod tests {
         for index in 0..3 {
             assert_eq!(merged.correct_total(index), sequential.correct_total(index));
         }
-        let m: HashMap<Pc, PcTally> = merged.per_pc_tallies().unwrap().into_iter().collect();
-        let s: HashMap<Pc, PcTally> = sequential.per_pc_tallies().unwrap().into_iter().collect();
+        let m: HashMap<Pc, PcTally> = merged.per_pc_tallies().into_iter().collect();
+        let s: HashMap<Pc, PcTally> = sequential.per_pc_tallies().into_iter().collect();
         assert_eq!(m.len(), s.len());
         for (pc, tally) in &s {
             assert_eq!(m[pc].total, tally.total, "{pc}");
@@ -490,9 +474,8 @@ pub(crate) mod tests {
                     );
                 }
             }
-            let b: HashMap<Pc, PcTally> = batched.per_pc_tallies().unwrap().into_iter().collect();
-            let s: HashMap<Pc, PcTally> =
-                sequential.per_pc_tallies().unwrap().into_iter().collect();
+            let b: HashMap<Pc, PcTally> = batched.per_pc_tallies().into_iter().collect();
+            let s: HashMap<Pc, PcTally> = sequential.per_pc_tallies().into_iter().collect();
             assert_eq!(b.len(), s.len());
             for (pc, tally) in &s {
                 assert_eq!(b[pc].correct, tally.correct, "chunk {chunk} {pc}");

@@ -1,13 +1,15 @@
 //! The replay driver: every public replay method is a thin wrapper that
 //! folds a chunk source (resident or streamed) through one job loop under
 //! a [`Plan`], on one PC partition ([`shard_of_pc`]), with one merge in
-//! (configuration, unit) order. A resident trace is split into the
-//! engine's shards (looked up once per dense id); a streamed container is
-//! split into one shard per consumer thread, so each consumer gathers
-//! (and interns) its records once per chunk for every model it owns.
+//! (configuration, unit) order. A resident trace is split into [`SHARDS`]
+//! shards at any worker count (looked up once per dense id); a streamed
+//! container is split into one shard per consumer thread, so each consumer
+//! gathers (and interns) its records once per chunk for every model it
+//! owns.
 
 use crate::batch::BatchScratch;
 use crate::pool::decode_ahead;
+use crate::replay::SHARDS;
 use crate::shared::ChunkWindow;
 use crate::{shard_of_pc, ReplayEngine, SharedTrace};
 use dvp_core::{AccuracyTracker, Predictor, PredictorConfig};
@@ -253,11 +255,11 @@ impl ReplayEngine {
         F: Fn(usize, usize) -> M + Sync,
     {
         plan.check(trace.len() as u64).unwrap_or_else(|e| panic!("{e}"));
-        let (shards, units) = (self.shards(), plan.units(self.shards()));
+        let units = plan.units(SHARDS);
         let shard_of: Vec<usize> =
-            trace.interner().pcs().iter().map(|&pc| shard_of_pc(pc, shards)).collect();
+            trace.interner().pcs().iter().map(|&pc| shard_of_pc(pc, SHARDS)).collect();
         let reports = self.map((0..configs * units).collect(), |j| {
-            let mut job = plan.job(j % units, shards, make(j / units, j % units));
+            let mut job = plan.job(j % units, SHARDS, make(j / units, j % units));
             let mut scratch = BatchScratch::default();
             let mut base = 0u64;
             for (records, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
@@ -349,9 +351,10 @@ impl ReplayEngine {
 #[cfg(test)]
 mod tests {
     use crate::{phase_plan, ConfigReplay, PhaseOptions, ReplayEngine, SampledReplay, SharedTrace};
-    use dvp_core::{AccuracyTracker, PredictorConfig};
+    use dvp_core::{AccuracyTracker, Predictor, PredictorConfig};
     use dvp_trace::io::v2;
     use dvp_trace::{InstrCategory, Pc, PhasePlan, TraceRecord};
+    use std::ops::Range;
 
     /// Two regimes (constant values, then strides) over 7 PCs.
     fn records(n: u64) -> Vec<TraceRecord> {
@@ -443,8 +446,49 @@ mod tests {
         surface
     }
 
+    /// The paper bank folded by hand, one predictor pass per configuration
+    /// (per phase for a cold plan) over the whole trace, with no partition:
+    /// the reference every engine, source and plan must reproduce.
+    fn one_pass(trace: &SharedTrace, mode: Mode, plan: &PhasePlan) -> Surface {
+        let windows: Vec<Range<u64>> = match mode {
+            Mode::Full => std::iter::once(0..u64::MAX).collect(),
+            Mode::Cold | Mode::Warm => plan.phases.iter().map(|p| p.start..p.end).collect(),
+        };
+        // Each pass: the positions its predictor observes, and the windows
+        // it tallies.
+        let passes: Vec<(Range<u64>, Vec<usize>)> = match mode {
+            Mode::Full | Mode::Warm => vec![(0..u64::MAX, (0..windows.len()).collect())],
+            Mode::Cold => plan
+                .phases
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (p.start.saturating_sub(plan.warmup_records)..p.end, vec![i]))
+                .collect(),
+        };
+        let rows = PredictorConfig::paper_bank()
+            .iter()
+            .map(|config| {
+                let mut tallies = vec![AccuracyTracker::new(); windows.len()];
+                for (observed, tallied) in &passes {
+                    let mut predictor = config.build();
+                    for (at, (rec, id)) in (0u64..).zip(trace.iter_with_ids()) {
+                        if !observed.contains(&at) {
+                            continue;
+                        }
+                        let hit = predictor.step(id, rec.pc, rec.value) == Some(rec.value);
+                        for &w in tallied.iter().filter(|&&w| windows[w].contains(&at)) {
+                            tallies[w].record(rec.category, hit);
+                        }
+                    }
+                }
+                (config.name().to_owned(), tallies)
+            })
+            .collect::<Vec<_>>();
+        surface(rows.iter().map(|(name, tallies)| (name.as_str(), tallies.as_slice())))
+    }
+
     #[test]
-    fn every_source_plan_and_setting_matches_sequential_resident() {
+    fn every_source_plan_and_worker_count_matches_one_pass() {
         let records = records(30_000);
         let meta = v2::TraceMeta::default();
         let mut stored = Vec::new();
@@ -455,24 +499,17 @@ mod tests {
         let options = PhaseOptions { window_records: 512, clusters: 4, ..PhaseOptions::default() };
         let plan = phase_plan(&trace, &options);
         let containers = (stored.as_slice(), compressed.as_slice());
-        let sequential = ReplayEngine::sequential();
-        // Streaming shards by consumer (one per worker) and resident
-        // replay by the shard setting: both vary across the grid.
+        // Streaming shards by consumer (one per worker), resident replay
+        // into the engine's fixed shards: only the former varies here.
         let engines: Vec<ReplayEngine> = [1, 2, 3, 5]
             .into_iter()
-            .flat_map(|workers| {
-                [1, 3, 8].map(|shards| {
-                    ReplayEngine::new()
-                        .with_workers(workers)
-                        .with_shards(shards)
-                        .with_chunk_window(2)
-                })
-            })
+            .map(|workers| ReplayEngine::new().with_workers(workers).with_chunk_window(2))
+            .chain([ReplayEngine::sequential()])
             .collect();
         for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
-            let reference = run(&sequential, Source::Resident, mode, &trace, containers, &plan);
+            let reference = one_pass(&trace, mode, &plan);
             for source in [Source::Resident, Source::Stored, Source::Compressed] {
-                for engine in std::iter::once(&sequential).chain(&engines) {
+                for engine in &engines {
                     assert_eq!(
                         run(engine, source, mode, &trace, containers, &plan),
                         reference,

@@ -7,16 +7,16 @@
 //! than queueing without bound. [`JobQueue`] provides that shape as a
 //! bounded queue in front of a fixed pool of worker threads:
 //!
-//! * [`JobQueue::try_submit`] never blocks: it either enqueues the job
-//!   and returns a [`JobTicket`] for its result, or reports
-//!   [`SubmitError::QueueFull`] — the admission-control signal a server
-//!   turns into a structured reject frame.
-//! * Jobs are arbitrary `FnOnce() -> T` closures, so one queue can serve
-//!   heterogeneous work (each `repro serve` job internally fans out on a
-//!   [`ReplayEngine`], which owns the data parallelism; the queue only
-//!   bounds how many jobs run concurrently).
-//! * A job that panics poisons nothing: the panic is caught, the worker
-//!   survives, and the job's ticket reports `None`.
+//! * [`JobQueue::try_submit`] never blocks: it either enqueues the job or
+//!   reports [`SubmitError::QueueFull`] — the admission-control signal a
+//!   server turns into a structured reject frame.
+//! * Jobs are arbitrary `FnOnce()` closures that deliver their own results
+//!   (a `repro serve` job writes its frames to its connection), so one
+//!   queue can serve heterogeneous work (each job internally fans out on a
+//!   [`ReplayEngine`](crate::ReplayEngine), which owns the data
+//!   parallelism; the queue only bounds how many jobs run concurrently).
+//! * A job that panics poisons nothing: the panic is caught and the worker
+//!   survives.
 //! * Dropping the queue is a graceful shutdown — already-queued jobs
 //!   still run; only new submissions are refused.
 //!
@@ -30,20 +30,23 @@
 //!
 //! ```
 //! use dvp_engine::JobQueue;
+//! use std::sync::mpsc;
 //!
 //! let queue = JobQueue::new(2, 16);
-//! let tickets: Vec<_> =
-//!     (0..4u64).map(|i| queue.try_submit(move || i * i).expect("queue has room")).collect();
-//! let squares: Vec<Option<u64>> = tickets.into_iter().map(JobTicket::wait).collect();
-//! assert_eq!(squares, vec![Some(0), Some(1), Some(4), Some(9)]);
-//! # use dvp_engine::JobTicket;
+//! let (sender, results) = mpsc::channel();
+//! for i in 0..4u64 {
+//!     let sender = sender.clone();
+//!     queue.try_submit(move || sender.send(i * i).expect("listening")).expect("queue has room");
+//! }
+//! drop(sender);
+//! let mut squares: Vec<u64> = results.iter().collect();
+//! squares.sort_unstable();
+//! assert_eq!(squares, vec![0, 1, 4, 9]);
 //! ```
 
-use crate::ReplayEngine;
 use dvp_trace::{fnv1a64, Fnv};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -107,7 +110,7 @@ fn parse_epoch_override(text: &str) -> u64 {
     fnv1a64(trimmed.as_bytes())
 }
 
-/// A queued unit of work (the result channel is captured inside).
+/// A queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Why [`JobQueue::try_submit`] refused a job.
@@ -136,29 +139,6 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A handle to one submitted job's eventual result.
-#[derive(Debug)]
-pub struct JobTicket<T> {
-    receiver: mpsc::Receiver<T>,
-}
-
-impl<T> JobTicket<T> {
-    /// Blocks until the job completes and returns its result. `None`
-    /// means the job panicked or was discarded before it could run.
-    #[must_use]
-    pub fn wait(self) -> Option<T> {
-        self.receiver.recv().ok()
-    }
-
-    /// Like [`JobTicket::wait`], but gives up after `timeout`. `None`
-    /// means timeout, panic, or a discarded job — callers that must
-    /// distinguish should keep the ticket and retry.
-    #[must_use]
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<T> {
-        self.receiver.recv_timeout(timeout).ok()
-    }
-}
-
 /// State shared between submitters and workers, guarded by one mutex.
 struct QueueState {
     pending: VecDeque<Job>,
@@ -175,7 +155,8 @@ struct QueueShared {
 }
 
 /// A bounded job queue over a fixed pool of worker threads — the
-/// admission-controlled submission surface in front of a [`ReplayEngine`].
+/// admission-controlled submission surface in front of a
+/// [`ReplayEngine`](crate::ReplayEngine).
 pub struct JobQueue {
     shared: Arc<QueueShared>,
     capacity: usize,
@@ -230,20 +211,13 @@ impl JobQueue {
                 }
             };
             // A panicking job must not kill the worker: catch it, drop the
-            // payload (the ticket's sender dies with the closure, so the
-            // submitter observes `None`), and keep serving.
+            // payload, and keep serving.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
             let mut state = shared.state.lock().expect("queue mutex never poisoned");
             state.running -= 1;
             drop(state);
             shared.idle.notify_all();
         }
-    }
-
-    /// The maximum number of pending jobs.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Jobs admitted but not yet started.
@@ -259,20 +233,17 @@ impl JobQueue {
     }
 
     /// Submits a job without blocking: on admission the job will run on
-    /// some worker and its result can be claimed through the returned
-    /// [`JobTicket`].
+    /// some worker.
     ///
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] when `capacity` jobs are already
     /// pending (running jobs do not count — they occupy workers, not
     /// queue slots), [`SubmitError::ShuttingDown`] after shutdown began.
-    pub fn try_submit<T, F>(&self, job: F) -> Result<JobTicket<T>, SubmitError>
+    pub fn try_submit<F>(&self, job: F) -> Result<(), SubmitError>
     where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
+        F: FnOnce() + Send + 'static,
     {
-        let (sender, receiver) = mpsc::channel();
         let mut state = self.shared.state.lock().expect("queue mutex never poisoned");
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -280,12 +251,10 @@ impl JobQueue {
         if state.pending.len() >= self.capacity {
             return Err(SubmitError::QueueFull { capacity: self.capacity });
         }
-        state.pending.push_back(Box::new(move || {
-            let _ = sender.send(job());
-        }));
+        state.pending.push_back(Box::new(job));
         drop(state);
         self.shared.work.notify_one();
-        Ok(JobTicket { receiver })
+        Ok(())
     }
 
     /// Blocks until no job is pending or running, or until `timeout`
@@ -327,31 +296,10 @@ impl Drop for JobQueue {
     }
 }
 
-impl ReplayEngine {
-    /// A [`JobQueue`] sized to this engine: one worker thread per engine
-    /// worker, admitting at most `capacity` pending jobs. Each job may
-    /// itself fan out on the engine, so a server typically wants fewer
-    /// queue workers than cores — pass an explicit count to
-    /// [`JobQueue::new`] for that.
-    #[must_use]
-    pub fn job_queue(&self, capacity: usize) -> JobQueue {
-        JobQueue::new(self.workers(), capacity)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::mpsc::channel;
-
-    #[test]
-    fn results_come_back_per_ticket() {
-        let queue = JobQueue::new(3, 64);
-        let tickets: Vec<JobTicket<usize>> =
-            (0..20).map(|i| queue.try_submit(move || i * 2).expect("room")).collect();
-        let results: Vec<Option<usize>> = tickets.into_iter().map(JobTicket::wait).collect();
-        assert_eq!(results, (0..20).map(|i| Some(i * 2)).collect::<Vec<_>>());
-    }
 
     #[test]
     fn capacity_bounds_pending_jobs_deterministically() {
@@ -359,10 +307,16 @@ mod tests {
         // slot, so exactly `capacity` more jobs are admitted.
         let queue = JobQueue::new(1, 2);
         let (gate_tx, gate_rx) = channel::<()>();
-        let blocker = queue
+        let (done_tx, done_rx) = channel::<u32>();
+        let report = |i: u32| {
+            let done_tx = done_tx.clone();
+            move || done_tx.send(i).expect("test listens")
+        };
+        let blocker = report(0);
+        queue
             .try_submit(move || {
                 gate_rx.recv().expect("gate opens");
-                0u32
+                blocker();
             })
             .expect("first job admitted");
         // Wait until the blocker actually occupies the worker (queued
@@ -370,36 +324,35 @@ mod tests {
         while queue.running() == 0 {
             std::thread::yield_now();
         }
-        let a = queue.try_submit(|| 1u32).expect("slot 1");
-        let b = queue.try_submit(|| 2u32).expect("slot 2");
-        let refused = queue.try_submit(|| 3u32);
-        assert_eq!(refused.err(), Some(SubmitError::QueueFull { capacity: 2 }));
+        queue.try_submit(report(1)).expect("slot 1");
+        queue.try_submit(report(2)).expect("slot 2");
+        let refused = queue.try_submit(report(3));
+        assert_eq!(refused, Err(SubmitError::QueueFull { capacity: 2 }));
         assert_eq!(queue.queued(), 2);
         gate_tx.send(()).expect("blocker listens");
-        assert_eq!(blocker.wait(), Some(0));
-        assert_eq!(a.wait(), Some(1));
-        assert_eq!(b.wait(), Some(2));
+        // One worker runs the jobs in submission order.
+        assert_eq!([0, 1, 2].map(|_| done_rx.recv().expect("job runs")), [0, 1, 2]);
         assert!(queue.wait_idle(Duration::from_secs(60)));
         // Idle again: admissions resume.
-        assert_eq!(queue.try_submit(|| 4u32).expect("room again").wait(), Some(4));
+        queue.try_submit(report(4)).expect("room again");
+        assert_eq!(done_rx.recv(), Ok(4));
     }
 
     #[test]
     fn capacity_zero_refuses_everything() {
         let queue = JobQueue::new(2, 0);
         let refused = queue.try_submit(|| ());
-        assert_eq!(refused.err(), Some(SubmitError::QueueFull { capacity: 0 }));
+        assert_eq!(refused, Err(SubmitError::QueueFull { capacity: 0 }));
         assert!(queue.wait_idle(Duration::from_secs(1)));
     }
 
     #[test]
-    fn panicking_job_reports_none_and_queue_survives() {
+    fn panicking_job_leaves_the_queue_serving() {
         let queue = JobQueue::new(1, 8);
-        let bad: JobTicket<u32> =
-            queue.try_submit(|| -> u32 { panic!("job panics on purpose") }).expect("admitted");
-        assert_eq!(bad.wait(), None);
-        let good = queue.try_submit(|| 7u32).expect("worker survived the panic");
-        assert_eq!(good.wait(), Some(7));
+        queue.try_submit(|| panic!("job panics on purpose")).expect("admitted");
+        let (tx, rx) = channel::<u32>();
+        queue.try_submit(move || tx.send(7).expect("test listens")).expect("admitted");
+        assert_eq!(rx.recv(), Ok(7), "the worker survived the panic");
     }
 
     #[test]
@@ -423,21 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_on_a_slow_job_returns_none_then_the_value() {
-        let queue = JobQueue::new(1, 4);
-        let (gate_tx, gate_rx) = channel::<()>();
-        let ticket = queue
-            .try_submit(move || {
-                gate_rx.recv().expect("gate opens");
-                42u32
-            })
-            .expect("admitted");
-        assert_eq!(ticket.wait_timeout(Duration::from_millis(1)), None);
-        gate_tx.send(()).expect("job listens");
-        assert_eq!(ticket.wait(), Some(42));
-    }
-
-    #[test]
     fn compiled_epoch_is_stable_and_nonzero() {
         assert_ne!(compiled_epoch(), 0);
         assert_eq!(compiled_epoch(), compiled_epoch());
@@ -458,12 +396,5 @@ mod tests {
         let b = parse_epoch_override("build-b");
         assert_ne!(a, b);
         assert_eq!(a, parse_epoch_override("build-a"));
-    }
-
-    #[test]
-    fn engine_sized_queue_uses_engine_workers() {
-        let queue = ReplayEngine::sequential().job_queue(3);
-        assert_eq!(queue.capacity(), 3);
-        assert_eq!(queue.try_submit(|| 1u8).expect("room").wait(), Some(1));
     }
 }

@@ -12,17 +12,18 @@
 //!    bank of [`PredictorConfig`](dvp_core::PredictorConfig)s (and
 //!    optionally many traces at once) into independent jobs on a
 //!    fixed-size [`par_map`] worker pool.
-//! 3. **Shard per-PC state.** Within one (trace, configuration) cell the
-//!    trace is split by PC hash ([`shard_of_pc`], looked up once per
-//!    interned [`PcId`](dvp_trace::PcId), never per record) — the one
-//!    partition every replay path uses. Every predictor in `dvp-core`
-//!    keeps strictly per-PC tables, so each shard replays exactly the
-//!    per-PC value streams a sequential pass would have produced, on its
-//!    own private predictor instance — workers never contend on shared
-//!    state.
+//! 3. **Shard per-PC state.** Within one (trace, configuration) cell a
+//!    resident trace is split by PC hash ([`shard_of_pc`], looked up once
+//!    per interned [`PcId`](dvp_trace::PcId), never per record) into the
+//!    same eight shards at any worker count — the one partition every
+//!    resident replay uses. Every predictor in `dvp-core` keeps strictly
+//!    per-PC tables, so each shard replays exactly the per-PC value
+//!    streams a sequential pass would have produced, on its own private
+//!    predictor instance — workers never contend on shared state, and
+//!    even a single worker holds only one shard's tables at a time.
 //! 4. **Merge deterministically.** Shard tallies are exact integer counts,
 //!    merged in a fixed order; results are **bit-identical at any worker
-//!    or shard count**, including the sequential configuration. Every
+//!    count**, including the single-worker configuration. Every
 //!    replay method — full, correlated, streaming, cold- or warm-sampled —
 //!    is a thin wrapper over one private driver: a chunk source (resident
 //!    or streamed) folded through one job loop under a replay plan.
@@ -44,8 +45,8 @@
 //! 8. **Accept work asynchronously.** A [`JobQueue`] puts a bounded,
 //!    admission-controlled submission surface in front of the engine for
 //!    long-lived services (`repro serve`): [`JobQueue::try_submit`] never
-//!    blocks — it admits a job and returns a [`JobTicket`], or refuses
-//!    with a structured [`SubmitError`] when the backlog is full.
+//!    blocks — it admits a job, or refuses with a structured
+//!    [`SubmitError`] when the backlog is full.
 //! 9. **Version persisted results.** [`engine_epoch`] fingerprints the
 //!    predictor-semantics surface (crate versions plus
 //!    [`SEMANTICS_REVISION`]); services fold it into every persisted
@@ -66,7 +67,7 @@
 //!     .collect();
 //!
 //! // Replay the paper's five predictors over it, in parallel.
-//! let engine = ReplayEngine::new(); // all cores, default sharding
+//! let engine = ReplayEngine::new(); // all cores
 //! let replays = engine.replay(&trace, &PredictorConfig::paper_bank());
 //! assert_eq!(replays.len(), 5);
 //!
@@ -91,11 +92,10 @@ mod shared;
 mod simpoint;
 
 pub use jobs::{
-    compiled_epoch, engine_epoch, JobQueue, JobTicket, SubmitError, ENGINE_EPOCH_ENV,
-    SEMANTICS_REVISION,
+    compiled_epoch, engine_epoch, JobQueue, SubmitError, ENGINE_EPOCH_ENV, SEMANTICS_REVISION,
 };
 pub use pool::{par_map, try_par_map};
-pub use replay::{ConfigReplay, ReplayEngine, DEFAULT_SHARDS};
+pub use replay::{ConfigReplay, ReplayEngine};
 pub use shared::{
     shard_of_pc, SharedTrace, SharedTraceBuilder, DEFAULT_CHUNK_LEN, DEFAULT_CHUNK_WINDOW,
 };

@@ -90,10 +90,9 @@ impl ReplayEngine {
     /// while it waits for room — plus one gather buffer per worker, which
     /// holds the worker's PC shard of at most one chunk; none of it grows
     /// with trace length. Workers split the container into one PC shard
-    /// each (the [`with_shards`](ReplayEngine::with_shards) setting
-    /// shapes resident replay only). Tallies are byte-identical to
-    /// [`replay`](ReplayEngine::replay) on the loaded trace at every
-    /// worker, shard, and window setting.
+    /// each (resident replay keeps its eight shards at any worker count).
+    /// Tallies are byte-identical to [`replay`](ReplayEngine::replay) on
+    /// the loaded trace at every worker and window setting.
     ///
     /// # Errors
     ///

@@ -5,28 +5,32 @@ use crate::{par_map, try_par_map, SharedTrace};
 use dvp_core::{AccuracyTracker, PredictorConfig};
 use dvp_trace::Observer;
 
-/// Default number of PC shards per replayed trace.
+/// PC shards per resident trace, at every worker count.
 ///
-/// Eight shards keep every worker of a typical desktop busy inside a single
-/// (trace, configuration) cell while multiplying the per-job bookkeeping by
-/// a constant small enough to be invisible next to predictor table work.
-pub const DEFAULT_SHARDS: usize = 8;
+/// Each (configuration, shard) job holds an eighth of a predictor's
+/// tables and drops them before the next job, so even one worker replays
+/// with cache-sized tables. On a 2 vCPU host, a warm
+/// `repro --quick --trace-dir D all` at 2 workers ran in 17.5–20.2 s with
+/// a 529–591 MiB peak at 8 shards, against 19.8–20.3 s and 673–702 MiB
+/// at 2 shards and 21.0–22.3 s and about 800 MiB at 1; a single-worker
+/// resident replay of the paper bank over N- and 4N-record synthetic
+/// traces peaked at 76 MiB with 8 shards against 105 MiB with 1.
+pub(crate) const SHARDS: usize = 8;
 
 /// A parallel replay engine over [`SharedTrace`] buffers.
 ///
 /// The engine turns every replay request into a grid of independent jobs —
 /// one per (trace, predictor configuration, PC shard
-/// ([`crate::shard_of_pc`])) — on a fixed-size [`par_map`] worker pool.
-/// Every predictor keeps strictly per-PC state, so the shard tallies
-/// (exact integer counts) merge back to **bit-identical** results at any
-/// worker or shard count (see the crate-level quickstart). Jobs drive
-/// predictors through [`dvp_core::Predictor::observe_batch`] over the
-/// trace's pre-interned ids: one slot access per record per predictor, no
-/// hashing.
+/// ([`crate::shard_of_pc`]), eight shards at any worker count) — on a
+/// fixed-size [`par_map`] worker pool. Every predictor keeps strictly
+/// per-PC state, so the shard tallies (exact integer counts) merge back to
+/// **bit-identical** results at any worker count (see the crate-level
+/// quickstart). Jobs drive predictors through
+/// [`dvp_core::Predictor::observe_batch`] over the trace's pre-interned
+/// ids: one slot access per record per predictor, no hashing.
 #[derive(Debug, Clone)]
 pub struct ReplayEngine {
     workers: usize,
-    shards: usize,
     chunk_window: usize,
 }
 
@@ -61,37 +65,25 @@ impl Default for ReplayEngine {
 }
 
 impl ReplayEngine {
-    /// An engine using every available core and [`DEFAULT_SHARDS`] PC
-    /// shards.
+    /// An engine using every available core.
     #[must_use]
     pub fn new() -> Self {
         let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        ReplayEngine { workers, shards: DEFAULT_SHARDS, chunk_window: crate::DEFAULT_CHUNK_WINDOW }
+        ReplayEngine { workers, chunk_window: crate::DEFAULT_CHUNK_WINDOW }
     }
 
-    /// An engine that runs everything inline on the calling thread with a
-    /// single shard — the sequential reference configuration. Results are
-    /// identical to any parallel configuration; only the wall clock moves.
+    /// An engine that runs everything inline on the calling thread: one
+    /// worker, the same PC shards. Results are identical to any parallel
+    /// configuration; only the wall clock moves.
     #[must_use]
     pub fn sequential() -> Self {
-        ReplayEngine { workers: 1, shards: 1, chunk_window: crate::DEFAULT_CHUNK_WINDOW }
+        ReplayEngine::new().with_workers(1)
     }
 
     /// Sets the worker-thread count (clamped to at least 1).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the per-trace PC shard count of resident replay (clamped to
-    /// at least 1): each (configuration, shard) is one job on the pool.
-    /// Streaming replay does not read it: it splits a container into one
-    /// PC shard per worker, so each worker gathers a chunk once for all
-    /// the configurations it owns. Neither setting changes a tally.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -110,12 +102,6 @@ impl ReplayEngine {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The per-trace PC shard count of resident replay.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The streaming replay window capacity, in chunks.
@@ -177,7 +163,7 @@ impl ReplayEngine {
     /// [`dvp_core::PredictorSet`] (Figures 8/9) or a per-instruction
     /// profile: `build` makes one observer per PC shard, each observes its
     /// shard's records in trace order, and the shard observers merge in
-    /// shard order into exactly the observer of one sequential pass.
+    /// shard order into exactly the observer of one pass over the trace.
     pub fn observe<O, F>(&self, trace: &SharedTrace, build: F) -> O
     where
         O: Observer + Send,
@@ -193,6 +179,7 @@ mod tests {
     use super::*;
     use dvp_core::{Predictor, PredictorSet};
     use dvp_trace::{InstrCategory, Pc, TraceRecord};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn mixed_trace(n: u64) -> SharedTrace {
         (0..n)
@@ -212,48 +199,49 @@ mod tests {
     }
 
     #[test]
-    fn replay_matches_sequential_lockstep_loop() {
+    fn replay_matches_one_lockstep_pass_at_every_worker_count() {
         let trace = mixed_trace(5000);
         let bank = PredictorConfig::paper_bank();
-        let replays = ReplayEngine::new().with_workers(4).with_shards(5).replay(&trace, &bank);
-        assert_eq!(replays.len(), bank.len());
-        for (config, replay) in bank.iter().zip(&replays) {
-            let mut predictor = config.build();
-            let mut tracker = AccuracyTracker::new();
-            for (rec, id) in trace.iter_with_ids() {
+        let reference: Vec<AccuracyTracker> = bank
+            .iter()
+            .map(|config| {
+                let mut predictor = config.build();
+                let mut tracker = AccuracyTracker::new();
+                for (rec, id) in trace.iter_with_ids() {
+                    let hit = predictor.step(id, rec.pc, rec.value) == Some(rec.value);
+                    tracker.record(rec.category, hit);
+                }
                 tracker
-                    .record(rec.category, predictor.step(id, rec.pc, rec.value) == Some(rec.value));
-            }
-            assert_eq!(replay.name, config.name());
-            for category in dvp_trace::InstrCategory::ALL.into_iter().map(Some).chain([None]) {
-                assert_eq!(
-                    replay.tracker.correct(category),
-                    tracker.correct(category),
-                    "{} {category:?}",
-                    replay.name
-                );
-                assert_eq!(replay.tracker.predicted(category), tracker.predicted(category));
+            })
+            .collect();
+        for workers in [1, 2, 3, 4, 8, 16] {
+            let replays = ReplayEngine::new().with_workers(workers).replay(&trace, &bank);
+            assert_eq!(replays.len(), bank.len());
+            for ((config, replay), tracker) in bank.iter().zip(&replays).zip(&reference) {
+                assert_eq!(replay.name, config.name());
+                for category in dvp_trace::InstrCategory::ALL.into_iter().map(Some).chain([None]) {
+                    assert_eq!(
+                        (replay.tracker.correct(category), replay.tracker.predicted(category)),
+                        (tracker.correct(category), tracker.predicted(category)),
+                        "workers={workers} {} {category:?}",
+                        replay.name
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn results_identical_at_every_worker_and_shard_count() {
-        let trace = mixed_trace(3000);
-        let bank = PredictorConfig::paper_bank();
-        let reference: Vec<(String, u64, u64)> = ReplayEngine::sequential()
-            .replay(&trace, &bank)
-            .into_iter()
-            .map(|r| (r.name, r.tracker.correct(None), r.tracker.predicted(None)))
-            .collect();
-        for (workers, shards) in [(1, 3), (2, 1), (2, 2), (3, 8), (8, 16), (16, 64)] {
-            let engine = ReplayEngine::new().with_workers(workers).with_shards(shards);
-            let got: Vec<(String, u64, u64)> = engine
-                .replay(&trace, &bank)
-                .into_iter()
-                .map(|r| (r.name, r.tracker.correct(None), r.tracker.predicted(None)))
-                .collect();
-            assert_eq!(got, reference, "workers={workers} shards={shards}");
+    fn observe_builds_one_observer_per_shard_at_any_worker_count() {
+        let trace = mixed_trace(1000);
+        for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(4)] {
+            let built = AtomicUsize::new(0);
+            let set = engine.observe(&trace, || {
+                built.fetch_add(1, Ordering::Relaxed);
+                PredictorSet::paper_trio()
+            });
+            assert_eq!(built.into_inner(), SHARDS, "{engine:?}");
+            assert_eq!(set.total(), trace.len() as u64);
         }
     }
 
@@ -280,16 +268,13 @@ mod tests {
         for (r, id) in trace.iter_with_ids() {
             sequential.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
         }
-        let engine = ReplayEngine::new().with_workers(4).with_shards(6);
-        let merged = engine.observe(&trace, PredictorSet::paper_trio);
+        let merged = ReplayEngine::new().with_workers(4).observe(&trace, PredictorSet::paper_trio);
         assert_eq!(merged.total(), sequential.total());
         for mask in 0..8u32 {
             assert_eq!(merged.subset_count(None, mask), sequential.subset_count(None, mask));
         }
-        let m: std::collections::HashMap<_, _> =
-            merged.per_pc_tallies().unwrap().into_iter().collect();
-        let s: std::collections::HashMap<_, _> =
-            sequential.per_pc_tallies().unwrap().into_iter().collect();
+        let m: std::collections::HashMap<_, _> = merged.per_pc_tallies().into_iter().collect();
+        let s: std::collections::HashMap<_, _> = sequential.per_pc_tallies().into_iter().collect();
         assert_eq!(m.len(), s.len());
         for (pc, tally) in &s {
             assert_eq!(m[pc].correct, tally.correct, "{pc}");

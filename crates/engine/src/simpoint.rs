@@ -26,7 +26,7 @@
 //!    init, lowest-index tie-breaks, sequential iterations): the same
 //!    trace and options produce a byte-identical
 //!    [`PhasePlan`](dvp_trace::PhasePlan) on every machine at every
-//!    `--workers`/`--shards` setting.
+//!    `--workers` setting.
 //! 3. **Replay the representatives.**
 //!    [`ReplayEngine::replay_sampled`] replays one window per cluster —
 //!    preceded by a warmup prefix observed *untallied* to heat the cold

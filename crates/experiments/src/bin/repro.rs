@@ -36,9 +36,9 @@
 //! persist across runs as compressed version-4 containers (spec:
 //! `docs/TRACE_FORMAT.md`; a file of any other version is regenerated)
 //! and later runs replay them without simulating at all — the tables are
-//! byte-identical at any `--workers`/`--shards` setting and whether a
-//! trace came from the simulator or the cache. Cache activity is reported
-//! on stderr (`[repro] trace cache: ...`), never on stdout.
+//! byte-identical at any `--workers` setting and whether a trace came
+//! from the simulator or the cache. Cache activity is reported on stderr
+//! (`[repro] trace cache: ...`), never on stdout.
 //!
 //! Every command line is read by one argument cursor ([`Args`]). The global
 //! flags may appear anywhere; each subcommand's usage is written once, in
@@ -170,9 +170,9 @@ const EXPERIMENTS_USAGE: &str =
 
 /// What the top-level usage says after the command lines.
 const ABOUT: &str = "\
-The global flags --quick, --sample, --workers/-j N, --shards N,
---chunk-window N and --trace-dir DIR may appear anywhere on the command
-line; every command that uses one honours it.
+The global flags --quick, --sample, --workers/-j N, --chunk-window N and
+--trace-dir DIR may appear anywhere on the command line; every command
+that uses one honours it.
 
 Regenerates the tables and figures of Sazeides & Smith (MICRO-30 1997)
 through the parallel replay engine (default: all cores; output is
@@ -464,7 +464,7 @@ fn run_sweep_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String>
 /// `repro phases`: build (or recall from the trace cache) every requested
 /// benchmark's SimPoint phase plan and print the plan tables. The plans
 /// are a pure sequential function of each trace, so the output is
-/// byte-identical at any `--workers`/`--shards`/`--chunk-window` setting.
+/// byte-identical at any `--workers`/`--chunk-window` setting.
 fn run_phases_tool(mut args: Args, globals: &Globals) -> Result<ExitCode, String> {
     let mut benchmarks: Vec<Benchmark> = Vec::new();
     while let Some(arg) = args.next() {
@@ -1059,7 +1059,6 @@ fn run(argv: Vec<String>) -> Result<ExitCode, String> {
         match arg.as_str() {
             "--quick" => scale_div = 4,
             "--workers" | "-j" => engine = engine.with_workers(args.count(&arg)?),
-            "--shards" => engine = engine.with_shards(args.count(&arg)?),
             "--chunk-window" => engine = engine.with_chunk_window(args.count(&arg)?),
             "--sample" => sample = true,
             "--trace-dir" => trace_dir = Some(PathBuf::from(args.value(&arg)?)),

@@ -4,7 +4,6 @@
 
 use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};
-use dvp_engine::ReplayEngine;
 use dvp_trace::{InstrCategory, TraceSummary};
 use dvp_workloads::{Benchmark, BuildError};
 
@@ -106,19 +105,18 @@ pub struct Table45 {
     pub summaries: Vec<(Benchmark, TraceSummary)>,
 }
 
-/// Runs Tables 4–5: one sequential driver fold of a [`TraceSummary`] per
-/// benchmark.
+/// Runs Tables 4–5: one driver fold of a [`TraceSummary`] per benchmark,
+/// on the store's engine.
 ///
 /// # Errors
 ///
 /// Propagates workload build/run errors.
 pub fn table45(store: &mut TraceStore) -> Result<Table45, BuildError> {
+    let engine = store.engine().clone();
     let mut summaries = Vec::new();
     for benchmark in Benchmark::ALL {
         let trace = store.trace(benchmark)?;
-        // Sequential on purpose: this fold is cheap, and sharded 8 ways on
-        // 2 workers it measured slower (0.49 -> 0.52 s wall).
-        summaries.push((benchmark, ReplayEngine::sequential().observe(&trace, TraceSummary::new)));
+        summaries.push((benchmark, engine.observe(&trace, TraceSummary::new)));
     }
     Ok(Table45 { summaries })
 }

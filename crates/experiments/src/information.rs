@@ -15,7 +15,6 @@ use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};
 use crate::values::pool;
 use dvp_core::{EntropyProfile, FcmPredictor, LocalityProfile, PredictorSet, ENTROPY_BUCKETS};
-use dvp_engine::ReplayEngine;
 use dvp_workloads::{Benchmark, BuildError};
 
 /// History depths reported by [`locality`] (Lipasti et al. report 1 and 16;
@@ -34,21 +33,19 @@ pub struct LocalityResults {
     pub rows: Vec<(Benchmark, Vec<f64>)>,
 }
 
-/// Measures history-depth value locality for every benchmark, one
-/// sequential driver fold per trace.
+/// Measures history-depth value locality for every benchmark, one driver
+/// fold per trace on the store's engine.
 ///
 /// # Errors
 ///
 /// Propagates workload build/run errors.
 pub fn locality(store: &mut TraceStore) -> Result<LocalityResults, BuildError> {
+    let engine = store.engine().clone();
     let max_depth = *LOCALITY_DEPTHS.last().expect("non-empty depth list");
     let mut rows = Vec::with_capacity(Benchmark::ALL.len());
     for benchmark in Benchmark::ALL {
         let trace = store.trace(benchmark)?;
-        // Sequential on purpose: this fold is cheap, and sharded 8 ways on
-        // 2 workers it measured slower (0.48 -> 0.58 s wall).
-        let profile =
-            ReplayEngine::sequential().observe(&trace, || LocalityProfile::new(max_depth));
+        let profile = engine.observe(&trace, || LocalityProfile::new(max_depth));
         let series: Vec<f64> = LOCALITY_DEPTHS.iter().map(|&d| profile.locality(d, None)).collect();
         rows.push((benchmark, series));
     }
@@ -104,10 +101,9 @@ pub struct EntropyResults {
 }
 
 /// Profiles value-stream entropy and correlates it with FCM accuracy: per
-/// benchmark, one fold of an [`EntropyProfile`] and one of a
-/// per-PC-tracked FCM, both on the store's engine (every tally is per PC,
-/// so sharding never changes a count); pooled figures sum the
-/// benchmarks'.
+/// benchmark, one fold of an [`EntropyProfile`] and one of a single-FCM
+/// [`PredictorSet`], both on the store's engine (every tally is per PC, so
+/// sharding never changes a count); pooled figures sum the benchmarks'.
 ///
 /// # Errors
 ///
@@ -120,14 +116,14 @@ pub fn entropy(store: &mut TraceStore) -> Result<EntropyResults, BuildError> {
         let trace = store.trace(benchmark)?;
         let profile = engine.observe(&trace, EntropyProfile::new);
         let fcm = engine.observe(&trace, || {
-            let mut set = PredictorSet::with_per_pc_tracking();
+            let mut set = PredictorSet::new();
             set.push(Box::new(FcmPredictor::new(ENTROPY_FCM_ORDER)));
             set
         });
         // Join the FCM's per-PC outcomes to entropy buckets, once per
         // static instruction.
         let entropies = profile.entropies();
-        for (pc, tally) in fcm.per_pc_tallies().expect("tracks per PC") {
+        for (pc, tally) in fcm.per_pc_tallies() {
             let at = entropies.binary_search_by_key(&pc, |&(at, ..)| at).expect("profiled PC");
             let bucket = &mut fcm_by_bucket[EntropyProfile::bucket_of(entropies[at].1)];
             bucket.0 += tally.total;

@@ -64,9 +64,7 @@ pub fn run(store: &mut TraceStore, engine: &ReplayEngine) -> Result<OverlapResul
 
     let mut pooled_tallies = Vec::new();
     for (_, set) in &per_benchmark {
-        if let Some(tallies) = set.per_pc_tallies() {
-            pooled_tallies.extend(tallies.into_iter().map(|(_, tally)| tally));
-        }
+        pooled_tallies.extend(set.per_pc_tallies().into_iter().map(|(_, tally)| tally));
     }
     Ok(OverlapResults { per_benchmark, pooled_tallies })
 }

@@ -6,8 +6,8 @@
 //! each benchmark's deterministic [`PhasePlan`] (profiling pass +
 //! seeded k-means in `dvp-engine`, default
 //! [`PhaseOptions`](dvp_engine::PhaseOptions)) and renders it — the
-//! `repro phases` output, byte-identical at every `--workers`/`--shards`
-//! setting because planning is a pure sequential function of the trace.
+//! `repro phases` output, byte-identical at every `--workers` setting
+//! because planning is a pure sequential function of the trace.
 //! [`validate`] is the error harness behind `repro --sample`: it replays
 //! every workload three ways — fully, sampled with functional warming
 //! (state exact, only representative windows tallied), and sampled cold

@@ -228,14 +228,6 @@ impl Figure11 {
             table.render()
         )
     }
-
-    /// Whether gains diminish: each added order's improvement is no larger
-    /// than ~the previous one's (with a small tolerance for noise).
-    #[must_use]
-    pub fn gains_diminish(&self) -> bool {
-        let gains: Vec<f64> = self.points.windows(2).map(|w| w[1].1 - w[0].1).collect();
-        gains.windows(2).all(|g| g[1] <= g[0] + 0.02)
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! Scenario traces go through the shared [`TraceStore`] path: generated
 //! once per process, persisted in the fingerprint-keyed container cache
 //! with `--trace-dir`, and replayed with bit-identical results at any
-//! worker/shard count.
+//! worker count.
 //!
 //! # Examples
 //!
@@ -350,7 +350,7 @@ mod tests {
         let mut store = TraceStore::new();
         let parallel = run(
             &mut store,
-            &ReplayEngine::new().with_workers(4).with_shards(3),
+            &ReplayEngine::new().with_workers(4),
             &tiny_grid(),
             &PredictorConfig::paper_bank(),
         );

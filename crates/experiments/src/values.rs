@@ -5,7 +5,6 @@ use crate::context::TraceStore;
 use crate::overlap::SHOWN_CATEGORIES;
 use crate::table_fmt::{pct, TextTable};
 use dvp_core::{ValueProfile, VALUE_BUCKETS};
-use dvp_engine::ReplayEngine;
 use dvp_trace::InstrCategory;
 use dvp_workloads::{Benchmark, BuildError};
 
@@ -17,20 +16,18 @@ pub struct ValueResults {
     pub per_benchmark: Vec<(Benchmark, ValueProfile)>,
 }
 
-/// Runs the value-characteristics analysis: one sequential driver fold of
-/// a [`ValueProfile`] per benchmark.
+/// Runs the value-characteristics analysis: one driver fold of a
+/// [`ValueProfile`] per benchmark, on the store's engine.
 ///
 /// # Errors
 ///
 /// Propagates workload build/run errors.
 pub fn run(store: &mut TraceStore) -> Result<ValueResults, BuildError> {
+    let engine = store.engine().clone();
     let mut per_benchmark = Vec::with_capacity(Benchmark::ALL.len());
     for benchmark in Benchmark::ALL {
         let trace = store.trace(benchmark)?;
-        // Sequential on purpose: this fold is cheap, and sharded 8 ways on
-        // 2 workers it measured slower (0.57 -> 0.61 s wall).
-        per_benchmark
-            .push((benchmark, ReplayEngine::sequential().observe(&trace, ValueProfile::new)));
+        per_benchmark.push((benchmark, engine.observe(&trace, ValueProfile::new)));
     }
     Ok(ValueResults { per_benchmark })
 }

@@ -1,7 +1,7 @@
 //! The replay engine's core guarantee, verified end-to-end on real
-//! workload traces: parallel sharded replay produces *identical* numbers —
-//! and therefore byte-identical rendered tables — at any worker and shard
-//! count, including the sequential reference configuration.
+//! workload traces: sharded replay produces *identical* numbers — and
+//! therefore byte-identical rendered tables — at any worker count, equal
+//! to one unpartitioned pass over the trace.
 
 use dvp::core::{
     AccuracyTracker, EntropyProfile, LocalityProfile, Predictor, PredictorConfig, PredictorSet,
@@ -35,15 +35,14 @@ fn engine_replay_equals_sequential_lockstep_on_real_trace() {
         }
     }
 
-    for (workers, shards) in [(1, 1), (1, 8), (4, 8), (3, 13)] {
-        let engine = ReplayEngine::new().with_workers(workers).with_shards(shards);
-        let replays = engine.replay(trace, &bank);
+    for workers in [1, 3, 4] {
+        let replays = ReplayEngine::new().with_workers(workers).replay(trace, &bank);
         for (replay, tracker) in replays.iter().zip(&trackers) {
             for category in InstrCategory::ALL.into_iter().map(Some).chain([None]) {
                 assert_eq!(
                     replay.tracker.correct(category),
                     tracker.correct(category),
-                    "workers={workers} shards={shards} {} {category:?}",
+                    "workers={workers} {} {category:?}",
                     replay.name
                 );
                 assert_eq!(replay.tracker.predicted(category), tracker.predicted(category));
@@ -59,23 +58,21 @@ fn correlated_replay_equals_sequential_trio_on_real_trace() {
     for (r, id) in trace.iter_with_ids() {
         sequential.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
     }
-    for (workers, shards) in [(1, 4), (4, 8), (2, 5)] {
-        let engine = ReplayEngine::new().with_workers(workers).with_shards(shards);
-        let merged = engine.observe(trace, PredictorSet::paper_trio);
+    for workers in [1, 2, 4] {
+        let merged =
+            ReplayEngine::new().with_workers(workers).observe(trace, PredictorSet::paper_trio);
         assert_eq!(merged.total(), sequential.total());
         for mask in 0..8u32 {
             for category in InstrCategory::ALL.into_iter().map(Some).chain([None]) {
                 assert_eq!(
                     merged.subset_count(category, mask),
                     sequential.subset_count(category, mask),
-                    "workers={workers} shards={shards} mask={mask:03b} {category:?}"
+                    "workers={workers} mask={mask:03b} {category:?}"
                 );
             }
         }
-        let m: std::collections::HashMap<_, _> =
-            merged.per_pc_tallies().unwrap().into_iter().collect();
-        let s: std::collections::HashMap<_, _> =
-            sequential.per_pc_tallies().unwrap().into_iter().collect();
+        let m: std::collections::HashMap<_, _> = merged.per_pc_tallies().into_iter().collect();
+        let s: std::collections::HashMap<_, _> = sequential.per_pc_tallies().into_iter().collect();
         assert_eq!(m.len(), s.len());
         for (pc, tally) in &s {
             assert_eq!(m[pc].total, tally.total, "{pc}");
@@ -85,8 +82,22 @@ fn correlated_replay_equals_sequential_trio_on_real_trace() {
     }
 }
 
+/// Folds the whole trace through `observer` in one batch: one pass, no
+/// partition.
+fn one_pass<O: Observer>(trace: &SharedTrace, mut observer: O) -> O {
+    let (mut ids, mut pcs, mut values, mut categories) = (vec![], vec![], vec![], vec![]);
+    for (r, id) in trace.iter_with_ids() {
+        ids.push(id);
+        pcs.push(r.pc);
+        values.push(r.value);
+        categories.push(r.category);
+    }
+    observer.observe_batch(&ids, &pcs, &values, &categories);
+    observer
+}
+
 #[test]
-fn profile_folds_equal_the_sequential_fold_on_real_trace() {
+fn profile_folds_equal_one_pass_on_real_trace() {
     let trace = trace();
     let categories = || InstrCategory::ALL.into_iter().map(Some).chain([None]);
     let entropy = |p: EntropyProfile| {
@@ -104,19 +115,22 @@ fn profile_folds_equal_the_sequential_fold_on_real_trace() {
         let per_category = InstrCategory::ALL.map(|c| (s.dynamic_count(c), s.static_count(c)));
         (s.dynamic_total(), s.static_total(), per_category)
     };
-    let fold = |engine: &ReplayEngine| {
-        (
+    let sequential = (
+        entropy(one_pass(trace, EntropyProfile::new())),
+        locality(one_pass(trace, LocalityProfile::new(16))),
+        values(one_pass(trace, ValueProfile::new())),
+        summary(one_pass(trace, TraceSummary::new())),
+    );
+    assert!(sequential.0 .0 > 100, "a real trace has many static instructions");
+    for workers in [1, 2, 4] {
+        let engine = ReplayEngine::new().with_workers(workers);
+        let sharded = (
             entropy(engine.observe(trace, EntropyProfile::new)),
             locality(engine.observe(trace, || LocalityProfile::new(16))),
             values(engine.observe(trace, ValueProfile::new)),
             summary(engine.observe(trace, TraceSummary::new)),
-        )
-    };
-    let sequential = fold(&ReplayEngine::sequential());
-    assert!(sequential.0 .0 > 100, "a real trace has many static instructions");
-    for (workers, shards) in [(1, 4), (4, 8), (2, 5)] {
-        let sharded = fold(&ReplayEngine::new().with_workers(workers).with_shards(shards));
-        let at = format!("workers={workers} shards={shards}");
+        );
+        let at = format!("workers={workers}");
         assert_eq!(sharded.0, sequential.0, "entropy {at}");
         assert_eq!(sharded.1, sequential.1, "locality {at}");
         assert_eq!(sharded.2, sequential.2, "values {at}");

@@ -93,10 +93,10 @@ fn streaming_tallies_equal_resident_tallies_at_every_setting() {
     assert_eq!(trace.chunks().len(), RECORDS / CHUNK_LEN);
     let settings = [
         (ReplayEngine::new(), "default"),
-        (ReplayEngine::new().with_workers(4).with_shards(3), "4 workers, 3 shards"),
-        (ReplayEngine::new().with_workers(1).with_shards(1), "single worker"),
+        (ReplayEngine::new().with_workers(4), "4 workers"),
+        (ReplayEngine::new().with_workers(1), "single worker"),
         (ReplayEngine::new().with_chunk_window(1), "window 1"),
-        (ReplayEngine::new().with_workers(4).with_shards(3).with_chunk_window(2), "window 2"),
+        (ReplayEngine::new().with_workers(4).with_chunk_window(2), "window 2"),
         (ReplayEngine::new().with_workers(2).with_chunk_window(8), "window 8"),
     ];
     for (engine, label) in settings {

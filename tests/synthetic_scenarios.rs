@@ -5,7 +5,7 @@
 //! must produce identical tallies at any worker and shard count,
 //! including the sequential reference configuration.
 
-use dvp::core::PredictorConfig;
+use dvp::core::{Predictor, PredictorConfig};
 use dvp::engine::{ReplayEngine, SharedTrace};
 use dvp::workloads::synthetic::{Scenario, ScenarioKind};
 use proptest::prelude::*;
@@ -52,26 +52,32 @@ proptest! {
         }
     }
 
-    /// A synthetic trace replays to identical per-category tallies at any
-    /// worker/shard configuration (the engine's guarantee, exercised on
-    /// generated rather than simulated traces).
+    /// A synthetic trace replays to the tallies of one unpartitioned
+    /// lockstep pass at any worker count (the engine's guarantee,
+    /// exercised on generated rather than simulated traces).
     #[test]
-    fn replay_is_identical_at_any_worker_and_shard_count(scenario in arb_scenario()) {
+    fn replay_equals_one_lockstep_pass_at_any_worker_count(scenario in arb_scenario()) {
         let trace: SharedTrace = scenario.records().into_iter().collect();
         let bank = PredictorConfig::paper_bank();
-        let reference: Vec<(String, u64, u64)> = ReplayEngine::sequential()
-            .replay(&trace, &bank)
-            .into_iter()
-            .map(|r| (r.name, r.tracker.correct(None), r.tracker.predicted(None)))
+        let reference: Vec<(String, u64, u64)> = bank
+            .iter()
+            .map(|config| {
+                let mut predictor = config.build();
+                let correct = trace
+                    .iter_with_ids()
+                    .filter(|&(r, id)| predictor.step(id, r.pc, r.value) == Some(r.value))
+                    .count() as u64;
+                (config.name().to_owned(), correct, trace.len() as u64)
+            })
             .collect();
-        for (workers, shards) in [(4, 8), (2, 3)] {
-            let engine = ReplayEngine::new().with_workers(workers).with_shards(shards);
+        for workers in [1, 2, 4] {
+            let engine = ReplayEngine::new().with_workers(workers);
             let got: Vec<(String, u64, u64)> = engine
                 .replay(&trace, &bank)
                 .into_iter()
                 .map(|r| (r.name, r.tracker.correct(None), r.tracker.predicted(None)))
                 .collect();
-            prop_assert_eq!(&got, &reference, "workers={} shards={}", workers, shards);
+            prop_assert_eq!(&got, &reference, "workers={}", workers);
         }
     }
 }
