@@ -35,6 +35,9 @@ use std::sync::Arc;
 pub struct PredictorConfig {
     name: String,
     build: Arc<dyn Fn() -> Box<dyn Predictor> + Send + Sync>,
+    /// The order of a lazy-exclusion FCM made by
+    /// [`PredictorConfig::fcm_orders`].
+    fcm_order: Option<usize>,
 }
 
 impl PredictorConfig {
@@ -43,13 +46,23 @@ impl PredictorConfig {
     where
         F: Fn() -> Box<dyn Predictor> + Send + Sync + 'static,
     {
-        PredictorConfig { name: name.into(), build: Arc::new(build) }
+        PredictorConfig { name: name.into(), build: Arc::new(build), fcm_order: None }
     }
 
     /// The configuration's display name (used in experiment reports).
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The order `k` when this config was made by
+    /// [`PredictorConfig::fcm_orders`], so that it builds exactly
+    /// `FcmPredictor::new(k)`; `None` for every other config, whatever its
+    /// name. The replay engine runs all such configs of a bank as one
+    /// [`FcmBank`](crate::FcmBank).
+    #[must_use]
+    pub fn fcm_order(&self) -> Option<usize> {
+        self.fcm_order
     }
 
     /// Builds a fresh predictor with empty tables.
@@ -76,8 +89,9 @@ impl PredictorConfig {
     pub fn fcm_orders(orders: impl IntoIterator<Item = usize>) -> Vec<PredictorConfig> {
         orders
             .into_iter()
-            .map(|order| {
-                PredictorConfig::new(format!("fcm{order}"), move || {
+            .map(|order| PredictorConfig {
+                fcm_order: Some(order),
+                ..PredictorConfig::new(format!("fcm{order}"), move || {
                     Box::new(FcmPredictor::new(order))
                 })
             })
@@ -122,6 +136,15 @@ mod tests {
         assert_eq!(bank[7].name(), "fcm8");
         // The built predictor agrees with its recipe's name.
         assert_eq!(bank[7].build().name(), "fcm8");
+        assert_eq!(bank[7].fcm_order(), Some(8));
+    }
+
+    #[test]
+    fn only_fcm_orders_configs_carry_an_order() {
+        let orders: Vec<_> = PredictorConfig::paper_bank().iter().map(|c| c.fcm_order()).collect();
+        assert_eq!(orders, [None, None, Some(1), Some(2), Some(3)]);
+        let named = PredictorConfig::new("fcm2", || Box::new(FcmPredictor::new(2)));
+        assert_eq!(named.fcm_order(), None, "a name is not an order");
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   only an accelerator, so matching semantics are identical to the old
 //!   `HashMap<Box<[Value]>, _>` ("full concatenation ... no aliasing").
 //! - **Rolling context hashes.** Each slot maintains `H_j = mix(v) + B·H_{j-1}`
-//!   for `j = 1..=k` incrementally per record, so an order-k blended
-//!   predictor derives all of its probe hashes from one shared rolling
-//!   state instead of rehashing `j` boxed slices per record.
+//!   for `j = 1..=k` incrementally per record ([`History`]), so an order-k
+//!   blended predictor derives all of its probe hashes from one shared
+//!   rolling state instead of rehashing `j` boxed slices per record.
 //! - **Inline follower counts, then lists of their own.** The
 //!   per-context `(value, count)` frequency table starts as a
 //!   two-element inline array. A list that outgrows it moves into a
@@ -52,6 +52,22 @@
 //! - **Fused multi-order probe.** One descending walk locates the longest
 //!   matching context and caches every probed entry index; the update
 //!   phase reuses those hits instead of re-probing.
+//!
+//! # A bank of orders in one table
+//!
+//! The paper's figures run FCM as a bank (fcm1–3 in Figure 3, fcm1–8 in
+//! Figure 11). Every member of a bank walks the same per-instruction
+//! history and probes the same keys; only the follower counts differ,
+//! because lazy exclusion updates each member from its own longest match
+//! up to its own order. [`FcmBank`] therefore keeps one [`History`] and
+//! one table of (slot, order, context) keys for all members. A key holds
+//! its follower values once, and every member whose order reaches the
+//! key's order owns a column of counts and its own argmax front there. A
+//! member's context exists only where it has counted a follower, so one
+//! descending walk of at most `K + 1` probes (K the largest order) finds
+//! every member's longest match, and the update finds each follower once
+//! for every member that counts it. Each member stays bit for bit a lone
+//! [`FcmPredictor::new`] of its order.
 
 use crate::Predictor;
 use dvp_trace::{Pc, PcId, Value};
@@ -132,6 +148,17 @@ struct Follower {
     count: u64,
 }
 
+/// The key half of a table entry: what [`Vht`] compares and stores
+/// without knowing how the entry keeps its followers.
+trait Keyed {
+    /// A fresh entry, with no followers, for a context of `key_len`
+    /// values of `slot`. `key` is the context itself when it fits inline;
+    /// otherwise `key[0]` is its offset into the key arena.
+    fn fresh(slot: u32, key_len: u8, key: [Value; INLINE_KEY]) -> Self;
+    /// Owning slot, context length and inline key, as given to `fresh`.
+    fn key(&self) -> (u32, usize, &[Value; INLINE_KEY]);
+}
+
 /// One (slot, order, context) entry of the flat table.
 ///
 /// Invariant: the first follower (inline or spilled) is the argmax by
@@ -167,6 +194,23 @@ const _: () = assert!(std::mem::size_of::<CtxEntry>() == 64);
 const _: () = assert!(INLINE_FOLLOWERS.is_power_of_two());
 // An inline list that doubles still fits the scan, so it needs no index.
 const _: () = assert!(2 * INLINE_FOLLOWERS <= SCAN_CAP);
+
+impl Keyed for CtxEntry {
+    fn fresh(slot: u32, key_len: u8, key: [Value; INLINE_KEY]) -> Self {
+        CtxEntry {
+            slot,
+            key_len,
+            cap_log2: INLINE_FOLLOWERS.trailing_zeros() as u8,
+            key,
+            inline: [Follower::default(); INLINE_FOLLOWERS],
+        }
+    }
+
+    #[inline]
+    fn key(&self) -> (u32, usize, &[Value; INLINE_KEY]) {
+        (self.slot, self.key_len as usize, &self.key)
+    }
+}
 
 impl CtxEntry {
     #[inline]
@@ -208,22 +252,12 @@ fn bump_at(fs: &mut [Follower], i: usize) {
     }
 }
 
-/// Bumps `value` in a long follower list through its index `region`: a
-/// power-of-two open-addressed table of `1 + position` (0 = empty),
-/// probed linearly from `mix(value)` and confirmed against the stored
-/// value. An argmax swap rewrites the two slots it moves. Returns `false`
-/// when the value is not present.
+/// Bumps `value` in a long follower list through its index `region` (see
+/// [`index_find`]). An argmax swap rewrites the two slots it moves.
+/// Returns `false` when the value is not present.
 #[inline]
 fn bump_indexed(fs: &mut [Follower], region: &mut [u32], value: Value) -> bool {
-    let mask = region.len() - 1;
-    let mut b = mix(value) as usize & mask;
-    let i = loop {
-        match region[b] {
-            0 => return false,
-            s if fs[s as usize - 1].value == value => break s as usize - 1,
-            _ => b = (b + 1) & mask,
-        }
-    };
+    let Some((i, b)) = index_find(region, value, |at| fs[at].value) else { return false };
     let front = fs[0].value;
     bump_at(fs, i);
     if i > 0 && fs[0].value == value {
@@ -232,6 +266,27 @@ fn bump_indexed(fs: &mut [Follower], region: &mut [u32], value: Value) -> bool {
         region[b] = 1;
     }
     true
+}
+
+/// Finds `value` through a follower index `region`: a power-of-two
+/// open-addressed table of `1 + position` (0 = empty), probed linearly
+/// from `mix(value)` and confirmed against `value_at(position)`. Returns
+/// the follower's position and the region slot holding it.
+#[inline]
+fn index_find(
+    region: &[u32],
+    value: Value,
+    value_at: impl Fn(usize) -> Value,
+) -> Option<(usize, usize)> {
+    let mask = region.len() - 1;
+    let mut b = mix(value) as usize & mask;
+    loop {
+        match region[b] {
+            0 => return None,
+            s if value_at(s as usize - 1) == value => return Some((s as usize - 1, b)),
+            _ => b = (b + 1) & mask,
+        }
+    }
 }
 
 /// The index slot of the front follower, found on its value's probe path
@@ -258,11 +313,11 @@ fn index_insert(region: &mut [u32], value: Value, at: usize) {
     region[b] = at as u32 + 1;
 }
 
-/// Rebuilds an index region from scratch over a follower list.
-fn index_rebuild(region: &mut [u32], fs: &[Follower]) {
+/// Rebuilds an index region from scratch over a follower list's values.
+fn index_rebuild(region: &mut [u32], values: impl Iterator<Item = Value>) {
     region.fill(0);
-    for (at, f) in fs.iter().enumerate() {
-        index_insert(region, f.value, at);
+    for (at, value) in values.enumerate() {
+        index_insert(region, value, at);
     }
 }
 
@@ -414,38 +469,51 @@ struct Spilled {
 }
 
 /// The flat open-addressed value-history table: every (slot, order,
-/// context) entry of the predictor, plus the key and follower arenas.
-/// Entries are never removed (matching the unbounded paper model), so
-/// entry indices are stable across bucket growth — the fused probe caches
-/// them safely. The paged arenas never move what they hold.
-#[derive(Debug, Clone, Default)]
-struct Vht {
+/// context) entry `E` of the predictor, plus the key arena and the
+/// arena `L` of follower lists that outgrew their entries. Entries are
+/// never removed (matching the unbounded paper model), so entry indices
+/// are stable across bucket growth — the fused probe caches them safely.
+/// The paged arenas never move what they hold.
+#[derive(Debug, Clone)]
+struct Vht<E = CtxEntry, L = Spilled> {
     /// Power-of-two open-addressed index of packed words (see [`bucket`]),
     /// 0 = empty.
     buckets: Vec<u64>,
     /// Entry arena, append-only; an entry's index is its position.
-    entries: Paged<CtxEntry>,
+    entries: Paged<E>,
     /// Spilled context keys (orders above `INLINE_KEY`), append-only.
     keys: Paged<Value>,
-    /// Follower lists that outgrew the inline pair, append-only; a
-    /// spilled entry's [`CtxEntry::list_pos`] is its list's position.
-    spilled: Paged<Spilled>,
+    /// Follower lists that outgrew their entries, append-only; an entry
+    /// keeps its list's position in its dead inline storage.
+    spilled: Paged<L>,
 }
 
-impl Vht {
+impl<E, L> Default for Vht<E, L> {
+    fn default() -> Self {
+        Vht {
+            buckets: Vec::new(),
+            entries: Paged::default(),
+            keys: Paged::default(),
+            spilled: Paged::default(),
+        }
+    }
+}
+
+impl<E: Keyed, L> Vht<E, L> {
     /// Number of distinct (slot, order, context) entries ever created.
     fn len(&self) -> usize {
         self.entries.len()
     }
 
     #[inline]
-    fn key_matches(&self, e: &CtxEntry, slot: u32, ctx: &[Value]) -> bool {
-        e.slot == slot
-            && e.key_len as usize == ctx.len()
+    fn key_matches(&self, e: &E, slot: u32, ctx: &[Value]) -> bool {
+        let (owner, key_len, key) = e.key();
+        owner == slot
+            && key_len == ctx.len()
             && if ctx.len() <= INLINE_KEY {
-                e.key[..ctx.len()] == *ctx
+                key[..ctx.len()] == *ctx
             } else {
-                self.keys.run(e.key[0] as u32, ctx.len()) == ctx
+                self.keys.run(key[0] as u32, ctx.len()) == ctx
             }
     }
 
@@ -491,13 +559,7 @@ impl Vht {
             self.keys.run_mut(pos, ctx.len()).copy_from_slice(ctx);
             key[0] = Value::from(pos);
         }
-        let pushed = self.entries.push(CtxEntry {
-            slot,
-            key_len: ctx.len() as u8,
-            cap_log2: INLINE_FOLLOWERS.trailing_zeros() as u8,
-            key,
-            inline: [Follower::default(); INLINE_FOLLOWERS],
-        });
+        let pushed = self.entries.push(E::fresh(slot, ctx.len() as u8, key));
         assert_eq!(pushed, idx, "an entry's index is its position");
         seat(&mut self.buckets, bucket(hash as u32, idx));
         idx
@@ -513,6 +575,19 @@ impl Vht {
         self.buckets = buckets;
     }
 
+    /// Probes for the current order-`ord` context of `slot` in `history`.
+    #[inline]
+    fn find(&self, history: &History, slot: usize, ord: usize) -> u32 {
+        self.probe(history.hash_at(slot, ord), slot as u32, history.context(slot, ord))
+    }
+
+    /// Inserts the current order-`ord` context of `slot` in `history`.
+    fn add(&mut self, history: &History, slot: usize, ord: usize) -> u32 {
+        self.insert(history.hash_at(slot, ord), slot as u32, history.context(slot, ord))
+    }
+}
+
+impl Vht {
     /// The entry's current argmax value. Every entry has a follower: the
     /// update that inserts an entry bumps it in the same call, and counts
     /// only ever grow.
@@ -603,8 +678,86 @@ impl Vht {
         fs.reserve_exact(cap);
         if 2 * cap > SCAN_CAP {
             *index = vec![0; 4 * cap].into_boxed_slice();
-            index_rebuild(index, fs);
+            index_rebuild(index, fs.iter().map(|f| f.value));
         }
+    }
+}
+
+/// Per-slot value histories and rolling context hashes, `order` values
+/// deep: the state every probe of an order-`order` predictor (or bank)
+/// derives its keys and hashes from.
+#[derive(Debug, Clone)]
+struct History {
+    order: usize,
+    /// Per-slot recent values, strided `order` wide, newest last within
+    /// `hist_len[slot]`.
+    hist: Vec<Value>,
+    /// Live history length per slot (0..=order).
+    hist_len: Vec<u8>,
+    /// Per-slot rolling hashes `H_1..H_order`, strided `order` wide:
+    /// `ghash[slot*order + j-1]` covers the most recent `j` values.
+    ghash: Vec<u64>,
+}
+
+impl History {
+    fn new(order: usize) -> Self {
+        History { order, hist: Vec::new(), hist_len: Vec::new(), ghash: Vec::new() }
+    }
+
+    /// Grows the per-slot arenas to cover `slot`.
+    fn ensure_slot(&mut self, slot: usize) {
+        if slot >= self.hist_len.len() {
+            self.hist_len.resize(slot + 1, 0);
+            self.hist.resize((slot + 1) * self.order, 0);
+            self.ghash.resize((slot + 1) * self.order, 0);
+        }
+    }
+
+    /// Values the slot has seen, up to the order.
+    #[inline]
+    fn len(&self, slot: usize) -> usize {
+        self.hist_len[slot] as usize
+    }
+
+    /// Bucket hash for the current order-`ord` context of `slot`, derived
+    /// from the rolling state (no key material is touched).
+    #[inline]
+    fn hash_at(&self, slot: usize, ord: usize) -> u64 {
+        let g = if ord == 0 { 0 } else { self.ghash[slot * self.order + ord - 1] };
+        ctx_hash(g, slot, ord)
+    }
+
+    /// The current order-`ord` context of `slot`, oldest value first.
+    /// Requires `len(slot) >= ord`.
+    #[inline]
+    fn context(&self, slot: usize, ord: usize) -> &[Value] {
+        let end = slot * self.order + self.len(slot);
+        &self.hist[end - ord..end]
+    }
+
+    /// Slides `actual` into the slot's history window and rolls every
+    /// order's hash forward in place (descending, so each step reads the
+    /// previous record's lower-order state).
+    fn push(&mut self, slot: usize, actual: Value) {
+        let order = self.order;
+        if order == 0 {
+            return;
+        }
+        let base = slot * order;
+        let len = self.hist_len[slot] as usize;
+        if len == order {
+            self.hist.copy_within(base + 1..base + order, base);
+            self.hist[base + order - 1] = actual;
+        } else {
+            self.hist[base + len] = actual;
+            self.hist_len[slot] = (len + 1) as u8;
+        }
+        let mixed = mix(actual);
+        let g = &mut self.ghash[base..base + order];
+        for j in (1..order).rev() {
+            g[j] = mixed.wrapping_add(HASH_B.wrapping_mul(g[j - 1]));
+        }
+        g[0] = mixed;
     }
 }
 
@@ -653,17 +806,9 @@ struct Descent {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FcmPredictor {
-    order: usize,
     blending: Blending,
     name: String,
-    /// Per-slot recent values, strided `order` wide, newest last within
-    /// `hist_len[slot]`.
-    hist: Vec<Value>,
-    /// Live history length per slot (0..=order).
-    hist_len: Vec<u8>,
-    /// Per-slot rolling hashes `H_1..H_order`, strided `order` wide:
-    /// `ghash[slot*order + j-1]` covers the most recent `j` values.
-    ghash: Vec<u64>,
+    history: History,
     vht: Vht,
 }
 
@@ -693,15 +838,7 @@ impl FcmPredictor {
             Blending::SingleOrder => "-single",
         };
         let name = format!("fcm{order}{blend}");
-        FcmPredictor {
-            order,
-            blending,
-            name,
-            hist: Vec::new(),
-            hist_len: Vec::new(),
-            ghash: Vec::new(),
-            vht: Vht::default(),
-        }
+        FcmPredictor { blending, name, history: History::new(order), vht: Vht::default() }
     }
 
     /// Total number of distinct (order, context) pairs stored across all
@@ -712,48 +849,21 @@ impl FcmPredictor {
         self.vht.len()
     }
 
-    /// Grows the per-slot arenas to cover `slot`.
-    fn ensure_slot(&mut self, slot: usize) {
-        if slot >= self.hist_len.len() {
-            self.hist_len.resize(slot + 1, 0);
-            self.hist.resize((slot + 1) * self.order, 0);
-            self.ghash.resize((slot + 1) * self.order, 0);
-        }
-    }
-
-    /// Bucket hash for the current order-`ord` context of `slot`, derived
-    /// from the rolling state (no key material is touched).
-    #[inline]
-    fn hash_at(&self, slot: usize, ord: usize) -> u64 {
-        let g = if ord == 0 { 0 } else { self.ghash[slot * self.order + ord - 1] };
-        ctx_hash(g, slot, ord)
-    }
-
-    /// Probes the VHT for the current order-`ord` context of `slot`.
-    /// Requires `hist_len[slot] >= ord`.
-    #[inline]
-    fn probe_ord(&self, slot: usize, ord: usize) -> u32 {
-        let base = slot * self.order;
-        let hist_len = self.hist_len[slot] as usize;
-        let ctx = &self.hist[base + hist_len - ord..base + hist_len];
-        self.vht.probe(self.hash_at(slot, ord), slot as u32, ctx)
-    }
-
     /// The fused descending probe: longest-match search and probe-result
     /// cache in one walk over the shared rolling-hash state.
     fn descend(&self, slot: usize) -> Descent {
-        let order = self.order;
+        let order = self.history.order;
         let mut d = Descent {
             prediction: None,
             matched: None,
             probed_down: order + 1,
             found: [NO_ENTRY; MAX_ORDER + 1],
         };
-        let hist_len = self.hist_len[slot] as usize;
+        let hist_len = self.history.len(slot);
         match self.blending {
             Blending::SingleOrder => {
                 if hist_len >= order {
-                    let idx = self.probe_ord(slot, order);
+                    let idx = self.vht.find(&self.history, slot, order);
                     d.found[order] = idx;
                     d.probed_down = order;
                     if idx != NO_ENTRY {
@@ -762,11 +872,8 @@ impl FcmPredictor {
                 }
             }
             Blending::LazyExclusion => {
-                for ord in (0..=order).rev() {
-                    if ord > hist_len {
-                        continue;
-                    }
-                    let idx = self.probe_ord(slot, ord);
+                for ord in (0..=order.min(hist_len)).rev() {
+                    let idx = self.vht.find(&self.history, slot, ord);
                     d.found[ord] = idx;
                     d.probed_down = ord;
                     if idx != NO_ENTRY {
@@ -782,7 +889,7 @@ impl FcmPredictor {
 
     /// Pre-update prediction for an in-range slot.
     fn predict_slot(&self, slot: usize) -> Option<Value> {
-        if slot >= self.hist_len.len() {
+        if slot >= self.history.hist_len.len() {
             return None;
         }
         self.descend(slot).prediction
@@ -791,8 +898,8 @@ impl FcmPredictor {
     /// Applies the model update for `actual`, reusing the descent's cached
     /// probes, then advances the history and rolling hashes.
     fn apply_update(&mut self, slot: usize, d: &Descent, actual: Value) {
-        let order = self.order;
-        let hist_len = self.hist_len[slot] as usize;
+        let order = self.history.order;
+        let hist_len = self.history.len(slot);
         let lowest_updated = match self.blending {
             Blending::SingleOrder => order,
             // Lazy exclusion: update the matched order and higher. On a
@@ -800,46 +907,18 @@ impl FcmPredictor {
             // seeded.
             Blending::LazyExclusion => d.matched.unwrap_or(0),
         };
-        let base = slot * order;
-        for ord in lowest_updated..=order {
-            if ord > hist_len {
-                continue;
-            }
-            let mut idx =
-                if ord >= d.probed_down { d.found[ord] } else { self.probe_ord(slot, ord) };
+        for ord in lowest_updated..=order.min(hist_len) {
+            let mut idx = if ord >= d.probed_down {
+                d.found[ord]
+            } else {
+                self.vht.find(&self.history, slot, ord)
+            };
             if idx == NO_ENTRY {
-                let hash = self.hash_at(slot, ord);
-                let ctx = &self.hist[base + hist_len - ord..base + hist_len];
-                idx = self.vht.insert(hash, slot as u32, ctx);
+                idx = self.vht.add(&self.history, slot, ord);
             }
             self.vht.bump(idx, actual);
         }
-        self.push_history(slot, actual);
-    }
-
-    /// Slides `actual` into the slot's history window and rolls every
-    /// order's hash forward in place (descending, so each step reads the
-    /// previous record's lower-order state).
-    fn push_history(&mut self, slot: usize, actual: Value) {
-        let order = self.order;
-        if order == 0 {
-            return;
-        }
-        let base = slot * order;
-        let len = self.hist_len[slot] as usize;
-        if len == order {
-            self.hist.copy_within(base + 1..base + order, base);
-            self.hist[base + order - 1] = actual;
-        } else {
-            self.hist[base + len] = actual;
-            self.hist_len[slot] = (len + 1) as u8;
-        }
-        let mixed = mix(actual);
-        let g = &mut self.ghash[base..base + order];
-        for j in (1..order).rev() {
-            g[j] = mixed.wrapping_add(HASH_B.wrapping_mul(g[j - 1]));
-        }
-        g[0] = mixed;
+        self.history.push(slot, actual);
     }
 }
 
@@ -849,18 +928,18 @@ impl Predictor for FcmPredictor {
     }
 
     fn static_entries(&self) -> usize {
-        if self.order == 0 {
+        if self.history.order == 0 {
             // No history to count: every stepped slot owns exactly one
             // (empty) order-0 context.
             self.vht.len()
         } else {
-            self.hist_len.iter().filter(|&&len| len > 0).count()
+            self.history.hist_len.iter().filter(|&&len| len > 0).count()
         }
     }
 
     fn reserve_ids(&mut self, n: usize) {
         if n > 0 {
-            self.ensure_slot(n - 1);
+            self.history.ensure_slot(n - 1);
         }
     }
 
@@ -872,10 +951,474 @@ impl Predictor for FcmPredictor {
     #[inline]
     fn step(&mut self, id: PcId, _pc: Pc, actual: Value) -> Option<Value> {
         let slot = id.index();
-        self.ensure_slot(slot);
+        self.history.ensure_slot(slot);
         let d = self.descend(slot);
         self.apply_update(slot, &d, actual);
         d.prediction
+    }
+}
+
+/// Count columns an inline [`BankEntry`] holds: a key shared by more
+/// members keeps its followers in a [`BankList`] from the start.
+const INLINE_COLUMNS: usize = 3;
+
+/// A [`BankEntry`]'s `len` once its followers live in a [`BankList`]
+/// with 16-bit count cells.
+const NARROW_LIST: u8 = u8::MAX;
+
+/// A [`BankEntry`]'s `len` once its [`BankList`]'s cells are 32 bits.
+const WIDE_LIST: u8 = u8::MAX - 1;
+
+/// A [`BankList`] front no follower holds: the member has counted
+/// nothing after this context.
+const NO_FRONT: u32 = u32::MAX;
+
+/// One (slot, order, context) key of an [`FcmBank`]. The members whose
+/// order reaches the key's order each own one count column, in member
+/// order.
+///
+/// Each column keeps its own argmax front, which moves to a follower when
+/// that column's count of it reaches the front's count: the follower just
+/// counted is the column's most recent, so ties go to recency exactly as
+/// in a lone [`CtxEntry`].
+#[derive(Debug, Clone)]
+struct BankEntry {
+    slot: u32,
+    key_len: u8,
+    /// Inline followers in use, or [`NARROW_LIST`] / [`WIDE_LIST`].
+    len: u8,
+    /// Inline fronts, two bits per column: 0 while the member has no
+    /// count here, else 1 + the position of its argmax follower.
+    fronts: u8,
+    key: [Value; INLINE_KEY],
+    /// Inline follower values, shared by every column. Once the list
+    /// spills, `values[0]` holds its [`BankList`] position.
+    values: [Value; INLINE_FOLLOWERS],
+    /// Inline counts per column and follower. A count that would pass
+    /// `u16::MAX` spills the list first.
+    counts: [[u16; INLINE_FOLLOWERS]; INLINE_COLUMNS],
+}
+
+// The fields take 60 bytes: a bank key is one cache line, like a lone
+// entry, and a front fits its two bits.
+const _: () = assert!(std::mem::size_of::<BankEntry>() == 64);
+const _: () = assert!(2 * INLINE_COLUMNS <= u8::BITS as usize && INLINE_FOLLOWERS < 4);
+
+impl Keyed for BankEntry {
+    fn fresh(slot: u32, key_len: u8, key: [Value; INLINE_KEY]) -> Self {
+        BankEntry {
+            slot,
+            key_len,
+            len: 0,
+            fronts: 0,
+            key,
+            values: [0; INLINE_FOLLOWERS],
+            counts: [[0; INLINE_FOLLOWERS]; INLINE_COLUMNS],
+        }
+    }
+
+    #[inline]
+    fn key(&self) -> (u32, usize, &[Value; INLINE_KEY]) {
+        (self.slot, self.key_len as usize, &self.key)
+    }
+}
+
+impl BankEntry {
+    /// The spilled list's position and whether its cells are wide, once
+    /// the followers have left the entry.
+    #[inline]
+    fn list(&self) -> Option<(u32, bool)> {
+        (usize::from(self.len) > INLINE_FOLLOWERS)
+            .then(|| (self.values[0] as u32, self.len == WIDE_LIST))
+    }
+}
+
+/// A bank key's followers once they outgrow the entry, in two
+/// allocations, so that a list header is no larger than a lone
+/// [`Spilled`] list's: the shared values, and one body of words holding
+/// each column's argmax front ([`NO_FRONT`] while absent), then, once
+/// the values have room for more than [`SCAN_CAP`] followers, an index
+/// region (see [`index_find`]) of twice that room, then one row of
+/// `width` count cells for every follower there is room for. A cell is
+/// 16 bits, two to a word (a stride instruction's order-0 list holds a
+/// row for every value it produced), until a count would pass
+/// `u16::MAX`; the list then widens to a word a cell, and its entry
+/// records which. Followers never move, so the body is rebuilt only when
+/// the room doubles or the cells widen.
+#[derive(Debug, Clone, Default)]
+struct BankList {
+    values: Vec<Value>,
+    body: Box<[u32]>,
+}
+
+/// Reads cell `k` of a cell region.
+#[inline]
+fn cell(cells: &[u32], wide: bool, k: usize) -> u32 {
+    if wide {
+        cells[k]
+    } else {
+        (cells[k / 2] >> (16 * (k % 2))) & 0xFFFF
+    }
+}
+
+/// Writes cell `k` of a cell region.
+#[inline]
+fn set_cell(cells: &mut [u32], wide: bool, k: usize, count: u32) {
+    if wide {
+        cells[k] = count;
+    } else {
+        let shift = 16 * (k % 2);
+        cells[k / 2] = (cells[k / 2] & !(0xFFFF << shift)) | (count << shift);
+    }
+}
+
+impl BankList {
+    /// An empty list of a key `width` columns wide.
+    fn new(width: usize) -> Self {
+        BankList { values: Vec::new(), body: vec![NO_FRONT; width].into_boxed_slice() }
+    }
+
+    /// The index region's length for room for `room` followers.
+    fn region(room: usize) -> usize {
+        if room > SCAN_CAP {
+            2 * room.next_power_of_two()
+        } else {
+            0
+        }
+    }
+
+    /// Where the cells start in the body.
+    #[inline]
+    fn cells_at(&self, width: usize) -> usize {
+        width + BankList::region(self.values.capacity())
+    }
+
+    /// The position of `value` among the followers.
+    #[inline]
+    fn find(&self, width: usize, value: Value) -> Option<usize> {
+        match BankList::region(self.values.capacity()) {
+            0 => self.values.iter().position(|&v| v == value),
+            region => index_find(&self.body[width..width + region], value, |at| self.values[at])
+                .map(|(at, _)| at),
+        }
+    }
+
+    /// Counts `value` once for each column in `cols`, appending it as a
+    /// new follower when absent. Counts nothing and returns `false` when a
+    /// narrow count would pass `u16::MAX` (the caller widens the list).
+    fn bump(&mut self, width: usize, wide: bool, value: Value, cols: &[u8]) -> bool {
+        let at = self.find(width, value).unwrap_or_else(|| self.push(width, wide, value));
+        let start = self.cells_at(width);
+        let (fronts, rest) = self.body.split_at_mut(width);
+        let cells = &mut rest[start - width..];
+        let row = at * width;
+        let full = if wide { u32::MAX } else { u32::from(u16::MAX) };
+        if cols.iter().any(|&col| cell(cells, wide, row + usize::from(col)) == full) {
+            assert!(!wide, "a follower counted 2^32 times");
+            return false;
+        }
+        for &col in cols {
+            let col = usize::from(col);
+            let count = cell(cells, wide, row + col) + 1;
+            set_cell(cells, wide, row + col, count);
+            let front = fronts[col];
+            if front == NO_FRONT || count >= cell(cells, wide, front as usize * width + col) {
+                fronts[col] = at as u32;
+            }
+        }
+        true
+    }
+
+    /// Appends `value` with a zero count in every column, doubling the
+    /// room first when the list is full, and returns its position.
+    fn push(&mut self, width: usize, wide: bool, value: Value) -> usize {
+        let at = self.values.len();
+        if at == self.values.capacity() {
+            self.rebuild(width, wide, wide, (2 * at).max(2 * INLINE_FOLLOWERS));
+        }
+        self.values.push(value);
+        let region = BankList::region(self.values.capacity());
+        if region > 0 {
+            index_insert(&mut self.body[width..width + region], value, at);
+        }
+        at
+    }
+
+    /// Rebuilds the body with room for at least `room` followers and
+    /// `wide` cells, keeping every front and count.
+    fn rebuild(&mut self, width: usize, was_wide: bool, wide: bool, room: usize) {
+        let (len, old) = (self.values.len(), self.cells_at(width));
+        self.values.reserve_exact(room - len);
+        let room = self.values.capacity();
+        let region = BankList::region(room);
+        let cells = if wide { width * room } else { (width * room).div_ceil(2) };
+        let mut body = vec![0; width + region + cells].into_boxed_slice();
+        body[..width].copy_from_slice(&self.body[..width]);
+        for k in 0..len * width {
+            let count = cell(&self.body[old..], was_wide, k);
+            set_cell(&mut body[width + region..], wide, k, count);
+        }
+        if region > 0 {
+            index_rebuild(&mut body[width..width + region], self.values.iter().copied());
+        }
+        self.body = body;
+    }
+}
+
+impl Vht<BankEntry, BankList> {
+    /// Column `col`'s argmax follower of entry `idx`, or `None` when that
+    /// member has counted nothing after the entry's context.
+    #[inline]
+    fn column_top(&self, idx: u32, col: usize) -> Option<Value> {
+        let e = self.entries.get(idx);
+        match e.list() {
+            None => match (e.fronts >> (2 * col)) & 3 {
+                0 => None,
+                front => Some(e.values[usize::from(front) - 1]),
+            },
+            Some((list, _)) => {
+                let list = self.spilled.get(list);
+                match list.body[col] {
+                    NO_FRONT => None,
+                    front => Some(list.values[front as usize]),
+                }
+            }
+        }
+    }
+
+    /// Counts one occurrence of `value` after entry `idx`'s context for
+    /// each column in `cols` of the key's `width`: the follower is found
+    /// (or appended) once for all of them.
+    fn bump_columns(&mut self, idx: u32, width: usize, value: Value, cols: &[u8]) {
+        let e = self.entries.get_mut(idx);
+        if e.list().is_none() && width <= INLINE_COLUMNS {
+            let len = usize::from(e.len);
+            let at = match e.values[..len].iter().position(|&v| v == value) {
+                Some(at) => {
+                    cols.iter().all(|&col| e.counts[usize::from(col)][at] < u16::MAX).then_some(at)
+                }
+                None if len < INLINE_FOLLOWERS => {
+                    e.values[len] = value;
+                    e.len += 1;
+                    Some(len)
+                }
+                None => None,
+            };
+            if let Some(at) = at {
+                for &col in cols {
+                    let col = usize::from(col);
+                    let counts = &mut e.counts[col];
+                    counts[at] += 1;
+                    let front = usize::from((e.fronts >> (2 * col)) & 3);
+                    if front == 0 || counts[at] >= counts[front - 1] {
+                        e.fronts = (e.fronts & !(3 << (2 * col))) | ((at as u8 + 1) << (2 * col));
+                    }
+                }
+                return;
+            }
+        }
+        if e.list().is_none() {
+            self.spill_columns(idx, width);
+        }
+        let (list, wide) = self.entries.get(idx).list().expect("spilled above");
+        let list = self.spilled.get_mut(list);
+        if !list.bump(width, wide, value, cols) {
+            list.rebuild(width, false, true, list.values.capacity());
+            assert!(list.bump(width, true, value, cols), "a widened list counts");
+            self.entries.get_mut(idx).len = WIDE_LIST;
+        }
+    }
+
+    /// Moves entry `idx`'s inline followers, counts and fronts into a
+    /// fresh narrow [`BankList`] of a key `width` columns wide.
+    fn spill_columns(&mut self, idx: u32, width: usize) {
+        let e = self.entries.get_mut(idx);
+        let len = usize::from(e.len);
+        let mut list = BankList::new(width);
+        for &value in &e.values[..len] {
+            list.push(width, false, value);
+        }
+        let start = list.cells_at(width);
+        for col in 0..width.min(INLINE_COLUMNS) {
+            if let Some(at) = usize::from((e.fronts >> (2 * col)) & 3).checked_sub(1) {
+                list.body[col] = at as u32;
+            }
+            for at in 0..len {
+                let count = u32::from(e.counts[col][at]);
+                set_cell(&mut list.body[start..], false, at * width + col, count);
+            }
+        }
+        e.len = NARROW_LIST;
+        e.values[0] = Value::from(self.spilled.push(list));
+    }
+}
+
+/// A bank of lazy-exclusion FCM predictors of several orders over one
+/// shared table: each member predicts and learns bit for bit as a lone
+/// [`FcmPredictor::new`] of its order would, while one descending walk
+/// per record serves them all.
+///
+/// All members see the same per-instruction history, so the bank keeps
+/// one history and one table of (instruction, order, context) keys. A
+/// key holds its follower values once; every member whose order reaches
+/// the key's order counts followers in a column of its own and keeps its
+/// own argmax there, and a member's context exists only where it has
+/// counted. The walk probes each order once, from the largest down, until
+/// every member has found its longest match (at most K + 1 probes for a
+/// largest order K), and the update counts each follower once for all
+/// the members that learn it.
+///
+/// # Examples
+///
+/// ```
+/// use dvp_core::{FcmBank, FcmPredictor, Predictor};
+/// use dvp_trace::{Pc, PcId};
+///
+/// let mut bank = FcmBank::new([3, 1]);
+/// assert_eq!(bank.orders(), [1, 3]);
+/// let mut lone = [FcmPredictor::new(1), FcmPredictor::new(3)];
+/// let mut predictions = [None; 2];
+/// for v in [1u64, 2, 3, 1, 2, 4, 1, 2, 3, 1, 2] {
+///     bank.step(PcId(0), v, &mut predictions);
+///     for (member, p) in lone.iter_mut().enumerate() {
+///         assert_eq!(predictions[member], p.step(PcId(0), Pc(0), v));
+///     }
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct FcmBank {
+    /// Member orders, ascending and distinct.
+    orders: Vec<usize>,
+    /// `first[ord]`: the first member whose order reaches `ord`. Members
+    /// `first[ord]..` own columns `0..` of an order-`ord` key.
+    first: Vec<usize>,
+    /// Histories as deep as the largest order.
+    history: History,
+    vht: Vht<BankEntry, BankList>,
+}
+
+impl FcmBank {
+    /// A bank of one lazy-exclusion member per distinct order in
+    /// `orders`, kept in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `orders` is empty or names an order above 64.
+    #[must_use]
+    pub fn new(orders: impl IntoIterator<Item = usize>) -> Self {
+        let mut orders: Vec<usize> = orders.into_iter().collect();
+        orders.sort_unstable();
+        orders.dedup();
+        let top = *orders.last().expect("an FCM bank needs a member");
+        assert!(top <= MAX_ORDER, "FCM order {top} is unreasonably large");
+        let first = (0..=top).map(|ord| orders.partition_point(|&o| o < ord)).collect();
+        FcmBank { orders, first, history: History::new(top), vht: Vht::default() }
+    }
+
+    /// The members' orders, ascending: member `m` has order `orders()[m]`.
+    #[must_use]
+    pub fn orders(&self) -> &[usize] {
+        &self.orders
+    }
+
+    /// Distinct (instruction, order, context) keys in the shared table.
+    #[must_use]
+    pub fn context_entries(&self) -> usize {
+        self.vht.len()
+    }
+
+    /// Pre-sizes the per-instruction state for `n` interned ids.
+    pub fn reserve_ids(&mut self, n: usize) {
+        if n > 0 {
+            self.history.ensure_slot(n - 1);
+        }
+    }
+
+    /// Predict-then-update for every member at once: writes member `m`'s
+    /// prediction before `actual` is learned into `predictions[m]`, then
+    /// learns `actual` as each member would.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `predictions` has one element per member.
+    pub fn step(&mut self, id: PcId, actual: Value, predictions: &mut [Option<Value>]) {
+        let members = self.orders.len();
+        assert_eq!(predictions.len(), members, "one prediction per bank member");
+        let slot = id.index();
+        self.history.ensure_slot(slot);
+        let top = self.history.len(slot);
+        predictions.fill(None);
+        // Each member's lowest updated order: its longest match, or 0.
+        let mut lowest = [0u8; MAX_ORDER + 1];
+        let mut found = [NO_ENTRY; MAX_ORDER + 1];
+        let mut unmatched = members;
+        let mut ord = top;
+        loop {
+            let idx = self.vht.find(&self.history, slot, ord);
+            found[ord] = idx;
+            if idx != NO_ENTRY {
+                let first = self.first[ord];
+                for (col, m) in (first..members).enumerate() {
+                    if predictions[m].is_none() {
+                        predictions[m] = self.vht.column_top(idx, col);
+                        if predictions[m].is_some() {
+                            lowest[m] = ord as u8;
+                            unmatched -= 1;
+                        }
+                    }
+                }
+            }
+            if unmatched == 0 || ord == 0 {
+                break;
+            }
+            ord -= 1;
+        }
+        // Update every member from its lowest order up to its own: one
+        // key per order, one follower lookup for all the columns counting
+        // it. An order no member updates gets no key.
+        let mut cols = [0u8; MAX_ORDER + 1];
+        for (o, &probed) in found.iter().enumerate().take(top + 1).skip(ord) {
+            let first = self.first[o];
+            let mut n = 0;
+            for (col, m) in (first..members).enumerate() {
+                if usize::from(lowest[m]) <= o {
+                    cols[n] = col as u8;
+                    n += 1;
+                }
+            }
+            if n == 0 {
+                continue;
+            }
+            let idx = match probed {
+                NO_ENTRY => self.vht.add(&self.history, slot, o),
+                idx => idx,
+            };
+            self.vht.bump_columns(idx, members - first, actual, &cols[..n]);
+        }
+        self.history.push(slot, actual);
+    }
+
+    /// Batched [`step`](FcmBank::step): replays a run of records in order
+    /// and writes whether member `m` predicted record `i` correctly into
+    /// `correct[m * ids.len() + i]` (one column per member).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `values` matches `ids` in length and `correct` holds
+    /// one column of that length per member.
+    pub fn observe_batch(&mut self, ids: &[PcId], values: &[Value], correct: &mut [bool]) {
+        let (n, members) = (ids.len(), self.orders.len());
+        assert!(
+            values.len() == n && correct.len() == n * members,
+            "observe_batch wants one value per id and one column per member"
+        );
+        let mut predictions = [None; MAX_ORDER + 1];
+        for (i, (&id, &value)) in ids.iter().zip(values).enumerate() {
+            self.step(id, value, &mut predictions[..members]);
+            for (m, &prediction) in predictions[..members].iter().enumerate() {
+                correct[m * n + i] = prediction == Some(value);
+            }
+        }
     }
 }
 

@@ -91,7 +91,7 @@ pub use config::PredictorConfig;
 pub use dataflow::{dataflow_height, oracle_height, value_predicted_height, SpeedupReport};
 pub use delayed::DelayedPredictor;
 pub use entropy::{shannon_entropy, EntropyProfile, ENTROPY_BUCKETS};
-pub use fcm::{Blending, FcmPredictor};
+pub use fcm::{Blending, FcmBank, FcmPredictor};
 pub use finite::{
     hash_history, FiniteFcmPredictor, FiniteHybridPredictor, FiniteLastValuePredictor,
     FiniteStridePredictor, TableSpec,

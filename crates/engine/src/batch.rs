@@ -9,7 +9,7 @@
 //! flush schedule produces identical results.
 
 use crate::shard_of_pc;
-use dvp_core::Predictor;
+use dvp_core::{FcmBank, Predictor};
 use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcInterner, TraceRecord, Value};
 
 /// Reusable structure-of-arrays gather buffers for batched replay.
@@ -21,9 +21,11 @@ use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcInterner, TraceRecord, Valu
 /// interns the selected records of a streamed chunk as it goes — and
 /// [`observe`](BatchScratch::observe) replays the selection through one
 /// `observe_batch` call, yielding `(position, category, correct)` per
-/// record in trace order; [`observe_into`](BatchScratch::observe_into)
-/// hands the same columns to an [`Observer`]. Observing leaves the
-/// selection as it was, so one gather feeds any number of models.
+/// record in trace order; [`observe_bank`](BatchScratch::observe_bank)
+/// does the same for an [`FcmBank`], with one correct column per member,
+/// and [`observe_into`](BatchScratch::observe_into) hands the columns to
+/// an [`Observer`]. Observing leaves the selection as it was, so one
+/// gather feeds any number of models.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     ids: Vec<PcId>,
@@ -108,6 +110,19 @@ impl BatchScratch {
         self.correct.clear();
         self.correct.resize(self.ids.len(), false);
         predictor.observe_batch(&self.ids, &self.pcs, &self.values, &mut self.correct);
+        (self.base, &self.offsets, &self.categories, &self.correct)
+    }
+
+    /// [`observe`](BatchScratch::observe) for a bank: the correct flags
+    /// are one column per member, member `m`'s at
+    /// `correct[m * n..(m + 1) * n]` for `n` selected records.
+    pub(crate) fn observe_bank(
+        &mut self,
+        bank: &mut FcmBank,
+    ) -> (u64, &[u32], &[InstrCategory], &[bool]) {
+        self.correct.clear();
+        self.correct.resize(self.ids.len() * bank.orders().len(), false);
+        bank.observe_batch(&self.ids, &self.values, &mut self.correct);
         (self.base, &self.offsets, &self.categories, &self.correct)
     }
 

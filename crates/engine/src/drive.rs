@@ -1,7 +1,11 @@
 //! The replay driver: every public replay method is a thin wrapper that
 //! folds a chunk source (resident or streamed) through one job loop under
 //! a [`Plan`], on one PC partition ([`shard_of_pc`]), with one merge in
-//! (configuration, unit) order. A resident trace is split into [`SHARDS`]
+//! (group, unit) order. A bank of configurations replays as groups
+//! ([`groups`]): every config [`PredictorConfig::fcm_orders`] made runs as
+//! one [`FcmBank`], one context walk per record for all of them, and every
+//! other config as a group of one; the merge hands back one report per
+//! configuration in bank order. A resident trace is split into [`SHARDS`]
 //! shards at any worker count (looked up once per dense id); a streamed
 //! container is split into one shard per consumer thread, so each consumer
 //! gathers (and interns) its records once per chunk for every model it
@@ -12,7 +16,7 @@ use crate::pool::decode_ahead;
 use crate::replay::SHARDS;
 use crate::shared::ChunkWindow;
 use crate::{shard_of_pc, ReplayEngine, SharedTrace};
-use dvp_core::{AccuracyTracker, Predictor, PredictorConfig};
+use dvp_core::{AccuracyTracker, FcmBank, Predictor, PredictorConfig};
 use dvp_trace::io::{v2, TraceIoError};
 use dvp_trace::{Observer, PcInterner, PhasePlan, TraceRecord};
 use std::io::Read;
@@ -32,8 +36,8 @@ pub(crate) enum Plan<'a> {
 }
 
 impl Plan<'_> {
-    /// Jobs per configuration (a cold plan without phases still gets one,
-    /// so every configuration reports).
+    /// Jobs per model (a cold plan without phases still gets one, so
+    /// every configuration reports).
     fn units(self, shards: usize) -> usize {
         match self {
             Plan::Cold(plan) => plan.phases.len().max(1),
@@ -72,9 +76,10 @@ impl Plan<'_> {
         Job { model, observed: self.observed(unit), shard }
     }
 
-    /// The model of `config` as job `unit`: its tallied windows, and the
-    /// tally index of the first.
-    pub(crate) fn tallied(self, config: &PredictorConfig, unit: usize) -> Tallied {
+    /// The model of `group` (indices into `bank`, see [`groups`]) as job
+    /// `unit`: its replayer, its tallied windows, and the tally index of
+    /// the first.
+    fn tallied(self, bank: &[PredictorConfig], group: &[usize], unit: usize) -> Tallied {
         let (windows, first, tallies) = match self {
             Plan::Full => (std::iter::once(0..u64::MAX).collect(), 0, 1),
             Plan::Cold(plan) => {
@@ -85,9 +90,57 @@ impl Plan<'_> {
                 (plan.phases.iter().map(|p| p.start..p.end).collect(), 0, plan.phases.len())
             }
         };
-        let tallies = (config.name().to_owned(), vec![AccuracyTracker::new(); tallies]);
-        Tallied { predictor: config.build(), windows, first, next: 0, tallies }
+        let (replayer, columns) = match group {
+            [config] => (Replayer::One(bank[*config].build()), vec![0]),
+            _ => {
+                let order = |&c: &usize| bank[c].fcm_order().expect("a bank groups FCM orders");
+                let fcm = FcmBank::new(group.iter().map(order));
+                let columns = group
+                    .iter()
+                    .map(|c| fcm.orders().binary_search(&order(c)).expect("a member's order"))
+                    .collect();
+                (Replayer::Bank(Box::new(fcm)), columns)
+            }
+        };
+        let tallies = group
+            .iter()
+            .map(|&c| (bank[c].name().to_owned(), vec![AccuracyTracker::new(); tallies]))
+            .collect();
+        Tallied { replayer, columns, windows, first, next: 0, tallies }
     }
+}
+
+/// The replay groups of `bank`, as config indices: every config
+/// [`PredictorConfig::fcm_orders`] made (found by
+/// [`PredictorConfig::fcm_order`], never by name) forms one group at the
+/// place of its first member when there are two or more of them, and
+/// every other config is a group of one.
+fn groups(bank: &[PredictorConfig]) -> Vec<Vec<usize>> {
+    let fcm: Vec<usize> = (0..bank.len()).filter(|&c| bank[c].fcm_order().is_some()).collect();
+    let mut groups = Vec::new();
+    for c in 0..bank.len() {
+        if fcm.len() < 2 || !fcm.contains(&c) {
+            groups.push(vec![c]);
+        } else if c == fcm[0] {
+            groups.push(fcm.clone());
+        }
+    }
+    groups
+}
+
+/// One configuration's name and tallies.
+pub(crate) type ConfigTally = (String, Vec<AccuracyTracker>);
+
+/// Reorders per-group reports into one report per configuration, in
+/// bank order.
+fn in_bank_order(groups: &[Vec<usize>], reports: Vec<Vec<ConfigTally>>) -> Vec<ConfigTally> {
+    let mut out: Vec<Option<ConfigTally>> = vec![None; groups.iter().map(Vec::len).sum()];
+    for (group, report) in groups.iter().zip(reports) {
+        for (&config, tally) in group.iter().zip(report) {
+            out[config] = Some(tally);
+        }
+    }
+    out.into_iter().map(|tally| tally.expect("every config is in one group")).collect()
 }
 
 /// What one replay job feeds, what it reports, and how two units'
@@ -99,39 +152,57 @@ pub(crate) trait Model: Send + Sized {
     fn feed(&mut self, batch: &mut BatchScratch);
     /// Drops the job's replay state, keeping its report.
     fn finish(self) -> Self::Tally;
-    /// Folds another unit's report for the same configuration into `into`.
+    /// Folds another unit's report for the same model into `into`.
     fn merge(into: &mut Self::Tally, from: Self::Tally);
 }
 
-/// One predictor, tallying the outcomes that fall inside its windows.
+/// What a group replays: one predictor, or an FCM bank with one hit
+/// column per member.
+enum Replayer {
+    One(Box<dyn Predictor>),
+    Bank(Box<FcmBank>),
+}
+
+/// One group of predictors, tallying the outcomes that fall inside its
+/// windows.
 pub(crate) struct Tallied {
-    predictor: Box<dyn Predictor>,
+    replayer: Replayer,
+    /// Each config's hit column in the replayer's output.
+    columns: Vec<usize>,
     /// Ascending position ranges; window `i` tallies into
-    /// `tallies[first + i]`.
+    /// `tallies[first + i]` of every config.
     windows: Vec<Range<u64>>,
     first: usize,
     /// Phase cursor: the first window not yet behind the positions fed.
     next: usize,
-    /// The configuration's name and the job's tallies.
-    tallies: (String, Vec<AccuracyTracker>),
+    /// Each config's name and the job's tallies, in group order.
+    tallies: Vec<ConfigTally>,
 }
 
 impl Model for Tallied {
-    type Tally = (String, Vec<AccuracyTracker>);
+    type Tally = Vec<ConfigTally>;
 
     fn feed(&mut self, batch: &mut BatchScratch) {
-        let (base, offsets, categories, correct) = batch.observe(self.predictor.as_mut());
+        let (base, offsets, categories, correct) = match &mut self.replayer {
+            Replayer::One(predictor) => batch.observe(predictor.as_mut()),
+            Replayer::Bank(fcm) => batch.observe_bank(fcm),
+        };
+        let n = offsets.len();
         let before = |pos: u64| move |&at: &u32| base + u64::from(at) < pos;
         let mut from = 0;
-        // Outcomes are in position order: walk them one window at a time.
+        // Outcomes are in position order: walk them one window at a time,
+        // tallying every config's column of each.
         while let Some(window) = self.windows.get(self.next) {
             let end = from + offsets[from..].partition_point(before(window.end));
             let start = from + offsets[from..end].partition_point(before(window.start));
-            let tally = &mut self.tallies.1[self.first + self.next];
-            for (&category, &hit) in categories[start..end].iter().zip(&correct[start..end]) {
-                tally.record(category, hit);
+            for (&column, (_, tallies)) in self.columns.iter().zip(&mut self.tallies) {
+                let tally = &mut tallies[self.first + self.next];
+                let hits = &correct[column * n..][start..end];
+                for (&category, &hit) in categories[start..end].iter().zip(hits) {
+                    tally.record(category, hit);
+                }
             }
-            if end == offsets.len() {
+            if end == n {
                 break;
             }
             (from, self.next) = (end, self.next + 1);
@@ -143,8 +214,10 @@ impl Model for Tallied {
     }
 
     fn merge(into: &mut Self::Tally, from: Self::Tally) {
-        for (into, from) in into.1.iter_mut().zip(&from.1) {
-            into.merge(from);
+        for ((_, into), (_, from)) in into.iter_mut().zip(&from) {
+            for (into, from) in into.iter_mut().zip(from) {
+                into.merge(from);
+            }
         }
     }
 }
@@ -183,8 +256,8 @@ impl<M> Job<M> {
     }
 }
 
-/// Folds each run of `units` consecutive job reports (one configuration's
-/// units, in unit order) into one.
+/// Folds each run of `units` consecutive job reports (one model's units,
+/// in unit order) into one.
 fn merge<M: Model>(tallies: impl IntoIterator<Item = M::Tally>, units: usize) -> Vec<M::Tally> {
     let mut merged: Vec<M::Tally> = Vec::new();
     for (job, tally) in tallies.into_iter().enumerate() {
@@ -235,10 +308,10 @@ fn produce<R: Read>(
 }
 
 impl ReplayEngine {
-    /// Replays a resident trace under `plan`: one job per (configuration,
-    /// unit) on the worker pool, `make(config, unit)` building each job's
-    /// model, so a worker holds one configuration's predictor at a time.
-    /// Returns one merged report per configuration.
+    /// Replays a resident trace under `plan`: one job per (model, unit)
+    /// on the worker pool, `make(model, unit)` building each job's model,
+    /// so a worker holds one model's state at a time. Returns one merged
+    /// report per model.
     ///
     /// # Panics
     ///
@@ -247,7 +320,7 @@ impl ReplayEngine {
         &self,
         trace: &SharedTrace,
         plan: Plan<'_>,
-        configs: usize,
+        models: usize,
         make: F,
     ) -> Vec<M::Tally>
     where
@@ -258,7 +331,7 @@ impl ReplayEngine {
         let units = plan.units(SHARDS);
         let shard_of: Vec<usize> =
             trace.interner().pcs().iter().map(|&pc| shard_of_pc(pc, SHARDS)).collect();
-        let reports = self.map((0..configs * units).collect(), |j| {
+        let reports = self.map((0..models * units).collect(), |j| {
             let mut job = plan.job(j % units, SHARDS, make(j / units, j % units));
             let mut scratch = BatchScratch::default();
             let mut base = 0u64;
@@ -275,16 +348,47 @@ impl ReplayEngine {
         merge::<M>(reports, units)
     }
 
+    /// Replays `bank` over a resident trace under `plan`, one job per
+    /// ([`groups`] member, unit). Returns one merged report per
+    /// configuration, in bank order.
+    pub(crate) fn drive_bank(
+        &self,
+        trace: &SharedTrace,
+        plan: Plan<'_>,
+        bank: &[PredictorConfig],
+    ) -> Vec<ConfigTally> {
+        let groups = groups(bank);
+        let make = |g: usize, u| plan.tallied(bank, &groups[g], u);
+        in_bank_order(&groups, self.drive(trace, plan, groups.len(), make))
+    }
+
+    /// [`drive_bank`](ReplayEngine::drive_bank) over a streamed container.
+    ///
+    /// # Errors
+    ///
+    /// As [`drive_stream`](ReplayEngine::drive_stream).
+    pub(crate) fn drive_bank_stream<R: Read>(
+        &self,
+        reader: R,
+        plan: Plan<'_>,
+        bank: &[PredictorConfig],
+    ) -> Result<(v2::Header, Vec<ConfigTally>), TraceIoError> {
+        let groups = groups(bank);
+        let make = |g: usize, u| plan.tallied(bank, &groups[g], u);
+        let (header, reports) = self.drive_stream(reader, plan, groups.len(), make)?;
+        Ok((header, in_bank_order(&groups, reports)))
+    }
+
     /// Replays a container streaming under `plan`: the calling thread
     /// produces chunks into the bounded window while each consumer folds
-    /// every chunk into the jobs it owns. Job `j` (configuration-major)
-    /// belongs to consumer `j % consumers`; when the plan's units are PC
-    /// shards there is one shard per consumer, so consumer `c` owns shard
-    /// `c` of every configuration. A consumer gathers a chunk once for
+    /// every chunk into the jobs it owns. Job `j` (model-major) belongs to
+    /// consumer `j % consumers`; when the plan's units are PC shards there
+    /// is one shard per consumer, so consumer `c` owns shard `c` of every
+    /// model. A consumer gathers a chunk once for
     /// each run of owned jobs with the same span and shard (one run per
     /// chunk for shard units), interning only the records it selects into
     /// its own interner, and feeds every job of the run from that batch.
-    /// Returns one merged report per configuration.
+    /// Returns one merged report per model.
     ///
     /// # Errors
     ///
@@ -294,7 +398,7 @@ impl ReplayEngine {
         &self,
         mut reader: R,
         plan: Plan<'_>,
-        configs: usize,
+        models: usize,
         make: F,
     ) -> Result<(v2::Header, Vec<M::Tally>), TraceIoError>
     where
@@ -304,9 +408,9 @@ impl ReplayEngine {
     {
         let header = v2::read_header(&mut reader)?;
         plan.check(header.record_count).map_err(|message| TraceIoError::Format { message })?;
-        let consumers = self.workers().min(configs * plan.units(self.workers()));
+        let consumers = self.workers().min(models * plan.units(self.workers()));
         let units = plan.units(consumers);
-        let jobs = configs * units;
+        let jobs = models * units;
         let folded = decode_ahead(
             self.chunk_window(),
             consumers,
@@ -351,18 +455,21 @@ impl ReplayEngine {
 #[cfg(test)]
 mod tests {
     use crate::{phase_plan, ConfigReplay, PhaseOptions, ReplayEngine, SampledReplay, SharedTrace};
-    use dvp_core::{AccuracyTracker, Predictor, PredictorConfig};
+    use dvp_core::{AccuracyTracker, Blending, FcmPredictor, Predictor, PredictorConfig};
     use dvp_trace::io::v2;
     use dvp_trace::{InstrCategory, Pc, PhasePlan, TraceRecord};
     use std::ops::Range;
 
-    /// Two regimes (constant values, then strides) over 7 PCs.
+    /// Two regimes over 7 PCs: a four-value alphabet in a scrambled
+    /// order, where FCM orders 1, 2 and 3 each hit a different number of
+    /// records, then strides.
     fn records(n: u64) -> Vec<TraceRecord> {
         (0..n)
             .map(|i| {
                 let category =
                     if i % 2 == 0 { InstrCategory::Loads } else { InstrCategory::AddSub };
-                let value = if i < n / 2 { i % 7 } else { (i / 7) * 3 };
+                let noisy = ((i / 7) % 61).wrapping_mul(2_654_435_761) >> 11;
+                let value = if i < n / 2 { noisy % 4 } else { (i / 7) * 3 };
                 TraceRecord::new(Pc(0x40_0000 + 4 * (i % 7)), category, value)
             })
             .collect()
@@ -412,6 +519,29 @@ mod tests {
         Warm,
     }
 
+    /// The paper bank, and an interleaved bank whose FCM orders replay as
+    /// one group around two configs of their own, plus a custom factory
+    /// named `fcm2` (a single-order model) that must not join the group.
+    fn banks() -> [Vec<PredictorConfig>; 2] {
+        let fcm = |k| PredictorConfig::fcm_orders([k]).remove(0);
+        let impostor = PredictorConfig::new("fcm2", || {
+            Box::new(FcmPredictor::with_config(2, Blending::SingleOrder))
+        });
+        let paper = PredictorConfig::paper_bank();
+        let interleaved =
+            vec![fcm(3), paper[0].clone(), fcm(1), paper[1].clone(), fcm(2), impostor];
+        [paper, interleaved]
+    }
+
+    #[test]
+    fn fcm_orders_group_by_order_not_by_name() {
+        let [paper, interleaved] = banks();
+        assert_eq!(super::groups(&paper), [vec![0], vec![1], vec![2, 3, 4]]);
+        assert_eq!(super::groups(&interleaved), [vec![0, 2, 4], vec![1], vec![3], vec![5]]);
+        let lone = PredictorConfig::fcm_orders([2]);
+        assert_eq!(super::groups(&lone), [vec![0]]);
+    }
+
     fn run(
         engine: &ReplayEngine,
         source: Source,
@@ -419,26 +549,26 @@ mod tests {
         trace: &SharedTrace,
         containers: (&[u8], &[u8]),
         plan: &PhasePlan,
+        bank: &[PredictorConfig],
     ) -> Surface {
-        let bank = PredictorConfig::paper_bank();
         let bytes = match source {
             Source::Resident => {
                 return match mode {
-                    Mode::Full => full(&engine.replay(trace, &bank)),
-                    Mode::Cold => sampled(&engine.replay_sampled(trace, &bank, plan)),
-                    Mode::Warm => sampled(&engine.replay_sampled_warm(trace, &bank, plan)),
+                    Mode::Full => full(&engine.replay(trace, bank)),
+                    Mode::Cold => sampled(&engine.replay_sampled(trace, bank, plan)),
+                    Mode::Warm => sampled(&engine.replay_sampled_warm(trace, bank, plan)),
                 }
             }
             Source::Stored => containers.0,
             Source::Compressed => containers.1,
         };
         let (header, surface) = match mode {
-            Mode::Full => engine.replay_streaming(bytes, &bank).map(|(h, r)| (h, full(&r))),
+            Mode::Full => engine.replay_streaming(bytes, bank).map(|(h, r)| (h, full(&r))),
             Mode::Cold => {
-                engine.replay_sampled_streaming(bytes, &bank, plan).map(|(h, r)| (h, sampled(&r)))
+                engine.replay_sampled_streaming(bytes, bank, plan).map(|(h, r)| (h, sampled(&r)))
             }
             Mode::Warm => engine
-                .replay_sampled_warm_streaming(bytes, &bank, plan)
+                .replay_sampled_warm_streaming(bytes, bank, plan)
                 .map(|(h, r)| (h, sampled(&r))),
         }
         .expect("streams");
@@ -446,10 +576,16 @@ mod tests {
         surface
     }
 
-    /// The paper bank folded by hand, one predictor pass per configuration
-    /// (per phase for a cold plan) over the whole trace, with no partition:
-    /// the reference every engine, source and plan must reproduce.
-    fn one_pass(trace: &SharedTrace, mode: Mode, plan: &PhasePlan) -> Surface {
+    /// A bank folded by hand, one lone predictor pass per configuration
+    /// (per phase for a cold plan) over the whole trace, with no partition
+    /// and no grouping: the reference every engine, source and plan must
+    /// reproduce, in bank order.
+    fn one_pass(
+        trace: &SharedTrace,
+        mode: Mode,
+        plan: &PhasePlan,
+        bank: &[PredictorConfig],
+    ) -> Surface {
         let windows: Vec<Range<u64>> = match mode {
             Mode::Full => std::iter::once(0..u64::MAX).collect(),
             Mode::Cold | Mode::Warm => plan.phases.iter().map(|p| p.start..p.end).collect(),
@@ -465,7 +601,7 @@ mod tests {
                 .map(|(i, p)| (p.start.saturating_sub(plan.warmup_records)..p.end, vec![i]))
                 .collect(),
         };
-        let rows = PredictorConfig::paper_bank()
+        let rows = bank
             .iter()
             .map(|config| {
                 let mut tallies = vec![AccuracyTracker::new(); windows.len()];
@@ -506,15 +642,23 @@ mod tests {
             .map(|workers| ReplayEngine::new().with_workers(workers).with_chunk_window(2))
             .chain([ReplayEngine::sequential()])
             .collect();
-        for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
-            let reference = one_pass(&trace, mode, &plan);
-            for source in [Source::Resident, Source::Stored, Source::Compressed] {
-                for engine in &engines {
-                    assert_eq!(
-                        run(engine, source, mode, &trace, containers, &plan),
-                        reference,
-                        "{source:?} {mode:?} {engine:?}"
-                    );
+        for bank in banks() {
+            for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
+                let reference = one_pass(&trace, mode, &plan, &bank);
+                // Swapped bank members would show.
+                let fcm: Vec<_> =
+                    reference.iter().filter(|(name, _)| name.starts_with("fcm")).collect();
+                for (i, a) in fcm.iter().enumerate() {
+                    assert!(fcm[i + 1..].iter().all(|b| a.1 != b.1), "{mode:?}: {} ties", a.0);
+                }
+                for source in [Source::Resident, Source::Stored, Source::Compressed] {
+                    for engine in &engines {
+                        assert_eq!(
+                            run(engine, source, mode, &trace, containers, &plan, &bank),
+                            reference,
+                            "{source:?} {mode:?} {engine:?}"
+                        );
+                    }
                 }
             }
         }

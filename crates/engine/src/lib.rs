@@ -11,7 +11,10 @@
 //! 2. **Fan configurations out across threads.** A [`ReplayEngine`] turns a
 //!    bank of [`PredictorConfig`](dvp_core::PredictorConfig)s (and
 //!    optionally many traces at once) into independent jobs on a
-//!    fixed-size [`par_map`] worker pool.
+//!    fixed-size [`par_map`] worker pool. The FCM orders of a bank
+//!    (every config `PredictorConfig::fcm_orders` made) share one job as
+//!    a [`dvp_core::FcmBank`]: one context walk per record for all of
+//!    them, each tallied as its own configuration.
 //! 3. **Shard per-PC state.** Within one (trace, configuration) cell a
 //!    resident trace is split by PC hash ([`shard_of_pc`], looked up once
 //!    per interned [`PcId`](dvp_trace::PcId), never per record) into the

@@ -133,8 +133,7 @@ impl ReplayEngine {
         reader: R,
         bank: &[PredictorConfig],
     ) -> Result<(v2::Header, Vec<ConfigReplay>), TraceIoError> {
-        let make = |c: usize, u| Plan::Full.tallied(&bank[c], u);
-        let (header, tallies) = self.drive_stream(reader, Plan::Full, bank.len(), make)?;
+        let (header, tallies) = self.drive_bank_stream(reader, Plan::Full, bank)?;
         Ok((header, tallies.into_iter().map(ConfigReplay::new).collect()))
     }
 }

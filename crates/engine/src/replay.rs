@@ -141,8 +141,7 @@ impl ReplayEngine {
     /// order.
     #[must_use]
     pub fn replay(&self, trace: &SharedTrace, bank: &[PredictorConfig]) -> Vec<ConfigReplay> {
-        let make = |c: usize, u| Plan::Full.tallied(&bank[c], u);
-        self.drive(trace, Plan::Full, bank.len(), make).into_iter().map(ConfigReplay::new).collect()
+        self.drive_bank(trace, Plan::Full, bank).into_iter().map(ConfigReplay::new).collect()
     }
 
     /// Replays every trace under every configuration of the bank — the full

@@ -523,8 +523,7 @@ impl ReplayEngine {
         plan: &PhasePlan,
     ) -> Vec<SampledReplay> {
         let plan = Plan::Cold(plan);
-        let make = |c: usize, u| plan.tallied(&bank[c], u);
-        self.drive(trace, plan, bank.len(), make).into_iter().map(SampledReplay::new).collect()
+        self.drive_bank(trace, plan, bank).into_iter().map(SampledReplay::new).collect()
     }
 
     /// Functionally-warmed sampled replay: one predictor per
@@ -549,8 +548,7 @@ impl ReplayEngine {
         plan: &PhasePlan,
     ) -> Vec<SampledReplay> {
         let plan = Plan::Warm(plan);
-        let make = |c: usize, u| plan.tallied(&bank[c], u);
-        self.drive(trace, plan, bank.len(), make).into_iter().map(SampledReplay::new).collect()
+        self.drive_bank(trace, plan, bank).into_iter().map(SampledReplay::new).collect()
     }
 
     /// [`replay_sampled`](ReplayEngine::replay_sampled) over a container,
@@ -571,8 +569,7 @@ impl ReplayEngine {
         plan: &PhasePlan,
     ) -> Result<(v2::Header, Vec<SampledReplay>), TraceIoError> {
         let plan = Plan::Cold(plan);
-        let make = |c: usize, u| plan.tallied(&bank[c], u);
-        let (header, tallies) = self.drive_stream(reader, plan, bank.len(), make)?;
+        let (header, tallies) = self.drive_bank_stream(reader, plan, bank)?;
         Ok((header, tallies.into_iter().map(SampledReplay::new).collect()))
     }
 
@@ -593,8 +590,7 @@ impl ReplayEngine {
         plan: &PhasePlan,
     ) -> Result<(v2::Header, Vec<SampledReplay>), TraceIoError> {
         let plan = Plan::Warm(plan);
-        let make = |c: usize, u| plan.tallied(&bank[c], u);
-        let (header, tallies) = self.drive_stream(reader, plan, bank.len(), make)?;
+        let (header, tallies) = self.drive_bank_stream(reader, plan, bank)?;
         Ok((header, tallies.into_iter().map(SampledReplay::new).collect()))
     }
 }

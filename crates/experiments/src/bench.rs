@@ -1,4 +1,4 @@
-//! `repro bench` — the perf-smoke harness behind `BENCH_28.json`.
+//! `repro bench` — the perf-smoke harness behind `BENCH_30.json`.
 //!
 //! Replays one fixed, seeded synthetic trace through each predictor
 //! family's batched dense hot path ([`Predictor::observe_batch`] over the
@@ -7,16 +7,18 @@
 //! [`phase_plan`] over that trace and over one four times as long (rows
 //! `plan` and `plan.4n`), a sequential [`ReplayEngine::load_trace`] of
 //! the trace's container (row `decode`) and the trace writer
-//! [`cache::write_container`] (row `encode`). The committed baseline
-//! (`BENCH_28.json` at the repository root; the older `BENCH_9.json`,
-//! `BENCH_14.json`, `BENCH_17.json`, `BENCH_20.json`, `BENCH_24.json`,
-//! `BENCH_25.json` and `BENCH_27.json` stay as the records they were)
+//! [`cache::write_container`] (row `encode`), and finally the paper
+//! bank's three FCM orders as one [`FcmBank`] (row `fcm1-3`), as the
+//! replay engine runs them. The committed baseline (`BENCH_30.json` at
+//! the repository root; the older `BENCH_9.json`, `BENCH_14.json`,
+//! `BENCH_17.json`, `BENCH_20.json`, `BENCH_24.json`, `BENCH_25.json`,
+//! `BENCH_27.json` and `BENCH_28.json` stay as the records they were)
 //! lets CI run a comparison with a deliberately generous regression
 //! tripwire: machine-to-machine variance is expected; a row running
 //! **3x** slower than baseline is not. Hits are no timing, so a row whose
 //! `correct` count moves fails the check outright.
 
-use dvp_core::{HybridPredictor, Predictor, PredictorConfig};
+use dvp_core::{FcmBank, HybridPredictor, Predictor, PredictorConfig};
 use dvp_engine::{phase_plan, PhaseOptions, ReplayEngine, SharedTrace};
 use dvp_trace::io::v2;
 use dvp_trace::Value;
@@ -43,12 +45,14 @@ pub const REGRESSION_FACTOR: f64 = 3.0;
 pub struct BenchResult {
     /// Predictor family name (`l`, `s2`, `fcm1`..`fcm3`, `hybrid`),
     /// `plan`/`plan.4n` for phase profiling, `decode` for container
-    /// decode, or `encode` for the container writer.
+    /// decode, `encode` for the container writer, or `fcm1-3` for the
+    /// banked FCM orders.
     pub name: String,
     /// Correct predictions over the trace (for the profiling rows, the
     /// plan's simulated records; for `decode`, the records decoded; for
-    /// `encode`, the container's bytes) — a determinism witness: this
-    /// count depends only on the seeded trace, never on timing.
+    /// `encode`, the container's bytes; for `fcm1-3`, the three members'
+    /// hits summed) — a determinism witness: this count depends only on
+    /// the seeded trace, never on timing.
     pub correct: u64,
     /// Fastest-pass cost per record, in nanoseconds.
     pub ns_per_record: f64,
@@ -82,17 +86,17 @@ pub fn bench_trace(records: usize) -> SharedTrace {
 /// profiling rows `plan` (the same trace) and `plan.4n` (the bench trace
 /// at four times the records) — a per-record profiling cost that grows
 /// with trace length shows as `plan.4n` running slower than `plan` — the
-/// container decode row `decode` and the container write row `encode`
-/// (both the same trace).
+/// container decode row `decode`, the container write row `encode` and
+/// the FCM bank row `fcm1-3` (all three the same trace).
 #[must_use]
 pub fn run(records: usize, passes: usize) -> Vec<BenchResult> {
     let trace = bench_trace(records);
     let mut results = replay_rows(&trace, passes);
     results.push(plan_row("plan", &trace, passes));
-    let io_rows = [decode_row(&trace, passes), encode_row(&trace, passes)];
+    let rows = [decode_row(&trace, passes), encode_row(&trace, passes), bank_row(&trace, passes)];
     drop(trace);
     results.push(plan_row("plan.4n", &bench_trace(4 * records), passes));
-    results.extend(io_rows);
+    results.extend(rows);
     results
 }
 
@@ -126,6 +130,37 @@ fn replay_rows(trace: &SharedTrace, passes: usize) -> Vec<BenchResult> {
             BenchResult { name: config.name().to_owned(), correct, ns_per_record: best }
         })
         .collect()
+}
+
+/// The fastest of `passes` replays of `trace` through an [`FcmBank`] of
+/// orders 1 to 3 — one context walk per record for fcm1, fcm2 and fcm3,
+/// as the replay engine runs the paper bank's FCM orders — over the
+/// trace's chunks, like the family rows. Its witness is the three
+/// members' hits summed, so it equals the sum of the `fcm1`..`fcm3`
+/// rows' hits.
+fn bank_row(trace: &SharedTrace, passes: usize) -> BenchResult {
+    let mut best = f64::INFINITY;
+    let mut correct = 0u64;
+    let mut values: Vec<Value> = Vec::new();
+    let mut columns: Vec<bool> = Vec::new();
+    for _ in 0..passes.max(1) {
+        let mut bank = FcmBank::new(1..=3);
+        bank.reserve_ids(trace.interner().len());
+        let mut hits = 0u64;
+        let start = Instant::now();
+        for (chunk, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
+            values.clear();
+            values.extend(chunk.iter().map(|r| r.value));
+            columns.clear();
+            columns.resize(3 * chunk.len(), false);
+            bank.observe_batch(ids, &values, &mut columns);
+            hits += columns.iter().filter(|&&ok| ok).count() as u64;
+        }
+        let nanos = start.elapsed().as_nanos() as f64;
+        best = best.min(nanos / trace.len().max(1) as f64);
+        correct = hits;
+    }
+    BenchResult { name: "fcm1-3".to_owned(), correct, ns_per_record: best }
 }
 
 /// The fastest of `passes` default [`phase_plan`]s of `trace`; the plan's
@@ -355,9 +390,14 @@ mod tests {
         let names: Vec<&str> = first.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
-            ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode", "encode"]
+            [
+                "l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode", "encode",
+                "fcm1-3"
+            ]
         );
         assert_eq!(first[8].correct, 2_000);
+        let fcm: u64 = first[2..5].iter().map(|r| r.correct).sum();
+        assert_eq!(first[10].correct, fcm, "the bank's members hit as the lone rows do");
         let mut container = Cursor::new(Vec::new());
         cache::write_container(&mut container, &v2::TraceMeta::default(), &bench_trace(2_000))
             .expect("writes");
@@ -403,8 +443,9 @@ mod tests {
         // six family rows, hits unchanged since the first baseline;
         // `BENCH_24.json` adds the two phase-profiling rows,
         // `BENCH_25.json` the decode row and `BENCH_27.json` the encode
-        // row; `BENCH_28.json` times the 64-byte FCM entries.
-        let files: [(&str, &[f64]); 8] = [
+        // row; `BENCH_28.json` times the 64-byte FCM entries, and
+        // `BENCH_30.json` adds the `fcm1-3` bank row.
+        let files: [(&str, &[f64]); 9] = [
             (include_str!("../../../BENCH_9.json"), &[7.40, 9.19, 510.57, 530.39, 745.54, 580.25]),
             (include_str!("../../../BENCH_14.json"), &[5.94, 7.44, 177.94, 213.17, 406.80, 254.99]),
             (
@@ -428,11 +469,19 @@ mod tests {
                 include_str!("../../../BENCH_28.json"),
                 &[4.49, 5.13, 137.49, 243.45, 318.39, 218.23, 55.79, 49.73, 36.64, 54.46],
             ),
+            (
+                include_str!("../../../BENCH_30.json"),
+                &[4.71, 5.71, 161.04, 290.29, 390.38, 288.19, 61.63, 59.59, 39.86, 75.29, 511.89],
+            ),
         ];
-        let names =
-            ["l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode", "encode"];
-        let correct =
-            [40_615, 82_496, 120_904, 120_904, 120_904, 161_464, 18_432, 38_144, 200_000, 657_267];
+        let names = [
+            "l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode", "encode",
+            "fcm1-3",
+        ];
+        let correct = [
+            40_615, 82_496, 120_904, 120_904, 120_904, 161_464, 18_432, 38_144, 200_000, 657_267,
+            362_712,
+        ];
         for (text, ns) in files {
             let rows =
                 ns.iter().enumerate().map(|(i, &ns)| result(names[i], correct[i], ns)).collect();

@@ -137,3 +137,42 @@ fn profile_folds_equal_one_pass_on_real_trace() {
         assert_eq!(sharded.3, sequential.3, "summary {at}");
     }
 }
+
+/// The goldens print percentages to one decimal, so a tally a few records
+/// off can hide behind them. This replays all seven uncapped quick traces
+/// (`repro --quick`'s scale) with the paper bank and with fcm1–8, whose
+/// FCM orders the engine runs as one bank per shard, and requires every
+/// per-category count to equal one lone predictor's pass over the whole
+/// trace, configuration by configuration. Slow in a debug build; run it
+/// with `cargo test --release --test engine_equivalence -- --ignored`.
+#[test]
+#[ignore = "replays the seven quick traces; run in release"]
+fn banked_tallies_equal_lone_passes_on_every_quick_trace() {
+    let mut store = TraceStore::with_scale_div(4);
+    let engine = ReplayEngine::new();
+    for benchmark in Benchmark::ALL {
+        let trace = store.trace(benchmark).expect("workload runs");
+        for bank in [PredictorConfig::paper_bank(), PredictorConfig::fcm_orders(1..=8)] {
+            let replays = engine.replay(&trace, &bank);
+            for (config, replay) in bank.iter().zip(&replays) {
+                assert_eq!(replay.name, config.name());
+                let mut predictor = config.build();
+                let mut tracker = AccuracyTracker::new();
+                for (rec, id) in trace.iter_with_ids() {
+                    tracker.record(
+                        rec.category,
+                        predictor.step(id, rec.pc, rec.value) == Some(rec.value),
+                    );
+                }
+                for category in InstrCategory::ALL.into_iter().map(Some).chain([None]) {
+                    assert_eq!(
+                        (replay.tracker.correct(category), replay.tracker.predicted(category)),
+                        (tracker.correct(category), tracker.predicted(category)),
+                        "{benchmark} {} {category:?}",
+                        config.name()
+                    );
+                }
+            }
+        }
+    }
+}
