@@ -3,9 +3,10 @@
 //! A [`PredictorConfig`] is a recipe: a display name plus a factory that
 //! builds a fresh boxed [`Predictor`] with empty tables. Recipes exist so
 //! that the same configuration can be instantiated many times — once per
-//! benchmark in a sequential harness, or once per PC shard in the parallel
-//! replay engine — while the *set* of configurations under study stays a
-//! single value that can be enumerated, cloned, and sent across threads.
+//! benchmark in a sequential harness, or once per instruction in the
+//! parallel replay engine — while the *set* of configurations under study
+//! stays a single value that can be enumerated, cloned, and sent across
+//! threads.
 
 use crate::{FcmPredictor, LastValuePredictor, Predictor, StridePredictor};
 use std::fmt;
@@ -145,6 +146,37 @@ mod tests {
         assert_eq!(orders, [None, None, Some(1), Some(2), Some(3)]);
         let named = PredictorConfig::new("fcm2", || Box::new(FcmPredictor::new(2)));
         assert_eq!(named.fcm_order(), None, "a name is not an order");
+    }
+
+    #[test]
+    fn only_unaliased_immediate_predictors_keep_per_id_state() {
+        use crate::{
+            DelayedPredictor, FiniteFcmPredictor, FiniteHybridPredictor, FiniteLastValuePredictor,
+            FiniteStridePredictor, HybridPredictor, TableSpec,
+        };
+        for config in PredictorConfig::paper_bank() {
+            assert!(config.build().keeps_per_id_state(), "{}", config.name());
+        }
+        let spec = TableSpec::new(3);
+        let per_id: [(Box<dyn Predictor>, bool); 8] = [
+            (Box::new(HybridPredictor::stride_fcm(2)), true),
+            (Box::new(FcmPredictor::with_config(2, crate::Blending::SingleOrder)), true),
+            (
+                Box::new(HybridPredictor::new(
+                    FiniteStridePredictor::new(spec),
+                    FcmPredictor::new(1),
+                )),
+                false,
+            ),
+            (Box::new(DelayedPredictor::new(LastValuePredictor::new(), 4)), false),
+            (Box::new(FiniteLastValuePredictor::new(spec)), false),
+            (Box::new(FiniteStridePredictor::new(spec)), false),
+            (Box::new(FiniteFcmPredictor::new(2, spec, spec)), false),
+            (Box::new(FiniteHybridPredictor::paper_geometry(3)), false),
+        ];
+        for (predictor, want) in per_id {
+            assert_eq!(predictor.keeps_per_id_state(), want, "{}", predictor.name());
+        }
     }
 
     #[test]

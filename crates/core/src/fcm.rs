@@ -943,6 +943,10 @@ impl Predictor for FcmPredictor {
         }
     }
 
+    fn keeps_per_id_state(&self) -> bool {
+        true
+    }
+
     #[inline]
     fn predict(&self, id: PcId, _pc: Pc) -> Option<Value> {
         self.predict_slot(id.index())

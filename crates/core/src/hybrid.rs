@@ -122,6 +122,10 @@ impl<A: Predictor, B: Predictor> Predictor for HybridPredictor<A, B> {
         self.second.reserve_ids(n);
     }
 
+    fn keeps_per_id_state(&self) -> bool {
+        self.first.keeps_per_id_state() && self.second.keeps_per_id_state()
+    }
+
     #[inline]
     fn predict(&self, id: PcId, pc: Pc) -> Option<Value> {
         let (a, b) = (self.first.predict(id, pc), self.second.predict(id, pc));

@@ -64,6 +64,21 @@ pub trait Predictor: Send + Sync {
         let _ = n;
     }
 
+    /// Whether every prediction for an instruction depends only on that
+    /// instruction's own earlier values: state lives in one slot per
+    /// [`PcId`], no slot is shared, and nothing outside the slots changes
+    /// a prediction. The unbounded `l`, `s2` and FCM predictors declare
+    /// it; the finite tables (aliased by PC bits) and delayed updates (one
+    /// queue over every instruction) keep the default, `false`.
+    ///
+    /// The replay engine reads this once per configuration per replay: a
+    /// predictor that declares it may replay each instruction's records
+    /// on their own, with fresh state; any other replays every record in
+    /// trace order.
+    fn keeps_per_id_state(&self) -> bool {
+        false
+    }
+
     /// The predicted next value of the instruction `id` (at `pc`), or
     /// `None` when no prediction can be made yet.
     fn predict(&self, id: PcId, pc: Pc) -> Option<Value>;
@@ -113,6 +128,10 @@ impl<P: Predictor + ?Sized> Predictor for Box<P> {
 
     fn reserve_ids(&mut self, n: usize) {
         (**self).reserve_ids(n)
+    }
+
+    fn keeps_per_id_state(&self) -> bool {
+        (**self).keeps_per_id_state()
     }
 
     fn predict(&self, id: PcId, pc: Pc) -> Option<Value> {

@@ -186,6 +186,12 @@ impl PredictorSet {
 /// Correlated replay: every predictor observes each batch, and each
 /// record's correct-set mask is tallied.
 impl Observer for PredictorSet {
+    /// One instruction's batch keeps its predictors' entries hot. As for
+    /// any observer, the merged set equals one pass only when every
+    /// predictor in it keeps per-id state
+    /// ([`Predictor::keeps_per_id_state`]).
+    const PC_MAJOR: bool = true;
+
     /// Feeds the batch to every predictor through its
     /// [`observe_batch`](Predictor::observe_batch) — one virtual call per
     /// predictor per batch; batch boundaries are invisible, as each keeps

@@ -161,6 +161,10 @@ impl Predictor for StridePredictor {
         self.table.reserve(n);
     }
 
+    fn keeps_per_id_state(&self) -> bool {
+        true
+    }
+
     #[inline]
     fn predict(&self, id: PcId, _pc: Pc) -> Option<Value> {
         Self::predict_slot(self.table.get(id))

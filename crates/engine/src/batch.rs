@@ -9,23 +9,27 @@
 //! flush schedule produces identical results.
 
 use crate::shard_of_pc;
+use crate::shared::PcIndex;
 use dvp_core::{FcmBank, Predictor};
 use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcInterner, TraceRecord, Value};
 
 /// Reusable structure-of-arrays gather buffers for batched replay.
 ///
-/// One shape: a gather selects a span of a chunk (optionally only one PC
-/// shard's records) together with each record's dense id and global
-/// trace position — [`gather`](BatchScratch::gather) takes the ids of a
-/// resident trace, [`gather_interning`](BatchScratch::gather_interning)
-/// interns the selected records of a streamed chunk as it goes — and
-/// [`observe`](BatchScratch::observe) replays the selection through one
-/// `observe_batch` call, yielding `(position, category, correct)` per
-/// record in trace order; [`observe_bank`](BatchScratch::observe_bank)
-/// does the same for an [`FcmBank`], with one correct column per member,
-/// and [`observe_into`](BatchScratch::observe_into) hands the columns to
-/// an [`Observer`]. Observing leaves the selection as it was, so one
-/// gather feeds any number of models.
+/// One shape: a gather selects records together with each record's dense
+/// id and global trace position — [`gather`](BatchScratch::gather) takes
+/// a span of a resident chunk with its ids,
+/// [`gather_positions`](BatchScratch::gather_positions) one instruction's
+/// records of a resident trace through its [`PcIndex`], and
+/// [`gather_interning`](BatchScratch::gather_interning) interns the
+/// selected records of a streamed chunk (optionally only one PC shard's)
+/// as it goes — and [`observe`](BatchScratch::observe) replays the
+/// selection through one `observe_batch` call, yielding `(position,
+/// category, correct)` per record in trace order;
+/// [`observe_bank`](BatchScratch::observe_bank) does the same for an
+/// [`FcmBank`], with one correct column per member, and
+/// [`observe_into`](BatchScratch::observe_into) hands the columns to an
+/// [`Observer`]. Observing leaves the selection as it was, so one gather
+/// feeds any number of models.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     ids: Vec<PcId>,
@@ -40,20 +44,24 @@ pub(crate) struct BatchScratch {
 }
 
 impl BatchScratch {
-    /// Replaces the selection with `records` (parallel to `ids`, the first
-    /// at global position `base`) — all of them, or with `Some((shard_of,
-    /// shard))` only those whose id maps to `shard`.
-    pub(crate) fn gather(
+    /// Replaces the selection with all of `records` (parallel to `ids`,
+    /// the first at global position `base`).
+    pub(crate) fn gather(&mut self, base: u64, records: &[TraceRecord], ids: &[PcId]) {
+        self.select(base, records, |offset, _| Some(ids[offset]));
+    }
+
+    /// Replaces the selection with the records at `positions` (ascending,
+    /// as [`PcIndex::positions`] gives them) of the trace `index` was built
+    /// from, whose chunks are `chunks`, every one under id `id`.
+    pub(crate) fn gather_positions(
         &mut self,
-        base: u64,
-        records: &[TraceRecord],
-        ids: &[PcId],
-        shard: Option<(&[usize], usize)>,
+        chunks: &[Vec<TraceRecord>],
+        index: &PcIndex,
+        positions: &[u32],
+        id: PcId,
     ) {
-        self.select(base, records, |offset, _| {
-            let id = ids[offset];
-            shard.is_none_or(|(shard_of, s)| shard_of[id.index()] == s).then_some(id)
-        });
+        self.clear(0);
+        index.for_each_record(chunks, positions, |at, rec| self.push(id, rec, at));
     }
 
     /// Replaces the selection with `records` (the first at global
@@ -82,21 +90,31 @@ impl BatchScratch {
         records: &[TraceRecord],
         mut pick: impl FnMut(usize, &TraceRecord) -> Option<PcId>,
     ) {
+        self.clear(base);
+        for (offset, rec) in records.iter().enumerate() {
+            if let Some(id) = pick(offset, rec) {
+                self.push(id, rec, offset as u32);
+            }
+        }
+    }
+
+    /// Empties the selection, whose offsets will count from `base`.
+    fn clear(&mut self, base: u64) {
         self.base = base;
         self.ids.clear();
         self.pcs.clear();
         self.values.clear();
         self.categories.clear();
         self.offsets.clear();
-        for (offset, rec) in records.iter().enumerate() {
-            if let Some(id) = pick(offset, rec) {
-                self.ids.push(id);
-                self.pcs.push(rec.pc);
-                self.values.push(rec.value);
-                self.categories.push(rec.category);
-                self.offsets.push(offset as u32);
-            }
-        }
+    }
+
+    /// Appends one record, `offset` records past `base`.
+    fn push(&mut self, id: PcId, rec: &TraceRecord, offset: u32) {
+        self.ids.push(id);
+        self.pcs.push(rec.pc);
+        self.values.push(rec.value);
+        self.categories.push(rec.category);
+        self.offsets.push(offset);
     }
 
     /// Replays the selection through one `observe_batch` call. Returns the
@@ -164,7 +182,7 @@ mod tests {
                 let mut got = AccuracyTracker::new();
                 let mut scratch = BatchScratch::default();
                 for (c, (recs, idch)) in records.chunks(chunk).zip(ids.chunks(chunk)).enumerate() {
-                    scratch.gather((c * chunk) as u64, recs, idch, None);
+                    scratch.gather((c * chunk) as u64, recs, idch);
                     let (_, _, categories, correct) = scratch.observe(predictor.as_mut());
                     for (&cat, &ok) in categories.iter().zip(correct) {
                         got.record(cat, ok);
@@ -179,24 +197,38 @@ mod tests {
     }
 
     #[test]
-    fn gather_selects_one_shard_with_global_positions() {
+    fn gathers_select_with_global_positions() {
         let (records, ids) = stream();
-        let shard_of: Vec<usize> = (0..7).map(|id| id % 3).collect();
         let mut scratch = BatchScratch::default();
-        scratch.gather(1000, &records[10..40], &ids[10..40], Some((&shard_of, 1)));
-        let picked: Vec<usize> = (10..40).filter(|&i| shard_of[ids[i].index()] == 1).collect();
-        assert!(!picked.is_empty() && picked.len() < 30);
-        let rebuilt: Vec<TraceRecord> = (0..scratch.ids.len())
-            .map(|j| TraceRecord::new(scratch.pcs[j], scratch.categories[j], scratch.values[j]))
-            .collect();
-        assert_eq!(rebuilt, picked.iter().map(|&i| records[i]).collect::<Vec<_>>());
-        assert_eq!(scratch.ids, picked.iter().map(|&i| ids[i]).collect::<Vec<_>>());
-        let mut p = PredictorConfig::paper_bank()[0].build();
-        let (base, offsets, _, _) = scratch.observe(p.as_mut());
-        let positions: Vec<u64> = offsets.iter().map(|&at| base + u64::from(at)).collect();
-        assert_eq!(positions, picked.iter().map(|&i| 990 + i as u64).collect::<Vec<_>>());
-        scratch.gather(0, &records[5..5], &ids[5..5], None);
+        scratch.gather(1000, &records[10..40], &ids[10..40]);
+        assert_eq!(scratch.ids, ids[10..40]);
+        assert_eq!(scratch.offsets, (0..30).collect::<Vec<u32>>());
+        scratch.gather(0, &records[5..5], &ids[5..5]);
         assert!(scratch.ids.is_empty() && scratch.offsets.is_empty());
+
+        // Resident PC-major: one instruction's records through the index,
+        // across ragged chunk boundaries, at their trace positions and
+        // under the id asked for.
+        let chunks: Vec<Vec<TraceRecord>> =
+            [0..3, 3..4, 4..90, 90..91, 91..500].map(|r| records[r].to_vec()).into();
+        let trace = crate::SharedTrace::from_chunks(chunks);
+        let index = trace.pc_index().expect("indexed");
+        for id in 0..7 {
+            let picked: Vec<usize> = (0..500).filter(|&i| ids[i].index() == id).collect();
+            let positions = index.positions(id);
+            assert_eq!(positions, picked.iter().map(|&i| i as u32).collect::<Vec<_>>());
+            scratch.gather_positions(trace.chunks(), index, positions, PcId(0));
+            assert_eq!(
+                scratch.values,
+                picked.iter().map(|&i| records[i].value).collect::<Vec<_>>()
+            );
+            assert_eq!(scratch.pcs, picked.iter().map(|&i| records[i].pc).collect::<Vec<_>>());
+            assert!(scratch.ids.iter().all(|&id| id == PcId(0)));
+            let mut p = PredictorConfig::paper_bank()[0].build();
+            let (base, offsets, _, _) = scratch.observe(p.as_mut());
+            assert_eq!(base, 0);
+            assert_eq!(offsets, positions);
+        }
 
         // Streaming: the shard is read off the PC, and only the selected
         // PCs are interned, densely in their first-appearance order.

@@ -1,56 +1,68 @@
 //! The replay driver: every public replay method is a thin wrapper that
 //! folds a chunk source (resident or streamed) through one job loop under
-//! a [`Plan`], on one PC partition ([`shard_of_pc`]), with one merge in
-//! (group, unit) order. A bank of configurations replays as groups
-//! ([`groups`]): every config [`PredictorConfig::fcm_orders`] made runs as
-//! one [`FcmBank`], one context walk per record for all of them, and every
-//! other config as a group of one; the merge hands back one report per
-//! configuration in bank order. A resident trace is split into [`SHARDS`]
-//! shards at any worker count (looked up once per dense id); a streamed
-//! container is split into one shard per consumer thread, so each consumer
-//! gathers (and interns) its records once per chunk for every model it
-//! owns.
+//! a [`Plan`], with one merge in job order. A bank of configurations
+//! replays as groups ([`groups`]): every config
+//! [`PredictorConfig::fcm_orders`] made runs as one [`FcmBank`], one
+//! context walk per record for all of them, and every other config as a
+//! group of one; the merge hands back one report per configuration in
+//! bank order.
+//!
+//! Groups are routed by type ([`routes`]): a group whose predictor
+//! declares [`Predictor::keeps_per_id_state`] (and every FCM bank) hits on
+//! a record only by that instruction's own values. On a resident trace
+//! such groups replay PC-major: the trace's [`PcIndex`] is split into
+//! [`UNITS`] contiguous id ranges balanced by record count, and one job
+//! per unit gathers each instruction's records once and feeds them to
+//! every such group, each with fresh state under local id 0. Any other
+//! group (finite tables alias across PCs, delayed updates queue across
+//! them) replays as one job over every record in trace order, and so
+//! does an observer unless it declares [`Observer::PC_MAJOR`]. A streamed
+//! container stays record-major: it is split into one PC shard per
+//! consumer thread for the per-PC groups, so each consumer gathers (and
+//! interns) its records once per chunk for every model it owns, and every
+//! other group is one unsharded job.
 
 use crate::batch::BatchScratch;
 use crate::pool::decode_ahead;
-use crate::replay::SHARDS;
-use crate::shared::ChunkWindow;
-use crate::{shard_of_pc, ReplayEngine, SharedTrace};
+use crate::replay::UNITS;
+use crate::shared::{ChunkWindow, PcIndex};
+use crate::{ReplayEngine, SharedTrace};
 use dvp_core::{AccuracyTracker, FcmBank, Predictor, PredictorConfig};
 use dvp_trace::io::{v2, TraceIoError};
-use dvp_trace::{Observer, PcInterner, PhasePlan, TraceRecord};
+use dvp_trace::{Observer, PcId, PcInterner, PhasePlan, TraceRecord};
 use std::io::Read;
 use std::ops::Range;
 
 /// What a replay observes and tallies.
 #[derive(Clone, Copy)]
 pub(crate) enum Plan<'a> {
-    /// Every record, tallied once; the units are PC shards.
+    /// Every record, tallied once.
     Full,
-    /// One cold job per phase (the units): observe the warmup prefix,
-    /// tally the window into that phase's tally.
+    /// One cold run per phase: observe the warmup prefix, tally the
+    /// window into that phase's tally.
     Cold(&'a PhasePlan),
     /// Functional warming: observe every record, tally phase *i*'s window
-    /// into tally *i*; the units are PC shards.
+    /// into tally *i*.
     Warm(&'a PhasePlan),
 }
 
 impl Plan<'_> {
-    /// Jobs per model (a cold plan without phases still gets one, so
-    /// every configuration reports).
-    fn units(self, shards: usize) -> usize {
+    /// Runs per model over any set of records: one per phase for a cold
+    /// plan (one even without phases, so every configuration reports),
+    /// else one.
+    fn phases(self) -> usize {
         match self {
             Plan::Cold(plan) => plan.phases.len().max(1),
-            _ => shards,
+            _ => 1,
         }
     }
 
-    /// The record positions job `unit` observes.
-    fn observed(self, unit: usize) -> Range<u64> {
+    /// The record positions run `phase` observes.
+    fn observed(self, phase: usize) -> Range<u64> {
         match self {
             Plan::Cold(plan) => plan
                 .phases
-                .get(unit)
+                .get(phase)
                 .map_or(0..0, |p| p.start.saturating_sub(plan.warmup_records)..p.end),
             _ => 0..u64::MAX,
         }
@@ -69,44 +81,40 @@ impl Plan<'_> {
         }
     }
 
-    /// Job `unit` of this plan, replaying into `model`; it filters by PC
-    /// shard when the plan's units are shards (of more than one).
-    fn job<M>(self, unit: usize, shards: usize, model: M) -> Job<M> {
-        let shard = (!matches!(self, Plan::Cold(_)) && shards > 1).then_some(unit);
-        Job { model, observed: self.observed(unit), shard }
-    }
-
-    /// The model of `group` (indices into `bank`, see [`groups`]) as job
-    /// `unit`: its replayer, its tallied windows, and the tally index of
+    /// The model of `group` (indices into `bank`, see [`groups`]) for run
+    /// `phase`: its replayer, its tallied windows, and the tally index of
     /// the first.
-    fn tallied(self, bank: &[PredictorConfig], group: &[usize], unit: usize) -> Tallied {
+    fn tallied(self, bank: &[PredictorConfig], group: &[usize], phase: usize) -> Tallied {
         let (windows, first, tallies) = match self {
             Plan::Full => (std::iter::once(0..u64::MAX).collect(), 0, 1),
             Plan::Cold(plan) => {
-                let window = plan.phases.get(unit).map(|p| p.start..p.end);
-                (window.into_iter().collect(), unit, plan.phases.len())
+                let window = plan.phases.get(phase).map(|p| p.start..p.end);
+                (window.into_iter().collect(), phase, plan.phases.len())
             }
             Plan::Warm(plan) => {
                 (plan.phases.iter().map(|p| p.start..p.end).collect(), 0, plan.phases.len())
             }
         };
-        let (replayer, columns) = match group {
-            [config] => (Replayer::One(bank[*config].build()), vec![0]),
+        let (recipe, columns) = match group {
+            [config] => (Recipe::One(bank[*config].clone()), vec![0]),
             _ => {
                 let order = |&c: &usize| bank[c].fcm_order().expect("a bank groups FCM orders");
-                let fcm = FcmBank::new(group.iter().map(order));
+                let mut orders: Vec<usize> = group.iter().map(order).collect();
+                orders.sort_unstable();
+                orders.dedup();
                 let columns = group
                     .iter()
-                    .map(|c| fcm.orders().binary_search(&order(c)).expect("a member's order"))
+                    .map(|c| orders.binary_search(&order(c)).expect("a member's order"))
                     .collect();
-                (Replayer::Bank(Box::new(fcm)), columns)
+                (Recipe::Bank(orders), columns)
             }
         };
         let tallies = group
             .iter()
             .map(|&c| (bank[c].name().to_owned(), vec![AccuracyTracker::new(); tallies]))
             .collect();
-        Tallied { replayer, columns, windows, first, next: 0, tallies }
+        let replayer = recipe.build();
+        Tallied { recipe, replayer, columns, windows, first, next: 0, tallies }
     }
 }
 
@@ -128,6 +136,19 @@ fn groups(bank: &[PredictorConfig]) -> Vec<Vec<usize>> {
     groups
 }
 
+/// Whether each group keeps strictly per-instruction state: an FCM bank
+/// does, and a group of one asks one built instance of its config
+/// ([`Predictor::keeps_per_id_state`]), never its name.
+fn routes(bank: &[PredictorConfig], groups: &[Vec<usize>]) -> Vec<bool> {
+    groups
+        .iter()
+        .map(|group| match group.as_slice() {
+            [config] => bank[*config].build().keeps_per_id_state(),
+            _ => true,
+        })
+        .collect()
+}
+
 /// One configuration's name and tallies.
 pub(crate) type ConfigTally = (String, Vec<AccuracyTracker>);
 
@@ -143,17 +164,39 @@ fn in_bank_order(groups: &[Vec<usize>], reports: Vec<Vec<ConfigTally>>) -> Vec<C
     out.into_iter().map(|tally| tally.expect("every config is in one group")).collect()
 }
 
-/// What one replay job feeds, what it reports, and how two units'
-/// reports merge.
+/// What one replay job feeds, what it reports, and how two jobs' reports
+/// merge.
 pub(crate) trait Model: Send + Sized {
     /// What a finished job reports.
     type Tally: Send;
+    /// Whether, in a PC-major job, the model sees each instruction's
+    /// records under local id 0 after [`start_pc`](Model::start_pc)
+    /// (`true`) or under their trace ids (`false`).
+    const LOCAL_IDS: bool;
+    /// Starts the next instruction of a PC-major job.
+    fn start_pc(&mut self) {}
     /// Replays one gathered batch.
     fn feed(&mut self, batch: &mut BatchScratch);
     /// Drops the job's replay state, keeping its report.
     fn finish(self) -> Self::Tally;
-    /// Folds another unit's report for the same model into `into`.
+    /// Folds another job's report for the same model into `into`.
     fn merge(into: &mut Self::Tally, from: Self::Tally);
+}
+
+/// How to build a group's replayer.
+enum Recipe {
+    One(PredictorConfig),
+    /// An FCM bank of these orders, ascending.
+    Bank(Vec<usize>),
+}
+
+impl Recipe {
+    fn build(&self) -> Replayer {
+        match self {
+            Recipe::One(config) => Replayer::One(config.build()),
+            Recipe::Bank(orders) => Replayer::Bank(Box::new(FcmBank::new(orders.iter().copied()))),
+        }
+    }
 }
 
 /// What a group replays: one predictor, or an FCM bank with one hit
@@ -166,6 +209,7 @@ enum Replayer {
 /// One group of predictors, tallying the outcomes that fall inside its
 /// windows.
 pub(crate) struct Tallied {
+    recipe: Recipe,
     replayer: Replayer,
     /// Each config's hit column in the replayer's output.
     columns: Vec<usize>,
@@ -181,6 +225,18 @@ pub(crate) struct Tallied {
 
 impl Model for Tallied {
     type Tally = Vec<ConfigTally>;
+    const LOCAL_IDS: bool = true;
+
+    /// Fresh state for one id, and the window cursor back at the start:
+    /// positions ascend within an instruction, not across instructions.
+    fn start_pc(&mut self) {
+        self.replayer = self.recipe.build();
+        match &mut self.replayer {
+            Replayer::One(predictor) => predictor.reserve_ids(1),
+            Replayer::Bank(fcm) => fcm.reserve_ids(1),
+        }
+        self.next = 0;
+    }
 
     fn feed(&mut self, batch: &mut BatchScratch) {
         let (base, offsets, categories, correct) = match &mut self.replayer {
@@ -223,9 +279,10 @@ impl Model for Tallied {
 }
 
 /// An observer (a correlated predictor set, a per-instruction profile)
-/// folds the batch's columns and is its own report.
+/// folds the batch's columns under their trace ids and is its own report.
 impl<O: Observer + Send> Model for O {
     type Tally = O;
+    const LOCAL_IDS: bool = false;
 
     fn feed(&mut self, batch: &mut BatchScratch) {
         batch.observe_into(self);
@@ -240,33 +297,48 @@ impl<O: Observer + Send> Model for O {
     }
 }
 
-/// One job: a model plus the part of the trace it observes.
+/// Folds `(model, report)` pairs, in job order, into one report per model.
+///
+/// # Panics
+///
+/// Panics if some model of `0..models` has no report.
+fn merge<M: Model>(
+    models: usize,
+    reports: impl IntoIterator<Item = (usize, M::Tally)>,
+) -> Vec<M::Tally> {
+    let mut merged: Vec<Option<M::Tally>> = (0..models).map(|_| None).collect();
+    for (model, tally) in reports {
+        match &mut merged[model] {
+            Some(into) => M::merge(into, tally),
+            slot => *slot = Some(tally),
+        }
+    }
+    merged.into_iter().map(|tally| tally.expect("every model runs at least one job")).collect()
+}
+
+/// One resident job.
+#[derive(Clone)]
+enum Work {
+    /// Every per-PC model over one unit's instructions (an id range),
+    /// each instruction's records observed in run `phase` of the plan.
+    Instructions(Range<usize>, usize),
+    /// One model over every record the plan's run `phase` observes, in
+    /// trace order.
+    Records(usize, usize),
+}
+
+/// One streaming job: a model plus the part of the trace it observes.
 struct Job<M> {
     model: M,
     observed: Range<u64>,
-    /// The PC shard this job owns, when the plan partitions by PC.
+    /// The PC shard (of one per consumer) this job owns, if any.
     shard: Option<usize>,
 }
 
-impl<M> Job<M> {
-    /// The span of a `len`-record chunk at position `base` this job reads.
-    fn span(&self, base: u64, len: usize) -> Range<usize> {
-        let clamp = |pos: u64| (pos.clamp(base, base + len as u64) - base) as usize;
-        clamp(self.observed.start)..clamp(self.observed.end)
-    }
-}
-
-/// Folds each run of `units` consecutive job reports (one model's units,
-/// in unit order) into one.
-fn merge<M: Model>(tallies: impl IntoIterator<Item = M::Tally>, units: usize) -> Vec<M::Tally> {
-    let mut merged: Vec<M::Tally> = Vec::new();
-    for (job, tally) in tallies.into_iter().enumerate() {
-        match merged.last_mut() {
-            Some(into) if job % units != 0 => M::merge(into, tally),
-            _ => merged.push(tally),
-        }
-    }
-    merged
+/// The span of a `len`-record chunk at position `base` inside `observed`.
+fn span(observed: &Range<u64>, base: u64, len: usize) -> Range<usize> {
+    let clamp = |pos: u64| (pos.clamp(base, base + len as u64) - base) as usize;
+    clamp(observed.start)..clamp(observed.end)
 }
 
 /// Reads, verifies and decodes the container's chunks in order into
@@ -293,8 +365,8 @@ fn produce<R: Read>(
             });
         }
         let end = base + u64::from(info.records);
-        if (0..plan.units(1))
-            .map(|unit| plan.observed(unit))
+        if (0..plan.phases())
+            .map(|phase| plan.observed(phase))
             .any(|seen| seen.start < end && base < seen.end)
         {
             window.push((base, v2::decode_chunk(&payload, info)?));
@@ -308,10 +380,11 @@ fn produce<R: Read>(
 }
 
 impl ReplayEngine {
-    /// Replays a resident trace under `plan`: one job per (model, unit)
-    /// on the worker pool, `make(model, unit)` building each job's model,
-    /// so a worker holds one model's state at a time. Returns one merged
-    /// report per model.
+    /// Replays a resident trace under `plan`: `per_pc[m]` routes model `m`
+    /// PC-major (see the module docs) or in trace order, and
+    /// `make(model, phase)` builds each job's model for the plan's run
+    /// `phase`. Returns one merged report per model. The trace's index is
+    /// built only when some model goes PC-major.
     ///
     /// # Panics
     ///
@@ -320,7 +393,25 @@ impl ReplayEngine {
         &self,
         trace: &SharedTrace,
         plan: Plan<'_>,
-        models: usize,
+        per_pc: &[bool],
+        make: F,
+    ) -> Vec<M::Tally>
+    where
+        M: Model,
+        F: Fn(usize, usize) -> M + Sync,
+    {
+        let index = if per_pc.contains(&true) { trace.pc_index() } else { None };
+        self.drive_indexed(trace, index, plan, per_pc, make)
+    }
+
+    /// [`drive`](ReplayEngine::drive) through `index`; without one (a
+    /// trace too long to index) every model replays in trace order.
+    fn drive_indexed<M, F>(
+        &self,
+        trace: &SharedTrace,
+        index: Option<&PcIndex>,
+        plan: Plan<'_>,
+        per_pc: &[bool],
         make: F,
     ) -> Vec<M::Tally>
     where
@@ -328,29 +419,67 @@ impl ReplayEngine {
         F: Fn(usize, usize) -> M + Sync,
     {
         plan.check(trace.len() as u64).unwrap_or_else(|e| panic!("{e}"));
-        let units = plan.units(SHARDS);
-        let shard_of: Vec<usize> =
-            trace.interner().pcs().iter().map(|&pc| shard_of_pc(pc, SHARDS)).collect();
-        let reports = self.map((0..models * units).collect(), |j| {
-            let mut job = plan.job(j % units, SHARDS, make(j / units, j % units));
-            let mut scratch = BatchScratch::default();
-            let mut base = 0u64;
-            for (records, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
-                let span = job.span(base, records.len());
-                let shard = job.shard.map(|s| (shard_of.as_slice(), s));
-                let at = base + span.start as u64;
-                scratch.gather(at, &records[span.clone()], &ids[span], shard);
-                job.model.feed(&mut scratch);
-                base += records.len() as u64;
+        let models = per_pc.len();
+        let pc_major: Vec<usize> = (0..models).filter(|&m| per_pc[m] && index.is_some()).collect();
+        let mut work = Vec::new();
+        if let Some(index) = index.filter(|_| !pc_major.is_empty()) {
+            for unit in index.units(UNITS) {
+                work.extend(
+                    (0..plan.phases()).map(|phase| Work::Instructions(unit.clone(), phase)),
+                );
             }
-            job.model.finish()
+        }
+        for model in (0..models).filter(|m| !pc_major.contains(m)) {
+            work.extend((0..plan.phases()).map(|phase| Work::Records(model, phase)));
+        }
+        let reports = self.map(work, |work| {
+            let mut scratch = BatchScratch::default();
+            match work {
+                Work::Instructions(ids, phase) => {
+                    let index = index.expect("PC-major work needs the index");
+                    let observed = plan.observed(phase);
+                    let mut jobs: Vec<(usize, M)> =
+                        pc_major.iter().map(|&m| (m, make(m, phase))).collect();
+                    for id in ids {
+                        let all = index.positions(id);
+                        let from = all.partition_point(|&at| u64::from(at) < observed.start);
+                        let to =
+                            from + all[from..].partition_point(|&at| u64::from(at) < observed.end);
+                        if from == to {
+                            continue;
+                        }
+                        let as_id = PcId(if M::LOCAL_IDS { 0 } else { id as u32 });
+                        scratch.gather_positions(trace.chunks(), index, &all[from..to], as_id);
+                        for (_, model) in &mut jobs {
+                            model.start_pc();
+                            model.feed(&mut scratch);
+                        }
+                    }
+                    jobs.into_iter().map(|(m, model)| (m, model.finish())).collect()
+                }
+                Work::Records(m, phase) => {
+                    let observed = plan.observed(phase);
+                    let mut model = make(m, phase);
+                    let mut base = 0u64;
+                    for (records, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
+                        let span = span(&observed, base, records.len());
+                        if !span.is_empty() {
+                            let at = base + span.start as u64;
+                            scratch.gather(at, &records[span.clone()], &ids[span]);
+                            model.feed(&mut scratch);
+                        }
+                        base += records.len() as u64;
+                    }
+                    vec![(m, model.finish())]
+                }
+            }
         });
-        merge::<M>(reports, units)
+        merge::<M>(models, reports.into_iter().flatten())
     }
 
-    /// Replays `bank` over a resident trace under `plan`, one job per
-    /// ([`groups`] member, unit). Returns one merged report per
-    /// configuration, in bank order.
+    /// Replays `bank` over a resident trace under `plan`, one model per
+    /// [`groups`] member. Returns one merged report per configuration, in
+    /// bank order.
     pub(crate) fn drive_bank(
         &self,
         trace: &SharedTrace,
@@ -358,8 +487,8 @@ impl ReplayEngine {
         bank: &[PredictorConfig],
     ) -> Vec<ConfigTally> {
         let groups = groups(bank);
-        let make = |g: usize, u| plan.tallied(bank, &groups[g], u);
-        in_bank_order(&groups, self.drive(trace, plan, groups.len(), make))
+        let make = |g: usize, phase| plan.tallied(bank, &groups[g], phase);
+        in_bank_order(&groups, self.drive(trace, plan, &routes(bank, &groups), make))
     }
 
     /// [`drive_bank`](ReplayEngine::drive_bank) over a streamed container.
@@ -374,20 +503,20 @@ impl ReplayEngine {
         bank: &[PredictorConfig],
     ) -> Result<(v2::Header, Vec<ConfigTally>), TraceIoError> {
         let groups = groups(bank);
-        let make = |g: usize, u| plan.tallied(bank, &groups[g], u);
-        let (header, reports) = self.drive_stream(reader, plan, groups.len(), make)?;
+        let make = |g: usize, phase| plan.tallied(bank, &groups[g], phase);
+        let (header, reports) = self.drive_stream(reader, plan, &routes(bank, &groups), make)?;
         Ok((header, in_bank_order(&groups, reports)))
     }
 
     /// Replays a container streaming under `plan`: the calling thread
     /// produces chunks into the bounded window while each consumer folds
-    /// every chunk into the jobs it owns. Job `j` (model-major) belongs to
-    /// consumer `j % consumers`; when the plan's units are PC shards there
-    /// is one shard per consumer, so consumer `c` owns shard `c` of every
-    /// model. A consumer gathers a chunk once for
-    /// each run of owned jobs with the same span and shard (one run per
-    /// chunk for shard units), interning only the records it selects into
-    /// its own interner, and feeds every job of the run from that batch.
+    /// every chunk into the jobs it owns. A per-PC model (`per_pc[m]`)
+    /// under a full or warm plan runs one job per PC shard, with one shard
+    /// per consumer; any other model runs one unsharded job per run of the
+    /// plan. Job `j` (model-major) belongs to consumer `j % consumers`. A
+    /// consumer gathers a chunk once for each run of owned jobs with the
+    /// same span and shard, interning only the records it selects into its
+    /// own interner, and feeds every job of the run from that batch.
     /// Returns one merged report per model.
     ///
     /// # Errors
@@ -398,7 +527,7 @@ impl ReplayEngine {
         &self,
         mut reader: R,
         plan: Plan<'_>,
-        models: usize,
+        per_pc: &[bool],
         make: F,
     ) -> Result<(v2::Header, Vec<M::Tally>), TraceIoError>
     where
@@ -408,25 +537,38 @@ impl ReplayEngine {
     {
         let header = v2::read_header(&mut reader)?;
         plan.check(header.record_count).map_err(|message| TraceIoError::Format { message })?;
-        let consumers = self.workers().min(models * plan.units(self.workers()));
-        let units = plan.units(consumers);
-        let jobs = models * units;
+        let models = per_pc.len();
+        let sharded = |m: usize| per_pc[m] && !matches!(plan, Plan::Cold(_));
+        let jobs_at = |shards: usize| -> Vec<(usize, usize, Option<usize>)> {
+            (0..models)
+                .flat_map(|m| match (sharded(m), shards) {
+                    (true, 2..) => (0..shards).map(|s| (m, 0, Some(s))).collect::<Vec<_>>(),
+                    _ => (0..plan.phases()).map(|phase| (m, phase, None)).collect(),
+                })
+                .collect()
+        };
+        let consumers = self.workers().min(jobs_at(self.workers()).len());
+        let jobs = jobs_at(consumers);
         let folded = decode_ahead(
             self.chunk_window(),
             consumers,
             |window| produce(&mut reader, &header, plan, window),
             |window, consumer| {
-                let mut owned: Vec<Job<M>> = (consumer..jobs)
+                let mut owned: Vec<(usize, Job<M>)> = jobs
+                    .iter()
+                    .skip(consumer)
                     .step_by(consumers)
-                    .map(|j| plan.job(j % units, consumers, make(j / units, j % units)))
+                    .map(|&(m, phase, shard)| {
+                        (m, Job { model: make(m, phase), observed: plan.observed(phase), shard })
+                    })
                     .collect();
                 let mut interner = PcInterner::new();
                 let mut scratch = BatchScratch::default();
                 while let Some(chunk) = window.next(consumer) {
                     let (base, records) = &*chunk;
                     let mut gathered = None;
-                    for job in &mut owned {
-                        let selection = (job.span(*base, records.len()), job.shard);
+                    for (_, job) in &mut owned {
+                        let selection = (span(&job.observed, *base, records.len()), job.shard);
                         if gathered.as_ref() != Some(&selection) {
                             let (span, shard) = &selection;
                             let at = base + span.start as u64;
@@ -442,27 +584,33 @@ impl ReplayEngine {
                         job.model.feed(&mut scratch);
                     }
                 }
-                owned.into_iter().map(|job| job.model.finish()).collect::<Vec<_>>()
+                owned.into_iter().map(|(m, job)| (m, job.model.finish())).collect::<Vec<_>>()
             },
         )?;
         // Consumer `c` reported jobs `c, c + consumers, …` in order.
         let mut folded: Vec<_> = folded.into_iter().map(Vec::into_iter).collect();
-        let reports = (0..jobs).map(|j| folded[j % consumers].next().expect("one report per job"));
-        Ok((header, merge::<M>(reports, units)))
+        let reports =
+            (0..jobs.len()).map(|j| folded[j % consumers].next().expect("one report per job"));
+        Ok((header, merge::<M>(models, reports)))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Plan;
     use crate::{phase_plan, ConfigReplay, PhaseOptions, ReplayEngine, SampledReplay, SharedTrace};
-    use dvp_core::{AccuracyTracker, Blending, FcmPredictor, Predictor, PredictorConfig};
+    use dvp_core::{
+        AccuracyTracker, Blending, DelayedPredictor, FcmPredictor, FiniteLastValuePredictor,
+        HybridPredictor, LastValuePredictor, Predictor, PredictorConfig, TableSpec,
+    };
     use dvp_trace::io::v2;
-    use dvp_trace::{InstrCategory, Pc, PhasePlan, TraceRecord};
+    use dvp_trace::{InstrCategory, Pc, PcInterner, PhasePlan, TraceRecord};
+    use proptest::prelude::*;
     use std::ops::Range;
 
     /// Two regimes over 7 PCs: a four-value alphabet in a scrambled
     /// order, where FCM orders 1, 2 and 3 each hit a different number of
-    /// records, then strides.
+    /// records, then strides; an eighth PC executes once.
     fn records(n: u64) -> Vec<TraceRecord> {
         (0..n)
             .map(|i| {
@@ -470,7 +618,9 @@ mod tests {
                     if i % 2 == 0 { InstrCategory::Loads } else { InstrCategory::AddSub };
                 let noisy = ((i / 7) % 61).wrapping_mul(2_654_435_761) >> 11;
                 let value = if i < n / 2 { noisy % 4 } else { (i / 7) * 3 };
-                TraceRecord::new(Pc(0x40_0000 + 4 * (i % 7)), category, value)
+                // One instruction executes once, mid-trace.
+                let pc = if i == n / 3 { Pc(0x50_0000) } else { Pc(0x40_0000 + 4 * (i % 7)) };
+                TraceRecord::new(pc, category, value)
             })
             .collect()
     }
@@ -508,6 +658,9 @@ mod tests {
     #[derive(Clone, Copy, Debug)]
     enum Source {
         Resident,
+        /// Resident, with no [`PcIndex`](crate::shared::PcIndex): the
+        /// fallback of a trace too long to index.
+        Unindexed,
         Stored,
         Compressed,
     }
@@ -542,6 +695,38 @@ mod tests {
         assert_eq!(super::groups(&lone), [vec![0]]);
     }
 
+    /// A finite table (3 index bits, so 8 slots shared by every PC) and
+    /// delayed updates (one queue over every PC), each under a name a
+    /// per-PC predictor uses, beside the paper bank's `l`.
+    fn cross_pc_bank() -> Vec<PredictorConfig> {
+        vec![
+            PredictorConfig::new("l", || {
+                Box::new(FiniteLastValuePredictor::new(TableSpec::new(3)))
+            }),
+            PredictorConfig::new("fcm1", || {
+                Box::new(DelayedPredictor::new(LastValuePredictor::new(), 16))
+            }),
+            PredictorConfig::paper_bank().remove(0),
+        ]
+    }
+
+    #[test]
+    fn a_bank_may_name_one_order_twice() {
+        let trace = SharedTrace::from_records(records(3_000));
+        let bank = PredictorConfig::fcm_orders([2, 1, 2]);
+        let reference = one_pass(&trace, Mode::Full, &PhasePlan::default(), &bank);
+        assert_eq!(full(&ReplayEngine::sequential().replay(&trace, &bank)), reference);
+    }
+
+    #[test]
+    fn groups_route_by_their_predictors_declaration_not_by_name() {
+        let [paper, interleaved] = banks();
+        let routes = |bank: &[PredictorConfig]| super::routes(bank, &super::groups(bank));
+        assert_eq!(routes(&paper), [true; 3]);
+        assert_eq!(routes(&interleaved), [true; 4]);
+        assert_eq!(routes(&cross_pc_bank()), [false, false, true]);
+    }
+
     fn run(
         engine: &ReplayEngine,
         source: Source,
@@ -558,6 +743,21 @@ mod tests {
                     Mode::Cold => sampled(&engine.replay_sampled(trace, bank, plan)),
                     Mode::Warm => sampled(&engine.replay_sampled_warm(trace, bank, plan)),
                 }
+            }
+            Source::Unindexed => {
+                let plan = match mode {
+                    Mode::Full => Plan::Full,
+                    Mode::Cold => Plan::Cold(plan),
+                    Mode::Warm => Plan::Warm(plan),
+                };
+                let groups = super::groups(bank);
+                let make = |g: usize, phase| plan.tallied(bank, &groups[g], phase);
+                let routes = super::routes(bank, &groups);
+                let reports = engine.drive_indexed(trace, None, plan, &routes, make);
+                let rows = super::in_bank_order(&groups, reports);
+                return surface(
+                    rows.iter().map(|(name, tallies)| (name.as_str(), tallies.as_slice())),
+                );
             }
             Source::Stored => containers.0,
             Source::Compressed => containers.1,
@@ -623,44 +823,193 @@ mod tests {
         surface(rows.iter().map(|(name, tallies)| (name.as_str(), tallies.as_slice())))
     }
 
-    #[test]
-    fn every_source_plan_and_worker_count_matches_one_pass() {
-        let records = records(30_000);
+    /// Engines at several worker counts, with a two-chunk streaming window.
+    fn engines() -> Vec<ReplayEngine> {
+        [1, 2, 3, 5]
+            .into_iter()
+            .map(|workers| ReplayEngine::new().with_workers(workers).with_chunk_window(2))
+            .chain([ReplayEngine::sequential()])
+            .collect()
+    }
+
+    /// Stored and compressed containers of `records` in 2048-record chunks.
+    fn containers(records: &[TraceRecord]) -> (Vec<u8>, Vec<u8>) {
         let meta = v2::TraceMeta::default();
         let mut stored = Vec::new();
         v2::write_with_sections(&mut stored, &meta, records.chunks(2048), &[]).expect("writes");
         let mut compressed = Vec::new();
         v2::write_compressed(&mut compressed, &meta, records.chunks(2048), &[]).expect("writes");
-        let trace = SharedTrace::from_records(records);
-        let options = PhaseOptions { window_records: 512, clusters: 4, ..PhaseOptions::default() };
-        let plan = phase_plan(&trace, &options);
+        (stored, compressed)
+    }
+
+    /// The same records resident in three chunk layouts: one chunk, the
+    /// builder's fixed 1000-record chunks, and ragged chunks of 1 to 4099
+    /// records, so a PC-major gather crosses every kind of boundary.
+    fn layouts(records: &[TraceRecord]) -> [SharedTrace; 3] {
+        let mut builder = crate::SharedTraceBuilder::with_chunk_len(1000);
+        records.iter().for_each(|&rec| builder.push(rec));
+        let mut ragged = Vec::new();
+        let mut rest = records;
+        for len in [1, 4099, 2, 333, 1].into_iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(len.min(rest.len()));
+            ragged.push(chunk.to_vec());
+            rest = tail;
+        }
+        [
+            SharedTrace::from_records(records.to_vec()),
+            builder.finish(),
+            SharedTrace::from_chunks(ragged),
+        ]
+    }
+
+    #[test]
+    fn every_source_plan_and_worker_count_matches_one_pass() {
+        let records = records(30_000);
+        let (stored, compressed) = containers(&records);
         let containers = (stored.as_slice(), compressed.as_slice());
+        let residents = layouts(&records);
+        assert_eq!(residents[2].chunks().len(), 32);
+        let trace = &residents[0];
+        let options = PhaseOptions { window_records: 512, clusters: 4, ..PhaseOptions::default() };
+        let plan = phase_plan(trace, &options);
         // Streaming shards by consumer (one per worker), resident replay
-        // into the engine's fixed shards: only the former varies here.
-        let engines: Vec<ReplayEngine> = [1, 2, 3, 5]
-            .into_iter()
-            .map(|workers| ReplayEngine::new().with_workers(workers).with_chunk_window(2))
-            .chain([ReplayEngine::sequential()])
-            .collect();
+        // into the engine's fixed units: only the former varies here.
+        let engines = engines();
         for bank in banks() {
             for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
-                let reference = one_pass(&trace, mode, &plan, &bank);
+                let reference = one_pass(trace, mode, &plan, &bank);
                 // Swapped bank members would show.
                 let fcm: Vec<_> =
                     reference.iter().filter(|(name, _)| name.starts_with("fcm")).collect();
                 for (i, a) in fcm.iter().enumerate() {
                     assert!(fcm[i + 1..].iter().all(|b| a.1 != b.1), "{mode:?}: {} ties", a.0);
                 }
-                for source in [Source::Resident, Source::Stored, Source::Compressed] {
+                for source in [Source::Resident, Source::Unindexed] {
+                    for (layout, resident) in residents.iter().enumerate() {
+                        let engine = &engines[layout % engines.len()];
+                        assert_eq!(
+                            run(engine, source, mode, resident, containers, &plan, &bank),
+                            reference,
+                            "{source:?} {mode:?} layout {layout}"
+                        );
+                    }
+                }
+                for source in [Source::Stored, Source::Compressed] {
                     for engine in &engines {
                         assert_eq!(
-                            run(engine, source, mode, &trace, containers, &plan, &bank),
+                            run(engine, source, mode, trace, containers, &plan, &bank),
                             reference,
                             "{source:?} {mode:?} {engine:?}"
                         );
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn an_empty_trace_tallies_nothing_from_every_source_and_plan() {
+        let trace = SharedTrace::new();
+        let (stored, compressed) = containers(&[]);
+        let plan = phase_plan(&trace, &PhaseOptions::default());
+        for bank in banks().into_iter().chain([cross_pc_bank()]) {
+            for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
+                let reference = one_pass(&trace, mode, &plan, &bank);
+                for source in
+                    [Source::Resident, Source::Unindexed, Source::Stored, Source::Compressed]
+                {
+                    for engine in engines() {
+                        let containers = (stored.as_slice(), compressed.as_slice());
+                        let got = run(&engine, source, mode, &trace, containers, &plan, &bank);
+                        assert_eq!(got, reference, "{source:?} {mode:?} {engine:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Finite tables and delayed updates carry state across PCs, so only
+    /// one pass over every record in trace order gives their answer: a
+    /// partition by PC would shrink the finite table's aliasing and
+    /// reorder the delay queue.
+    #[test]
+    fn configs_without_per_pc_state_replay_as_one_record_order_pass() {
+        // 37 PCs, each repeating a value of its own with rare changes.
+        let records: Vec<TraceRecord> = (0..20_000u64)
+            .map(|i| {
+                let pc = i % 37;
+                TraceRecord::new(Pc(0x40_0000 + 8 * pc), InstrCategory::Logic, pc + i / 3000)
+            })
+            .collect();
+        let (stored, _) = containers(&records);
+        let trace = SharedTrace::from_records(records);
+        let bank = cross_pc_bank();
+        let plan = PhasePlan::default();
+        let reference = one_pass(&trace, Mode::Full, &plan, &bank);
+        let (finite, delayed) = (&reference[0].1[0][InstrCategory::ALL.len()], &reference[1].1[0]);
+        assert!(finite.0 < 100, "8 slots under 37 round-robin PCs alias: {finite:?}");
+        assert!(delayed[InstrCategory::ALL.len()].0 > 10_000, "{delayed:?}");
+        for workers in [1, 3] {
+            let engine = ReplayEngine::new().with_workers(workers);
+            assert_eq!(full(&engine.replay(&trace, &bank)), reference, "resident, {workers}");
+            let (_, streamed) = engine.replay_streaming(stored.as_slice(), &bank).expect("streams");
+            assert_eq!(full(&streamed), reference, "streamed, {workers}");
+        }
+    }
+
+    /// A trace of `n` records over `pcs` PCs drawn from `seed`: each PC
+    /// mixes a short value cycle, a stride and noise.
+    fn drawn(n: usize, pcs: u64, seed: u64) -> Vec<TraceRecord> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pc = x % pcs;
+                let value = match pc % 3 {
+                    0 => (i as u64 / 5) % 3,
+                    1 => 7 * i as u64,
+                    _ => (x >> 20) % 4,
+                };
+                TraceRecord::new(Pc(0x1000 + 4 * pc), InstrCategory::ALL[(pc % 4) as usize], value)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // PC-major replay visits instructions in id order; renumbering the
+        // same records' PCs in a shuffled order (so the units and the
+        // visiting order both change) leaves every per-PC model's tallies
+        // as they were.
+        #[test]
+        fn per_pc_tallies_do_not_depend_on_the_order_pcs_are_visited(
+            case in (1usize..600, 1u64..60, any::<u64>())
+        ) {
+            let (n, pcs, seed) = case;
+            let records = drawn(n, pcs, seed);
+            let mut bank = PredictorConfig::paper_bank();
+            bank.push(PredictorConfig::new("hybrid", || Box::new(HybridPredictor::stride_fcm(2))));
+            let engine = ReplayEngine::sequential();
+            let in_order = full(&engine.replay(&SharedTrace::from_records(records.clone()), &bank));
+            let mut order: Vec<Pc> = records.iter().map(|r| r.pc).collect();
+            order.sort_unstable();
+            order.dedup();
+            let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
+            for i in (1..order.len()).rev() {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                order.swap(i, (x >> 33) as usize % (i + 1));
+            }
+            let mut interner = PcInterner::new();
+            order.iter().for_each(|&pc| { interner.intern(pc); });
+            let ids = records.iter().map(|r| interner.get(r.pc).expect("interned")).collect();
+            let shuffled = SharedTrace::from_parts(vec![records], vec![ids], interner);
+            prop_assert_eq!(full(&engine.replay(&shuffled, &bank)), in_order);
         }
     }
 }

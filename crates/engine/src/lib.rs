@@ -15,16 +15,19 @@
 //!    (every config `PredictorConfig::fcm_orders` made) share one job as
 //!    a [`dvp_core::FcmBank`]: one context walk per record for all of
 //!    them, each tallied as its own configuration.
-//! 3. **Shard per-PC state.** Within one (trace, configuration) cell a
-//!    resident trace is split by PC hash ([`shard_of_pc`], looked up once
-//!    per interned [`PcId`](dvp_trace::PcId), never per record) into the
-//!    same eight shards at any worker count — the one partition every
-//!    resident replay uses. Every predictor in `dvp-core` keeps strictly
-//!    per-PC tables, so each shard replays exactly the per-PC value
-//!    streams a sequential pass would have produced, on its own private
-//!    predictor instance — workers never contend on shared state, and
-//!    even a single worker holds only one shard's tables at a time.
-//! 4. **Merge deterministically.** Shard tallies are exact integer counts,
+//! 3. **Replay one instruction at a time.** The paper's predictors keep
+//!    strictly per-instruction state ([`dvp_core::Predictor::keeps_per_id_state`]),
+//!    so a record's hit depends only on its own PC's value sequence. A
+//!    resident trace's records are grouped by [`PcId`](dvp_trace::PcId)
+//!    once (a counting sort, kept with the trace), and the ids are split
+//!    into the same sixteen units, balanced by record count, at any worker
+//!    count. One job per unit gathers each instruction's records once and
+//!    replays them through every per-instruction configuration, each with
+//!    fresh state: a worker holds one instruction's tables at a time. A
+//!    configuration without per-instruction state (finite aliased tables,
+//!    delayed updates) replays as one job over every record in trace
+//!    order.
+//! 4. **Merge deterministically.** Unit tallies are exact integer counts,
 //!    merged in a fixed order; results are **bit-identical at any worker
 //!    count**, including the single-worker configuration. Every
 //!    replay method — full, correlated, streaming, cold- or warm-sampled —
@@ -38,8 +41,10 @@
 //! 6. **Stream huge traces in bounded memory.**
 //!    [`ReplayEngine::replay_streaming`] decodes a container one chunk at
 //!    a time into a bounded window ([`DEFAULT_CHUNK_WINDOW`]) feeding the
-//!    workers: resident memory is fixed whatever the trace length, and
-//!    tallies stay byte-identical to the resident path.
+//!    workers, each owning one PC shard ([`shard_of_pc`]) of every
+//!    per-instruction configuration: resident memory is fixed whatever
+//!    the trace length, and tallies stay byte-identical to the resident
+//!    path.
 //! 7. **Sample phases instead of replaying everything.** [`phase_plan`]
 //!    clusters fixed-length trace windows SimPoint-style (seeded,
 //!    deterministic); [`ReplayEngine::replay_sampled`] then replays one

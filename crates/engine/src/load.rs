@@ -90,7 +90,8 @@ impl ReplayEngine {
     /// while it waits for room — plus one gather buffer per worker, which
     /// holds the worker's PC shard of at most one chunk; none of it grows
     /// with trace length. Workers split the container into one PC shard
-    /// each (resident replay keeps its eight shards at any worker count).
+    /// each for every per-instruction configuration; any other
+    /// configuration is one unsharded job.
     /// Tallies are byte-identical to [`replay`](ReplayEngine::replay) on
     /// the loaded trace at every worker and window setting.
     ///

@@ -5,29 +5,36 @@ use crate::{par_map, try_par_map, SharedTrace};
 use dvp_core::{AccuracyTracker, PredictorConfig};
 use dvp_trace::Observer;
 
-/// PC shards per resident trace, at every worker count.
+/// PC-major units per resident trace, at every worker count.
 ///
-/// Each (configuration, shard) job holds an eighth of a predictor's
-/// tables and drops them before the next job, so even one worker replays
-/// with cache-sized tables. On a 2 vCPU host, a warm
-/// `repro --quick --trace-dir D all` at 2 workers ran in 17.5–20.2 s with
-/// a 529–591 MiB peak at 8 shards, against 19.8–20.3 s and 673–702 MiB
-/// at 2 shards and 21.0–22.3 s and about 800 MiB at 1; a single-worker
-/// resident replay of the paper bank over N- and 4N-record synthetic
-/// traces peaked at 76 MiB with 8 shards against 105 MiB with 1.
-pub(crate) const SHARDS: usize = 8;
+/// A unit is a contiguous range of instruction ids holding about a
+/// sixteenth of the trace's records ([`PcIndex::units`]), and one job
+/// replays every per-PC model over it, one instruction at a time with
+/// fresh state. A job's live predictor state is one instruction's, so the
+/// count does not size any table: it only bounds the parallelism of one
+/// replay, and sixteen keeps a few workers busy even when the largest
+/// instruction holds a few percent of its trace. It never depends on
+/// `--workers`, so the jobs, and every observer merge, are the same at
+/// any worker count.
+///
+/// [`PcIndex::units`]: crate::shared::PcIndex::units
+pub(crate) const UNITS: usize = 16;
 
 /// A parallel replay engine over [`SharedTrace`] buffers.
 ///
-/// The engine turns every replay request into a grid of independent jobs —
-/// one per (trace, predictor configuration, PC shard
-/// ([`crate::shard_of_pc`]), eight shards at any worker count) — on a
-/// fixed-size [`par_map`] worker pool. Every predictor keeps strictly
-/// per-PC state, so the shard tallies (exact integer counts) merge back to
-/// **bit-identical** results at any worker count (see the crate-level
-/// quickstart). Jobs drive predictors through
-/// [`dvp_core::Predictor::observe_batch`] over the trace's pre-interned
-/// ids: one slot access per record per predictor, no hashing.
+/// The engine turns every replay request into independent jobs on a
+/// fixed-size [`par_map`] worker pool. A configuration whose predictor
+/// keeps strictly per-instruction state
+/// ([`Predictor::keeps_per_id_state`](dvp_core::Predictor::keeps_per_id_state):
+/// the unbounded `l`, `s2`, FCM and their hybrid) replays PC-major, each
+/// instruction's records in one run with fresh state, grouped into
+/// sixteen units of instructions; its tallies are exact integer counts,
+/// so they merge back to **bit-identical** results at any worker count
+/// (see the crate-level quickstart). Any other configuration (a finite,
+/// aliased table; delayed updates) replays as one job over every record
+/// in trace order, which is also exact. Jobs drive predictors through
+/// [`dvp_core::Predictor::observe_batch`]: one slot access per record per
+/// predictor, no hashing.
 #[derive(Debug, Clone)]
 pub struct ReplayEngine {
     workers: usize,
@@ -40,7 +47,7 @@ pub struct ReplayEngine {
 pub struct ConfigReplay {
     /// Name of the [`PredictorConfig`] that produced this tally.
     pub name: String,
-    /// Per-category correct/predicted counts, merged over all PC shards.
+    /// Per-category correct/predicted counts, merged over every job.
     pub tracker: AccuracyTracker,
 }
 
@@ -73,7 +80,7 @@ impl ReplayEngine {
     }
 
     /// An engine that runs everything inline on the calling thread: one
-    /// worker, the same PC shards. Results are identical to any parallel
+    /// worker, the same jobs. Results are identical to any parallel
     /// configuration; only the wall clock moves.
     #[must_use]
     pub fn sequential() -> Self {
@@ -146,7 +153,7 @@ impl ReplayEngine {
 
     /// Replays every trace under every configuration of the bank — the full
     /// predictor×workload matrix, one trace after another, each as
-    /// independent (config, shard) jobs on the worker pool. Returns, for
+    /// independent jobs on the worker pool. Returns, for
     /// each trace (outer, in input order), one merged [`ConfigReplay`] per
     /// configuration (inner, in bank order).
     #[must_use]
@@ -160,16 +167,20 @@ impl ReplayEngine {
 
     /// Folds one trace through an [`Observer`] — a correlated
     /// [`dvp_core::PredictorSet`] (Figures 8/9) or a per-instruction
-    /// profile: `build` makes one observer per PC shard, each observes its
-    /// shard's records in trace order, and the shard observers merge in
-    /// shard order into exactly the observer of one pass over the trace.
+    /// profile. An observer that declares [`Observer::PC_MAJOR`] is
+    /// folded over the sixteen units of instructions: `build` makes
+    /// one per unit, each observes its instructions' records one
+    /// instruction at a time under their trace ids, and the unit observers
+    /// merge in unit order. Any other is built once and folds the whole
+    /// trace in trace order. Either gives exactly the observer of one pass
+    /// over the trace.
     pub fn observe<O, F>(&self, trace: &SharedTrace, build: F) -> O
     where
         O: Observer + Send,
         F: Fn() -> O + Sync,
     {
         let make = |_, _| build();
-        self.drive(trace, Plan::Full, 1, make).pop().expect("one merged observer")
+        self.drive(trace, Plan::Full, &[O::PC_MAJOR], make).pop().expect("one merged observer")
     }
 }
 
@@ -177,7 +188,7 @@ impl ReplayEngine {
 mod tests {
     use super::*;
     use dvp_core::{Predictor, PredictorSet};
-    use dvp_trace::{InstrCategory, Pc, TraceRecord};
+    use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn mixed_trace(n: u64) -> SharedTrace {
@@ -231,16 +242,60 @@ mod tests {
     }
 
     #[test]
-    fn observe_builds_one_observer_per_shard_at_any_worker_count() {
+    fn observe_builds_one_observer_per_unit_balanced_by_records() {
+        /// Records seen by each built observer, in merge (unit) order.
+        struct Units(Vec<u64>);
+        impl Observer for Units {
+            const PC_MAJOR: bool = true;
+            fn observe_batch(&mut self, ids: &[PcId], _: &[Pc], _: &[u64], _: &[InstrCategory]) {
+                *self.0.last_mut().expect("one count per observer") += ids.len() as u64;
+            }
+            fn merge(&mut self, other: Self) {
+                self.0.extend(other.0);
+            }
+        }
+        // 120 PCs, skewed: the busiest executes far more than the rest.
+        let trace: SharedTrace = (0..6000u64)
+            .map(|i| TraceRecord::new(Pc(4 * ((i % 13) * (i % 17) % 120)), InstrCategory::Logic, i))
+            .collect();
+        let mut per_pc = std::collections::HashMap::new();
+        for rec in &trace {
+            *per_pc.entry(rec.pc).or_insert(0u64) += 1;
+        }
+        let largest = per_pc.values().copied().max().expect("records");
+        let len = trace.len() as u64;
+        let mut seen = Vec::new();
+        for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(4)] {
+            let built = AtomicUsize::new(0);
+            let units = engine.observe(&trace, || {
+                built.fetch_add(1, Ordering::Relaxed);
+                Units(vec![0])
+            });
+            assert_eq!(built.into_inner(), UNITS, "{engine:?}");
+            assert_eq!(units.0.len(), UNITS);
+            assert_eq!(units.0.iter().sum::<u64>(), len);
+            assert!(units.0.iter().all(|&n| n <= len / UNITS as u64 + largest), "{:?}", units.0);
+            assert!(units.0.iter().filter(|&&n| n > 0).count() > UNITS / 2, "{:?}", units.0);
+            seen.push(units.0);
+        }
+        assert_eq!(seen[0], seen[1], "the units do not depend on the worker count");
+        let set = ReplayEngine::sequential().observe(&mixed_trace(1000), PredictorSet::paper_trio);
+        assert_eq!(set.total(), 1000);
+    }
+
+    #[test]
+    fn observe_folds_a_record_order_observer_once_over_the_whole_trace() {
         let trace = mixed_trace(1000);
         for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(4)] {
             let built = AtomicUsize::new(0);
-            let set = engine.observe(&trace, || {
+            let summary = engine.observe(&trace, || {
                 built.fetch_add(1, Ordering::Relaxed);
-                PredictorSet::paper_trio()
+                dvp_trace::TraceSummary::new()
             });
-            assert_eq!(built.into_inner(), SHARDS, "{engine:?}");
-            assert_eq!(set.total(), trace.len() as u64);
+            assert_eq!(built.into_inner(), 1, "{engine:?}");
+            let one_pass: dvp_trace::TraceSummary = trace.iter().copied().collect();
+            assert_eq!(summary.dynamic_total(), 1000);
+            assert_eq!(summary.static_total(), one_pass.static_total());
         }
     }
 

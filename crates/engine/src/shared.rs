@@ -3,7 +3,8 @@
 
 use dvp_trace::{Pc, PcId, PcInterner, TraceRecord};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::ops::Range;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Records per chunk of a [`SharedTrace`] (64 Ki records ≈ 1.5 MiB): large
 /// enough that chunk boundaries are invisible to the replay inner loop,
@@ -51,6 +52,9 @@ pub struct SharedTrace {
     /// The trace's PC symbol table, materialized once at construction.
     interner: Arc<PcInterner>,
     len: usize,
+    /// The records grouped by instruction, built by the first resident
+    /// replay that needs it and shared by every clone.
+    pc_index: Arc<OnceLock<Option<PcIndex>>>,
 }
 
 impl SharedTrace {
@@ -113,6 +117,7 @@ impl SharedTrace {
             ids: Arc::new(ids),
             interner: Arc::new(interner),
             len,
+            pc_index: Arc::default(),
         }
     }
 
@@ -173,6 +178,13 @@ impl SharedTrace {
         &self.ids
     }
 
+    /// The trace's records grouped by instruction ([`PcIndex`]), built on
+    /// the first call and shared by every clone; `None` when a position
+    /// would not fit the index's `u32` (a trace over `u32::MAX` records).
+    pub(crate) fn pc_index(&self) -> Option<&PcIndex> {
+        self.pc_index.get_or_init(|| PcIndex::build(self)).as_ref()
+    }
+
     /// Copies the trace into a flat vector.
     #[must_use]
     pub fn to_vec(&self) -> Vec<TraceRecord> {
@@ -194,15 +206,105 @@ impl SharedTrace {
     }
 }
 
-/// The PC shard a static instruction belongs to — the one partition every
-/// replay path uses.
+/// A resident trace's record positions grouped by instruction: the
+/// positions of id `i`, ascending, are `positions[starts[i]..starts[i + 1]]`.
+///
+/// One counting sort over the ids builds it (4 bytes per record plus 4 per
+/// id). It resolves a position to its record under any chunk layout,
+/// ragged [`SharedTrace::from_chunks`] boundaries included.
+#[derive(Debug)]
+pub(crate) struct PcIndex {
+    positions: Vec<u32>,
+    starts: Vec<u32>,
+    /// The position of each chunk's first record.
+    chunk_starts: Vec<u32>,
+}
+
+impl PcIndex {
+    /// Indexes `trace`, or `None` when it holds more than `u32::MAX`
+    /// records.
+    fn build(trace: &SharedTrace) -> Option<PcIndex> {
+        let total = u32::try_from(trace.len()).ok()?;
+        let mut starts = vec![0u32; trace.interner().len() + 1];
+        for id in trace.id_chunks().iter().flatten() {
+            starts[id.index() + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut next = starts[..starts.len() - 1].to_vec();
+        let mut positions = vec![0u32; total as usize];
+        let mut chunk_starts = Vec::with_capacity(trace.chunks().len());
+        let mut at = 0u32;
+        for ids in trace.id_chunks() {
+            chunk_starts.push(at);
+            for id in ids {
+                let slot = &mut next[id.index()];
+                positions[*slot as usize] = at;
+                *slot += 1;
+                at += 1;
+            }
+        }
+        Some(PcIndex { positions, starts, chunk_starts })
+    }
+
+    /// The number of ids indexed (the interner's length).
+    pub(crate) fn ids(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The ascending record positions of id `id`.
+    pub(crate) fn positions(&self, id: usize) -> &[u32] {
+        &self.positions[self.starts[id] as usize..self.starts[id + 1] as usize]
+    }
+
+    /// `units` contiguous id ranges covering every id, balanced by record
+    /// count: range `u` starts at the first id with at least
+    /// `u × len / units` records before it, so no range holds more than
+    /// `len / units` records plus its largest id's.
+    pub(crate) fn units(&self, units: usize) -> Vec<Range<usize>> {
+        let total = self.positions.len() as u64;
+        let units = units.max(1) as u64;
+        let bound = |u: u64| {
+            let want = u * total;
+            self.starts[..self.ids()].partition_point(|&s| u64::from(s) * units < want)
+        };
+        let mut bounds: Vec<usize> = (0..units).map(bound).collect();
+        bounds.push(self.ids());
+        bounds.windows(2).map(|w| w[0]..w[1]).collect()
+    }
+
+    /// Calls `f` with each of `positions` (ascending) and its record in
+    /// `chunks`, the chunks this index was built from.
+    pub(crate) fn for_each_record(
+        &self,
+        chunks: &[Vec<TraceRecord>],
+        positions: &[u32],
+        mut f: impl FnMut(u32, &TraceRecord),
+    ) {
+        let Some(&first) = positions.first() else { return };
+        let mut chunk = self.chunk_starts.partition_point(|&s| s <= first) - 1;
+        let mut start = self.chunk_starts[chunk];
+        let mut end = self.chunk_starts.get(chunk + 1).copied().unwrap_or(u32::MAX);
+        for &at in positions {
+            while at >= end {
+                chunk += 1;
+                start = end;
+                end = self.chunk_starts.get(chunk + 1).copied().unwrap_or(u32::MAX);
+            }
+            f(at, &chunks[chunk][(at - start) as usize]);
+        }
+    }
+}
+
+/// The PC shard a static instruction belongs to — the partition streaming
+/// replay splits a container by, one shard per consumer thread.
 ///
 /// Each PC hashes to a fixed shard (a Fibonacci multiply, because raw
-/// `pc % nshards` collapses on 4-aligned Sim32 PCs). Every predictor in
-/// this workspace keeps strictly per-PC state, so shard membership only
+/// `pc % nshards` collapses on 4-aligned Sim32 PCs). Only predictors that
+/// keep strictly per-PC state are sharded, so shard membership only
 /// decides *which* job observes a PC's value stream, never what that
 /// stream contains: sharded replays merge back to bit-identical tallies.
-/// Replay jobs evaluate it once per interned PC, never per record.
 ///
 /// # Panics
 ///
@@ -587,6 +689,34 @@ mod tests {
             window.push(i); // capacity 1, no consumers: must not deadlock
         }
         window.finish();
+    }
+
+    #[test]
+    fn the_index_waits_for_a_pc_major_replay_and_is_shared_by_clones() {
+        use crate::ReplayEngine;
+        use dvp_core::PredictorConfig;
+        use dvp_trace::io::v2;
+        let engine = ReplayEngine::sequential();
+        let mut bytes = Vec::new();
+        v2::write_compressed(&mut bytes, &v2::TraceMeta::default(), records(300).chunks(64), &[])
+            .expect("writes");
+        let mut builder = SharedTraceBuilder::with_chunk_len(64);
+        records(300).into_iter().for_each(|rec| builder.push(rec));
+        let built = [
+            SharedTrace::from_records(records(300)),
+            builder.finish(),
+            engine.load_trace(&bytes).expect("loads").1,
+        ];
+        for trace in built {
+            let clone = trace.clone();
+            assert!(trace.pc_index.get().is_none(), "no index before a replay needs one");
+            let _ = engine.observe(&trace, dvp_trace::TraceSummary::new);
+            assert!(trace.pc_index.get().is_none(), "a record-order fold needs none");
+            let _ = engine.replay(&trace, &PredictorConfig::paper_bank());
+            let index = clone.pc_index.get().and_then(Option::as_ref).expect("built once");
+            assert!(std::ptr::eq(index, trace.pc_index().expect("indexed")));
+            assert_eq!((index.ids(), index.positions(0).len()), (5, 60));
+        }
     }
 
     #[test]

@@ -484,11 +484,13 @@ impl SampledReplay {
 }
 
 impl ReplayEngine {
-    /// Replays only the plan's representative windows — one independent
-    /// job per (configuration, phase) — and returns one [`SampledReplay`]
-    /// per configuration, in bank order. Each job builds a **cold**
-    /// predictor, warms it on the `plan.warmup_records` records before its
-    /// window (observed, never tallied), then tallies the window itself.
+    /// Replays only the plan's representative windows — each phase an
+    /// independent run of every configuration — and returns one
+    /// [`SampledReplay`] per configuration, in bank order. Each run starts
+    /// a **cold** predictor, warms it on the `plan.warmup_records` records
+    /// before its window (observed, never tallied), then tallies the
+    /// window itself; a per-instruction configuration does so one
+    /// instruction at a time, on that instruction's records in the span.
     /// Tallies are byte-identical at every engine setting.
     ///
     /// # Panics
@@ -526,9 +528,9 @@ impl ReplayEngine {
         self.drive_bank(trace, plan, bank).into_iter().map(SampledReplay::new).collect()
     }
 
-    /// Functionally-warmed sampled replay: one predictor per
-    /// (configuration, PC shard) walks the **whole** trace in order,
-    /// observing every record so its state matches the full replay's
+    /// Functionally-warmed sampled replay: every configuration observes
+    /// every record of every instruction in order, so its state matches
+    /// the full replay's
     /// exactly, but tallying only the records inside the plan's
     /// representative windows (warmup prefixes are ignored). The weighted
     /// estimate then differs from the full replay only by the

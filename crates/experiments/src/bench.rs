@@ -1,4 +1,4 @@
-//! `repro bench` — the perf-smoke harness behind `BENCH_30.json`.
+//! `repro bench` — the perf-smoke harness behind `BENCH_31.json`.
 //!
 //! Replays one fixed, seeded synthetic trace through each predictor
 //! family's batched dense hot path ([`Predictor::observe_batch`] over the
@@ -9,10 +9,14 @@
 //! the trace's container (row `decode`) and the trace writer
 //! [`cache::write_container`] (row `encode`), and finally the paper
 //! bank's three FCM orders as one [`FcmBank`] (row `fcm1-3`), as the
-//! replay engine runs them. The committed baseline (`BENCH_30.json` at
+//! replay engine runs them, and a sequential resident
+//! [`ReplayEngine::replay`] of the paper bank over a trace of 100,000 PCs
+//! made as `repro trace gen` makes one (row `replay.100k`), where a cost
+//! paid per instruction shows. The committed baseline (`BENCH_31.json` at
 //! the repository root; the older `BENCH_9.json`, `BENCH_14.json`,
 //! `BENCH_17.json`, `BENCH_20.json`, `BENCH_24.json`, `BENCH_25.json`,
-//! `BENCH_27.json` and `BENCH_28.json` stay as the records they were)
+//! `BENCH_27.json`, `BENCH_28.json` and `BENCH_30.json` stay as the
+//! records they were)
 //! lets CI run a comparison with a deliberately generous regression
 //! tripwire: machine-to-machine variance is expected; a row running
 //! **3x** slower than baseline is not. Hits are no timing, so a row whose
@@ -45,14 +49,15 @@ pub const REGRESSION_FACTOR: f64 = 3.0;
 pub struct BenchResult {
     /// Predictor family name (`l`, `s2`, `fcm1`..`fcm3`, `hybrid`),
     /// `plan`/`plan.4n` for phase profiling, `decode` for container
-    /// decode, `encode` for the container writer, or `fcm1-3` for the
-    /// banked FCM orders.
+    /// decode, `encode` for the container writer, `fcm1-3` for the
+    /// banked FCM orders, or `replay.100k` for the engine's replay of a
+    /// trace of many PCs.
     pub name: String,
     /// Correct predictions over the trace (for the profiling rows, the
     /// plan's simulated records; for `decode`, the records decoded; for
-    /// `encode`, the container's bytes; for `fcm1-3`, the three members'
-    /// hits summed) — a determinism witness: this count depends only on
-    /// the seeded trace, never on timing.
+    /// `encode`, the container's bytes; for `fcm1-3` and `replay.100k`,
+    /// the members' hits summed) — a determinism witness: this count
+    /// depends only on the seeded trace, never on timing.
     pub correct: u64,
     /// Fastest-pass cost per record, in nanoseconds.
     pub ns_per_record: f64,
@@ -65,13 +70,22 @@ fn bench_bank() -> Vec<PredictorConfig> {
     bank
 }
 
+/// PCs of the `replay.100k` row's trace.
+const WIDE_PCS: usize = 100_000;
+
 /// The fixed bench input: a seeded `Mixed` scenario (every sequence
-/// class the paper taxonomizes), capped at `records`.
+/// class the paper taxonomizes) over 64 PCs, capped at `records`.
 #[must_use]
 pub fn bench_trace(records: usize) -> SharedTrace {
-    let pcs = 64u32;
+    scenario_trace(records, 64, 9)
+}
+
+/// A seeded `Mixed` scenario over `pcs` PCs (at most one per record),
+/// capped at `records`, as `repro trace gen` makes one.
+fn scenario_trace(records: usize, pcs: usize, seed: u64) -> SharedTrace {
+    let pcs = u32::try_from(pcs.min(records.max(1))).unwrap_or(u32::MAX);
     let per_pc = u32::try_from(records.div_ceil(pcs as usize)).unwrap_or(u32::MAX);
-    let scenario = Scenario::new(ScenarioKind::Mixed, pcs, per_pc, 9);
+    let scenario = Scenario::new(ScenarioKind::Mixed, pcs, per_pc, seed);
     let mut builder = SharedTrace::builder();
     scenario.generate_with(&mut |rec| {
         if builder.len() < records {
@@ -87,7 +101,8 @@ pub fn bench_trace(records: usize) -> SharedTrace {
 /// at four times the records) — a per-record profiling cost that grows
 /// with trace length shows as `plan.4n` running slower than `plan` — the
 /// container decode row `decode`, the container write row `encode` and
-/// the FCM bank row `fcm1-3` (all three the same trace).
+/// the FCM bank row `fcm1-3` (all three the same trace), and the engine
+/// row `replay.100k` (a trace of as many records over 100,000 PCs).
 #[must_use]
 pub fn run(records: usize, passes: usize) -> Vec<BenchResult> {
     let trace = bench_trace(records);
@@ -97,7 +112,29 @@ pub fn run(records: usize, passes: usize) -> Vec<BenchResult> {
     drop(trace);
     results.push(plan_row("plan.4n", &bench_trace(4 * records), passes));
     results.extend(rows);
+    results.push(engine_row(&scenario_trace(records, WIDE_PCS, 1), passes));
     results
+}
+
+/// The fastest of `passes` sequential resident [`ReplayEngine::replay`]s
+/// of the paper bank over `trace`, each of a fresh copy (interned before
+/// the clock starts), so every pass also pays the replay's one-time
+/// grouping of the records by instruction. The bank's hits summed are the
+/// row's witness.
+fn engine_row(trace: &SharedTrace, passes: usize) -> BenchResult {
+    let bank = PredictorConfig::paper_bank();
+    let engine = ReplayEngine::sequential();
+    let mut best = f64::INFINITY;
+    let mut correct = 0u64;
+    for _ in 0..passes.max(1) {
+        let fresh = SharedTrace::from_chunks(trace.chunks().to_vec());
+        let start = Instant::now();
+        let replays = engine.replay(&fresh, &bank);
+        let nanos = start.elapsed().as_nanos() as f64;
+        best = best.min(nanos / trace.len().max(1) as f64);
+        correct = replays.iter().map(|r| r.tracker.correct(None)).sum();
+    }
+    BenchResult { name: "replay.100k".to_owned(), correct, ns_per_record: best }
 }
 
 /// One row per bench family, replaying `trace` `passes` times each.
@@ -391,8 +428,18 @@ mod tests {
         assert_eq!(
             names,
             [
-                "l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode", "encode",
-                "fcm1-3"
+                "l",
+                "s2",
+                "fcm1",
+                "fcm2",
+                "fcm3",
+                "hybrid",
+                "plan",
+                "plan.4n",
+                "decode",
+                "encode",
+                "fcm1-3",
+                "replay.100k"
             ]
         );
         assert_eq!(first[8].correct, 2_000);
@@ -402,6 +449,15 @@ mod tests {
         cache::write_container(&mut container, &v2::TraceMeta::default(), &bench_trace(2_000))
             .expect("writes");
         assert_eq!(first[9].correct, container.get_ref().len() as u64);
+        let wide = scenario_trace(2_000, WIDE_PCS, 1);
+        assert_eq!(wide.interner().len(), 2_000, "one PC per record when records are fewer");
+        let bank = PredictorConfig::paper_bank();
+        let hits: u64 = ReplayEngine::sequential()
+            .replay(&wide, &bank)
+            .iter()
+            .map(|r| r.tracker.correct(None))
+            .sum();
+        assert_eq!(first[11].correct, hits);
         let second = run(2_000, 1);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.correct, b.correct, "{} hits must not depend on timing", a.name);
@@ -443,9 +499,10 @@ mod tests {
         // six family rows, hits unchanged since the first baseline;
         // `BENCH_24.json` adds the two phase-profiling rows,
         // `BENCH_25.json` the decode row and `BENCH_27.json` the encode
-        // row; `BENCH_28.json` times the 64-byte FCM entries, and
-        // `BENCH_30.json` adds the `fcm1-3` bank row.
-        let files: [(&str, &[f64]); 9] = [
+        // row; `BENCH_28.json` times the 64-byte FCM entries,
+        // `BENCH_30.json` adds the `fcm1-3` bank row and `BENCH_31.json`
+        // the `replay.100k` engine row.
+        let files: [(&str, &[f64]); 10] = [
             (include_str!("../../../BENCH_9.json"), &[7.40, 9.19, 510.57, 530.39, 745.54, 580.25]),
             (include_str!("../../../BENCH_14.json"), &[5.94, 7.44, 177.94, 213.17, 406.80, 254.99]),
             (
@@ -473,14 +530,31 @@ mod tests {
                 include_str!("../../../BENCH_30.json"),
                 &[4.71, 5.71, 161.04, 290.29, 390.38, 288.19, 61.63, 59.59, 39.86, 75.29, 511.89],
             ),
+            (
+                include_str!("../../../BENCH_31.json"),
+                &[
+                    3.46, 4.47, 147.56, 200.87, 260.11, 198.17, 49.79, 46.46, 32.17, 42.43, 356.15,
+                    300.81,
+                ],
+            ),
         ];
         let names = [
-            "l", "s2", "fcm1", "fcm2", "fcm3", "hybrid", "plan", "plan.4n", "decode", "encode",
+            "l",
+            "s2",
+            "fcm1",
+            "fcm2",
+            "fcm3",
+            "hybrid",
+            "plan",
+            "plan.4n",
+            "decode",
+            "encode",
             "fcm1-3",
+            "replay.100k",
         ];
         let correct = [
             40_615, 82_496, 120_904, 120_904, 120_904, 161_464, 18_432, 38_144, 200_000, 657_267,
-            362_712,
+            362_712, 100_005,
         ];
         for (text, ns) in files {
             let rows =

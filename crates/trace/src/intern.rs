@@ -292,15 +292,25 @@ impl<T> PcSlots<T> {
     }
 }
 
-/// A fold over a trace's records that the replay driver runs sharded by
-/// PC: correlated predictor sets, the per-instruction profiles, trace
-/// summaries.
+/// A fold over a trace's records that the replay driver runs in trace
+/// order or one instruction at a time: correlated predictor sets, the
+/// per-instruction profiles, trace summaries.
 ///
-/// Records arrive in trace order as parallel columns, with ids from one
-/// interner per observer. State is per PC and totals are exact sums, so
-/// the merge of observers of a trace's disjoint PC shards equals the
-/// observer of the whole trace, at any shard count.
+/// A PC's records arrive in trace order as parallel columns, with ids
+/// from one interner per observer. State is per PC and totals are exact
+/// sums, so the merge of observers of a trace's disjoint sets of PCs
+/// equals the observer of the whole trace, whatever the order the PCs
+/// were visited in.
 pub trait Observer: Sized {
+    /// Whether the replay driver folds this observer PC-major: one
+    /// observer per unit of instructions, fed each instruction's records
+    /// as one batch. Either way the merged observer is the same. Reading
+    /// a trace PC-major costs a gather per record, which pays off only
+    /// when per-instruction state is heavy and stays hot within one
+    /// instruction's batch, as a predictor set's tables do; the default,
+    /// `false`, folds the whole trace in one pass in trace order.
+    const PC_MAJOR: bool = false;
+
     /// Folds a run of records, given as parallel columns.
     fn observe_batch(
         &mut self,
