@@ -16,7 +16,7 @@
 //! every such group, each with fresh state under local id 0. Any other
 //! group (finite tables alias across PCs, delayed updates queue across
 //! them) replays as one job over every record in trace order, and so
-//! does an observer unless it declares [`Observer::PC_MAJOR`]. A streamed
+//! does an observer unless it answers [`Observer::pc_major`]. A streamed
 //! container stays record-major: it is split into one PC shard per
 //! consumer thread for the per-PC groups, so each consumer gathers (and
 //! interns) its records once per chunk for every model it owns, and every
@@ -113,8 +113,7 @@ impl Plan<'_> {
             .iter()
             .map(|&c| (bank[c].name().to_owned(), vec![AccuracyTracker::new(); tallies]))
             .collect();
-        let replayer = recipe.build();
-        Tallied { recipe, replayer, columns, windows, first, next: 0, tallies }
+        Tallied { recipe, replayer: None, columns, windows, first, next: 0, tallies }
     }
 }
 
@@ -210,7 +209,8 @@ enum Replayer {
 /// windows.
 pub(crate) struct Tallied {
     recipe: Recipe,
-    replayer: Replayer,
+    /// Built by the first feed, and afresh for each instruction.
+    replayer: Option<Replayer>,
     /// Each config's hit column in the replayer's output.
     columns: Vec<usize>,
     /// Ascending position ranges; window `i` tallies into
@@ -230,19 +230,22 @@ impl Model for Tallied {
     /// Fresh state for one id, and the window cursor back at the start:
     /// positions ascend within an instruction, not across instructions.
     fn start_pc(&mut self) {
-        self.replayer = self.recipe.build();
-        match &mut self.replayer {
+        let mut replayer = self.recipe.build();
+        match &mut replayer {
             Replayer::One(predictor) => predictor.reserve_ids(1),
             Replayer::Bank(fcm) => fcm.reserve_ids(1),
         }
+        self.replayer = Some(replayer);
         self.next = 0;
     }
 
     fn feed(&mut self, batch: &mut BatchScratch) {
-        let (base, offsets, categories, correct) = match &mut self.replayer {
-            Replayer::One(predictor) => batch.observe(predictor.as_mut()),
-            Replayer::Bank(fcm) => batch.observe_bank(fcm),
-        };
+        let recipe = &self.recipe;
+        let (base, offsets, categories, correct) =
+            match self.replayer.get_or_insert_with(|| recipe.build()) {
+                Replayer::One(predictor) => batch.observe(predictor.as_mut()),
+                Replayer::Bank(fcm) => batch.observe_bank(fcm),
+            };
         let n = offsets.len();
         let before = |pos: u64| move |&at: &u32| base + u64::from(at) < pos;
         let mut from = 0;
@@ -339,6 +342,22 @@ struct Job<M> {
 fn span(observed: &Range<u64>, base: u64, len: usize) -> Range<usize> {
     let clamp = |pos: u64| (pos.clamp(base, base + len as u64) - base) as usize;
     clamp(observed.start)..clamp(observed.end)
+}
+
+/// The streaming jobs as `(model, phase, shard)`: one per shard for each
+/// model `sharded` marks (when there are two or more shards), then one
+/// per run of the plan for every other model. Sharded jobs come first,
+/// `shards` per model, so job `j` with shard `s` has `j % shards == s`.
+fn stream_jobs(
+    sharded: &[bool],
+    phases: usize,
+    shards: usize,
+) -> Vec<(usize, usize, Option<usize>)> {
+    let (split, whole): (Vec<usize>, Vec<usize>) =
+        (0..sharded.len()).partition(|&m| sharded[m] && shards > 1);
+    let split = split.into_iter().flat_map(|m| (0..shards).map(move |s| (m, 0, Some(s))));
+    let whole = whole.into_iter().flat_map(|m| (0..phases).map(move |p| (m, p, None)));
+    split.chain(whole).collect()
 }
 
 /// Reads, verifies and decodes the container's chunks in order into
@@ -513,10 +532,13 @@ impl ReplayEngine {
     /// every chunk into the jobs it owns. A per-PC model (`per_pc[m]`)
     /// under a full or warm plan runs one job per PC shard, with one shard
     /// per consumer; any other model runs one unsharded job per run of the
-    /// plan. Job `j` (model-major) belongs to consumer `j % consumers`. A
-    /// consumer gathers a chunk once for each run of owned jobs with the
-    /// same span and shard, interning only the records it selects into its
-    /// own interner, and feeds every job of the run from that batch.
+    /// plan. The sharded jobs come first, then the unsharded ones, each
+    /// model-major, and job `j` belongs to consumer `j % consumers`: consumer
+    /// `s` owns shard `s` of every per-PC model. A consumer gathers a chunk
+    /// once for each run of owned jobs with the same span and shard
+    /// (once for its shard and once unfiltered in a mixed bank), interning
+    /// only the records it selects into its own interner, and feeds every
+    /// job of the run from that batch.
     /// Returns one merged report per model.
     ///
     /// # Errors
@@ -538,15 +560,9 @@ impl ReplayEngine {
         let header = v2::read_header(&mut reader)?;
         plan.check(header.record_count).map_err(|message| TraceIoError::Format { message })?;
         let models = per_pc.len();
-        let sharded = |m: usize| per_pc[m] && !matches!(plan, Plan::Cold(_));
-        let jobs_at = |shards: usize| -> Vec<(usize, usize, Option<usize>)> {
-            (0..models)
-                .flat_map(|m| match (sharded(m), shards) {
-                    (true, 2..) => (0..shards).map(|s| (m, 0, Some(s))).collect::<Vec<_>>(),
-                    _ => (0..plan.phases()).map(|phase| (m, phase, None)).collect(),
-                })
-                .collect()
-        };
+        let sharded: Vec<bool> =
+            per_pc.iter().map(|&p| p && !matches!(plan, Plan::Cold(_))).collect();
+        let jobs_at = |shards| stream_jobs(&sharded, plan.phases(), shards);
         let consumers = self.workers().min(jobs_at(self.workers()).len());
         let jobs = jobs_at(consumers);
         let folded = decode_ahead(
@@ -935,6 +951,18 @@ mod tests {
     /// one pass over every record in trace order gives their answer: a
     /// partition by PC would shrink the finite table's aliasing and
     /// reorder the delay queue.
+    #[test]
+    fn streaming_consumer_s_owns_shard_s_of_every_per_pc_model() {
+        let jobs = super::stream_jobs(&[true, false, true, false], 1, 3);
+        assert_eq!(jobs.len(), 8);
+        for (j, &(_, _, shard)) in jobs.iter().enumerate() {
+            assert!(shard.is_none_or(|s| j % 3 == s), "job {j}: {jobs:?}");
+        }
+        assert_eq!(jobs[6..], [(1, 0, None), (3, 0, None)], "the rest spread over consumers");
+        let one = [(0, 0, None), (0, 1, None), (1, 0, None), (1, 1, None)];
+        assert_eq!(super::stream_jobs(&[true, false], 2, 1), one, "one shard splits nothing");
+    }
+
     #[test]
     fn configs_without_per_pc_state_replay_as_one_record_order_pass() {
         // 37 PCs, each repeating a value of its own with rare changes.

@@ -167,29 +167,31 @@ impl ReplayEngine {
 
     /// Folds one trace through an [`Observer`] — a correlated
     /// [`dvp_core::PredictorSet`] (Figures 8/9) or a per-instruction
-    /// profile. An observer that declares [`Observer::PC_MAJOR`] is
-    /// folded over the sixteen units of instructions: `build` makes
-    /// one per unit, each observes its instructions' records one
-    /// instruction at a time under their trace ids, and the unit observers
-    /// merge in unit order. Any other is built once and folds the whole
-    /// trace in trace order. Either gives exactly the observer of one pass
-    /// over the trace.
+    /// profile. When one built observer answers [`Observer::pc_major`],
+    /// the observer is folded over the sixteen units of instructions:
+    /// `build` makes one per unit, each observes its instructions'
+    /// records one instruction at a time under their trace ids, and the
+    /// unit observers merge in unit order. Otherwise it folds the whole
+    /// trace in trace order. Either gives exactly the observer of one
+    /// pass over the trace.
     pub fn observe<O, F>(&self, trace: &SharedTrace, build: F) -> O
     where
         O: Observer + Send,
         F: Fn() -> O + Sync,
     {
+        let per_pc = build().pc_major();
         let make = |_, _| build();
-        self.drive(trace, Plan::Full, &[O::PC_MAJOR], make).pop().expect("one merged observer")
+        self.drive(trace, Plan::Full, &[per_pc], make).pop().expect("one merged observer")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvp_core::{Predictor, PredictorSet};
+    use dvp_core::{
+        FiniteLastValuePredictor, LastValuePredictor, Predictor, PredictorSet, TableSpec,
+    };
     use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn mixed_trace(n: u64) -> SharedTrace {
         (0..n)
@@ -241,19 +243,26 @@ mod tests {
         }
     }
 
+    /// Records seen by each observer a fold merged, in merge order.
+    struct Units {
+        pc_major: bool,
+        seen: Vec<u64>,
+    }
+
+    impl Observer for Units {
+        fn pc_major(&self) -> bool {
+            self.pc_major
+        }
+        fn observe_batch(&mut self, ids: &[PcId], _: &[Pc], _: &[u64], _: &[InstrCategory]) {
+            *self.seen.last_mut().expect("one count per observer") += ids.len() as u64;
+        }
+        fn merge(&mut self, other: Self) {
+            self.seen.extend(other.seen);
+        }
+    }
+
     #[test]
     fn observe_builds_one_observer_per_unit_balanced_by_records() {
-        /// Records seen by each built observer, in merge (unit) order.
-        struct Units(Vec<u64>);
-        impl Observer for Units {
-            const PC_MAJOR: bool = true;
-            fn observe_batch(&mut self, ids: &[PcId], _: &[Pc], _: &[u64], _: &[InstrCategory]) {
-                *self.0.last_mut().expect("one count per observer") += ids.len() as u64;
-            }
-            fn merge(&mut self, other: Self) {
-                self.0.extend(other.0);
-            }
-        }
         // 120 PCs, skewed: the busiest executes far more than the rest.
         let trace: SharedTrace = (0..6000u64)
             .map(|i| TraceRecord::new(Pc(4 * ((i % 13) * (i % 17) % 120)), InstrCategory::Logic, i))
@@ -266,17 +275,12 @@ mod tests {
         let len = trace.len() as u64;
         let mut seen = Vec::new();
         for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(4)] {
-            let built = AtomicUsize::new(0);
-            let units = engine.observe(&trace, || {
-                built.fetch_add(1, Ordering::Relaxed);
-                Units(vec![0])
-            });
-            assert_eq!(built.into_inner(), UNITS, "{engine:?}");
-            assert_eq!(units.0.len(), UNITS);
-            assert_eq!(units.0.iter().sum::<u64>(), len);
-            assert!(units.0.iter().all(|&n| n <= len / UNITS as u64 + largest), "{:?}", units.0);
-            assert!(units.0.iter().filter(|&&n| n > 0).count() > UNITS / 2, "{:?}", units.0);
-            seen.push(units.0);
+            let units = engine.observe(&trace, || Units { pc_major: true, seen: vec![0] }).seen;
+            assert_eq!(units.len(), UNITS, "{engine:?}");
+            assert_eq!(units.iter().sum::<u64>(), len);
+            assert!(units.iter().all(|&n| n <= len / UNITS as u64 + largest), "{units:?}");
+            assert!(units.iter().filter(|&&n| n > 0).count() > UNITS / 2, "{units:?}");
+            seen.push(units);
         }
         assert_eq!(seen[0], seen[1], "the units do not depend on the worker count");
         let set = ReplayEngine::sequential().observe(&mixed_trace(1000), PredictorSet::paper_trio);
@@ -287,16 +291,37 @@ mod tests {
     fn observe_folds_a_record_order_observer_once_over_the_whole_trace() {
         let trace = mixed_trace(1000);
         for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(4)] {
-            let built = AtomicUsize::new(0);
-            let summary = engine.observe(&trace, || {
-                built.fetch_add(1, Ordering::Relaxed);
-                dvp_trace::TraceSummary::new()
-            });
-            assert_eq!(built.into_inner(), 1, "{engine:?}");
+            let units = engine.observe(&trace, || Units { pc_major: false, seen: vec![0] }).seen;
+            assert_eq!(units, [1000], "{engine:?}");
+            let summary = engine.observe(&trace, dvp_trace::TraceSummary::new);
             let one_pass: dvp_trace::TraceSummary = trace.iter().copied().collect();
             assert_eq!(summary.dynamic_total(), 1000);
             assert_eq!(summary.static_total(), one_pass.static_total());
         }
+    }
+
+    #[test]
+    fn a_set_with_a_finite_member_folds_as_one_pass() {
+        let trace = mixed_trace(3000);
+        let build = || {
+            let mut set = PredictorSet::new();
+            set.push(Box::new(LastValuePredictor::new()));
+            set.push(Box::new(FiniteLastValuePredictor::new(TableSpec::new(2))));
+            set
+        };
+        assert!(!build().pc_major(), "a finite table aliases across PCs");
+        let mut one_pass = build();
+        for (r, id) in trace.iter_with_ids() {
+            one_pass.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
+        }
+        for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(3)] {
+            let set = engine.observe(&trace, build);
+            for mask in 0..4u32 {
+                assert_eq!(set.subset_count(None, mask), one_pass.subset_count(None, mask));
+            }
+        }
+        // Aliasing shows: the finite table hits where one PC per slot would not.
+        assert_ne!(one_pass.subset_count(None, 0b10), 0);
     }
 
     #[test]

@@ -102,8 +102,9 @@ pub struct EntropyResults {
 
 /// Profiles value-stream entropy and correlates it with FCM accuracy: per
 /// benchmark, one fold of an [`EntropyProfile`] and one of a single-FCM
-/// [`PredictorSet`], both on the store's engine (every tally is per PC, so
-/// sharding never changes a count); pooled figures sum the benchmarks'.
+/// [`PredictorSet`], both on the store's engine (every tally is per PC,
+/// so splitting by instruction never changes a count); pooled figures sum
+/// the benchmarks'.
 ///
 /// # Errors
 ///

@@ -46,8 +46,8 @@ pub struct OverlapResults {
 ///
 /// The correct-*subset* of each dynamic instruction needs all three
 /// predictors on the same record, so each benchmark replays through
-/// [`ReplayEngine::observe`]: every PC shard runs its own
-/// [`PredictorSet::paper_trio`] and the shard sets merge back — exact
+/// [`ReplayEngine::observe`]: every unit of instructions runs its own
+/// [`PredictorSet::paper_trio`] and the unit sets merge back — exact
 /// counts, so the result is identical to a sequential pass at any worker
 /// count.
 ///

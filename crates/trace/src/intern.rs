@@ -297,19 +297,23 @@ impl<T> PcSlots<T> {
 /// per-instruction profiles, trace summaries.
 ///
 /// A PC's records arrive in trace order as parallel columns, with ids
-/// from one interner per observer. State is per PC and totals are exact
-/// sums, so the merge of observers of a trace's disjoint sets of PCs
-/// equals the observer of the whole trace, whatever the order the PCs
-/// were visited in.
+/// from one interner per observer. Totals are exact sums, so when state
+/// is strictly per PC the merge of observers of a trace's disjoint sets
+/// of PCs equals the observer of the whole trace, whatever the order the
+/// PCs were visited in.
 pub trait Observer: Sized {
-    /// Whether the replay driver folds this observer PC-major: one
+    /// Whether the replay driver may fold this observer PC-major: one
     /// observer per unit of instructions, fed each instruction's records
-    /// as one batch. Either way the merged observer is the same. Reading
-    /// a trace PC-major costs a gather per record, which pays off only
-    /// when per-instruction state is heavy and stays hot within one
-    /// instruction's batch, as a predictor set's tables do; the default,
-    /// `false`, folds the whole trace in one pass in trace order.
-    const PC_MAJOR: bool = false;
+    /// as one batch. The driver asks one built instance. Answer `true`
+    /// only when state is strictly per PC, so that the merged observer
+    /// equals one pass. Reading a trace PC-major costs a gather per
+    /// record, which pays off only when per-instruction state is heavy
+    /// and stays hot within one instruction's batch, as a predictor
+    /// set's tables do; the default, `false`, folds the whole trace in
+    /// one pass in trace order.
+    fn pc_major(&self) -> bool {
+        false
+    }
 
     /// Folds a run of records, given as parallel columns.
     fn observe_batch(
