@@ -36,9 +36,6 @@ use std::sync::Arc;
 pub struct PredictorConfig {
     name: String,
     build: Arc<dyn Fn() -> Box<dyn Predictor> + Send + Sync>,
-    /// The order of a lazy-exclusion FCM made by
-    /// [`PredictorConfig::fcm_orders`].
-    fcm_order: Option<usize>,
 }
 
 impl PredictorConfig {
@@ -47,23 +44,13 @@ impl PredictorConfig {
     where
         F: Fn() -> Box<dyn Predictor> + Send + Sync + 'static,
     {
-        PredictorConfig { name: name.into(), build: Arc::new(build), fcm_order: None }
+        PredictorConfig { name: name.into(), build: Arc::new(build) }
     }
 
     /// The configuration's display name (used in experiment reports).
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The order `k` when this config was made by
-    /// [`PredictorConfig::fcm_orders`], so that it builds exactly
-    /// `FcmPredictor::new(k)`; `None` for every other config, whatever its
-    /// name. The replay engine runs all such configs of a bank as one
-    /// [`FcmBank`](crate::FcmBank).
-    #[must_use]
-    pub fn fcm_order(&self) -> Option<usize> {
-        self.fcm_order
     }
 
     /// Builds a fresh predictor with empty tables.
@@ -90,9 +77,8 @@ impl PredictorConfig {
     pub fn fcm_orders(orders: impl IntoIterator<Item = usize>) -> Vec<PredictorConfig> {
         orders
             .into_iter()
-            .map(|order| PredictorConfig {
-                fcm_order: Some(order),
-                ..PredictorConfig::new(format!("fcm{order}"), move || {
+            .map(|order| {
+                PredictorConfig::new(format!("fcm{order}"), move || {
                     Box::new(FcmPredictor::new(order))
                 })
             })
@@ -109,6 +95,7 @@ impl fmt::Debug for PredictorConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BankForm;
     use dvp_trace::{Pc, PcId};
 
     #[test]
@@ -137,15 +124,24 @@ mod tests {
         assert_eq!(bank[7].name(), "fcm8");
         // The built predictor agrees with its recipe's name.
         assert_eq!(bank[7].build().name(), "fcm8");
-        assert_eq!(bank[7].fcm_order(), Some(8));
+        assert_eq!(bank[7].build().bank_form(), Some(BankForm::Fcm(8)));
     }
 
     #[test]
-    fn only_fcm_orders_configs_carry_an_order() {
-        let orders: Vec<_> = PredictorConfig::paper_bank().iter().map(|c| c.fcm_order()).collect();
-        assert_eq!(orders, [None, None, Some(1), Some(2), Some(3)]);
-        let named = PredictorConfig::new("fcm2", || Box::new(FcmPredictor::new(2)));
-        assert_eq!(named.fcm_order(), None, "a name is not an order");
+    fn the_built_instance_declares_its_form_never_the_name() {
+        let forms: Vec<_> =
+            PredictorConfig::paper_bank().iter().map(|c| c.build().bank_form()).collect();
+        let fcm = |k| Some(BankForm::Fcm(k));
+        assert_eq!(forms, [None, Some(BankForm::TwoDeltaStride), fcm(1), fcm(2), fcm(3)]);
+        let custom = PredictorConfig::new("mine", || Box::new(FcmPredictor::new(2)));
+        assert_eq!(custom.build().bank_form(), fcm(2), "any factory of FcmPredictor::new(2)");
+        let impostor = PredictorConfig::new("fcm2", || {
+            Box::new(FcmPredictor::with_config(2, crate::Blending::SingleOrder))
+        });
+        assert_eq!(impostor.build().bank_form(), None, "a name is no form");
+        let hybrid =
+            PredictorConfig::new("hybrid", || Box::new(crate::HybridPredictor::stride_fcm(2)));
+        assert_eq!(hybrid.build().bank_form(), Some(BankForm::StrideFcm(2)));
     }
 
     #[test]

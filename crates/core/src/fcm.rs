@@ -69,7 +69,7 @@
 //! for every member that counts it. Each member stays bit for bit a lone
 //! [`FcmPredictor::new`] of its order.
 
-use crate::Predictor;
+use crate::{BankForm, Predictor};
 use dvp_trace::{Pc, PcId, Value};
 
 /// How the per-order models of an [`FcmPredictor`] are combined.
@@ -945,6 +945,10 @@ impl Predictor for FcmPredictor {
 
     fn keeps_per_id_state(&self) -> bool {
         true
+    }
+
+    fn bank_form(&self) -> Option<BankForm> {
+        (self.blending == Blending::LazyExclusion).then_some(BankForm::Fcm(self.history.order))
     }
 
     #[inline]

@@ -7,9 +7,27 @@
 //! this module provides the implied design: two component predictors and a
 //! saturating-counter chooser indexed by PC — the same structure proposed
 //! for hybrid branch predictors (McFarling, 1993).
+//!
+//! # The stride/FCM hybrid from its parts' hits
+//!
+//! A hybrid whose two parts both predict from an instruction's second
+//! record onward hits exactly where the part its chooser counter picks
+//! hits: the arbitration's fallback to the other part never fires. That
+//! holds for [`HybridPredictor::stride_fcm`]: two-delta stride has its
+//! entry after one record, and a lazy-exclusion FCM its order-0 context.
+//! On the first record both parts answer `None`, so both miss and the
+//! counter stays put. So every record's hit is `if c > 0 { fcm_hit } else
+//! { stride_hit }`, with `c` the instruction's counter moved by those two
+//! hits as [`train_chooser`] moves it, and [`ChooserFold`] computes the
+//! hybrid's hit column from its parts' columns alone. The replay engine
+//! uses this to take the FCM part from an [`FcmBank`](crate::FcmBank)
+//! member it replays anyway. A single-order FCM part
+//! ([`Blending::SingleOrder`](crate::Blending::SingleOrder)) answers
+//! `None` until its order-`k` context recurs while stride already
+//! predicts, so the fold does not hold for it.
 
 use crate::table::PcTable;
-use crate::{FcmPredictor, Predictor, StridePredictor};
+use crate::{BankForm, FcmPredictor, Predictor, StridePredictor};
 use dvp_trace::{Pc, PcId, Value};
 
 /// Saturation bound of the unbounded hybrid's chooser counters (range
@@ -45,11 +63,68 @@ pub(crate) fn train_chooser(
 ) -> Option<Value> {
     let counter = slot.get_or_insert(0);
     let prediction = arbitrate(*counter, a, b);
-    let (a_correct, b_correct) = (a == Some(actual), b == Some(actual));
+    train(counter, max, a == Some(actual), b == Some(actual));
+    prediction
+}
+
+/// Moves a chooser counter toward the component that was right while the
+/// other was wrong (no movement on ties), saturating at `±max`.
+#[inline]
+fn train(counter: &mut i16, max: i16, a_correct: bool, b_correct: bool) {
     if a_correct != b_correct {
         *counter = if b_correct { (*counter + 1).min(max) } else { (*counter - 1).max(-max) };
     }
-    prediction
+}
+
+/// The ±8 chooser of a [`HybridPredictor`] run over its parts' hit
+/// columns instead of their predictions: exact for a hybrid whose parts
+/// both predict from an instruction's second record onward, such as
+/// [`HybridPredictor::stride_fcm`] (see the module docs).
+///
+/// # Examples
+///
+/// ```
+/// use dvp_core::{ChooserFold, FcmPredictor, HybridPredictor, Predictor, StridePredictor};
+/// use dvp_trace::{Pc, PcId};
+///
+/// let values = [4u64, 8, 12, 7, 3, 7, 3, 7, 3, 16, 20];
+/// let (ids, pcs) = ([PcId(0); 11], [Pc(0); 11]);
+/// let column = |mut p: Box<dyn Predictor>| {
+///     let mut hits = [false; 11];
+///     p.observe_batch(&ids, &pcs, &values, &mut hits);
+///     hits
+/// };
+/// let stride = column(Box::new(StridePredictor::two_delta()));
+/// let fcm = column(Box::new(FcmPredictor::new(1)));
+/// let mut folded = [false; 11];
+/// ChooserFold::default().fold(&ids, &stride, &fcm, &mut folded);
+/// assert_eq!(folded, column(Box::new(HybridPredictor::stride_fcm(1))));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ChooserFold {
+    counters: PcTable<i16>,
+}
+
+impl ChooserFold {
+    /// Replays a run of records in order: writes into `hits[i]` whether
+    /// the hybrid predicted record `i` (of instruction `ids[i]`) correctly,
+    /// given whether its first part (`first[i]`) and its second
+    /// (`second[i]`) did, and moves that instruction's counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the four slices have different lengths.
+    pub fn fold(&mut self, ids: &[PcId], first: &[bool], second: &[bool], hits: &mut [bool]) {
+        assert!(
+            ids.len() == first.len() && first.len() == second.len() && second.len() == hits.len(),
+            "fold slice lengths differ"
+        );
+        for (i, &id) in ids.iter().enumerate() {
+            let counter = self.counters.slot_mut(id).get_or_insert(0);
+            hits[i] = if *counter > 0 { second[i] } else { first[i] };
+            train(counter, CHOOSER_MAX, first[i], second[i]);
+        }
+    }
 }
 
 /// A two-component hybrid value predictor.
@@ -124,6 +199,15 @@ impl<A: Predictor, B: Predictor> Predictor for HybridPredictor<A, B> {
 
     fn keeps_per_id_state(&self) -> bool {
         self.first.keeps_per_id_state() && self.second.keeps_per_id_state()
+    }
+
+    fn bank_form(&self) -> Option<BankForm> {
+        match (self.first.bank_form(), self.second.bank_form()) {
+            (Some(BankForm::TwoDeltaStride), Some(BankForm::Fcm(order))) => {
+                Some(BankForm::StrideFcm(order))
+            }
+            _ => None,
+        }
     }
 
     #[inline]

@@ -96,9 +96,9 @@ pub use finite::{
     hash_history, FiniteFcmPredictor, FiniteHybridPredictor, FiniteLastValuePredictor,
     FiniteStridePredictor, TableSpec,
 };
-pub use hybrid::HybridPredictor;
+pub use hybrid::{ChooserFold, HybridPredictor};
 pub use last_value::LastValuePredictor;
 pub use locality::LocalityProfile;
-pub use predictor::{Interned, Predictor};
+pub use predictor::{BankForm, Interned, Predictor};
 pub use set::{run_trace, CorrectMask, PcTally, PredictorSet};
 pub use stride::{StridePolicy, StridePredictor};

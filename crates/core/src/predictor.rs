@@ -4,6 +4,26 @@
 use dvp_trace::{Pc, PcId, PcInterner, Value};
 use std::ops::Deref;
 
+/// What [`Predictor::bank_form`] declares: one of the paper's predictors
+/// that the replay engine may run inside an [`FcmBank`](crate::FcmBank)
+/// job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BankForm {
+    /// [`StridePredictor::two_delta`](crate::StridePredictor::two_delta):
+    /// the first part of a [`BankForm::StrideFcm`]. A lone one replays on
+    /// its own.
+    TwoDeltaStride,
+    /// [`FcmPredictor::new`](crate::FcmPredictor::new) of this order
+    /// (lazy exclusion): one member of a bank.
+    Fcm(usize),
+    /// A two-delta stride first and a lazy-exclusion FCM of this order
+    /// second under the ±8 chooser, as
+    /// [`HybridPredictor::stride_fcm`](crate::HybridPredictor::stride_fcm)
+    /// builds it: derived from the order's bank column when the bank has
+    /// one.
+    StrideFcm(usize),
+}
+
 /// A data value predictor in the paper's idealized setting.
 ///
 /// A predictor is a map from microarchitectural state to a predicted next
@@ -79,6 +99,22 @@ pub trait Predictor: Send + Sync {
         false
     }
 
+    /// Which of the paper's predictors this instance is, when the replay
+    /// engine may run it inside an [`FcmBank`](crate::FcmBank) job:
+    /// [`StridePredictor::two_delta`](crate::StridePredictor::two_delta),
+    /// [`FcmPredictor::new`](crate::FcmPredictor::new), or a hybrid of the
+    /// two ([`HybridPredictor::stride_fcm`](crate::HybridPredictor::stride_fcm)).
+    /// Every other predictor keeps the default, `None`.
+    ///
+    /// The engine reads this from one built instance per configuration
+    /// per replay, never from a name: a lazy-exclusion FCM becomes a
+    /// member of its bank's shared table, and a stride/FCM hybrid whose
+    /// order the bank also replays takes its FCM part from that member's
+    /// hit column ([`ChooserFold`](crate::ChooserFold)).
+    fn bank_form(&self) -> Option<BankForm> {
+        None
+    }
+
     /// The predicted next value of the instruction `id` (at `pc`), or
     /// `None` when no prediction can be made yet.
     fn predict(&self, id: PcId, pc: Pc) -> Option<Value>;
@@ -132,6 +168,10 @@ impl<P: Predictor + ?Sized> Predictor for Box<P> {
 
     fn keeps_per_id_state(&self) -> bool {
         (**self).keeps_per_id_state()
+    }
+
+    fn bank_form(&self) -> Option<BankForm> {
+        (**self).bank_form()
     }
 
     fn predict(&self, id: PcId, pc: Pc) -> Option<Value> {

@@ -1,7 +1,7 @@
 //! Stride prediction (Section 2.1 of the paper).
 
 use crate::table::PcTable;
-use crate::Predictor;
+use crate::{BankForm, Predictor};
 use dvp_trace::{Pc, PcId, Value};
 
 /// Update policy of a [`StridePredictor`].
@@ -163,6 +163,10 @@ impl Predictor for StridePredictor {
 
     fn keeps_per_id_state(&self) -> bool {
         true
+    }
+
+    fn bank_form(&self) -> Option<BankForm> {
+        (self.policy == StridePolicy::TwoDelta).then_some(BankForm::TwoDeltaStride)
     }
 
     #[inline]

@@ -8,9 +8,10 @@
 //! tallies: `observe_batch` is bit-for-bit the per-record loop, so *any*
 //! flush schedule produces identical results.
 
+use crate::drive::BankJob;
 use crate::shard_of_pc;
 use crate::shared::PcIndex;
-use dvp_core::{FcmBank, Predictor};
+use dvp_core::Predictor;
 use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcInterner, TraceRecord, Value};
 
 /// Reusable structure-of-arrays gather buffers for batched replay.
@@ -26,7 +27,8 @@ use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcInterner, TraceRecord, Valu
 /// selection through one `observe_batch` call, yielding `(position,
 /// category, correct)` per record in trace order;
 /// [`observe_bank`](BatchScratch::observe_bank) does the same for an
-/// [`FcmBank`], with one correct column per member, and
+/// FCM bank and its derived hybrids ([`BankJob`]), with one correct column
+/// per member, and
 /// [`observe_into`](BatchScratch::observe_into) hands the columns to an
 /// [`Observer`]. Observing leaves the selection as it was, so one gather
 /// feeds any number of models.
@@ -136,11 +138,11 @@ impl BatchScratch {
     /// `correct[m * n..(m + 1) * n]` for `n` selected records.
     pub(crate) fn observe_bank(
         &mut self,
-        bank: &mut FcmBank,
+        bank: &mut BankJob,
     ) -> (u64, &[u32], &[InstrCategory], &[bool]) {
         self.correct.clear();
-        self.correct.resize(self.ids.len() * bank.orders().len(), false);
-        bank.observe_batch(&self.ids, &self.values, &mut self.correct);
+        self.correct.resize(self.ids.len() * bank.columns(), false);
+        bank.observe_batch(&self.ids, &self.pcs, &self.values, &mut self.correct);
         (self.base, &self.offsets, &self.categories, &self.correct)
     }
 

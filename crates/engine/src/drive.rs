@@ -1,14 +1,20 @@
 //! The replay driver: every public replay method is a thin wrapper that
 //! folds a chunk source (resident or streamed) through one job loop under
 //! a [`Plan`], with one merge in job order. A bank of configurations
-//! replays as groups ([`groups`]): every config
-//! [`PredictorConfig::fcm_orders`] made runs as one [`FcmBank`], one
-//! context walk per record for all of them, and every other config as a
-//! group of one; the merge hands back one report per configuration in
+//! replays as groups ([`groups`]), read off one built instance of each
+//! config, never its name: every lazy-exclusion FCM
+//! ([`Predictor::bank_form`]) runs as one member of one [`FcmBank`], one
+//! context walk per record for all of them, and every stride/FCM hybrid
+//! of an order the bank has joins that job too: its own two-delta stride
+//! steps on the same records, and its hits are the [`ChooserFold`] of that
+//! stride column and the order's bank column, so the hybrid's FCM part is
+//! never replayed twice. Every other config (a hybrid of an order the
+//! bank lacks, one with a single-order FCM part, any finite predictor) is
+//! a group of one; the merge hands back one report per configuration in
 //! bank order.
 //!
-//! Groups are routed by type ([`routes`]): a group whose predictor
-//! declares [`Predictor::keeps_per_id_state`] (and every FCM bank) hits on
+//! Groups are routed by declaration: a group whose predictor declares
+//! [`Predictor::keeps_per_id_state`] (and every FCM bank) hits on
 //! a record only by that instruction's own values. On a resident trace
 //! such groups replay PC-major: the trace's [`PcIndex`] is split into
 //! [`UNITS`] contiguous id ranges balanced by record count, and one job
@@ -27,9 +33,11 @@ use crate::pool::decode_ahead;
 use crate::replay::UNITS;
 use crate::shared::{ChunkWindow, PcIndex};
 use crate::{ReplayEngine, SharedTrace};
-use dvp_core::{AccuracyTracker, FcmBank, Predictor, PredictorConfig};
+use dvp_core::{
+    AccuracyTracker, BankForm, ChooserFold, FcmBank, Predictor, PredictorConfig, StridePredictor,
+};
 use dvp_trace::io::{v2, TraceIoError};
-use dvp_trace::{Observer, PcId, PcInterner, PhasePlan, TraceRecord};
+use dvp_trace::{Observer, Pc, PcId, PcInterner, PhasePlan, TraceRecord, Value};
 use std::io::Read;
 use std::ops::Range;
 
@@ -81,10 +89,9 @@ impl Plan<'_> {
         }
     }
 
-    /// The model of `group` (indices into `bank`, see [`groups`]) for run
-    /// `phase`: its replayer, its tallied windows, and the tally index of
-    /// the first.
-    fn tallied(self, bank: &[PredictorConfig], group: &[usize], phase: usize) -> Tallied {
+    /// The model of `group` for run `phase`: its replayer, its tallied
+    /// windows, and the tally index of the first.
+    fn tallied(self, bank: &[PredictorConfig], group: &Group, phase: usize) -> Tallied {
         let (windows, first, tallies) = match self {
             Plan::Full => (std::iter::once(0..u64::MAX).collect(), 0, 1),
             Plan::Cold(plan) => {
@@ -95,57 +102,82 @@ impl Plan<'_> {
                 (plan.phases.iter().map(|p| p.start..p.end).collect(), 0, plan.phases.len())
             }
         };
-        let (recipe, columns) = match group {
-            [config] => (Recipe::One(bank[*config].clone()), vec![0]),
-            _ => {
-                let order = |&c: &usize| bank[c].fcm_order().expect("a bank groups FCM orders");
-                let mut orders: Vec<usize> = group.iter().map(order).collect();
-                orders.sort_unstable();
-                orders.dedup();
-                let columns = group
-                    .iter()
-                    .map(|c| orders.binary_search(&order(c)).expect("a member's order"))
-                    .collect();
-                (Recipe::Bank(orders), columns)
-            }
-        };
         let tallies = group
+            .members
             .iter()
             .map(|&c| (bank[c].name().to_owned(), vec![AccuracyTracker::new(); tallies]))
             .collect();
-        Tallied { recipe, replayer: None, columns, windows, first, next: 0, tallies }
+        Tallied {
+            recipe: group.recipe.clone(),
+            replayer: None,
+            columns: group.columns.clone(),
+            windows,
+            first,
+            next: 0,
+            tallies,
+        }
     }
 }
 
-/// The replay groups of `bank`, as config indices: every config
-/// [`PredictorConfig::fcm_orders`] made (found by
-/// [`PredictorConfig::fcm_order`], never by name) forms one group at the
-/// place of its first member when there are two or more of them, and
-/// every other config is a group of one.
-fn groups(bank: &[PredictorConfig]) -> Vec<Vec<usize>> {
-    let fcm: Vec<usize> = (0..bank.len()).filter(|&c| bank[c].fcm_order().is_some()).collect();
+/// One replay group of a bank: the configs it tallies, as bank indices,
+/// how to build their replayer, and each member's hit column in the
+/// replayer's output.
+struct Group {
+    members: Vec<usize>,
+    recipe: Recipe,
+    columns: Vec<usize>,
+    /// Whether the group keeps strictly per-instruction state.
+    per_pc: bool,
+}
+
+/// The replay groups of `bank`, read off one built instance of each
+/// config ([`Predictor::bank_form`], [`Predictor::keeps_per_id_state`]),
+/// never its name. Every lazy-exclusion FCM, and every stride/FCM hybrid
+/// whose order one of them has, forms one bank group at the place of its
+/// first member when there are two or more of them; every other config is
+/// a group of one, per-PC when its predictor declares it.
+fn groups(bank: &[PredictorConfig]) -> Vec<Group> {
+    let declared: Vec<(Option<BankForm>, bool)> = bank
+        .iter()
+        .map(|config| {
+            let predictor = config.build();
+            (predictor.bank_form(), predictor.keeps_per_id_state())
+        })
+        .collect();
+    let fcm = |c: usize| match declared[c].0 {
+        Some(BankForm::Fcm(order)) => Some(order),
+        _ => None,
+    };
+    let hybrid = |c: usize| match declared[c].0 {
+        Some(BankForm::StrideFcm(order)) => Some(order),
+        _ => None,
+    };
+    let mut orders: Vec<usize> = (0..bank.len()).filter_map(fcm).collect();
+    orders.sort_unstable();
+    orders.dedup();
+    let joins = |c: usize| fcm(c).is_some() || hybrid(c).is_some_and(|k| orders.contains(&k));
+    let members: Vec<usize> = (0..bank.len()).filter(|&c| joins(c)).collect();
+    let mut derived: Vec<usize> = members.iter().filter_map(|&c| hybrid(c)).collect();
+    derived.sort_unstable();
+    derived.dedup();
     let mut groups = Vec::new();
     for c in 0..bank.len() {
-        if fcm.len() < 2 || !fcm.contains(&c) {
-            groups.push(vec![c]);
-        } else if c == fcm[0] {
-            groups.push(fcm.clone());
+        if members.len() < 2 || !members.contains(&c) {
+            let (recipe, per_pc) = (Recipe::One(bank[c].clone()), declared[c].1);
+            groups.push(Group { members: vec![c], recipe, columns: vec![0], per_pc });
+        } else if c == members[0] {
+            // Columns: one per FCM order, then one per derived hybrid.
+            let column = |&c: &usize| match (fcm(c), hybrid(c)) {
+                (Some(k), _) => orders.binary_search(&k).expect("a member's order"),
+                (_, Some(k)) => orders.len() + derived.binary_search(&k).expect("a hybrid"),
+                _ => unreachable!("a bank member is an FCM or a hybrid"),
+            };
+            let columns = members.iter().map(column).collect();
+            let recipe = Recipe::Bank { orders: orders.clone(), hybrids: derived.clone() };
+            groups.push(Group { members: members.clone(), recipe, columns, per_pc: true });
         }
     }
     groups
-}
-
-/// Whether each group keeps strictly per-instruction state: an FCM bank
-/// does, and a group of one asks one built instance of its config
-/// ([`Predictor::keeps_per_id_state`]), never its name.
-fn routes(bank: &[PredictorConfig], groups: &[Vec<usize>]) -> Vec<bool> {
-    groups
-        .iter()
-        .map(|group| match group.as_slice() {
-            [config] => bank[*config].build().keeps_per_id_state(),
-            _ => true,
-        })
-        .collect()
 }
 
 /// One configuration's name and tallies.
@@ -153,10 +185,11 @@ pub(crate) type ConfigTally = (String, Vec<AccuracyTracker>);
 
 /// Reorders per-group reports into one report per configuration, in
 /// bank order.
-fn in_bank_order(groups: &[Vec<usize>], reports: Vec<Vec<ConfigTally>>) -> Vec<ConfigTally> {
-    let mut out: Vec<Option<ConfigTally>> = vec![None; groups.iter().map(Vec::len).sum()];
+fn in_bank_order(groups: &[Group], reports: Vec<Vec<ConfigTally>>) -> Vec<ConfigTally> {
+    let mut out: Vec<Option<ConfigTally>> =
+        vec![None; groups.iter().map(|g| g.members.len()).sum()];
     for (group, report) in groups.iter().zip(reports) {
-        for (&config, tally) in group.iter().zip(report) {
+        for (&config, tally) in group.members.iter().zip(report) {
             out[config] = Some(tally);
         }
     }
@@ -183,17 +216,25 @@ pub(crate) trait Model: Send + Sized {
 }
 
 /// How to build a group's replayer.
+#[derive(Clone)]
 enum Recipe {
     One(PredictorConfig),
-    /// An FCM bank of these orders, ascending.
-    Bank(Vec<usize>),
+    /// An FCM bank of these orders, ascending, and one stride/FCM hybrid
+    /// of each of the `hybrids` orders (ascending, each one of `orders`)
+    /// derived from its columns.
+    Bank {
+        orders: Vec<usize>,
+        hybrids: Vec<usize>,
+    },
 }
 
 impl Recipe {
     fn build(&self) -> Replayer {
         match self {
             Recipe::One(config) => Replayer::One(config.build()),
-            Recipe::Bank(orders) => Replayer::Bank(Box::new(FcmBank::new(orders.iter().copied()))),
+            Recipe::Bank { orders, hybrids } => {
+                Replayer::Bank(Box::new(BankJob::new(orders, hybrids)))
+            }
         }
     }
 }
@@ -202,7 +243,70 @@ impl Recipe {
 /// column per member.
 enum Replayer {
     One(Box<dyn Predictor>),
-    Bank(Box<FcmBank>),
+    Bank(Box<BankJob>),
+}
+
+/// An [`FcmBank`] and the stride/FCM hybrids derived from its columns.
+///
+/// A derived hybrid runs its own two-delta stride over the same records
+/// and folds that hit column with its order's bank column through a
+/// [`ChooserFold`], exactly the hits of a lone
+/// [`HybridPredictor::stride_fcm`](dvp_core::HybridPredictor::stride_fcm)
+/// (see `dvp_core`'s `hybrid` module docs).
+pub(crate) struct BankJob {
+    fcm: FcmBank,
+    /// Per derived hybrid: the bank member of its order, its stride part
+    /// and its chooser.
+    hybrids: Vec<(usize, StridePredictor, ChooserFold)>,
+    /// The stride part's hit column of the batch being folded.
+    stride_hits: Vec<bool>,
+}
+
+impl BankJob {
+    fn new(orders: &[usize], hybrids: &[usize]) -> Self {
+        let member = |k| orders.binary_search(k).expect("a derived hybrid's order is in the bank");
+        BankJob {
+            fcm: FcmBank::new(orders.iter().copied()),
+            hybrids: hybrids
+                .iter()
+                .map(|k| (member(k), StridePredictor::two_delta(), ChooserFold::default()))
+                .collect(),
+            stride_hits: Vec::new(),
+        }
+    }
+
+    fn reserve_ids(&mut self, n: usize) {
+        self.fcm.reserve_ids(n);
+        for (_, stride, _) in &mut self.hybrids {
+            stride.reserve_ids(n);
+        }
+    }
+
+    /// Hit columns per batch: one per FCM order, then one per hybrid.
+    pub(crate) fn columns(&self) -> usize {
+        self.fcm.orders().len() + self.hybrids.len()
+    }
+
+    /// Replays a run of records in order, writing column `c`'s hit for
+    /// record `i` into `correct[c * ids.len() + i]`.
+    pub(crate) fn observe_batch(
+        &mut self,
+        ids: &[PcId],
+        pcs: &[Pc],
+        values: &[Value],
+        correct: &mut [bool],
+    ) {
+        let n = ids.len();
+        let (fcm, derived) = correct.split_at_mut(self.fcm.orders().len() * n);
+        self.fcm.observe_batch(ids, values, fcm);
+        for (j, (member, stride, chooser)) in self.hybrids.iter_mut().enumerate() {
+            self.stride_hits.clear();
+            self.stride_hits.resize(n, false);
+            stride.observe_batch(ids, pcs, values, &mut self.stride_hits);
+            let fcm = &fcm[*member * n..][..n];
+            chooser.fold(ids, &self.stride_hits, fcm, &mut derived[j * n..][..n]);
+        }
+    }
 }
 
 /// One group of predictors, tallying the outcomes that fall inside its
@@ -233,7 +337,7 @@ impl Model for Tallied {
         let mut replayer = self.recipe.build();
         match &mut replayer {
             Replayer::One(predictor) => predictor.reserve_ids(1),
-            Replayer::Bank(fcm) => fcm.reserve_ids(1),
+            Replayer::Bank(job) => job.reserve_ids(1),
         }
         self.replayer = Some(replayer);
         self.next = 0;
@@ -244,7 +348,7 @@ impl Model for Tallied {
         let (base, offsets, categories, correct) =
             match self.replayer.get_or_insert_with(|| recipe.build()) {
                 Replayer::One(predictor) => batch.observe(predictor.as_mut()),
-                Replayer::Bank(fcm) => batch.observe_bank(fcm),
+                Replayer::Bank(job) => batch.observe_bank(job),
             };
         let n = offsets.len();
         let before = |pos: u64| move |&at: &u32| base + u64::from(at) < pos;
@@ -506,8 +610,9 @@ impl ReplayEngine {
         bank: &[PredictorConfig],
     ) -> Vec<ConfigTally> {
         let groups = groups(bank);
+        let per_pc: Vec<bool> = groups.iter().map(|g| g.per_pc).collect();
         let make = |g: usize, phase| plan.tallied(bank, &groups[g], phase);
-        in_bank_order(&groups, self.drive(trace, plan, &routes(bank, &groups), make))
+        in_bank_order(&groups, self.drive(trace, plan, &per_pc, make))
     }
 
     /// [`drive_bank`](ReplayEngine::drive_bank) over a streamed container.
@@ -522,8 +627,9 @@ impl ReplayEngine {
         bank: &[PredictorConfig],
     ) -> Result<(v2::Header, Vec<ConfigTally>), TraceIoError> {
         let groups = groups(bank);
+        let per_pc: Vec<bool> = groups.iter().map(|g| g.per_pc).collect();
         let make = |g: usize, phase| plan.tallied(bank, &groups[g], phase);
-        let (header, reports) = self.drive_stream(reader, plan, &routes(bank, &groups), make)?;
+        let (header, reports) = self.drive_stream(reader, plan, &per_pc, make)?;
         Ok((header, in_bank_order(&groups, reports)))
     }
 
@@ -617,7 +723,8 @@ mod tests {
     use crate::{phase_plan, ConfigReplay, PhaseOptions, ReplayEngine, SampledReplay, SharedTrace};
     use dvp_core::{
         AccuracyTracker, Blending, DelayedPredictor, FcmPredictor, FiniteLastValuePredictor,
-        HybridPredictor, LastValuePredictor, Predictor, PredictorConfig, TableSpec,
+        HybridPredictor, LastValuePredictor, Predictor, PredictorConfig, StridePredictor,
+        TableSpec,
     };
     use dvp_trace::io::v2;
     use dvp_trace::{InstrCategory, Pc, PcInterner, PhasePlan, TraceRecord};
@@ -689,26 +796,60 @@ mod tests {
     }
 
     /// The paper bank, and an interleaved bank whose FCM orders replay as
-    /// one group around two configs of their own, plus a custom factory
-    /// named `fcm2` (a single-order model) that must not join the group.
+    /// one group around configs of their own: `fcm3` and `fcm2` from
+    /// [`PredictorConfig::fcm_orders`], an order-1 FCM from a custom
+    /// factory, and `hybrid2`, a stride/FCM hybrid derived from the order-2
+    /// column. Four configs must not join it: a custom factory named
+    /// `fcm2` (a single-order model), `hybrid4` (no order-4 FCM in the
+    /// bank) and a hybrid whose FCM part is single-order.
     fn banks() -> [Vec<PredictorConfig>; 2] {
         let fcm = |k| PredictorConfig::fcm_orders([k]).remove(0);
-        let impostor = PredictorConfig::new("fcm2", || {
-            Box::new(FcmPredictor::with_config(2, Blending::SingleOrder))
+        let single = || FcmPredictor::with_config(2, Blending::SingleOrder);
+        let impostor = PredictorConfig::new("fcm2", move || Box::new(single()));
+        let custom = PredictorConfig::new("lazy1", || Box::new(FcmPredictor::new(1)));
+        let hybrid = |k: usize| {
+            PredictorConfig::new(format!("hybrid{k}"), move || {
+                Box::new(HybridPredictor::stride_fcm(k))
+            })
+        };
+        let single_hybrid = PredictorConfig::new("hybrid-single2", move || {
+            Box::new(HybridPredictor::new(StridePredictor::two_delta(), single()))
         });
         let paper = PredictorConfig::paper_bank();
-        let interleaved =
-            vec![fcm(3), paper[0].clone(), fcm(1), paper[1].clone(), fcm(2), impostor];
+        let interleaved = vec![
+            fcm(3),
+            paper[0].clone(),
+            custom,
+            paper[1].clone(),
+            hybrid(2),
+            fcm(2),
+            impostor,
+            hybrid(4),
+            single_hybrid,
+        ];
         [paper, interleaved]
+    }
+
+    /// Each group's members and their hit columns.
+    fn layout(bank: &[PredictorConfig]) -> Vec<(Vec<usize>, Vec<usize>)> {
+        super::groups(bank).into_iter().map(|g| (g.members, g.columns)).collect()
     }
 
     #[test]
     fn fcm_orders_group_by_order_not_by_name() {
         let [paper, interleaved] = banks();
-        assert_eq!(super::groups(&paper), [vec![0], vec![1], vec![2, 3, 4]]);
-        assert_eq!(super::groups(&interleaved), [vec![0, 2, 4], vec![1], vec![3], vec![5]]);
+        let one = |c| (vec![c], vec![0]);
+        assert_eq!(layout(&paper), [one(0), one(1), (vec![2, 3, 4], vec![0, 1, 2])]);
+        // Orders 1, 2, 3 are columns 0, 1, 2; the derived hybrid is column 3.
+        let bank = (vec![0, 2, 4, 5], vec![2, 0, 3, 1]);
+        assert_eq!(layout(&interleaved), [bank, one(1), one(3), one(6), one(7), one(8)]);
         let lone = PredictorConfig::fcm_orders([2]);
-        assert_eq!(super::groups(&lone), [vec![0]]);
+        assert_eq!(layout(&lone), [one(0)]);
+        // A lone FCM still carries a hybrid of its order; without one, a
+        // hybrid replays whole.
+        let pair = [interleaved[4].clone(), interleaved[5].clone()];
+        assert_eq!(layout(&pair), [(vec![0, 1], vec![1, 0])]);
+        assert_eq!(layout(&pair[..1]), [one(0)]);
     }
 
     /// A finite table (3 index bits, so 8 slots shared by every PC) and
@@ -737,9 +878,11 @@ mod tests {
     #[test]
     fn groups_route_by_their_predictors_declaration_not_by_name() {
         let [paper, interleaved] = banks();
-        let routes = |bank: &[PredictorConfig]| super::routes(bank, &super::groups(bank));
+        let routes = |bank: &[PredictorConfig]| -> Vec<bool> {
+            super::groups(bank).iter().map(|g| g.per_pc).collect()
+        };
         assert_eq!(routes(&paper), [true; 3]);
-        assert_eq!(routes(&interleaved), [true; 4]);
+        assert_eq!(routes(&interleaved), [true; 6]);
         assert_eq!(routes(&cross_pc_bank()), [false, false, true]);
     }
 
@@ -768,7 +911,7 @@ mod tests {
                 };
                 let groups = super::groups(bank);
                 let make = |g: usize, phase| plan.tallied(bank, &groups[g], phase);
-                let routes = super::routes(bank, &groups);
+                let routes: Vec<bool> = groups.iter().map(|g| g.per_pc).collect();
                 let reports = engine.drive_indexed(trace, None, plan, &routes, make);
                 let rows = super::in_bank_order(&groups, reports);
                 return surface(

@@ -12,9 +12,14 @@
 //!    bank of [`PredictorConfig`](dvp_core::PredictorConfig)s (and
 //!    optionally many traces at once) into independent jobs on a
 //!    fixed-size [`par_map`] worker pool. The FCM orders of a bank
-//!    (every config `PredictorConfig::fcm_orders` made) share one job as
-//!    a [`dvp_core::FcmBank`]: one context walk per record for all of
-//!    them, each tallied as its own configuration.
+//!    (every config whose built predictor declares a lazy-exclusion FCM,
+//!    [`dvp_core::Predictor::bank_form`]) share one job as a
+//!    [`dvp_core::FcmBank`]: one context walk per record for all of
+//!    them, each tallied as its own configuration. A stride/FCM hybrid
+//!    (`HybridPredictor::stride_fcm(k)`) whose order the bank has joins
+//!    that job: its hits are folded from its own stride column and the
+//!    order-`k` bank column ([`dvp_core::ChooserFold`]), so its FCM part
+//!    is not replayed a second time.
 //! 3. **Replay one instruction at a time.** The paper's predictors keep
 //!    strictly per-instruction state ([`dvp_core::Predictor::keeps_per_id_state`]),
 //!    so a record's hit depends only on its own PC's value sequence. A

@@ -1,4 +1,4 @@
-//! `repro bench` — the perf-smoke harness behind `BENCH_31.json`.
+//! `repro bench` — the perf-smoke harness behind `BENCH_32.json`.
 //!
 //! Replays one fixed, seeded synthetic trace through each predictor
 //! family's batched dense hot path ([`Predictor::observe_batch`] over the
@@ -12,11 +12,13 @@
 //! replay engine runs them, and a sequential resident
 //! [`ReplayEngine::replay`] of the paper bank over a trace of 100,000 PCs
 //! made as `repro trace gen` makes one (row `replay.100k`), where a cost
-//! paid per instruction shows. The committed baseline (`BENCH_31.json` at
-//! the repository root; the older `BENCH_9.json`, `BENCH_14.json`,
-//! `BENCH_17.json`, `BENCH_20.json`, `BENCH_24.json`, `BENCH_25.json`,
-//! `BENCH_27.json`, `BENCH_28.json` and `BENCH_30.json` stay as the
-//! records they were)
+//! paid per instruction shows, and one of the paper bank plus the hybrid
+//! over the bench trace (row `replay.bank`), where the engine derives the
+//! hybrid from the bank's `fcm2` column. The committed baseline
+//! (`BENCH_32.json` at the repository root; the older `BENCH_9.json`,
+//! `BENCH_14.json`, `BENCH_17.json`, `BENCH_20.json`, `BENCH_24.json`,
+//! `BENCH_25.json`, `BENCH_27.json`, `BENCH_28.json`, `BENCH_30.json` and
+//! `BENCH_31.json` stay as the records they were)
 //! lets CI run a comparison with a deliberately generous regression
 //! tripwire: machine-to-machine variance is expected; a row running
 //! **3x** slower than baseline is not. Hits are no timing, so a row whose
@@ -50,13 +52,14 @@ pub struct BenchResult {
     /// Predictor family name (`l`, `s2`, `fcm1`..`fcm3`, `hybrid`),
     /// `plan`/`plan.4n` for phase profiling, `decode` for container
     /// decode, `encode` for the container writer, `fcm1-3` for the
-    /// banked FCM orders, or `replay.100k` for the engine's replay of a
-    /// trace of many PCs.
+    /// banked FCM orders, `replay.100k` for the engine's replay of a
+    /// trace of many PCs, or `replay.bank` for its replay of the bench
+    /// bank.
     pub name: String,
     /// Correct predictions over the trace (for the profiling rows, the
     /// plan's simulated records; for `decode`, the records decoded; for
-    /// `encode`, the container's bytes; for `fcm1-3` and `replay.100k`,
-    /// the members' hits summed) — a determinism witness: this count
+    /// `encode`, the container's bytes; for `fcm1-3`, `replay.100k` and
+    /// `replay.bank`, the members' hits summed) — a determinism witness: this count
     /// depends only on the seeded trace, never on timing.
     pub correct: u64,
     /// Fastest-pass cost per record, in nanoseconds.
@@ -102,39 +105,47 @@ fn scenario_trace(records: usize, pcs: usize, seed: u64) -> SharedTrace {
 /// with trace length shows as `plan.4n` running slower than `plan` — the
 /// container decode row `decode`, the container write row `encode` and
 /// the FCM bank row `fcm1-3` (all three the same trace), and the engine
-/// row `replay.100k` (a trace of as many records over 100,000 PCs).
+/// rows `replay.100k` (the paper bank over a trace of as many records over
+/// 100,000 PCs) and `replay.bank` (the bench bank over the bench trace).
 #[must_use]
 pub fn run(records: usize, passes: usize) -> Vec<BenchResult> {
     let trace = bench_trace(records);
     let mut results = replay_rows(&trace, passes);
     results.push(plan_row("plan", &trace, passes));
     let rows = [decode_row(&trace, passes), encode_row(&trace, passes), bank_row(&trace, passes)];
+    let bank = engine_row("replay.bank", &trace, &bench_bank(), passes);
     drop(trace);
     results.push(plan_row("plan.4n", &bench_trace(4 * records), passes));
     results.extend(rows);
-    results.push(engine_row(&scenario_trace(records, WIDE_PCS, 1), passes));
+    let wide = scenario_trace(records, WIDE_PCS, 1);
+    results.push(engine_row("replay.100k", &wide, &PredictorConfig::paper_bank(), passes));
+    results.push(bank);
     results
 }
 
 /// The fastest of `passes` sequential resident [`ReplayEngine::replay`]s
-/// of the paper bank over `trace`, each of a fresh copy (interned before
-/// the clock starts), so every pass also pays the replay's one-time
-/// grouping of the records by instruction. The bank's hits summed are the
-/// row's witness.
-fn engine_row(trace: &SharedTrace, passes: usize) -> BenchResult {
-    let bank = PredictorConfig::paper_bank();
+/// of `bank` over `trace`, each of a fresh copy (interned before the
+/// clock starts), so every pass also pays the replay's one-time grouping
+/// of the records by instruction. The bank's hits summed are the row's
+/// witness.
+fn engine_row(
+    name: &str,
+    trace: &SharedTrace,
+    bank: &[PredictorConfig],
+    passes: usize,
+) -> BenchResult {
     let engine = ReplayEngine::sequential();
     let mut best = f64::INFINITY;
     let mut correct = 0u64;
     for _ in 0..passes.max(1) {
         let fresh = SharedTrace::from_chunks(trace.chunks().to_vec());
         let start = Instant::now();
-        let replays = engine.replay(&fresh, &bank);
+        let replays = engine.replay(&fresh, bank);
         let nanos = start.elapsed().as_nanos() as f64;
         best = best.min(nanos / trace.len().max(1) as f64);
         correct = replays.iter().map(|r| r.tracker.correct(None)).sum();
     }
-    BenchResult { name: "replay.100k".to_owned(), correct, ns_per_record: best }
+    BenchResult { name: name.to_owned(), correct, ns_per_record: best }
 }
 
 /// One row per bench family, replaying `trace` `passes` times each.
@@ -439,7 +450,8 @@ mod tests {
                 "decode",
                 "encode",
                 "fcm1-3",
-                "replay.100k"
+                "replay.100k",
+                "replay.bank"
             ]
         );
         assert_eq!(first[8].correct, 2_000);
@@ -458,6 +470,8 @@ mod tests {
             .map(|r| r.tracker.correct(None))
             .sum();
         assert_eq!(first[11].correct, hits);
+        let families: u64 = first[..6].iter().map(|r| r.correct).sum();
+        assert_eq!(first[12].correct, families, "the engine's bank hits as the lone rows do");
         let second = run(2_000, 1);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.correct, b.correct, "{} hits must not depend on timing", a.name);
@@ -500,9 +514,10 @@ mod tests {
         // `BENCH_24.json` adds the two phase-profiling rows,
         // `BENCH_25.json` the decode row and `BENCH_27.json` the encode
         // row; `BENCH_28.json` times the 64-byte FCM entries,
-        // `BENCH_30.json` adds the `fcm1-3` bank row and `BENCH_31.json`
-        // the `replay.100k` engine row.
-        let files: [(&str, &[f64]); 10] = [
+        // `BENCH_30.json` adds the `fcm1-3` bank row, `BENCH_31.json`
+        // the `replay.100k` engine row and `BENCH_32.json` the
+        // `replay.bank` engine row.
+        let files: [(&str, &[f64]); 11] = [
             (include_str!("../../../BENCH_9.json"), &[7.40, 9.19, 510.57, 530.39, 745.54, 580.25]),
             (include_str!("../../../BENCH_14.json"), &[5.94, 7.44, 177.94, 213.17, 406.80, 254.99]),
             (
@@ -537,6 +552,13 @@ mod tests {
                     300.81,
                 ],
             ),
+            (
+                include_str!("../../../BENCH_32.json"),
+                &[
+                    3.47, 4.34, 121.03, 189.45, 277.10, 188.73, 42.87, 58.95, 30.71, 92.60, 333.11,
+                    428.46, 225.30,
+                ],
+            ),
         ];
         let names = [
             "l",
@@ -551,10 +573,11 @@ mod tests {
             "encode",
             "fcm1-3",
             "replay.100k",
+            "replay.bank",
         ];
         let correct = [
             40_615, 82_496, 120_904, 120_904, 120_904, 161_464, 18_432, 38_144, 200_000, 657_267,
-            362_712, 100_005,
+            362_712, 100_005, 647_287,
         ];
         for (text, ns) in files {
             let rows =

@@ -4,8 +4,8 @@
 //! to one unpartitioned pass over the trace.
 
 use dvp::core::{
-    AccuracyTracker, EntropyProfile, LocalityProfile, Predictor, PredictorConfig, PredictorSet,
-    ValueProfile,
+    AccuracyTracker, EntropyProfile, HybridPredictor, LocalityProfile, Predictor, PredictorConfig,
+    PredictorSet, ValueProfile,
 };
 use dvp::engine::{ReplayEngine, SharedTrace};
 use dvp::experiments::TraceStore;
@@ -140,8 +140,9 @@ fn profile_folds_equal_one_pass_on_real_trace() {
 
 /// The goldens print percentages to one decimal, so a tally a few records
 /// off can hide behind them. This replays all seven uncapped quick traces
-/// (`repro --quick`'s scale) with the paper bank and with fcm1–8, whose
-/// FCM orders the engine runs as one bank per shard, and requires every
+/// (`repro --quick`'s scale) with the paper bank, with the paper bank plus
+/// the stride/fcm2 hybrid (derived from the bank's fcm2 column) and with
+/// fcm1–8, whose FCM orders the engine runs as one bank, and requires every
 /// per-category count to equal one lone predictor's pass over the whole
 /// trace, configuration by configuration. Slow in a debug build; run it
 /// with `cargo test --release --test engine_equivalence -- --ignored`.
@@ -152,7 +153,9 @@ fn banked_tallies_equal_lone_passes_on_every_quick_trace() {
     let engine = ReplayEngine::new();
     for benchmark in Benchmark::ALL {
         let trace = store.trace(benchmark).expect("workload runs");
-        for bank in [PredictorConfig::paper_bank(), PredictorConfig::fcm_orders(1..=8)] {
+        let mut hybrid = PredictorConfig::paper_bank();
+        hybrid.push(PredictorConfig::new("hybrid", || Box::new(HybridPredictor::stride_fcm(2))));
+        for bank in [PredictorConfig::paper_bank(), hybrid, PredictorConfig::fcm_orders(1..=8)] {
             let replays = engine.replay(&trace, &bank);
             for (config, replay) in bank.iter().zip(&replays) {
                 assert_eq!(replay.name, config.name());
