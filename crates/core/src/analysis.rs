@@ -1,6 +1,6 @@
 //! Accuracy accounting and value-characteristic analyses (Sections 4.1–4.3).
 
-use crate::set::PcTally;
+use crate::correlation::PcTally;
 use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcSlots, Value};
 use std::collections::HashSet;
 
@@ -209,8 +209,8 @@ pub struct ImprovementPoint {
 /// Builds the Figure 9 cumulative-improvement curve from per-PC tallies.
 ///
 /// `better` and `worse` index into each [`PcTally::correct`] vector (for the
-/// paper: FCM = index 2, stride = index 1 of the
-/// [`PredictorSet::paper_trio`](crate::PredictorSet::paper_trio)).
+/// paper's `l`, `s2`, `fcm3` trio: FCM = index 2, stride = index 1 of
+/// each [`Correlation`](crate::Correlation) tally).
 /// Only static instructions where `better` strictly beats `worse`
 /// participate, mirroring the paper's construction ("a list of static
 /// instructions for which the fcm predictor gives better performance...
@@ -276,7 +276,7 @@ pub fn improvement_at(points: &[ImprovementPoint], static_pct: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set::tests::feed;
+    use crate::testing::feed;
     use dvp_trace::TraceRecord;
 
     fn profile(records: &[TraceRecord]) -> ValueProfile {

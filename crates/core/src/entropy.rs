@@ -197,7 +197,7 @@ impl Observer for EntropyProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set::tests::feed;
+    use crate::testing::feed;
     use dvp_trace::TraceRecord;
 
     fn rec(pc: u64, value: Value) -> TraceRecord {

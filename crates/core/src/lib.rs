@@ -23,19 +23,19 @@
 //! motivates in its Section 4.2.
 //!
 //! Evaluation scaffolding lives alongside the predictors:
-//! [`PredictorSet`] correlates the correct-prediction sets of several
-//! predictors (Figure 8/9 of the paper), [`AccuracyTracker`] and
+//! [`Correlation`] reports the correlated correct-prediction sets of
+//! several predictors (Figure 8/9 of the paper), [`AccuracyTracker`] and
 //! [`ValueProfile`] implement the Section 4 accounting,
 //! [`EntropyProfile`] and [`LocalityProfile`] the Section 1.2 framings,
 //! and [`sequences`] generates and measures the Section 1.1 sequence
 //! taxonomy (Table 1, Figure 2).
 //!
-//! The set and the three profiles are [`dvp_trace::Observer`]s: they fold
-//! `(PcId, Pc)`-keyed record columns through `observe_batch`, keep their
-//! per-instruction state in one dense [`dvp_trace::PcSlots`] table, and
-//! `merge` PC shards exactly, so the replay engine's one observer entry
-//! (`dvp_engine::ReplayEngine::observe`) runs any of them sharded, with
-//! results identical to one sequential pass.
+//! The three profiles are [`dvp_trace::Observer`]s: they fold
+//! `(PcId, Pc)`-keyed record columns through `observe_batch` and keep
+//! their per-instruction state in one dense [`dvp_trace::PcSlots`] table;
+//! the replay engine's one observer entry
+//! (`dvp_engine::ReplayEngine::observe`) folds any of them in one pass in
+//! trace order.
 //!
 //! # Quickstart
 //!
@@ -69,6 +69,7 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
 mod analysis;
 mod config;
+mod correlation;
 mod dataflow;
 mod delayed;
 mod entropy;
@@ -79,7 +80,6 @@ mod last_value;
 mod locality;
 mod predictor;
 pub mod sequences;
-mod set;
 mod stride;
 mod table;
 
@@ -88,6 +88,7 @@ pub use analysis::{
     VALUE_BUCKETS,
 };
 pub use config::PredictorConfig;
+pub use correlation::{run_trace, CorrectMask, Correlation, PcTally};
 pub use dataflow::{dataflow_height, oracle_height, value_predicted_height, SpeedupReport};
 pub use delayed::DelayedPredictor;
 pub use entropy::{shannon_entropy, EntropyProfile, ENTROPY_BUCKETS};
@@ -100,5 +101,18 @@ pub use hybrid::{ChooserFold, HybridPredictor};
 pub use last_value::LastValuePredictor;
 pub use locality::LocalityProfile;
 pub use predictor::{BankForm, Interned, Predictor};
-pub use set::{run_trace, CorrectMask, PcTally, PredictorSet};
 pub use stride::{StridePolicy, StridePredictor};
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use dvp_trace::{Observer, PcInterner, TraceRecord};
+
+    /// Feeds `records` to `observer` one at a time under first-appearance
+    /// ids.
+    pub(crate) fn feed<O: Observer>(observer: &mut O, records: &[TraceRecord]) {
+        let mut interner = PcInterner::new();
+        for r in records {
+            observer.observe_batch(&[interner.intern(r.pc)], &[r.pc], &[r.value], &[r.category]);
+        }
+    }
+}

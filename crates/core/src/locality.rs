@@ -167,7 +167,7 @@ impl Observer for LocalityProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set::tests::feed;
+    use crate::testing::feed;
     use crate::{Interned, LastValuePredictor};
     use dvp_trace::TraceRecord;
 

@@ -1,9 +1,9 @@
 //! Property tests for predictor invariants.
 
 use dvp_core::{
-    hash_history, Blending, DelayedPredictor, EntropyProfile, FcmPredictor, FiniteFcmPredictor,
-    FiniteHybridPredictor, FiniteLastValuePredictor, FiniteStridePredictor, Interned,
-    LastValuePredictor, LocalityProfile, Predictor, PredictorSet, StridePredictor, TableSpec,
+    hash_history, Blending, Correlation, DelayedPredictor, EntropyProfile, FcmPredictor,
+    FiniteFcmPredictor, FiniteHybridPredictor, FiniteLastValuePredictor, FiniteStridePredictor,
+    Interned, LastValuePredictor, LocalityProfile, Predictor, StridePredictor, TableSpec,
 };
 use dvp_trace::{InstrCategory, Observer, Pc, PcId, TraceRecord, Value};
 use proptest::prelude::*;
@@ -161,18 +161,30 @@ proptest! {
         prop_assert_eq!(&ib, &run_alone(Interned::new(StridePredictor::two_delta()), Pc(4), &b));
     }
 
-    // ----- predictor set ---------------------------------------------------
+    // ----- correlation -----------------------------------------------------
 
     #[test]
-    fn predictor_set_masks_partition_and_match_components(values in arb_small_values(150)) {
+    fn correlation_masks_partition_and_match_components(values in arb_small_values(150)) {
         let records: Vec<TraceRecord> = values
             .iter()
             .map(|&v| TraceRecord::new(Pc(8), InstrCategory::Logic, v))
             .collect();
-        let mut set = PredictorSet::paper_trio();
-        for r in &records {
-            set.observe_batch(&[PcId(0)], &[r.pc], &[r.value], &[r.category]);
-        }
+        // The trio in lockstep on one instruction, one mask per record.
+        let mut trio: [Box<dyn Predictor>; 3] = [
+            Box::new(LastValuePredictor::new()),
+            Box::new(StridePredictor::two_delta()),
+            Box::new(FcmPredictor::new(3)),
+        ];
+        let masks: Vec<u32> = records
+            .iter()
+            .map(|r| {
+                trio.iter_mut().enumerate().fold(0, |mask, (bit, p)| {
+                    mask | u32::from(p.step(PcId(0), r.pc, r.value) == Some(r.value)) << bit
+                })
+            })
+            .collect();
+        let mut set = Correlation::new(["l", "s2", "fcm3"].map(String::from).to_vec());
+        set.push_pc(Pc(8), &vec![InstrCategory::Logic; masks.len()], &masks);
         let mask_sum: u64 = (0..8u32).map(|m| set.subset_count(None, m)).sum();
         prop_assert_eq!(mask_sum, records.len() as u64);
 

@@ -9,8 +9,7 @@
 //! flush schedule produces identical results.
 
 use crate::drive::BankJob;
-use crate::shard_of_pc;
-use crate::shared::PcIndex;
+use crate::shared::{shard_of_pc, PcIndex};
 use dvp_core::Predictor;
 use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcInterner, TraceRecord, Value};
 
@@ -54,16 +53,16 @@ impl BatchScratch {
 
     /// Replaces the selection with the records at `positions` (ascending,
     /// as [`PcIndex::positions`] gives them) of the trace `index` was built
-    /// from, whose chunks are `chunks`, every one under id `id`.
+    /// from, whose chunks are `chunks`: one instruction's records, every
+    /// one under local id 0.
     pub(crate) fn gather_positions(
         &mut self,
         chunks: &[Vec<TraceRecord>],
         index: &PcIndex,
         positions: &[u32],
-        id: PcId,
     ) {
         self.clear(0);
-        index.for_each_record(chunks, positions, |at, rec| self.push(id, rec, at));
+        index.for_each_record(chunks, positions, |at, rec| self.push(PcId(0), rec, at));
     }
 
     /// Replaces the selection with `records` (the first at global
@@ -117,6 +116,19 @@ impl BatchScratch {
         self.values.push(rec.value);
         self.categories.push(rec.category);
         self.offsets.push(offset);
+    }
+
+    /// The number of records selected.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The PC of the first selected record and every selected record's
+    /// category: one instruction's, for a
+    /// [`gather_positions`](BatchScratch::gather_positions) selection.
+    /// `None` when nothing is selected.
+    pub(crate) fn instruction(&self) -> Option<(Pc, &[InstrCategory])> {
+        Some((*self.pcs.first()?, &self.categories))
     }
 
     /// Replays the selection through one `observe_batch` call. Returns the
@@ -210,16 +222,16 @@ mod tests {
 
         // Resident PC-major: one instruction's records through the index,
         // across ragged chunk boundaries, at their trace positions and
-        // under the id asked for.
+        // under local id 0.
         let chunks: Vec<Vec<TraceRecord>> =
             [0..3, 3..4, 4..90, 90..91, 91..500].map(|r| records[r].to_vec()).into();
         let trace = crate::SharedTrace::from_chunks(chunks);
-        let index = trace.pc_index().expect("indexed");
+        let index = trace.pc_index();
         for id in 0..7 {
             let picked: Vec<usize> = (0..500).filter(|&i| ids[i].index() == id).collect();
             let positions = index.positions(id);
             assert_eq!(positions, picked.iter().map(|&i| i as u32).collect::<Vec<_>>());
-            scratch.gather_positions(trace.chunks(), index, positions, PcId(0));
+            scratch.gather_positions(trace.chunks(), index, positions);
             assert_eq!(
                 scratch.values,
                 picked.iter().map(|&i| records[i].value).collect::<Vec<_>>()

@@ -16,28 +16,32 @@
 //! Groups are routed by declaration: a group whose predictor declares
 //! [`Predictor::keeps_per_id_state`] (and every FCM bank) hits on
 //! a record only by that instruction's own values. On a resident trace
-//! such groups replay PC-major: the trace's [`PcIndex`] is split into
+//! such groups replay PC-major: the trace's
+//! [`PcIndex`](crate::shared::PcIndex) is split into
 //! [`UNITS`] contiguous id ranges balanced by record count, and one job
 //! per unit gathers each instruction's records once and feeds them to
-//! every such group, each with fresh state under local id 0. Any other
+//! every such group, each with fresh state under local id 0. The
+//! correlated replay of Figures 8 and 9 ([`Correlated`]) is one more such
+//! model: it rebuilds every group of its bank per instruction and folds
+//! their hit columns into each record's correct-set mask. Any other
 //! group (finite tables alias across PCs, delayed updates queue across
 //! them) replays as one job over every record in trace order, and so
-//! does an observer unless it answers [`Observer::pc_major`]. A streamed
-//! container stays record-major: it is split into one PC shard per
-//! consumer thread for the per-PC groups, so each consumer gathers (and
-//! interns) its records once per chunk for every model it owns, and every
-//! other group is one unsharded job.
+//! does every observer. A streamed container stays record-major: it is
+//! split into one PC shard per consumer thread for the per-PC groups, so
+//! each consumer gathers (and interns) its records once per chunk for
+//! every model it owns, and every other group is one unsharded job.
 
 use crate::batch::BatchScratch;
 use crate::pool::decode_ahead;
 use crate::replay::UNITS;
-use crate::shared::{ChunkWindow, PcIndex};
+use crate::shared::ChunkWindow;
 use crate::{ReplayEngine, SharedTrace};
 use dvp_core::{
-    AccuracyTracker, BankForm, ChooserFold, FcmBank, Predictor, PredictorConfig, StridePredictor,
+    AccuracyTracker, BankForm, ChooserFold, CorrectMask, Correlation, FcmBank, Predictor,
+    PredictorConfig, StridePredictor,
 };
 use dvp_trace::io::{v2, TraceIoError};
-use dvp_trace::{Observer, Pc, PcId, PcInterner, PhasePlan, TraceRecord, Value};
+use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcInterner, PhasePlan, TraceRecord, Value};
 use std::io::Read;
 use std::ops::Range;
 
@@ -201,11 +205,8 @@ fn in_bank_order(groups: &[Group], reports: Vec<Vec<ConfigTally>>) -> Vec<Config
 pub(crate) trait Model: Send + Sized {
     /// What a finished job reports.
     type Tally: Send;
-    /// Whether, in a PC-major job, the model sees each instruction's
-    /// records under local id 0 after [`start_pc`](Model::start_pc)
-    /// (`true`) or under their trace ids (`false`).
-    const LOCAL_IDS: bool;
-    /// Starts the next instruction of a PC-major job.
+    /// Starts the next instruction of a PC-major job, whose records the
+    /// next feed holds, all under local id 0.
     fn start_pc(&mut self) {}
     /// Replays one gathered batch.
     fn feed(&mut self, batch: &mut BatchScratch);
@@ -237,6 +238,16 @@ impl Recipe {
             }
         }
     }
+
+    /// A replayer with fresh state sized for one instruction, local id 0.
+    fn build_one_pc(&self) -> Replayer {
+        let mut replayer = self.build();
+        match &mut replayer {
+            Replayer::One(predictor) => predictor.reserve_ids(1),
+            Replayer::Bank(job) => job.reserve_ids(1),
+        }
+        replayer
+    }
 }
 
 /// What a group replays: one predictor, or an FCM bank with one hit
@@ -244,6 +255,19 @@ impl Recipe {
 enum Replayer {
     One(Box<dyn Predictor>),
     Bank(Box<BankJob>),
+}
+
+impl Replayer {
+    /// Replays the batch's selection: see [`BatchScratch::observe`].
+    fn observe<'b>(
+        &mut self,
+        batch: &'b mut BatchScratch,
+    ) -> (u64, &'b [u32], &'b [InstrCategory], &'b [bool]) {
+        match self {
+            Replayer::One(predictor) => batch.observe(predictor.as_mut()),
+            Replayer::Bank(job) => batch.observe_bank(job),
+        }
+    }
 }
 
 /// An [`FcmBank`] and the stride/FCM hybrids derived from its columns.
@@ -329,27 +353,18 @@ pub(crate) struct Tallied {
 
 impl Model for Tallied {
     type Tally = Vec<ConfigTally>;
-    const LOCAL_IDS: bool = true;
 
     /// Fresh state for one id, and the window cursor back at the start:
     /// positions ascend within an instruction, not across instructions.
     fn start_pc(&mut self) {
-        let mut replayer = self.recipe.build();
-        match &mut replayer {
-            Replayer::One(predictor) => predictor.reserve_ids(1),
-            Replayer::Bank(job) => job.reserve_ids(1),
-        }
-        self.replayer = Some(replayer);
+        self.replayer = Some(self.recipe.build_one_pc());
         self.next = 0;
     }
 
     fn feed(&mut self, batch: &mut BatchScratch) {
         let recipe = &self.recipe;
         let (base, offsets, categories, correct) =
-            match self.replayer.get_or_insert_with(|| recipe.build()) {
-                Replayer::One(predictor) => batch.observe(predictor.as_mut()),
-                Replayer::Bank(job) => batch.observe_bank(job),
-            };
+            self.replayer.get_or_insert_with(|| recipe.build()).observe(batch);
         let n = offsets.len();
         let before = |pos: u64| move |&at: &u32| base + u64::from(at) < pos;
         let mut from = 0;
@@ -385,11 +400,59 @@ impl Model for Tallied {
     }
 }
 
-/// An observer (a correlated predictor set, a per-instruction profile)
-/// folds the batch's columns under their trace ids and is its own report.
+/// Every config of a bank over the same records, correlated: a PC-major
+/// model that, per instruction, rebuilds every group's replayer with fresh
+/// state, ORs each member's hit column into the records' correct-set
+/// masks at that config's bank position, and appends the instruction to
+/// its [`Correlation`].
+pub(crate) struct Correlated<'a> {
+    groups: &'a [Group],
+    /// One per group, built afresh for each instruction.
+    replayers: Vec<Replayer>,
+    /// The current instruction's correct-set mask per record.
+    masks: Vec<CorrectMask>,
+    report: Correlation,
+}
+
+impl Model for Correlated<'_> {
+    type Tally = Correlation;
+
+    fn start_pc(&mut self) {
+        self.replayers = self.groups.iter().map(|g| g.recipe.build_one_pc()).collect();
+    }
+
+    /// Folds one instruction's records: a PC-major job feeds each
+    /// instruction as one batch.
+    fn feed(&mut self, batch: &mut BatchScratch) {
+        let n = batch.len();
+        self.masks.clear();
+        self.masks.resize(n, 0);
+        for (group, replayer) in self.groups.iter().zip(&mut self.replayers) {
+            let (.., correct) = replayer.observe(batch);
+            for (&config, &column) in group.members.iter().zip(&group.columns) {
+                for (mask, &hit) in self.masks.iter_mut().zip(&correct[column * n..][..n]) {
+                    *mask |= CorrectMask::from(hit) << config;
+                }
+            }
+        }
+        if let Some((pc, categories)) = batch.instruction() {
+            self.report.push_pc(pc, categories, &self.masks);
+        }
+    }
+
+    fn finish(self) -> Self::Tally {
+        self.report
+    }
+
+    fn merge(into: &mut Self::Tally, from: Self::Tally) {
+        into.merge(from);
+    }
+}
+
+/// An observer (a per-instruction profile, a trace summary) folds the
+/// batch's columns under their trace ids and is its own report.
 impl<O: Observer + Send> Model for O {
     type Tally = O;
-    const LOCAL_IDS: bool = false;
 
     fn feed(&mut self, batch: &mut BatchScratch) {
         batch.observe_into(self);
@@ -523,43 +586,25 @@ impl ReplayEngine {
         M: Model,
         F: Fn(usize, usize) -> M + Sync,
     {
-        let index = if per_pc.contains(&true) { trace.pc_index() } else { None };
-        self.drive_indexed(trace, index, plan, per_pc, make)
-    }
-
-    /// [`drive`](ReplayEngine::drive) through `index`; without one (a
-    /// trace too long to index) every model replays in trace order.
-    fn drive_indexed<M, F>(
-        &self,
-        trace: &SharedTrace,
-        index: Option<&PcIndex>,
-        plan: Plan<'_>,
-        per_pc: &[bool],
-        make: F,
-    ) -> Vec<M::Tally>
-    where
-        M: Model,
-        F: Fn(usize, usize) -> M + Sync,
-    {
         plan.check(trace.len() as u64).unwrap_or_else(|e| panic!("{e}"));
         let models = per_pc.len();
-        let pc_major: Vec<usize> = (0..models).filter(|&m| per_pc[m] && index.is_some()).collect();
+        let pc_major: Vec<usize> = (0..models).filter(|&m| per_pc[m]).collect();
         let mut work = Vec::new();
-        if let Some(index) = index.filter(|_| !pc_major.is_empty()) {
-            for unit in index.units(UNITS) {
+        if !pc_major.is_empty() {
+            for unit in trace.pc_index().units(UNITS) {
                 work.extend(
                     (0..plan.phases()).map(|phase| Work::Instructions(unit.clone(), phase)),
                 );
             }
         }
-        for model in (0..models).filter(|m| !pc_major.contains(m)) {
+        for model in (0..models).filter(|&m| !per_pc[m]) {
             work.extend((0..plan.phases()).map(|phase| Work::Records(model, phase)));
         }
         let reports = self.map(work, |work| {
             let mut scratch = BatchScratch::default();
             match work {
                 Work::Instructions(ids, phase) => {
-                    let index = index.expect("PC-major work needs the index");
+                    let index = trace.pc_index();
                     let observed = plan.observed(phase);
                     let mut jobs: Vec<(usize, M)> =
                         pc_major.iter().map(|&m| (m, make(m, phase))).collect();
@@ -571,8 +616,7 @@ impl ReplayEngine {
                         if from == to {
                             continue;
                         }
-                        let as_id = PcId(if M::LOCAL_IDS { 0 } else { id as u32 });
-                        scratch.gather_positions(trace.chunks(), index, &all[from..to], as_id);
+                        scratch.gather_positions(trace.chunks(), index, &all[from..to]);
                         for (_, model) in &mut jobs {
                             model.start_pc();
                             model.feed(&mut scratch);
@@ -613,6 +657,38 @@ impl ReplayEngine {
         let per_pc: Vec<bool> = groups.iter().map(|g| g.per_pc).collect();
         let make = |g: usize, phase| plan.tallied(bank, &groups[g], phase);
         in_bank_order(&groups, self.drive(trace, plan, &per_pc, make))
+    }
+
+    /// Correlates the correct sets of `bank` over a resident trace: for
+    /// every record, which configs predicted it (bit *i* for config *i*),
+    /// counted per category, and one [`PcTally`](dvp_core::PcTally) per
+    /// static instruction in first-appearance order. One `Correlated`
+    /// model replays PC-major over the trace's units, every config under
+    /// the same groups as [`replay`](ReplayEngine::replay), so each
+    /// config's hits equal its lone replay's; the report is identical at
+    /// any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some config's predictor does not keep per-instruction
+    /// state ([`Predictor::keeps_per_id_state`]): a finite table or a
+    /// delayed predictor has no answer one instruction at a time. Also
+    /// panics if the bank holds more than 32 configs.
+    #[must_use]
+    pub fn correlate(&self, trace: &SharedTrace, bank: &[PredictorConfig]) -> Correlation {
+        let groups = groups(bank);
+        if let Some(group) = groups.iter().find(|g| !g.per_pc) {
+            let name = bank[group.members[0]].name();
+            panic!("correlate replays one instruction at a time, and {name} keeps no per-id state");
+        }
+        let empty = Correlation::new(bank.iter().map(|c| c.name().to_owned()).collect());
+        let make = |_, _| Correlated {
+            groups: &groups,
+            replayers: Vec::new(),
+            masks: Vec::new(),
+            report: empty.clone(),
+        };
+        self.drive(trace, Plan::Full, &[true], make).pop().expect("one merged correlation")
     }
 
     /// [`drive_bank`](ReplayEngine::drive_bank) over a streamed container.
@@ -719,12 +795,11 @@ impl ReplayEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::Plan;
     use crate::{phase_plan, ConfigReplay, PhaseOptions, ReplayEngine, SampledReplay, SharedTrace};
     use dvp_core::{
-        AccuracyTracker, Blending, DelayedPredictor, FcmPredictor, FiniteLastValuePredictor,
-        HybridPredictor, LastValuePredictor, Predictor, PredictorConfig, StridePredictor,
-        TableSpec,
+        AccuracyTracker, Blending, Correlation, DelayedPredictor, FcmPredictor,
+        FiniteLastValuePredictor, HybridPredictor, LastValuePredictor, Predictor, PredictorConfig,
+        StridePredictor, TableSpec,
     };
     use dvp_trace::io::v2;
     use dvp_trace::{InstrCategory, Pc, PcInterner, PhasePlan, TraceRecord};
@@ -781,9 +856,6 @@ mod tests {
     #[derive(Clone, Copy, Debug)]
     enum Source {
         Resident,
-        /// Resident, with no [`PcIndex`](crate::shared::PcIndex): the
-        /// fallback of a trace too long to index.
-        Unindexed,
         Stored,
         Compressed,
     }
@@ -902,21 +974,6 @@ mod tests {
                     Mode::Cold => sampled(&engine.replay_sampled(trace, bank, plan)),
                     Mode::Warm => sampled(&engine.replay_sampled_warm(trace, bank, plan)),
                 }
-            }
-            Source::Unindexed => {
-                let plan = match mode {
-                    Mode::Full => Plan::Full,
-                    Mode::Cold => Plan::Cold(plan),
-                    Mode::Warm => Plan::Warm(plan),
-                };
-                let groups = super::groups(bank);
-                let make = |g: usize, phase| plan.tallied(bank, &groups[g], phase);
-                let routes: Vec<bool> = groups.iter().map(|g| g.per_pc).collect();
-                let reports = engine.drive_indexed(trace, None, plan, &routes, make);
-                let rows = super::in_bank_order(&groups, reports);
-                return surface(
-                    rows.iter().map(|(name, tallies)| (name.as_str(), tallies.as_slice())),
-                );
             }
             Source::Stored => containers.0,
             Source::Compressed => containers.1,
@@ -1046,15 +1103,13 @@ mod tests {
                 for (i, a) in fcm.iter().enumerate() {
                     assert!(fcm[i + 1..].iter().all(|b| a.1 != b.1), "{mode:?}: {} ties", a.0);
                 }
-                for source in [Source::Resident, Source::Unindexed] {
-                    for (layout, resident) in residents.iter().enumerate() {
-                        let engine = &engines[layout % engines.len()];
-                        assert_eq!(
-                            run(engine, source, mode, resident, containers, &plan, &bank),
-                            reference,
-                            "{source:?} {mode:?} layout {layout}"
-                        );
-                    }
+                for (layout, resident) in residents.iter().enumerate() {
+                    let engine = &engines[layout % engines.len()];
+                    assert_eq!(
+                        run(engine, Source::Resident, mode, resident, containers, &plan, &bank),
+                        reference,
+                        "{mode:?} layout {layout}"
+                    );
                 }
                 for source in [Source::Stored, Source::Compressed] {
                     for engine in &engines {
@@ -1077,9 +1132,7 @@ mod tests {
         for bank in banks().into_iter().chain([cross_pc_bank()]) {
             for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
                 let reference = one_pass(&trace, mode, &plan, &bank);
-                for source in
-                    [Source::Resident, Source::Unindexed, Source::Stored, Source::Compressed]
-                {
+                for source in [Source::Resident, Source::Stored, Source::Compressed] {
                     for engine in engines() {
                         let containers = (stored.as_slice(), compressed.as_slice());
                         let got = run(&engine, source, mode, &trace, containers, &plan, &bank);
@@ -1131,6 +1184,140 @@ mod tests {
         }
     }
 
+    /// A correlation's subset counts, per category and then for all, by
+    /// mask; and its per-PC `(pc, total, correct, category)` tallies.
+    type Joint = (Vec<Vec<u64>>, Vec<(Pc, u64, Vec<u64>, Option<InstrCategory>)>);
+
+    fn joint(report: &Correlation) -> Joint {
+        let masks = 1u32 << report.names().len();
+        let counts = InstrCategory::ALL
+            .into_iter()
+            .map(Some)
+            .chain([None])
+            .map(|category| (0..masks).map(|m| report.subset_count(category, m)).collect())
+            .collect();
+        let per_pc = report
+            .per_pc_tallies()
+            .iter()
+            .map(|(pc, t)| (*pc, t.total, t.correct.clone(), t.category))
+            .collect();
+        (counts, per_pc)
+    }
+
+    /// The correlation written out by hand: every config built once and
+    /// stepped in lockstep over the whole trace in trace order under its
+    /// trace ids, each record's correct-set mask counted per category,
+    /// and each PC tallied in first-appearance order.
+    fn lockstep(trace: &SharedTrace, bank: &[PredictorConfig]) -> Joint {
+        let mut predictors: Vec<_> = bank.iter().map(PredictorConfig::build).collect();
+        let all = InstrCategory::ALL.len();
+        let mut counts = vec![vec![0u64; 1 << bank.len()]; all + 1];
+        let mut per_pc: Vec<(Pc, u64, Vec<u64>, Option<InstrCategory>)> = Vec::new();
+        for (rec, id) in trace.iter_with_ids() {
+            let hits: Vec<bool> = predictors
+                .iter_mut()
+                .map(|p| p.step(id, rec.pc, rec.value) == Some(rec.value))
+                .collect();
+            let mask = hits.iter().rev().fold(0, |mask, &hit| mask << 1 | usize::from(hit));
+            counts[rec.category.index()][mask] += 1;
+            counts[all][mask] += 1;
+            if id.index() == per_pc.len() {
+                per_pc.push((rec.pc, 0, vec![0; bank.len()], Some(rec.category)));
+            }
+            let (_, total, correct, _) = &mut per_pc[id.index()];
+            *total += 1;
+            for (c, &hit) in correct.iter_mut().zip(&hits) {
+                *c += u64::from(hit);
+            }
+        }
+        (counts, per_pc)
+    }
+
+    /// Last value, two-delta stride and order-3 FCM: Figure 8's trio.
+    fn trio() -> Vec<PredictorConfig> {
+        let paper = PredictorConfig::paper_bank();
+        vec![paper[0].clone(), paper[1].clone(), paper[4].clone()]
+    }
+
+    #[test]
+    fn correlate_matches_a_lockstep_pass_on_every_layout_and_worker_count() {
+        let records = records(30_000);
+        let residents = layouts(&records);
+        let [paper, interleaved] = banks();
+        for bank in [trio(), paper, interleaved] {
+            let reference = lockstep(&residents[0], &bank);
+            assert!(reference.1.iter().any(|&(_, total, ..)| total == 1), "a one-record PC");
+            for (layout, resident) in residents.iter().enumerate() {
+                for engine in engines() {
+                    let got = joint(&engine.correlate(resident, &bank));
+                    assert_eq!(got, reference, "layout {layout} {engine:?}");
+                }
+            }
+            // Each config's hits are those of its lone replay.
+            let engine = ReplayEngine::sequential();
+            let report = engine.correlate(&residents[0], &bank);
+            assert_eq!(report.total(), records.len() as u64);
+            for (i, replay) in engine.replay(&residents[0], &bank).iter().enumerate() {
+                assert_eq!(
+                    report.correct_total(i),
+                    replay.tracker.correct(None),
+                    "{}",
+                    replay.name
+                );
+            }
+            let empty = SharedTrace::new();
+            for engine in engines() {
+                let report = engine.correlate(&empty, &bank);
+                assert_eq!(joint(&report), lockstep(&empty, &bank), "{engine:?}");
+                assert_eq!(report.total(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn correlate_shows_each_trio_member_s_signature_sequence() {
+        // Three instructions, interleaved: a constant, a stride, and a
+        // repeating non-stride period.
+        let period = [9u64, 2, 77, 31, 5, 18];
+        let records: Vec<TraceRecord> = (0..300u64)
+            .flat_map(|i| {
+                [
+                    TraceRecord::new(Pc(0), InstrCategory::Shift, 42),
+                    TraceRecord::new(Pc(4), InstrCategory::AddSub, 10 * i),
+                    TraceRecord::new(Pc(8), InstrCategory::Loads, period[i as usize % 6]),
+                ]
+            })
+            .collect();
+        let engine = ReplayEngine::new().with_workers(3);
+        let report = engine.correlate(&SharedTrace::from_records(records), &trio());
+        let count = |category, mask| report.subset_count(Some(category), mask);
+        // After warmup, all three catch the constant.
+        assert!(count(InstrCategory::Shift, 0b111) >= 295);
+        // Only stride extrapolates: FCM never saw the value, last value is stale.
+        assert!(count(InstrCategory::AddSub, 0b010) >= 290);
+        assert_eq!(count(InstrCategory::AddSub, 0b001), 0);
+        // Only FCM learns the period.
+        assert!(count(InstrCategory::Loads, 0b100) > 250);
+        let tallies: Vec<_> =
+            report.per_pc_tallies().iter().map(|(pc, t)| (pc.0, t.total, t.category)).collect();
+        let categories = [InstrCategory::Shift, InstrCategory::AddSub, InstrCategory::Loads];
+        assert_eq!(
+            tallies,
+            [0, 4, 8]
+                .into_iter()
+                .zip(categories)
+                .map(|(pc, c)| (pc, 300, Some(c)))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no per-id state")]
+    fn correlate_refuses_a_config_without_per_id_state() {
+        let trace = SharedTrace::from_records(records(100));
+        let _ = ReplayEngine::sequential().correlate(&trace, &cross_pc_bank());
+    }
+
     /// A trace of `n` records over `pcs` PCs drawn from `seed`: each PC
     /// mixes a short value cycle, a stride and noise.
     fn drawn(n: usize, pcs: u64, seed: u64) -> Vec<TraceRecord> {
@@ -1179,8 +1366,17 @@ mod tests {
             let mut interner = PcInterner::new();
             order.iter().for_each(|&pc| { interner.intern(pc); });
             let ids = records.iter().map(|r| interner.get(r.pc).expect("interned")).collect();
-            let shuffled = SharedTrace::from_parts(vec![records], vec![ids], interner);
+            let shuffled = SharedTrace::from_parts(vec![records.clone()], vec![ids], interner);
             prop_assert_eq!(full(&engine.replay(&shuffled, &bank)), in_order);
+            let by_pc = |report: Correlation| {
+                let (counts, mut per_pc) = joint(&report);
+                per_pc.sort_unstable_by_key(|&(pc, ..)| pc);
+                (counts, per_pc)
+            };
+            prop_assert_eq!(
+                by_pc(engine.correlate(&shuffled, &bank)),
+                by_pc(engine.correlate(&SharedTrace::from_records(records), &bank))
+            );
         }
     }
 }

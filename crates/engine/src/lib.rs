@@ -9,9 +9,8 @@
 //!    record buffer behind an [`Arc`](std::sync::Arc) — cloning it into any
 //!    number of replay jobs costs an atomic increment, never a copy.
 //! 2. **Fan configurations out across threads.** A [`ReplayEngine`] turns a
-//!    bank of [`PredictorConfig`](dvp_core::PredictorConfig)s (and
-//!    optionally many traces at once) into independent jobs on a
-//!    fixed-size [`par_map`] worker pool. The FCM orders of a bank
+//!    bank of [`PredictorConfig`](dvp_core::PredictorConfig)s into
+//!    independent jobs on a fixed-size [`par_map`] worker pool. The FCM orders of a bank
 //!    (every config whose built predictor declares a lazy-exclusion FCM,
 //!    [`dvp_core::Predictor::bank_form`]) share one job as a
 //!    [`dvp_core::FcmBank`]: one context walk per record for all of
@@ -31,7 +30,9 @@
 //!    fresh state: a worker holds one instruction's tables at a time. A
 //!    configuration without per-instruction state (finite aliased tables,
 //!    delayed updates) replays as one job over every record in trace
-//!    order.
+//!    order. [`ReplayEngine::correlate`] runs a whole bank per
+//!    instruction the same way and reports, per record, which configs
+//!    were correct ([`dvp_core::Correlation`], Figures 8 and 9).
 //! 4. **Merge deterministically.** Unit tallies are exact integer counts,
 //!    merged in a fixed order; results are **bit-identical at any worker
 //!    count**, including the single-worker configuration. Every
@@ -46,10 +47,11 @@
 //! 6. **Stream huge traces in bounded memory.**
 //!    [`ReplayEngine::replay_streaming`] decodes a container one chunk at
 //!    a time into a bounded window ([`DEFAULT_CHUNK_WINDOW`]) feeding the
-//!    workers, each owning one PC shard ([`shard_of_pc`]) of every
+//!    workers, each owning one PC shard (a hash of the PC) of every
 //!    per-instruction configuration: resident memory is fixed whatever
 //!    the trace length, and tallies stay byte-identical to the resident
-//!    path.
+//!    path. A resident trace holds at most `u32::MAX` records; a longer
+//!    container streams.
 //! 7. **Sample phases instead of replaying everything.** [`phase_plan`]
 //!    clusters fixed-length trace windows SimPoint-style (seeded,
 //!    deterministic); [`ReplayEngine::replay_sampled`] then replays one
@@ -109,7 +111,5 @@ pub use jobs::{
 };
 pub use pool::{par_map, try_par_map};
 pub use replay::{ConfigReplay, ReplayEngine};
-pub use shared::{
-    shard_of_pc, SharedTrace, SharedTraceBuilder, DEFAULT_CHUNK_LEN, DEFAULT_CHUNK_WINDOW,
-};
+pub use shared::{SharedTrace, SharedTraceBuilder, DEFAULT_CHUNK_LEN, DEFAULT_CHUNK_WINDOW};
 pub use simpoint::{phase_plan, PhaseOptions, SampledReplay, DEFAULT_WINDOW_RECORDS};

@@ -2,6 +2,7 @@
 //! and the streaming replay path that never materializes one.
 
 use crate::drive::Plan;
+use crate::shared::MAX_RESIDENT_RECORDS;
 use crate::{ConfigReplay, ReplayEngine, SharedTrace};
 use dvp_core::PredictorConfig;
 use dvp_trace::io::v2;
@@ -22,7 +23,10 @@ impl ReplayEngine {
     /// # Errors
     ///
     /// Returns a [`TraceIoError`] for an unsupported version, a malformed
-    /// header, a chunk failing validation, a truncated payload section, a
+    /// header, a header counting more than `u32::MAX` records (a resident
+    /// trace's bound: stream such a container with
+    /// [`replay_streaming`](ReplayEngine::replay_streaming); no chunk is
+    /// decoded), a chunk failing validation, a truncated payload section, a
     /// torn or corrupt trailing section, or a persisted interner section
     /// that misses a PC — for the lowest-index failing chunk, whichever
     /// worker hit it first.
@@ -46,6 +50,15 @@ impl ReplayEngine {
     /// ```
     pub fn load_trace(&self, bytes: &[u8]) -> Result<(v2::Header, SharedTrace), TraceIoError> {
         let (header, payload, sections) = v2::split_with_sections(bytes)?;
+        if header.record_count > MAX_RESIDENT_RECORDS as u64 {
+            return Err(TraceIoError::Format {
+                message: format!(
+                    "container holds {} records, over the {MAX_RESIDENT_RECORDS} a resident \
+                     trace can index; stream it instead",
+                    header.record_count
+                ),
+            });
+        }
         let interner = sections
             .iter()
             .find(|section| section.magic == v2::SECTION_INTERNER)

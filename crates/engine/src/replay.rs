@@ -14,8 +14,8 @@ use dvp_trace::Observer;
 /// count does not size any table: it only bounds the parallelism of one
 /// replay, and sixteen keeps a few workers busy even when the largest
 /// instruction holds a few percent of its trace. It never depends on
-/// `--workers`, so the jobs, and every observer merge, are the same at
-/// any worker count.
+/// `--workers`, so the jobs, and every merge of their reports, are the
+/// same at any worker count.
 ///
 /// [`PcIndex::units`]: crate::shared::PcIndex::units
 pub(crate) const UNITS: usize = 16;
@@ -151,47 +151,23 @@ impl ReplayEngine {
         self.drive_bank(trace, Plan::Full, bank).into_iter().map(ConfigReplay::new).collect()
     }
 
-    /// Replays every trace under every configuration of the bank — the full
-    /// predictor×workload matrix, one trace after another, each as
-    /// independent jobs on the worker pool. Returns, for
-    /// each trace (outer, in input order), one merged [`ConfigReplay`] per
-    /// configuration (inner, in bank order).
-    #[must_use]
-    pub fn replay_matrix(
-        &self,
-        traces: &[SharedTrace],
-        bank: &[PredictorConfig],
-    ) -> Vec<Vec<ConfigReplay>> {
-        traces.iter().map(|trace| self.replay(trace, bank)).collect()
-    }
-
-    /// Folds one trace through an [`Observer`] — a correlated
-    /// [`dvp_core::PredictorSet`] (Figures 8/9) or a per-instruction
-    /// profile. When one built observer answers [`Observer::pc_major`],
-    /// the observer is folded over the sixteen units of instructions:
-    /// `build` makes one per unit, each observes its instructions'
-    /// records one instruction at a time under their trace ids, and the
-    /// unit observers merge in unit order. Otherwise it folds the whole
-    /// trace in trace order. Either gives exactly the observer of one
-    /// pass over the trace.
+    /// Folds one trace through an [`Observer`] (a per-instruction profile,
+    /// a trace summary) in one pass in trace order: `build` makes the one
+    /// observer, and the fold is exactly that of a sequential pass.
     pub fn observe<O, F>(&self, trace: &SharedTrace, build: F) -> O
     where
         O: Observer + Send,
         F: Fn() -> O + Sync,
     {
-        let per_pc = build().pc_major();
         let make = |_, _| build();
-        self.drive(trace, Plan::Full, &[per_pc], make).pop().expect("one merged observer")
+        self.drive(trace, Plan::Full, &[false], make).pop().expect("one merged observer")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvp_core::{
-        FiniteLastValuePredictor, LastValuePredictor, Predictor, PredictorSet, TableSpec,
-    };
-    use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord};
+    use dvp_trace::{InstrCategory, Pc, TraceRecord};
 
     fn mixed_trace(n: u64) -> SharedTrace {
         (0..n)
@@ -243,120 +219,14 @@ mod tests {
         }
     }
 
-    /// Records seen by each observer a fold merged, in merge order.
-    struct Units {
-        pc_major: bool,
-        seen: Vec<u64>,
-    }
-
-    impl Observer for Units {
-        fn pc_major(&self) -> bool {
-            self.pc_major
-        }
-        fn observe_batch(&mut self, ids: &[PcId], _: &[Pc], _: &[u64], _: &[InstrCategory]) {
-            *self.seen.last_mut().expect("one count per observer") += ids.len() as u64;
-        }
-        fn merge(&mut self, other: Self) {
-            self.seen.extend(other.seen);
-        }
-    }
-
     #[test]
-    fn observe_builds_one_observer_per_unit_balanced_by_records() {
-        // 120 PCs, skewed: the busiest executes far more than the rest.
-        let trace: SharedTrace = (0..6000u64)
-            .map(|i| TraceRecord::new(Pc(4 * ((i % 13) * (i % 17) % 120)), InstrCategory::Logic, i))
-            .collect();
-        let mut per_pc = std::collections::HashMap::new();
-        for rec in &trace {
-            *per_pc.entry(rec.pc).or_insert(0u64) += 1;
-        }
-        let largest = per_pc.values().copied().max().expect("records");
-        let len = trace.len() as u64;
-        let mut seen = Vec::new();
-        for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(4)] {
-            let units = engine.observe(&trace, || Units { pc_major: true, seen: vec![0] }).seen;
-            assert_eq!(units.len(), UNITS, "{engine:?}");
-            assert_eq!(units.iter().sum::<u64>(), len);
-            assert!(units.iter().all(|&n| n <= len / UNITS as u64 + largest), "{units:?}");
-            assert!(units.iter().filter(|&&n| n > 0).count() > UNITS / 2, "{units:?}");
-            seen.push(units);
-        }
-        assert_eq!(seen[0], seen[1], "the units do not depend on the worker count");
-        let set = ReplayEngine::sequential().observe(&mixed_trace(1000), PredictorSet::paper_trio);
-        assert_eq!(set.total(), 1000);
-    }
-
-    #[test]
-    fn observe_folds_a_record_order_observer_once_over_the_whole_trace() {
+    fn observe_folds_the_whole_trace_in_one_pass() {
         let trace = mixed_trace(1000);
+        let one_pass: dvp_trace::TraceSummary = trace.iter().copied().collect();
         for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(4)] {
-            let units = engine.observe(&trace, || Units { pc_major: false, seen: vec![0] }).seen;
-            assert_eq!(units, [1000], "{engine:?}");
             let summary = engine.observe(&trace, dvp_trace::TraceSummary::new);
-            let one_pass: dvp_trace::TraceSummary = trace.iter().copied().collect();
             assert_eq!(summary.dynamic_total(), 1000);
             assert_eq!(summary.static_total(), one_pass.static_total());
-        }
-    }
-
-    #[test]
-    fn a_set_with_a_finite_member_folds_as_one_pass() {
-        let trace = mixed_trace(3000);
-        let build = || {
-            let mut set = PredictorSet::new();
-            set.push(Box::new(LastValuePredictor::new()));
-            set.push(Box::new(FiniteLastValuePredictor::new(TableSpec::new(2))));
-            set
-        };
-        assert!(!build().pc_major(), "a finite table aliases across PCs");
-        let mut one_pass = build();
-        for (r, id) in trace.iter_with_ids() {
-            one_pass.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
-        }
-        for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(3)] {
-            let set = engine.observe(&trace, build);
-            for mask in 0..4u32 {
-                assert_eq!(set.subset_count(None, mask), one_pass.subset_count(None, mask));
-            }
-        }
-        // Aliasing shows: the finite table hits where one PC per slot would not.
-        assert_ne!(one_pass.subset_count(None, 0b10), 0);
-    }
-
-    #[test]
-    fn replay_matrix_layout_is_trace_major_bank_minor() {
-        let traces = [mixed_trace(500), mixed_trace(900)];
-        let bank = PredictorConfig::fcm_orders([1, 2]);
-        let matrix = ReplayEngine::new().with_workers(3).replay_matrix(&traces, &bank);
-        assert_eq!(matrix.len(), 2);
-        for (trace, row) in traces.iter().zip(&matrix) {
-            assert_eq!(row.len(), 2);
-            assert_eq!(row[0].name, "fcm1");
-            assert_eq!(row[1].name, "fcm2");
-            for replay in row {
-                assert_eq!(replay.tracker.total(), trace.len() as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn correlated_replay_matches_sequential_set() {
-        let trace = mixed_trace(4000);
-        let mut sequential = PredictorSet::paper_trio();
-        for (r, id) in trace.iter_with_ids() {
-            sequential.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
-        }
-        let merged = ReplayEngine::new().with_workers(4).observe(&trace, PredictorSet::paper_trio);
-        assert_eq!(merged.total(), sequential.total());
-        for mask in 0..8u32 {
-            assert_eq!(merged.subset_count(None, mask), sequential.subset_count(None, mask));
-        }
-        let m: std::collections::HashMap<_, _> = merged.per_pc_tallies().into_iter().collect();
-        let s: std::collections::HashMap<_, _> = sequential.per_pc_tallies().into_iter().collect();
-        assert_eq!(m.len(), s.len());
-        for (pc, tally) in &s {
-            assert_eq!(m[pc].correct, tally.correct, "{pc}");
         }
     }
 
@@ -368,5 +238,9 @@ mod tests {
         assert!(replays.iter().all(|r| r.tracker.total() == 0 && r.accuracy() == 0.0));
         let none = engine.replay(&mixed_trace(10), &[]);
         assert!(none.is_empty());
+        let report = engine.correlate(&mixed_trace(10), &[]);
+        assert_eq!((report.total(), report.subset_count(None, 0)), (10, 10));
+        assert_eq!(report.per_pc_tallies().len(), 10);
+        assert_eq!(engine.correlate(&empty, &PredictorConfig::paper_bank()).total(), 0);
     }
 }

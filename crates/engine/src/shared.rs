@@ -20,6 +20,11 @@ pub const DEFAULT_CHUNK_LEN: usize = 1 << 16;
 /// for what else is resident).
 pub const DEFAULT_CHUNK_WINDOW: usize = 4;
 
+/// The most records a resident [`SharedTrace`] holds: its [`PcIndex`]
+/// names each record by a `u32` position. A longer container replays
+/// streaming ([`ReplayEngine::replay_streaming`](crate::ReplayEngine::replay_streaming)).
+pub(crate) const MAX_RESIDENT_RECORDS: usize = u32::MAX as usize;
+
 /// An immutable value trace held in fixed-size chunks behind an [`Arc`].
 ///
 /// A `SharedTrace` is materialized **once** per workload (simulation is the
@@ -54,7 +59,7 @@ pub struct SharedTrace {
     len: usize,
     /// The records grouped by instruction, built by the first resident
     /// replay that needs it and shared by every clone.
-    pc_index: Arc<OnceLock<Option<PcIndex>>>,
+    pc_index: Arc<OnceLock<PcIndex>>,
 }
 
 impl SharedTrace {
@@ -65,6 +70,10 @@ impl SharedTrace {
     }
 
     /// Wraps an already-collected record vector (one chunk, no copying).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `records` holds more than `u32::MAX` records.
     #[must_use]
     pub fn from_records(records: Vec<TraceRecord>) -> Self {
         let chunks = if records.is_empty() { Vec::new() } else { vec![records] };
@@ -81,6 +90,10 @@ impl SharedTrace {
     /// one sequential pass here; when a container carries a persisted
     /// interner section, the engine's loader skips that pass and assigns
     /// ids chunk-parallel instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunks hold more than `u32::MAX` records.
     #[must_use]
     pub fn from_chunks(chunks: Vec<Vec<TraceRecord>>) -> Self {
         let chunks: Vec<Vec<TraceRecord>> =
@@ -100,7 +113,8 @@ impl SharedTrace {
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if `ids` is not parallel to `chunks`.
+    /// Panics if the chunks hold more than `u32::MAX` records, and (debug
+    /// builds) if `ids` is not parallel to `chunks`.
     pub(crate) fn from_parts(
         chunks: Vec<Vec<TraceRecord>>,
         ids: Vec<Vec<PcId>>,
@@ -112,6 +126,7 @@ impl SharedTrace {
             "ids must be parallel to chunks"
         );
         let len = chunks.iter().map(Vec::len).sum();
+        assert!(len <= MAX_RESIDENT_RECORDS, "{len} records exceed a resident trace's u32::MAX");
         SharedTrace {
             chunks: Arc::new(chunks),
             ids: Arc::new(ids),
@@ -179,10 +194,9 @@ impl SharedTrace {
     }
 
     /// The trace's records grouped by instruction ([`PcIndex`]), built on
-    /// the first call and shared by every clone; `None` when a position
-    /// would not fit the index's `u32` (a trace over `u32::MAX` records).
-    pub(crate) fn pc_index(&self) -> Option<&PcIndex> {
-        self.pc_index.get_or_init(|| PcIndex::build(self)).as_ref()
+    /// the first call and shared by every clone.
+    pub(crate) fn pc_index(&self) -> &PcIndex {
+        self.pc_index.get_or_init(|| PcIndex::build(self))
     }
 
     /// Copies the trace into a flat vector.
@@ -221,10 +235,8 @@ pub(crate) struct PcIndex {
 }
 
 impl PcIndex {
-    /// Indexes `trace`, or `None` when it holds more than `u32::MAX`
-    /// records.
-    fn build(trace: &SharedTrace) -> Option<PcIndex> {
-        let total = u32::try_from(trace.len()).ok()?;
+    /// Indexes `trace` (every resident trace fits a `u32` position).
+    fn build(trace: &SharedTrace) -> PcIndex {
         let mut starts = vec![0u32; trace.interner().len() + 1];
         for id in trace.id_chunks().iter().flatten() {
             starts[id.index() + 1] += 1;
@@ -233,7 +245,7 @@ impl PcIndex {
             starts[i] += starts[i - 1];
         }
         let mut next = starts[..starts.len() - 1].to_vec();
-        let mut positions = vec![0u32; total as usize];
+        let mut positions = vec![0u32; trace.len()];
         let mut chunk_starts = Vec::with_capacity(trace.chunks().len());
         let mut at = 0u32;
         for ids in trace.id_chunks() {
@@ -245,7 +257,7 @@ impl PcIndex {
                 at += 1;
             }
         }
-        Some(PcIndex { positions, starts, chunk_starts })
+        PcIndex { positions, starts, chunk_starts }
     }
 
     /// The number of ids indexed (the interner's length).
@@ -310,7 +322,7 @@ impl PcIndex {
 ///
 /// Panics if `nshards` is zero.
 #[must_use]
-pub fn shard_of_pc(pc: Pc, nshards: usize) -> usize {
+pub(crate) fn shard_of_pc(pc: Pc, nshards: usize) -> usize {
     assert!(nshards > 0, "nshards must be positive");
     ((pc.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % nshards
 }
@@ -517,7 +529,12 @@ impl SharedTraceBuilder {
     }
 
     /// Appends one record (interning its PC as it lands).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the builder already holds `u32::MAX` records.
     pub fn push(&mut self, rec: TraceRecord) {
+        assert!(self.len < MAX_RESIDENT_RECORDS, "a resident trace holds at most u32::MAX records");
         if self.current.capacity() == 0 {
             self.current.reserve_exact(self.chunk_len);
             self.current_ids.reserve_exact(self.chunk_len);
@@ -713,10 +730,55 @@ mod tests {
             let _ = engine.observe(&trace, dvp_trace::TraceSummary::new);
             assert!(trace.pc_index.get().is_none(), "a record-order fold needs none");
             let _ = engine.replay(&trace, &PredictorConfig::paper_bank());
-            let index = clone.pc_index.get().and_then(Option::as_ref).expect("built once");
-            assert!(std::ptr::eq(index, trace.pc_index().expect("indexed")));
+            let index = clone.pc_index.get().expect("built once");
+            assert!(std::ptr::eq(index, trace.pc_index()));
             assert_eq!((index.ids(), index.positions(0).len()), (5, 60));
         }
+    }
+
+    #[test]
+    fn units_cover_every_id_balanced_by_records_in_any_layout() {
+        // 120 PCs, skewed: the busiest executes far more than the rest.
+        let records: Vec<TraceRecord> = (0..6000u64)
+            .map(|i| TraceRecord::new(Pc(4 * ((i % 13) * (i % 17) % 120)), InstrCategory::Logic, i))
+            .collect();
+        let mut per_pc = std::collections::HashMap::new();
+        for rec in &records {
+            *per_pc.entry(rec.pc).or_insert(0u64) += 1;
+        }
+        let largest = per_pc.values().copied().max().expect("records");
+        let len = records.len() as u64;
+        let units = 16;
+        let mut builder = SharedTraceBuilder::with_chunk_len(700);
+        records.iter().for_each(|&rec| builder.push(rec));
+        let mut layouts = Vec::new();
+        for trace in [SharedTrace::from_records(records.clone()), builder.finish()] {
+            let index = trace.pc_index();
+            let ranges = index.units(units);
+            assert_eq!(ranges.len(), units);
+            assert_eq!((ranges[0].start, ranges[units - 1].end), (0, index.ids()));
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start), "{ranges:?}");
+            let sizes: Vec<u64> = ranges
+                .iter()
+                .map(|ids| ids.clone().map(|id| index.positions(id).len() as u64).sum())
+                .collect();
+            assert_eq!(sizes.iter().sum::<u64>(), len);
+            assert!(sizes.iter().all(|&n| n <= len / units as u64 + largest), "{sizes:?}");
+            assert!(sizes.iter().filter(|&&n| n > 0).count() > units / 2, "{sizes:?}");
+            layouts.push(ranges);
+        }
+        assert_eq!(layouts[0], layouts[1], "the units depend on the records alone");
+        assert_eq!(SharedTrace::new().pc_index().units(units), vec![0..0; units]);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX")]
+    fn a_resident_trace_holds_at_most_u32_max_records() {
+        // The bound is checked before any record is touched: `len` alone
+        // decides, so the builder need not hold four billion records.
+        let mut builder = SharedTraceBuilder::with_chunk_len(1);
+        builder.len = MAX_RESIDENT_RECORDS;
+        builder.push(TraceRecord::new(Pc(0), InstrCategory::Logic, 0));
     }
 
     #[test]

@@ -21,12 +21,12 @@ pub struct AccuracyResults {
     pub per_benchmark: Vec<(Benchmark, Vec<AccuracyTracker>)>,
 }
 
-/// Runs the accuracy experiment through the replay engine: the full
-/// predictor×benchmark matrix (5 × 7 cells, further split into PC shards)
-/// fans out over the engine's worker pool. Predictor tables are per
-/// benchmark (as in the paper) and per shard, so workers share nothing;
-/// the merged tallies are identical to a sequential lockstep pass at any
-/// worker count.
+/// Runs the accuracy experiment through the replay engine: each
+/// benchmark's trace replays the five predictors one instruction at a
+/// time, in units of instructions over the engine's worker pool.
+/// Predictor tables are per benchmark (as in the paper) and per
+/// instruction, so workers share nothing; the merged tallies are
+/// identical to a sequential lockstep pass at any worker count.
 ///
 /// # Errors
 ///
@@ -35,11 +35,12 @@ pub fn run(store: &mut TraceStore, engine: &ReplayEngine) -> Result<AccuracyResu
     store.prefetch(engine, &Benchmark::ALL)?;
     let traces: Vec<SharedTrace> =
         Benchmark::ALL.iter().map(|&b| store.trace(b)).collect::<Result<_, _>>()?;
-    let matrix = engine.replay_matrix(&traces, &PredictorConfig::paper_bank());
+    let bank = PredictorConfig::paper_bank();
     let per_benchmark = Benchmark::ALL
         .into_iter()
-        .zip(matrix)
-        .map(|(benchmark, replays)| {
+        .zip(&traces)
+        .map(|(benchmark, trace)| {
+            let replays = engine.replay(trace, &bank);
             (benchmark, replays.into_iter().map(|replay| replay.tracker).collect())
         })
         .collect();

@@ -31,14 +31,15 @@
 //!
 //! All workload-driven experiments run through the `dvp-engine` parallel
 //! replay engine: each benchmark's trace is simulated once into a shared
-//! buffer, and the predictor×workload matrix fans out across worker
-//! threads with per-PC sharding. With `--trace-dir`, traces additionally
-//! persist across runs as compressed version-4 containers (spec:
-//! `docs/TRACE_FORMAT.md`; a file of any other version is regenerated)
-//! and later runs replay them without simulating at all — the tables are
-//! byte-identical at any `--workers` setting and whether a trace came
-//! from the simulator or the cache. Cache activity is reported on stderr
-//! (`[repro] trace cache: ...`), never on stdout.
+//! buffer, and each trace's replays fan out across worker threads one
+//! instruction at a time, in a fixed set of units of instructions. With
+//! `--trace-dir`, traces additionally persist across runs as compressed
+//! version-4 containers (spec: `docs/TRACE_FORMAT.md`; a file of any
+//! other version is regenerated) and later runs replay them without
+//! simulating at all — the tables are byte-identical at any `--workers`
+//! setting and whether a trace came from the simulator or the cache.
+//! Cache activity is reported on stderr (`[repro] trace cache: ...`),
+//! never on stdout.
 //!
 //! Every command line is read by one argument cursor ([`Args`]). The global
 //! flags may appear anywhere; each subcommand's usage is written once, in

@@ -14,7 +14,7 @@
 use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};
 use crate::values::pool;
-use dvp_core::{EntropyProfile, FcmPredictor, LocalityProfile, PredictorSet, ENTROPY_BUCKETS};
+use dvp_core::{EntropyProfile, LocalityProfile, PredictorConfig, ENTROPY_BUCKETS};
 use dvp_workloads::{Benchmark, BuildError};
 
 /// History depths reported by [`locality`] (Lipasti et al. report 1 and 16;
@@ -101,31 +101,28 @@ pub struct EntropyResults {
 }
 
 /// Profiles value-stream entropy and correlates it with FCM accuracy: per
-/// benchmark, one fold of an [`EntropyProfile`] and one of a single-FCM
-/// [`PredictorSet`], both on the store's engine (every tally is per PC,
-/// so splitting by instruction never changes a count); pooled figures sum
-/// the benchmarks'.
+/// benchmark, one fold of an [`EntropyProfile`] and one per-instruction
+/// replay of the order-[`ENTROPY_FCM_ORDER`] FCM
+/// ([`ReplayEngine::correlate`](dvp_engine::ReplayEngine::correlate)),
+/// both on the store's engine; pooled figures sum the benchmarks'.
 ///
 /// # Errors
 ///
 /// Propagates workload build/run errors.
 pub fn entropy(store: &mut TraceStore) -> Result<EntropyResults, BuildError> {
     let engine = store.engine().clone();
+    let fcm_bank = PredictorConfig::fcm_orders([ENTROPY_FCM_ORDER]);
     let mut fcm_by_bucket = vec![(0u64, 0u64); ENTROPY_BUCKETS.len() + 1];
     let (mut hists, mut bench_means) = (Vec::new(), Vec::new());
     for benchmark in Benchmark::ALL {
         let trace = store.trace(benchmark)?;
         let profile = engine.observe(&trace, EntropyProfile::new);
-        let fcm = engine.observe(&trace, || {
-            let mut set = PredictorSet::new();
-            set.push(Box::new(FcmPredictor::new(ENTROPY_FCM_ORDER)));
-            set
-        });
+        let fcm = engine.correlate(&trace, &fcm_bank);
         // Join the FCM's per-PC outcomes to entropy buckets, once per
         // static instruction.
         let entropies = profile.entropies();
         for (pc, tally) in fcm.per_pc_tallies() {
-            let at = entropies.binary_search_by_key(&pc, |&(at, ..)| at).expect("profiled PC");
+            let at = entropies.binary_search_by_key(pc, |&(at, ..)| at).expect("profiled PC");
             let bucket = &mut fcm_by_bucket[EntropyProfile::bucket_of(entropies[at].1)];
             bucket.0 += tally.total;
             bucket.1 += tally.correct[0];

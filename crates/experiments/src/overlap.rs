@@ -3,7 +3,9 @@
 
 use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};
-use dvp_core::{improvement_at, improvement_curve, ImprovementPoint, PcTally, PredictorSet};
+use dvp_core::{
+    improvement_at, improvement_curve, Correlation, ImprovementPoint, PcTally, PredictorConfig,
+};
 use dvp_engine::ReplayEngine;
 use dvp_trace::InstrCategory;
 use dvp_workloads::{Benchmark, BuildError};
@@ -31,40 +33,48 @@ pub const SHOWN_CATEGORIES: [InstrCategory; 5] = [
 ];
 
 /// Combined results for Figures 8 and 9 (computed in one pass: both need
-/// the same l/s2/fcm3 lockstep run).
+/// the same correlated l/s2/fcm3 replay).
 #[derive(Debug)]
 pub struct OverlapResults {
-    /// Per-benchmark predictor sets (kept for per-benchmark queries).
-    pub per_benchmark: Vec<(Benchmark, PredictorSet)>,
+    /// Per-benchmark correlations of the [`trio`] (kept for per-benchmark
+    /// queries).
+    pub per_benchmark: Vec<(Benchmark, Correlation)>,
     /// Every benchmark's per-static-instruction tallies, concatenated
     /// (static instructions of different benchmarks are never the same).
     pub pooled_tallies: Vec<PcTally>,
 }
 
-/// Runs the l + s2 + fcm3 lockstep over every benchmark, through the
-/// replay engine.
+/// The paper's Figure 8 trio in bit order: last value (bit 0), two-delta
+/// stride (bit 1) and order-3 FCM (bit 2).
+#[must_use]
+pub fn trio() -> Vec<PredictorConfig> {
+    let paper = PredictorConfig::paper_bank();
+    vec![paper[0].clone(), paper[1].clone(), paper[4].clone()]
+}
+
+/// Correlates the l + s2 + fcm3 [`trio`] over every benchmark, through
+/// the replay engine.
 ///
 /// The correct-*subset* of each dynamic instruction needs all three
 /// predictors on the same record, so each benchmark replays through
-/// [`ReplayEngine::observe`]: every unit of instructions runs its own
-/// [`PredictorSet::paper_trio`] and the unit sets merge back — exact
-/// counts, so the result is identical to a sequential pass at any worker
-/// count.
+/// [`ReplayEngine::correlate`]: one instruction at a time, all three
+/// predictors with fresh state — exact counts, so the result is
+/// identical to a sequential lockstep pass at any worker count.
 ///
 /// # Errors
 ///
 /// Propagates workload build/run errors.
 pub fn run(store: &mut TraceStore, engine: &ReplayEngine) -> Result<OverlapResults, BuildError> {
     store.prefetch(engine, &Benchmark::ALL)?;
-    let mut per_benchmark: Vec<(Benchmark, PredictorSet)> = Vec::new();
+    let mut per_benchmark = Vec::new();
     for benchmark in Benchmark::ALL {
         let trace = store.trace(benchmark)?;
-        per_benchmark.push((benchmark, engine.observe(&trace, PredictorSet::paper_trio)));
+        per_benchmark.push((benchmark, engine.correlate(&trace, &trio())));
     }
 
     let mut pooled_tallies = Vec::new();
-    for (_, set) in &per_benchmark {
-        pooled_tallies.extend(set.per_pc_tallies().into_iter().map(|(_, tally)| tally));
+    for (_, correlation) in &per_benchmark {
+        pooled_tallies.extend(correlation.per_pc_tallies().iter().map(|(_, tally)| tally.clone()));
     }
     Ok(OverlapResults { per_benchmark, pooled_tallies })
 }
@@ -75,7 +85,7 @@ impl OverlapResults {
     #[must_use]
     pub fn mean_subset_fraction(&self, category: Option<InstrCategory>, mask: u32) -> f64 {
         let fractions: Vec<f64> =
-            self.per_benchmark.iter().map(|(_, set)| set.subset_fraction(category, mask)).collect();
+            self.per_benchmark.iter().map(|(_, c)| c.subset_fraction(category, mask)).collect();
         fractions.iter().sum::<f64>() / fractions.len() as f64
     }
 
@@ -104,7 +114,7 @@ impl OverlapResults {
     /// category (or all instructions with `None`).
     #[must_use]
     pub fn figure9_curve(&self, category: Option<InstrCategory>) -> Vec<ImprovementPoint> {
-        // Indexes into PredictorSet::paper_trio: 1 = stride, 2 = fcm.
+        // Indexes into the trio: 1 = stride, 2 = fcm.
         improvement_curve(&self.pooled_tallies, 2, 1, category)
     }
 
@@ -142,6 +152,12 @@ impl OverlapResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_trio_is_l_s2_fcm3_in_bit_order() {
+        let names: Vec<String> = trio().iter().map(|c| c.name().to_owned()).collect();
+        assert_eq!(names, ["l", "s2", "fcm3"]);
+    }
 
     #[test]
     fn subset_fractions_partition_unity() {

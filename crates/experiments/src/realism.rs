@@ -65,10 +65,10 @@ fn mean(values: &[f64]) -> f64 {
 type CellOutcome = (Option<(f64, f64, f64)>, u64);
 
 /// Runs one three-family lockstep pass over a full trace. Realism cells
-/// are *never* PC-sharded: finite tables alias across PCs and delayed
-/// updates queue across the whole observation stream, so splitting the
-/// trace would change the experiment. The engine still parallelizes across
-/// cells (sweep point × benchmark).
+/// never replay one instruction at a time: finite tables alias across PCs
+/// and delayed updates queue across the whole observation stream, so
+/// splitting the trace would change the experiment. The engine still
+/// parallelizes across cells (sweep point × benchmark).
 fn lockstep_cell(
     trace: &SharedTrace,
     mut l: impl Predictor,
@@ -241,8 +241,8 @@ pub struct DelaySweepResults {
 /// Measures accuracy as a function of update latency for the paper's three
 /// predictors (unbounded tables, so the delay effect is isolated from
 /// aliasing). One engine job per (delay, benchmark) cell; the delay queue
-/// spans the whole observation stream, so cells replay full traces (no PC
-/// sharding).
+/// spans the whole observation stream, so cells replay full traces in
+/// trace order.
 ///
 /// # Errors
 ///

@@ -4,7 +4,7 @@
 use crate::context::{TraceStore, REFERENCE_OPT};
 use crate::table_fmt::{pct, TextTable};
 use dvp_core::PredictorConfig;
-use dvp_engine::{ReplayEngine, SharedTrace};
+use dvp_engine::ReplayEngine;
 use dvp_lang::OptLevel;
 use dvp_workloads::{Benchmark, BuildError, Workload, CC_INPUTS};
 
@@ -64,8 +64,8 @@ pub struct Table6 {
 /// Runs Table 6: the same `cc` program over its five input files. The
 /// variant traces come through the store's cache tiers (cache misses
 /// simulate in parallel on the store's engine, one job per input, and
-/// persist when a trace directory is configured); the order-2 FCM replays
-/// then run as a 5×1 matrix of sharded jobs.
+/// persist when a trace directory is configured); the order-2 FCM then
+/// replays over each input's trace in turn, one instruction at a time.
 ///
 /// # Errors
 ///
@@ -77,15 +77,13 @@ pub fn table6(store: &mut TraceStore, engine: &ReplayEngine) -> Result<Table6, B
         .map(|&(name, _, _)| Ok((Workload::cc_with_input(name)?.with_scale(scale), REFERENCE_OPT)))
         .collect::<Result<_, BuildError>>()?;
     let variants = store.variant_traces(jobs)?;
-    let traces: Vec<SharedTrace> = variants.iter().map(|(trace, _)| trace.clone()).collect();
     let rows = CC_INPUTS
         .iter()
         .zip(&variants)
-        .zip(engine.replay_matrix(&traces, &sensitivity_bank()))
-        .map(|((&(name, _, _), &(_, predictions)), replays)| Table6Row {
+        .map(|(&(name, _, _), (trace, predictions))| Table6Row {
             input: name.to_owned(),
-            predictions,
-            accuracy: replays[0].accuracy(),
+            predictions: *predictions,
+            accuracy: engine.replay(trace, &sensitivity_bank())[0].accuracy(),
         })
         .collect();
     Ok(Table6 { rows })
@@ -137,7 +135,7 @@ pub struct Table7 {
 /// Each optimization level's trace comes through the store's cache tiers
 /// (misses compile-and-trace in parallel on the store's engine and
 /// persist when a trace directory is configured), then the order-2 FCM
-/// replays run as a 3×1 matrix.
+/// replays over each level's trace in turn.
 ///
 /// # Errors
 ///
@@ -147,15 +145,13 @@ pub fn table7(store: &mut TraceStore, engine: &ReplayEngine) -> Result<Table7, B
     let jobs: Vec<(Workload, OptLevel)> =
         OptLevel::ALL.iter().map(|&flags| (workload.clone(), flags)).collect();
     let variants = store.variant_traces(jobs)?;
-    let traces: Vec<SharedTrace> = variants.iter().map(|(trace, _)| trace.clone()).collect();
     let rows = OptLevel::ALL
         .iter()
         .zip(&variants)
-        .zip(engine.replay_matrix(&traces, &sensitivity_bank()))
-        .map(|((&flags, &(_, predictions)), replays)| Table7Row {
+        .map(|(&flags, (trace, predictions))| Table7Row {
             flags,
-            predictions,
-            accuracy: replays[0].accuracy(),
+            predictions: *predictions,
+            accuracy: engine.replay(trace, &sensitivity_bank())[0].accuracy(),
         })
         .collect();
     Ok(Table7 { rows })

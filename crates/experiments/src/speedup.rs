@@ -61,8 +61,8 @@ fn speedup_of(nodes: &[DepNode], predictor: impl Predictor) -> (SpeedupReport, f
 
 /// Runs the dataflow-limit study on every benchmark, one engine job per
 /// benchmark (dependence heights are a whole-trace computation, so the
-/// benchmark is the natural unit of parallelism here — PC sharding does
-/// not apply to dependence chains).
+/// benchmark is the natural unit of parallelism here — a dependence chain
+/// cannot be split by instruction).
 ///
 /// Unlike the accuracy experiments this needs dependence traces, which are
 /// collected fresh per benchmark (they are not cached in the store — a

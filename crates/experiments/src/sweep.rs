@@ -102,8 +102,9 @@ pub fn default_grid(quick: bool) -> Vec<Scenario> {
 }
 
 /// Replays every scenario of `grid` under every configuration of `bank`
-/// (one `replay_matrix` call — the full matrix fans out as (trace, config,
-/// shard) jobs) and scores each row against its analytic expectation.
+/// (one [`ReplayEngine::replay`] per scenario trace, its jobs fanned out
+/// over the engine's worker pool) and scores each row against its
+/// analytic expectation.
 /// Scenario traces are acquired through `store` (and generated on its
 /// engine), so a configured trace directory serves warm runs without
 /// generating.
@@ -140,13 +141,12 @@ fn run_inner(
     sample: bool,
 ) -> SweepResults {
     let traces = store.synthetic_traces(grid);
-    let matrix = engine.replay_matrix(&traces, bank);
     let rows = grid
         .iter()
         .zip(&traces)
-        .zip(matrix)
-        .map(|((scenario, trace), replays)| {
-            let accuracy: Vec<(String, f64)> = replays
+        .map(|(scenario, trace)| {
+            let accuracy: Vec<(String, f64)> = engine
+                .replay(trace, bank)
                 .into_iter()
                 .map(|r| {
                     let acc = r.accuracy();

@@ -292,29 +292,15 @@ impl<T> PcSlots<T> {
     }
 }
 
-/// A fold over a trace's records that the replay driver runs in trace
-/// order or one instruction at a time: correlated predictor sets, the
-/// per-instruction profiles, trace summaries.
+/// A fold over a trace's records that the replay driver runs in one pass
+/// in trace order: the per-instruction profiles, trace summaries.
 ///
-/// A PC's records arrive in trace order as parallel columns, with ids
-/// from one interner per observer. Totals are exact sums, so when state
-/// is strictly per PC the merge of observers of a trace's disjoint sets
-/// of PCs equals the observer of the whole trace, whatever the order the
-/// PCs were visited in.
+/// Records arrive in trace order as parallel columns, with ids from one
+/// interner per observer. Totals are exact sums, so when state is
+/// strictly per PC the merge of observers of a trace's disjoint sets of
+/// PCs equals the observer of the whole trace, whatever the order the PCs
+/// were visited in.
 pub trait Observer: Sized {
-    /// Whether the replay driver may fold this observer PC-major: one
-    /// observer per unit of instructions, fed each instruction's records
-    /// as one batch. The driver asks one built instance. Answer `true`
-    /// only when state is strictly per PC, so that the merged observer
-    /// equals one pass. Reading a trace PC-major costs a gather per
-    /// record, which pays off only when per-instruction state is heavy
-    /// and stays hot within one instruction's batch, as a predictor
-    /// set's tables do; the default, `false`, folds the whole trace in
-    /// one pass in trace order.
-    fn pc_major(&self) -> bool {
-        false
-    }
-
     /// Folds a run of records, given as parallel columns.
     fn observe_batch(
         &mut self,

@@ -5,12 +5,15 @@
 //!
 //! Run with: `cargo run --release --example hybrid_explorer`
 
-use dvp_core::{FcmPredictor, HybridPredictor, Interned, PredictorSet, StridePredictor};
+use dvp_core::{HybridPredictor, Interned, PredictorConfig};
 use dvp_engine::{ReplayEngine, SharedTrace};
 use dvp_lang::OptLevel;
 use dvp_workloads::{Benchmark, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // The hybrid's two components: bit 0 = two-delta stride, bit 1 = fcm3.
+    let paper = PredictorConfig::paper_bank();
+    let components = [paper[1].clone(), paper[4].clone()];
     println!(
         "{:<10} {:>7} {:>7} {:>7} {:>8} {:>7}",
         "benchmark", "s2%", "fcm3%", "hybrid%", "union%", "chooser"
@@ -19,19 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let workload = Workload::reference(benchmark).with_scale(1);
         let trace = workload.trace(OptLevel::O1, 200_000_000)?;
 
-        // Union of correct sets via the lockstep machinery (bit 0 = stride,
-        // bit 1 = fcm), fed the trace's interned ids.
+        // Union of correct sets via the correlated replay.
         let shared = SharedTrace::from_records(trace.clone());
-        let set = ReplayEngine::sequential().observe(&shared, || {
-            let mut set = PredictorSet::new();
-            set.push(Box::new(StridePredictor::two_delta()));
-            set.push(Box::new(FcmPredictor::new(3)));
-            set
-        });
-        let total = set.total() as f64;
-        let s2 = set.accuracy(0) * 100.0;
-        let fcm = set.accuracy(1) * 100.0;
-        let union = (total - set.subset_count(None, 0b00) as f64) / total * 100.0;
+        let correlation = ReplayEngine::sequential().correlate(&shared, &components);
+        let total = correlation.total() as f64;
+        let s2 = correlation.accuracy(0) * 100.0;
+        let fcm = correlation.accuracy(1) * 100.0;
+        let union = (total - correlation.subset_count(None, 0b00) as f64) / total * 100.0;
 
         let mut hybrid = Interned::new(HybridPredictor::stride_fcm(3));
         let (correct, _) = dvp_core::run_trace(&mut hybrid, trace.iter());

@@ -3,7 +3,7 @@
 //! facade.
 
 use dvp::asm::assemble;
-use dvp::core::{FcmPredictor, Interned, Predictor, PredictorSet, StridePredictor};
+use dvp::core::{FcmPredictor, Interned, Predictor, PredictorConfig};
 use dvp::engine::{ReplayEngine, SharedTrace};
 use dvp::lang::{compile, OptLevel};
 use dvp::sim::Machine;
@@ -43,12 +43,8 @@ fn full_pipeline_produces_predictable_trace() {
     // The table loads form a repeated non-stride sequence: fcm must beat
     // stride on the Loads category, exactly the paper's core claim.
     let shared = SharedTrace::from_records(trace);
-    let set = ReplayEngine::sequential().observe(&shared, || {
-        let mut set = PredictorSet::new();
-        set.push(Box::new(StridePredictor::two_delta()));
-        set.push(Box::new(FcmPredictor::new(2)));
-        set
-    });
+    let paper = PredictorConfig::paper_bank();
+    let set = ReplayEngine::sequential().correlate(&shared, &[paper[1].clone(), paper[3].clone()]);
     let loads_total: u64 = (0..4u32).map(|m| set.subset_count(Some(InstrCategory::Loads), m)).sum();
     let fcm_loads: u64 =
         [0b10u32, 0b11].iter().map(|&m| set.subset_count(Some(InstrCategory::Loads), m)).sum();

@@ -5,11 +5,11 @@
 
 use dvp::core::{
     AccuracyTracker, EntropyProfile, HybridPredictor, LocalityProfile, Predictor, PredictorConfig,
-    PredictorSet, ValueProfile,
+    ValueProfile,
 };
 use dvp::engine::{ReplayEngine, SharedTrace};
 use dvp::experiments::TraceStore;
-use dvp::trace::{InstrCategory, Observer, TraceSummary};
+use dvp::trace::{InstrCategory, Observer, Pc, TraceSummary};
 use dvp::workloads::Benchmark;
 use std::sync::OnceLock;
 
@@ -54,31 +54,53 @@ fn engine_replay_equals_sequential_lockstep_on_real_trace() {
 #[test]
 fn correlated_replay_equals_sequential_trio_on_real_trace() {
     let trace = trace();
-    let mut sequential = PredictorSet::paper_trio();
-    for (r, id) in trace.iter_with_ids() {
-        sequential.observe_batch(&[id], &[r.pc], &[r.value], &[r.category]);
+    let paper = PredictorConfig::paper_bank();
+    let trio = [paper[0].clone(), paper[1].clone(), paper[4].clone()];
+
+    // The pre-engine lockstep loop: per record, the trio's correct-set
+    // mask, counted per category and per PC in first-appearance order.
+    let mut predictors: Vec<Box<dyn Predictor>> = trio.iter().map(PredictorConfig::build).collect();
+    let mut subsets = vec![[0u64; 8]; InstrCategory::ALL.len()];
+    let mut per_pc: Vec<(Pc, u64, [u64; 3], InstrCategory)> = Vec::new();
+    for (rec, id) in trace.iter_with_ids() {
+        let mut mask = 0;
+        for (bit, p) in predictors.iter_mut().enumerate() {
+            mask |= usize::from(p.step(id, rec.pc, rec.value) == Some(rec.value)) << bit;
+        }
+        subsets[rec.category.index()][mask] += 1;
+        if id.index() == per_pc.len() {
+            per_pc.push((rec.pc, 0, [0; 3], rec.category));
+        }
+        let (_, total, correct, _) = &mut per_pc[id.index()];
+        *total += 1;
+        for (bit, c) in correct.iter_mut().enumerate() {
+            *c += (mask >> bit & 1) as u64;
+        }
     }
+
     for workers in [1, 2, 4] {
-        let merged =
-            ReplayEngine::new().with_workers(workers).observe(trace, PredictorSet::paper_trio);
-        assert_eq!(merged.total(), sequential.total());
-        for mask in 0..8u32 {
-            for category in InstrCategory::ALL.into_iter().map(Some).chain([None]) {
+        let merged = ReplayEngine::new().with_workers(workers).correlate(trace, &trio);
+        assert_eq!(merged.total(), trace.len() as u64);
+        for mask in 0..8 {
+            for category in InstrCategory::ALL {
                 assert_eq!(
-                    merged.subset_count(category, mask),
-                    sequential.subset_count(category, mask),
+                    merged.subset_count(Some(category), mask as u32),
+                    subsets[category.index()][mask],
                     "workers={workers} mask={mask:03b} {category:?}"
                 );
             }
+            let all: u64 = subsets.iter().map(|row| row[mask]).sum();
+            assert_eq!(merged.subset_count(None, mask as u32), all, "workers={workers}");
         }
-        let m: std::collections::HashMap<_, _> = merged.per_pc_tallies().into_iter().collect();
-        let s: std::collections::HashMap<_, _> = sequential.per_pc_tallies().into_iter().collect();
-        assert_eq!(m.len(), s.len());
-        for (pc, tally) in &s {
-            assert_eq!(m[pc].total, tally.total, "{pc}");
-            assert_eq!(m[pc].correct, tally.correct, "{pc}");
-            assert_eq!(m[pc].category, tally.category, "{pc}");
-        }
+        let got: Vec<_> = merged
+            .per_pc_tallies()
+            .iter()
+            .map(|(pc, t)| {
+                let correct: [u64; 3] = t.correct.as_slice().try_into().expect("three configs");
+                (*pc, t.total, correct, t.category.expect("categorized"))
+            })
+            .collect();
+        assert_eq!(got, per_pc, "workers={workers}");
     }
 }
 

@@ -2,12 +2,12 @@
 //! input with a meaningful error — never a panic, never silent acceptance.
 
 use dvp::asm::assemble;
-use dvp::engine::SharedTrace;
+use dvp::engine::{ReplayEngine, SharedTrace};
 use dvp::experiments::{cache, durable};
 use dvp::lang::{compile, OptLevel};
 use dvp::sim::{Machine, SimError};
 use dvp::trace::io::{v2, TraceIoError};
-use dvp::trace::{InstrCategory, Pc, TraceRecord};
+use dvp::trace::{fnv1a64, InstrCategory, Pc, TraceRecord};
 use std::io::{self, ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -193,6 +193,48 @@ fn binary_roundtrip_is_lossless_under_extreme_values() {
     ];
     let (_, back) = v2::read(&mut container(&records).as_slice()).expect("deserializes");
     assert_eq!(records, back);
+}
+
+/// A container whose valid, checksummed header indexes four chunks of
+/// 2^30 records each (`u32::MAX + 1` in all), laid out from
+/// `docs/TRACE_FORMAT.md`, over 16 payload bytes whose chunk checksums
+/// are all wrong: decoding any chunk would fail on its checksum.
+fn forged_oversized_container() -> Vec<u8> {
+    const CHUNK: u32 = 1 << 30;
+    let mut tail = Vec::new();
+    tail.extend_from_slice(&(4 * u64::from(CHUNK)).to_le_bytes()); // record count
+    tail.extend_from_slice(&CHUNK.to_le_bytes()); // chunk capacity
+    tail.extend_from_slice(&4u32.to_le_bytes()); // chunk count
+    tail.extend_from_slice(&[0; 16]); // retired, predicted
+    tail.extend_from_slice(&[0; 6]); // three empty fingerprint strings
+    tail.extend_from_slice(&[0; 20]); // seed, scale, record cap
+    for chunk in 0..4u64 {
+        tail.extend_from_slice(&(4 * chunk).to_le_bytes()); // payload offset
+        tail.extend_from_slice(&4u32.to_le_bytes()); // stored length
+        tail.extend_from_slice(&(3 * CHUNK).to_le_bytes()); // decoded length
+        tail.extend_from_slice(&CHUNK.to_le_bytes()); // records
+        tail.extend_from_slice(&0u64.to_le_bytes()); // checksum (wrong)
+    }
+    let mut bytes = b"DVPT\x04".to_vec();
+    bytes.extend_from_slice(&fnv1a64(&tail).to_le_bytes());
+    bytes.extend_from_slice(&tail);
+    bytes.extend_from_slice(&[0xA5; 16]);
+    bytes
+}
+
+#[test]
+fn load_refuses_a_container_too_long_to_index_before_decoding_a_chunk() {
+    let bytes = forged_oversized_container();
+    let header = v2::read_header(&mut bytes.as_slice()).expect("the header itself is valid");
+    assert_eq!(header.record_count, u64::from(u32::MAX) + 1);
+    for workers in [1, 3] {
+        // A decoded chunk would have failed on its checksum; the bound
+        // answers first, with no record decoded or allocated.
+        let err = ReplayEngine::new().with_workers(workers).load_trace(&bytes).unwrap_err();
+        assert!(matches!(err, TraceIoError::Format { .. }), "{err}");
+        let message = err.to_string();
+        assert!(message.contains("4294967296 records") && message.contains("stream"), "{message}");
+    }
 }
 
 // ----- durable file replacement ----------------------------------------------------
