@@ -36,7 +36,10 @@
 //!   the spilled lists' headers live on fixed pages of 4096 items that
 //!   are allocated once at full size and never grow, so growth never
 //!   moves or copies what is stored, and never holds an old and a new
-//!   array at once.
+//!   array at once. [`FcmBank::clear`] forgets every key but keeps each
+//!   arena's first page, and the bucket index while the cleared keys
+//!   filled it past an eighth: a bank that replays one instruction after
+//!   another starts each from cleared state, allocations kept.
 //! - **Tagged buckets.** Each bucket is one `u64` word packing the low 32
 //!   bits of the context hash (the tag) above `1 + entry index`. A probe
 //!   compares tags in the bucket array and reads an entry only on a tag
@@ -415,6 +418,16 @@ impl<T> Paged<T> {
         pos
     }
 
+    /// Forgets every item: positions restart at 0 on the first page,
+    /// whose allocation stays, and every later page goes back to the
+    /// allocator.
+    fn clear(&mut self) {
+        self.pages.truncate(1);
+        if let Some(first) = self.pages.first_mut() {
+            first.clear();
+        }
+    }
+
     #[inline]
     fn get(&self, pos: u32) -> &T {
         &self.pages[(pos >> PAGE_BITS) as usize][pos as usize & (PAGE - 1)]
@@ -565,6 +578,22 @@ impl<E: Keyed, L> Vht<E, L> {
         idx
     }
 
+    /// Forgets every entry, key and list, keeping the arenas' first
+    /// pages. The bucket index is zeroed in place while the entries
+    /// filled it past an eighth, and dropped otherwise, so a clear never
+    /// costs more than the inserts it follows: a huge index is not zeroed
+    /// again after every small one.
+    fn clear(&mut self) {
+        if self.entries.len() * 8 >= self.buckets.len() {
+            self.buckets.fill(0);
+        } else {
+            self.buckets = Vec::new();
+        }
+        self.entries.clear();
+        self.keys.clear();
+        self.spilled.clear();
+    }
+
     /// Doubles the bucket index, reseating every word by its tag in bucket
     /// order. No entry is read.
     fn grow(&mut self) {
@@ -711,6 +740,12 @@ impl History {
             self.hist.resize((slot + 1) * self.order, 0);
             self.ghash.resize((slot + 1) * self.order, 0);
         }
+    }
+
+    /// Forgets every slot's values, keeping the slots.
+    fn clear(&mut self) {
+        self.hist_len.fill(0);
+        self.ghash.fill(0);
     }
 
     /// Values the slot has seen, up to the order.
@@ -1342,6 +1377,31 @@ impl FcmBank {
         }
     }
 
+    /// Forgets everything the members learned, keeping the table's
+    /// allocations: afterwards the bank predicts and counts exactly as a
+    /// new bank of the same orders, and an instruction replayed after
+    /// another pays no allocation of the pages the first one filled.
+    ///
+    /// ```
+    /// use dvp_core::FcmBank;
+    /// use dvp_trace::PcId;
+    ///
+    /// let mut bank = FcmBank::new([1, 2]);
+    /// let mut predictions = [None; 2];
+    /// for v in [4u64, 5, 4, 5] {
+    ///     bank.step(PcId(0), v, &mut predictions);
+    /// }
+    /// assert_eq!(predictions, [Some(5), Some(5)]);
+    /// bank.clear();
+    /// assert_eq!(bank.context_entries(), 0);
+    /// bank.step(PcId(0), 4, &mut predictions);
+    /// assert_eq!(predictions, [None, None]);
+    /// ```
+    pub fn clear(&mut self) {
+        self.history.clear();
+        self.vht.clear();
+    }
+
     /// Predict-then-update for every member at once: writes member `m`'s
     /// prediction before `actual` is learned into `predictions[m]`, then
     /// learns `actual` as each member would.
@@ -1780,5 +1840,70 @@ mod tests {
         assert!(std::ptr::eq(vht.spilled.get(list_pos), list), "entry 0's list moved");
         assert_eq!(vht.probe(hash(0), 0, &[0]), first);
         assert_eq!(vht.top_value(first), 2);
+    }
+
+    #[test]
+    fn a_cleared_arena_restarts_at_zero_on_its_kept_first_page() {
+        let mut arena: Paged<Value> = Paged::default();
+        for v in 0..(2 * PAGE + 5) as Value {
+            arena.push(v);
+        }
+        let page: *const Value = arena.pages[0].as_ptr();
+        assert_eq!(arena.pages.len(), 3);
+        arena.clear();
+        assert_eq!((arena.pages.len(), arena.len()), (1, 0));
+        assert_eq!(arena.pages[0].capacity(), PAGE);
+        assert_eq!(arena.pages[0].as_ptr(), page, "the first page's allocation stays");
+        assert_eq!(arena.push(7), 0);
+        assert_eq!(arena.reserve_run(3), 1);
+        assert_eq!((*arena.get(0), arena.len()), (7, 4));
+        // An arena that never held a page has nothing to keep.
+        let mut empty: Paged<Value> = Paged::default();
+        empty.clear();
+        assert!(empty.pages.is_empty());
+    }
+
+    #[test]
+    fn clearing_keeps_a_dense_bucket_index_and_drops_a_sparse_one() {
+        let hash = |v: Value| ctx_hash(mix(v), 0, 1);
+        let mut vht: Vht = Vht::default();
+        for v in 0..1_000 {
+            vht.insert(hash(v), 0, &[v]);
+        }
+        let dense = vht.buckets.len();
+        assert!(vht.len() * 8 >= dense);
+        vht.clear();
+        assert_eq!(vht.buckets.len(), dense, "a dense index is zeroed in place");
+        assert!(vht.buckets.iter().all(|&word| word == 0));
+        assert_eq!((vht.len(), vht.probe(hash(5), 0, &[5])), (0, NO_ENTRY));
+        // One key in the kept index leaves it sparse: the next clear drops it.
+        assert_eq!(vht.insert(hash(5), 0, &[5]), 0);
+        assert_eq!(vht.probe(hash(5), 0, &[5]), 0);
+        vht.clear();
+        assert!(vht.buckets.is_empty(), "a sparse index goes back to the allocator");
+        assert_eq!(vht.probe(hash(5), 0, &[5]), NO_ENTRY);
+        assert_eq!(vht.insert(hash(5), 0, &[5]), 0);
+        assert_eq!(vht.buckets.len(), 64);
+    }
+
+    #[test]
+    fn a_cleared_bank_holds_no_contexts_and_relearns_like_a_new_one() {
+        let stream: Vec<Value> = (0..3_000u64).map(|i| (i / 3) * (i / 5) % 17).collect();
+        let mut bank = FcmBank::new(1..=4);
+        let mut predictions = [None; 4];
+        for &v in &stream {
+            bank.step(PcId(0), v, &mut predictions);
+        }
+        assert!(bank.context_entries() > 100);
+        bank.clear();
+        assert_eq!(bank.context_entries(), 0);
+        let mut new = FcmBank::new(1..=4);
+        let mut want = [None; 4];
+        for (i, &v) in stream.iter().rev().enumerate() {
+            bank.step(PcId(0), v, &mut predictions);
+            new.step(PcId(0), v, &mut want);
+            assert_eq!(predictions, want, "record {i}");
+        }
+        assert_eq!(bank.context_entries(), new.context_entries());
     }
 }

@@ -9,7 +9,8 @@
 //! where the orders disagree, and over the layouts the bank switches
 //! between: inline and spilled keys (orders above three), keys shared by
 //! more members than fit inline, lists with thousands of followers, and
-//! counts past `u16::MAX`.
+//! counts past `u16::MAX`. A cleared bank must in turn be bit for bit a
+//! new bank of its orders, whatever it learned before.
 
 use dvp_core::{FcmBank, FcmPredictor, Predictor};
 use dvp_trace::{Pc, PcId, Value};
@@ -53,8 +54,79 @@ fn arb_members() -> impl Strategy<Value = Vec<usize>> {
     prop_oneof![Just(vec![1, 2, 3]), Just((1..=8).collect()), Just(vec![2, 5]),]
 }
 
+/// A stream over 2, 4 or 16 values: two make every order's contexts
+/// recur, sixteen make order-0 and order-1 lists that spill and carry a
+/// follower index.
+fn arb_alphabet_stream(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u32, Value)>> {
+    prop_oneof![Just(2u64), Just(4), Just(16)]
+        .prop_flat_map(move |k| prop::collection::vec((0u32..5, 0..k), len.clone()))
+}
+
+/// Three histories, each cleared before the next: long, short, long, or
+/// short, long, short. A long one grows the bucket index that a short
+/// one after it leaves sparse.
+fn arb_histories() -> impl Strategy<Value = Vec<Vec<(u32, Value)>>> {
+    (arb_alphabet_stream(600..2_000), arb_alphabet_stream(1..40), any::<bool>()).prop_map(
+        |(long, short, flip)| {
+            if flip {
+                vec![short.clone(), long, short]
+            } else {
+                vec![long.clone(), short, long]
+            }
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// After any history, a cleared bank steps and batches exactly as a
+    /// new bank of its orders: the same predictions at every record, the
+    /// same `observe_batch` columns, and the same keys.
+    #[test]
+    fn a_cleared_bank_equals_a_new_one(
+        members in prop_oneof![
+            Just(vec![1, 2, 3]),
+            Just((1..=8).collect()),
+            prop::collection::vec(0usize..=9, 1..6),
+        ],
+        histories in arb_histories(),
+        chunk in 1usize..=64,
+    ) {
+        let k = FcmBank::new(members.iter().copied()).orders().len();
+        let mut stepped = FcmBank::new(members.iter().copied());
+        let mut batched = FcmBank::new(members.iter().copied());
+        for (h, history) in histories.iter().enumerate() {
+            if h > 0 {
+                stepped.clear();
+                batched.clear();
+                prop_assert_eq!(stepped.context_entries(), 0);
+            }
+            let mut new = FcmBank::new(members.iter().copied());
+            let (mut got, mut want) = (vec![None; k], vec![None; k]);
+            for (i, &(id, v)) in history.iter().enumerate() {
+                stepped.step(PcId(id), v, &mut got);
+                new.step(PcId(id), v, &mut want);
+                prop_assert_eq!(&got, &want, "history {} record {}", h, i);
+            }
+            prop_assert_eq!(stepped.context_entries(), new.context_entries());
+            let (ids, values): (Vec<PcId>, Vec<Value>) =
+                history.iter().map(|&(id, v)| (PcId(id), v)).unzip();
+            let n = ids.len();
+            let mut want = vec![false; n * k];
+            FcmBank::new(members.iter().copied()).observe_batch(&ids, &values, &mut want);
+            let mut got = vec![false; n * k];
+            for at in (0..n).step_by(chunk) {
+                let hi = (at + chunk).min(n);
+                let mut columns = vec![false; (hi - at) * k];
+                batched.observe_batch(&ids[at..hi], &values[at..hi], &mut columns);
+                for (m, column) in columns.chunks(hi - at).enumerate() {
+                    got[m * n + at..m * n + hi].copy_from_slice(column);
+                }
+            }
+            prop_assert_eq!(got, want, "history {}", h);
+        }
+    }
 
     /// fcm1–3, fcm1–8 and {fcm2, fcm5} agree with lone predictors record
     /// for record.

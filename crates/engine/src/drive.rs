@@ -20,10 +20,12 @@
 //! [`PcIndex`](crate::shared::PcIndex) is split into
 //! [`UNITS`] contiguous id ranges balanced by record count, and one job
 //! per unit gathers each instruction's records once and feeds them to
-//! every such group, each with fresh state under local id 0. The
-//! correlated replay of Figures 8 and 9 ([`Correlated`]) is one more such
-//! model: it rebuilds every group of its bank per instruction and folds
-//! their hit columns into each record's correct-set mask. Any other
+//! every such group, each from cleared state, allocations kept, under
+//! local id 0: a bank job clears its [`FcmBank`] between instructions,
+//! and any other replayer is built again. The correlated replay of
+//! Figures 8 and 9 ([`Correlated`]) is one more such model: it restarts
+//! every group of its bank per instruction the same way and folds their
+//! hit columns into each record's correct-set mask. Any other
 //! group (finite tables alias across PCs, delayed updates queue across
 //! them) replays as one job over every record in trace order, and so
 //! does every observer. A streamed container stays record-major: it is
@@ -239,14 +241,20 @@ impl Recipe {
         }
     }
 
-    /// A replayer with fresh state sized for one instruction, local id 0.
-    fn build_one_pc(&self) -> Replayer {
-        let mut replayer = self.build();
-        match &mut replayer {
+    /// Readies `replayer` for the next instruction of a PC-major job,
+    /// under local id 0: a bank job is cleared, allocations kept; any
+    /// other replayer, or none yet, is built for one instruction.
+    fn restart(&self, replayer: &mut Option<Replayer>) {
+        if let Some(Replayer::Bank(job)) = replayer {
+            job.clear();
+            return;
+        }
+        let mut built = self.build();
+        match &mut built {
             Replayer::One(predictor) => predictor.reserve_ids(1),
             Replayer::Bank(job) => job.reserve_ids(1),
         }
-        replayer
+        *replayer = Some(built);
     }
 }
 
@@ -306,6 +314,15 @@ impl BankJob {
         }
     }
 
+    /// Forgets every instruction: the bank is cleared, allocations kept,
+    /// and each derived hybrid gets a new stride part and chooser.
+    fn clear(&mut self) {
+        self.fcm.clear();
+        for (_, stride, chooser) in &mut self.hybrids {
+            (*stride, *chooser) = (StridePredictor::two_delta(), ChooserFold::default());
+        }
+    }
+
     /// Hit columns per batch: one per FCM order, then one per hybrid.
     pub(crate) fn columns(&self) -> usize {
         self.fcm.orders().len() + self.hybrids.len()
@@ -337,7 +354,8 @@ impl BankJob {
 /// windows.
 pub(crate) struct Tallied {
     recipe: Recipe,
-    /// Built by the first feed, and afresh for each instruction.
+    /// Built by the first feed or instruction, and restarted for each
+    /// later instruction ([`Recipe::restart`]).
     replayer: Option<Replayer>,
     /// Each config's hit column in the replayer's output.
     columns: Vec<usize>,
@@ -354,10 +372,11 @@ pub(crate) struct Tallied {
 impl Model for Tallied {
     type Tally = Vec<ConfigTally>;
 
-    /// Fresh state for one id, and the window cursor back at the start:
-    /// positions ascend within an instruction, not across instructions.
+    /// Cleared state for one id, and the window cursor back at the
+    /// start: positions ascend within an instruction, not across
+    /// instructions.
     fn start_pc(&mut self) {
-        self.replayer = Some(self.recipe.build_one_pc());
+        self.recipe.restart(&mut self.replayer);
         self.next = 0;
     }
 
@@ -401,14 +420,15 @@ impl Model for Tallied {
 }
 
 /// Every config of a bank over the same records, correlated: a PC-major
-/// model that, per instruction, rebuilds every group's replayer with fresh
-/// state, ORs each member's hit column into the records' correct-set
-/// masks at that config's bank position, and appends the instruction to
-/// its [`Correlation`].
+/// model that, per instruction, restarts every group's replayer from
+/// cleared state, allocations kept, ORs each member's hit column into the
+/// records' correct-set masks at that config's bank position, and
+/// appends the instruction to its [`Correlation`].
 pub(crate) struct Correlated<'a> {
     groups: &'a [Group],
-    /// One per group, built afresh for each instruction.
-    replayers: Vec<Replayer>,
+    /// One per group, built by the first instruction and restarted for
+    /// each later one ([`Recipe::restart`]).
+    replayers: Vec<Option<Replayer>>,
     /// The current instruction's correct-set mask per record.
     masks: Vec<CorrectMask>,
     report: Correlation,
@@ -418,7 +438,9 @@ impl Model for Correlated<'_> {
     type Tally = Correlation;
 
     fn start_pc(&mut self) {
-        self.replayers = self.groups.iter().map(|g| g.recipe.build_one_pc()).collect();
+        for (group, replayer) in self.groups.iter().zip(&mut self.replayers) {
+            group.recipe.restart(replayer);
+        }
     }
 
     /// Folds one instruction's records: a PC-major job feeds each
@@ -428,6 +450,7 @@ impl Model for Correlated<'_> {
         self.masks.clear();
         self.masks.resize(n, 0);
         for (group, replayer) in self.groups.iter().zip(&mut self.replayers) {
+            let replayer = replayer.as_mut().expect("start_pc restarts every group");
             let (.., correct) = replayer.observe(batch);
             for (&config, &column) in group.members.iter().zip(&group.columns) {
                 for (mask, &hit) in self.masks.iter_mut().zip(&correct[column * n..][..n]) {
@@ -684,7 +707,7 @@ impl ReplayEngine {
         let empty = Correlation::new(bank.iter().map(|c| c.name().to_owned()).collect());
         let make = |_, _| Correlated {
             groups: &groups,
-            replayers: Vec::new(),
+            replayers: groups.iter().map(|_| None).collect(),
             masks: Vec::new(),
             report: empty.clone(),
         };
@@ -797,12 +820,12 @@ impl ReplayEngine {
 mod tests {
     use crate::{phase_plan, ConfigReplay, PhaseOptions, ReplayEngine, SampledReplay, SharedTrace};
     use dvp_core::{
-        AccuracyTracker, Blending, Correlation, DelayedPredictor, FcmPredictor,
+        AccuracyTracker, Blending, Correlation, DelayedPredictor, FcmBank, FcmPredictor,
         FiniteLastValuePredictor, HybridPredictor, LastValuePredictor, Predictor, PredictorConfig,
         StridePredictor, TableSpec,
     };
     use dvp_trace::io::v2;
-    use dvp_trace::{InstrCategory, Pc, PcInterner, PhasePlan, TraceRecord};
+    use dvp_trace::{InstrCategory, Pc, PcId, PcInterner, PhasePlan, TraceRecord};
     use proptest::prelude::*;
     use std::ops::Range;
 
@@ -1316,6 +1339,79 @@ mod tests {
     fn correlate_refuses_a_config_without_per_id_state() {
         let trace = SharedTrace::from_records(records(100));
         let _ = ReplayEngine::sequential().correlate(&trace, &cross_pc_bank());
+    }
+
+    /// One unit whose instructions go large, one-record, large: ids 0 and
+    /// 2 hold 1,200 records each over a 64-value alphabet (thousands of
+    /// fcm1–8 keys, past an arena page), id 1 one record, and id 3, a
+    /// short value cycle, the rest of 20,000. A PC-major job clears its
+    /// bank from a dense index to one key and back.
+    fn skewed() -> Vec<TraceRecord> {
+        let noisy = |i: u64| {
+            let z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z ^ (z >> 31)) % 64
+        };
+        (0..20_000u64)
+            .map(|i| {
+                let (pc, value) = match i {
+                    0 | 2 => (i, noisy(i)),
+                    1 => (1, 5),
+                    _ if i % 16 == 3 && i < 16 * 1_199 + 3 => (0, noisy(i)),
+                    _ if i % 16 == 11 && i < 16 * 1_199 + 11 => (2, noisy(i)),
+                    _ => (3, (i / 3) % 7),
+                };
+                let category = InstrCategory::ALL[(i % 4) as usize];
+                TraceRecord::new(Pc(0x40_0000 + 4 * pc), category, value)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_unit_of_large_one_record_and_large_instructions_matches_one_pass() {
+        let records = skewed();
+        let residents = layouts(&records);
+        let trace = &residents[0];
+        let index = trace.pc_index();
+        let sizes: Vec<usize> = (0..3).map(|id| index.positions(id).len()).collect();
+        assert_eq!(sizes, [1_200, 1, 1_200]);
+        assert!(index.units(crate::replay::UNITS)[0].end > 2, "ids 0..3 share a unit");
+        let mut big = FcmBank::new(1..=8);
+        let mut predictions = [None; 8];
+        for &at in index.positions(0) {
+            big.step(PcId(0), records[at as usize].value, &mut predictions);
+        }
+        assert!(big.context_entries() > 4096, "{} keys fill an arena page", big.context_entries());
+        let options = PhaseOptions { window_records: 512, clusters: 4, ..PhaseOptions::default() };
+        let plan = phase_plan(trace, &options);
+        let mut paper = PredictorConfig::paper_bank();
+        paper.push(PredictorConfig::new("hybrid", || Box::new(HybridPredictor::stride_fcm(2))));
+        for bank in [paper, PredictorConfig::fcm_orders(1..=8)] {
+            for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
+                let reference = one_pass(trace, mode, &plan, &bank);
+                for (layout, resident) in residents.iter().enumerate() {
+                    for engine in engines() {
+                        let got = run(
+                            &engine,
+                            Source::Resident,
+                            mode,
+                            resident,
+                            (&[], &[]),
+                            &plan,
+                            &bank,
+                        );
+                        assert_eq!(got, reference, "{mode:?} layout {layout} {engine:?}");
+                    }
+                }
+            }
+            let reference = lockstep(trace, &bank);
+            for (layout, resident) in residents.iter().enumerate() {
+                for engine in engines() {
+                    let got = joint(&engine.correlate(resident, &bank));
+                    assert_eq!(got, reference, "layout {layout} {engine:?}");
+                }
+            }
+        }
     }
 
     /// A trace of `n` records over `pcs` PCs drawn from `seed`: each PC

@@ -26,8 +26,9 @@
 //!    once (a counting sort, kept with the trace), and the ids are split
 //!    into the same sixteen units, balanced by record count, at any worker
 //!    count. One job per unit gathers each instruction's records once and
-//!    replays them through every per-instruction configuration, each with
-//!    fresh state: a worker holds one instruction's tables at a time. A
+//!    replays them through every per-instruction configuration, each from
+//!    cleared state, allocations kept: a worker holds one instruction's
+//!    tables at a time, and an FCM bank reuses them for the next. A
 //!    configuration without per-instruction state (finite aliased tables,
 //!    delayed updates) replays as one job over every record in trace
 //!    order. [`ReplayEngine::correlate`] runs a whole bank per

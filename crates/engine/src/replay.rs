@@ -9,13 +9,13 @@ use dvp_trace::Observer;
 ///
 /// A unit is a contiguous range of instruction ids holding about a
 /// sixteenth of the trace's records ([`PcIndex::units`]), and one job
-/// replays every per-PC model over it, one instruction at a time with
-/// fresh state. A job's live predictor state is one instruction's, so the
-/// count does not size any table: it only bounds the parallelism of one
-/// replay, and sixteen keeps a few workers busy even when the largest
-/// instruction holds a few percent of its trace. It never depends on
-/// `--workers`, so the jobs, and every merge of their reports, are the
-/// same at any worker count.
+/// replays every per-PC model over it, one instruction at a time from
+/// cleared state, allocations kept. A job's live predictor state is one
+/// instruction's, so the count does not size any table: it only bounds
+/// the parallelism of one replay, and sixteen keeps a few workers busy
+/// even when the largest instruction holds a few percent of its trace. It
+/// never depends on `--workers`, so the jobs, and every merge of their
+/// reports, are the same at any worker count.
 ///
 /// [`PcIndex::units`]: crate::shared::PcIndex::units
 pub(crate) const UNITS: usize = 16;
@@ -27,14 +27,15 @@ pub(crate) const UNITS: usize = 16;
 /// keeps strictly per-instruction state
 /// ([`Predictor::keeps_per_id_state`](dvp_core::Predictor::keeps_per_id_state):
 /// the unbounded `l`, `s2`, FCM and their hybrid) replays PC-major, each
-/// instruction's records in one run with fresh state, grouped into
-/// sixteen units of instructions; its tallies are exact integer counts,
-/// so they merge back to **bit-identical** results at any worker count
-/// (see the crate-level quickstart). Any other configuration (a finite,
-/// aliased table; delayed updates) replays as one job over every record
-/// in trace order, which is also exact. Jobs drive predictors through
-/// [`dvp_core::Predictor::observe_batch`]: one slot access per record per
-/// predictor, no hashing.
+/// instruction's records in one run from cleared state, allocations kept
+/// (an FCM bank is cleared between instructions, any other predictor
+/// built again), grouped into sixteen units of instructions; its tallies
+/// are exact integer counts, so they merge back to **bit-identical**
+/// results at any worker count (see the crate-level quickstart). Any
+/// other configuration (a finite, aliased table; delayed updates) replays
+/// as one job over every record in trace order, which is also exact. Jobs
+/// drive predictors through [`dvp_core::Predictor::observe_batch`]: one
+/// slot access per record per predictor, no hashing.
 #[derive(Debug, Clone)]
 pub struct ReplayEngine {
     workers: usize,

@@ -1,4 +1,4 @@
-//! `repro bench` — the perf-smoke harness behind `BENCH_32.json`.
+//! `repro bench` — the perf-smoke harness behind `BENCH_34.json`.
 //!
 //! Replays one fixed, seeded synthetic trace through each predictor
 //! family's batched dense hot path ([`Predictor::observe_batch`] over the
@@ -15,10 +15,10 @@
 //! paid per instruction shows, and one of the paper bank plus the hybrid
 //! over the bench trace (row `replay.bank`), where the engine derives the
 //! hybrid from the bank's `fcm2` column. The committed baseline
-//! (`BENCH_32.json` at the repository root; the older `BENCH_9.json`,
+//! (`BENCH_34.json` at the repository root; the older `BENCH_9.json`,
 //! `BENCH_14.json`, `BENCH_17.json`, `BENCH_20.json`, `BENCH_24.json`,
-//! `BENCH_25.json`, `BENCH_27.json`, `BENCH_28.json`, `BENCH_30.json` and
-//! `BENCH_31.json` stay as the records they were)
+//! `BENCH_25.json`, `BENCH_27.json`, `BENCH_28.json`, `BENCH_30.json`,
+//! `BENCH_31.json` and `BENCH_32.json` stay as the records they were)
 //! lets CI run a comparison with a deliberately generous regression
 //! tripwire: machine-to-machine variance is expected; a row running
 //! **3x** slower than baseline is not. Hits are no timing, so a row whose
@@ -516,8 +516,9 @@ mod tests {
         // row; `BENCH_28.json` times the 64-byte FCM entries,
         // `BENCH_30.json` adds the `fcm1-3` bank row, `BENCH_31.json`
         // the `replay.100k` engine row and `BENCH_32.json` the
-        // `replay.bank` engine row.
-        let files: [(&str, &[f64]); 11] = [
+        // `replay.bank` engine row; `BENCH_34.json` times the FCM bank
+        // cleared between instructions.
+        let files: [(&str, &[f64]); 12] = [
             (include_str!("../../../BENCH_9.json"), &[7.40, 9.19, 510.57, 530.39, 745.54, 580.25]),
             (include_str!("../../../BENCH_14.json"), &[5.94, 7.44, 177.94, 213.17, 406.80, 254.99]),
             (
@@ -557,6 +558,13 @@ mod tests {
                 &[
                     3.47, 4.34, 121.03, 189.45, 277.10, 188.73, 42.87, 58.95, 30.71, 92.60, 333.11,
                     428.46, 225.30,
+                ],
+            ),
+            (
+                include_str!("../../../BENCH_34.json"),
+                &[
+                    3.54, 4.52, 130.30, 193.42, 290.71, 179.12, 40.65, 48.32, 31.87, 81.36, 314.50,
+                    213.33, 249.53,
                 ],
             ),
         ];
