@@ -186,13 +186,6 @@ impl Observer for ValueProfile {
             entry.2 += 1;
         }
     }
-
-    fn merge(&mut self, other: Self) {
-        self.entries.merge(other.entries, |mine, theirs| {
-            mine.1.extend(theirs.1);
-            mine.2 += theirs.2;
-        });
-    }
 }
 
 /// One point of the Figure 9 curve: after including the best `static_pct`
@@ -355,13 +348,6 @@ mod tests {
         let whole = profile(&records);
         assert_eq!(whole.histograms(None).0[..2], [1, 1]);
         assert_eq!(whole.static_count(), 2);
-
-        // PC shards merge into the whole.
-        let (even, odd): (Vec<TraceRecord>, Vec<TraceRecord>) =
-            records.iter().partition(|r| r.pc == Pc(0));
-        let mut merged = profile(&odd);
-        merged.merge(profile(&even));
-        assert_eq!(merged.histograms(None), whole.histograms(None));
     }
 
     #[test]

@@ -149,19 +149,6 @@ impl Observer for LocalityProfile {
             recent.insert(0, value);
         }
     }
-
-    /// Adds the hit counts of a profile of the same depth; a PC both saw
-    /// keeps this profile's history (PC shards never share a PC).
-    fn merge(&mut self, other: Self) {
-        assert_eq!(self.max_depth, other.max_depth, "mismatched locality depths");
-        for (mine, theirs) in self.hits.iter_mut().flatten().zip(other.hits.iter().flatten()) {
-            *mine += theirs;
-        }
-        for (m, t) in self.total.iter_mut().zip(other.total) {
-            *m += t;
-        }
-        self.recent.merge(other.recent, |_, _| {});
-    }
 }
 
 #[cfg(test)]
@@ -279,19 +266,6 @@ mod tests {
         // Depth 3 captures it fully.
         let deep = profile(3, &rotation);
         assert!(deep.locality(3, None) > 0.99);
-    }
-
-    #[test]
-    fn shard_merge_equals_the_whole() {
-        let records: Vec<TraceRecord> =
-            (0..600u64).map(|i| rec(4 * (i % 9), (i / 9) % 5)).collect();
-        let whole = profile(4, &records);
-        let (even, odd): (Vec<TraceRecord>, Vec<TraceRecord>) =
-            records.iter().partition(|r| r.pc.0 % 8 == 0);
-        let mut merged = profile(4, &even);
-        merged.merge(profile(4, &odd));
-        assert_eq!(merged.series(None), whole.series(None));
-        assert_eq!((merged.total(), merged.static_count()), (whole.total(), whole.static_count()));
     }
 
     #[test]

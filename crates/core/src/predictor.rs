@@ -92,9 +92,8 @@ pub trait Predictor: Send + Sync {
     /// queue over every instruction) keep the default, `false`.
     ///
     /// The replay engine reads this once per configuration per replay: a
-    /// predictor that declares it may replay each instruction's records
-    /// on their own, with fresh state; any other replays every record in
-    /// trace order.
+    /// predictor that declares it replays each instruction's records on
+    /// their own, with fresh state; any other is refused.
     fn keeps_per_id_state(&self) -> bool {
         false
     }

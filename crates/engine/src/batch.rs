@@ -17,7 +17,7 @@ use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcInterner, TraceRecord, Valu
 ///
 /// One shape: a gather selects records together with each record's dense
 /// id and global trace position — [`gather`](BatchScratch::gather) takes
-/// a span of a resident chunk with its ids,
+/// a resident chunk with its ids (an observer's one-pass fold),
 /// [`gather_positions`](BatchScratch::gather_positions) one instruction's
 /// records of a resident trace through its [`PcIndex`], and
 /// [`gather_interning`](BatchScratch::gather_interning) interns the

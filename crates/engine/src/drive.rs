@@ -9,29 +9,32 @@
 //! steps on the same records, and its hits are the [`ChooserFold`] of that
 //! stride column and the order's bank column, so the hybrid's FCM part is
 //! never replayed twice. Every other config (a hybrid of an order the
-//! bank lacks, one with a single-order FCM part, any finite predictor) is
-//! a group of one; the merge hands back one report per configuration in
-//! bank order.
+//! bank lacks, one with a single-order FCM part) is a group of one; the
+//! merge hands back one report per configuration in bank order.
 //!
-//! Groups are routed by declaration: a group whose predictor declares
-//! [`Predictor::keeps_per_id_state`] (and every FCM bank) hits on
-//! a record only by that instruction's own values. On a resident trace
-//! such groups replay PC-major: the trace's
-//! [`PcIndex`](crate::shared::PcIndex) is split into
-//! [`UNITS`] contiguous id ranges balanced by record count, and one job
-//! per unit gathers each instruction's records once and feeds them to
-//! every such group, each from cleared state, allocations kept, under
-//! local id 0: a bank job clears its [`FcmBank`] between instructions,
-//! and any other replayer is built again. The correlated replay of
-//! Figures 8 and 9 ([`Correlated`]) is one more such model: it restarts
-//! every group of its bank per instruction the same way and folds their
-//! hit columns into each record's correct-set mask. Any other
-//! group (finite tables alias across PCs, delayed updates queue across
-//! them) replays as one job over every record in trace order, and so
-//! does every observer. A streamed container stays record-major: it is
-//! split into one PC shard per consumer thread for the per-PC groups, so
-//! each consumer gathers (and interns) its records once per chunk for
-//! every model it owns, and every other group is one unsharded job.
+//! Every config must declare [`Predictor::keeps_per_id_state`]: its hit
+//! on a record depends only on that instruction's own values, as in the
+//! paper, where tables are unbounded, updated at once and indexed by the
+//! PC alone. [`groups`] refuses any other (a finite table aliases across
+//! PCs, delayed updates queue across them), so every bank entry point
+//! panics on one. A resident trace replays PC-major: its
+//! [`PcIndex`](crate::shared::PcIndex) is split into [`UNITS`] contiguous
+//! id ranges balanced by record count, and one job per unit (and run of
+//! the plan) gathers each instruction's records once and feeds them to
+//! every model, each from cleared state, allocations kept, under local
+//! id 0: a bank job clears its [`FcmBank`] between instructions, and any
+//! other replayer is built again. The correlated replay of Figures 8 and
+//! 9 ([`Correlated`]) is one more such model: it restarts every group of
+//! its bank per instruction the same way and folds their hit columns into
+//! each record's correct-set mask.
+//!
+//! A streamed container stays record-major ([`stream_layout`]): under a
+//! full or warm plan each model runs one job per PC shard, one shard per
+//! consumer thread and at most [`UNITS`] of them, so each consumer
+//! gathers (and interns) its shard's records once per chunk for every
+//! model it owns; under a cold plan each model runs one unsharded job per
+//! phase. Observers never come here: [`ReplayEngine::observe`] folds one
+//! in a single pass in trace order.
 
 use crate::batch::BatchScratch;
 use crate::pool::decode_ahead;
@@ -43,7 +46,7 @@ use dvp_core::{
     PredictorConfig, StridePredictor,
 };
 use dvp_trace::io::{v2, TraceIoError};
-use dvp_trace::{InstrCategory, Observer, Pc, PcId, PcInterner, PhasePlan, TraceRecord, Value};
+use dvp_trace::{InstrCategory, Pc, PcId, PcInterner, PhasePlan, TraceRecord, Value};
 use std::io::Read;
 use std::ops::Range;
 
@@ -132,29 +135,39 @@ struct Group {
     members: Vec<usize>,
     recipe: Recipe,
     columns: Vec<usize>,
-    /// Whether the group keeps strictly per-instruction state.
-    per_pc: bool,
 }
 
 /// The replay groups of `bank`, read off one built instance of each
-/// config ([`Predictor::bank_form`], [`Predictor::keeps_per_id_state`]),
-/// never its name. Every lazy-exclusion FCM, and every stride/FCM hybrid
-/// whose order one of them has, forms one bank group at the place of its
-/// first member when there are two or more of them; every other config is
-/// a group of one, per-PC when its predictor declares it.
+/// config ([`Predictor::bank_form`]), never its name. Every lazy-exclusion
+/// FCM, and every stride/FCM hybrid whose order one of them has, forms one
+/// bank group at the place of its first member when there are two or more
+/// of them; every other config is a group of one.
+///
+/// # Panics
+///
+/// Panics, naming the config, if some config's predictor does not declare
+/// [`Predictor::keeps_per_id_state`]: the driver replays one instruction
+/// at a time, and a finite table or a delayed predictor has no answer
+/// that way.
 fn groups(bank: &[PredictorConfig]) -> Vec<Group> {
-    let declared: Vec<(Option<BankForm>, bool)> = bank
+    let declared: Vec<Option<BankForm>> = bank
         .iter()
         .map(|config| {
             let predictor = config.build();
-            (predictor.bank_form(), predictor.keeps_per_id_state())
+            let name = config.name();
+            assert!(
+                predictor.keeps_per_id_state(),
+                "the replay engine replays one instruction at a time, and {name} keeps no \
+                 per-id state"
+            );
+            predictor.bank_form()
         })
         .collect();
-    let fcm = |c: usize| match declared[c].0 {
+    let fcm = |c: usize| match declared[c] {
         Some(BankForm::Fcm(order)) => Some(order),
         _ => None,
     };
-    let hybrid = |c: usize| match declared[c].0 {
+    let hybrid = |c: usize| match declared[c] {
         Some(BankForm::StrideFcm(order)) => Some(order),
         _ => None,
     };
@@ -167,10 +180,10 @@ fn groups(bank: &[PredictorConfig]) -> Vec<Group> {
     derived.sort_unstable();
     derived.dedup();
     let mut groups = Vec::new();
-    for c in 0..bank.len() {
+    for (c, config) in bank.iter().enumerate() {
         if members.len() < 2 || !members.contains(&c) {
-            let (recipe, per_pc) = (Recipe::One(bank[c].clone()), declared[c].1);
-            groups.push(Group { members: vec![c], recipe, columns: vec![0], per_pc });
+            let recipe = Recipe::One(config.clone());
+            groups.push(Group { members: vec![c], recipe, columns: vec![0] });
         } else if c == members[0] {
             // Columns: one per FCM order, then one per derived hybrid.
             let column = |&c: &usize| match (fcm(c), hybrid(c)) {
@@ -180,7 +193,7 @@ fn groups(bank: &[PredictorConfig]) -> Vec<Group> {
             };
             let columns = members.iter().map(column).collect();
             let recipe = Recipe::Bank { orders: orders.clone(), hybrids: derived.clone() };
-            groups.push(Group { members: members.clone(), recipe, columns, per_pc: true });
+            groups.push(Group { members: members.clone(), recipe, columns });
         }
     }
     groups
@@ -209,7 +222,7 @@ pub(crate) trait Model: Send + Sized {
     type Tally: Send;
     /// Starts the next instruction of a PC-major job, whose records the
     /// next feed holds, all under local id 0.
-    fn start_pc(&mut self) {}
+    fn start_pc(&mut self);
     /// Replays one gathered batch.
     fn feed(&mut self, batch: &mut BatchScratch);
     /// Drops the job's replay state, keeping its report.
@@ -472,24 +485,6 @@ impl Model for Correlated<'_> {
     }
 }
 
-/// An observer (a per-instruction profile, a trace summary) folds the
-/// batch's columns under their trace ids and is its own report.
-impl<O: Observer + Send> Model for O {
-    type Tally = O;
-
-    fn feed(&mut self, batch: &mut BatchScratch) {
-        batch.observe_into(self);
-    }
-
-    fn finish(self) -> Self::Tally {
-        self
-    }
-
-    fn merge(into: &mut Self::Tally, from: Self::Tally) {
-        into.merge(from);
-    }
-}
-
 /// Folds `(model, report)` pairs, in job order, into one report per model.
 ///
 /// # Panics
@@ -509,17 +504,6 @@ fn merge<M: Model>(
     merged.into_iter().map(|tally| tally.expect("every model runs at least one job")).collect()
 }
 
-/// One resident job.
-#[derive(Clone)]
-enum Work {
-    /// Every per-PC model over one unit's instructions (an id range),
-    /// each instruction's records observed in run `phase` of the plan.
-    Instructions(Range<usize>, usize),
-    /// One model over every record the plan's run `phase` observes, in
-    /// trace order.
-    Records(usize, usize),
-}
-
 /// One streaming job: a model plus the part of the trace it observes.
 struct Job<M> {
     model: M,
@@ -534,20 +518,33 @@ fn span(observed: &Range<u64>, base: u64, len: usize) -> Range<usize> {
     clamp(observed.start)..clamp(observed.end)
 }
 
-/// The streaming jobs as `(model, phase, shard)`: one per shard for each
-/// model `sharded` marks (when there are two or more shards), then one
-/// per run of the plan for every other model. Sharded jobs come first,
-/// `shards` per model, so job `j` with shard `s` has `j % shards == s`.
-fn stream_jobs(
-    sharded: &[bool],
-    phases: usize,
-    shards: usize,
-) -> Vec<(usize, usize, Option<usize>)> {
-    let (split, whole): (Vec<usize>, Vec<usize>) =
-        (0..sharded.len()).partition(|&m| sharded[m] && shards > 1);
-    let split = split.into_iter().flat_map(|m| (0..shards).map(move |s| (m, 0, Some(s))));
-    let whole = whole.into_iter().flat_map(|m| (0..phases).map(move |p| (m, p, None)));
-    split.chain(whole).collect()
+/// The streaming jobs of `models` models under `plan`, model-major, as
+/// `(model, phase, shard)`: under a full or warm plan, one per PC shard
+/// (`shards` per model, so job `j` on shard `s` has `j % shards == s`;
+/// one unsharded job when there is one shard), and under a cold plan one
+/// unsharded job per run of the plan.
+fn stream_jobs(models: usize, plan: Plan<'_>, shards: usize) -> Vec<(usize, usize, Option<usize>)> {
+    let runs: Vec<(usize, Option<usize>)> = match plan {
+        Plan::Cold(_) => (0..plan.phases()).map(|phase| (phase, None)).collect(),
+        _ if shards > 1 => (0..shards).map(|s| (0, Some(s))).collect(),
+        _ => vec![(0, None)],
+    };
+    (0..models).flat_map(|m| runs.iter().map(move |&(phase, shard)| (m, phase, shard))).collect()
+}
+
+/// The consumer count and the jobs ([`stream_jobs`]) of a streamed replay
+/// of `models` models on `workers` workers. There is one PC shard per
+/// consumer, and at most [`UNITS`] of them whatever the worker count:
+/// tallies are identical at any shard count, and every consumer is a
+/// thread of its own.
+fn stream_layout(
+    workers: usize,
+    models: usize,
+    plan: Plan<'_>,
+) -> (usize, Vec<(usize, usize, Option<usize>)>) {
+    let shards = workers.min(UNITS);
+    let jobs = stream_jobs(models, plan, shards);
+    (shards.min(jobs.len()), jobs)
 }
 
 /// Reads, verifies and decodes the container's chunks in order into
@@ -589,11 +586,11 @@ fn produce<R: Read>(
 }
 
 impl ReplayEngine {
-    /// Replays a resident trace under `plan`: `per_pc[m]` routes model `m`
-    /// PC-major (see the module docs) or in trace order, and
-    /// `make(model, phase)` builds each job's model for the plan's run
-    /// `phase`. Returns one merged report per model. The trace's index is
-    /// built only when some model goes PC-major.
+    /// Replays a resident trace PC-major under `plan` (see the module
+    /// docs): one job per unit of the trace's index and run of the plan
+    /// feeds each instruction's records to every one of `models` models,
+    /// and `make(model, phase)` builds each job's model for the plan's run
+    /// `phase`. Returns one merged report per model.
     ///
     /// # Panics
     ///
@@ -602,7 +599,7 @@ impl ReplayEngine {
         &self,
         trace: &SharedTrace,
         plan: Plan<'_>,
-        per_pc: &[bool],
+        models: usize,
         make: F,
     ) -> Vec<M::Tally>
     where
@@ -610,59 +607,34 @@ impl ReplayEngine {
         F: Fn(usize, usize) -> M + Sync,
     {
         plan.check(trace.len() as u64).unwrap_or_else(|e| panic!("{e}"));
-        let models = per_pc.len();
-        let pc_major: Vec<usize> = (0..models).filter(|&m| per_pc[m]).collect();
-        let mut work = Vec::new();
-        if !pc_major.is_empty() {
-            for unit in trace.pc_index().units(UNITS) {
-                work.extend(
-                    (0..plan.phases()).map(|phase| Work::Instructions(unit.clone(), phase)),
-                );
-            }
+        if models == 0 {
+            // An empty bank: no index to build, no record to gather.
+            return Vec::new();
         }
-        for model in (0..models).filter(|&m| !per_pc[m]) {
-            work.extend((0..plan.phases()).map(|phase| Work::Records(model, phase)));
-        }
-        let reports = self.map(work, |work| {
+        let index = trace.pc_index();
+        let work: Vec<(Range<usize>, usize)> = index
+            .units(UNITS)
+            .into_iter()
+            .flat_map(|unit| (0..plan.phases()).map(move |phase| (unit.clone(), phase)))
+            .collect();
+        let reports = self.map(work, |(ids, phase)| {
+            let observed = plan.observed(phase);
+            let mut jobs: Vec<M> = (0..models).map(|m| make(m, phase)).collect();
             let mut scratch = BatchScratch::default();
-            match work {
-                Work::Instructions(ids, phase) => {
-                    let index = trace.pc_index();
-                    let observed = plan.observed(phase);
-                    let mut jobs: Vec<(usize, M)> =
-                        pc_major.iter().map(|&m| (m, make(m, phase))).collect();
-                    for id in ids {
-                        let all = index.positions(id);
-                        let from = all.partition_point(|&at| u64::from(at) < observed.start);
-                        let to =
-                            from + all[from..].partition_point(|&at| u64::from(at) < observed.end);
-                        if from == to {
-                            continue;
-                        }
-                        scratch.gather_positions(trace.chunks(), index, &all[from..to]);
-                        for (_, model) in &mut jobs {
-                            model.start_pc();
-                            model.feed(&mut scratch);
-                        }
-                    }
-                    jobs.into_iter().map(|(m, model)| (m, model.finish())).collect()
+            for id in ids {
+                let all = index.positions(id);
+                let from = all.partition_point(|&at| u64::from(at) < observed.start);
+                let to = from + all[from..].partition_point(|&at| u64::from(at) < observed.end);
+                if from == to {
+                    continue;
                 }
-                Work::Records(m, phase) => {
-                    let observed = plan.observed(phase);
-                    let mut model = make(m, phase);
-                    let mut base = 0u64;
-                    for (records, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
-                        let span = span(&observed, base, records.len());
-                        if !span.is_empty() {
-                            let at = base + span.start as u64;
-                            scratch.gather(at, &records[span.clone()], &ids[span]);
-                            model.feed(&mut scratch);
-                        }
-                        base += records.len() as u64;
-                    }
-                    vec![(m, model.finish())]
+                scratch.gather_positions(trace.chunks(), index, &all[from..to]);
+                for model in &mut jobs {
+                    model.start_pc();
+                    model.feed(&mut scratch);
                 }
             }
+            jobs.into_iter().map(M::finish).enumerate().collect::<Vec<_>>()
         });
         merge::<M>(models, reports.into_iter().flatten())
     }
@@ -670,6 +642,10 @@ impl ReplayEngine {
     /// Replays `bank` over a resident trace under `plan`, one model per
     /// [`groups`] member. Returns one merged report per configuration, in
     /// bank order.
+    ///
+    /// # Panics
+    ///
+    /// As [`groups`] and [`drive`](ReplayEngine::drive).
     pub(crate) fn drive_bank(
         &self,
         trace: &SharedTrace,
@@ -677,9 +653,8 @@ impl ReplayEngine {
         bank: &[PredictorConfig],
     ) -> Vec<ConfigTally> {
         let groups = groups(bank);
-        let per_pc: Vec<bool> = groups.iter().map(|g| g.per_pc).collect();
         let make = |g: usize, phase| plan.tallied(bank, &groups[g], phase);
-        in_bank_order(&groups, self.drive(trace, plan, &per_pc, make))
+        in_bank_order(&groups, self.drive(trace, plan, groups.len(), make))
     }
 
     /// Correlates the correct sets of `bank` over a resident trace: for
@@ -694,16 +669,11 @@ impl ReplayEngine {
     /// # Panics
     ///
     /// Panics if some config's predictor does not keep per-instruction
-    /// state ([`Predictor::keeps_per_id_state`]): a finite table or a
-    /// delayed predictor has no answer one instruction at a time. Also
-    /// panics if the bank holds more than 32 configs.
+    /// state ([`Predictor::keeps_per_id_state`]), as every bank replay
+    /// does. Also panics if the bank holds more than 32 configs.
     #[must_use]
     pub fn correlate(&self, trace: &SharedTrace, bank: &[PredictorConfig]) -> Correlation {
         let groups = groups(bank);
-        if let Some(group) = groups.iter().find(|g| !g.per_pc) {
-            let name = bank[group.members[0]].name();
-            panic!("correlate replays one instruction at a time, and {name} keeps no per-id state");
-        }
         let empty = Correlation::new(bank.iter().map(|c| c.name().to_owned()).collect());
         let make = |_, _| Correlated {
             groups: &groups,
@@ -711,7 +681,7 @@ impl ReplayEngine {
             masks: Vec::new(),
             report: empty.clone(),
         };
-        self.drive(trace, Plan::Full, &[true], make).pop().expect("one merged correlation")
+        self.drive(trace, Plan::Full, 1, make).pop().expect("one merged correlation")
     }
 
     /// [`drive_bank`](ReplayEngine::drive_bank) over a streamed container.
@@ -719,6 +689,10 @@ impl ReplayEngine {
     /// # Errors
     ///
     /// As [`drive_stream`](ReplayEngine::drive_stream).
+    ///
+    /// # Panics
+    ///
+    /// As [`groups`].
     pub(crate) fn drive_bank_stream<R: Read>(
         &self,
         reader: R,
@@ -726,25 +700,20 @@ impl ReplayEngine {
         bank: &[PredictorConfig],
     ) -> Result<(v2::Header, Vec<ConfigTally>), TraceIoError> {
         let groups = groups(bank);
-        let per_pc: Vec<bool> = groups.iter().map(|g| g.per_pc).collect();
         let make = |g: usize, phase| plan.tallied(bank, &groups[g], phase);
-        let (header, reports) = self.drive_stream(reader, plan, &per_pc, make)?;
+        let (header, reports) = self.drive_stream(reader, plan, groups.len(), make)?;
         Ok((header, in_bank_order(&groups, reports)))
     }
 
     /// Replays a container streaming under `plan`: the calling thread
     /// produces chunks into the bounded window while each consumer folds
-    /// every chunk into the jobs it owns. A per-PC model (`per_pc[m]`)
-    /// under a full or warm plan runs one job per PC shard, with one shard
-    /// per consumer; any other model runs one unsharded job per run of the
-    /// plan. The sharded jobs come first, then the unsharded ones, each
-    /// model-major, and job `j` belongs to consumer `j % consumers`: consumer
-    /// `s` owns shard `s` of every per-PC model. A consumer gathers a chunk
-    /// once for each run of owned jobs with the same span and shard
-    /// (once for its shard and once unfiltered in a mixed bank), interning
-    /// only the records it selects into its own interner, and feeds every
-    /// job of the run from that batch.
-    /// Returns one merged report per model.
+    /// every chunk into the jobs it owns ([`stream_layout`]). Job `j`
+    /// belongs to consumer `j % consumers`, so under a full or warm plan
+    /// consumer `s` owns shard `s` of every model. A consumer gathers a
+    /// chunk once for each run of owned jobs with the same span and shard,
+    /// interning only the records it selects into its own interner, and
+    /// feeds every job of the run from that batch. Returns one merged
+    /// report per model.
     ///
     /// # Errors
     ///
@@ -754,7 +723,7 @@ impl ReplayEngine {
         &self,
         mut reader: R,
         plan: Plan<'_>,
-        per_pc: &[bool],
+        models: usize,
         make: F,
     ) -> Result<(v2::Header, Vec<M::Tally>), TraceIoError>
     where
@@ -764,12 +733,7 @@ impl ReplayEngine {
     {
         let header = v2::read_header(&mut reader)?;
         plan.check(header.record_count).map_err(|message| TraceIoError::Format { message })?;
-        let models = per_pc.len();
-        let sharded: Vec<bool> =
-            per_pc.iter().map(|&p| p && !matches!(plan, Plan::Cold(_))).collect();
-        let jobs_at = |shards| stream_jobs(&sharded, plan.phases(), shards);
-        let consumers = self.workers().min(jobs_at(self.workers()).len());
-        let jobs = jobs_at(consumers);
+        let (consumers, jobs) = stream_layout(self.workers(), models, plan);
         let folded = decode_ahead(
             self.chunk_window(),
             consumers,
@@ -820,12 +784,14 @@ impl ReplayEngine {
 mod tests {
     use crate::{phase_plan, ConfigReplay, PhaseOptions, ReplayEngine, SampledReplay, SharedTrace};
     use dvp_core::{
-        AccuracyTracker, Blending, Correlation, DelayedPredictor, FcmBank, FcmPredictor,
-        FiniteLastValuePredictor, HybridPredictor, LastValuePredictor, Predictor, PredictorConfig,
-        StridePredictor, TableSpec,
+        AccuracyTracker, Blending, Correlation, DelayedPredictor, EntropyProfile, FcmBank,
+        FcmPredictor, FiniteLastValuePredictor, HybridPredictor, LastValuePredictor,
+        LocalityProfile, Predictor, PredictorConfig, StridePredictor, TableSpec, ValueProfile,
     };
     use dvp_trace::io::v2;
-    use dvp_trace::{InstrCategory, Pc, PcId, PcInterner, PhasePlan, TraceRecord};
+    use dvp_trace::{
+        InstrCategory, Observer, Pc, PcId, PcInterner, PhasePlan, TraceRecord, TraceSummary,
+    };
     use proptest::prelude::*;
     use std::ops::Range;
 
@@ -947,38 +913,12 @@ mod tests {
         assert_eq!(layout(&pair[..1]), [one(0)]);
     }
 
-    /// A finite table (3 index bits, so 8 slots shared by every PC) and
-    /// delayed updates (one queue over every PC), each under a name a
-    /// per-PC predictor uses, beside the paper bank's `l`.
-    fn cross_pc_bank() -> Vec<PredictorConfig> {
-        vec![
-            PredictorConfig::new("l", || {
-                Box::new(FiniteLastValuePredictor::new(TableSpec::new(3)))
-            }),
-            PredictorConfig::new("fcm1", || {
-                Box::new(DelayedPredictor::new(LastValuePredictor::new(), 16))
-            }),
-            PredictorConfig::paper_bank().remove(0),
-        ]
-    }
-
     #[test]
     fn a_bank_may_name_one_order_twice() {
         let trace = SharedTrace::from_records(records(3_000));
         let bank = PredictorConfig::fcm_orders([2, 1, 2]);
         let reference = one_pass(&trace, Mode::Full, &PhasePlan::default(), &bank);
         assert_eq!(full(&ReplayEngine::sequential().replay(&trace, &bank)), reference);
-    }
-
-    #[test]
-    fn groups_route_by_their_predictors_declaration_not_by_name() {
-        let [paper, interleaved] = banks();
-        let routes = |bank: &[PredictorConfig]| -> Vec<bool> {
-            super::groups(bank).iter().map(|g| g.per_pc).collect()
-        };
-        assert_eq!(routes(&paper), [true; 3]);
-        assert_eq!(routes(&interleaved), [true; 6]);
-        assert_eq!(routes(&cross_pc_bank()), [false, false, true]);
     }
 
     fn run(
@@ -1152,7 +1092,7 @@ mod tests {
         let trace = SharedTrace::new();
         let (stored, compressed) = containers(&[]);
         let plan = phase_plan(&trace, &PhaseOptions::default());
-        for bank in banks().into_iter().chain([cross_pc_bank()]) {
+        for bank in banks() {
             for mode in [Mode::Full, Mode::Cold, Mode::Warm] {
                 let reference = one_pass(&trace, mode, &plan, &bank);
                 for source in [Source::Resident, Source::Stored, Source::Compressed] {
@@ -1166,44 +1106,130 @@ mod tests {
         }
     }
 
-    /// Finite tables and delayed updates carry state across PCs, so only
-    /// one pass over every record in trace order gives their answer: a
-    /// partition by PC would shrink the finite table's aliasing and
-    /// reorder the delay queue.
-    #[test]
-    fn streaming_consumer_s_owns_shard_s_of_every_per_pc_model() {
-        let jobs = super::stream_jobs(&[true, false, true, false], 1, 3);
-        assert_eq!(jobs.len(), 8);
-        for (j, &(_, _, shard)) in jobs.iter().enumerate() {
-            assert!(shard.is_none_or(|s| j % 3 == s), "job {j}: {jobs:?}");
-        }
-        assert_eq!(jobs[6..], [(1, 0, None), (3, 0, None)], "the rest spread over consumers");
-        let one = [(0, 0, None), (0, 1, None), (1, 0, None), (1, 1, None)];
-        assert_eq!(super::stream_jobs(&[true, false], 2, 1), one, "one shard splits nothing");
+    /// `observe` on `trace` against one `observe_batch` call over the
+    /// whole trace's columns, compared through `report`.
+    fn folds_as_one_batch<O: Observer, R: PartialEq + std::fmt::Debug>(
+        engine: &ReplayEngine,
+        trace: &SharedTrace,
+        build: impl Fn() -> O,
+        report: impl Fn(&O) -> R,
+    ) {
+        let (records, ids): (Vec<TraceRecord>, Vec<PcId>) = trace.iter_with_ids().unzip();
+        let pcs: Vec<Pc> = records.iter().map(|r| r.pc).collect();
+        let values: Vec<u64> = records.iter().map(|r| r.value).collect();
+        let categories: Vec<InstrCategory> = records.iter().map(|r| r.category).collect();
+        let mut whole = build();
+        whole.observe_batch(&ids, &pcs, &values, &categories);
+        let got = report(&engine.observe(trace, &build));
+        assert_eq!(got, report(&whole), "{} records, {engine:?}", trace.len());
     }
 
     #[test]
-    fn configs_without_per_pc_state_replay_as_one_record_order_pass() {
-        // 37 PCs, each repeating a value of its own with rare changes.
-        let records: Vec<TraceRecord> = (0..20_000u64)
-            .map(|i| {
-                let pc = i % 37;
-                TraceRecord::new(Pc(0x40_0000 + 8 * pc), InstrCategory::Logic, pc + i / 3000)
-            })
-            .collect();
+    fn observe_equals_one_batch_over_the_whole_trace() {
+        let categories = || InstrCategory::ALL.into_iter().map(Some).chain([None]);
+        let mut traces: Vec<SharedTrace> = layouts(&records(30_000)).into();
+        traces.extend(layouts(&drawn(20_000, 500, 11)));
+        traces.push(SharedTrace::new());
+        for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(4)] {
+            for trace in &traces {
+                folds_as_one_batch(&engine, trace, TraceSummary::new, |s| {
+                    let statics: Vec<u64> =
+                        InstrCategory::ALL.into_iter().map(|c| s.static_count(c)).collect();
+                    (s.dynamic_mix().clone(), statics, s.static_total())
+                });
+                folds_as_one_batch(&engine, trace, ValueProfile::new, |p| {
+                    let hists: Vec<_> = categories().map(|c| p.histograms(c)).collect();
+                    (hists, p.static_count())
+                });
+                folds_as_one_batch(&engine, trace, EntropyProfile::new, |p| {
+                    let hists: Vec<_> = categories().map(|c| p.histograms(c)).collect();
+                    let means = (p.static_mean_entropy(), p.dynamic_mean_entropy());
+                    (p.entropies(), hists, means, p.static_count())
+                });
+                folds_as_one_batch(
+                    &engine,
+                    trace,
+                    || LocalityProfile::new(16),
+                    |p| {
+                        let series: Vec<_> = categories().map(|c| p.series(c)).collect();
+                        (series, p.total(), p.static_count())
+                    },
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_consumer_s_owns_shard_s_of_every_per_pc_model() {
+        use super::{stream_jobs, stream_layout, Plan};
+        let plan = phase_plan(
+            &SharedTrace::from_records(records(30_000)),
+            &PhaseOptions { window_records: 512, clusters: 4, ..PhaseOptions::default() },
+        );
+        let phases = plan.phases.len();
+        assert!(phases > 1, "{phases} phases");
+        for sharded in [Plan::Full, Plan::Warm(&plan)] {
+            let jobs = stream_jobs(3, sharded, 4);
+            let want: Vec<_> = (0..12).map(|j| (j / 4, 0, Some(j % 4))).collect();
+            assert_eq!(jobs, want, "job j on shard s has j % shards == s");
+            assert_eq!(stream_jobs(2, sharded, 1), [(0, 0, None), (1, 0, None)], "one shard");
+        }
+        let cold = stream_jobs(2, Plan::Cold(&plan), 4);
+        let want: Vec<_> = (0..2).flat_map(|m| (0..phases).map(move |p| (m, p, None))).collect();
+        assert_eq!(cold, want, "one unsharded job per model and phase");
+        // The consumer count is the shard count, at most one per unit.
+        for workers in [1, 2, 3, 16, 17, 1_000_000] {
+            let shards = workers.min(crate::replay::UNITS);
+            let (consumers, jobs) = stream_layout(workers, 3, Plan::Full);
+            assert_eq!((consumers, jobs), (shards, stream_jobs(3, Plan::Full, shards)));
+            let (consumers, jobs) = stream_layout(workers, 1, Plan::Cold(&plan));
+            assert_eq!((consumers, jobs.len()), (shards.min(phases), phases), "{workers}");
+        }
+        assert_eq!(stream_layout(4, 0, Plan::Full), (0, Vec::new()), "an empty bank");
+    }
+
+    /// A finite table (3 index bits, so 8 slots shared by every PC) and
+    /// delayed updates (one queue over every PC) alias and queue across
+    /// instructions, so replaying one instruction at a time has no answer
+    /// for them: every bank entry point (the three resident replays, their
+    /// streamed twins and the correlated replay) refuses either, by name,
+    /// inside a bank the engine otherwise replays.
+    #[test]
+    fn every_bank_entry_point_refuses_a_config_without_per_id_state() {
+        let records = records(3_000);
         let (stored, _) = containers(&records);
-        let trace = SharedTrace::from_records(records);
-        let bank = cross_pc_bank();
-        let plan = PhasePlan::default();
-        let reference = one_pass(&trace, Mode::Full, &plan, &bank);
-        let (finite, delayed) = (&reference[0].1[0][InstrCategory::ALL.len()], &reference[1].1[0]);
-        assert!(finite.0 < 100, "8 slots under 37 round-robin PCs alias: {finite:?}");
-        assert!(delayed[InstrCategory::ALL.len()].0 > 10_000, "{delayed:?}");
-        for workers in [1, 3] {
-            let engine = ReplayEngine::new().with_workers(workers);
-            assert_eq!(full(&engine.replay(&trace, &bank)), reference, "resident, {workers}");
-            let (_, streamed) = engine.replay_streaming(stored.as_slice(), &bank).expect("streams");
-            assert_eq!(full(&streamed), reference, "streamed, {workers}");
+        let (e, c) = (ReplayEngine::sequential(), stored.as_slice());
+        let t = SharedTrace::from_records(records);
+        let p = phase_plan(&t, &PhaseOptions::default());
+        let finite = PredictorConfig::new("finite-l", || {
+            Box::new(FiniteLastValuePredictor::new(TableSpec::new(3)))
+        });
+        let delayed = PredictorConfig::new("delayed-l", || {
+            Box::new(DelayedPredictor::new(LastValuePredictor::new(), 16))
+        });
+        for config in [finite, delayed] {
+            let mut b = banks()[1].clone();
+            b.insert(2, config.clone());
+            let b = b.as_slice();
+            // Resident full, cold and warm; their streamed twins; correlated.
+            let calls: [Box<dyn Fn()>; 7] = [
+                Box::new(|| drop(e.replay(&t, b))),
+                Box::new(|| drop(e.replay_sampled(&t, b, &p))),
+                Box::new(|| drop(e.replay_sampled_warm(&t, b, &p))),
+                Box::new(|| drop(e.replay_streaming(c, b))),
+                Box::new(|| drop(e.replay_sampled_streaming(c, b, &p))),
+                Box::new(|| drop(e.replay_sampled_warm_streaming(c, b, &p))),
+                Box::new(|| drop(e.correlate(&t, b))),
+            ];
+            for (point, call) in calls.iter().enumerate() {
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                    .expect_err("a config without per-id state is refused");
+                let message = panic.downcast_ref::<String>().expect("a formatted message");
+                assert!(
+                    message.contains(config.name()) && message.contains("keeps no per-id state"),
+                    "entry point {point}: {message}"
+                );
+            }
         }
     }
 
@@ -1332,13 +1358,6 @@ mod tests {
                 .map(|(pc, c)| (pc, 300, Some(c)))
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "keeps no per-id state")]
-    fn correlate_refuses_a_config_without_per_id_state() {
-        let trace = SharedTrace::from_records(records(100));
-        let _ = ReplayEngine::sequential().correlate(&trace, &cross_pc_bank());
     }
 
     /// One unit whose instructions go large, one-record, large: ids 0 and

@@ -30,8 +30,8 @@
 //!    cleared state, allocations kept: a worker holds one instruction's
 //!    tables at a time, and an FCM bank reuses them for the next. A
 //!    configuration without per-instruction state (finite aliased tables,
-//!    delayed updates) replays as one job over every record in trace
-//!    order. [`ReplayEngine::correlate`] runs a whole bank per
+//!    delayed updates) is refused: every bank method panics on it.
+//!    [`ReplayEngine::correlate`] runs a whole bank per
 //!    instruction the same way and reports, per record, which configs
 //!    were correct ([`dvp_core::Correlation`], Figures 8 and 9).
 //! 4. **Merge deterministically.** Unit tallies are exact integer counts,

@@ -102,9 +102,8 @@ impl ReplayEngine {
     /// consumers may still replay, and the chunk the producer decoded
     /// while it waits for room — plus one gather buffer per worker, which
     /// holds the worker's PC shard of at most one chunk; none of it grows
-    /// with trace length. Workers split the container into one PC shard
-    /// each for every per-instruction configuration; any other
-    /// configuration is one unsharded job.
+    /// with trace length. Workers (at most sixteen) split the container
+    /// into one PC shard each for every configuration.
     /// Tallies are byte-identical to [`replay`](ReplayEngine::replay) on
     /// the loaded trace at every worker and window setting.
     ///
@@ -114,6 +113,10 @@ impl ReplayEngine {
     /// ends inside a chunk, any chunk failing validation (checksum,
     /// decompression, record count, category bytes), or a torn trailing
     /// section — in which case all partial tallies are discarded.
+    ///
+    /// # Panics
+    ///
+    /// As [`replay`](ReplayEngine::replay), before reading anything.
     ///
     /// # Examples
     ///

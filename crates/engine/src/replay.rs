@@ -1,5 +1,6 @@
 //! The replay engine: fan predictor configurations out over a shared trace.
 
+use crate::batch::BatchScratch;
 use crate::drive::Plan;
 use crate::{par_map, try_par_map, SharedTrace};
 use dvp_core::{AccuracyTracker, PredictorConfig};
@@ -9,13 +10,14 @@ use dvp_trace::Observer;
 ///
 /// A unit is a contiguous range of instruction ids holding about a
 /// sixteenth of the trace's records ([`PcIndex::units`]), and one job
-/// replays every per-PC model over it, one instruction at a time from
+/// replays every model over it, one instruction at a time from
 /// cleared state, allocations kept. A job's live predictor state is one
 /// instruction's, so the count does not size any table: it only bounds
 /// the parallelism of one replay, and sixteen keeps a few workers busy
 /// even when the largest instruction holds a few percent of its trace. It
 /// never depends on `--workers`, so the jobs, and every merge of their
-/// reports, are the same at any worker count.
+/// reports, are the same at any worker count. A streamed replay takes
+/// it as its cap on consumer threads, one PC shard each.
 ///
 /// [`PcIndex::units`]: crate::shared::PcIndex::units
 pub(crate) const UNITS: usize = 16;
@@ -23,19 +25,19 @@ pub(crate) const UNITS: usize = 16;
 /// A parallel replay engine over [`SharedTrace`] buffers.
 ///
 /// The engine turns every replay request into independent jobs on a
-/// fixed-size [`par_map`] worker pool. A configuration whose predictor
-/// keeps strictly per-instruction state
+/// fixed-size [`par_map`] worker pool. Every configuration must keep
+/// strictly per-instruction state
 /// ([`Predictor::keeps_per_id_state`](dvp_core::Predictor::keeps_per_id_state):
-/// the unbounded `l`, `s2`, FCM and their hybrid) replays PC-major, each
-/// instruction's records in one run from cleared state, allocations kept
-/// (an FCM bank is cleared between instructions, any other predictor
+/// the unbounded `l`, `s2`, FCM and their hybrid), and replays PC-major,
+/// each instruction's records in one run from cleared state, allocations
+/// kept (an FCM bank is cleared between instructions, any other predictor
 /// built again), grouped into sixteen units of instructions; its tallies
 /// are exact integer counts, so they merge back to **bit-identical**
-/// results at any worker count (see the crate-level quickstart). Any
-/// other configuration (a finite, aliased table; delayed updates) replays
-/// as one job over every record in trace order, which is also exact. Jobs
-/// drive predictors through [`dvp_core::Predictor::observe_batch`]: one
-/// slot access per record per predictor, no hashing.
+/// results at any worker count (see the crate-level quickstart). Every
+/// bank method panics on any other configuration (a finite, aliased
+/// table; delayed updates). Jobs drive predictors through
+/// [`dvp_core::Predictor::observe_batch`]: one slot access per record per
+/// predictor, no hashing.
 #[derive(Debug, Clone)]
 pub struct ReplayEngine {
     workers: usize,
@@ -147,21 +149,32 @@ impl ReplayEngine {
     /// Replays one trace under a bank of predictor configurations and
     /// returns one merged [`ConfigReplay`] per configuration, in bank
     /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the configuration, if some configuration's predictor
+    /// does not declare
+    /// [`keeps_per_id_state`](dvp_core::Predictor::keeps_per_id_state) (a
+    /// finite table, delayed updates): the engine replays one instruction
+    /// at a time.
     #[must_use]
     pub fn replay(&self, trace: &SharedTrace, bank: &[PredictorConfig]) -> Vec<ConfigReplay> {
         self.drive_bank(trace, Plan::Full, bank).into_iter().map(ConfigReplay::new).collect()
     }
 
     /// Folds one trace through an [`Observer`] (a per-instruction profile,
-    /// a trace summary) in one pass in trace order: `build` makes the one
-    /// observer, and the fold is exactly that of a sequential pass.
-    pub fn observe<O, F>(&self, trace: &SharedTrace, build: F) -> O
-    where
-        O: Observer + Send,
-        F: Fn() -> O + Sync,
-    {
-        let make = |_, _| build();
-        self.drive(trace, Plan::Full, &[false], make).pop().expect("one merged observer")
+    /// a trace summary) in one pass in trace order on the calling thread:
+    /// `build` makes the one observer, and each chunk reaches it as one
+    /// batch of columns under the trace's ids.
+    pub fn observe<O: Observer>(&self, trace: &SharedTrace, build: impl FnOnce() -> O) -> O {
+        let mut observer = build();
+        let mut scratch = BatchScratch::default();
+        for (records, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
+            // An observer reads no positions.
+            scratch.gather(0, records, ids);
+            scratch.observe_into(&mut observer);
+        }
+        observer
     }
 }
 

@@ -489,15 +489,17 @@ impl ReplayEngine {
     /// [`SampledReplay`] per configuration, in bank order. Each run starts
     /// a **cold** predictor, warms it on the `plan.warmup_records` records
     /// before its window (observed, never tallied), then tallies the
-    /// window itself; a per-instruction configuration does so one
-    /// instruction at a time, on that instruction's records in the span.
-    /// Tallies are byte-identical at every engine setting.
+    /// window itself, one instruction at a time, on that instruction's
+    /// records in the span. Tallies are byte-identical at every engine
+    /// setting.
     ///
     /// # Panics
     ///
     /// Panics if the plan fails [`PhasePlan::validate`] or was built for
     /// a trace of a different length — both are programmer errors: plans
-    /// come from [`phase_plan`] or from a validated `PHAS` section.
+    /// come from [`phase_plan`] or from a validated `PHAS` section. Also
+    /// panics as [`replay`](ReplayEngine::replay) on a configuration
+    /// without per-instruction state.
     ///
     /// # Examples
     ///
@@ -540,8 +542,7 @@ impl ReplayEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the plan fails [`PhasePlan::validate`] or was built
-    /// for a trace of a different length.
+    /// As [`replay_sampled`](ReplayEngine::replay_sampled).
     #[must_use]
     pub fn replay_sampled_warm(
         &self,
@@ -564,6 +565,10 @@ impl ReplayEngine {
     /// As [`replay_streaming`](ReplayEngine::replay_streaming), plus an
     /// invalid plan or one whose `total_records` disagrees with the
     /// container header.
+    ///
+    /// # Panics
+    ///
+    /// As [`replay`](ReplayEngine::replay), before reading anything.
     pub fn replay_sampled_streaming<R: Read>(
         &self,
         reader: R,
@@ -585,6 +590,10 @@ impl ReplayEngine {
     /// # Errors
     ///
     /// As [`replay_sampled_streaming`](ReplayEngine::replay_sampled_streaming).
+    ///
+    /// # Panics
+    ///
+    /// As [`replay`](ReplayEngine::replay), before reading anything.
     pub fn replay_sampled_warm_streaming<R: Read>(
         &self,
         reader: R,

@@ -5,6 +5,13 @@
 //! Neither experiment has a counterpart table in the paper; both answer
 //! questions the paper itself raises (Sections 3, 4.3 and 4.4) and are the
 //! bridge from its limit study toward implementable predictors.
+//!
+//! Finite tables and delayed updates run only in this module's lockstep
+//! cells, each predictor stepped over a whole trace in trace order. A
+//! finite table aliases across PCs and a delay queue spans them, so
+//! neither keeps per-instruction state
+//! ([`Predictor::keeps_per_id_state`]), and the replay engine, which
+//! replays one instruction at a time, refuses both.
 
 use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};

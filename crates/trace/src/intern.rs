@@ -274,33 +274,16 @@ impl<T> PcSlots<T> {
     pub fn iter(&self) -> impl Iterator<Item = (Pc, &T)> + '_ {
         self.slots.iter().flatten().map(|(pc, state)| (*pc, state))
     }
-
-    /// Folds `other` in, matching slots by PC (shards of a resident trace
-    /// share its ids, but each consumer of a streamed container interns
-    /// its own): `add` combines the states of a PC both hold, and the rest
-    /// are appended. The merged table is a report; its slots follow no
-    /// interner.
-    pub fn merge(&mut self, other: PcSlots<T>, mut add: impl FnMut(&mut T, T)) {
-        let index: HashMap<Pc, usize> =
-            self.slots.iter().enumerate().filter_map(|(i, s)| Some((s.as_ref()?.0, i))).collect();
-        for (pc, state) in other.slots.into_iter().flatten() {
-            match index.get(&pc).and_then(|&i| self.slots[i].as_mut()) {
-                Some((_, mine)) => add(mine, state),
-                None => self.slots.push(Some((pc, state))),
-            }
-        }
-    }
 }
 
-/// A fold over a trace's records that the replay driver runs in one pass
-/// in trace order: the per-instruction profiles, trace summaries.
+/// A fold over a trace's records: the per-instruction profiles, trace
+/// summaries.
 ///
 /// Records arrive in trace order as parallel columns, with ids from one
-/// interner per observer. Totals are exact sums, so when state is
-/// strictly per PC the merge of observers of a trace's disjoint sets of
-/// PCs equals the observer of the whole trace, whatever the order the PCs
-/// were visited in.
-pub trait Observer: Sized {
+/// interner. An observer has no merge: the replay engine's
+/// `ReplayEngine::observe` folds a whole trace through one observer in a
+/// single pass, chunk by chunk.
+pub trait Observer {
     /// Folds a run of records, given as parallel columns.
     fn observe_batch(
         &mut self,
@@ -309,9 +292,6 @@ pub trait Observer: Sized {
         values: &[Value],
         categories: &[InstrCategory],
     );
-
-    /// Folds in another observer's report of records this one did not see.
-    fn merge(&mut self, other: Self);
 }
 
 #[cfg(test)]
@@ -464,22 +444,6 @@ mod tests {
             assert_eq!(interner.memo.len(), want, "{n} PCs");
         }
         check_against_oracle(&[Pc(0), Pc(0), Pc(16), Pc(0)], Pc(8));
-    }
-
-    #[test]
-    fn slots_merge_by_pc_across_unrelated_id_spaces() {
-        let mut a: PcSlots<u64> = PcSlots::default();
-        *a.get_or_insert_with(PcId(0), Pc(8), || 0) += 3;
-        *a.get_or_insert_with(PcId(2), Pc(4), || 0) += 1;
-        let mut b: PcSlots<u64> = PcSlots::default();
-        *b.get_or_insert_with(PcId(0), Pc(4), || 0) += 10;
-        *b.get_or_insert_with(PcId(3), Pc(12), || 0) += 5;
-        assert_eq!((a.iter().count(), b.iter().count()), (2, 2));
-        a.merge(b, |mine, theirs| *mine += theirs);
-        let mut merged: Vec<(Pc, u64)> = a.iter().map(|(pc, &n)| (pc, n)).collect();
-        merged.sort_unstable();
-        assert_eq!(merged, [(Pc(4), 11), (Pc(8), 3), (Pc(12), 5)]);
-        assert_eq!(PcSlots::<u8>::default().iter().count(), 0);
     }
 
     #[test]

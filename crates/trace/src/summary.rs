@@ -156,16 +156,6 @@ impl Observer for TraceSummary {
             self.record(&TraceRecord::new(pc, category, value));
         }
     }
-
-    fn merge(&mut self, other: Self) {
-        for (mine, theirs) in self.dynamic.counts.iter_mut().zip(other.dynamic.counts) {
-            *mine += theirs;
-        }
-        self.dynamic.total += other.dynamic.total;
-        for (mine, theirs) in self.static_pcs.iter_mut().zip(other.static_pcs) {
-            mine.extend(theirs);
-        }
-    }
 }
 
 impl FromIterator<TraceRecord> for TraceSummary {
@@ -222,28 +212,6 @@ mod tests {
         let s: TraceSummary = recs.iter().copied().collect();
         let total: f64 = InstrCategory::ALL.iter().map(|&c| s.dynamic_fraction(c)).sum();
         assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merged_shard_summaries_equal_the_whole() {
-        let recs: Vec<TraceRecord> = (0..40u64)
-            .map(|i| {
-                let cat = if i % 3 == 0 { InstrCategory::Loads } else { InstrCategory::AddSub };
-                rec(4 * (i % 6), cat, i)
-            })
-            .collect();
-        let whole: TraceSummary = recs.iter().copied().collect();
-        let mut shards = [TraceSummary::new(), TraceSummary::new()];
-        for r in &recs {
-            let shard = &mut shards[(r.pc.0 / 4 % 2) as usize];
-            shard.observe_batch(&[PcId(0)], &[r.pc], &[r.value], &[r.category]);
-        }
-        let [mut merged, odd] = shards;
-        merged.merge(odd);
-        assert_eq!(merged.dynamic_mix(), whole.dynamic_mix());
-        for cat in InstrCategory::ALL {
-            assert_eq!(merged.static_count(cat), whole.static_count(cat), "{cat:?}");
-        }
     }
 
     #[test]
