@@ -45,10 +45,10 @@ pub(crate) struct BatchScratch {
 }
 
 impl BatchScratch {
-    /// Replaces the selection with all of `records` (parallel to `ids`,
-    /// the first at global position `base`).
-    pub(crate) fn gather(&mut self, base: u64, records: &[TraceRecord], ids: &[PcId]) {
-        self.select(base, records, |offset, _| Some(ids[offset]));
+    /// Replaces the selection with all of `records` (parallel to `ids`),
+    /// at offsets counted from position 0.
+    pub(crate) fn gather(&mut self, records: &[TraceRecord], ids: &[PcId]) {
+        self.select(0, records, |offset, _| Some(ids[offset]));
     }
 
     /// Replaces the selection with the records at `positions` (ascending,
@@ -195,8 +195,8 @@ mod tests {
                 let mut predictor = config.build();
                 let mut got = AccuracyTracker::new();
                 let mut scratch = BatchScratch::default();
-                for (c, (recs, idch)) in records.chunks(chunk).zip(ids.chunks(chunk)).enumerate() {
-                    scratch.gather((c * chunk) as u64, recs, idch);
+                for (recs, idch) in records.chunks(chunk).zip(ids.chunks(chunk)) {
+                    scratch.gather(recs, idch);
                     let (_, _, categories, correct) = scratch.observe(predictor.as_mut());
                     for (&cat, &ok) in categories.iter().zip(correct) {
                         got.record(cat, ok);
@@ -214,10 +214,10 @@ mod tests {
     fn gathers_select_with_global_positions() {
         let (records, ids) = stream();
         let mut scratch = BatchScratch::default();
-        scratch.gather(1000, &records[10..40], &ids[10..40]);
+        scratch.gather(&records[10..40], &ids[10..40]);
         assert_eq!(scratch.ids, ids[10..40]);
-        assert_eq!(scratch.offsets, (0..30).collect::<Vec<u32>>());
-        scratch.gather(0, &records[5..5], &ids[5..5]);
+        assert_eq!((scratch.base, &scratch.offsets), (0, &(0..30).collect::<Vec<u32>>()));
+        scratch.gather(&records[5..5], &ids[5..5]);
         assert!(scratch.ids.is_empty() && scratch.offsets.is_empty());
 
         // Resident PC-major: one instruction's records through the index,

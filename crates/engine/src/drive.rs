@@ -1107,9 +1107,9 @@ mod tests {
     }
 
     /// `observe` on `trace` against one `observe_batch` call over the
-    /// whole trace's columns, compared through `report`.
+    /// whole trace's columns, compared through `report`. One engine is
+    /// enough: `observe` reads none of its settings.
     fn folds_as_one_batch<O: Observer, R: PartialEq + std::fmt::Debug>(
-        engine: &ReplayEngine,
         trace: &SharedTrace,
         build: impl Fn() -> O,
         report: impl Fn(&O) -> R,
@@ -1120,8 +1120,8 @@ mod tests {
         let categories: Vec<InstrCategory> = records.iter().map(|r| r.category).collect();
         let mut whole = build();
         whole.observe_batch(&ids, &pcs, &values, &categories);
-        let got = report(&engine.observe(trace, &build));
-        assert_eq!(got, report(&whole), "{} records, {engine:?}", trace.len());
+        let got = report(&ReplayEngine::sequential().observe(trace, &build));
+        assert_eq!(got, report(&whole), "{} records", trace.len());
     }
 
     #[test]
@@ -1130,32 +1130,29 @@ mod tests {
         let mut traces: Vec<SharedTrace> = layouts(&records(30_000)).into();
         traces.extend(layouts(&drawn(20_000, 500, 11)));
         traces.push(SharedTrace::new());
-        for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(4)] {
-            for trace in &traces {
-                folds_as_one_batch(&engine, trace, TraceSummary::new, |s| {
-                    let statics: Vec<u64> =
-                        InstrCategory::ALL.into_iter().map(|c| s.static_count(c)).collect();
-                    (s.dynamic_mix().clone(), statics, s.static_total())
-                });
-                folds_as_one_batch(&engine, trace, ValueProfile::new, |p| {
-                    let hists: Vec<_> = categories().map(|c| p.histograms(c)).collect();
-                    (hists, p.static_count())
-                });
-                folds_as_one_batch(&engine, trace, EntropyProfile::new, |p| {
-                    let hists: Vec<_> = categories().map(|c| p.histograms(c)).collect();
-                    let means = (p.static_mean_entropy(), p.dynamic_mean_entropy());
-                    (p.entropies(), hists, means, p.static_count())
-                });
-                folds_as_one_batch(
-                    &engine,
-                    trace,
-                    || LocalityProfile::new(16),
-                    |p| {
-                        let series: Vec<_> = categories().map(|c| p.series(c)).collect();
-                        (series, p.total(), p.static_count())
-                    },
-                );
-            }
+        for trace in &traces {
+            folds_as_one_batch(trace, TraceSummary::new, |s| {
+                let statics: Vec<u64> =
+                    InstrCategory::ALL.into_iter().map(|c| s.static_count(c)).collect();
+                (s.dynamic_mix().clone(), statics, s.static_total())
+            });
+            folds_as_one_batch(trace, ValueProfile::new, |p| {
+                let hists: Vec<_> = categories().map(|c| p.histograms(c)).collect();
+                (hists, p.static_count())
+            });
+            folds_as_one_batch(trace, EntropyProfile::new, |p| {
+                let hists: Vec<_> = categories().map(|c| p.histograms(c)).collect();
+                let means = (p.static_mean_entropy(), p.dynamic_mean_entropy());
+                (p.entropies(), hists, means, p.static_count())
+            });
+            folds_as_one_batch(
+                trace,
+                || LocalityProfile::new(16),
+                |p| {
+                    let series: Vec<_> = categories().map(|c| p.series(c)).collect();
+                    (series, p.total(), p.static_count())
+                },
+            );
         }
     }
 
@@ -1193,7 +1190,9 @@ mod tests {
     /// instructions, so replaying one instruction at a time has no answer
     /// for them: every bank entry point (the three resident replays, their
     /// streamed twins and the correlated replay) refuses either, by name,
-    /// inside a bank the engine otherwise replays.
+    /// inside a bank the engine otherwise replays. The refusal reads the
+    /// built predictor's declaration, not the config's name: under the
+    /// per-PC names "l" and "fcm1" the two are refused all the same.
     #[test]
     fn every_bank_entry_point_refuses_a_config_without_per_id_state() {
         let records = records(3_000);
@@ -1201,13 +1200,18 @@ mod tests {
         let (e, c) = (ReplayEngine::sequential(), stored.as_slice());
         let t = SharedTrace::from_records(records);
         let p = phase_plan(&t, &PhaseOptions::default());
-        let finite = PredictorConfig::new("finite-l", || {
-            Box::new(FiniteLastValuePredictor::new(TableSpec::new(3)))
-        });
-        let delayed = PredictorConfig::new("delayed-l", || {
+        let finite =
+            || -> Box<dyn Predictor> { Box::new(FiniteLastValuePredictor::new(TableSpec::new(3))) };
+        let delayed = || -> Box<dyn Predictor> {
             Box::new(DelayedPredictor::new(LastValuePredictor::new(), 16))
-        });
-        for config in [finite, delayed] {
+        };
+        let configs = [
+            PredictorConfig::new("finite-l", finite),
+            PredictorConfig::new("delayed-l", delayed),
+            PredictorConfig::new("l", finite),
+            PredictorConfig::new("fcm1", delayed),
+        ];
+        for config in configs {
             let mut b = banks()[1].clone();
             b.insert(2, config.clone());
             let b = b.as_slice();

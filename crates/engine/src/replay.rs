@@ -165,13 +165,13 @@ impl ReplayEngine {
     /// Folds one trace through an [`Observer`] (a per-instruction profile,
     /// a trace summary) in one pass in trace order on the calling thread:
     /// `build` makes the one observer, and each chunk reaches it as one
-    /// batch of columns under the trace's ids.
+    /// batch of columns under the trace's ids. The engine's settings
+    /// (workers, chunk window) do not affect it.
     pub fn observe<O: Observer>(&self, trace: &SharedTrace, build: impl FnOnce() -> O) -> O {
         let mut observer = build();
         let mut scratch = BatchScratch::default();
         for (records, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
-            // An observer reads no positions.
-            scratch.gather(0, records, ids);
+            scratch.gather(records, ids);
             scratch.observe_into(&mut observer);
         }
         observer
@@ -237,11 +237,9 @@ mod tests {
     fn observe_folds_the_whole_trace_in_one_pass() {
         let trace = mixed_trace(1000);
         let one_pass: dvp_trace::TraceSummary = trace.iter().copied().collect();
-        for engine in [ReplayEngine::sequential(), ReplayEngine::new().with_workers(4)] {
-            let summary = engine.observe(&trace, dvp_trace::TraceSummary::new);
-            assert_eq!(summary.dynamic_total(), 1000);
-            assert_eq!(summary.static_total(), one_pass.static_total());
-        }
+        let summary = ReplayEngine::sequential().observe(&trace, dvp_trace::TraceSummary::new);
+        assert_eq!(summary.dynamic_total(), 1000);
+        assert_eq!(summary.static_total(), one_pass.static_total());
     }
 
     #[test]
